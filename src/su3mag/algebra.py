@@ -31,27 +31,38 @@ from functools import lru_cache
 
 import numpy as np
 
-from .scalars import (Scalar, CScalar, cmat, cmat_commutator, cmat_mul,
-                      cmat_trace, cmat_scale, cmat_add)
-from .exact_linalg import nullspace, invert_matrix
+from .scalars import (Scalar, CScalar, CZERO, cmat, cmat_commutator,
+                      cmat_scale, cmat_add)
+from .exact_linalg import nullspace
 
 UNITARY_TOL = 1e-12
 
+_MINUS_HALF = Scalar(Fraction(-1, 2))
+
 
 def _bpair_exact(A, B):
-    """B(A, B) = -1/2 tr(A B) for exact complex matrices; must be real."""
-    val = cmat_scale(CScalar(Scalar(Fraction(-1, 2))), cmat_mul(A, B))
-    tr = cmat_trace(val)
-    if not tr.im.is_zero():
+    """B(A, B) = -1/2 sum_ik A_ik B_ki for exact complex matrices; must be
+    real.  Zero entries of A and B are skipped."""
+    acc = CZERO
+    for i, row in enumerate(A):
+        for a, brow in zip(row, B):
+            if a.is_zero():
+                continue
+            b = brow[i]
+            if not b.is_zero():
+                acc = acc + a * b
+    if not acc.im.is_zero():
         raise ValueError("trace pairing of anti-Hermitian elements must be real")
-    return tr.re
+    return acc.re * _MINUS_HALF
 
 
 class LieAlgebraSpec:
     """Basis labels, structure constants, bilinear form and matrix realization.
 
     structure is a sparse map (i, j, k) -> Scalar with antisymmetric (i, j);
-    bform is the dense Gram matrix of B on the basis.
+    bform is the dense Gram matrix of B on the basis, which must be the
+    identity: every basis here is B-orthonormal, so coordinates are plain
+    B-pairings and B-gradients are plain partials.
     """
 
     def __init__(self, name, labels, coord_names, matrix_rep, extras=None):
@@ -65,16 +76,28 @@ class LieAlgebraSpec:
         n = self.dim
         self.bform = [[_bpair_exact(matrix_rep[i], matrix_rep[j])
                        for j in range(n)] for i in range(n)]
-        self._bform_inv = None
+        for i, row in enumerate(self.bform):
+            for j, x in enumerate(row):
+                if x != (1 if i == j else 0):
+                    raise ValueError(f"basis of {name} is not B-orthonormal: "
+                                     f"B({self.labels[i]}, {self.labels[j]})"
+                                     f" = {x.text()}")
 
-        # structure constants from the matrix commutators, exactly
+        # structure constants from the matrix commutators, exactly; the
+        # (j, i) constants are the negated (i, j) ones.  Keys go in in
+        # (i, j, k) order: float sums over the structure follow it.
+        coords = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                comm = cmat_commutator(matrix_rep[i], matrix_rep[j])
+                coords[(i, j)] = self.exact_coords_of_matrix(comm)
         self.structure = {}
         for i in range(n):
             for j in range(n):
                 if i == j:
                     continue
-                comm = cmat_commutator(matrix_rep[i], matrix_rep[j])
-                coeffs = self.exact_coords_of_matrix(comm)
+                coeffs = coords[(i, j)] if i < j else \
+                    [-c for c in coords[(j, i)]]
                 for k, c in enumerate(coeffs):
                     if not c.is_zero():
                         self.structure[(i, j, k)] = c
@@ -87,11 +110,6 @@ class LieAlgebraSpec:
 
     # -- exact views ---------------------------------------------------------
 
-    def bform_inverse(self):
-        if self._bform_inv is None:
-            self._bform_inv = invert_matrix(self.bform)
-        return self._bform_inv
-
     def exact_matrix_of(self, coords):
         out = None
         for c, M in zip(coords, self.matrix_rep):
@@ -100,11 +118,8 @@ class LieAlgebraSpec:
         return out
 
     def exact_coords_of_matrix(self, M):
-        """Exact B-projection of an exact matrix onto the basis."""
-        binv = self.bform_inverse()
-        pair = [_bpair_exact(M, self.matrix_rep[j]) for j in range(self.dim)]
-        return [sum((binv[i][j] * pair[j] for j in range(self.dim)), Scalar(0))
-                for i in range(self.dim)]
+        """Exact B-projection of an exact matrix onto the orthonormal basis."""
+        return [_bpair_exact(M, E) for E in self.matrix_rep]
 
     def bracket_coords(self, x, y):
         """Exact commutator of coordinate vectors."""
@@ -116,12 +131,9 @@ class LieAlgebraSpec:
         return out
 
     def bpair_coords(self, x, y):
-        out = Scalar(0)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if not self.bform[i][j].is_zero():
-                    out = out + Scalar.of(x[i]) * self.bform[i][j] * Scalar.of(y[j])
-        return out
+        """Exact B(x, y) = sum_i x_i y_i on the orthonormal basis."""
+        return sum((Scalar.of(a) * Scalar.of(b) for a, b in zip(x, y)),
+                   Scalar(0))
 
     # -- numeric views --------------------------------------------------------
 

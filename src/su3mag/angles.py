@@ -26,6 +26,7 @@ arg is not polynomial, so no symbolic path exists.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,16 +38,21 @@ from .invariants import radial_generator
 
 TWO_PI = 2.0 * math.pi
 
-_CHEV = build_su3_chevalley()
-# dual matrices of the root coordinate functionals: z_k(M) = -1/2 tr(M D_k)
-_Z_DUALS = []
-for _k in range(3):
-    _row = _CHEV.extras["z_rows"][_k]
-    _M = np.zeros((3, 3), dtype=complex)
-    for _i, _c in enumerate(_row):
-        if not _c.is_zero():
-            _M += complex(_c) * _CHEV._np_basis[_i]
-    _Z_DUALS.append(_M)
+
+@lru_cache(maxsize=1)
+def _z_duals():
+    """Dual matrices of the root coordinate functionals:
+    z_k(M) = -1/2 tr(M D_k), built on first use."""
+    chev = build_su3_chevalley()
+    duals = []
+    for row in chev.extras["z_rows"]:
+        D = np.zeros((3, 3), dtype=complex)
+        for i, c in enumerate(row):
+            if not c.is_zero():
+                D += complex(c) * chev._np_basis[i]
+        duals.append(D)
+    return tuple(duals)
+
 
 THETA_MATRIX = np.array([[2.0, -1.0], [-1.0, 2.0], [1.0, 1.0]])
 LEFT_INVERSE = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]) / 3.0
@@ -70,7 +76,7 @@ _M_LIVE_IRREGULAR = np.array([[-1.0, 2.0], [1.0, 1.0]])
 
 def z_values_of_matrix(M):
     """Complex root coordinates of a 3x3 anti-Hermitian matrix."""
-    return np.array([-0.5 * np.trace(M @ D) for D in _Z_DUALS])
+    return np.array([-0.5 * np.trace(M @ D) for D in _z_duals()])
 
 
 def slice_z_values(sys, pt):

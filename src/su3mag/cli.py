@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys as _sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import reports
-from .phase import integrate_flow
+from .phase import flow_steps, integrate_flow
 
 
 def _out_dir(args):
@@ -29,11 +30,25 @@ def _out_dir(args):
     return path
 
 
+class UsageError(ValueError):
+    """Bad input: reported as one ``error:`` line with exit status 2."""
+
+
 def _merge_config(args, keys):
     config = {}
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config.update(json.load(fh))
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                loaded = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"cannot read config {args.config}: "
+                             f"{exc.strerror}") from None
+        except ValueError as exc:
+            raise UsageError(f"config {args.config} is not valid JSON: "
+                             f"{exc}") from None
+        if not isinstance(loaded, dict):
+            raise UsageError(f"config {args.config} must hold a JSON object")
+        config.update(loaded)
     for key in keys:
         val = getattr(args, key, None)
         if val is not None:
@@ -41,14 +56,30 @@ def _merge_config(args, keys):
     return config
 
 
+def _check_config(config, flow=True):
+    """Refuse a non-finite or zero eps and, for a flow, bad t_end/dt."""
+    for key in ("eps", "t_end", "dt") if flow else ("eps",):
+        try:
+            value = float(config[key])
+        except (TypeError, ValueError):
+            raise UsageError(f"{key} must be a number, got "
+                             f"{config[key]!r}") from None
+        if not math.isfinite(value):
+            raise UsageError(f"{key} must be finite, got {value}")
+    if float(config["eps"]) == 0.0:
+        raise UsageError("eps must be nonzero (the magnetic parameter)")
+    if flow:
+        try:
+            flow_steps(float(config["t_end"]), float(config["dt"]))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+
+
 def cmd_verify(args):
     config = reports.default_config(args.case)
     config.update(_merge_config(
         args, ("case", "eps", "seed", "samples", "t_end", "dt")))
-    if float(config["eps"]) == 0.0:
-        print("error: eps must be nonzero (the magnetic parameter)",
-              file=_sys.stderr)
-        return 2
+    _check_config(config)
     report = reports.run_verification(config)
     for line in reports.report_lines(report):
         print(line)
@@ -76,10 +107,7 @@ def cmd_flow(args):
     config = reports.default_config(args.case)
     config.update(_merge_config(
         args, ("case", "eps", "seed", "t_end", "dt")))
-    if float(config["eps"]) == 0.0:
-        print("error: eps must be nonzero (the magnetic parameter)",
-              file=_sys.stderr)
-        return 2
+    _check_config(config)
     sys_ = reports.make_system(config["case"], config["eps"])
     rng = np.random.default_rng(int(config["seed"]))
     pt = sys_.random_regular_point(rng)
@@ -107,6 +135,7 @@ def cmd_flow(args):
 def cmd_brackets(args):
     config = reports.default_config(args.case)
     config.update(_merge_config(args, ("case", "eps")))
+    _check_config(config, flow=False)
     sys_ = reports.make_system(config["case"], config["eps"])
     text = reports.bracket_table_text(sys_)
     print(text, end="")
@@ -175,7 +204,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -120,24 +120,3 @@ def solve_in_span(target, vectors, ncols):
             return None
     return coeffs
 
-
-def invert_matrix(mat):
-    """Exact inverse of a dense square Scalar matrix."""
-    n = len(mat)
-    rows = []
-    for i in range(n):
-        row = {}
-        for j in range(n):
-            if not mat[i][j].is_zero():
-                row[j] = mat[i][j]
-        row[n + i] = Scalar(1)
-        rows.append(row)
-    pivots, reduced = rref(rows, 2 * n)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    inv = [[Scalar(0)] * n for _ in range(n)]
-    for pcol, row in zip(pivots, reduced):
-        for c, v in row.items():
-            if c >= n:
-                inv[pcol][c - n] = v
-    return inv

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+import math
 
 import numpy as np
 
@@ -481,23 +482,43 @@ class FlowTrajectory:
     integrator: str = "rk4"
 
 
+def flow_steps(t_end, dt):
+    """Number of steps of size dt that reach t_end.
+
+    Raises ValueError unless dt and t_end are finite and positive and
+    t_end/dt is a positive integer to within 1e-9 (relative): a flow
+    of zero steps would certify nothing, and a rounded step count would
+    end at a time other than t_end.
+    """
+    if not (math.isfinite(dt) and math.isfinite(t_end)):
+        raise ValueError("dt and t_end must be finite")
+    if dt <= 0 or t_end <= 0:
+        raise ValueError("dt and t_end must be positive")
+    ratio = t_end / dt
+    nsteps = round(ratio)
+    if nsteps == 0:
+        raise ValueError(f"t_end/dt = {ratio:g} rounds to zero steps")
+    if abs(ratio - nsteps) > 1e-9 * ratio:
+        raise ValueError(f"t_end/dt = {ratio:.12g} is not a whole number "
+                         f"of steps")
+    return nsteps
+
+
 def integrate_flow(sys, pt0, t_end, dt, drift_limit=1e-8):
     """Classical RK4 for gdot = g M(X), Xdot = -eps [W, X].
 
     The group factor is polar-reprojected to SU(3) each step; a unitarity
     drift beyond drift_limit before reprojection rejects the step.  The
     X-component has the closed Lax form Ad(exp(-t eps W)) X0, which the
-    tests compare against.
+    tests compare against.  The step count is ``flow_steps(t_end, dt)``.
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
+    nsteps = flow_steps(t_end, dt)
     alg = sys.alg
     adW = sys._adW
 
     def xdot(X):
         return -sys.eps * (adW @ X)
 
-    nsteps = int(round(t_end / dt))
     g = pt0.g.matrix.copy()
     X = pt0.X.copy()
     times = [0.0]

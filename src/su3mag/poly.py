@@ -319,13 +319,6 @@ def b_gradient(p, alg):
     names = alg.coord_names
     if p.vars != names:
         raise ValueError("polynomial is not over the algebra coordinates")
-    partials = [p.diff(v) for v in names]
-    binv = alg.bform_inverse()
-    comps = []
-    for i in range(alg.dim):
-        acc = Polynomial.zero(names)
-        for j in range(alg.dim):
-            if not binv[i][j].is_zero() and not partials[j].is_zero():
-                acc = acc + partials[j] * binv[i][j]
-        comps.append(acc)
-    return PolyVector(comps)
+    # the basis is B-orthonormal (LieAlgebraSpec checks it), so the
+    # B-gradient is the vector of partials
+    return PolyVector(p.diff(v) for v in names)

@@ -3,40 +3,84 @@
 Every structure constant, bilinear-form entry and invariant-polynomial
 coefficient appearing in the two SU(3) bases lives in Q(sqrt3); a handful of
 root-vector normalizations additionally need sqrt2, so we work in the degree-4
-extension Q(sqrt2, sqrt3) with basis (1, sqrt2, sqrt3, sqrt6).  Elements are
-quadruples of ``fractions.Fraction`` and all ring operations are exact.
+extension Q(sqrt2, sqrt3) with basis (1, sqrt2, sqrt3, sqrt6).
 
-Division is exact field division, implemented by solving the 4x4 linear
-system c * x = 1 over Q (rationalization).
+An element is stored in its integral representation (Cohen, GTM 138, §4.2):
+four integer numerators over one common denominator,
+
+    (n0 + n1*sqrt2 + n2*sqrt3 + n3*sqrt6) / den,     den > 0,
+
+reduced so that gcd(n0, n1, n2, n3, den) == 1; zero is (0, 0, 0, 0, 1).
+The reduced form is unique, so equality is tuple equality.  Every ring
+operation works on Python ints and ends with one gcd; no ``Fraction`` is
+built on the arithmetic path.  The rational coefficients a, b, c, d are
+available as read-only ``Fraction`` views.
+
+Division is exact field division: the inverse is the conjugate product over
+the rational field norm, both computed on the integer numerators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 import math
+import numbers
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
 _SQRT6 = math.sqrt(6.0)
 
+_gcd = math.gcd
+_new = object.__new__
+_ZERO_INTS = (0, 0, 0, 0, 1)
+
+
+def _mul4(a0, a1, a2, a3, b0, b1, b2, b3):
+    """Product of two numerator quadruples: s2*s3 = s6, s2*s6 = 2*s3, ..."""
+    return (a0 * b0 + 2 * a1 * b1 + 3 * a2 * b2 + 6 * a3 * b3,
+            a0 * b1 + a1 * b0 + 3 * (a2 * b3 + a3 * b2),
+            a0 * b2 + a2 * b0 + 2 * (a1 * b3 + a3 * b1),
+            a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1)
+
+
+def _make(n0, n1, n2, n3, den):
+    """The Scalar (n0 + n1 s2 + n2 s3 + n3 s6)/den for den > 0, reduced."""
+    g = _gcd(n0, n1, n2, n3, den)
+    s = _new(Scalar)
+    if g == 1:
+        s.ints = (n0, n1, n2, n3, den)
+    else:
+        s.ints = (n0 // g, n1 // g, n2 // g, n3 // g, den // g)
+    return s
+
+
+def _rational_parts(x):
+    """(numerator, denominator) of an exact rational; floats are refused."""
+    if isinstance(x, numbers.Rational):
+        return int(x.numerator), int(x.denominator)
+    raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
+
 
 class Scalar:
-    """An element a + b*sqrt2 + c*sqrt3 + d*sqrt6 with a,b,c,d rational."""
+    """An element a + b*sqrt2 + c*sqrt3 + d*sqrt6 with a,b,c,d rational.
 
-    __slots__ = ("a", "b", "c", "d")
+    ``ints`` is the reduced integral representation (n0, n1, n2, n3, den).
+    """
+
+    __slots__ = ("ints",)
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        self.a = a if isinstance(a, Fraction) else Fraction(a)
-        self.b = b if isinstance(b, Fraction) else Fraction(b)
-        self.c = c if isinstance(c, Fraction) else Fraction(c)
-        self.d = d if isinstance(d, Fraction) else Fraction(d)
+        parts = [_rational_parts(x) for x in (a, b, c, d)]
+        den = math.lcm(*(q for _, q in parts))
+        s = _make(*(p * (den // q) for p, q in parts), den)
+        self.ints = s.ints
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def of(x):
         """Coerce an int, Fraction or Scalar to a Scalar."""
-        if isinstance(x, Scalar):
+        if type(x) is Scalar:
             return x
         if isinstance(x, (int, Fraction)):
             return Scalar(x)
@@ -54,41 +98,76 @@ class Scalar:
     def sqrt6(coeff=1):
         return Scalar(0, 0, 0, coeff)
 
+    # -- rational views -----------------------------------------------------
+
+    @property
+    def a(self):
+        return Fraction(self.ints[0], self.ints[4])
+
+    @property
+    def b(self):
+        return Fraction(self.ints[1], self.ints[4])
+
+    @property
+    def c(self):
+        return Fraction(self.ints[2], self.ints[4])
+
+    @property
+    def d(self):
+        return Fraction(self.ints[3], self.ints[4])
+
     # -- field operations --------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, (int, Fraction, Scalar)):
-            return NotImplemented
-        other = Scalar.of(other)
-        return Scalar(self.a + other.a, self.b + other.b,
-                      self.c + other.c, self.d + other.d)
+        if type(other) is not Scalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Scalar(other)
+        b0, b1, b2, b3, bd = other.ints
+        if not (b0 or b1 or b2 or b3):
+            return self
+        a0, a1, a2, a3, ad = self.ints
+        if not (a0 or a1 or a2 or a3):
+            return other
+        if ad == bd:
+            return _make(a0 + b0, a1 + b1, a2 + b2, a3 + b3, ad)
+        return _make(a0 * bd + b0 * ad, a1 * bd + b1 * ad,
+                     a2 * bd + b2 * ad, a3 * bd + b3 * ad, ad * bd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.a, -self.b, -self.c, -self.d)
+        a0, a1, a2, a3, ad = self.ints
+        s = _new(Scalar)
+        s.ints = (-a0, -a1, -a2, -a3, ad)
+        return s
 
     def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, Scalar)):
-            return NotImplemented
-        return self + (-Scalar.of(other))
+        if type(other) is not Scalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Scalar(other)
+        return self + (-other)
 
     def __rsub__(self, other):
         return Scalar.of(other) + (-self)
 
     def __mul__(self, other):
-        if not isinstance(other, (int, Fraction, Scalar)):
-            return NotImplemented
-        other = Scalar.of(other)
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-        # (1,s2,s3,s6) multiplication table: s2*s3 = s6, s2*s6 = 2*s3, ...
-        return Scalar(
-            a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2,
-            a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2),
-            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-        )
+        if type(other) is not Scalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Scalar(other)
+        a0, a1, a2, a3, ad = self.ints
+        b0, b1, b2, b3, bd = other.ints
+        if not (a1 or a2 or a3):
+            if not a0:
+                return self
+            return _make(a0 * b0, a0 * b1, a0 * b2, a0 * b3, ad * bd)
+        if not (b1 or b2 or b3):
+            if not b0:
+                return other
+            return _make(b0 * a0, b0 * a1, b0 * a2, b0 * a3, ad * bd)
+        return _make(*_mul4(a0, a1, a2, a3, b0, b1, b2, b3), ad * bd)
 
     __rmul__ = __mul__
 
@@ -97,16 +176,20 @@ class Scalar:
 
         With s(x) = a - b*sqrt2 + c*sqrt3 - d*sqrt6 and
         t(x) = a + b*sqrt2 - c*sqrt3 - d*sqrt6, the product
-        x * s(x) * t(x) * s(t(x)) is the rational field norm.
+        x * s(x) * t(x) * s(t(x)) is the rational field norm.  On the
+        numerators n of x = n/den this is an integer N, and
+        1/x = den * s(n) t(n) st(n) / N.
         """
         if self.is_zero():
             raise ZeroDivisionError("Scalar division by zero")
-        s = Scalar(self.a, -self.b, self.c, -self.d)
-        t = Scalar(self.a, self.b, -self.c, -self.d)
-        st = Scalar(self.a, -self.b, -self.c, self.d)
-        num = s * t * st
-        norm = (self * num).a  # rational by construction
-        return Scalar(num.a / norm, num.b / norm, num.c / norm, num.d / norm)
+        n0, n1, n2, n3, den = self.ints
+        conj = _mul4(n0, -n1, n2, -n3, n0, n1, -n2, -n3)
+        conj = _mul4(*conj, n0, -n1, -n2, n3)
+        norm = _mul4(n0, n1, n2, n3, *conj)[0]  # rational by construction
+        if norm < 0:
+            norm, den = -norm, -den
+        return _make(den * conj[0], den * conj[1], den * conj[2],
+                     den * conj[3], norm)
 
     def __truediv__(self, other):
         return self * Scalar.of(other).inv()
@@ -117,7 +200,7 @@ class Scalar:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("Scalar powers must be nonnegative integers")
-        out = Scalar(1)
+        out = ONE
         base = self
         while n:
             if n & 1:
@@ -129,28 +212,31 @@ class Scalar:
     # -- predicates / views -------------------------------------------------
 
     def is_zero(self):
-        return not (self.a or self.b or self.c or self.d)
+        return self.ints == _ZERO_INTS
 
     def is_rational(self):
-        return not (self.b or self.c or self.d)
+        _, n1, n2, n3, _ = self.ints
+        return not (n1 or n2 or n3)
 
     def __bool__(self):
         return not self.is_zero()
 
     def __eq__(self, other):
-        try:
-            other = Scalar.of(other)
-        except TypeError:
-            return NotImplemented
-        return (self.a == other.a and self.b == other.b
-                and self.c == other.c and self.d == other.d)
+        if type(other) is not Scalar:
+            try:
+                other = Scalar.of(other)
+            except TypeError:
+                return NotImplemented
+        return self.ints == other.ints
 
     def __hash__(self):
         return hash((self.a, self.b, self.c, self.d))
 
     def __float__(self):
-        return (float(self.a) + float(self.b) * _SQRT2
-                + float(self.c) * _SQRT3 + float(self.d) * _SQRT6)
+        n0, n1, n2, n3, den = self.ints
+        # each component rounded as float(Fraction(n_i, den)) would be
+        return (n0 / den + n1 / den * _SQRT2
+                + n2 / den * _SQRT3 + n3 / den * _SQRT6)
 
     # -- canonical text form -------------------------------------------------
 
@@ -200,6 +286,13 @@ HALF = Scalar(Fraction(1, 2))
 SQRT3 = Scalar.sqrt3()
 
 
+def _cnew(re, im):
+    z = _new(CScalar)
+    z.re = re
+    z.im = im
+    return z
+
+
 class CScalar:
     """Exact complex number with Scalar real and imaginary parts.
 
@@ -210,12 +303,12 @@ class CScalar:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Scalar) else Scalar.of(re)
-        self.im = im if isinstance(im, Scalar) else Scalar.of(im)
+        self.re = re if type(re) is Scalar else Scalar.of(re)
+        self.im = im if type(im) is Scalar else Scalar.of(im)
 
     @staticmethod
     def of(x):
-        if isinstance(x, CScalar):
+        if type(x) is CScalar:
             return x
         if isinstance(x, (int, Fraction, Scalar)):
             return CScalar(x)
@@ -227,28 +320,33 @@ class CScalar:
 
     def __add__(self, other):
         other = CScalar.of(other)
-        return CScalar(self.re + other.re, self.im + other.im)
+        return _cnew(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CScalar(-self.re, -self.im)
+        return _cnew(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-CScalar.of(other))
+        other = CScalar.of(other)
+        return _cnew(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return CScalar.of(other) + (-self)
 
     def __mul__(self, other):
         other = CScalar.of(other)
-        return CScalar(self.re * other.re - self.im * other.im,
-                       self.re * other.im + self.im * other.re)
+        ar, ai, br, bi = self.re, self.im, other.re, other.im
+        if ai.is_zero():
+            return _cnew(ar * br, ar * bi)
+        if ar.is_zero():
+            return _cnew(-(ai * bi), ai * br)
+        return _cnew(ar * br - ai * bi, ar * bi + ai * br)
 
     __rmul__ = __mul__
 
     def conj(self):
-        return CScalar(self.re, -self.im)
+        return _cnew(self.re, -self.im)
 
     def is_zero(self):
         return self.re.is_zero() and self.im.is_zero()
@@ -273,22 +371,32 @@ class CScalar:
         return f"CScalar({self.re.text()}, {self.im.text()})"
 
 
+CZERO = CScalar(0)
+
+
 def cmat(entries):
     """Build an exact matrix (tuple of tuples of CScalar) from a nested list."""
     return tuple(tuple(CScalar.of(x) for x in row) for row in entries)
 
 
 def cmat_mul(A, B):
-    n, m, p = len(A), len(B), len(B[0])
-    return tuple(
-        tuple(sum((A[i][k] * B[k][j] for k in range(m)), CScalar(0))
-              for j in range(p))
-        for i in range(n))
+    """Exact matrix product; zero entries of A and B are skipped."""
+    p = len(B[0])
+    out = []
+    for row in A:
+        acc = [CZERO] * p
+        for a, brow in zip(row, B):
+            if a.is_zero():
+                continue
+            for j, b in enumerate(brow):
+                if not b.is_zero():
+                    acc[j] = acc[j] + a * b
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def cmat_add(A, B):
-    return tuple(tuple(A[i][j] + B[i][j] for j in range(len(A[0])))
-                 for i in range(len(A)))
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
 def cmat_scale(c, A):
@@ -297,15 +405,11 @@ def cmat_scale(c, A):
 
 
 def cmat_sub(A, B):
-    return cmat_add(A, cmat_scale(CScalar(-1), B))
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
 def cmat_commutator(A, B):
     return cmat_sub(cmat_mul(A, B), cmat_mul(B, A))
-
-
-def cmat_trace(A):
-    return sum((A[i][i] for i in range(len(A))), CScalar(0))
 
 
 def cmat_is_zero(A):

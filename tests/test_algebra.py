@@ -163,3 +163,29 @@ def test_serialization_round_trip():
     text = build_su2().serialize()
     assert "algebra su2" in text and "C 0 1 2 2" in text
     assert "bform 0 1 0 0" in text
+
+
+def test_non_orthonormal_basis_rejected():
+    alg = build_su2()
+    x, y, z = alg.matrix_rep
+    # a scaled element: B(2x, 2x) = 4
+    with pytest.raises(ValueError, match="not B-orthonormal"):
+        LieAlgebraSpec("scaled", ("X", "Y", "Z"), ("x", "y", "z"),
+                       [cmat_scale(CScalar(2), x), y, z])
+    # a sheared pair: B(x + y, y) = 1
+    sheared = tuple(tuple(p + q for p, q in zip(ra, rb))
+                    for ra, rb in zip(x, y))
+    with pytest.raises(ValueError, match="not B-orthonormal"):
+        LieAlgebraSpec("sheared", ("X", "Y", "Z"), ("x", "y", "z"),
+                       [sheared, y, z])
+
+
+def test_exact_coords_recover_unit_vectors():
+    for alg in (build_su2(), build_su3_gellmann(), build_su3_chevalley()):
+        for i, E in enumerate(alg.matrix_rep):
+            coords = alg.exact_coords_of_matrix(E)
+            assert coords == [Scalar(1) if j == i else Scalar(0)
+                              for j in range(alg.dim)]
+        # and a combination comes back coefficient for coefficient
+        combo = [Scalar(k + 1, 0, Fraction(1, k + 2)) for k in range(alg.dim)]
+        assert alg.exact_coords_of_matrix(alg.exact_matrix_of(combo)) == combo

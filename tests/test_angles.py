@@ -1,5 +1,8 @@
 """Action-angle machinery: phases, equivariance, frequencies, canonicity."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,19 @@ from su3mag.angles import (root_phases, torus_angles, torus_action,
                            flow_step, slice_z_values, ChartUndefined,
                            THETA_MATRIX, LEFT_INVERSE, _nearest_branch,
                            _rescale, TWO_PI)
+
+
+def test_import_builds_no_algebra():
+    """Importing the module is cheap: the algebra it needs is built lazily."""
+    probe = ("import su3mag.angles\n"
+             "from su3mag import algebra\n"
+             "for b in (algebra.build_su3_gellmann, "
+             "algebra.build_su3_chevalley, algebra.build_su2):\n"
+             "    assert b.cache_info().misses == 0, b.__name__\n"
+             "assert su3mag.angles._z_duals.cache_info().misses == 0\n")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_left_inverse_of_theta():

@@ -53,6 +53,7 @@ def test_flow_command(tmp_path):
     doc = json.loads((tmp_path / "conservation_irregular.json").read_text())
     assert all(e["pass"] for e in doc["functions"])
     assert len(doc["functions"]) == 9
+    assert doc["nsteps"] == 1000
 
 
 def test_brackets_command(tmp_path):
@@ -124,3 +125,50 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "verify" in proc.stdout and "brackets" in proc.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["flow", "--dt", "0"],
+    ["flow", "--dt", "-1"],
+    ["verify", "--dt=-1e-3"],
+    ["verify", "--eps", "nan"],
+    ["flow", "--eps", "inf"],
+    ["brackets", "--eps", "nan"],
+    ["flow", "--dt", "nan"],
+    ["verify", "--t-end", "inf"],
+    ["flow", "--t-end", "nan"],
+    ["flow", "--t-end", "1.0", "--dt", "0.3"],
+], ids=lambda a: " ".join(a))
+def test_bad_numbers_are_one_line_errors(tmp_path, capsys, args):
+    code = run_cli(args + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bad_config_is_a_one_line_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    for path in (tmp_path / "missing.json", bad, listed):
+        code = run_cli(["verify", "--config", str(path),
+                        "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, path
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(path) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_vacuous_flow_fails(tmp_path):
+    """t_end/dt rounding to zero steps must not report a passing flow."""
+    proc = subprocess.run([sys.executable, "-m", "su3mag.cli", "flow",
+                           "--case", "irregular", "--t-end", "0.01",
+                           "--dt", "1", "--out", str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: t_end/dt = 0.01 rounds to zero steps\n"
+    assert not (tmp_path / "conservation_irregular.json").exists()

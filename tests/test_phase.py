@@ -15,7 +15,7 @@ from su3mag.phase import (su3_regular_system, su3_irregular_system,
                           slice_bracket_symbolic, integrate_flow,
                           conservation_report, closed_form_fiber,
                           closed_form_group, phase_tangent_basis,
-                          differential, _project_m)
+                          differential, flow_steps, _project_m)
 from su3mag.invariants import radial_generator, torus_generators
 
 
@@ -291,6 +291,29 @@ def test_integrator_guards():
         integrate_flow(sys, pt, t_end=0.0, dt=1e-3)
     with pytest.raises(ValueError):
         integrate_flow(sys, pt, t_end=1.0, dt=-1e-3)
+    # a flow of zero steps, or one that would stop short of t_end
+    with pytest.raises(ValueError, match="zero steps"):
+        integrate_flow(sys, pt, t_end=0.01, dt=1.0)
+    with pytest.raises(ValueError, match="whole number"):
+        integrate_flow(sys, pt, t_end=1.0, dt=0.3)
+    with pytest.raises(ValueError, match="finite"):
+        integrate_flow(sys, pt, t_end=float("inf"), dt=1e-3)
+    assert flow_steps(10.0, 1e-3) == 10000
+    assert flow_steps(1.0, 1e-3) == 1000
+
+
+def test_conservation_json_records_steps_and_refuses_empty_flows():
+    from su3mag.reports import conservation_json, monitored_functions
+    import json
+    sys = su3_irregular_system(0.1)
+    pt = sys.random_regular_point(np.random.default_rng(4))
+    traj = integrate_flow(sys, pt, t_end=0.01, dt=1e-3)
+    fns = monitored_functions(sys)
+    doc = json.loads(conservation_json(sys, traj, fns))
+    assert doc["nsteps"] == 10 and all(e["pass"] for e in doc["functions"])
+    traj.points, traj.times = traj.points[:1], traj.times[:1]
+    doc = json.loads(conservation_json(sys, traj, fns))
+    assert doc["nsteps"] == 0 and not any(e["pass"] for e in doc["functions"])
 
 
 def test_chart_block_structure_of_omega():

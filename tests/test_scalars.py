@@ -10,6 +10,110 @@ from su3mag.scalars import Scalar, CScalar, parse_scalar
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 scalars = st.builds(Scalar, rationals, rationals, rationals, rationals)
+# wide denominators, so that sums and products need a real gcd reduction
+wide = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                    max_denominator=10 ** 6)
+quads = st.tuples(wide, wide, wide, wide)
+
+
+# ---------------------------------------------------------------------------
+# reference: the field as a quadruple of Fractions, operation by operation
+# ---------------------------------------------------------------------------
+
+def ref_add(x, y):
+    return tuple(p + q for p, q in zip(x, y))
+
+
+def ref_neg(x):
+    return tuple(-p for p in x)
+
+
+def ref_mul(x, y):
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2,
+            a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2),
+            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
+
+
+def ref_inv(x):
+    a, b, c, d = x
+    num = ref_mul(ref_mul((a, -b, c, -d), (a, b, -c, -d)), (a, -b, -c, d))
+    norm = ref_mul(x, num)[0]
+    return tuple(p / norm for p in num)
+
+
+def ref_pow(x, n):
+    out = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+    for _ in range(n):
+        out = ref_mul(out, x)
+    return out
+
+
+def view(s):
+    return (s.a, s.b, s.c, s.d)
+
+
+def assert_normal(s):
+    n0, n1, n2, n3, den = s.ints
+    assert all(type(n) is int for n in s.ints)
+    assert den > 0
+    assert math.gcd(n0, n1, n2, n3, den) == 1
+    if not (n0 or n1 or n2 or n3):
+        assert s.ints == (0, 0, 0, 0, 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(quads, quads, st.integers(min_value=0, max_value=5))
+def test_integer_kernel_matches_fraction_reference(x, y, n):
+    sx, sy = Scalar(*x), Scalar(*y)
+    assert view(sx) == x
+    results = [(sx + sy, ref_add(x, y)), (sx - sy, ref_add(x, ref_neg(y))),
+               (-sx, ref_neg(x)), (sx * sy, ref_mul(x, y)),
+               (sx ** n, ref_pow(x, n)), (sx - sx, (0, 0, 0, 0))]
+    if any(x):
+        results.append((sx.inv(), ref_inv(x)))
+        results.append((sy / sx, ref_mul(y, ref_inv(x))))
+    for got, want in results:
+        assert view(got) == want
+        assert_normal(got)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(quads, wide)
+def test_mixed_operands_and_normal_form(x, q):
+    sx = Scalar(*x)
+    assert_normal(sx)
+    qx = (q, 0, 0, 0)
+    assert view(sx * q) == view(q * sx) == ref_mul(x, qx)
+    assert view(sx + q) == view(q + sx) == ref_add(x, qx)
+    assert view(q - sx) == ref_add(qx, ref_neg(x))
+    assert sx == Scalar(*x) and hash(sx) == hash(Scalar(*x))
+    if sx.is_rational():
+        assert sx == x[0]
+
+
+def test_normal_form_examples():
+    assert Scalar(0).ints == (0, 0, 0, 0, 1)
+    assert Scalar(Fraction(2, 4), Fraction(1, 3)).ints == (3, 2, 0, 0, 6)
+    half = Scalar(Fraction(1, 2))
+    assert (half + half).ints == (1, 0, 0, 0, 1)
+    assert (half - half).ints == (0, 0, 0, 0, 1)
+    # 1/(-sqrt3/3) = -sqrt3
+    assert Scalar.sqrt3(Fraction(-1, 3)).inv().ints == (0, 0, -1, 0, 1)
+
+
+def test_views_are_read_only_and_floats_refused():
+    s = Scalar(Fraction(1, 2), 0, Fraction(-3, 4))
+    assert s.a == Fraction(1, 2) and s.c == Fraction(-3, 4)
+    assert isinstance(s.b, Fraction) and s.b == 0
+    with pytest.raises(AttributeError):
+        s.a = Fraction(1)
+    with pytest.raises(TypeError):
+        Scalar(0.5)
+    with pytest.raises(TypeError):
+        s * 0.5
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -41,10 +145,12 @@ def test_float_view_matches_exact_value(a):
     assert abs(float(a) - expect) <= 1e-12 * max(1.0, abs(expect))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(scalars)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(scalars, st.builds(Scalar, *[wide] * 4)))
 def test_text_round_trip(a):
-    assert parse_scalar(a.text()) == a
+    back = parse_scalar(a.text())
+    assert back == a and back.ints == a.ints
+    assert back.text() == a.text()
 
 
 def test_text_format_examples():
