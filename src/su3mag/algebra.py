@@ -105,6 +105,7 @@ class LieAlgebraSpec:
         # cached numeric views
         self._np_basis = np.array(
             [[[complex(x) for x in row] for row in M] for M in matrix_rep])
+        self._np_basis_rows = self._np_basis.reshape(n, -1)
         self._np_bform = np.array([[float(x) for x in row] for row in self.bform])
         self._np_ad = None
 
@@ -138,7 +139,14 @@ class LieAlgebraSpec:
     # -- numeric views --------------------------------------------------------
 
     def matrix_of(self, coords):
-        return np.tensordot(np.asarray(coords, dtype=float), self._np_basis, 1)
+        """sum_i x_i E_i for one coordinate vector or a stack of them.
+
+        One np.dot of the flattened arrays: the product np.tensordot(x,
+        basis, 1) computes, without tensordot's argument handling.
+        """
+        x = np.asarray(coords, dtype=float)
+        out = np.dot(x.reshape(-1, self.dim), self._np_basis_rows)
+        return out.reshape(x.shape[:-1] + self._np_basis.shape[1:])
 
     def coords_of_matrix(self, M):
         pair = np.array([-0.5 * np.trace(M @ b).real for b in self._np_basis])

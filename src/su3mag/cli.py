@@ -56,8 +56,26 @@ def _merge_config(args, keys):
     return config
 
 
+def _load_config(args, keys, flow=True):
+    """Defaults for the case, then the config file, then explicit flags.
+
+    The case is the flag's if given, else the config file's, else
+    "regular".
+    """
+    merged = _merge_config(args, ("case",) + keys)
+    config = reports.default_config(merged.get("case", "regular"))
+    config.update(merged)
+    _check_config(config, flow)
+    return config
+
+
 def _check_config(config, flow=True):
-    """Refuse a non-finite or zero eps and, for a flow, bad t_end/dt."""
+    """Refuse an unknown case, a non-finite or zero eps, a non-integer or
+    out-of-range seed/samples/rank_samples and, for a flow, bad
+    t_end/dt."""
+    if config["case"] not in reports.CASES:
+        raise UsageError(f"case must be one of {', '.join(reports.CASES)}, "
+                         f"got {config['case']!r}")
     for key in ("eps", "t_end", "dt") if flow else ("eps",):
         try:
             value = float(config[key])
@@ -68,6 +86,12 @@ def _check_config(config, flow=True):
             raise UsageError(f"{key} must be finite, got {value}")
     if float(config["eps"]) == 0.0:
         raise UsageError("eps must be nonzero (the magnetic parameter)")
+    for key, least in (("seed", 0), ("samples", 1), ("rank_samples", 1)):
+        value = config[key]
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise UsageError(f"{key} must be an integer, got {value!r}")
+        if value < least:
+            raise UsageError(f"{key} must be at least {least}, got {value}")
     if flow:
         try:
             flow_steps(float(config["t_end"]), float(config["dt"]))
@@ -76,10 +100,7 @@ def _check_config(config, flow=True):
 
 
 def cmd_verify(args):
-    config = reports.default_config(args.case)
-    config.update(_merge_config(
-        args, ("case", "eps", "seed", "samples", "t_end", "dt")))
-    _check_config(config)
+    config = _load_config(args, ("eps", "seed", "samples", "t_end", "dt"))
     report = reports.run_verification(config)
     for line in reports.report_lines(report):
         print(line)
@@ -104,10 +125,7 @@ def cmd_centralizer(args):
 
 
 def cmd_flow(args):
-    config = reports.default_config(args.case)
-    config.update(_merge_config(
-        args, ("case", "eps", "seed", "t_end", "dt")))
-    _check_config(config)
+    config = _load_config(args, ("eps", "seed", "t_end", "dt"))
     sys_ = reports.make_system(config["case"], config["eps"])
     rng = np.random.default_rng(int(config["seed"]))
     pt = sys_.random_regular_point(rng)
@@ -133,9 +151,7 @@ def cmd_flow(args):
 
 
 def cmd_brackets(args):
-    config = reports.default_config(args.case)
-    config.update(_merge_config(args, ("case", "eps")))
-    _check_config(config, flow=False)
+    config = _load_config(args, ("eps",), flow=False)
     sys_ = reports.make_system(config["case"], config["eps"])
     text = reports.bracket_table_text(sys_)
     print(text, end="")
@@ -161,8 +177,8 @@ def build_parser():
         p.add_argument("--config", help="JSON config file mirroring flags")
 
     p = sub.add_parser("verify", help="run the full certificate suite")
-    p.add_argument("--case", choices=("regular", "irregular"),
-                   default="regular")
+    p.add_argument("--case", choices=reports.CASES,
+                   help="default: the config's case, else regular")
     p.add_argument("--eps", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--samples", type=int)
@@ -181,8 +197,8 @@ def build_parser():
     p.set_defaults(func=cmd_centralizer)
 
     p = sub.add_parser("flow", help="integrate the magnetic geodesic flow")
-    p.add_argument("--case", choices=("regular", "irregular"),
-                   default="regular")
+    p.add_argument("--case", choices=reports.CASES,
+                   help="default: the config's case, else regular")
     p.add_argument("--eps", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--t-end", dest="t_end", type=float)
@@ -193,8 +209,8 @@ def build_parser():
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("brackets", help="emit symbolic bracket tables")
-    p.add_argument("--case", choices=("regular", "irregular"),
-                   default="regular")
+    p.add_argument("--case", choices=reports.CASES,
+                   help="default: the config's case, else regular")
     p.add_argument("--eps", type=float)
     common(p)
     p.set_defaults(func=cmd_brackets)

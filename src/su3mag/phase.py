@@ -17,7 +17,8 @@ These three identities pin the orientation; they are enforced by tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from fractions import Fraction
 import math
 
@@ -25,10 +26,9 @@ import numpy as np
 
 from .scalars import Scalar
 from .poly import Polynomial, b_gradient
-from .algebra import (GroupElement,
+from .algebra import (GroupElement, UNITARY_TOL,
                       build_su3_chevalley, build_su3_gellmann,
-                      centralizer_of, regularity, exp_map, polar_project,
-                      identity_element)
+                      centralizer_of, regularity, exp_map, polar_project)
 from .invariants import casimirs_su3
 
 
@@ -140,6 +140,8 @@ def su3_irregular_system(eps):
 class PhasePoint:
     """(g, X) with X a full coordinate vector supported on m."""
 
+    __slots__ = ("sys", "g", "X", "_xi", "_moment")
+
     def __init__(self, sys, g, X):
         if not isinstance(g, GroupElement):
             g = GroupElement(g)
@@ -151,6 +153,18 @@ class PhasePoint:
         self.X = X
         self._xi = None
         self._moment = None
+
+    @classmethod
+    def prevalidated(cls, sys, g, X):
+        """The point (g, X) from arrays whose checks have already passed."""
+        pt = cls.__new__(cls)
+        pt.sys = sys
+        pt.g = GroupElement.__new__(GroupElement)
+        pt.g.matrix = g
+        pt.X = X
+        pt._xi = None
+        pt._moment = None
+        return pt
 
     @property
     def xi(self):
@@ -474,10 +488,47 @@ def _m_images(alg, sub, evars):
 # flow integration
 # ---------------------------------------------------------------------------
 
+class TrajectoryPoints(Sequence):
+    """Read-only sequence of the PhasePoints of a flow, over its arrays.
+
+    G has shape (n+1, N, N) and X shape (n+1, dim); row k is the point
+    after k steps.  The stack is validated once, by integrate_flow, so a
+    point is built here without re-checking it, and each point is built
+    at most once: exports that visit the same rows share the cached
+    moment coordinates.  Slicing returns a list.
+    """
+
+    def __init__(self, sys, G, X):
+        self.sys = sys
+        self.G = G
+        self.X = X
+        self._built = [None] * len(X)
+
+    def __len__(self):
+        return len(self._built)
+
+    def __getitem__(self, idx):
+        if isinstance(idx, slice):
+            return [self[k] for k in range(*idx.indices(len(self)))]
+        k = range(len(self))[idx]
+        pt = self._built[k]
+        if pt is None:
+            pt = PhasePoint.prevalidated(self.sys, self.G[k], self.X[k])
+            self._built[k] = pt
+        return pt
+
+
 @dataclass
 class FlowTrajectory:
+    """A flow's times (a list of floats) and its points.
+
+    ``points`` is a TrajectoryPoints view over the stored arrays when
+    the trajectory comes from integrate_flow; any sequence of PhasePoints
+    may be assigned to it.
+    """
+
     times: list
-    points: list
+    points: Sequence
     dt: float
     integrator: str = "rk4"
 
@@ -511,44 +562,85 @@ def integrate_flow(sys, pt0, t_end, dt, drift_limit=1e-8):
     drift beyond drift_limit before reprojection rejects the step.  The
     X-component has the closed Lax form Ad(exp(-t eps W)) X0, which the
     tests compare against.  The step count is ``flow_steps(t_end, dt)``.
+
+    Every step is written into preallocated arrays, G of shape
+    (n+1, N, N) and X of shape (n+1, dim).  After the loop the whole stack
+    is checked once, with the criteria of GroupElement and PhasePoint:
+    unitary and of determinant one within UNITARY_TOL, fiber supported on
+    m; a failure raises ValueError naming the step.  The trajectory's
+    points are a memoized TrajectoryPoints view over the arrays.
     """
     nsteps = flow_steps(t_end, dt)
-    alg = sys.alg
+    matrix_of = sys.alg.matrix_of
     adW = sys._adW
+    eps = sys.eps
 
-    def xdot(X):
-        return -sys.eps * (adW @ X)
-
-    g = pt0.g.matrix.copy()
-    X = pt0.X.copy()
-    times = [0.0]
-    points = [PhasePoint(sys, GroupElement(g), X.copy())]
+    g = pt0.g.matrix
+    X = pt0.X
+    G = np.empty((nsteps + 1,) + g.shape, dtype=complex)
+    Xs = np.empty((nsteps + 1, X.shape[0]))
+    G[0] = g
+    Xs[0] = X
     eye = np.eye(g.shape[0])
+    half = 0.5 * dt
+    sixth = dt / 6.0
     for step in range(nsteps):
-        k1g = g @ alg.matrix_of(X)
-        k1x = xdot(X)
-        g2 = g + 0.5 * dt * k1g
-        x2 = X + 0.5 * dt * k1x
-        k2g = g2 @ alg.matrix_of(x2)
-        k2x = xdot(x2)
-        g3 = g + 0.5 * dt * k2g
-        x3 = X + 0.5 * dt * k2x
-        k3g = g3 @ alg.matrix_of(x3)
-        k3x = xdot(x3)
+        k1g = g @ matrix_of(X)
+        k1x = -eps * (adW @ X)
+        g2 = g + half * k1g
+        x2 = X + half * k1x
+        k2g = g2 @ matrix_of(x2)
+        k2x = -eps * (adW @ x2)
+        g3 = g + half * k2g
+        x3 = X + half * k2x
+        k3g = g3 @ matrix_of(x3)
+        k3x = -eps * (adW @ x3)
         g4 = g + dt * k3g
         x4 = X + dt * k3x
-        k4g = g4 @ alg.matrix_of(x4)
-        k4x = xdot(x4)
-        g = g + dt / 6.0 * (k1g + 2 * k2g + 2 * k3g + k4g)
-        X = X + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        k4g = g4 @ matrix_of(x4)
+        k4x = -eps * (adW @ x4)
+        g = g + sixth * (k1g + 2 * k2g + 2 * k3g + k4g)
+        X = X + sixth * (k1x + 2 * k2x + 2 * k3x + k4x)
         drift = np.abs(g.conj().T @ g - eye).max()
         if drift > drift_limit:
             raise RuntimeError(f"unitarity drift {drift:.2e} exceeds limit "
                                f"at step {step}")
         g = polar_project(g)
-        times.append((step + 1) * dt)
-        points.append(PhasePoint(sys, GroupElement(g), X.copy()))
-    return FlowTrajectory(times=times, points=points, dt=dt)
+        G[step + 1] = g
+        Xs[step + 1] = X
+    _check_stack(sys, G, Xs)
+    G.flags.writeable = False
+    Xs.flags.writeable = False
+    times = [0.0] + [(step + 1) * dt for step in range(nsteps)]
+    return FlowTrajectory(times=times, points=TrajectoryPoints(sys, G, Xs),
+                          dt=dt)
+
+
+def _check_stack(sys, G, X):
+    """GroupElement's and PhasePoint's checks on every row of a flow.
+
+    The rows go in blocks, so the temporaries of a long flow stay small.
+    """
+    def where(row):
+        return "the initial point" if row == 0 else f"step {row - 1}"
+
+    rows = 256
+    eye = np.eye(G.shape[1])
+    for lo in range(0, len(G), rows):
+        g = G[lo:lo + rows]
+        gram = np.swapaxes(g.conj(), 1, 2) @ g
+        bad = ~np.isclose(gram, eye, atol=UNITARY_TOL).all(axis=(1, 2))
+        if bad.any():
+            raise ValueError("group element is not unitary within "
+                             f"tolerance at {where(lo + np.argmax(bad))}")
+        bad = np.abs(np.linalg.det(g) - 1.0) > UNITARY_TOL
+        if bad.any():
+            raise ValueError("group element does not have determinant one "
+                             f"at {where(lo + np.argmax(bad))}")
+        bad = (np.abs(X[lo:lo + rows, sys.a]) > 1e-14).any(axis=1)
+        if bad.any():
+            raise ValueError("fiber coordinate must be supported on m "
+                             f"at {where(lo + np.argmax(bad))}")
 
 
 def closed_form_fiber(sys, pt0, t):

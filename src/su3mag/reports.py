@@ -28,6 +28,9 @@ from .certify import (CertificateReport, bracket_table_regular,
 from .scalars import Scalar
 
 
+CASES = ("regular", "irregular")
+
+
 def default_config(case):
     return {
         "case": case,
@@ -58,6 +61,10 @@ def run_verification(config):
     seed = int(config["seed"])
     samples = int(config.get("samples", 100))
     rank_samples = int(config.get("rank_samples", 20))
+    if samples < 1 or rank_samples < 1:
+        # a sampled check that draws no sample would pass on no evidence
+        raise ValueError(f"samples and rank_samples must be at least 1, "
+                         f"got {samples} and {rank_samples}")
     sys = make_system(case, eps)
     rng = np.random.default_rng(seed)
     report = CertificateReport(case_tag=case, sample_count=samples, seed=seed)

@@ -172,3 +172,89 @@ def test_vacuous_flow_fails(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr == "error: t_end/dt = 0.01 rounds to zero steps\n"
     assert not (tmp_path / "conservation_irregular.json").exists()
+
+
+def _one_line_error(capsys, code):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+def test_zero_samples_are_refused(tmp_path, capsys):
+    """A sampled check that draws nothing must not pass."""
+    from su3mag.reports import default_config, run_verification
+    for key in ("samples", "rank_samples"):
+        config = dict(default_config("irregular"), **{key: 0})
+        with pytest.raises(ValueError, match="at least 1"):
+            run_verification(config)
+    err = _one_line_error(capsys, run_cli(
+        ["verify", "--case", "irregular", "--samples", "0",
+         "--out", str(tmp_path)]))
+    assert "samples" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rank_samples": 0}))
+    err = _one_line_error(capsys, run_cli(
+        ["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]))
+    assert "rank_samples" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["seed", "samples", "rank_samples"])
+@pytest.mark.parametrize("value", ["x", 2.5, True, -1])
+def test_bad_config_integers_are_one_line_errors(tmp_path, capsys, key,
+                                                 value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    commands = [["verify"]] + ([["flow"]] if key == "seed" else [])
+    for command in commands:
+        err = _one_line_error(capsys, run_cli(
+            command + ["--config", str(cfg), "--out", str(tmp_path / "o")]))
+        assert key in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_case_is_honoured(tmp_path, monkeypatch):
+    from su3mag import reports
+    from su3mag.certify import CertificateReport
+    seen = []
+
+    def record(config):
+        seen.append(config)
+        return CertificateReport(case_tag=config["case"], seed=config["seed"])
+
+    monkeypatch.setattr(reports, "run_verification", record)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"case": "irregular", "t_end": 0.01}))
+    assert run_cli(["verify", "--config", str(cfg),
+                    "--out", str(tmp_path / "v")]) == 0
+    assert seen[-1]["case"] == "irregular"
+    assert seen[-1] == dict(reports.default_config("irregular"),
+                            t_end=0.01)
+    assert (tmp_path / "v" / "verify_irregular.json").exists()
+    # an explicit flag still wins over the config
+    assert run_cli(["verify", "--config", str(cfg), "--case", "regular",
+                    "--out", str(tmp_path / "v")]) == 0
+    assert seen[-1]["case"] == "regular"
+    # with neither, the case is regular
+    assert run_cli(["verify", "--out", str(tmp_path / "v")]) == 0
+    assert seen[-1] == reports.default_config("regular")
+    assert run_cli(["flow", "--config", str(cfg),
+                    "--out", str(tmp_path / "f")]) == 0
+    assert sorted(p.name for p in (tmp_path / "f").iterdir()) == [
+        "conservation_irregular.json", "trajectory_irregular.csv"]
+    assert run_cli(["brackets", "--config", str(cfg),
+                    "--out", str(tmp_path / "b")]) == 0
+    assert sorted(p.name for p in (tmp_path / "b").iterdir()) == [
+        "brackets_irregular.json", "brackets_irregular.txt"]
+
+
+@pytest.mark.parametrize("command", ["verify", "flow", "brackets"])
+def test_unknown_config_case_is_a_one_line_error(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"case": "singular"}))
+    err = _one_line_error(capsys, run_cli(
+        [command, "--config", str(cfg), "--out", str(tmp_path / "o")]))
+    assert "'singular'" in err
+    assert not (tmp_path / "o").exists()

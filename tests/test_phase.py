@@ -316,6 +316,145 @@ def test_conservation_json_records_steps_and_refuses_empty_flows():
     assert doc["nsteps"] == 0 and not any(e["pass"] for e in doc["functions"])
 
 
+def _reference_flow(sys, pt0, t_end, dt, drift_limit=1e-8):
+    """The per-step object loop integrate_flow replaced, kept as an oracle.
+
+    Same RK4 arithmetic, with the matrix realization through tensordot,
+    a checked GroupElement and PhasePoint built at every step and the
+    points kept in a list.
+    """
+    from su3mag.algebra import polar_project
+    from su3mag.phase import FlowTrajectory
+    nsteps = flow_steps(t_end, dt)
+    alg = sys.alg
+    adW = sys._adW
+
+    def matrix_of(X):
+        return np.tensordot(np.asarray(X, dtype=float), alg._np_basis, 1)
+
+    def xdot(X):
+        return -sys.eps * (adW @ X)
+
+    g = pt0.g.matrix.copy()
+    X = pt0.X.copy()
+    times = [0.0]
+    points = [PhasePoint(sys, GroupElement(g), X.copy())]
+    eye = np.eye(g.shape[0])
+    for step in range(nsteps):
+        k1g = g @ matrix_of(X)
+        k1x = xdot(X)
+        g2 = g + 0.5 * dt * k1g
+        x2 = X + 0.5 * dt * k1x
+        k2g = g2 @ matrix_of(x2)
+        k2x = xdot(x2)
+        g3 = g + 0.5 * dt * k2g
+        x3 = X + 0.5 * dt * k2x
+        k3g = g3 @ matrix_of(x3)
+        k3x = xdot(x3)
+        g4 = g + dt * k3g
+        x4 = X + dt * k3x
+        k4g = g4 @ matrix_of(x4)
+        k4x = xdot(x4)
+        g = g + dt / 6.0 * (k1g + 2 * k2g + 2 * k3g + k4g)
+        X = X + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        drift = np.abs(g.conj().T @ g - eye).max()
+        if drift > drift_limit:
+            raise RuntimeError(f"unitarity drift {drift:.2e} exceeds limit "
+                               f"at step {step}")
+        g = polar_project(g)
+        times.append((step + 1) * dt)
+        points.append(PhasePoint(sys, GroupElement(g), X.copy()))
+    return FlowTrajectory(times=times, points=points, dt=dt)
+
+
+@pytest.mark.parametrize("case", ["regular", "irregular"])
+def test_array_driver_matches_reference_loop_bit_for_bit(case):
+    from su3mag.reports import (conservation_json, monitored_functions,
+                                trajectory_csv)
+    sys = (su3_regular_system if case == "regular"
+           else su3_irregular_system)(0.1)
+    fns = monitored_functions(sys)
+    for seed in (9, 11):
+        pt = sys.random_regular_point(np.random.default_rng(seed))
+        ref = _reference_flow(sys, pt, t_end=0.2, dt=1e-3)
+        traj = integrate_flow(sys, pt, t_end=0.2, dt=1e-3)
+        assert traj.times == ref.times and traj.dt == ref.dt
+        assert len(traj.points) == len(ref.points) == 201
+        for new, old in zip(traj.points, ref.points):
+            assert np.array_equal(new.g.matrix, old.g.matrix)
+            assert np.array_equal(new.X, old.X)
+        for stride in (1, 7):
+            assert trajectory_csv(sys, traj, fns, stride) == \
+                trajectory_csv(sys, ref, fns, stride)
+            assert conservation_json(sys, traj, fns, stride=stride) == \
+                conservation_json(sys, ref, fns, stride=stride)
+
+
+def test_array_driver_guards(monkeypatch):
+    from su3mag import phase
+    sys = su3_irregular_system(0.1)
+    pt = sys.random_regular_point(np.random.default_rng(5))
+    # the per-step drift guard before reprojection
+    with pytest.raises(RuntimeError, match="exceeds limit at step 0"):
+        integrate_flow(sys, pt, t_end=0.01, dt=1e-3, drift_limit=1e-30)
+    # the bulk check after the loop, on what the reprojection returned
+    real_project = phase.polar_project
+    monkeypatch.setattr(phase, "polar_project",
+                        lambda g: real_project(g) * np.exp(1e-3j))
+    with pytest.raises(ValueError, match="determinant one at step 0"):
+        integrate_flow(sys, pt, t_end=0.01, dt=1e-3)
+    shear = np.eye(3)
+    shear[0, 1] = 1e-10  # off-diagonal Gram error above UNITARY_TOL
+    monkeypatch.setattr(phase, "polar_project",
+                        lambda g: real_project(g) @ shear)
+    with pytest.raises(ValueError, match="not unitary .* at step 0"):
+        integrate_flow(sys, pt, t_end=0.01, dt=1e-3)
+    calls = []
+
+    def bad_late(g):
+        calls.append(g)
+        return real_project(g) * (np.exp(1e-3j) if len(calls) == 300 else 1)
+
+    monkeypatch.setattr(phase, "polar_project", bad_late)
+    with pytest.raises(ValueError, match="determinant one at step 299$"):
+        integrate_flow(sys, pt, t_end=0.4, dt=1e-3)
+    monkeypatch.undo()
+    # a fiber off m at the start is caught too
+    X = pt.X.copy()
+    X[sys.a[0]] = 1e-10
+    off = PhasePoint.prevalidated(sys, pt.g.matrix, X)
+    with pytest.raises(ValueError, match="supported on m at the initial"):
+        integrate_flow(sys, off, t_end=0.01, dt=1e-3)
+
+
+def test_trajectory_points_view():
+    sys = su3_regular_system(0.1)
+    pt = sys.random_regular_point(np.random.default_rng(6))
+    traj = integrate_flow(sys, pt, t_end=0.02, dt=1e-3)
+    pts = traj.points
+    assert len(pts) == 21 and len(traj.times) == 21
+    assert pts[-1] is pts[20] and pts[0] is pts[-21]
+    assert np.array_equal(pts[0].g.matrix, pt.g.matrix)
+    assert np.array_equal(pts[0].X, pt.X)
+    with pytest.raises(IndexError):
+        pts[21]
+    thin = pts[::5]
+    assert isinstance(thin, list) and len(thin) == 5
+    assert [p is pts[k] for p, k in zip(thin, range(0, 21, 5))] == [True] * 5
+    assert pts[-2:] == [pts[19], pts[20]]
+    listed = list(pts)
+    assert len(listed) == 21 and all(a is b for a, b in zip(listed, pts))
+    assert all(isinstance(p, PhasePoint) for p in pts)
+    # the stored arrays cannot be changed through a point
+    with pytest.raises(ValueError):
+        pts[3].X[0] = 1.0
+    with pytest.raises(TypeError):
+        pts[3] = pts[4]
+    # the fields stay assignable
+    traj.points, traj.times = traj.points[:1], traj.times[:1]
+    assert len(traj.points) == 1 and traj.points[0] is pts[0]
+
+
 def test_chart_block_structure_of_omega():
     """The (x, p, F_ij) coordinate presentation of the magnetic bracket.
 
