@@ -149,8 +149,12 @@ class LieAlgebraSpec:
         return out.reshape(x.shape[:-1] + self._np_basis.shape[1:])
 
     def coords_of_matrix(self, M):
-        pair = np.array([-0.5 * np.trace(M @ b).real for b in self._np_basis])
-        return np.linalg.solve(self._np_bform, pair)
+        """Coordinates B(M, E_i) = -1/2 tr(M E_i) on the orthonormal basis.
+
+        One batched product over the basis; the Gram matrix is the
+        identity (checked exactly in the constructor), so no solve.
+        """
+        return -0.5 * np.trace(M @ self._np_basis, axis1=1, axis2=2).real
 
     def np_bracket(self, x, y):
         """Numeric commutator in coordinates, via the matrix realization."""
@@ -310,14 +314,6 @@ class SubalgebraSpec:
             out[list(self.a_indices)] = 0.0
             return out
         return [Scalar(0) if i in self.a_indices else Scalar.of(c)
-                for i, c in enumerate(coords)]
-
-    def project_a(self, coords):
-        if isinstance(coords, np.ndarray):
-            out = coords.copy()
-            out[list(self.m_indices)] = 0.0
-            return out
-        return [Scalar(0) if i in self.m_indices else Scalar.of(c)
                 for i, c in enumerate(coords)]
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from .algebra import build_su3_chevalley, GroupElement, polar_project
 from .phase import (PhasePoint, MomentPullback, SlicePullback,
                     hamiltonian_vector_field, omega_eps, phase_tangent_basis,
-                    _project_m)
+                    _project_m, _fiber_velocity)
 from .invariants import radial_generator
 
 TWO_PI = 2.0 * math.pi
@@ -178,8 +178,7 @@ def flow_step(fn, sys, pt, h, nsteps=1):
     def deriv(gm, Xv):
         p = PhasePoint(sys, GroupElement(gm), Xv)
         v, w = hamiltonian_vector_field(fn, sys, p)
-        dX = -0.5 * _project_m(sys, alg.np_bracket(v, Xv)) + w
-        return gm @ alg.matrix_of(v), dX
+        return gm @ alg.matrix_of(v), _fiber_velocity(sys, p, v, w)
 
     for _ in range(nsteps):
         k1g, k1x = deriv(g, X)
@@ -275,7 +274,7 @@ def angle_differential(sys, pt, h=1e-6):
     L = angle_map_matrix(sys)
     rows = []
     for (v, w) in phase_tangent_basis(sys):
-        dX = -0.5 * _project_m(sys, alg.np_bracket(v, pt.X)) + w
+        dX = _fiber_velocity(sys, pt, v, w)
         gp = pt.g.matrix @ _expm_small(alg.matrix_of(v) * h)
         gm = pt.g.matrix @ _expm_small(-alg.matrix_of(v) * h)
         fp = _nearest_branch(root_phases(

@@ -110,7 +110,13 @@ def cmd_verify(args):
     return 0 if report.passed else 1
 
 
+def _check_at_least_one(flag, value):
+    if value < 1:
+        raise UsageError(f"{flag} must be at least 1, got {value}")
+
+
 def cmd_centralizer(args):
+    _check_at_least_one("--max-degree", args.max_degree)
     text = reports.centralizer_report(args.algebra, args.sub, args.m_only,
                                       args.max_degree)
     print(text, end="")
@@ -125,6 +131,7 @@ def cmd_centralizer(args):
 
 
 def cmd_flow(args):
+    _check_at_least_one("--max-rows", args.max_rows)
     config = _load_config(args, ("eps", "seed", "t_end", "dt"))
     sys_ = reports.make_system(config["case"], config["eps"])
     rng = np.random.default_rng(int(config["seed"]))

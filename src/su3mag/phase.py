@@ -138,9 +138,14 @@ def su3_irregular_system(eps):
 
 
 class PhasePoint:
-    """(g, X) with X a full coordinate vector supported on m."""
+    """(g, X) with X a full coordinate vector supported on m.
 
-    __slots__ = ("sys", "g", "X", "_xi", "_moment")
+    The shifted fiber, the moment coordinates and the images of the
+    tangent basis are memos of this point alone: every operation that
+    makes a new point makes a new PhasePoint, which builds its own.
+    """
+
+    __slots__ = ("sys", "g", "X", "_xi", "_moment", "_dX", "_dP")
 
     def __init__(self, sys, g, X):
         if not isinstance(g, GroupElement):
@@ -153,6 +158,8 @@ class PhasePoint:
         self.X = X
         self._xi = None
         self._moment = None
+        self._dX = None
+        self._dP = None
 
     @classmethod
     def prevalidated(cls, sys, g, X):
@@ -164,6 +171,8 @@ class PhasePoint:
         pt.X = X
         pt._xi = None
         pt._moment = None
+        pt._dX = None
+        pt._dP = None
         return pt
 
     @property
@@ -182,6 +191,32 @@ class PhasePoint:
             g = self.g.matrix
             self._moment = alg.coords_of_matrix(g @ M @ g.conj().T)
         return self._moment
+
+    # The images of the phase_tangent_basis directions, one row per
+    # direction, built once per point with the expressions of
+    # differential: basis_differential reads the floats it would compute.
+
+    @property
+    def fiber_images(self):
+        """dX = -1/2 [v, X]_m + w of each tangent basis direction (v, w)."""
+        if self._dX is None:
+            self._dX = np.array([_fiber_velocity(self.sys, self, v, w)
+                                 for v, w in phase_tangent_basis(self.sys)])
+        return self._dX
+
+    @property
+    def moment_images(self):
+        """dP = Ad(g)([v, xi] + dX) of each tangent basis direction."""
+        if self._dP is None:
+            alg = self.sys.alg
+            g = self.g.matrix
+            rows = []
+            for (v, _), dx in zip(phase_tangent_basis(self.sys),
+                                  self.fiber_images):
+                Mdot = alg.matrix_of(alg.np_bracket(v, self.xi) + dx)
+                rows.append(alg.coords_of_matrix(g @ Mdot @ g.conj().T))
+            self._dP = np.array(rows)
+        return self._dP
 
     def left_translate(self, h):
         if not isinstance(h, GroupElement):
@@ -293,11 +328,19 @@ def _project_m(sys, coords):
     return out
 
 
+def _fiber_velocity(sys, pt, v, w):
+    """dX = -1/2 [v, X]_m + w, the fiber velocity of the tangent (v, w)."""
+    return -0.5 * _project_m(sys, sys.alg.np_bracket(v, pt.X)) + w
+
+
 def differential(fn, sys, pt, v, w):
-    """df at pt applied to the tangent (v, w); analytic, no finite differences."""
+    """df at pt applied to the tangent (v, w); analytic, no finite differences.
+
+    For the tangent basis, basis_differential gives the same numbers.
+    """
     alg = sys.alg
     if fn.tag == "moment":
-        dX = -0.5 * _project_m(sys, alg.np_bracket(v, pt.X)) + w
+        dX = _fiber_velocity(sys, pt, v, w)
         g = pt.g.matrix
         Mdot = alg.matrix_of(alg.np_bracket(v, pt.xi) + dX)
         dP = alg.coords_of_matrix(g @ Mdot @ g.conj().T)
@@ -305,7 +348,7 @@ def differential(fn, sys, pt, v, w):
         return sum(float(gr.evaluate(P)) * dP[i]
                    for i, gr in enumerate(fn.gradients()) if gr.terms)
     if fn.tag == "slice":
-        dX = -0.5 * _project_m(sys, alg.np_bracket(v, pt.X)) + w
+        dX = _fiber_velocity(sys, pt, v, w)
         xi_m = pt.xi[sys.m]
         return sum(float(gr.evaluate(xi_m)) * dX[sys.m[i]]
                    for i, gr in enumerate(fn.gradients()) if gr.terms)
@@ -320,21 +363,43 @@ def differential(fn, sys, pt, v, w):
     raise TypeError(f"untagged integral function {fn!r}")
 
 
+def basis_differential(fn, sys, pt):
+    """df at pt on the 2 dim(m) directions of phase_tangent_basis.
+
+    Entry k equals differential(fn, sys, pt, *phase_tangent_basis(sys)[k])
+    bit for bit: the images are the point's memos, each gradient is
+    evaluated once, and the terms are summed in the same order.
+    """
+    if fn.tag == "combo":
+        total = np.zeros(2 * len(sys.m))
+        for c, fs in fn.terms:
+            vals = [f.value(pt) for f in fs]
+            for i, f in enumerate(fs):
+                rest = np.prod([vals[j] for j in range(len(fs)) if j != i])
+                total = total + c * rest * basis_differential(f, sys, pt)
+        return total
+    if fn.tag == "moment":
+        at, cols = pt.moment_coords, pt.moment_images.T
+    elif fn.tag == "slice":
+        at, cols = pt.xi[sys.m], pt.fiber_images.T[sys.m]
+    else:
+        raise TypeError(f"untagged integral function {fn!r}")
+    df = np.zeros(2 * len(sys.m))
+    for gr, col in zip(fn.gradients(), cols):
+        if gr.terms:
+            df = df + float(gr.evaluate(at)) * col
+    return df
+
+
 def hamiltonian_vector_field(fn, sys, pt):
     """Solve iota_{X_f} omega_eps = df for the tangent (v_f, w_f)."""
     alg = sys.alg
     m = sys.m
-    zero = np.zeros(alg.dim)
+    df = basis_differential(fn, sys, pt)
     v_f = np.zeros(alg.dim)
-    for j in m:
-        w = np.zeros(alg.dim)
-        w[j] = 1.0
-        v_f[j] = differential(fn, sys, pt, zero, w)
+    v_f[m] = df[len(m):]
     base = np.zeros(alg.dim)
-    for j in m:
-        v = np.zeros(alg.dim)
-        v[j] = 1.0
-        base[j] = differential(fn, sys, pt, v, zero)
+    base[m] = df[:len(m)]
     w_f = -base - sys.eps * _project_m(sys, alg.np_bracket(sys.W, v_f))
     return v_f, w_f
 

@@ -193,17 +193,6 @@ class Polynomial:
             out += term
         return out
 
-    def evaluate_complex(self, point):
-        """Evaluation at complex float points (used by root-coordinate maps)."""
-        out = 0.0 + 0.0j
-        for expo, coeff in self.terms.items():
-            term = complex(float(coeff))
-            for x, k in zip(point, expo):
-                if k:
-                    term *= x ** k
-            out += term
-        return out
-
     def substitute(self, target_vars, images):
         """Substitute each variable by a polynomial over target_vars."""
         target_vars = tuple(target_vars)

@@ -258,3 +258,37 @@ def test_unknown_config_case_is_a_one_line_error(tmp_path, capsys, command):
         [command, "--config", str(cfg), "--out", str(tmp_path / "o")]))
     assert "'singular'" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("rows", ["0", "-3"])
+def test_flow_max_rows_below_one_is_refused_before_integrating(
+        tmp_path, capsys, monkeypatch, rows):
+    from su3mag import cli
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("the flow was integrated")
+
+    monkeypatch.setattr(cli, "integrate_flow", no_flow)
+    err = _one_line_error(capsys, run_cli(
+        ["flow", "--case", "irregular", "--t-end", "0.01",
+         "--max-rows", rows, "--out", str(tmp_path / "out")]))
+    assert err == f"error: --max-rows must be at least 1, got {rows}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_centralizer_max_degree_below_one_is_refused(tmp_path, capsys,
+                                                     degree):
+    err = _one_line_error(capsys, run_cli(
+        ["centralizer", "--algebra", "su2", "--max-degree", degree,
+         "--out", str(tmp_path / "out")]))
+    assert err == f"error: --max-degree must be at least 1, got {degree}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_centralizer_max_degree_one_reports_a_generator(tmp_path):
+    code = run_cli(["centralizer", "--algebra", "su2", "--max-degree", "1",
+                    "--out", str(tmp_path)])
+    assert code == 0
+    text = (tmp_path / "generators_su2_torus.txt").read_text()
+    assert text.startswith("generator q1_1 degree 1\n  1 * x^1\n")

@@ -502,3 +502,199 @@ def test_regular_point_sampling_respects_locus():
     for _ in range(5):
         pt = sysI.random_regular_point(rng)
         assert np.linalg.norm(pt.X[sysI.m]) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the per-direction routes the tangent-image memos replaced, kept as oracles
+# ---------------------------------------------------------------------------
+
+def _reference_coords_of_matrix(alg, M):
+    """The trace-per-basis-element pairing and the solve against the Gram
+    matrix that coords_of_matrix replaced."""
+    pair = np.array([-0.5 * np.trace(M @ b).real for b in alg._np_basis])
+    return np.linalg.solve(alg._np_bform, pair)
+
+
+def _reference_hvf(fn, sys, pt):
+    """The Hamiltonian vector field from 2 dim(m) calls to differential,
+    one per tangent basis direction."""
+    alg = sys.alg
+    zero = np.zeros(alg.dim)
+    v_f = np.zeros(alg.dim)
+    for j in sys.m:
+        w = np.zeros(alg.dim)
+        w[j] = 1.0
+        v_f[j] = differential(fn, sys, pt, zero, w)
+    base = np.zeros(alg.dim)
+    for j in sys.m:
+        v = np.zeros(alg.dim)
+        v[j] = 1.0
+        base[j] = differential(fn, sys, pt, v, zero)
+    w_f = -base - sys.eps * _project_m(sys, alg.np_bracket(sys.W, v_f))
+    return v_f, w_f
+
+
+def _reference_jacobian(sys, fns, pt):
+    return np.asarray([[differential(fn, sys, pt, v, w)
+                        for v, w in phase_tangent_basis(sys)]
+                       for fn in fns])
+
+
+def _fresh(pt):
+    """The same (g, X) as a new point, with none of pt's memos."""
+    return PhasePoint.prevalidated(pt.sys, pt.g.matrix, pt.X)
+
+
+def _oracle_functions(sys, rng):
+    """Moment, slice, moment_of_direction and FuncCombo functions."""
+    c2, c3 = sys.casimirs()
+    m_names = sys.m_names()
+    P = [moment_coordinate(sys, i) for i in range(sys.alg.dim)]
+    if sys.case_tag == "regular":
+        u, v, w = torus_generators(sys.alg)
+        slices = [SlicePullback(u[0], name="u1"), SlicePullback(w, name="w")]
+    else:
+        slices = [SlicePullback(radial_generator(sys), name="R")]
+    bare = SlicePullback(Polynomial.var(m_names, m_names[1])
+                         * Polynomial.var(m_names, m_names[2]),
+                         invariant=False)
+    eta = moment_of_direction(sys, rng.uniform(-1, 1, sys.alg.dim))
+    combo = FuncCombo([(1.0, [P[3], P[4]]), (-2.5, [P[5], slices[0], bare]),
+                       (0.5, [eta])])
+    nested = FuncCombo([(3.0, [combo, P[0]])])
+    return (P + [MomentPullback(c2, name="J2"), MomentPullback(c3, name="J3"),
+                 eta, bare, combo, nested] + slices)
+
+
+def _oracle_points(sys, seed):
+    rng = np.random.default_rng(seed)
+    pts = [sys.random_regular_point(rng) for _ in range(2)]
+    X = np.zeros(sys.alg.dim)
+    X[sys.m] = rng.uniform(-1, 1, len(sys.m))
+    return pts + [PhasePoint(sys, identity_element(), X),
+                  PhasePoint(sys, identity_element(), np.zeros(sys.alg.dim))]
+
+
+@pytest.mark.parametrize("case", ["regular", "irregular"])
+def test_hvf_and_jacobian_match_the_per_direction_route(case, monkeypatch):
+    from su3mag.algebra import LieAlgebraSpec
+    from su3mag.certify import phase_jacobian
+    sys = (su3_regular_system if case == "regular"
+           else su3_irregular_system)(0.3)
+    fns = _oracle_functions(sys, np.random.default_rng(40))
+    for seed in (41, 42):
+        for pt in _oracle_points(sys, seed):
+            fields = [hamiltonian_vector_field(fn, sys, pt) for fn in fns]
+            jac = phase_jacobian(sys, fns, pt)
+            with monkeypatch.context() as mp:
+                mp.setattr(LieAlgebraSpec, "coords_of_matrix",
+                           _reference_coords_of_matrix)
+                old = _fresh(pt)
+                ref_fields = [_reference_hvf(fn, sys, old) for fn in fns]
+                ref_jac = _reference_jacobian(sys, fns, old)
+            for fn, (v, w), (v0, w0) in zip(fns, fields, ref_fields):
+                assert np.array_equal(v, v0), fn.name
+                assert np.array_equal(w, w0), fn.name
+            assert jac.shape == (len(fns), 2 * len(sys.m))
+            assert np.array_equal(jac, ref_jac)
+
+
+def test_coords_of_matrix_matches_trace_and_solve():
+    from su3mag.algebra import build_su2, build_su3_chevalley, \
+        build_su3_gellmann
+    rng = np.random.default_rng(43)
+    for alg in (build_su3_gellmann(), build_su3_chevalley(), build_su2()):
+        n = alg._np_basis.shape[1]
+        for _ in range(300):
+            x = rng.uniform(-1, 1, alg.dim)
+            x[rng.integers(0, alg.dim, 2)] = 0.0
+            e = np.zeros(alg.dim)
+            e[rng.integers(alg.dim)] = 1.0
+            Mx, Me = alg.matrix_of(x), alg.matrix_of(e)
+            for M in (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+                      Mx, Me, Mx @ Me - Me @ Mx):
+                assert np.array_equal(alg.coords_of_matrix(M),
+                                      _reference_coords_of_matrix(alg, M))
+
+
+def _reference_center_check(sys, rng, samples):
+    """center_check with one twisted_bracket per (centre, generator) pair."""
+    from su3mag.certify import (CertificateReport, NUM_TOL, center_family,
+                                generator_family)
+    from su3mag.invariants import restrict_shift
+    tol = NUM_TOL
+    report = CertificateReport(case_tag=sys.case_tag, sample_count=samples)
+    gens = generator_family(sys)
+    centers = center_family(sys)
+    c2, c3 = sys.casimirs()
+    res2 = restrict_shift(c2, sys, symbolic_eps=False)
+    res3 = restrict_shift(c3, sys, symbolic_eps=False)
+    worst = {(c.name, g.name): 0.0 for c in centers for g in gens}
+    ident2 = ident3 = 0.0
+    for _ in range(samples):
+        pt = sys.random_regular_point(rng)
+        for c in centers:
+            for g in gens:
+                val = abs(twisted_bracket(sys, c, g, pt))
+                worst[(c.name, g.name)] = max(worst[(c.name, g.name)], val)
+        xi_m = pt.xi[sys.m]
+        P = pt.moment_coords
+        ident2 = max(ident2, abs(float(c2.evaluate(P))
+                                 - float(res2.evaluate(xi_m))))
+        ident3 = max(ident3, abs(float(c3.evaluate(P))
+                                 - float(res3.evaluate(xi_m))))
+    for (cname, gname), val in sorted(worst.items()):
+        report.add(f"{{{cname},{gname}}}", 0.0, val, tol, val < tol)
+    report.add("P*C2 == pi*(Res_W C2)", 0.0, ident2, tol, ident2 < tol)
+    report.add("P*C3 == pi*(Res_W C3)", 0.0, ident3, tol, ident3 < tol)
+    return report
+
+
+@pytest.mark.parametrize("case", ["regular", "irregular"])
+def test_center_check_matches_twisted_bracket_route(case):
+    from su3mag.certify import center_check
+    sys = (su3_regular_system if case == "regular"
+           else su3_irregular_system)(0.1)
+    for seed in (44, 45):
+        new = center_check(sys, np.random.default_rng(seed), samples=3)
+        old = _reference_center_check(sys, np.random.default_rng(seed), 3)
+        assert new.to_dict() == old.to_dict()
+        assert [c.observed for c in new.checks] == \
+            [c.observed for c in old.checks]
+
+
+@pytest.mark.parametrize("case", ["regular", "irregular"])
+def test_derived_points_build_their_own_tangent_images(case):
+    """A point made from another never reuses that point's images."""
+    from su3mag.angles import flow_step
+    sys = (su3_regular_system if case == "regular"
+           else su3_irregular_system)(0.2)
+    rng = np.random.default_rng(46)
+    fns = [moment_coordinate(sys, 4),
+           MomentPullback(sys.casimirs()[0], name="J2"),
+           SlicePullback(radial_generator(sys), name="R")]
+    pt = sys.random_regular_point(rng)
+    for fn in fns:
+        hamiltonian_vector_field(fn, sys, pt)
+    a = np.zeros(sys.alg.dim)
+    a[sys.a] = rng.uniform(-1, 1, len(sys.a))
+    traj = integrate_flow(sys, pt, t_end=0.003, dt=1e-3)
+    for fn in fns:
+        hamiltonian_vector_field(fn, sys, traj.points[0])
+    derived = {
+        "left_translate": pt.left_translate(
+            exp_map(sys.alg, rng.uniform(-1, 1, sys.alg.dim))),
+        "right_act": pt.right_act(exp_map(sys.alg, a)),
+        "flow_step": flow_step(fns[0], sys, pt, 1e-3),
+        "trajectory 1": traj.points[1],
+        "trajectory 3": traj.points[3],
+    }
+    for name, q in derived.items():
+        for fn in fns:
+            v, w = hamiltonian_vector_field(fn, sys, q)
+            v0, w0 = _reference_hvf(fn, sys, _fresh(q))
+            assert np.array_equal(v, v0) and np.array_equal(w, w0), \
+                (name, fn.name)
+        for other in (pt, traj.points[0]):
+            assert q.fiber_images is not other.fiber_images, name
+            assert q.moment_images is not other.moment_images, name
