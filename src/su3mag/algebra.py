@@ -106,7 +106,6 @@ class LieAlgebraSpec:
         self._np_basis = np.array(
             [[[complex(x) for x in row] for row in M] for M in matrix_rep])
         self._np_basis_rows = self._np_basis.reshape(n, -1)
-        self._np_bform = np.array([[float(x) for x in row] for row in self.bform])
         self._np_ad = None
 
     # -- exact views ---------------------------------------------------------
@@ -162,7 +161,8 @@ class LieAlgebraSpec:
         return self.coords_of_matrix(Mx @ My - My @ Mx)
 
     def np_bpair(self, x, y):
-        return float(np.asarray(x) @ self._np_bform @ np.asarray(y))
+        """B(x, y) = sum_i x_i y_i on the orthonormal basis."""
+        return float(np.dot(x, y))
 
     def ad_matrices(self):
         """ad_i as dense float arrays: (ad_i)[k, j] = C_ij^k."""
@@ -306,15 +306,6 @@ class SubalgebraSpec:
             if i in self.a_indices and j in self.m_indices:
                 if k in self.a_indices and not c.is_zero():
                     raise ValueError("split is not reductive: [a, m] leaves m")
-
-    def project_m(self, coords):
-        """B-orthogonal projection onto m in coordinates (orthogonal split)."""
-        if isinstance(coords, np.ndarray):
-            out = coords.copy()
-            out[list(self.a_indices)] = 0.0
-            return out
-        return [Scalar(0) if i in self.a_indices else Scalar.of(c)
-                for i, c in enumerate(coords)]
 
 
 class GroupElement:
@@ -505,45 +496,31 @@ def build_su2():
 # centralizers and regularity
 # ---------------------------------------------------------------------------
 
-def centralizer_of(alg, w, tol=1e-10):
+def centralizer_of(alg, w):
     """SubalgebraSpec for a = ker(ad W), m = its B-orthogonal complement.
 
-    The kernel is computed exactly when W has Scalar coordinates, otherwise
-    numerically with singular values thresholded at tol * max.  The kernel
-    must be spanned by basis elements (true for every configuration used
-    here); otherwise the basis is not adapted and we refuse.
+    W must have exact (int, Fraction or Scalar) coordinates; the kernel is
+    computed exactly.  The kernel must be spanned by basis elements (true
+    for every configuration used here); otherwise the basis is not adapted
+    and we refuse.
     """
-    if all(isinstance(c, (int, Fraction, Scalar)) for c in w):
-        w = [Scalar.of(c) for c in w]
-        if all(c.is_zero() for c in w):
-            raise ValueError("W = 0 centralizes everything")
-        M = alg.ad_matrix_exact(w)
-        rows = []
-        for r in M:
-            row = {j: v for j, v in enumerate(r) if not v.is_zero()}
-            if row:
-                rows.append(row)
-        basis = nullspace(rows, alg.dim)
-        a_idx = []
-        for vec in basis:
-            support = [j for j, v in enumerate(vec) if not v.is_zero()]
-            if len(support) != 1:
-                raise ValueError("centralizer is not spanned by basis elements")
-            a_idx.append(support[0])
-    else:
-        w = np.asarray(w, dtype=float)
-        if np.linalg.norm(w) == 0.0:
-            raise ValueError("W = 0 centralizes everything")
-        ad = np.tensordot(w, alg.ad_matrices(), 1)
-        _, s, vh = np.linalg.svd(ad)
-        null_mask = np.concatenate([s, np.zeros(alg.dim - len(s))]) <= tol * s.max()
-        kernel = vh[len(s) - null_mask.sum():]
-        a_idx = []
-        for vec in kernel:
-            support = np.flatnonzero(np.abs(vec) > 1e-8)
-            if len(support) != 1:
-                raise ValueError("centralizer is not spanned by basis elements")
-            a_idx.append(int(support[0]))
+    if not all(isinstance(c, (int, Fraction, Scalar)) for c in w):
+        raise ValueError("centralizer_of needs W with exact coordinates")
+    w = [Scalar.of(c) for c in w]
+    if all(c.is_zero() for c in w):
+        raise ValueError("W = 0 centralizes everything")
+    M = alg.ad_matrix_exact(w)
+    rows = []
+    for r in M:
+        row = {j: v for j, v in enumerate(r) if not v.is_zero()}
+        if row:
+            rows.append(row)
+    a_idx = []
+    for vec in nullspace(rows, alg.dim):
+        support = [j for j, v in enumerate(vec) if not v.is_zero()]
+        if len(support) != 1:
+            raise ValueError("centralizer is not spanned by basis elements")
+        a_idx.append(support[0])
     a_idx = tuple(sorted(a_idx))
     m_idx = tuple(j for j in range(alg.dim) if j not in a_idx)
     return SubalgebraSpec(alg, a_idx, m_idx)

@@ -33,7 +33,7 @@ import numpy as np
 from .algebra import build_su3_chevalley, GroupElement, polar_project
 from .phase import (PhasePoint, MomentPullback, SlicePullback,
                     hamiltonian_vector_field, omega_eps, phase_tangent_basis,
-                    _project_m, _fiber_velocity)
+                    solve_field, _fiber_velocity)
 from .invariants import radial_generator
 
 TWO_PI = 2.0 * math.pi
@@ -139,10 +139,7 @@ def unwrapped_angle_series(sys, points):
             th = _nearest_branch(th, prev)
         prev = th
         thetas.append(th)
-    thetas = np.array(thetas)
-    if sys.case_tag == "regular":
-        return thetas @ (-LEFT_INVERSE.T)
-    return thetas @ (-np.linalg.inv(_M_LIVE_IRREGULAR).T)
+    return np.array(thetas) @ angle_map_matrix(sys).T
 
 
 def torus_action(sys, pt, sigma):
@@ -152,9 +149,7 @@ def torus_action(sys, pt, sigma):
     phases shift by -alpha_k(sigma) and the torus angles by +sigma_j.
     """
     H = sigma[0] * _COROOT_MATRICES[0] + sigma[1] * _COROOT_MATRICES[1]
-    w, U = np.linalg.eigh(1j * H)
-    t = (U * np.exp(-1j * w)) @ U.conj().T  # exp(+H)
-    return pt.right_act(GroupElement(t))
+    return pt.right_act(GroupElement(_expm_small(H)))
 
 
 def action_functions(sys):
@@ -291,24 +286,11 @@ def _expm_small(M):
     return (U * np.exp(-1j * w)) @ U.conj().T
 
 
-def _solve_field(sys, pt, diff_row):
-    """Solve iota_X omega = df for a differential given over the tangent basis."""
-    alg = sys.alg
-    nm = len(sys.m)
-    v = np.zeros(alg.dim)
-    base = np.zeros(alg.dim)
-    for p, j in enumerate(sys.m):
-        base[j] = diff_row[p]
-        v[j] = diff_row[nm + p]
-    w = -base - sys.eps * _project_m(sys, alg.np_bracket(sys.W, v))
-    return v, w
-
-
 def plain_angle_bracket(sys, pt, h=1e-6):
     """The matrix {phi_a, phi_b}_eps via the symplectic solve on
     finite-difference differentials of the plain torus angles."""
     D = angle_differential(sys, pt, h)
-    fields = [_solve_field(sys, pt, row) for row in D]
+    fields = [solve_field(sys, row) for row in D]
     n = len(fields)
     out = np.zeros((n, n))
     for a in range(n):

@@ -32,13 +32,13 @@ from .scalars import Scalar
 from .poly import Polynomial
 from .exact_linalg import solve_in_span
 from .invariants import (torus_generators, radial_generator, restrict_shift,
-                         monomials_of_degree, independence_rank,
-                         _monomials_in_generators)
+                         monomials_of_degree, independence_rank, numeric_rank,
+                         generator_monomial, _monomials_in_generators,
+                         _poly_to_vec)
 from .phase import (MomentPullback, SlicePullback, moment_coordinate,
                     slice_bracket_symbolic, hamiltonian_vector_field,
                     omega_eps, basis_differential)
 
-RANK_TOL = 1e-10
 NUM_TOL = 1e-10
 
 
@@ -177,20 +177,11 @@ def rewrite_in_generators(q, gens):
                 return None
             monos = sorted(monomials_of_degree(len(m_names), deg), reverse=True)
             mono_index = {e: i for i, e in enumerate(monos)}
-            vectors = []
-            for combo in combos:
-                p = Polynomial.const(m_names, 1)
-                for (name, gp, gd), k in zip(gens, combo):
-                    for _ in range(k):
-                        p = p * gp
-                vec = [Scalar(0)] * len(monos)
-                for expo, c in p.terms.items():
-                    vec[mono_index[expo]] = c
-                vectors.append(vec)
-            target = [Scalar(0)] * len(monos)
-            for expo, c in comp.terms.items():
-                target[mono_index[expo]] = c
-            coeffs = solve_in_span(target, vectors, len(monos))
+            vectors = [_poly_to_vec(generator_monomial(gens, combo, m_names),
+                                    mono_index)
+                       for combo in combos]
+            coeffs = solve_in_span(_poly_to_vec(comp, mono_index), vectors,
+                                   len(monos))
             if coeffs is None:
                 return None
             for combo, c in zip(combos, coeffs):
@@ -364,13 +355,6 @@ def center_check(sys, rng, samples=50, tol=NUM_TOL):
 def phase_jacobian(sys, fns, pt):
     """Analytic Jacobian of integral functions over the tangent basis."""
     return np.asarray([basis_differential(fn, sys, pt) for fn in fns])
-
-
-def numeric_rank(J, tol=RANK_TOL):
-    s = np.linalg.svd(np.asarray(J, dtype=float), compute_uv=False)
-    if s.size == 0 or s.max() == 0.0:
-        return 0
-    return int((s > tol * s.max()).sum())
 
 
 def jacobian_rank_pi1(sys, pt):

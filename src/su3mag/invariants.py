@@ -196,13 +196,13 @@ def indecomposable_generators(alg, sub, max_degree, restrict_to_m=True):
             continue
         monos = sorted(monomials_of_degree(nvars, d), reverse=True)
         mono_index = {e: i for i, e in enumerate(monos)}
-        # span of all products of existing generators with total degree d
+        # span of all products of existing generators with total degree d;
+        # every generator so far has degree below d, so every such
+        # product has at least two factors
         prod_rows = []
-        for combo in _gen_products(gens, d):
-            poly = Polynomial.const(names, 1)
-            for (_, gp, _) in combo:
-                poly = poly * gp
-            vec = _poly_to_vec(poly, mono_index)
+        for combo in _monomials_in_generators(gens, d):
+            vec = _poly_to_vec(generator_monomial(gens, combo, names),
+                               mono_index)
             row = {i: c for i, c in enumerate(vec) if not c.is_zero()}
             if row:
                 prod_rows.append(row)
@@ -218,25 +218,17 @@ def indecomposable_generators(alg, sub, max_degree, restrict_to_m=True):
     return GeneratorSet(generators=gens, relations=relations)
 
 
-def _gen_products(gens, total_degree):
-    """Multisets of generators with summed degree == total_degree."""
-    out = []
+def generator_monomial(gens, combo, names):
+    """The product of gens[i] ** combo[i] as a polynomial over names.
 
-    def rec(start, remaining, acc):
-        if remaining == 0:
-            if len(acc) >= 2 or (len(acc) == 1 and acc[0][2] < total_degree):
-                out.append(list(acc))
-            return
-        for i in range(start, len(gens)):
-            name, poly, d = gens[i]
-            if d <= remaining:
-                acc.append(gens[i])
-                rec(i, remaining - d, acc)
-                acc.pop()
-
-    rec(0, total_degree, [])
-    # keep only genuine products (at least two factors)
-    return [c for c in out if len(c) >= 2]
+    gens is a list of (name, Polynomial, degree); combo an exponent tuple
+    over it, as listed by _monomials_in_generators.
+    """
+    poly = Polynomial.const(names, 1)
+    for (_, gp, _), k in zip(gens, combo):
+        for _ in range(k):
+            poly = poly * gp
+    return poly
 
 
 def _generator_relations(gens, names, nvars, max_degree):
@@ -251,13 +243,9 @@ def _generator_relations(gens, names, nvars, max_degree):
             continue
         monos = sorted(monomials_of_degree(nvars, d), reverse=True)
         mono_index = {e: i for i, e in enumerate(monos)}
-        rows = []
-        for expo_gen in combos:
-            poly = Polynomial.const(names, 1)
-            for g, k in zip(gens, expo_gen):
-                for _ in range(k):
-                    poly = poly * g[1]
-            rows.append(_poly_to_vec(poly, mono_index))
+        rows = [_poly_to_vec(generator_monomial(gens, combo, names),
+                             mono_index)
+                for combo in combos]
         # kernel of the transpose system: coefficient vectors over combos
         sys_rows = []
         for col in range(len(monos)):
@@ -387,12 +375,11 @@ def casimirs_su3(alg):
     """
     names = alg.coord_names
     n = alg.dim
+    # B(Y, Y) = sum_i x_i^2: the basis is B-orthonormal
     c2 = Polynomial.zero(names)
     for i in range(n):
-        for j in range(n):
-            if not alg.bform[i][j].is_zero():
-                c2 = c2 + Polynomial.var(names, names[i]) * \
-                    Polynomial.var(names, names[j]) * alg.bform[i][j]
+        c2 = c2 + Polynomial.var(names, names[i]) * \
+            Polynomial.var(names, names[i])
 
     # entries of M(x) = sum x_i b_i as (re, im) polynomial pairs
     size = len(alg.matrix_rep[0])
@@ -461,17 +448,19 @@ def restrict_shift(C, sys, symbolic_eps=True):
     return C.substitute(m_names, images)
 
 
-def independence_rank(polys, point, threshold=1e-10):
-    """Numeric rank of the Jacobian of a polynomial family at a point."""
-    rows = []
-    for p in polys:
-        rows.append([p.diff(v).evaluate([float(x) for x in point])
-                     for v in p.vars])
-    J = np.asarray(rows, dtype=float)
-    s = np.linalg.svd(J, compute_uv=False)
+def numeric_rank(J, tol=1e-10):
+    """Numeric rank of a matrix: singular values above tol * the largest."""
+    s = np.linalg.svd(np.asarray(J, dtype=float), compute_uv=False)
     if s.size == 0 or s.max() == 0.0:
         return 0
-    return int((s > threshold * s.max()).sum())
+    return int((s > tol * s.max()).sum())
+
+
+def independence_rank(polys, point):
+    """Numeric rank of the Jacobian of a polynomial family at a point."""
+    x = [float(c) for c in point]
+    return numeric_rank([[p.diff(v).evaluate(x) for v in p.vars]
+                         for p in polys])
 
 
 def casimir_count(alg, point):
@@ -480,7 +469,4 @@ def casimir_count(alg, point):
     A = np.zeros((alg.dim, alg.dim))
     for (i, j, k), c in alg.structure.items():
         A[i, j] += float(c) * x[k]
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.max() == 0.0:
-        return alg.dim
-    return alg.dim - int((s > 1e-10 * s.max()).sum())
+    return alg.dim - numeric_rank(A)

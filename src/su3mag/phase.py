@@ -391,17 +391,22 @@ def basis_differential(fn, sys, pt):
     return df
 
 
-def hamiltonian_vector_field(fn, sys, pt):
-    """Solve iota_{X_f} omega_eps = df for the tangent (v_f, w_f)."""
+def solve_field(sys, df):
+    """Solve iota_X omega_eps = df for the tangent (v, w), df given on
+    the directions of phase_tangent_basis."""
     alg = sys.alg
     m = sys.m
-    df = basis_differential(fn, sys, pt)
-    v_f = np.zeros(alg.dim)
-    v_f[m] = df[len(m):]
+    v = np.zeros(alg.dim)
+    v[m] = df[len(m):]
     base = np.zeros(alg.dim)
     base[m] = df[:len(m)]
-    w_f = -base - sys.eps * _project_m(sys, alg.np_bracket(sys.W, v_f))
-    return v_f, w_f
+    w = -base - sys.eps * _project_m(sys, alg.np_bracket(sys.W, v))
+    return v, w
+
+
+def hamiltonian_vector_field(fn, sys, pt):
+    """Solve iota_{X_f} omega_eps = df for the tangent (v_f, w_f)."""
+    return solve_field(sys, basis_differential(fn, sys, pt))
 
 
 def omega_eps(sys, pt, vw1, vw2):
@@ -417,15 +422,11 @@ def moment_of_direction(sys, eta):
     """P_eta = B(P, eta) as a MomentPullback, for an exact or float eta."""
     names = sys.alg.coord_names
     h = Polynomial.zero(names)
-    for i in range(sys.alg.dim):
-        acc = Scalar(0)
-        for j in range(sys.alg.dim):
-            if not sys.alg.bform[i][j].is_zero():
-                ej = eta[j] if isinstance(eta[j], Scalar) \
-                    else Scalar(Fraction(float(eta[j])))
-                acc = acc + sys.alg.bform[i][j] * ej
-        if not acc.is_zero():
-            h = h + Polynomial.var(names, names[i], acc)
+    # B(P, eta) = sum_i P_i eta_i: the basis is B-orthonormal
+    for i, e in enumerate(eta):
+        c = e if isinstance(e, Scalar) else Scalar(Fraction(float(e)))
+        if not c.is_zero():
+            h = h + Polynomial.var(names, names[i], c)
     return MomentPullback(h, name="P_eta")
 
 
@@ -527,15 +528,12 @@ def slice_bracket_symbolic(sys, theta1, theta2):
             xi_polys.append(Polynomial.var(evars, "eps", -wi)
                             if not wi.is_zero() else Polynomial.zero(evars))
     images = _m_images(alg, sub, evars)
+    # B(xi, comm) = sum_i xi_i comm_i: the basis is B-orthonormal
     out = Polynomial.zero(evars)
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            if alg.bform[i][j].is_zero() or comm[j].is_zero() or \
-                    xi_polys[i].is_zero():
-                continue
-            out = out + xi_polys[i] * comm[j].substitute(images=images,
-                                                         target_vars=evars) \
-                * alg.bform[i][j]
+    for xi, c in zip(xi_polys, comm):
+        if c.is_zero() or xi.is_zero():
+            continue
+        out = out + xi * c.substitute(images=images, target_vars=evars)
     return -out
 
 
@@ -722,12 +720,14 @@ def closed_form_group(sys, pt0, t):
     return pt0.g.matrix @ a.matrix @ b.matrix
 
 
-def conservation_report(sys, traj, functions):
-    """Per-function max |f(pt_t) - f(pt_0)| along the trajectory."""
+def conservation_report(sys, traj, functions, stride=1):
+    """Per-function max |f(pt_t) - f(pt_0)| over every stride-th point of
+    the trajectory."""
+    points = traj.points[::stride]
     out = []
     for fn in functions:
-        first = fn.value(traj.points[0])
-        drift = max(abs(fn.value(p) - first) for p in traj.points)
+        first = fn.value(points[0])
+        drift = max(abs(fn.value(p) - first) for p in points)
         out.append({"function": fn.name, "initial": first,
                     "max_drift": drift})
     return out

@@ -129,6 +129,9 @@ def test_centralizer_regular_and_irregular():
     assert sub2.a_indices == (0,)
     with pytest.raises(ValueError):
         centralizer_of(gm, [Scalar(0)] * 8)
+    # centralizers are exact only: a float W is refused
+    with pytest.raises(ValueError, match="exact"):
+        centralizer_of(gm, [float(c) for c in Wig])
 
 
 def test_regularity_matrix_path_and_rank_nullity():

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from su3mag import (build_su3_gellmann, build_su3_chevalley, build_su2,
                     centralizer_of, Polynomial, lie_poisson_bracket)
@@ -10,9 +11,11 @@ from su3mag.scalars import Scalar
 from su3mag.invariants import (invariant_space, indecomposable_generators,
                                casimirs_su3, restrict_shift,
                                independence_rank, casimir_count,
+                               numeric_rank,
                                torus_generators, radial_generator,
                                monomials_of_degree)
 from su3mag.phase import su3_regular_system, su3_irregular_system
+from su3mag.exact_linalg import rref
 
 
 def dense_nullity_oracle(alg, sub, degree, restrict_to_m=True):
@@ -217,3 +220,33 @@ def test_cubic_relation_of_torus_generators():
     alg = build_su3_chevalley()
     u, v, w = torus_generators(alg)
     assert (u[0] * u[1] * u[2] - v * v - w * w).is_zero()
+
+
+@st.composite
+def integer_matrices_of_chosen_rank(draw):
+    """Integer matrices up to 6x6 with entries in [-5, 5] and rank at most
+    a drawn r: r drawn rows, the others zero or signed copies of them."""
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 6))
+    rank = draw(st.integers(0, min(nrows, ncols)))
+    row = st.lists(st.integers(-5, 5), min_size=ncols, max_size=ncols)
+    base = [draw(row) for _ in range(rank)]
+    rows = list(base)
+    while len(rows) < nrows:
+        if base and draw(st.booleans()):
+            sign = draw(st.sampled_from((-1, 1)))
+            rows.append([sign * x for x in draw(st.sampled_from(base))])
+        else:
+            rows.append([0] * ncols)
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(integer_matrices_of_chosen_rank())
+def test_numeric_rank_equals_exact_rank_on_integer_matrices(rows):
+    # the r nonzero singular values of an integer matrix have a product
+    # >= 1 and are each <= 30 here, so the smallest is >= 30**-5 and the
+    # threshold 1e-10 * max separates them from zero
+    exact = len(rref([{j: Scalar(x) for j, x in enumerate(r) if x}
+                      for r in rows], len(rows[0]))[0])
+    assert numeric_rank(np.array(rows)) == exact

@@ -512,7 +512,8 @@ def _reference_coords_of_matrix(alg, M):
     """The trace-per-basis-element pairing and the solve against the Gram
     matrix that coords_of_matrix replaced."""
     pair = np.array([-0.5 * np.trace(M @ b).real for b in alg._np_basis])
-    return np.linalg.solve(alg._np_bform, pair)
+    gram = np.array([[float(x) for x in row] for row in alg.bform])
+    return np.linalg.solve(gram, pair)
 
 
 def _reference_hvf(fn, sys, pt):
