@@ -395,18 +395,10 @@ def _gm_lambda_matrices():
 @lru_cache(maxsize=1)
 def build_su3_gellmann():
     """su(3) in the anti-Hermitian Gell-Mann basis e_k = -i lambda_k."""
-    lam = _gm_lambda_matrices()
-    basis = [cmat_scale(-_I, L) for L in lam]
+    basis = [cmat_scale(-_I, L) for L in _gm_lambda_matrices()]
     labels = tuple(f"e{k}" for k in range(1, 9))
     coords = tuple(f"x{k}" for k in range(1, 9))
-    extras = {
-        "family": "su3",
-        "presentation": "gellmann",
-        # Hermitian physics matrices map to this basis via H -> i H, so the
-        # coordinates of an element equal MINUS its lambda-coordinates.
-        "hermitian_sign": -1,
-        "lambda_matrices": lam,
-    }
+    extras = {"family": "su3", "presentation": "gellmann"}
     return LieAlgebraSpec("su3-gellmann", labels, coords, basis, extras)
 
 

@@ -26,33 +26,16 @@ arg is not polynomial, so no symbolic path exists.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from .algebra import build_su3_chevalley, GroupElement, polar_project
-from .phase import (PhasePoint, MomentPullback, SlicePullback,
-                    hamiltonian_vector_field, omega_eps, phase_tangent_basis,
-                    solve_field, _fiber_velocity)
-from .invariants import radial_generator
+from .algebra import GroupElement, polar_project
+from .phase import (PhasePoint, hamiltonian_vector_field, omega_eps,
+                    phase_tangent_basis, slice_z_values, solve_field,
+                    _fiber_velocity)
+from .certify import action_functions
 
 TWO_PI = 2.0 * math.pi
-
-
-@lru_cache(maxsize=1)
-def _z_duals():
-    """Dual matrices of the root coordinate functionals:
-    z_k(M) = -1/2 tr(M D_k), built on first use."""
-    chev = build_su3_chevalley()
-    duals = []
-    for row in chev.extras["z_rows"]:
-        D = np.zeros((3, 3), dtype=complex)
-        for i, c in enumerate(row):
-            if not c.is_zero():
-                D += complex(c) * chev._np_basis[i]
-        duals.append(D)
-    return tuple(duals)
-
 
 THETA_MATRIX = np.array([[2.0, -1.0], [-1.0, 2.0], [1.0, 1.0]])
 LEFT_INVERSE = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]) / 3.0
@@ -74,25 +57,15 @@ class ChartUndefined(ValueError):
 _M_LIVE_IRREGULAR = np.array([[-1.0, 2.0], [1.0, 1.0]])
 
 
-def z_values_of_matrix(M):
-    """Complex root coordinates of a 3x3 anti-Hermitian matrix."""
-    return np.array([-0.5 * np.trace(M @ D) for D in _z_duals()])
-
-
-def slice_z_values(sys, pt):
-    """Root coordinates of the slice xi = X - eps W."""
-    return z_values_of_matrix(sys.alg.matrix_of(pt.xi))
-
-
 def live_roots(sys):
     """Indices of the root coordinates that are not identically zero."""
     return (0, 1, 2) if sys.case_tag == "regular" else (1, 2)
 
 
-def root_phases(sys, pt, min_modulus=1e-6):
+def root_phases(sys, pt):
     """Slice phases theta_k = arg z_k(xi) on the live roots, in [0, 2 pi)."""
     z = slice_z_values(sys, pt)[list(live_roots(sys))]
-    if np.min(np.abs(z)) <= min_modulus:
+    if np.min(np.abs(z)) <= 1e-6:
         raise ChartUndefined("root coordinate too small for the angle chart")
     return np.mod(np.angle(z), TWO_PI)
 
@@ -114,12 +87,12 @@ def torus_angles(sys, pt):
     return np.mod(angle_map_matrix(sys) @ root_phases(sys, pt), TWO_PI)
 
 
-def chart_point(sys, rng, min_modulus=5e-2, max_tries=500):
+def chart_point(sys, rng):
     """A random regular point comfortably inside the angle chart."""
-    for _ in range(max_tries):
+    for _ in range(500):
         pt = sys.random_regular_point(rng)
         z = slice_z_values(sys, pt)[list(live_roots(sys))]
-        if np.min(np.abs(z)) > min_modulus:
+        if np.min(np.abs(z)) > 5e-2:
             return pt
     raise RuntimeError("failed to sample a chart-safe point")
 
@@ -150,18 +123,6 @@ def torus_action(sys, pt, sigma):
     """
     H = sigma[0] * _COROOT_MATRICES[0] + sigma[1] * _COROOT_MATRICES[1]
     return pt.right_act(GroupElement(_expm_small(H)))
-
-
-def action_functions(sys):
-    """The action coordinates paired with the angles.
-
-    Regular case: J2 = P*C2 and J3 = P*C3; irregular case: the single
-    action pi*R.
-    """
-    c2, c3 = sys.casimirs()
-    if sys.case_tag == "regular":
-        return [MomentPullback(c2, name="J2"), MomentPullback(c3, name="J3")]
-    return [SlicePullback(radial_generator(sys), name="pi*R")]
 
 
 def flow_step(fn, sys, pt, h, nsteps=1):

@@ -138,13 +138,24 @@ def generator_family(sys):
     return fns
 
 
-def center_family(sys):
-    """Generators of R0: the pulled-back Casimirs (or pi* R irregular)."""
+def action_functions(sys):
+    """The action coordinates paired with the angles.
+
+    Regular case: J2 = P*C2 and J3 = P*C3; irregular case: the single
+    action pi*R.
+    """
     c2, c3 = sys.casimirs()
     if sys.case_tag == "regular":
         return [MomentPullback(c2, name="J2"), MomentPullback(c3, name="J3")]
-    return [MomentPullback(c2, name="J2"),
-            SlicePullback(radial_generator(sys), name="pi*R")]
+    return [SlicePullback(radial_generator(sys), name="pi*R")]
+
+
+def center_family(sys):
+    """Generators of R0: the actions, after J2 = P*C2 in the irregular case."""
+    actions = action_functions(sys)
+    if sys.case_tag == "regular":
+        return actions
+    return [MomentPullback(sys.casimirs()[0], name="J2")] + actions
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +290,7 @@ def cubic_relation_check(alg):
 # moment-image relation (irregular)
 # ---------------------------------------------------------------------------
 
-def phi_relation_irregular(sys, rng, samples=100, tol=NUM_TOL):
+def phi_relation_irregular(sys, rng, samples=100):
     """The single cubic relation among the moment coordinates.
 
     On the image cone Ad(G)(m - eps W) the two Casimirs are dependent:
@@ -300,16 +311,16 @@ def phi_relation_irregular(sys, rng, samples=100, tol=NUM_TOL):
         bad = float(c3.evaluate(P)) + 3 * eps * float(c2.evaluate(P)) \
             - 2.9 * eps ** 3
         control = max(control, abs(bad))
-    return {"max_residual": worst, "pass": worst < tol,
+    return {"max_residual": worst, "pass": worst < NUM_TOL,
             "negative_control_residual": control,
-            "negative_control_nonzero": control > tol}
+            "negative_control_nonzero": control > NUM_TOL}
 
 
 # ---------------------------------------------------------------------------
 # centrality
 # ---------------------------------------------------------------------------
 
-def center_check(sys, rng, samples=50, tol=NUM_TOL):
+def center_check(sys, rng, samples=50):
     """R0 elements Poisson-commute with every generator; identifications hold.
 
     J2 = P*C2 and (regular) J3 = P*C3 are checked against every generator
@@ -342,9 +353,11 @@ def center_check(sys, rng, samples=50, tol=NUM_TOL):
         ident3 = max(ident3, abs(float(c3.evaluate(P))
                                  - float(res3.evaluate(xi_m))))
     for (cname, gname), val in sorted(worst.items()):
-        report.add(f"{{{cname},{gname}}}", 0.0, val, tol, val < tol)
-    report.add("P*C2 == pi*(Res_W C2)", 0.0, ident2, tol, ident2 < tol)
-    report.add("P*C3 == pi*(Res_W C3)", 0.0, ident3, tol, ident3 < tol)
+        report.add(f"{{{cname},{gname}}}", 0.0, val, NUM_TOL, val < NUM_TOL)
+    report.add("P*C2 == pi*(Res_W C2)", 0.0, ident2, NUM_TOL,
+               ident2 < NUM_TOL)
+    report.add("P*C3 == pi*(Res_W C3)", 0.0, ident3, NUM_TOL,
+               ident3 < NUM_TOL)
     return report
 
 
@@ -386,12 +399,11 @@ def a_matrix_exact(sys):
     return rows
 
 
-def a_matrix_minors(sys, hermitian_coords=True):
+def a_matrix_minors(sys):
     """The four exact 3x3 column minors of A(X).
 
-    With hermitian_coords the minors are expressed in the Hermitian-view
-    coordinates (the system coordinates negated), where they factor as
-    x7 R, -x6 R, x5 R, -x4 R.
+    The minors are expressed in the Hermitian-view coordinates (the system
+    coordinates negated), where they factor as x7 R, -x6 R, x5 R, -x4 R.
     """
     rows = a_matrix_exact(sys)
     m_names = sys.m_names()
@@ -404,11 +416,9 @@ def a_matrix_minors(sys, hermitian_coords=True):
 
     minors = [det3(cols) for cols in ((0, 1, 2), (0, 1, 3),
                                       (0, 2, 3), (1, 2, 3))]
-    if hermitian_coords:
-        # x -> -x is odd on the cubic minors
-        flip = [Polynomial.var(m_names, n, Scalar(-1)) for n in m_names]
-        minors = [p.substitute(m_names, flip) for p in minors]
-    return minors
+    # x -> -x is odd on the cubic minors
+    flip = [Polynomial.var(m_names, n, Scalar(-1)) for n in m_names]
+    return [p.substitute(m_names, flip) for p in minors]
 
 
 # ---------------------------------------------------------------------------

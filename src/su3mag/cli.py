@@ -21,6 +21,7 @@ import numpy as np
 
 from . import reports
 from .phase import flow_steps, integrate_flow
+from .poly import DEGREE_CAP
 
 
 def _out_dir(args):
@@ -117,6 +118,11 @@ def _check_at_least_one(flag, value):
 
 def cmd_centralizer(args):
     _check_at_least_one("--max-degree", args.max_degree)
+    if args.max_degree > DEGREE_CAP:
+        raise UsageError(f"--max-degree must be at most {DEGREE_CAP}, "
+                         f"got {args.max_degree}")
+    if args.algebra == "su2" and args.sub != "torus":
+        raise UsageError("su2 supports only the torus subalgebra")
     text = reports.centralizer_report(args.algebra, args.sub, args.m_only,
                                       args.max_degree)
     print(text, end="")

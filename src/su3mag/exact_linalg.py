@@ -8,6 +8,8 @@ reproducible run to run.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .scalars import Scalar
 
 
@@ -32,17 +34,7 @@ def rref(rows, ncols):
         row = work.pop(pivot_row)
         inv = row[col].inv()
         row = {c: v * inv for c, v in row.items()}
-        for other in work:
-            if col in other:
-                factor = other[col]
-                for c, v in row.items():
-                    acc = other.get(c)
-                    nv = -factor * v if acc is None else acc - factor * v
-                    if nv.is_zero():
-                        other.pop(c, None)
-                    else:
-                        other[c] = nv
-        for other in reduced:
+        for other in chain(work, reduced):
             if col in other:
                 factor = other[col]
                 for c, v in row.items():
@@ -81,11 +73,6 @@ def nullspace(rows, ncols):
                 vec[pcol] = -coeff
         basis.append(vec)
     return basis
-
-
-def rank(rows, ncols):
-    pivots, _ = rref(rows, ncols)
-    return len(pivots)
 
 
 def solve_in_span(target, vectors, ncols):

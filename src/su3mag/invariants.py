@@ -417,43 +417,42 @@ def casimirs_su3(alg):
     return c2, c3
 
 
+def shift_images(sys, target, eps=None):
+    """The coordinates of X - eps W as polynomials over target: the
+    variables on m, -eps W_i on a, with eps the variable "eps" of target
+    or the given exact eps (eps = 0 gives the projection onto m)."""
+    names = sys.alg.coord_names
+    images = []
+    for i in range(sys.alg.dim):
+        if i in sys.sub.m_indices:
+            images.append(Polynomial.var(target, names[i]))
+        elif eps is None:
+            images.append(Polynomial.var(target, "eps", -sys.W_exact[i]))
+        else:
+            images.append(Polynomial.const(target, -(eps * sys.W_exact[i])))
+    return images
+
+
 def restrict_shift(C, sys, symbolic_eps=True):
     """Res_W(C)(X) = C(X - eps W) with X restricted to the m-coordinates.
 
     With symbolic_eps the result is a polynomial over (m-vars..., "eps");
-    otherwise eps is bound to sys.eps numerically... exactly when sys.eps
-    is a Scalar, else via float coefficients.
+    otherwise eps is bound to sys.eps_exact and the result is over the
+    m-vars alone.
     """
-    alg, sub = sys.alg, sys.sub
-    names = alg.coord_names
-    m_names = tuple(names[i] for i in sub.m_indices)
+    m_names = sys.m_names()
     if symbolic_eps:
         target = m_names + ("eps",)
-        images = []
-        for i in range(alg.dim):
-            if i in sub.m_indices:
-                images.append(Polynomial.var(target, names[i]))
-            else:
-                wi = sys.W_exact[i]
-                images.append(Polynomial.var(target, "eps", -wi)
-                              if not wi.is_zero() else Polynomial.zero(target))
-        return C.substitute(target, images)
-    eps = sys.eps_exact
-    images = []
-    for i in range(alg.dim):
-        if i in sub.m_indices:
-            images.append(Polynomial.var(m_names, names[i]))
-        else:
-            images.append(Polynomial.const(m_names, -(eps * sys.W_exact[i])))
-    return C.substitute(m_names, images)
+        return C.substitute(target, shift_images(sys, target))
+    return C.substitute(m_names, shift_images(sys, m_names, sys.eps_exact))
 
 
-def numeric_rank(J, tol=1e-10):
-    """Numeric rank of a matrix: singular values above tol * the largest."""
+def numeric_rank(J):
+    """Numeric rank of a matrix: singular values above 1e-10 * the largest."""
     s = np.linalg.svd(np.asarray(J, dtype=float), compute_uv=False)
     if s.size == 0 or s.max() == 0.0:
         return 0
-    return int((s > tol * s.max()).sum())
+    return int((s > 1e-10 * s.max()).sum())
 
 
 def independence_rank(polys, point):

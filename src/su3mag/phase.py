@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ from .poly import Polynomial, b_gradient
 from .algebra import (GroupElement, UNITARY_TOL,
                       build_su3_chevalley, build_su3_gellmann,
                       centralizer_of, regularity, exp_map, polar_project)
-from .invariants import casimirs_su3
+from .invariants import casimirs_su3, shift_images
 
 
 class MagneticSystem:
@@ -73,27 +74,26 @@ class MagneticSystem:
 
     # -- sampling ---------------------------------------------------------------
 
-    def random_point(self, rng, scale=1.0):
-        """A phase point with fiber coordinates uniform in [-scale, scale]."""
+    def random_point(self, rng):
+        """A phase point with fiber coordinates uniform in [-1, 1]."""
         seed = rng.uniform(-1.0, 1.0, self.alg.dim)
         g = exp_map(self.alg, seed).matrix
         X = np.zeros(self.alg.dim)
-        X[self.m] = rng.uniform(-scale, scale, len(self.m))
+        X[self.m] = rng.uniform(-1.0, 1.0, len(self.m))
         return PhasePoint(self, GroupElement(g), X)
 
-    def random_regular_point(self, rng, scale=1.0, max_tries=500):
+    def random_regular_point(self, rng):
         """Sample until xi = X - eps W is regular and the chart is safe.
 
         Regular case: all root moduli |z_k| above 1e-3; irregular case:
         the fiber norm above 1e-3 (the rank statements hold on this locus).
         """
-        for _ in range(max_tries):
-            pt = self.random_point(rng, scale)
-            xi = pt.xi
-            if not regularity(self.alg, xi, tol=1e-3).regular:
+        for _ in range(500):
+            pt = self.random_point(rng)
+            if not regularity(self.alg, pt.xi, tol=1e-3).regular:
                 continue
             if self.case_tag == "regular":
-                z = chevalley_z_values(self.alg, xi)
+                z = slice_z_values(self, pt)
                 if np.min(np.abs(z)) <= 1e-3:
                     continue
             else:
@@ -103,17 +103,25 @@ class MagneticSystem:
         raise RuntimeError("failed to sample a regular phase point")
 
 
-def chevalley_z_values(alg, coords):
-    """Complex root coordinates z_k of a coordinate vector (root basis)."""
-    rows = alg.extras["z_rows"]
-    vals = []
-    for row in rows:
-        acc = 0j
-        for c, x in zip(row, coords):
+@lru_cache(maxsize=1)
+def _z_duals():
+    """Dual matrices of the root coordinate functionals:
+    z_k(M) = -1/2 tr(M D_k), built on first use."""
+    chev = build_su3_chevalley()
+    duals = []
+    for row in chev.extras["z_rows"]:
+        D = np.zeros((3, 3), dtype=complex)
+        for i, c in enumerate(row):
             if not c.is_zero():
-                acc += complex(c) * float(x)
-        vals.append(acc)
-    return np.array(vals)
+                D += complex(c) * chev._np_basis[i]
+        duals.append(D)
+    return tuple(duals)
+
+
+def slice_z_values(sys, pt):
+    """Complex root coordinates z_k of the slice xi = X - eps W."""
+    M = sys.alg.matrix_of(pt.xi)
+    return np.array([-0.5 * np.trace(M @ D) for D in _z_duals()])
 
 
 def su3_regular_system(eps):
@@ -333,6 +341,15 @@ def _fiber_velocity(sys, pt, v, w):
     return -0.5 * _project_m(sys, sys.alg.np_bracket(v, pt.X)) + w
 
 
+def _leibniz(fn, pt):
+    """The Leibniz rule of a FuncCombo at pt: (c * rest, factor) for each
+    factor of each term, rest the product of the other factors' values."""
+    for c, fs in fn.terms:
+        vals = [f.value(pt) for f in fs]
+        for i, f in enumerate(fs):
+            yield c * np.prod([vals[j] for j in range(len(fs)) if j != i]), f
+
+
 def differential(fn, sys, pt, v, w):
     """df at pt applied to the tangent (v, w); analytic, no finite differences.
 
@@ -354,11 +371,8 @@ def differential(fn, sys, pt, v, w):
                    for i, gr in enumerate(fn.gradients()) if gr.terms)
     if fn.tag == "combo":
         total = 0.0
-        for c, fs in fn.terms:
-            vals = [f.value(pt) for f in fs]
-            for i, f in enumerate(fs):
-                rest = np.prod([vals[j] for j in range(len(fs)) if j != i])
-                total += c * rest * differential(f, sys, pt, v, w)
+        for weight, f in _leibniz(fn, pt):
+            total += weight * differential(f, sys, pt, v, w)
         return total
     raise TypeError(f"untagged integral function {fn!r}")
 
@@ -372,11 +386,8 @@ def basis_differential(fn, sys, pt):
     """
     if fn.tag == "combo":
         total = np.zeros(2 * len(sys.m))
-        for c, fs in fn.terms:
-            vals = [f.value(pt) for f in fs]
-            for i, f in enumerate(fs):
-                rest = np.prod([vals[j] for j in range(len(fs)) if j != i])
-                total = total + c * rest * basis_differential(f, sys, pt)
+        for weight, f in _leibniz(fn, pt):
+            total = total + weight * basis_differential(f, sys, pt)
         return total
     if fn.tag == "moment":
         at, cols = pt.moment_coords, pt.moment_images.T
@@ -463,11 +474,8 @@ def _bracket_symbolic(sys, f, h, pt):
     alg = sys.alg
     if f.tag == "combo":
         total = 0.0
-        for c, fs in f.terms:
-            vals = [x.value(pt) for x in fs]
-            for i, x in enumerate(fs):
-                rest = np.prod([vals[j] for j in range(len(fs)) if j != i])
-                total += c * rest * _bracket_symbolic(sys, x, h, pt)
+        for weight, x in _leibniz(f, pt):
+            total += weight * _bracket_symbolic(sys, x, h, pt)
         return total
     if h.tag == "combo":
         return -_bracket_symbolic(sys, h, f, pt)
@@ -505,9 +513,9 @@ def slice_bracket_symbolic(sys, theta1, theta2):
     theta1, theta2 are polynomials over the m-coordinate names of the
     system; the result keeps eps symbolic.
     """
-    alg, sub = sys.alg, sys.sub
+    alg = sys.alg
     names = alg.coord_names
-    evars = tuple(names[i] for i in sub.m_indices) + ("eps",)
+    evars = sys.m_names() + ("eps",)
     t1 = theta1.extend(names) if theta1.vars != names else theta1
     t2 = theta2.extend(names) if theta2.vars != names else theta2
     g1 = b_gradient(t1, alg)
@@ -518,33 +526,15 @@ def slice_bracket_symbolic(sys, theta1, theta2):
         if p.is_zero() or q.is_zero():
             continue
         comm[k] = comm[k] + p * q * c
-    # xi as coordinate polynomials over evars: variables on m, -eps W on a
-    xi_polys = []
-    for i in range(alg.dim):
-        if i in sub.m_indices:
-            xi_polys.append(Polynomial.var(evars, names[i]))
-        else:
-            wi = sys.W_exact[i]
-            xi_polys.append(Polynomial.var(evars, "eps", -wi)
-                            if not wi.is_zero() else Polynomial.zero(evars))
-    images = _m_images(alg, sub, evars)
+    # xi = X - eps W over evars, and comm read at X in m (eps = 0)
+    images = shift_images(sys, evars, eps=0)
     # B(xi, comm) = sum_i xi_i comm_i: the basis is B-orthonormal
     out = Polynomial.zero(evars)
-    for xi, c in zip(xi_polys, comm):
+    for xi, c in zip(shift_images(sys, evars), comm):
         if c.is_zero() or xi.is_zero():
             continue
         out = out + xi * c.substitute(images=images, target_vars=evars)
     return -out
-
-
-def _m_images(alg, sub, evars):
-    imgs = []
-    for i in range(alg.dim):
-        if i in sub.m_indices:
-            imgs.append(Polynomial.var(evars, alg.coord_names[i]))
-        else:
-            imgs.append(Polynomial.zero(evars))
-    return imgs
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +583,6 @@ class FlowTrajectory:
     times: list
     points: Sequence
     dt: float
-    integrator: str = "rk4"
 
 
 def flow_steps(t_end, dt):

@@ -162,10 +162,6 @@ class Polynomial:
             buckets.setdefault(sum(expo), {})[expo] = coeff
         return [(d, Polynomial(self.vars, t)) for d, t in sorted(buckets.items())]
 
-    def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
     # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, point):
@@ -204,13 +200,6 @@ class Polynomial:
                     term = term * img
             out = out + term
         return out
-
-    def rename(self, variables):
-        """Same terms over a new variable tuple of equal length."""
-        variables = tuple(variables)
-        if len(variables) != len(self.vars):
-            raise ValueError("renaming must preserve arity")
-        return Polynomial(variables, dict(self.terms))
 
     def extend(self, variables):
         """View this polynomial in a larger variable tuple (superset)."""

@@ -16,9 +16,8 @@ from .invariants import (invariant_space, indecomposable_generators,
                          restrict_shift, casimir_count, torus_generators,
                          radial_generator)
 from .phase import (su3_regular_system, su3_irregular_system, PhasePoint,
-                    moment_coordinate, SlicePullback, twisted_bracket,
-                    integrate_flow, conservation_report, closed_form_fiber,
-                    moment_of_direction)
+                    twisted_bracket, integrate_flow, conservation_report,
+                    closed_form_fiber)
 from .algebra import build_su2, centralizer_of, identity_element
 from .certify import (CertificateReport, bracket_table_regular,
                       cubic_relation_check, phi_relation_irregular,
@@ -315,8 +314,9 @@ def trajectory_csv(sys, traj, functions, stride=1):
     return "\n".join(lines) + "\n"
 
 
-def conservation_json(sys, traj, functions, tol=1e-8, stride=1):
+def conservation_json(sys, traj, functions, stride=1):
     """Conservation report of a flow; a flow of no steps passes nothing."""
+    tol = 1e-8  # the tolerance of the flow_conservation_max_drift check
     nsteps = len(traj.points) - 1
     entries = conservation_report(sys, traj, functions, stride)
     for e in entries:
@@ -379,33 +379,32 @@ def bracket_table_json(sys):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _selection(algebra, sub):
+    """The (algebra, subalgebra) pair of a CLI centralizer selection."""
+    if algebra == "su2":
+        if sub != "torus":
+            raise ValueError("su2 supports only the torus subalgebra")
+        alg = build_su2()
+        return alg, centralizer_of(alg, [Scalar(1), Scalar(0), Scalar(0)])
+    if algebra != "su3":
+        raise ValueError(f"unknown algebra {algebra!r}")
+    if sub == "torus":
+        sys = su3_regular_system(0.1)
+    elif sub == "irregular-A":
+        sys = su3_irregular_system(0.1)
+    else:
+        raise ValueError(f"unknown subalgebra {sub!r}")
+    return sys.alg, sys.sub
+
+
 def algebra_text(algebra, sub):
     """Serialized structure data of the algebra behind a CLI selection."""
-    if algebra == "su2":
-        return build_su2().serialize()
-    if sub == "irregular-A":
-        return su3_irregular_system(0.1).alg.serialize()
-    return su3_regular_system(0.1).alg.serialize()
+    return _selection(algebra, sub)[0].serialize()
 
 
 def centralizer_report(algebra, sub, m_only, max_degree):
     """GeneratorSet report for the CLI centralizer command."""
-    if algebra == "su3":
-        if sub == "torus":
-            sys = su3_regular_system(0.1)
-            alg, subspec = sys.alg, sys.sub
-        elif sub == "irregular-A":
-            sys = su3_irregular_system(0.1)
-            alg, subspec = sys.alg, sys.sub
-        else:
-            raise ValueError(f"unknown subalgebra {sub!r}")
-    elif algebra == "su2":
-        if sub != "torus":
-            raise ValueError("su2 supports only the torus subalgebra")
-        alg = build_su2()
-        subspec = centralizer_of(alg, [Scalar(1), Scalar(0), Scalar(0)])
-    else:
-        raise ValueError(f"unknown algebra {algebra!r}")
+    alg, subspec = _selection(algebra, sub)
     gens = indecomposable_generators(alg, subspec, max_degree,
                                      restrict_to_m=m_only)
     return gens.serialize()

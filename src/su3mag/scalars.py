@@ -280,10 +280,7 @@ def parse_scalar(s):
     return out
 
 
-ZERO = Scalar(0)
 ONE = Scalar(1)
-HALF = Scalar(Fraction(1, 2))
-SQRT3 = Scalar.sqrt3()
 
 
 def _cnew(re, im):

@@ -292,3 +292,23 @@ def test_centralizer_max_degree_one_reports_a_generator(tmp_path):
     assert code == 0
     text = (tmp_path / "generators_su2_torus.txt").read_text()
     assert text.startswith("generator q1_1 degree 1\n  1 * x^1\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--algebra", "su2", "--sub", "irregular-A"],
+     "su2 supports only the torus subalgebra"),
+    (["--algebra", "su3", "--max-degree", "9"],
+     "--max-degree must be at most 8, got 9"),
+], ids=["su2-irregular-A", "max-degree-9"])
+def test_centralizer_bad_selection_is_refused_before_work(
+        tmp_path, capsys, monkeypatch, args, message):
+    from su3mag import reports
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the generators were computed")
+
+    monkeypatch.setattr(reports, "indecomposable_generators", no_work)
+    err = _one_line_error(capsys, run_cli(
+        ["centralizer"] + args + ["--out", str(tmp_path / "out")]))
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()

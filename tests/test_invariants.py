@@ -3,13 +3,14 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from su3mag import (build_su3_gellmann, build_su3_chevalley, build_su2,
                     centralizer_of, Polynomial, lie_poisson_bracket)
 from su3mag.scalars import Scalar
 from su3mag.invariants import (invariant_space, indecomposable_generators,
-                               casimirs_su3, restrict_shift,
+                               casimirs_su3, restrict_shift, shift_images,
                                independence_rank, casimir_count,
                                numeric_rank,
                                torus_generators, radial_generator,
@@ -190,6 +191,25 @@ def test_restriction_identities():
     expect_r = 4 * (u[0] + u[1] + u[2]).extend(evars_r) \
         + Polynomial.var(evars_r, "eps") ** 2 * Scalar(Fraction(1, 2))
     assert (r2r - expect_r).is_zero()
+
+
+@pytest.mark.parametrize("build", [su3_regular_system, su3_irregular_system],
+                         ids=["regular", "irregular"])
+@pytest.mark.parametrize("eps", [0.1, Fraction(1, 4)], ids=["0.1", "1_4"])
+def test_symbolic_restriction_at_exact_eps_is_the_bound_one(build, eps):
+    """Res_W C with eps symbolic, eps then substituted exactly, is the
+    restriction with eps bound, for C2 and C3."""
+    sys = build(eps)
+    m_names = sys.m_names()
+    at_eps = [Polynomial.var(m_names, n) for n in m_names] + \
+        [Polynomial.const(m_names, sys.eps_exact)]
+    for C in sys.casimirs():
+        symbolic = restrict_shift(C, sys).substitute(m_names, at_eps)
+        assert symbolic == restrict_shift(C, sys, symbolic_eps=False)
+    # eps = 0 projects onto m: variables on m, zero on a
+    images = shift_images(sys, m_names, eps=0)
+    assert all(images[i].is_zero() for i in sys.a)
+    assert [images[i] for i in sys.m] == at_eps[:-1]
 
 
 def test_independence_rank_examples():

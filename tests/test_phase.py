@@ -491,17 +491,40 @@ def test_chart_block_structure_of_omega():
 
 
 def test_regular_point_sampling_respects_locus():
-    from su3mag.phase import chevalley_z_values
+    from su3mag.phase import slice_z_values
     sys = su3_regular_system(0.1)
     rng = np.random.default_rng(12)
     for _ in range(5):
         pt = sys.random_regular_point(rng)
-        z = chevalley_z_values(sys.alg, pt.xi)
+        z = slice_z_values(sys, pt)
         assert np.min(np.abs(z)) > 1e-3
     sysI = su3_irregular_system(0.1)
     for _ in range(5):
         pt = sysI.random_regular_point(rng)
         assert np.linalg.norm(pt.X[sysI.m]) > 1e-3
+
+
+def _reference_z_values(alg, coords):
+    """The pure-Python loop over the exact z_rows that slice_z_values
+    replaced: z_k = sum_i z_rows[k][i] x_i."""
+    vals = []
+    for row in alg.extras["z_rows"]:
+        acc = 0j
+        for c, x in zip(row, coords):
+            if not c.is_zero():
+                acc += complex(c) * float(x)
+        vals.append(acc)
+    return np.array(vals)
+
+
+def test_slice_z_values_match_the_exact_row_loop():
+    from su3mag.phase import slice_z_values
+    sys = su3_regular_system(0.1)
+    rng = np.random.default_rng(13)
+    for _ in range(500):
+        pt = sys.random_point(rng)
+        assert np.array_equal(slice_z_values(sys, pt),
+                              _reference_z_values(sys.alg, pt.xi))
 
 
 # ---------------------------------------------------------------------------
