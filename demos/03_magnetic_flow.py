@@ -10,7 +10,8 @@ or nine (irregular) first integrals stay flat.
 
 import numpy as np
 
-from su3mag import su3_regular_system, su3_irregular_system, integrate_flow
+from su3mag import (su3_regular_system, su3_irregular_system, integrate_flow,
+                    conservation_report)
 from su3mag.phase import closed_form_fiber, closed_form_group
 from su3mag.certify import generator_family
 
@@ -26,14 +27,14 @@ for make, label in ((su3_regular_system, "regular  SU(3)/T"),
           f"{len(traj.points) - 1} RK4 steps, dt = {traj.dt}")
     print("=" * 70)
     worst = 0.0
-    for f in fam:
-        base = f.value(traj.points[0])
-        drift = max(abs(f.value(p) - base) for p in traj.points[::10])
+    for entry in conservation_report(sys, traj, fam, stride=10):
+        drift = entry["max_drift"]
         worst = max(worst, drift)
-        print(f"  {f.name:>4}: initial {base:+.6f}, max drift {drift:.2e}")
-    errX = max(np.abs(traj.points[i].X
-                      - closed_form_fiber(sys, pt, traj.times[i])).max()
-               for i in range(0, len(traj.points), 200))
+        print(f"  {entry['function']:>4}: initial {entry['initial']:+.6f}, "
+              f"max drift {drift:.2e}")
+    # the fiber at every 200th step against the Lax form, as one stack
+    errX = np.abs(traj.points[::200].X
+                  - closed_form_fiber(sys, pt, traj.times[::200])).max()
     errG = max(np.abs(traj.points[i].g.matrix
                       - closed_form_group(sys, pt, traj.times[i])).max()
                for i in range(0, len(traj.points), 200))

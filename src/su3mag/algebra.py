@@ -148,12 +148,14 @@ class LieAlgebraSpec:
         return out.reshape(x.shape[:-1] + self._np_basis.shape[1:])
 
     def coords_of_matrix(self, M):
-        """Coordinates B(M, E_i) = -1/2 tr(M E_i) on the orthonormal basis.
+        """Coordinates B(M, E_i) = -1/2 tr(M E_i) on the orthonormal basis,
+        for one matrix or a stack of them (rows of the result).
 
         One batched product over the basis; the Gram matrix is the
         identity (checked exactly in the constructor), so no solve.
         """
-        return -0.5 * np.trace(M @ self._np_basis, axis1=1, axis2=2).real
+        prods = M[..., None, :, :] @ self._np_basis
+        return -0.5 * np.trace(prods, axis1=-2, axis2=-1).real
 
     def np_bracket(self, x, y):
         """Numeric commutator in coordinates, via the matrix realization."""
@@ -339,17 +341,27 @@ def exp_map(alg, coords):
     i*X is Hermitian, so X = U diag(-i w) U* with real w; the exponential
     U diag(exp(-i w)) U* is unitary up to roundoff, and the determinant
     phase is divided out to land exactly in the special unitary group.
+
+    X is a coordinate vector or a matrix.  A stack of matrices, shape
+    (n, N, N), gives the (n, N, N) array of their exponentials, each equal
+    bit for bit to the matrix of its own exp_map; the argument is refused
+    if any one of them is not anti-Hermitian.
     """
     M = alg.matrix_of(coords) if not isinstance(coords, np.ndarray) or coords.ndim == 1 \
         else coords
     H = 1j * M
-    if not np.allclose(H, H.conj().T, atol=1e-10):
+    if not np.allclose(H, _adjoint(H), atol=1e-10):
         raise ValueError("exp_map requires an anti-Hermitian argument")
     w, U = np.linalg.eigh(H)
-    g = (U * np.exp(-1j * w)) @ U.conj().T
+    g = (U * np.exp(-1j * w)[..., None, :]) @ _adjoint(U)
     det = np.linalg.det(g)
-    g = g * np.exp(-np.log(det) / M.shape[0])
-    return GroupElement(g)
+    g = g * np.exp(-np.log(det) / M.shape[-1])[..., None, None]
+    return g if g.ndim == 3 else GroupElement(g)
+
+
+def _adjoint(M):
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.swapaxes(M.conj(), -1, -2)
 
 
 def adjoint_group(alg, g, coords):

@@ -32,6 +32,10 @@ from .algebra import (GroupElement, UNITARY_TOL,
                       centralizer_of, regularity, exp_map, polar_project)
 from .invariants import casimirs_su3, shift_images
 
+# Rows per block of the routes over a whole flow: blocks keep the
+# temporaries of a long flow small.
+BLOCK_ROWS = 256
+
 
 class MagneticSystem:
     """One phase space T*(G/A): algebra, reductive split, W and eps."""
@@ -194,10 +198,8 @@ class PhasePoint:
     def moment_coords(self):
         """Coordinates of Ad(g)(X - eps W)."""
         if self._moment is None:
-            alg = self.sys.alg
-            M = alg.matrix_of(self.xi)
-            g = self.g.matrix
-            self._moment = alg.coords_of_matrix(g @ M @ g.conj().T)
+            self._moment = _adjoint_coords(self.sys.alg, self.g.matrix,
+                                           self.xi)
         return self._moment
 
     # The images of the phase_tangent_basis directions, one row per
@@ -242,6 +244,13 @@ class PhasePoint:
         return PhasePoint(self.sys, self.g @ a, Xn)
 
 
+def _adjoint_coords(alg, g, coords):
+    """Coordinates of g M(coords) g*, for one matrix g and coordinate
+    vector, or row by row for a stack of each."""
+    return alg.coords_of_matrix(g @ alg.matrix_of(coords)
+                                @ np.swapaxes(g.conj(), -1, -2))
+
+
 def moment_map(sys, pt):
     """P(g, X) = Ad(g)(X - eps W), as a coordinate vector."""
     return pt.moment_coords
@@ -274,6 +283,9 @@ class MomentPullback:
     def value(self, pt):
         return self.h.evaluate(pt.moment_coords)
 
+    def values(self, points):
+        return self.h.evaluate_stack(points.moment_coords)
+
 
 def moment_coordinate(sys, i):
     names = sys.alg.coord_names
@@ -300,6 +312,9 @@ class SlicePullback:
         m = pt.sys.m
         return self.theta.evaluate(pt.xi[m])
 
+    def values(self, points):
+        return self.theta.evaluate_stack(points.xi[:, points.sys.m])
+
 
 class FuncCombo:
     """Sum of scalar multiples of products of integral functions."""
@@ -314,6 +329,31 @@ class FuncCombo:
     def value(self, pt):
         return sum(c * np.prod([f.value(pt) for f in fs])
                    for c, fs in self.terms)
+
+    def values(self, points):
+        # the products and sums of value, in its order, row by row
+        total = np.zeros(len(points))
+        for c, fs in self.terms:
+            prod = fs[0].values(points)
+            for f in fs[1:]:
+                prod = prod * f.values(points)
+            total = total + c * prod
+        return total
+
+
+def integral_values(points, functions):
+    """Array whose entry [k, j] is functions[j].value(points[k]), bit for bit.
+
+    ``points`` is a TrajectoryPoints: each function's ``values`` reads
+    the shifted fibers and moment coordinates of every row, computed once
+    over the whole stack, and evaluates its polynomial over the rows.
+    """
+    out = np.empty((len(points), len(functions)))
+    for lo in range(0, len(points), BLOCK_ROWS):
+        block = points[lo:lo + BLOCK_ROWS]
+        for j, fn in enumerate(functions):
+            out[lo:lo + BLOCK_ROWS, j] = fn.values(block)
+    return out
 
 
 def phase_tangent_basis(sys):
@@ -545,30 +585,53 @@ class TrajectoryPoints(Sequence):
     """Read-only sequence of the PhasePoints of a flow, over its arrays.
 
     G has shape (n+1, N, N) and X shape (n+1, dim); row k is the point
-    after k steps.  The stack is validated once, by integrate_flow, so a
-    point is built here without re-checking it, and each point is built
-    at most once: exports that visit the same rows share the cached
-    moment coordinates.  Slicing returns a list.
+    after k steps.  The stack is validated once, by integrate_flow (or
+    point by point, for the stack ``of`` a PhasePoint list), so a row is
+    read as a PhasePoint without re-checking it; each read builds a new
+    one.  Slicing returns a TrajectoryPoints over views of the arrays.
+
+    ``xi`` and ``moment_coords`` hold the shifted fibers and the moment
+    coordinates of every row, each computed once over the whole stack:
+    row k equals that memo of the PhasePoint of row k bit for bit.
     """
 
     def __init__(self, sys, G, X):
         self.sys = sys
         self.G = G
         self.X = X
-        self._built = [None] * len(X)
+        self._xi = None
+        self._moment = None
+
+    @classmethod
+    def of(cls, sys, points):
+        """``points`` itself, or the stack of a sequence of PhasePoints."""
+        if isinstance(points, cls):
+            return points
+        return cls(sys, np.array([p.g.matrix for p in points]),
+                   np.array([p.X for p in points]))
 
     def __len__(self):
-        return len(self._built)
+        return len(self.X)
 
     def __getitem__(self, idx):
         if isinstance(idx, slice):
-            return [self[k] for k in range(*idx.indices(len(self)))]
+            return TrajectoryPoints(self.sys, self.G[idx], self.X[idx])
         k = range(len(self))[idx]
-        pt = self._built[k]
-        if pt is None:
-            pt = PhasePoint.prevalidated(self.sys, self.G[k], self.X[k])
-            self._built[k] = pt
-        return pt
+        return PhasePoint.prevalidated(self.sys, self.G[k], self.X[k])
+
+    @property
+    def xi(self):
+        """Rows X - eps W."""
+        if self._xi is None:
+            self._xi = self.X - self.sys.eps * self.sys.W
+        return self._xi
+
+    @property
+    def moment_coords(self):
+        """Rows Ad(g)(X - eps W)."""
+        if self._moment is None:
+            self._moment = _adjoint_coords(self.sys.alg, self.G, self.xi)
+        return self._moment
 
 
 @dataclass
@@ -620,7 +683,7 @@ def integrate_flow(sys, pt0, t_end, dt, drift_limit=1e-8):
     is checked once, with the criteria of GroupElement and PhasePoint:
     unitary and of determinant one within UNITARY_TOL, fiber supported on
     m; a failure raises ValueError naming the step.  The trajectory's
-    points are a memoized TrajectoryPoints view over the arrays.
+    points are a TrajectoryPoints view over the arrays.
     """
     nsteps = flow_steps(t_end, dt)
     matrix_of = sys.alg.matrix_of
@@ -654,7 +717,7 @@ def integrate_flow(sys, pt0, t_end, dt, drift_limit=1e-8):
         g = g + sixth * (k1g + 2 * k2g + 2 * k3g + k4g)
         X = X + sixth * (k1x + 2 * k2x + 2 * k3x + k4x)
         drift = np.abs(g.conj().T @ g - eye).max()
-        if drift > drift_limit:
+        if not drift <= drift_limit:  # a NaN drift is rejected too
             raise RuntimeError(f"unitarity drift {drift:.2e} exceeds limit "
                                f"at step {step}")
         g = polar_project(g)
@@ -669,17 +732,14 @@ def integrate_flow(sys, pt0, t_end, dt, drift_limit=1e-8):
 
 
 def _check_stack(sys, G, X):
-    """GroupElement's and PhasePoint's checks on every row of a flow.
-
-    The rows go in blocks, so the temporaries of a long flow stay small.
-    """
+    """GroupElement's and PhasePoint's checks on every row of a flow,
+    in blocks of BLOCK_ROWS rows."""
     def where(row):
         return "the initial point" if row == 0 else f"step {row - 1}"
 
-    rows = 256
     eye = np.eye(G.shape[1])
-    for lo in range(0, len(G), rows):
-        g = G[lo:lo + rows]
+    for lo in range(0, len(G), BLOCK_ROWS):
+        g = G[lo:lo + BLOCK_ROWS]
         gram = np.swapaxes(g.conj(), 1, 2) @ g
         bad = ~np.isclose(gram, eye, atol=UNITARY_TOL).all(axis=(1, 2))
         if bad.any():
@@ -689,17 +749,28 @@ def _check_stack(sys, G, X):
         if bad.any():
             raise ValueError("group element does not have determinant one "
                              f"at {where(lo + np.argmax(bad))}")
-        bad = (np.abs(X[lo:lo + rows, sys.a]) > 1e-14).any(axis=1)
+        bad = (np.abs(X[lo:lo + BLOCK_ROWS, sys.a]) > 1e-14).any(axis=1)
         if bad.any():
             raise ValueError("fiber coordinate must be supported on m "
                              f"at {where(lo + np.argmax(bad))}")
 
 
 def closed_form_fiber(sys, pt0, t):
-    """Lax solution X(t) = Ad(exp(-t eps W)) X(0) in coordinates."""
-    g = exp_map(sys.alg, -t * sys.eps * sys.W)
-    M = sys.alg.matrix_of(pt0.X)
-    return sys.alg.coords_of_matrix(g.matrix @ M @ g.matrix.conj().T)
+    """Lax solution X(t) = Ad(exp(-t eps W)) X(0) in coordinates.
+
+    ``t`` is a time, or an array of times with one row of the result per
+    time: one stacked exp_map serves each block of BLOCK_ROWS times.
+    """
+    alg = sys.alg
+    t = np.asarray(t, dtype=float)
+    times = t.reshape(-1)
+    rows = []
+    for lo in range(0, len(times), BLOCK_ROWS):
+        xs = (-times[lo:lo + BLOCK_ROWS] * sys.eps)[:, None] * sys.W
+        rows.append(_adjoint_coords(alg, exp_map(alg, alg.matrix_of(xs)),
+                                    pt0.X))
+    X = np.concatenate(rows)
+    return X if t.ndim else X[0]
 
 
 def closed_form_group(sys, pt0, t):
@@ -711,12 +782,11 @@ def closed_form_group(sys, pt0, t):
 
 def conservation_report(sys, traj, functions, stride=1):
     """Per-function max |f(pt_t) - f(pt_0)| over every stride-th point of
-    the trajectory."""
-    points = traj.points[::stride]
-    out = []
-    for fn in functions:
-        first = fn.value(points[0])
-        drift = max(abs(fn.value(p) - first) for p in points)
-        out.append({"function": fn.name, "initial": first,
-                    "max_drift": drift})
-    return out
+    the trajectory, as Python floats; a NaN value at any of those points
+    makes the drift NaN."""
+    V = integral_values(TrajectoryPoints.of(sys, traj.points[::stride]),
+                        functions)
+    drift = np.abs(V - V[0]).max(axis=0)
+    return [{"function": fn.name, "initial": first, "max_drift": d}
+            for fn, first, d in zip(functions, V[0].tolist(),
+                                    drift.tolist())]

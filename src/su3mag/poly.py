@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from .scalars import Scalar, parse_scalar
 
 DEGREE_CAP = 8
@@ -27,7 +29,7 @@ class DegreeCapError(ValueError):
 
 
 class Polynomial:
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_floats")
 
     def __init__(self, variables, terms=None):
         self.vars = tuple(variables)
@@ -41,6 +43,7 @@ class Polynomial:
                     raise ValueError("exponent length does not match variables")
                 cleaned[tuple(expo)] = coeff
         self.terms = cleaned
+        self._floats = None
 
     # -- constructors -------------------------------------------------------
 
@@ -181,13 +184,40 @@ class Polynomial:
             return out
         pt = [float(x) for x in point]
         out = 0.0
-        for expo, coeff in self.terms.items():
-            term = float(coeff)
-            for x, k in zip(pt, expo):
-                if k:
-                    term *= x ** k
+        for coeff, powers in self._float_form():
+            term = coeff
+            for i, k in powers:
+                term *= pt[i] ** k
             out += term
         return out
+
+    def evaluate_stack(self, points):
+        """Float values at each row of a (points, vars) array.
+
+        Entry k equals ``evaluate(points[k])`` bit for bit: the same terms
+        in the same order, and np.float_power, which rounds as Python's
+        ``x ** k`` does (np.power does not).
+        """
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != len(self.vars):
+            raise ValueError("points must be rows of one value per variable")
+        n = len(points)
+        out = np.zeros(n)
+        for coeff, powers in self._float_form():
+            term = np.full(n, coeff)
+            for i, k in powers:
+                term = term * np.float_power(points[:, i], k)
+            out = out + term
+        return out
+
+    def _float_form(self):
+        """(float coefficient, ((variable index, exponent), ...)) per term,
+        in ``terms`` order, zero exponents left out; built on first use."""
+        if self._floats is None:
+            self._floats = [(float(coeff),
+                             tuple((i, k) for i, k in enumerate(expo) if k))
+                            for expo, coeff in self.terms.items()]
+        return self._floats
 
     def substitute(self, target_vars, images):
         """Substitute each variable by a polynomial over target_vars."""

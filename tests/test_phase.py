@@ -428,23 +428,38 @@ def test_array_driver_guards(monkeypatch):
 
 
 def test_trajectory_points_view():
+    from su3mag.phase import TrajectoryPoints
     sys = su3_regular_system(0.1)
     pt = sys.random_regular_point(np.random.default_rng(6))
     traj = integrate_flow(sys, pt, t_end=0.02, dt=1e-3)
     pts = traj.points
     assert len(pts) == 21 and len(traj.times) == 21
-    assert pts[-1] is pts[20] and pts[0] is pts[-21]
+    # a row is read as a PhasePoint over views of the stored arrays
+    for k in (0, 20, -1, -21):
+        assert np.shares_memory(pts[k].g.matrix, pts.G)
+        assert np.shares_memory(pts[k].X, pts.X)
+    assert np.array_equal(pts[-1].X, pts[20].X)
     assert np.array_equal(pts[0].g.matrix, pt.g.matrix)
     assert np.array_equal(pts[0].X, pt.X)
     with pytest.raises(IndexError):
         pts[21]
+    # slicing gives a stack over views of the rows
     thin = pts[::5]
-    assert isinstance(thin, list) and len(thin) == 5
-    assert [p is pts[k] for p, k in zip(thin, range(0, 21, 5))] == [True] * 5
-    assert pts[-2:] == [pts[19], pts[20]]
+    assert isinstance(thin, TrajectoryPoints) and len(thin) == 5
+    assert np.shares_memory(thin.G, pts.G) and np.shares_memory(thin.X, pts.X)
+    for p, k in zip(thin, range(0, 21, 5)):
+        assert np.array_equal(p.g.matrix, pts[k].g.matrix)
+        assert np.array_equal(p.X, pts[k].X)
+    assert np.array_equal(pts[-2:].X, pts.X[19:])
     listed = list(pts)
-    assert len(listed) == 21 and all(a is b for a, b in zip(listed, pts))
-    assert all(isinstance(p, PhasePoint) for p in pts)
+    assert len(listed) == 21 and all(isinstance(p, PhasePoint) for p in listed)
+    # the stacked memos are the per-point ones, bit for bit
+    for k, p in enumerate(listed):
+        assert np.array_equal(pts.xi[k], p.xi)
+        assert np.array_equal(pts.moment_coords[k], p.moment_coords)
+    assert TrajectoryPoints.of(sys, pts) is pts
+    stacked = TrajectoryPoints.of(sys, listed)
+    assert np.array_equal(stacked.G, pts.G) and np.array_equal(stacked.X, pts.X)
     # the stored arrays cannot be changed through a point
     with pytest.raises(ValueError):
         pts[3].X[0] = 1.0
@@ -452,7 +467,8 @@ def test_trajectory_points_view():
         pts[3] = pts[4]
     # the fields stay assignable
     traj.points, traj.times = traj.points[:1], traj.times[:1]
-    assert len(traj.points) == 1 and traj.points[0] is pts[0]
+    assert len(traj.points) == 1
+    assert np.array_equal(traj.points[0].X, pts[0].X)
 
 
 def test_chart_block_structure_of_omega():

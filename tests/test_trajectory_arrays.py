@@ -1,0 +1,287 @@
+"""Whole-trajectory array routes against the per-point routes they replaced.
+
+The flow exports, the conservation report and the Lax check evaluate a
+trajectory as stacked arrays.  The per-point loops they replaced are kept
+here as oracles, and every comparison is bit for bit.
+"""
+
+import json
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from su3mag import exp_map
+from su3mag.algebra import GroupElement
+from su3mag.certify import action_functions
+from su3mag.phase import (FlowTrajectory, FuncCombo, PhasePoint,
+                          TrajectoryPoints, closed_form_fiber,
+                          conservation_report, integral_values,
+                          integrate_flow, su3_irregular_system,
+                          su3_regular_system)
+from su3mag.poly import Polynomial
+from su3mag.reports import (conservation_json, monitored_functions,
+                            run_verification, trajectory_csv)
+from su3mag.scalars import Scalar
+
+SYSTEMS = {"regular": su3_regular_system, "irregular": su3_irregular_system}
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-point routes
+# ---------------------------------------------------------------------------
+
+def _reference_float_evaluate(poly, point):
+    """The float branch of Polynomial.evaluate before its float form."""
+    pt = [float(x) for x in point]
+    out = 0.0
+    for expo, coeff in poly.terms.items():
+        term = float(coeff)
+        for x, k in zip(pt, expo):
+            if k:
+                term *= x ** k
+        out += term
+    return out
+
+
+def _reference_conservation_report(traj, functions, stride=1):
+    points = [traj.points[k] for k in range(0, len(traj.points), stride)]
+    out = []
+    for fn in functions:
+        first = fn.value(points[0])
+        drift = max(abs(fn.value(p) - first) for p in points)
+        out.append({"function": fn.name, "initial": first,
+                    "max_drift": drift})
+    return out
+
+
+def _reference_trajectory_csv(sys, traj, functions, stride=1):
+    header = ["t"]
+    for r in range(3):
+        for c in range(3):
+            header += [f"re_g{r}{c}", f"im_g{r}{c}"]
+    header += [f"X_{name}" for name in sys.alg.coord_names]
+    header += [f.name for f in functions]
+    lines = [",".join(header)]
+    for idx in range(0, len(traj.points), stride):
+        p = traj.points[idx]
+        row = [repr(float(traj.times[idx]))]
+        for r in range(3):
+            for c in range(3):
+                row += [repr(float(p.g.matrix[r, c].real)),
+                        repr(float(p.g.matrix[r, c].imag))]
+        row += [repr(float(x)) for x in p.X]
+        row += [repr(float(f.value(p))) for f in functions]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_closed_form_fiber(sys, pt0, t):
+    """One exp_map of a coordinate vector per time."""
+    g = exp_map(sys.alg, -t * sys.eps * sys.W)
+    M = sys.alg.matrix_of(pt0.X)
+    return sys.alg.coords_of_matrix(g.matrix @ M @ g.matrix.conj().T)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _flows(case, seed):
+    """The same flow as integrate_flow returns it and as a PhasePoint list;
+    600 steps, so stride 1 spans several row blocks."""
+    sys = SYSTEMS[case](0.1)
+    pt = sys.random_regular_point(np.random.default_rng(seed))
+    traj = integrate_flow(sys, pt, t_end=0.6, dt=1e-3)
+    listed = [PhasePoint(sys, GroupElement(p.g.matrix.copy()), p.X.copy())
+              for p in traj.points]
+    plain = FlowTrajectory(times=list(traj.times), points=listed, dt=traj.dt)
+    return sys, pt, traj, plain
+
+
+def _functions(sys):
+    """The monitored family, the actions and a nested FuncCombo."""
+    fam = monitored_functions(sys)
+    acts = action_functions(sys)
+    inner = FuncCombo([(0.5, [fam[3], fam[-1]]), (-2.0, [acts[0]])])
+    combo = FuncCombo([(1.5, [fam[0], fam[1], fam[2]]), (-0.25, [inner]),
+                       (3.0, [fam[-1], inner, fam[4]])], name="combo")
+    return fam + acts + [combo]
+
+
+# ---------------------------------------------------------------------------
+# stacked routes == per-point routes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", ["regular", "irregular"])
+@pytest.mark.parametrize("seed", [9, 11])
+def test_exports_match_the_per_point_routes(case, seed):
+    sys, pt, traj, plain = _flows(case, seed)
+    fns = monitored_functions(sys)
+    for flow in (traj, plain):
+        for stride in (1, 5, 7):
+            assert trajectory_csv(sys, flow, fns, stride) == \
+                _reference_trajectory_csv(sys, flow, fns, stride)
+            got = conservation_report(sys, flow, fns, stride)
+            want = _reference_conservation_report(flow, fns, stride)
+            assert repr(got) == repr(want)
+            assert all(type(e["initial"]) is float
+                       and type(e["max_drift"]) is float for e in got)
+            text = conservation_json(sys, flow, fns, stride=stride)
+            assert json.loads(text)["functions"] == [
+                dict(e, **{"pass": e["max_drift"] < 1e-8}) for e in want]
+
+
+@pytest.mark.parametrize("case", ["regular", "irregular"])
+@pytest.mark.parametrize("seed", [9, 11])
+def test_integral_values_match_value_at_each_point(case, seed):
+    sys, pt, traj, plain = _flows(case, seed)
+    fns = _functions(sys)
+    want = np.array([[f.value(p) for f in fns] for p in traj.points])
+    for flow in (traj, plain):
+        stack = TrajectoryPoints.of(sys, flow.points)
+        assert _bits(integral_values(stack, fns)) == _bits(want)
+    thin = traj.points[::7]
+    assert _bits(integral_values(thin, fns)) == _bits(want[::7])
+
+
+@pytest.mark.parametrize("case", ["regular", "irregular"])
+@pytest.mark.parametrize("seed", [9, 11])
+def test_stacked_lax_form_matches_one_time_at_a_time(case, seed):
+    sys, pt, traj, plain = _flows(case, seed)
+    for stride in (1, 5, 7):
+        times = traj.times[::stride]
+        got = closed_form_fiber(sys, pt, times)
+        want = np.array([_reference_closed_form_fiber(sys, pt, t)
+                         for t in times])
+        assert got.shape == want.shape and _bits(got) == _bits(want)
+    t = traj.times[123]
+    assert _bits(closed_form_fiber(sys, pt, t)) == \
+        _bits(_reference_closed_form_fiber(sys, pt, t))
+
+
+# ---------------------------------------------------------------------------
+# NaN along a flow
+# ---------------------------------------------------------------------------
+
+def _with_nan_row(sys, traj, row):
+    """A copy of a flow whose point ``row`` has a NaN on an m-coordinate."""
+    X = traj.points.X.copy()
+    X[row, sys.m[0]] = np.nan
+    points = TrajectoryPoints(sys, traj.points.G, X)
+    return FlowTrajectory(times=traj.times, points=points, dt=traj.dt)
+
+
+def test_conservation_json_fails_a_nan_in_the_middle_point():
+    sys = su3_irregular_system(0.1)
+    pt = sys.random_regular_point(np.random.default_rng(4))
+    traj = integrate_flow(sys, pt, t_end=0.002, dt=1e-3)
+    points = list(traj.points)
+    X = points[1].X.copy()
+    X[sys.m[0]] = np.nan
+    points[1] = PhasePoint(sys, points[1].g, X)
+    bad = FlowTrajectory(times=traj.times, points=points, dt=traj.dt)
+    fns = monitored_functions(sys)
+    doc = json.loads(conservation_json(sys, bad, fns))
+    assert len(bad.points) == 3 and doc["nsteps"] == 2
+    entries = {e["function"]: e for e in doc["functions"]}
+    # R and the moment coordinates all read the NaN coordinate
+    for name in ("P1", "P4", "P8", "R"):
+        assert math.isnan(entries[name]["max_drift"])
+        assert entries[name]["pass"] is False
+    # a Python max over the points drops the NaN and passes
+    old = {e["function"]: e for e in _reference_conservation_report(bad, fns)}
+    assert old["R"]["max_drift"] < 1e-8
+
+
+def test_flow_checks_of_run_verification_fail_on_nan(monkeypatch):
+    from su3mag import reports
+
+    def flow_with_nan(sys, pt0, t_end, dt):
+        traj = integrate_flow(sys, pt0, t_end=t_end, dt=dt)
+        return _with_nan_row(sys, traj, len(traj.points) // 2)
+
+    monkeypatch.setattr(reports, "integrate_flow", flow_with_nan)
+    config = reports.default_config("irregular")
+    config.update(samples=1, rank_samples=1, t_end=0.01, seed=3)
+    report = run_verification(config)
+    checks = {c.name: c for c in report.checks}
+    for name in ("flow_conservation_max_drift",
+                 "flow_fiber_vs_lax_closed_form"):
+        assert math.isnan(checks[name].observed)
+        assert checks[name].passed is False
+
+
+def test_drift_guard_rejects_a_nan_fiber():
+    sys = su3_regular_system(0.1)
+    pt = sys.random_regular_point(np.random.default_rng(2))
+    X = pt.X.copy()
+    X[sys.m[0]] = np.nan
+    bad = PhasePoint(sys, pt.g, X)
+    with pytest.raises(RuntimeError, match="step 0"):
+        integrate_flow(sys, bad, t_end=0.01, dt=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernels
+# ---------------------------------------------------------------------------
+
+_COORDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, -0.5]),
+                    st.floats(min_value=-50.0, max_value=50.0))
+_COEFFS = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=7).map(Scalar),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    .map(Scalar.sqrt3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    .map(Scalar.sqrt2))
+
+
+@st.composite
+def _poly_and_points(draw):
+    nvars = draw(st.integers(1, 4))
+    names = tuple(f"x{i}" for i in range(nvars))
+    expo = st.tuples(*[st.integers(0, 6)] * nvars)
+    terms = draw(st.dictionaries(expo, _COEFFS, max_size=6))
+    rows = draw(st.lists(st.lists(_COORDS, min_size=nvars, max_size=nvars),
+                         min_size=1, max_size=6))
+    return Polynomial(names, terms), np.array(rows, dtype=float)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_poly_and_points())
+def test_stacked_evaluation_is_the_float_branch_bit_for_bit(case):
+    poly, points = case
+    stacked = poly.evaluate_stack(points)
+    single = [poly.evaluate(row) for row in points]
+    assert all(type(v) is float for v in single)
+    assert _bits(stacked) == _bits(single)
+    assert _bits(single) == _bits([_reference_float_evaluate(poly, row)
+                                   for row in points])
+
+
+def test_stacked_evaluation_checks_its_shape():
+    poly = Polynomial(("x", "y"), {(1, 2): Scalar(Fraction(1, 3))})
+    with pytest.raises(ValueError):
+        poly.evaluate_stack(np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        poly.evaluate_stack(np.zeros(2))
+
+
+def test_stacked_exp_map_matches_and_refuses_any_non_anti_hermitian():
+    sys = su3_regular_system(0.1)
+    alg = sys.alg
+    coords = np.random.default_rng(8).uniform(-2, 2, (40, alg.dim))
+    stack = alg.matrix_of(coords)
+    got = exp_map(alg, stack)
+    assert got.shape == (40, 3, 3)
+    want = np.array([exp_map(alg, c).matrix for c in coords])
+    assert _bits(got.view(float)) == _bits(want.view(float))
+    bad = stack.copy()
+    bad[17] += 0.1 * np.eye(3)  # i * (0.1 I) is not Hermitian
+    with pytest.raises(ValueError, match="anti-Hermitian"):
+        exp_map(alg, bad)
+    with pytest.raises(ValueError, match="anti-Hermitian"):
+        exp_map(alg, bad[17])
+
