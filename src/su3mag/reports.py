@@ -39,7 +39,6 @@ def default_config(case):
         "rank_samples": 20,
         "t_end": 10.0,
         "dt": 1e-3,
-        "max_degree": 6,
     }
 
 
