@@ -158,21 +158,27 @@ class LieAlgebraSpec:
         return -0.5 * np.trace(prods, axis1=-2, axis2=-1).real
 
     def np_bracket(self, x, y):
-        """Numeric commutator in coordinates, via the matrix realization."""
-        Mx, My = self.matrix_of(x), self.matrix_of(y)
-        return self.coords_of_matrix(Mx @ My - My @ Mx)
+        """[x, y]^k = sum over i < j of (x_i y_j - x_j y_i) C_ij^k for two
+        coordinate vectors: [y, x] = -[x, y] and [x, x] = 0 exactly."""
+        self.ad_matrices()
+        I, J = self._pairs
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        return (x[I] * y[J] - x[J] * y[I]) @ self._pair_ad
 
     def np_bpair(self, x, y):
         """B(x, y) = sum_i x_i y_i on the orthonormal basis."""
         return float(np.dot(x, y))
 
     def ad_matrices(self):
-        """ad_i as dense float arrays: (ad_i)[k, j] = C_ij^k."""
+        """ad_i as dense float arrays: (ad_i)[k, j] = C_ij^k; the one float
+        copy of the structure constants, with its i < j rows C_ij^."""
         if self._np_ad is None:
             ad = np.zeros((self.dim, self.dim, self.dim))
             for (i, j, k), c in self.structure.items():
                 ad[i, k, j] = float(c)
             self._np_ad = ad
+            self._pairs = np.triu_indices(self.dim, 1)
+            self._pair_ad = ad[self._pairs[0], :, self._pairs[1]]
         return self._np_ad
 
     def ad_matrix_exact(self, w):

@@ -463,9 +463,7 @@ def independence_rank(polys, point):
 
 
 def casimir_count(alg, point):
-    """dim g - rank(A_ij) with A_ij = sum_l C_ij^l x_l at the point."""
+    """dim g - rank(A) with rows A_i = [e_i, x] = sum_j C_ij^. x_j at the
+    point (the Lie-Poisson matrix up to sign on an orthonormal basis)."""
     x = np.asarray([float(c) for c in point], dtype=float)
-    A = np.zeros((alg.dim, alg.dim))
-    for (i, j, k), c in alg.structure.items():
-        A[i, j] += float(c) * x[k]
-    return alg.dim - numeric_rank(A)
+    return alg.dim - numeric_rank(alg.ad_matrices() @ x)

@@ -146,9 +146,7 @@ def run_verification(config):
         P = pt.moment_coords
         i, j = rng.integers(0, sys.alg.dim, 2)
         br = twisted_bracket(sys, moments[i], moments[j], pt)
-        expect = sum(float(c) * P[k]
-                     for (a, b, k), c in sys.alg.structure.items()
-                     if a == i and b == j)
+        expect = float(sys.alg.ad_matrices()[i, :, j] @ P)
         worst_closure = max(worst_closure, abs(br - expect))
         th = slices[rng.integers(0, len(slices))]
         worst_mixed = max(worst_mixed,

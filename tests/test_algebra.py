@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from su3mag import (build_su3_gellmann, build_su3_chevalley, build_su2,
                     centralizer_of, regularity, exp_map, adjoint_group,
@@ -192,3 +193,50 @@ def test_exact_coords_recover_unit_vectors():
         # and a combination comes back coefficient for coefficient
         combo = [Scalar(k + 1, 0, Fraction(1, k + 2)) for k in range(alg.dim)]
         assert alg.exact_coords_of_matrix(alg.exact_matrix_of(combo)) == combo
+
+
+# ---------------------------------------------------------------------------
+# the numeric kernel: brackets from the structure-constant tensor
+# ---------------------------------------------------------------------------
+
+ALGEBRAS = (build_su2, build_su3_gellmann, build_su3_chevalley)
+
+
+def _matrix_bracket(alg, x, y):
+    """The oracle: the commutator of the matrix realizations, read back
+    in coordinates (the route np_bracket used to take)."""
+    Mx, My = alg.matrix_of(x), alg.matrix_of(y)
+    return alg.coords_of_matrix(Mx @ My - My @ Mx)
+
+
+# zeros for sparse vectors, and no magnitudes whose products underflow
+_COORD = st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6))
+
+
+@st.composite
+def _algebra_and_pair(draw):
+    alg = draw(st.sampled_from(ALGEBRAS))()
+    vec = st.lists(_COORD, min_size=alg.dim, max_size=alg.dim)
+    return alg, np.array(draw(vec)), np.array(draw(vec))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_algebra_and_pair())
+def test_np_bracket_is_the_structure_constant_contraction(case):
+    alg, x, y = case
+    xy = alg.np_bracket(x, y)
+    assert np.array_equal(alg.np_bracket(y, x), -xy)
+    assert np.all(alg.np_bracket(x, x) == 0.0)
+    err = np.abs(xy - _matrix_bracket(alg, x, y)).max()
+    assert err <= 1e-14 * np.linalg.norm(x) * np.linalg.norm(y)
+
+
+def test_np_bracket_of_unit_vectors_is_a_column_of_ad():
+    for build in ALGEBRAS:
+        alg = build()
+        eye = np.eye(alg.dim)
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                # [e_i, e_j] = C_ij^. = column j of ad_i
+                assert np.array_equal(alg.np_bracket(eye[i], eye[j]),
+                                      alg.ad_matrices()[i, :, j])
