@@ -481,16 +481,6 @@ def moment_of_direction(sys, eta):
     return MomentPullback(h, name="P_eta")
 
 
-def hvf_moment(sys, pt, eta):
-    """Hamiltonian vector field of P_eta = B(P, eta) at pt."""
-    return hamiltonian_vector_field(moment_of_direction(sys, eta), sys, pt)
-
-
-def hvf_slice(sys, pt, theta):
-    """Hamiltonian vector field of theta o pi_m at pt."""
-    return hamiltonian_vector_field(SlicePullback(theta), sys, pt)
-
-
 def twisted_bracket(sys, f, h, pt, method="omega"):
     """{f, h}_eps at pt.
 
