@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .algebra import GroupElement, polar_project
+from .algebra import GroupElement, exp_map, polar_project
 from .phase import (PhasePoint, hamiltonian_vector_field, omega_eps,
                     phase_tangent_basis, slice_z_values, solve_field,
                     _fiber_velocity)
@@ -39,6 +39,11 @@ TWO_PI = 2.0 * math.pi
 
 THETA_MATRIX = np.array([[2.0, -1.0], [-1.0, 2.0], [1.0, 1.0]])
 LEFT_INVERSE = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]) / 3.0
+
+# differencing steps, not tolerances
+FREQUENCY_STEP = 1e-5
+ANGLE_STEP = 1e-6
+PAIRING_FLOW_STEP = 5e-3
 
 _COROOT_MATRICES = [
     np.diag([1j, -1j, 0j]),
@@ -122,7 +127,7 @@ def torus_action(sys, pt, sigma):
     phases shift by -alpha_k(sigma) and the torus angles by +sigma_j.
     """
     H = sigma[0] * _COROOT_MATRICES[0] + sigma[1] * _COROOT_MATRICES[1]
-    return pt.right_act(GroupElement(_expm_small(H)))
+    return pt.right_act(exp_map(sys.alg, H))
 
 
 def flow_step(fn, sys, pt, h, nsteps=1):
@@ -152,13 +157,14 @@ def _nearest_branch(values, reference):
     return values + TWO_PI * np.round((reference - values) / TWO_PI)
 
 
-def flow_difference(partner, sys, pt, h=1e-5):
+def flow_difference(partner, sys, pt):
     """{phi_a, partner}_eps by central flow-differencing.
 
     The root phases are differenced with nearest-branch unwrapping (each
     has period 2 pi) and then combined into angles, which keeps lattice
     jumps of the composed angle map out of the derivative.
     """
+    h = FREQUENCY_STEP
     base = root_phases(sys, pt)
     plus = _nearest_branch(root_phases(sys, flow_step(partner, sys, pt, h)),
                            base)
@@ -167,13 +173,13 @@ def flow_difference(partner, sys, pt, h=1e-5):
     return angle_map_matrix(sys) @ ((plus - minus) / (2.0 * h))
 
 
-def frequency_matrix(sys, pt, h=1e-5):
+def frequency_matrix(sys, pt):
     """Omega_{ak} = {phi_a, J_k}_eps by flow-differencing.
 
     Shape (2, 2) in the regular case and (2,) in the irregular case.
     """
     actions = action_functions(sys)
-    cols = [flow_difference(J, sys, pt, h) for J in actions]
+    cols = [flow_difference(J, sys, pt) for J in actions]
     if sys.case_tag == "regular":
         return np.column_stack(cols)
     return cols[0]
@@ -190,16 +196,7 @@ def _rescale(sys, Om, phi):
     return np.array([float((Om / norm2) @ phi)])
 
 
-def rescaled_angles(sys, pt, h=1e-5):
-    """Canonically normalized angles.
-
-    Regular: phi~ = Omega^-1 phi; irregular: phi~ = u . phi with
-    u = Omega^T / |Omega|^2, so that {phi~, J} = 1.
-    """
-    return _rescale(sys, frequency_matrix(sys, pt, h), torus_angles(sys, pt))
-
-
-def angle_action_pairing(sys, pt, h_flow=5e-3):
+def angle_action_pairing(sys, pt):
     """Matrix {phi~_i, J_j}_eps by central flow-differencing.
 
     The partner flow is integrated a short exact step, the root phases are
@@ -208,6 +205,7 @@ def angle_action_pairing(sys, pt, h_flow=5e-3):
     each endpoint (constant along the action flows up to noise).  Expect
     the identity (regular) or 1.0 (irregular).
     """
+    h_flow = PAIRING_FLOW_STEP
     actions = action_functions(sys)
     th0 = root_phases(sys, pt)
     L = angle_map_matrix(sys)
@@ -223,16 +221,17 @@ def angle_action_pairing(sys, pt, h_flow=5e-3):
     return np.column_stack(cols) if len(cols) > 1 else np.asarray(cols[0])
 
 
-def angle_differential(sys, pt, h=1e-6):
+def angle_differential(sys, pt):
     """FD differential of the torus angles over the tangent basis."""
+    h = ANGLE_STEP
     alg = sys.alg
     base = root_phases(sys, pt)
     L = angle_map_matrix(sys)
     rows = []
     for (v, w) in phase_tangent_basis(sys):
         dX = _fiber_velocity(sys, pt, v, w)
-        gp = pt.g.matrix @ _expm_small(alg.matrix_of(v) * h)
-        gm = pt.g.matrix @ _expm_small(-alg.matrix_of(v) * h)
+        gp = pt.g.matrix @ exp_map(alg, alg.matrix_of(v) * h).matrix
+        gm = pt.g.matrix @ exp_map(alg, -alg.matrix_of(v) * h).matrix
         fp = _nearest_branch(root_phases(
             sys, PhasePoint(sys, GroupElement(gp), pt.X + h * dX)), base)
         fm = _nearest_branch(root_phases(
@@ -241,16 +240,10 @@ def angle_differential(sys, pt, h=1e-6):
     return np.array(rows).T  # (n_angles, 2 dim m)
 
 
-def _expm_small(M):
-    H = 1j * M
-    w, U = np.linalg.eigh(H)
-    return (U * np.exp(-1j * w)) @ U.conj().T
-
-
-def plain_angle_bracket(sys, pt, h=1e-6):
+def plain_angle_bracket(sys, pt):
     """The matrix {phi_a, phi_b}_eps via the symplectic solve on
     finite-difference differentials of the plain torus angles."""
-    D = angle_differential(sys, pt, h)
+    D = angle_differential(sys, pt)
     fields = [solve_field(sys, row) for row in D]
     n = len(fields)
     out = np.zeros((n, n))
@@ -260,7 +253,7 @@ def plain_angle_bracket(sys, pt, h=1e-6):
     return out
 
 
-def angle_angle_bracket(sys, pt, h=1e-6):
+def angle_angle_bracket(sys, pt):
     """{phi~_1, phi~_2}_eps with the canonical rescaling frozen at pt.
 
     On a joint level torus the rescaling matrix is a function of the
@@ -270,6 +263,6 @@ def angle_angle_bracket(sys, pt, h=1e-6):
     if sys.case_tag != "regular":
         raise ValueError("two independent angles exist only in the regular case")
     S = np.linalg.inv(frequency_matrix(sys, pt))
-    PP = plain_angle_bracket(sys, pt, h)
+    PP = plain_angle_bracket(sys, pt)
     M = S @ PP @ S.T
     return M[0, 1]

@@ -10,7 +10,7 @@ from su3mag.phase import (su3_regular_system, su3_irregular_system,
                           PhasePoint, integrate_flow)
 from su3mag.algebra import identity_element
 from su3mag.angles import (root_phases, torus_angles, torus_action,
-                           chart_point, frequency_matrix, rescaled_angles,
+                           chart_point, frequency_matrix,
                            angle_action_pairing, angle_angle_bracket,
                            unwrapped_angle_series, action_functions,
                            flow_step, slice_z_values, ChartUndefined,
