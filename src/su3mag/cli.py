@@ -234,10 +234,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a numerical breakdown ends in one error line, without warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
+    except (OverflowError, FloatingPointError, RuntimeError) as exc:
+        # say, an overflow at a huge eps, or the flow's drift guard
+        print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

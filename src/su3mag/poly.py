@@ -196,18 +196,20 @@ class Polynomial:
 
         Entry k equals ``evaluate(points[k])`` bit for bit: the same terms
         in the same order, and np.float_power, which rounds as Python's
-        ``x ** k`` does (np.power does not).
+        ``x ** k`` does (np.power does not).  An overflow raises
+        FloatingPointError, as an overflowing ``x ** k`` raises there.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != len(self.vars):
             raise ValueError("points must be rows of one value per variable")
         n = len(points)
         out = np.zeros(n)
-        for coeff, powers in self._float_form():
-            term = np.full(n, coeff)
-            for i, k in powers:
-                term = term * np.float_power(points[:, i], k)
-            out = out + term
+        with np.errstate(over="raise"):
+            for coeff, powers in self._float_form():
+                term = np.full(n, coeff)
+                for i, k in powers:
+                    term = term * np.float_power(points[:, i], k)
+                out = out + term
         return out
 
     def _float_form(self):

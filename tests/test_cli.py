@@ -312,3 +312,21 @@ def test_centralizer_bad_selection_is_refused_before_work(
         ["centralizer"] + args + ["--out", str(tmp_path / "out")]))
     assert err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["flow", "--case", "regular", "--eps", "1e200", "--t-end", "0.01"],
+    ["verify", "--case", "irregular", "--eps", "1e200", "--samples", "2",
+     "--t-end", "0.01"],
+], ids=lambda a: a[0])
+def test_numerical_breakdown_is_a_one_line_error(tmp_path, args):
+    """A huge eps breaks the numerics (a NaN drift at step 0 of the flow,
+    an overflowing power in verify): one error line on stderr, with no
+    traceback or warning, and no output files."""
+    proc = subprocess.run([sys.executable, "-m", "su3mag.cli", *args,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and \
+        proc.stderr.count("\n") == 1, proc.stderr
+    assert not (tmp_path / "out").exists()

@@ -285,3 +285,14 @@ def test_stacked_exp_map_matches_and_refuses_any_non_anti_hermitian():
     with pytest.raises(ValueError, match="anti-Hermitian"):
         exp_map(alg, bad[17])
 
+
+
+def test_both_evaluation_routes_raise_on_an_overflowing_power():
+    poly = Polynomial(("x",), {(2,): Scalar(1)})
+    with pytest.raises(OverflowError):
+        poly.evaluate([1e200])
+    with pytest.raises(FloatingPointError):
+        poly.evaluate_stack(np.array([[1.0], [1e200]]))
+    # finite values are unchanged, and so is an infinite input
+    assert poly.evaluate_stack(np.array([[3.0], [np.inf]])).tolist() == \
+        [poly.evaluate([3.0]), poly.evaluate([np.inf])]
