@@ -16,11 +16,14 @@ and the geometric angles phi_1 = -(theta1 + theta3)/3,
 phi_2 = -(theta2 + theta3)/3 move with unit speeds, d phi_j = delta_jk
 along the k-th coroot flow.
 
-Brackets involving angles are computed by flow-differencing (the partner
-Hamiltonian field is integrated a short exact step and the angle is
-differenced with nearest-branch unwrapping) or, for angle-angle brackets,
-by solving the symplectic form against finite-difference differentials;
-arg is not polynomial, so no symbolic path exists.
+arg is not polynomial, but it has an analytic differential: z_k is linear
+in xi, so d theta_k = Im(z_k(d xi) / z_k(xi)) exactly.  The angle
+differential and the frequency matrix Omega_ak = d phi_a(X_{J_k}) =
+{phi_a, J_k}_eps are this formula over fiber velocities, the latter over
+those of the solved action fields; no finite difference is taken.  The one
+flow-difference left is deliberate: angle_action_pairing differences phi
+along the integrated partner flow, an independent check that Omega is the
+true frequency.
 """
 
 from __future__ import annotations
@@ -31,8 +34,7 @@ import numpy as np
 
 from .algebra import GroupElement, exp_map, polar_project
 from .phase import (PhasePoint, hamiltonian_vector_field, omega_eps,
-                    phase_tangent_basis, slice_z_values, solve_field,
-                    _fiber_velocity)
+                    slice_z_values, solve_field, _fiber_velocity)
 from .certify import action_functions
 
 TWO_PI = 2.0 * math.pi
@@ -40,10 +42,8 @@ TWO_PI = 2.0 * math.pi
 THETA_MATRIX = np.array([[2.0, -1.0], [-1.0, 2.0], [1.0, 1.0]])
 LEFT_INVERSE = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]) / 3.0
 
-# differencing steps, not tolerances
-FREQUENCY_STEP = 1e-5
-ANGLE_STEP = 1e-6
-PAIRING_FLOW_STEP = 5e-3
+# the pairing check's differencing step, not a tolerance
+PAIRING_FLOW_STEP = 1e-3
 
 _COROOT_MATRICES = [
     np.diag([1j, -1j, 0j]),
@@ -67,12 +67,17 @@ def live_roots(sys):
     return (0, 1, 2) if sys.case_tag == "regular" else (1, 2)
 
 
-def root_phases(sys, pt):
-    """Slice phases theta_k = arg z_k(xi) on the live roots, in [0, 2 pi)."""
-    z = slice_z_values(sys, pt)[list(live_roots(sys))]
+def _live_z(sys, pt):
+    """The live root coordinates z_k(xi), inside the angle chart."""
+    z = slice_z_values(sys, pt.xi)[list(live_roots(sys))]
     if np.min(np.abs(z)) <= 1e-6:
         raise ChartUndefined("root coordinate too small for the angle chart")
-    return np.mod(np.angle(z), TWO_PI)
+    return z
+
+
+def root_phases(sys, pt):
+    """Slice phases theta_k = arg z_k(xi) on the live roots, in [0, 2 pi)."""
+    return np.mod(np.angle(_live_z(sys, pt)), TWO_PI)
 
 
 def angle_map_matrix(sys):
@@ -96,7 +101,7 @@ def chart_point(sys, rng):
     """A random regular point comfortably inside the angle chart."""
     for _ in range(500):
         pt = sys.random_regular_point(rng)
-        z = slice_z_values(sys, pt)[list(live_roots(sys))]
+        z = slice_z_values(sys, pt.xi)[list(live_roots(sys))]
         if np.min(np.abs(z)) > 5e-2:
             return pt
     raise RuntimeError("failed to sample a chart-safe point")
@@ -157,32 +162,24 @@ def _nearest_branch(values, reference):
     return values + TWO_PI * np.round((reference - values) / TWO_PI)
 
 
-def flow_difference(partner, sys, pt):
-    """{phi_a, partner}_eps by central flow-differencing.
-
-    The root phases are differenced with nearest-branch unwrapping (each
-    has period 2 pi) and then combined into angles, which keeps lattice
-    jumps of the composed angle map out of the derivative.
-    """
-    h = FREQUENCY_STEP
-    base = root_phases(sys, pt)
-    plus = _nearest_branch(root_phases(sys, flow_step(partner, sys, pt, h)),
-                           base)
-    minus = _nearest_branch(root_phases(sys, flow_step(partner, sys, pt, -h)),
-                            base)
-    return angle_map_matrix(sys) @ ((plus - minus) / (2.0 * h))
+def _angle_rates(sys, pt, velocities):
+    """d phi(d xi) = L Im(z(d xi) / z(xi)) on the live roots, one column
+    per fiber velocity d xi (rows of velocities): the exact differential
+    of the torus angles, which read xi alone."""
+    dz = slice_z_values(sys, velocities)[:, list(live_roots(sys))]
+    return angle_map_matrix(sys) @ np.imag(dz / _live_z(sys, pt)).T
 
 
 def frequency_matrix(sys, pt):
-    """Omega_{ak} = {phi_a, J_k}_eps by flow-differencing.
+    """Omega_{ak} = {phi_a, J_k}_eps = d phi_a(X_{J_k}) from the solved
+    action fields.
 
     Shape (2, 2) in the regular case and (2,) in the irregular case.
     """
-    actions = action_functions(sys)
-    cols = [flow_difference(J, sys, pt) for J in actions]
-    if sys.case_tag == "regular":
-        return np.column_stack(cols)
-    return cols[0]
+    Om = _angle_rates(sys, pt, np.array([
+        _fiber_velocity(sys, pt, *hamiltonian_vector_field(J, sys, pt))
+        for J in action_functions(sys)]))
+    return Om if sys.case_tag == "regular" else Om[:, 0]
 
 
 def _rescale(sys, Om, phi):
@@ -200,49 +197,33 @@ def angle_action_pairing(sys, pt):
     """Matrix {phi~_i, J_j}_eps by central flow-differencing.
 
     The partner flow is integrated a short exact step, the root phases are
-    unwrapped against the base point, combined into angles, and the
-    canonical rescaling is applied with the frequency matrix measured at
-    each endpoint (constant along the action flows up to noise).  Expect
-    the identity (regular) or 1.0 (irregular).
+    unwrapped against the base point and combined into angles, and the
+    canonical rescaling is applied with the frequency matrix frozen at pt:
+    Omega is a function of the actions, which every action flow keeps, so
+    this is exact.  Expect the identity (regular) or 1.0 (irregular).
     """
     h_flow = PAIRING_FLOW_STEP
-    actions = action_functions(sys)
     th0 = root_phases(sys, pt)
     L = angle_map_matrix(sys)
+    Om = frequency_matrix(sys, pt)
     cols = []
-    for J in actions:
-        pt_p = flow_step(J, sys, pt, h_flow, nsteps=4)
-        pt_m = flow_step(J, sys, pt, -h_flow, nsteps=4)
-        phi_p = L @ _nearest_branch(root_phases(sys, pt_p), th0)
-        phi_m = L @ _nearest_branch(root_phases(sys, pt_m), th0)
-        tilde_p = _rescale(sys, frequency_matrix(sys, pt_p), phi_p)
-        tilde_m = _rescale(sys, frequency_matrix(sys, pt_m), phi_m)
-        cols.append((tilde_p - tilde_m) / (8.0 * h_flow))
+    for J in action_functions(sys):
+        th_p = root_phases(sys, flow_step(J, sys, pt, h_flow, nsteps=4))
+        th_m = root_phases(sys, flow_step(J, sys, pt, -h_flow, nsteps=4))
+        dphi = L @ (_nearest_branch(th_p, th0) - _nearest_branch(th_m, th0))
+        cols.append(_rescale(sys, Om, dphi) / (8.0 * h_flow))
     return np.column_stack(cols) if len(cols) > 1 else np.asarray(cols[0])
 
 
 def angle_differential(sys, pt):
-    """FD differential of the torus angles over the tangent basis."""
-    h = ANGLE_STEP
-    alg = sys.alg
-    base = root_phases(sys, pt)
-    L = angle_map_matrix(sys)
-    rows = []
-    for (v, w) in phase_tangent_basis(sys):
-        dX = _fiber_velocity(sys, pt, v, w)
-        gp = pt.g.matrix @ exp_map(alg, alg.matrix_of(v) * h).matrix
-        gm = pt.g.matrix @ exp_map(alg, -alg.matrix_of(v) * h).matrix
-        fp = _nearest_branch(root_phases(
-            sys, PhasePoint(sys, GroupElement(gp), pt.X + h * dX)), base)
-        fm = _nearest_branch(root_phases(
-            sys, PhasePoint(sys, GroupElement(gm), pt.X - h * dX)), base)
-        rows.append(L @ ((fp - fm) / (2.0 * h)))
-    return np.array(rows).T  # (n_angles, 2 dim m)
+    """Differential of the torus angles over the tangent basis, shape
+    (n_angles, 2 dim m)."""
+    return _angle_rates(sys, pt, pt.fiber_images)
 
 
 def plain_angle_bracket(sys, pt):
-    """The matrix {phi_a, phi_b}_eps via the symplectic solve on
-    finite-difference differentials of the plain torus angles."""
+    """The matrix {phi_a, phi_b}_eps via the symplectic solve on the
+    differentials of the plain torus angles."""
     D = angle_differential(sys, pt)
     fields = [solve_field(sys, row) for row in D]
     n = len(fields)

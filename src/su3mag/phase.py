@@ -97,7 +97,7 @@ class MagneticSystem:
             if not regularity(self.alg, pt.xi, tol=1e-3).regular:
                 continue
             if self.case_tag == "regular":
-                z = slice_z_values(self, pt)
+                z = slice_z_values(self, pt.xi)
                 if np.min(np.abs(z)) <= 1e-3:
                     continue
             else:
@@ -122,10 +122,12 @@ def _z_duals():
     return tuple(duals)
 
 
-def slice_z_values(sys, pt):
-    """Complex root coordinates z_k of the slice xi = X - eps W."""
-    M = sys.alg.matrix_of(pt.xi)
-    return np.array([-0.5 * np.trace(M @ D) for D in _z_duals()])
+def slice_z_values(sys, coords):
+    """Complex root coordinates z_k of a slice coordinate vector (xi =
+    X - eps W, or a tangent to the slice), or row by row for a stack."""
+    M = sys.alg.matrix_of(coords)
+    return np.stack([-0.5 * np.trace(M @ D, axis1=-2, axis2=-1)
+                     for D in _z_duals()], axis=-1)
 
 
 def su3_regular_system(eps):

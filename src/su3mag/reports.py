@@ -201,7 +201,7 @@ def run_verification(config):
 
     # --- action-angle canonicity ------------------------------------------------------
     from .angles import (chart_point, angle_action_pairing, frequency_matrix,
-                         angle_angle_bracket)
+                         angle_angle_bracket, torus_action)
     n_angle = min(5, rank_samples)
     worst_pair = 0.0
     for _ in range(n_angle):
@@ -220,7 +220,6 @@ def run_verification(config):
     else:
         apt = chart_point(sys, rng)
         vals = [angle_angle_bracket(sys, apt)]
-        from .angles import torus_action
         for s in ((0.5, 0.0), (0.0, 0.8)):
             vals.append(angle_angle_bracket(
                 sys, torus_action(sys, apt, np.array(s))))

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from su3mag.phase import (su3_regular_system, su3_irregular_system,
-                          PhasePoint, integrate_flow)
-from su3mag.algebra import identity_element
+                          PhasePoint, integrate_flow, phase_tangent_basis,
+                          _fiber_velocity)
+from su3mag.algebra import GroupElement, exp_map, identity_element
 from su3mag.angles import (root_phases, torus_angles, torus_action,
                            chart_point, frequency_matrix,
                            angle_action_pairing, angle_angle_bracket,
+                           angle_differential, angle_map_matrix,
                            unwrapped_angle_series, action_functions,
                            flow_step, slice_z_values, ChartUndefined,
                            THETA_MATRIX, LEFT_INVERSE, _nearest_branch,
@@ -88,7 +90,7 @@ def test_branch_consistency():
     sys = su3_regular_system(0.1)
     rng = np.random.default_rng(2)
     pt = chart_point(sys, rng)
-    z = slice_z_values(sys, pt)
+    z = slice_z_values(sys, pt.xi)
     th = root_phases(sys, pt)
     alt = np.angle(z)  # principal branch in (-pi, pi]
     diff = th - alt
@@ -181,3 +183,72 @@ def test_affine_advance_along_physical_flow():
         # the actions stay constant along the flow
         for J in action_functions(sys):
             assert max(abs(J.value(p) - J.value(pts[0])) for p in pts) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the finite-difference routes the closed form d theta = Im(dz / z)
+# replaced, kept as oracles
+# ---------------------------------------------------------------------------
+
+def _flow_difference(partner, sys, pt, h=1e-5):
+    """{phi_a, partner}_eps by central differencing along the RK4 flow,
+    the root phases unwrapped against the base point."""
+    base = root_phases(sys, pt)
+    plus = _nearest_branch(root_phases(sys, flow_step(partner, sys, pt, h)),
+                           base)
+    minus = _nearest_branch(root_phases(sys, flow_step(partner, sys, pt, -h)),
+                            base)
+    return angle_map_matrix(sys) @ ((plus - minus) / (2.0 * h))
+
+
+def _fd_frequency_matrix(sys, pt):
+    cols = [_flow_difference(J, sys, pt) for J in action_functions(sys)]
+    return np.column_stack(cols) if sys.case_tag == "regular" else cols[0]
+
+
+def _fd_angle_differential(sys, pt, h=1e-6):
+    """Central differences of the angles over the tangent basis, the group
+    moved by exp(+-h v) and the fiber by +-h dX."""
+    alg = sys.alg
+    base = root_phases(sys, pt)
+    rows = []
+    for (v, w) in phase_tangent_basis(sys):
+        dX = _fiber_velocity(sys, pt, v, w)
+        ends = []
+        for s in (h, -h):
+            g = pt.g.matrix @ exp_map(alg, alg.matrix_of(v) * s).matrix
+            moved = PhasePoint(sys, GroupElement(g), pt.X + s * dX)
+            ends.append(_nearest_branch(root_phases(sys, moved), base))
+        rows.append(angle_map_matrix(sys) @ ((ends[0] - ends[1]) / (2.0 * h)))
+    return np.array(rows).T
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.25])
+def test_frequency_matrix_matches_flow_differences(eps):
+    for sys in (su3_regular_system(eps), su3_irregular_system(eps)):
+        rng = np.random.default_rng(20)
+        for _ in range(3):
+            pt = chart_point(sys, rng)
+            Om = frequency_matrix(sys, pt)
+            assert Om.shape == ((2, 2) if sys.case_tag == "regular" else (2,))
+            assert np.abs(Om - _fd_frequency_matrix(sys, pt)).max() < 1e-8
+
+
+def test_angle_differential_matches_finite_differences():
+    for sys in (su3_regular_system(0.1), su3_irregular_system(0.1)):
+        rng = np.random.default_rng(21)
+        for _ in range(3):
+            pt = chart_point(sys, rng)
+            D = angle_differential(sys, pt)
+            assert D.shape == (2, 2 * len(sys.m))
+            assert np.abs(D - _fd_angle_differential(sys, pt)).max() < 1e-8
+
+
+@pytest.mark.parametrize("seed", [10131, 10408, 10459])
+def test_angle_action_pairing_near_a_singular_frequency_matrix(seed):
+    """Regular chart points where det Omega is small and the finite-difference
+    frequency matrix, re-measured at both flow ends, broke the pairing."""
+    sys = su3_regular_system(0.1)
+    pt = chart_point(sys, np.random.default_rng(seed))
+    pair = angle_action_pairing(sys, pt)
+    assert np.abs(pair - np.eye(2)).max() < 1e-5

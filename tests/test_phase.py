@@ -513,7 +513,7 @@ def test_regular_point_sampling_respects_locus():
     rng = np.random.default_rng(12)
     for _ in range(5):
         pt = sys.random_regular_point(rng)
-        z = slice_z_values(sys, pt)
+        z = slice_z_values(sys, pt.xi)
         assert np.min(np.abs(z)) > 1e-3
     sysI = su3_irregular_system(0.1)
     for _ in range(5):
@@ -540,7 +540,7 @@ def test_slice_z_values_match_the_exact_row_loop():
     rng = np.random.default_rng(13)
     for _ in range(500):
         pt = sys.random_point(rng)
-        assert np.array_equal(slice_z_values(sys, pt),
+        assert np.array_equal(slice_z_values(sys, pt.xi),
                               _reference_z_values(sys.alg, pt.xi))
 
 
