@@ -15,6 +15,7 @@ and B-gradients dp_X(V) = B(grad p(X), V) used throughout.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,8 @@ import numpy as np
 from .scalars import Scalar, parse_scalar
 
 DEGREE_CAP = 8
+
+_OVERFLOW = "polynomial value overflows at a finite point"
 
 
 class DegreeCapError(ValueError):
@@ -189,6 +192,8 @@ class Polynomial:
             for i, k in powers:
                 term *= pt[i] ** k
             out += term
+        if not math.isfinite(out) and all(map(math.isfinite, pt)):
+            raise OverflowError(_OVERFLOW)
         return out
 
     def evaluate_stack(self, points):
@@ -196,20 +201,22 @@ class Polynomial:
 
         Entry k equals ``evaluate(points[k])`` bit for bit: the same terms
         in the same order, and np.float_power, which rounds as Python's
-        ``x ** k`` does (np.power does not).  An overflow raises
-        FloatingPointError, as an overflowing ``x ** k`` raises there.
+        ``x ** k`` does (np.power does not).  As there, a value that
+        overflows at a finite point raises OverflowError.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != len(self.vars):
             raise ValueError("points must be rows of one value per variable")
         n = len(points)
         out = np.zeros(n)
-        with np.errstate(over="raise"):
+        with np.errstate(over="ignore", invalid="ignore"):
             for coeff, powers in self._float_form():
                 term = np.full(n, coeff)
                 for i, k in powers:
                     term = term * np.float_power(points[:, i], k)
                 out = out + term
+        if np.any(~np.isfinite(out) & np.isfinite(points).all(axis=1)):
+            raise OverflowError(_OVERFLOW)
         return out
 
     def _float_form(self):

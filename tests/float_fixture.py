@@ -39,7 +39,7 @@ from pathlib import Path
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = ("regular", "irregular")
 VERIFY_SEEDS = (11, 12)
-VERIFY_SIZE = {"samples": 20, "rank_samples": 5, "t_end": 1.0}
+VERIFY_ARGS = ("--samples", "20", "--rank-samples", "5", "--t-end", "1")
 FLOW_ARGS = ("--seed", "5", "--t-end", "0.5")
 # the budget, as a fraction of a check's own tolerance
 BUDGET = 1e-3
@@ -55,11 +55,8 @@ def fresh_outputs():
         tmp = Path(tmp)
         for case in CASES:
             for seed in VERIFY_SEEDS:
-                cfg = tmp / "config.json"
-                cfg.write_text(json.dumps(dict(VERIFY_SIZE, case=case,
-                                               seed=seed)))
-                _quiet(main, ["verify", "--config", str(cfg),
-                              "--out", str(tmp)])
+                _quiet(main, ["verify", "--case", case, "--seed", str(seed),
+                              *VERIFY_ARGS, "--out", str(tmp)])
                 out[f"verify_{case}_seed{seed}.json"] = \
                     (tmp / f"verify_{case}.json").read_text()
             _quiet(main, ["flow", "--case", case, *FLOW_ARGS,

@@ -201,6 +201,35 @@ def test_zero_samples_are_refused(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_rank_samples_flag_beats_the_config(tmp_path, monkeypatch):
+    from su3mag import reports
+    from su3mag.certify import CertificateReport
+    seen = []
+
+    def record(config):
+        seen.append(config)
+        return CertificateReport(case_tag=config["case"], seed=config["seed"])
+
+    monkeypatch.setattr(reports, "run_verification", record)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rank_samples": 3}))
+    assert run_cli(["verify", "--config", str(cfg),
+                    "--out", str(tmp_path)]) == 0
+    assert seen[-1]["rank_samples"] == 3
+    assert run_cli(["verify", "--config", str(cfg), "--rank-samples", "5",
+                    "--out", str(tmp_path)]) == 0
+    assert seen[-1] == dict(reports.default_config("regular"),
+                            rank_samples=5)
+
+
+def test_rank_samples_flag_zero_is_a_one_line_error(tmp_path, capsys):
+    err = _one_line_error(capsys, run_cli(
+        ["verify", "--case", "irregular", "--rank-samples", "0",
+         "--out", str(tmp_path / "out")]))
+    assert err == "error: rank_samples must be at least 1, got 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key", ["seed", "samples", "rank_samples"])
 @pytest.mark.parametrize("value", ["x", 2.5, True, -1])
 def test_bad_config_integers_are_one_line_errors(tmp_path, capsys, key,

@@ -288,11 +288,17 @@ def test_stacked_exp_map_matches_and_refuses_any_non_anti_hermitian():
 
 
 def test_both_evaluation_routes_raise_on_an_overflowing_power():
-    poly = Polynomial(("x",), {(2,): Scalar(1)})
-    with pytest.raises(OverflowError):
-        poly.evaluate([1e200])
-    with pytest.raises(FloatingPointError):
-        poly.evaluate_stack(np.array([[1.0], [1e200]]))
-    # finite values are unchanged, and so is an infinite input
-    assert poly.evaluate_stack(np.array([[3.0], [np.inf]])).tolist() == \
-        [poly.evaluate([3.0]), poly.evaluate([np.inf])]
+    """An overflowing power (x^2) or product (x*y) at a finite point is an
+    OverflowError on both routes; finite values and an infinite input are
+    evaluated as before."""
+    square = Polynomial(("x",), {(2,): Scalar(1)})
+    product = Polynomial(("x", "y"), {(1, 1): Scalar(1)})
+    for poly, big, fine in ((square, [1e200], [3.0]),
+                            (product, [1e200, 1e200], [3.0, -2.5])):
+        with pytest.raises(OverflowError):
+            poly.evaluate(big)
+        with pytest.raises(OverflowError):
+            poly.evaluate_stack(np.array([fine, big]))
+        inf = [np.inf] * len(fine)
+        assert poly.evaluate_stack(np.array([fine, inf])).tolist() == \
+            [poly.evaluate(fine), poly.evaluate(inf)]
