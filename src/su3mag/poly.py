@@ -171,7 +171,8 @@ class Polynomial:
     # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, point):
-        """Exact evaluation at Scalar-valued points, float otherwise."""
+        """Exact evaluation at Scalar-valued points, float otherwise; a
+        float value that overflows at a finite point raises OverflowError."""
         if len(point) != len(self.vars):
             raise ValueError("point length does not match variables")
         exact = all(isinstance(x, (int, Fraction, Scalar)) for x in point)

@@ -193,6 +193,10 @@ def test_zero_samples_are_refused(tmp_path, capsys):
         ["verify", "--case", "irregular", "--samples", "0",
          "--out", str(tmp_path)]))
     assert "samples" in err
+    err = _one_line_error(capsys, run_cli(
+        ["verify", "--case", "irregular", "--rank-samples", "0",
+         "--out", str(tmp_path / "out")]))
+    assert err == "error: rank_samples must be at least 1, got 0\n"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"rank_samples": 0}))
     err = _one_line_error(capsys, run_cli(
@@ -220,14 +224,6 @@ def test_rank_samples_flag_beats_the_config(tmp_path, monkeypatch):
                     "--out", str(tmp_path)]) == 0
     assert seen[-1] == dict(reports.default_config("regular"),
                             rank_samples=5)
-
-
-def test_rank_samples_flag_zero_is_a_one_line_error(tmp_path, capsys):
-    err = _one_line_error(capsys, run_cli(
-        ["verify", "--case", "irregular", "--rank-samples", "0",
-         "--out", str(tmp_path / "out")]))
-    assert err == "error: rank_samples must be at least 1, got 0\n"
-    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key", ["seed", "samples", "rank_samples"])
