@@ -538,10 +538,16 @@ def test_slice_z_values_match_the_exact_row_loop():
     from su3mag.phase import slice_z_values
     sys = su3_regular_system(0.1)
     rng = np.random.default_rng(13)
+    stack = []
     for _ in range(500):
         pt = sys.random_point(rng)
         assert np.array_equal(slice_z_values(sys, pt.xi),
                               _reference_z_values(sys.alg, pt.xi))
+        stack.append(pt.xi)
+    # a stack of coordinate vectors gives the same rows
+    stack = np.array(stack)
+    assert np.array_equal(slice_z_values(sys, stack),
+                          [_reference_z_values(sys.alg, x) for x in stack])
 
 
 # ---------------------------------------------------------------------------
