@@ -32,9 +32,9 @@ import math
 
 import numpy as np
 
-from .algebra import GroupElement, exp_map, polar_project
+from .algebra import exp_map
 from .phase import (PhasePoint, hamiltonian_vector_field, omega_eps,
-                    slice_z_values, solve_field, _fiber_velocity)
+                    slice_z_values, solve_field, _fiber_velocity, _rk4_flow)
 from .certify import action_functions
 
 TWO_PI = 2.0 * math.pi
@@ -136,24 +136,18 @@ def torus_action(sys, pt, sigma):
 
 
 def flow_step(fn, sys, pt, h, nsteps=1):
-    """RK4 integration of the Hamiltonian flow of an integral function."""
-    alg = sys.alg
-    g = pt.g.matrix.copy()
-    X = pt.X.copy()
+    """The point nsteps RK4 steps of h along the Hamiltonian flow of an
+    integral function, on the loop (and drift guard) of integrate_flow."""
+    sign = 1.0 if h >= 0 else -1.0  # |h| steps of the negated field
 
-    def deriv(gm, Xv):
-        p = PhasePoint(sys, GroupElement(gm), Xv)
+    def field(g, X):
+        p = PhasePoint.prevalidated(sys, g, X)
         v, w = hamiltonian_vector_field(fn, sys, p)
-        return gm @ alg.matrix_of(v), _fiber_velocity(sys, p, v, w)
+        return (sign * (g @ sys.alg.matrix_of(v)),
+                sign * _fiber_velocity(sys, p, v, w))
 
-    for _ in range(nsteps):
-        k1g, k1x = deriv(g, X)
-        k2g, k2x = deriv(polar_project(g + 0.5 * h * k1g), X + 0.5 * h * k1x)
-        k3g, k3x = deriv(polar_project(g + 0.5 * h * k2g), X + 0.5 * h * k2x)
-        k4g, k4x = deriv(polar_project(g + h * k3g), X + h * k3x)
-        g = polar_project(g + h / 6.0 * (k1g + 2 * k2g + 2 * k3g + k4g))
-        X = X + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-    return PhasePoint(sys, GroupElement(g), X)
+    G, X = _rk4_flow(sys, pt, nsteps * abs(h), abs(h), field)
+    return PhasePoint.prevalidated(sys, G[-1], X[-1])
 
 
 def _nearest_branch(values, reference):

@@ -177,7 +177,9 @@ class PhasePoint:
 
     @classmethod
     def prevalidated(cls, sys, g, X):
-        """The point (g, X) from arrays whose checks have already passed."""
+        """The point (g, X) from arrays whose checks have already passed,
+        or at an RK4 stage, whose g is off SU(3) by O(dt^2): a field there
+        is its smooth extension off the group, with g* in Ad."""
         pt = cls.__new__(cls)
         pt.sys = sys
         pt.g = GroupElement.__new__(GroupElement)
@@ -663,25 +665,36 @@ def flow_steps(t_end, dt):
 
 
 def integrate_flow(sys, pt0, t_end, dt, drift_limit=1e-8):
-    """Classical RK4 for gdot = g M(X), Xdot = -eps [W, X].
+    """Classical RK4 (_rk4_flow) for gdot = g M(X), Xdot = -eps [W, X].
 
-    The group factor is polar-reprojected to SU(3) each step; a unitarity
-    drift beyond drift_limit before reprojection rejects the step.  The
-    X-component has the closed Lax form Ad(exp(-t eps W)) X0, which the
-    tests compare against.  The step count is ``flow_steps(t_end, dt)``.
+    The X-component has the closed Lax form Ad(exp(-t eps W)) X0, which
+    the tests compare against.  The trajectory's points are a
+    TrajectoryPoints view over the arrays of the steps.
+    """
+    matrix_of, adW, eps = sys.alg.matrix_of, sys._adW, sys.eps
 
-    Every step is written into preallocated arrays, G of shape
-    (n+1, N, N) and X of shape (n+1, dim).  After the loop the whole stack
-    is checked once, with the criteria of GroupElement and PhasePoint:
-    unitary and of determinant one within UNITARY_TOL, fiber supported on
-    m; a failure raises ValueError naming the step.  The trajectory's
-    points are a TrajectoryPoints view over the arrays.
+    def geodesic(g, X):
+        return g @ matrix_of(X), -eps * (adW @ X)
+
+    G, Xs = _rk4_flow(sys, pt0, t_end, dt, geodesic, drift_limit)
+    times = [0.0] + [(step + 1) * dt for step in range(len(G) - 1)]
+    return FlowTrajectory(times=times, points=TrajectoryPoints(sys, G, Xs),
+                          dt=dt)
+
+
+def _rk4_flow(sys, pt0, t_end, dt, field, drift_limit=1e-8):
+    """The one RK4 loop: ``flow_steps(t_end, dt)`` steps of the field
+    ``field(g, X) -> (gdot, Xdot)`` from pt0, returned as read-only
+    arrays G of shape (n+1, N, N) and X of shape (n+1, dim).
+
+    The stages evaluate the field off the group, by O(dt^2).  Each step's
+    g is polar-reprojected to SU(3); a unitarity drift beyond drift_limit
+    before reprojection rejects the step.  The stack is then checked once
+    with the criteria of GroupElement and PhasePoint: unitary and of
+    determinant one within UNITARY_TOL, fiber supported on m; a failure
+    raises ValueError naming the step.
     """
     nsteps = flow_steps(t_end, dt)
-    matrix_of = sys.alg.matrix_of
-    adW = sys._adW
-    eps = sys.eps
-
     g = pt0.g.matrix
     X = pt0.X
     G = np.empty((nsteps + 1,) + g.shape, dtype=complex)
@@ -692,20 +705,10 @@ def integrate_flow(sys, pt0, t_end, dt, drift_limit=1e-8):
     half = 0.5 * dt
     sixth = dt / 6.0
     for step in range(nsteps):
-        k1g = g @ matrix_of(X)
-        k1x = -eps * (adW @ X)
-        g2 = g + half * k1g
-        x2 = X + half * k1x
-        k2g = g2 @ matrix_of(x2)
-        k2x = -eps * (adW @ x2)
-        g3 = g + half * k2g
-        x3 = X + half * k2x
-        k3g = g3 @ matrix_of(x3)
-        k3x = -eps * (adW @ x3)
-        g4 = g + dt * k3g
-        x4 = X + dt * k3x
-        k4g = g4 @ matrix_of(x4)
-        k4x = -eps * (adW @ x4)
+        k1g, k1x = field(g, X)
+        k2g, k2x = field(g + half * k1g, X + half * k1x)
+        k3g, k3x = field(g + half * k2g, X + half * k2x)
+        k4g, k4x = field(g + dt * k3g, X + dt * k3x)
         g = g + sixth * (k1g + 2 * k2g + 2 * k3g + k4g)
         X = X + sixth * (k1x + 2 * k2x + 2 * k3x + k4x)
         drift = np.abs(g.conj().T @ g - eye).max()
@@ -718,33 +721,27 @@ def integrate_flow(sys, pt0, t_end, dt, drift_limit=1e-8):
     _check_stack(sys, G, Xs)
     G.flags.writeable = False
     Xs.flags.writeable = False
-    times = [0.0] + [(step + 1) * dt for step in range(nsteps)]
-    return FlowTrajectory(times=times, points=TrajectoryPoints(sys, G, Xs),
-                          dt=dt)
+    return G, Xs
 
 
 def _check_stack(sys, G, X):
     """GroupElement's and PhasePoint's checks on every row of a flow,
     in blocks of BLOCK_ROWS rows."""
-    def where(row):
-        return "the initial point" if row == 0 else f"step {row - 1}"
-
     eye = np.eye(G.shape[1])
     for lo in range(0, len(G), BLOCK_ROWS):
         g = G[lo:lo + BLOCK_ROWS]
         gram = np.swapaxes(g.conj(), 1, 2) @ g
-        bad = ~np.isclose(gram, eye, atol=UNITARY_TOL).all(axis=(1, 2))
-        if bad.any():
-            raise ValueError("group element is not unitary within "
-                             f"tolerance at {where(lo + np.argmax(bad))}")
-        bad = np.abs(np.linalg.det(g) - 1.0) > UNITARY_TOL
-        if bad.any():
-            raise ValueError("group element does not have determinant one "
-                             f"at {where(lo + np.argmax(bad))}")
-        bad = (np.abs(X[lo:lo + BLOCK_ROWS, sys.a]) > 1e-14).any(axis=1)
-        if bad.any():
-            raise ValueError("fiber coordinate must be supported on m "
-                             f"at {where(lo + np.argmax(bad))}")
+        for bad, what in (
+                (~np.isclose(gram, eye, atol=UNITARY_TOL).all(axis=(1, 2)),
+                 "group element is not unitary within tolerance"),
+                (np.abs(np.linalg.det(g) - 1.0) > UNITARY_TOL,
+                 "group element does not have determinant one"),
+                ((np.abs(X[lo:lo + BLOCK_ROWS, sys.a]) > 1e-14).any(axis=1),
+                 "fiber coordinate must be supported on m")):
+            if bad.any():
+                row = lo + np.argmax(bad)
+                raise ValueError(f"{what} at " + (
+                    "the initial point" if row == 0 else f"step {row - 1}"))
 
 
 def closed_form_fiber(sys, pt0, t):

@@ -355,3 +355,19 @@ def test_numerical_breakdown_is_a_one_line_error(tmp_path, args):
     assert proc.stderr.startswith("error: ") and \
         proc.stderr.count("\n") == 1, proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_a_partner_flow_too_coarse_for_its_step_is_a_one_line_error(
+        tmp_path, capsys):
+    """At eps 10 the pairing's partner flow drifts off the group beyond
+    the integrator's guard: one error line naming the drift, exit 1, and
+    no report."""
+    code = run_cli(["verify", "--case", "regular", "--eps", "10", "--seed",
+                    "3", "--samples", "5", "--rank-samples", "5", "--t-end",
+                    "0.1", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: RuntimeError: unitarity drift ") and \
+        err.endswith(" exceeds limit at step 0\n") and \
+        err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
