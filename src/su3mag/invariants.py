@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalars import Scalar
+from .scalars import CZERO, Scalar, cmat_mul
 from .poly import Polynomial
 from .exact_linalg import nullspace, rref
 from .algebra import SubalgebraSpec
@@ -376,44 +376,27 @@ def casimirs_su3(alg):
     names = alg.coord_names
     n = alg.dim
     # B(Y, Y) = sum_i x_i^2: the basis is B-orthonormal
-    c2 = Polynomial.zero(names)
-    for i in range(n):
-        c2 = c2 + Polynomial.var(names, names[i]) * \
-            Polynomial.var(names, names[i])
-
-    # entries of M(x) = sum x_i b_i as (re, im) polynomial pairs
-    size = len(alg.matrix_rep[0])
-    ent_re = [[Polynomial.zero(names) for _ in range(size)] for _ in range(size)]
-    ent_im = [[Polynomial.zero(names) for _ in range(size)] for _ in range(size)]
-    for i, M in enumerate(alg.matrix_rep):
-        xi = Polynomial.var(names, names[i])
-        for r in range(size):
-            for c in range(size):
-                if not M[r][c].re.is_zero():
-                    ent_re[r][c] = ent_re[r][c] + xi * M[r][c].re
-                if not M[r][c].im.is_zero():
-                    ent_im[r][c] = ent_im[r][c] + xi * M[r][c].im
-
-    def matmul(Are, Aim, Bre, Bim):
-        Cre = [[Polynomial.zero(names) for _ in range(size)] for _ in range(size)]
-        Cim = [[Polynomial.zero(names) for _ in range(size)] for _ in range(size)]
-        for r in range(size):
-            for c in range(size):
-                for k in range(size):
-                    Cre[r][c] = Cre[r][c] + Are[r][k] * Bre[k][c] - Aim[r][k] * Bim[k][c]
-                    Cim[r][c] = Cim[r][c] + Are[r][k] * Bim[k][c] + Aim[r][k] * Bre[k][c]
-        return Cre, Cim
-
-    sq_re, sq_im = matmul(ent_re, ent_im, ent_re, ent_im)
-    cu_re, cu_im = matmul(sq_re, sq_im, ent_re, ent_im)
-    tr_re = Polynomial.zero(names)
-    tr_im = Polynomial.zero(names)
-    for r in range(size):
-        tr_re = tr_re + cu_re[r][r]
-        tr_im = tr_im + cu_im[r][r]
-    if not tr_re.is_zero():
+    c2 = Polynomial(names, {tuple(2 * (k == i) for k in range(n)): 1
+                            for i in range(n)})
+    # C3 = sum_ijk -i tr(b_i b_j b_k) x_i x_j x_k from the exact products
+    # b_i b_j; the real parts of the traces cancel monomial by monomial
+    rep = alg.matrix_rep
+    nonzero = [[(r, c, x) for r, row in enumerate(M)
+                for c, x in enumerate(row) if not x.is_zero()] for M in rep]
+    coeffs = {}
+    for i, bi in enumerate(rep):
+        for j, bj in enumerate(rep):
+            bij = cmat_mul(bi, bj)
+            for k, bk in enumerate(nonzero):
+                # tr(b_ij b_k) = sum_rc (b_ij)_cr (b_k)_rc
+                t = sum((bij[c][r] * x for r, c, x in bk
+                         if not bij[c][r].is_zero()), CZERO)
+                if not t.is_zero():
+                    expo = tuple((i, j, k).count(m) for m in range(n))
+                    coeffs[expo] = coeffs.get(expo, CZERO) + t
+    if any(not z.re.is_zero() for z in coeffs.values()):
         raise AssertionError("tr(Y^3) of anti-Hermitian Y must be imaginary")
-    c3 = tr_im  # -i * (i * tr_im) = tr_im
+    c3 = Polynomial(names, {e: z.im for e, z in coeffs.items()})
     return c2, c3
 
 

@@ -162,6 +162,58 @@ def test_casimirs():
             < 1e-12
 
 
+def _c3_by_polynomial_matmul(alg):
+    """-i tr(Y^3) by a polynomial 3x3 matrix product over the entries of
+    Y = sum x_i b_i, as (re, im) pairs: the route casimirs_su3 replaced."""
+    names = alg.coord_names
+    size = len(alg.matrix_rep[0])
+
+    def zeros():
+        return [[Polynomial.zero(names) for _ in range(size)]
+                for _ in range(size)]
+
+    ent_re, ent_im = zeros(), zeros()
+    for i, M in enumerate(alg.matrix_rep):
+        xi = Polynomial.var(names, names[i])
+        for r in range(size):
+            for c in range(size):
+                if not M[r][c].re.is_zero():
+                    ent_re[r][c] = ent_re[r][c] + xi * M[r][c].re
+                if not M[r][c].im.is_zero():
+                    ent_im[r][c] = ent_im[r][c] + xi * M[r][c].im
+
+    def matmul(Are, Aim, Bre, Bim):
+        Cre, Cim = zeros(), zeros()
+        for r in range(size):
+            for c in range(size):
+                for k in range(size):
+                    Cre[r][c] = (Cre[r][c] + Are[r][k] * Bre[k][c]
+                                 - Aim[r][k] * Bim[k][c])
+                    Cim[r][c] = (Cim[r][c] + Are[r][k] * Bim[k][c]
+                                 + Aim[r][k] * Bre[k][c])
+        return Cre, Cim
+
+    sq_re, sq_im = matmul(ent_re, ent_im, ent_re, ent_im)
+    cu_re, cu_im = matmul(sq_re, sq_im, ent_re, ent_im)
+    tr_re = sum((cu_re[r][r] for r in range(size)), Polynomial.zero(names))
+    tr_im = sum((cu_im[r][r] for r in range(size)), Polynomial.zero(names))
+    assert tr_re.is_zero()
+    return tr_im
+
+
+@pytest.mark.parametrize("build", [build_su3_gellmann, build_su3_chevalley],
+                         ids=lambda b: b.__name__)
+def test_c3_matches_the_polynomial_matmul(build):
+    """C3 from the exact basis products is the polynomial of the old
+    route, exactly; C2 keeps its term order."""
+    alg = build()
+    c2, c3 = casimirs_su3(alg)
+    assert c3 == _c3_by_polynomial_matmul(alg)
+    assert list(c2.terms) == [tuple(2 if k == i else 0
+                                    for k in range(alg.dim))
+                              for i in range(alg.dim)]
+
+
 def test_restriction_identities():
     sysI = su3_irregular_system(0.1)
     c2, c3 = sysI.casimirs()
