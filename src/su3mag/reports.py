@@ -74,16 +74,16 @@ def run_verification(config):
         matched = sum(table.matches_reference.values())
         report.add("bracket_table_reference_entries", 8, matched, "exact",
                    matched == 8)
-        report.add("cubic_relation_u1u2u3_eq_v2_w2", True,
-                   cubic_relation_check(sys.alg), "exact",
-                   cubic_relation_check(sys.alg))
+        cubic_exact = cubic_relation_check(sys.alg)
+        report.add("cubic_relation_u1u2u3_eq_v2_w2", True, cubic_exact,
+                   "exact", cubic_exact)
         # numeric redundancy check of the cubic relation
         u, v, w = torus_generators(sys.alg)
+        relation = u[0] * u[1] * u[2] - v * v - w * w
         worst = 0.0
         for _ in range(samples):
             x = rng.uniform(-1, 1, 6)
-            worst = max(worst, abs(float((u[0] * u[1] * u[2]
-                                          - v * v - w * w).evaluate(x))))
+            worst = max(worst, abs(float(relation.evaluate(x))))
         report.add("cubic_relation_numeric", 0.0, worst, 1e-12, worst < 1e-12)
     else:
         phi = phi_relation_irregular(sys, rng, samples=samples)
