@@ -376,8 +376,11 @@ def casimirs_su3(alg):
     names = alg.coord_names
     n = alg.dim
     # B(Y, Y) = sum_i x_i^2: the basis is B-orthonormal
-    c2 = Polynomial(names, {tuple(2 * (k == i) for k in range(n)): 1
-                            for i in range(n)})
+    c2 = Polynomial.zero(names)
+    for i in range(n):
+        c2 = c2 + Polynomial.var(names, names[i]) * \
+            Polynomial.var(names, names[i])
+
     # C3 = sum_ijk -i tr(b_i b_j b_k) x_i x_j x_k from the exact products
     # b_i b_j; the real parts of the traces cancel monomial by monomial
     rep = alg.matrix_rep

@@ -35,6 +35,8 @@ from .invariants import casimirs_su3, shift_images
 # Rows per block of the routes over a whole flow: blocks keep the
 # temporaries of a long flow small.
 BLOCK_ROWS = 256
+# Largest unitarity drift of an RK4 step before its projection.
+DRIFT_LIMIT = 1e-8
 
 
 class MagneticSystem:
@@ -664,14 +666,16 @@ def flow_steps(t_end, dt):
     return nsteps
 
 
-def integrate_flow(sys, pt0, t_end, dt, drift_limit=1e-8):
+def integrate_flow(sys, pt0, t_end, dt, drift_limit=DRIFT_LIMIT):
     """Classical RK4 (_rk4_flow) for gdot = g M(X), Xdot = -eps [W, X].
 
     The X-component has the closed Lax form Ad(exp(-t eps W)) X0, which
     the tests compare against.  The trajectory's points are a
     TrajectoryPoints view over the arrays of the steps.
     """
-    matrix_of, adW, eps = sys.alg.matrix_of, sys._adW, sys.eps
+    matrix_of = sys.alg.matrix_of
+    adW = sys._adW
+    eps = sys.eps
 
     def geodesic(g, X):
         return g @ matrix_of(X), -eps * (adW @ X)
@@ -682,7 +686,7 @@ def integrate_flow(sys, pt0, t_end, dt, drift_limit=1e-8):
                           dt=dt)
 
 
-def _rk4_flow(sys, pt0, t_end, dt, field, drift_limit=1e-8):
+def _rk4_flow(sys, pt0, t_end, dt, field, drift_limit=DRIFT_LIMIT):
     """The one RK4 loop: ``flow_steps(t_end, dt)`` steps of the field
     ``field(g, X) -> (gdot, Xdot)`` from pt0, returned as read-only
     arrays G of shape (n+1, N, N) and X of shape (n+1, dim).
@@ -727,21 +731,25 @@ def _rk4_flow(sys, pt0, t_end, dt, field, drift_limit=1e-8):
 def _check_stack(sys, G, X):
     """GroupElement's and PhasePoint's checks on every row of a flow,
     in blocks of BLOCK_ROWS rows."""
+    def where(row):
+        return "the initial point" if row == 0 else f"step {row - 1}"
+
     eye = np.eye(G.shape[1])
     for lo in range(0, len(G), BLOCK_ROWS):
         g = G[lo:lo + BLOCK_ROWS]
         gram = np.swapaxes(g.conj(), 1, 2) @ g
-        for bad, what in (
-                (~np.isclose(gram, eye, atol=UNITARY_TOL).all(axis=(1, 2)),
-                 "group element is not unitary within tolerance"),
-                (np.abs(np.linalg.det(g) - 1.0) > UNITARY_TOL,
-                 "group element does not have determinant one"),
-                ((np.abs(X[lo:lo + BLOCK_ROWS, sys.a]) > 1e-14).any(axis=1),
-                 "fiber coordinate must be supported on m")):
-            if bad.any():
-                row = lo + np.argmax(bad)
-                raise ValueError(f"{what} at " + (
-                    "the initial point" if row == 0 else f"step {row - 1}"))
+        bad = ~np.isclose(gram, eye, atol=UNITARY_TOL).all(axis=(1, 2))
+        if bad.any():
+            raise ValueError("group element is not unitary within "
+                             f"tolerance at {where(lo + np.argmax(bad))}")
+        bad = np.abs(np.linalg.det(g) - 1.0) > UNITARY_TOL
+        if bad.any():
+            raise ValueError("group element does not have determinant one "
+                             f"at {where(lo + np.argmax(bad))}")
+        bad = (np.abs(X[lo:lo + BLOCK_ROWS, sys.a]) > 1e-14).any(axis=1)
+        if bad.any():
+            raise ValueError("fiber coordinate must be supported on m "
+                             f"at {where(lo + np.argmax(bad))}")
 
 
 def closed_form_fiber(sys, pt0, t):
