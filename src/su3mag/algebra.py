@@ -110,13 +110,6 @@ class LieAlgebraSpec:
 
     # -- exact views ---------------------------------------------------------
 
-    def exact_matrix_of(self, coords):
-        out = None
-        for c, M in zip(coords, self.matrix_rep):
-            term = cmat_scale(CScalar.of(c), M)
-            out = term if out is None else cmat_add(out, term)
-        return out
-
     def exact_coords_of_matrix(self, M):
         """Exact B-projection of an exact matrix onto the orthonormal basis."""
         return [_bpair_exact(M, E) for E in self.matrix_rep]

@@ -28,11 +28,13 @@ true frequency.
 
 from __future__ import annotations
 
+from functools import lru_cache
 import math
 
 import numpy as np
 
 from .algebra import exp_map
+from .poly import Polynomial, lie_poisson_bracket
 from .phase import (PhasePoint, hamiltonian_vector_field, omega_eps,
                     slice_z_values, solve_field, _fiber_velocity, _rk4_flow)
 from .certify import action_functions
@@ -136,18 +138,48 @@ def torus_action(sys, pt, sigma):
 
 
 def flow_step(fn, sys, pt, h, nsteps=1):
-    """The point nsteps RK4 steps of h along the Hamiltonian flow of an
-    integral function, on the loop (and drift guard) of integrate_flow."""
-    sign = 1.0 if h >= 0 else -1.0  # |h| steps of the negated field
+    """The point nsteps RK4 steps of h along the Hamiltonian flow of a
+    left-invariant integral function, on the loop (and drift guard) of
+    integrate_flow.
 
-    def field(g, X):
-        p = PhasePoint.prevalidated(sys, g, X)
+    The field of a left-invariant function does not depend on g, so the
+    driver gets it at g = I.  Only an Ad-invariant MomentPullback, a
+    SlicePullback or a FuncCombo of them is accepted; any other function
+    raises ValueError.
+    """
+    if not _left_invariant(fn, sys.alg):
+        raise ValueError(f"flow_step integrates left-invariant functions "
+                         f"only, and {fn.name} is not one")
+    sign = 1.0 if h >= 0 else -1.0  # |h| steps of the negated field
+    eye = np.eye(3, dtype=complex)
+
+    def field(X):
+        p = PhasePoint.prevalidated(sys, eye, X)
         v, w = hamiltonian_vector_field(fn, sys, p)
-        return (sign * (g @ sys.alg.matrix_of(v)),
-                sign * _fiber_velocity(sys, p, v, w))
+        return sign * v, sign * _fiber_velocity(sys, p, v, w)
 
     G, X = _rk4_flow(sys, pt, nsteps * abs(h), abs(h), field)
     return PhasePoint.prevalidated(sys, G[-1], X[-1])
+
+
+def _left_invariant(fn, alg):
+    """Whether fn is invariant under (g, X) -> (k g, X): a slice function,
+    an Ad-invariant moment pullback, or a combination of them."""
+    if fn.tag == "slice":
+        return True
+    if fn.tag == "moment":
+        return _ad_invariant(fn.h, alg)
+    if fn.tag == "combo":
+        return all(_left_invariant(f, alg) for _, fs in fn.terms for f in fs)
+    return False
+
+
+@lru_cache(maxsize=64)
+def _ad_invariant(h, alg):
+    """{h, x_i} = 0 exactly for every coordinate x_i: h is Ad-invariant."""
+    names = alg.coord_names
+    return all(lie_poisson_bracket(h, Polynomial.var(names, x), alg).is_zero()
+               for x in names)
 
 
 def _nearest_branch(values, reference):

@@ -37,7 +37,7 @@ from .invariants import (torus_generators, radial_generator, restrict_shift,
                          _poly_to_vec)
 from .phase import (MomentPullback, SlicePullback, moment_coordinate,
                     slice_bracket_symbolic, hamiltonian_vector_field,
-                    omega_eps, basis_differential)
+                    omega_eps, basis_differential, slice_z_values)
 
 NUM_TOL = 1e-10
 
@@ -284,6 +284,24 @@ def cubic_relation_check(alg):
     """u1 u2 u3 - v^2 - w^2 must expand to the zero polynomial exactly."""
     u, v, w = torus_generators(alg)
     return (u[0] * u[1] * u[2] - v * v - w * w).is_zero()
+
+
+def cubic_relation_numeric(sys, rng, samples):
+    """max |u1 u2 u3 - |z1 z2 z3|^2| over ``samples`` slice points, drawn
+    uniform in [-1, 1] on m: the polynomial u1 u2 u3 against the float
+    root coordinates of slice_z_values, an independent route to v^2 + w^2
+    = |z1 z2 z3|^2 (v + i w = z1 z2 conj(z3))."""
+    u, _, _ = torus_generators(sys.alg)
+    u123 = u[0] * u[1] * u[2]
+    coords = np.zeros(sys.alg.dim)
+    worst = 0.0
+    for _ in range(samples):
+        x = rng.uniform(-1, 1, len(sys.m))
+        coords[sys.m] = x
+        z = slice_z_values(sys, coords)
+        worst = max(worst, abs(float(u123.evaluate(x))
+                               - abs(z[0] * z[1] * z[2]) ** 2))
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .scalars import Scalar
 from .poly import Polynomial, b_gradient
 from .algebra import (GroupElement, UNITARY_TOL,
                       build_su3_chevalley, build_su3_gellmann,
-                      centralizer_of, regularity, exp_map, polar_project)
+                      centralizer_of, regularity, exp_map)
 from .invariants import casimirs_su3, shift_images
 
 # Rows per block of the routes over a whole flow: blocks keep the
@@ -180,8 +180,7 @@ class PhasePoint:
     @classmethod
     def prevalidated(cls, sys, g, X):
         """The point (g, X) from arrays whose checks have already passed,
-        or at an RK4 stage, whose g is off SU(3) by O(dt^2): a field there
-        is its smooth extension off the group, with g* in Ad."""
+        or the point (I, X) of a partner flow's RK4 stage fiber X."""
         pt = cls.__new__(cls)
         pt.sys = sys
         pt.g = GroupElement.__new__(GroupElement)
@@ -233,11 +232,6 @@ class PhasePoint:
                 rows.append(alg.coords_of_matrix(g @ Mdot @ g.conj().T))
             self._dP = np.array(rows)
         return self._dP
-
-    def left_translate(self, h):
-        if not isinstance(h, GroupElement):
-            h = GroupElement(h)
-        return PhasePoint(self.sys, h @ self.g, self.X)
 
     def right_act(self, a):
         """[g, X] -> [g a, Ad(a^-1) X] (the same point in a new gauge only
@@ -475,18 +469,6 @@ def omega_eps(sys, pt, vw1, vw2):
             - sys.eps * alg.np_bpair(sys.W, alg.np_bracket(v1, v2)))
 
 
-def moment_of_direction(sys, eta):
-    """P_eta = B(P, eta) as a MomentPullback, for an exact or float eta."""
-    names = sys.alg.coord_names
-    h = Polynomial.zero(names)
-    # B(P, eta) = sum_i P_i eta_i: the basis is B-orthonormal
-    for i, e in enumerate(eta):
-        c = e if isinstance(e, Scalar) else Scalar(Fraction(float(e)))
-        if not c.is_zero():
-            h = h + Polynomial.var(names, names[i], c)
-    return MomentPullback(h, name="P_eta")
-
-
 def twisted_bracket(sys, f, h, pt, method="omega"):
     """{f, h}_eps at pt.
 
@@ -669,32 +651,44 @@ def flow_steps(t_end, dt):
 def integrate_flow(sys, pt0, t_end, dt, drift_limit=DRIFT_LIMIT):
     """Classical RK4 (_rk4_flow) for gdot = g M(X), Xdot = -eps [W, X].
 
-    The X-component has the closed Lax form Ad(exp(-t eps W)) X0, which
-    the tests compare against.  The trajectory's points are a
-    TrajectoryPoints view over the arrays of the steps.
+    The fiber field is g-free: v = X and Xdot = -eps ad_W X, so the
+    driver steps X alone and rebuilds g from the stage values of X.  The
+    X-component has the closed Lax form Ad(exp(-t eps W)) X0 and g the
+    closed form of closed_form_group, which the tests compare against.
+    The trajectory's points are a TrajectoryPoints view over the arrays
+    of the steps.
     """
-    matrix_of = sys.alg.matrix_of
     adW = sys._adW
     eps = sys.eps
-
-    def geodesic(g, X):
-        return g @ matrix_of(X), -eps * (adW @ X)
-
-    G, Xs = _rk4_flow(sys, pt0, t_end, dt, geodesic, drift_limit)
+    G, Xs = _rk4_flow(sys, pt0, t_end, dt,
+                      lambda X: (X, -eps * (adW @ X)), drift_limit)
     times = [0.0] + [(step + 1) * dt for step in range(len(G) - 1)]
     return FlowTrajectory(times=times, points=TrajectoryPoints(sys, G, Xs),
                           dt=dt)
 
 
 def _rk4_flow(sys, pt0, t_end, dt, field, drift_limit=DRIFT_LIMIT):
-    """The one RK4 loop: ``flow_steps(t_end, dt)`` steps of the field
-    ``field(g, X) -> (gdot, Xdot)`` from pt0, returned as read-only
-    arrays G of shape (n+1, N, N) and X of shape (n+1, dim).
+    """The one RK4 loop: ``flow_steps(t_end, dt)`` steps from pt0 of
+    gdot = g M(v), Xdot = F(X), for a g-free field ``field(X) -> (v,
+    F(X))``, returned as read-only arrays G of shape (n+1, N, N) and X
+    of shape (n+1, dim).
 
-    The stages evaluate the field off the group, by O(dt^2).  Each step's
-    g is polar-reprojected to SU(3); a unitarity drift beyond drift_limit
-    before reprojection rejects the step.  The stack is then checked once
-    with the criteria of GroupElement and PhasePoint: unitary and of
+    This is Lie-Poisson reduction and reconstruction.  RK4 on the pair
+    steps X as RK4 on Xdot = F(X) does, and g by g_{n+1} = g_n Phi_n with
+
+        A1 = M1, A2 = (I + dt/2 A1) M2, A3 = (I + dt/2 A2) M3,
+        A4 = (I + dt A3) M4, Phi = I + dt/6 (A1 + 2 A2 + 2 A3 + A4),
+
+    M_k = M(v) at the k-th stage.  In each block of BLOCK_ROWS steps a
+    loop over the fiber stages stores the four v of every step, one
+    stacked matrix_of and 3x3 products build every Phi_n, and a loop
+    keeps g <- g Phi_n.  With D = g* g - I, a unitarity drift max |D|
+    beyond drift_limit rejects the step; otherwise one Newton-Schulz
+    step g <- g - 1/2 g D takes g back to the unitary group (to
+    O(|D|^2)).  _divide_det_phase then takes the block to SU(3): a
+    unit scalar commutes with the Newton-Schulz step, so the det phase
+    can be divided out per block.  The stack is then checked once with
+    the criteria of GroupElement and PhasePoint: unitary and of
     determinant one within UNITARY_TOL, fiber supported on m; a failure
     raises ValueError naming the step.
     """
@@ -708,24 +702,44 @@ def _rk4_flow(sys, pt0, t_end, dt, field, drift_limit=DRIFT_LIMIT):
     eye = np.eye(g.shape[0])
     half = 0.5 * dt
     sixth = dt / 6.0
-    for step in range(nsteps):
-        k1g, k1x = field(g, X)
-        k2g, k2x = field(g + half * k1g, X + half * k1x)
-        k3g, k3x = field(g + half * k2g, X + half * k2x)
-        k4g, k4x = field(g + dt * k3g, X + dt * k3x)
-        g = g + sixth * (k1g + 2 * k2g + 2 * k3g + k4g)
-        X = X + sixth * (k1x + 2 * k2x + 2 * k3x + k4x)
-        drift = np.abs(g.conj().T @ g - eye).max()
-        if not drift <= drift_limit:  # a NaN drift is rejected too
-            raise RuntimeError(f"unitarity drift {drift:.2e} exceeds limit "
-                               f"at step {step}")
-        g = polar_project(g)
-        G[step + 1] = g
-        Xs[step + 1] = X
+    V = np.empty((min(nsteps, BLOCK_ROWS), 4, X.shape[0]))
+    for lo in range(0, nsteps, BLOCK_ROWS):
+        n = min(BLOCK_ROWS, nsteps - lo)
+        for k in range(n):
+            V[k, 0], k1 = field(X)
+            V[k, 1], k2 = field(X + half * k1)
+            V[k, 2], k3 = field(X + half * k2)
+            V[k, 3], k4 = field(X + dt * k3)
+            X = X + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+            Xs[lo + k + 1] = X
+        M = sys.alg.matrix_of(V[:n])
+        A1 = M[:, 0]
+        A2 = (eye + half * A1) @ M[:, 1]
+        A3 = (eye + half * A2) @ M[:, 2]
+        A4 = (eye + dt * A3) @ M[:, 3]
+        Phi = eye + sixth * (A1 + 2 * A2 + 2 * A3 + A4)
+        for k in range(n):
+            g = g @ Phi[k]
+            D = g.conj().T @ g - eye
+            drift = np.abs(D).max()
+            if not drift <= drift_limit:  # a NaN drift is rejected too
+                raise RuntimeError(f"unitarity drift {drift:.2e} exceeds "
+                                   f"limit at step {lo + k}")
+            g = g - 0.5 * (g @ D)
+            G[lo + k + 1] = g
+        G[lo + 1:lo + n + 1] = _divide_det_phase(G[lo + 1:lo + n + 1])
+        g = G[lo + n]
     _check_stack(sys, G, Xs)
     G.flags.writeable = False
     Xs.flags.writeable = False
     return G, Xs
+
+
+def _divide_det_phase(G):
+    """Each unitary matrix of the stack G divided by a cube root of its
+    determinant, as polar_project divides its polar factor."""
+    det = np.linalg.det(G)
+    return G * np.exp(-np.log(det) / G.shape[-1])[:, None, None]
 
 
 def _check_stack(sys, G, X):

@@ -32,7 +32,7 @@ class DegreeCapError(ValueError):
 
 
 class Polynomial:
-    __slots__ = ("vars", "terms", "_floats")
+    __slots__ = ("vars", "terms", "_floats", "_hash")
 
     def __init__(self, variables, terms=None):
         self.vars = tuple(variables)
@@ -47,6 +47,7 @@ class Polynomial:
                 cleaned[tuple(expo)] = coeff
         self.terms = cleaned
         self._floats = None
+        self._hash = None
 
     # -- constructors -------------------------------------------------------
 
@@ -139,7 +140,9 @@ class Polynomial:
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        if self._hash is None:
+            self._hash = hash((self.vars, frozenset(self.terms.items())))
+        return self._hash
 
     def is_zero(self):
         return not self.terms

@@ -13,14 +13,14 @@ import numpy as np
 
 from .poly import Polynomial
 from .invariants import (invariant_space, indecomposable_generators,
-                         restrict_shift, casimir_count, torus_generators,
-                         radial_generator)
+                         restrict_shift, casimir_count, radial_generator)
 from .phase import (su3_regular_system, su3_irregular_system, PhasePoint,
                     TrajectoryPoints, twisted_bracket, integrate_flow,
                     conservation_report, closed_form_fiber, integral_values)
 from .algebra import build_su2, centralizer_of, identity_element
 from .certify import (CertificateReport, bracket_table_regular,
-                      cubic_relation_check, phi_relation_irregular,
+                      cubic_relation_check, cubic_relation_numeric,
+                      phi_relation_irregular,
                       center_check, jacobian_rank_pi1, a_matrix_minors,
                       dimension_report, generator_family, couplings,
                       NUM_TOL)
@@ -77,13 +77,8 @@ def run_verification(config):
         cubic_exact = cubic_relation_check(sys.alg)
         report.add("cubic_relation_u1u2u3_eq_v2_w2", True, cubic_exact,
                    "exact", cubic_exact)
-        # numeric redundancy check of the cubic relation
-        u, v, w = torus_generators(sys.alg)
-        relation = u[0] * u[1] * u[2] - v * v - w * w
-        worst = 0.0
-        for _ in range(samples):
-            x = rng.uniform(-1, 1, 6)
-            worst = max(worst, abs(float(relation.evaluate(x))))
+        # the cubic relation again, by the float root coordinates
+        worst = cubic_relation_numeric(sys, rng, samples)
         report.add("cubic_relation_numeric", 0.0, worst, 1e-12, worst < 1e-12)
     else:
         phi = phi_relation_irregular(sys, rng, samples=samples)

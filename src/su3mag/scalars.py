@@ -408,6 +408,3 @@ def cmat_sub(A, B):
 def cmat_commutator(A, B):
     return cmat_sub(cmat_mul(A, B), cmat_mul(B, A))
 
-
-def cmat_is_zero(A):
-    return all(x.is_zero() for row in A for x in row)

@@ -1,0 +1,53 @@
+"""Oracles and helpers shared by the test modules (not collected).
+
+* ``moment_of_direction``: the moment coordinate along a direction eta,
+  a function the package itself never builds;
+* ``stage_projected_flow_step``: the partner flows' own RK4 loop, which
+  evaluated the full field at (g, X) and projected every stage.  Unlike
+  ``angles.flow_step`` it integrates any integral function, also one
+  whose field depends on g.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from su3mag.algebra import GroupElement, polar_project
+from su3mag.phase import (MomentPullback, PhasePoint,
+                          hamiltonian_vector_field, _fiber_velocity)
+from su3mag.poly import Polynomial
+from su3mag.scalars import Scalar
+
+
+def moment_of_direction(sys, eta):
+    """P_eta = B(P, eta) as a MomentPullback, for an exact or float eta."""
+    names = sys.alg.coord_names
+    h = Polynomial.zero(names)
+    # B(P, eta) = sum_i P_i eta_i: the basis is B-orthonormal
+    for i, e in enumerate(eta):
+        c = e if isinstance(e, Scalar) else Scalar(Fraction(float(e)))
+        if not c.is_zero():
+            h = h + Polynomial.var(names, names[i], c)
+    return MomentPullback(h, name="P_eta")
+
+
+def stage_projected_flow_step(fn, sys, pt, h, nsteps=1):
+    """RK4 along the Hamiltonian flow of fn, every stage's group factor
+    polar-projected, each stage a validated PhasePoint."""
+    alg = sys.alg
+    g = pt.g.matrix.copy()
+    X = pt.X.copy()
+
+    def deriv(gm, Xv):
+        p = PhasePoint(sys, GroupElement(gm), Xv)
+        v, w = hamiltonian_vector_field(fn, sys, p)
+        return gm @ alg.matrix_of(v), _fiber_velocity(sys, p, v, w)
+
+    for _ in range(nsteps):
+        k1g, k1x = deriv(g, X)
+        k2g, k2x = deriv(polar_project(g + 0.5 * h * k1g), X + 0.5 * h * k1x)
+        k3g, k3x = deriv(polar_project(g + 0.5 * h * k2g), X + 0.5 * h * k2x)
+        k4g, k4x = deriv(polar_project(g + h * k3g), X + h * k3x)
+        g = polar_project(g + h / 6.0 * (k1g + 2 * k2g + 2 * k3g + k4g))
+        X = X + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+    return PhasePoint(sys, GroupElement(g), X)

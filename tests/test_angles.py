@@ -10,8 +10,7 @@ from su3mag.phase import (su3_regular_system, su3_irregular_system,
                           PhasePoint, integrate_flow, phase_tangent_basis,
                           hamiltonian_vector_field, moment_coordinate,
                           _fiber_velocity)
-from su3mag.algebra import (GroupElement, exp_map, identity_element,
-                            polar_project)
+from su3mag.algebra import GroupElement, exp_map, identity_element
 from su3mag.angles import (root_phases, torus_angles, torus_action,
                            chart_point, frequency_matrix,
                            angle_action_pairing, angle_angle_bracket,
@@ -20,6 +19,7 @@ from su3mag.angles import (root_phases, torus_angles, torus_action,
                            flow_step, slice_z_values, ChartUndefined,
                            THETA_MATRIX, LEFT_INVERSE, _nearest_branch,
                            _rescale, TWO_PI)
+from oracles import stage_projected_flow_step
 
 
 def test_import_builds_no_algebra():
@@ -258,50 +258,58 @@ def test_angle_action_pairing_near_a_singular_frequency_matrix(seed):
 
 # ---------------------------------------------------------------------------
 # the partner flows' own RK4 loop, which projected every stage, replaced by
-# the flow integrator's loop; kept as an oracle
+# the flow integrator's loop; kept as an oracle in oracles.py
 # ---------------------------------------------------------------------------
-
-def _stage_projected_flow_step(fn, sys, pt, h, nsteps=1):
-    """RK4 along the Hamiltonian flow of fn, every stage's group factor
-    polar-projected, each stage a validated PhasePoint."""
-    alg = sys.alg
-    g = pt.g.matrix.copy()
-    X = pt.X.copy()
-
-    def deriv(gm, Xv):
-        p = PhasePoint(sys, GroupElement(gm), Xv)
-        v, w = hamiltonian_vector_field(fn, sys, p)
-        return gm @ alg.matrix_of(v), _fiber_velocity(sys, p, v, w)
-
-    for _ in range(nsteps):
-        k1g, k1x = deriv(g, X)
-        k2g, k2x = deriv(polar_project(g + 0.5 * h * k1g), X + 0.5 * h * k1x)
-        k3g, k3x = deriv(polar_project(g + 0.5 * h * k2g), X + 0.5 * h * k2x)
-        k4g, k4x = deriv(polar_project(g + h * k3g), X + h * k3x)
-        g = polar_project(g + h / 6.0 * (k1g + 2 * k2g + 2 * k3g + k4g))
-        X = X + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-    return PhasePoint(sys, GroupElement(g), X)
-
 
 @pytest.mark.parametrize("case", ["regular", "irregular"])
 def test_flow_step_matches_the_stage_projected_loop(case):
     """The partner flows at the pairing step agree with the loop that
     projected every stage: the actions and a moment coordinate within
-    1e-8 after 4 steps of +-1e-3."""
+    1e-8 after 4 steps of +-1e-3.  The moment coordinate P5 is not
+    Ad-invariant, so its field depends on g and flow_step refuses it."""
     sys = (su3_regular_system if case == "regular"
            else su3_irregular_system)(0.1)
     P5 = moment_coordinate(sys, 4)
     for seed in (30, 31, 32):
         pt = chart_point(sys, np.random.default_rng(seed))
-        for fn in (*action_functions(sys), P5):
+        for fn in action_functions(sys):
             for h in (1e-3, -1e-3):
                 new = flow_step(fn, sys, pt, h, nsteps=4)
-                old = _stage_projected_flow_step(fn, sys, pt, h, nsteps=4)
+                old = stage_projected_flow_step(fn, sys, pt, h, nsteps=4)
                 for f in (*action_functions(sys), P5):
                     assert abs(f.value(new) - f.value(old)) < 1e-8, \
                         (seed, fn.name, h, f.name)
                 assert np.abs(new.g.matrix - old.g.matrix).max() < 1e-8
                 assert np.abs(new.X - old.X).max() < 1e-8
+        with pytest.raises(ValueError, match="P5 is not one"):
+            flow_step(P5, sys, pt, 1e-3, nsteps=4)
+
+
+def test_flow_step_accepts_left_invariant_functions_only():
+    """Slice functions, Ad-invariant moment pullbacks and combinations
+    of them flow; a moment pullback that is not Ad-invariant is refused
+    by its polynomial, also at g = I, where its field at I is no test."""
+    from su3mag.phase import FuncCombo, MomentPullback, SlicePullback
+    from su3mag.invariants import radial_generator
+    sys = su3_regular_system(0.1)
+    pt = chart_point(sys, np.random.default_rng(33))
+    at_identity = PhasePoint(sys, identity_element(), pt.X)
+    J2, J3 = action_functions(sys)
+    P5 = moment_coordinate(sys, 4)
+    R = SlicePullback(radial_generator(sys), name="R")
+    for fn in (J2, R, FuncCombo([(2.0, [J2, J3]), (1.0, [R])])):
+        for start in (pt, at_identity):
+            flow_step(fn, sys, start, 1e-3)
+    shifted = MomentPullback(sys.casimirs()[0] + P5.h, name="C2 plus P5")
+    untagged = type("Untagged", (), {"tag": "other", "name": "f"})()
+    for fn in (P5, shifted, FuncCombo([(1.0, [J2, P5])], name="J2*P5"),
+               untagged):
+        for start in (pt, at_identity):
+            with pytest.raises(ValueError) as err:
+                flow_step(fn, sys, start, 1e-3)
+            assert str(err.value) == ("flow_step integrates left-invariant "
+                                      f"functions only, and {fn.name} is "
+                                      "not one")
 
 
 def test_a_partner_step_too_coarse_for_the_drift_guard_raises():

@@ -10,7 +10,8 @@ from su3mag.phase import (su3_regular_system, su3_irregular_system,
 from su3mag.algebra import identity_element
 from su3mag.invariants import torus_generators, radial_generator
 from su3mag.certify import (bracket_table_regular, expected_table_entries,
-                            cubic_relation_check, phi_relation_irregular,
+                            cubic_relation_check, cubic_relation_numeric,
+                            phi_relation_irregular,
                             center_check, jacobian_rank_pi1, a_matrix_minors,
                             dimension_report, generator_family, couplings,
                             rewrite_in_generators, numeric_rank,
@@ -99,6 +100,20 @@ def test_cubic_relation_and_negative_control():
     # negative control: v -> v + 1 breaks the relation
     vbad = v + 1
     assert not (u[0] * u[1] * u[2] - vbad * vbad - w * w).is_zero()
+
+
+def test_cubic_relation_numeric_reads_the_root_coordinates(monkeypatch):
+    """u1 u2 u3 against |z1 z2 z3|^2 from the float root coordinates:
+    roundoff on the true z, and a failure once z is off by 1e-6."""
+    from su3mag import certify
+    sys = su3_regular_system(0.1)
+    worst = cubic_relation_numeric(sys, np.random.default_rng(1), 100)
+    assert 0.0 < worst < 1e-14
+    real_z = certify.slice_z_values
+    monkeypatch.setattr(certify, "slice_z_values",
+                        lambda s, c: real_z(s, c) * (1 + 1e-6))
+    worst = cubic_relation_numeric(sys, np.random.default_rng(1), 100)
+    assert worst > 1e-12
 
 
 def test_phi_relation():
