@@ -681,7 +681,8 @@ def _rk4_flow(sys, pt0, t_end, dt, field, drift_limit=DRIFT_LIMIT):
 
     M_k = M(v) at the k-th stage.  In each block of BLOCK_ROWS steps a
     loop over the fiber stages stores the four v of every step, one
-    stacked matrix_of and 3x3 products build every Phi_n, and a loop
+    stacked matrix_of per stage and 3x3 products build every Phi_n
+    (no temporary larger than the block's 3x3 stack), and a loop
     keeps g <- g Phi_n.  With D = g* g - I, a unitarity drift max |D|
     beyond drift_limit rejects the step; otherwise one Newton-Schulz
     step g <- g - 1/2 g D takes g back to the unitary group (to
@@ -702,21 +703,21 @@ def _rk4_flow(sys, pt0, t_end, dt, field, drift_limit=DRIFT_LIMIT):
     eye = np.eye(g.shape[0])
     half = 0.5 * dt
     sixth = dt / 6.0
-    V = np.empty((min(nsteps, BLOCK_ROWS), 4, X.shape[0]))
+    matrix_of = sys.alg.matrix_of
+    V = np.empty((4, min(nsteps, BLOCK_ROWS), X.shape[0]))
     for lo in range(0, nsteps, BLOCK_ROWS):
         n = min(BLOCK_ROWS, nsteps - lo)
         for k in range(n):
-            V[k, 0], k1 = field(X)
-            V[k, 1], k2 = field(X + half * k1)
-            V[k, 2], k3 = field(X + half * k2)
-            V[k, 3], k4 = field(X + dt * k3)
+            V[0, k], k1 = field(X)
+            V[1, k], k2 = field(X + half * k1)
+            V[2, k], k3 = field(X + half * k2)
+            V[3, k], k4 = field(X + dt * k3)
             X = X + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
             Xs[lo + k + 1] = X
-        M = sys.alg.matrix_of(V[:n])
-        A1 = M[:, 0]
-        A2 = (eye + half * A1) @ M[:, 1]
-        A3 = (eye + half * A2) @ M[:, 2]
-        A4 = (eye + dt * A3) @ M[:, 3]
+        A1 = matrix_of(V[0, :n])
+        A2 = (eye + half * A1) @ matrix_of(V[1, :n])
+        A3 = (eye + half * A2) @ matrix_of(V[2, :n])
+        A4 = (eye + dt * A3) @ matrix_of(V[3, :n])
         Phi = eye + sixth * (A1 + 2 * A2 + 2 * A3 + A4)
         for k in range(n):
             g = g @ Phi[k]

@@ -300,6 +300,11 @@ def test_flow_step_accepts_left_invariant_functions_only():
     for fn in (J2, R, FuncCombo([(2.0, [J2, J3]), (1.0, [R])])):
         for start in (pt, at_identity):
             flow_step(fn, sys, start, 1e-3)
+    # what flow_step relies on: their fields at (g, X) and (I, X) agree
+    for fn in (J2, J3, R):
+        for full, at_I in zip(hamiltonian_vector_field(fn, sys, pt),
+                              hamiltonian_vector_field(fn, sys, at_identity)):
+            assert np.abs(full - at_I).max() < 1e-12 * np.abs(full).max()
     shifted = MomentPullback(sys.casimirs()[0] + P5.h, name="C2 plus P5")
     untagged = type("Untagged", (), {"tag": "other", "name": "f"})()
     for fn in (P5, shifted, FuncCombo([(1.0, [J2, P5])], name="J2*P5"),
