@@ -288,7 +288,8 @@ def test_flow_step_matches_the_stage_projected_loop(case):
 def test_flow_step_accepts_left_invariant_functions_only():
     """Slice functions, Ad-invariant moment pullbacks and combinations
     of them flow; a moment pullback that is not Ad-invariant is refused
-    by its polynomial, also at g = I, where its field at I is no test."""
+    by its polynomial, also at g = I, where a comparison of its field
+    with the field at I would show nothing."""
     from su3mag.phase import FuncCombo, MomentPullback, SlicePullback
     from su3mag.invariants import radial_generator
     sys = su3_regular_system(0.1)
