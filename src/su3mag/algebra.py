@@ -238,55 +238,6 @@ class LieAlgebraSpec:
 
 
 @dataclass
-class AlgebraData:
-    """Structure-constant data parsed back from the text format.
-
-    Carries everything except the matrix realization: enough to rebuild
-    Lie-Poisson brackets, adjoint matrices and kernels.
-    """
-
-    name: str
-    labels: tuple
-    coord_names: tuple
-    bform: list
-    structure: dict
-
-    @property
-    def dim(self):
-        return len(self.labels)
-
-
-def parse_algebra_text(text):
-    """Inverse of LieAlgebraSpec.serialize (up to the matrix realization)."""
-    from .scalars import parse_scalar
-    name = None
-    labels = coords = None
-    bform_rows = {}
-    structure = {}
-    for line in text.splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "algebra":
-            name = parts[1]
-        elif parts[0] == "labels":
-            labels = tuple(parts[1:])
-        elif parts[0] == "coords":
-            coords = tuple(parts[1:])
-        elif parts[0] == "bform":
-            bform_rows[int(parts[1])] = [parse_scalar(tok)
-                                         for tok in parts[2:]]
-        elif parts[0] == "C":
-            i, j, k = int(parts[1]), int(parts[2]), int(parts[3])
-            c = parse_scalar(parts[4])
-            structure[(i, j, k)] = c
-            structure[(j, i, k)] = -c
-    bform = [bform_rows[i] for i in sorted(bform_rows)]
-    return AlgebraData(name=name, labels=labels, coord_names=coords,
-                       bform=bform, structure=structure)
-
-
-@dataclass
 class SubalgebraSpec:
     """A reductive split g = a (+) m given by basis index sets."""
 

@@ -323,12 +323,9 @@ def phi_relation_irregular(sys, rng, samples=100):
     for _ in range(samples):
         pt = sys.random_point(rng)
         P = pt.moment_coords
-        val = float(c3.evaluate(P)) + 3 * eps * float(c2.evaluate(P)) \
-            - 3 * eps ** 3
-        worst = max(worst, abs(val))
-        bad = float(c3.evaluate(P)) + 3 * eps * float(c2.evaluate(P)) \
-            - 2.9 * eps ** 3
-        control = max(control, abs(bad))
+        lhs = float(c3.evaluate(P)) + 3 * eps * float(c2.evaluate(P))
+        worst = max(worst, abs(lhs - 3 * eps ** 3))
+        control = max(control, abs(lhs - 2.9 * eps ** 3))
     return {"max_residual": worst, "pass": worst < NUM_TOL,
             "negative_control_residual": control,
             "negative_control_nonzero": control > NUM_TOL}

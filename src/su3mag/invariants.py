@@ -148,6 +148,7 @@ def invariant_space(alg, sub, degree, restrict_to_m=True):
 class GeneratorSet:
     generators: list  # list of (name, Polynomial, degree)
     relations: list   # list of Polynomial in generator variables
+    dims: dict        # degree -> dimension of the invariant space
 
     def serialize(self):
         lines = []
@@ -189,9 +190,11 @@ def indecomposable_generators(alg, sub, max_degree, restrict_to_m=True):
     names = tuple(alg.coord_names[i] for i in var_indices)
     nvars = len(var_indices)
     gens = []  # (name, Polynomial, degree)
+    dims = {}
 
     for d in range(1, max_degree + 1):
         inv = invariant_space(alg, sub, d, restrict_to_m)
+        dims[d] = inv.dim
         if not inv.basis:
             continue
         monos = sorted(monomials_of_degree(nvars, d), reverse=True)
@@ -215,7 +218,7 @@ def indecomposable_generators(alg, sub, max_degree, restrict_to_m=True):
             gens.append((f"q{d}_{rank_in_degree}", inv.basis[idx], d))
 
     relations = _generator_relations(gens, names, nvars, max_degree)
-    return GeneratorSet(generators=gens, relations=relations)
+    return GeneratorSet(generators=gens, relations=relations, dims=dims)
 
 
 def generator_monomial(gens, combo, names):

@@ -29,7 +29,7 @@ from .scalars import Scalar
 from .poly import Polynomial, b_gradient
 from .algebra import (GroupElement, UNITARY_TOL,
                       build_su3_chevalley, build_su3_gellmann,
-                      centralizer_of, regularity, exp_map)
+                      centralizer_of, regularity, exp_map, _adjoint)
 from .invariants import casimirs_su3, shift_images
 
 # Rows per block of the routes over a whole flow: blocks keep the
@@ -65,6 +65,9 @@ class MagneticSystem:
         self.m = list(self.sub.m_indices)
         self.a = list(self.sub.a_indices)
         self._adW = np.tensordot(self.W, alg.ad_matrices(), 1)
+        # ad(e_j) and the rows e_j for j in m: the tangent basis directions
+        self._ad_m = alg.ad_matrices()[self.m]
+        self._e_m = np.eye(alg.dim)[self.m]
         self._c2 = None
         self._c3 = None
 
@@ -207,30 +210,30 @@ class PhasePoint:
                                            self.xi)
         return self._moment
 
-    # The images of the phase_tangent_basis directions, one row per
-    # direction, built once per point with the expressions of
-    # differential: basis_differential reads the floats it would compute.
+    # The images of the tangent basis, one row per direction: the 2 dim(m)
+    # directions (v, w) are (e_j, 0) and then (0, e_j), for j in m.  Each
+    # memo is a few whole-array operations, built once per point.
 
     @property
     def fiber_images(self):
-        """dX = -1/2 [v, X]_m + w of each tangent basis direction (v, w)."""
+        """dX = -1/2 [v, X]_m + w of each tangent basis direction (v, w):
+        the rows -1/2 [e_j, X]_m, from one contraction of the ad tensor
+        projected to m, stacked on the rows e_j."""
         if self._dX is None:
-            self._dX = np.array([_fiber_velocity(self.sys, self, v, w)
-                                 for v, w in phase_tangent_basis(self.sys)])
+            rows = -0.5 * (self.sys._ad_m @ self.X)
+            rows[:, self.sys.a] = 0.0
+            self._dX = np.concatenate([rows, self.sys._e_m])
         return self._dX
 
     @property
     def moment_images(self):
-        """dP = Ad(g)([v, xi] + dX) of each tangent basis direction."""
+        """dP = Ad(g)([v, xi] + dX) of each tangent basis direction: the
+        rows S = [v, xi] + dX, then one stacked matrix_of, g M g* and
+        coords_of_matrix."""
         if self._dP is None:
-            alg = self.sys.alg
-            g = self.g.matrix
-            rows = []
-            for (v, _), dx in zip(phase_tangent_basis(self.sys),
-                                  self.fiber_images):
-                Mdot = alg.matrix_of(alg.np_bracket(v, self.xi) + dx)
-                rows.append(alg.coords_of_matrix(g @ Mdot @ g.conj().T))
-            self._dP = np.array(rows)
+            S = self.fiber_images.copy()
+            S[:len(self.sys.m)] += self.sys._ad_m @ self.xi
+            self._dP = _adjoint_coords(self.sys.alg, self.g.matrix, S)
         return self._dP
 
     def right_act(self, a):
@@ -247,8 +250,7 @@ class PhasePoint:
 def _adjoint_coords(alg, g, coords):
     """Coordinates of g M(coords) g*, for one matrix g and coordinate
     vector, or row by row for a stack of each."""
-    return alg.coords_of_matrix(g @ alg.matrix_of(coords)
-                                @ np.swapaxes(g.conj(), -1, -2))
+    return alg.coords_of_matrix(g @ alg.matrix_of(coords) @ _adjoint(g))
 
 
 def moment_map(sys, pt):
@@ -356,20 +358,6 @@ def integral_values(points, functions):
     return out
 
 
-def phase_tangent_basis(sys):
-    """The 2 dim(m) tangent directions: (e_j, 0) then (0, e_j), e_j in m."""
-    dirs = []
-    for j in sys.m:
-        v = np.zeros(sys.alg.dim)
-        v[j] = 1.0
-        dirs.append((v, np.zeros(sys.alg.dim)))
-    for j in sys.m:
-        w = np.zeros(sys.alg.dim)
-        w[j] = 1.0
-        dirs.append((np.zeros(sys.alg.dim), w))
-    return dirs
-
-
 def _project_m(sys, coords):
     out = coords.copy()
     out[sys.a] = 0.0
@@ -393,7 +381,8 @@ def _leibniz(fn, pt):
 def differential(fn, sys, pt, v, w):
     """df at pt applied to the tangent (v, w); analytic, no finite differences.
 
-    For the tangent basis, basis_differential gives the same numbers.
+    For the tangent basis, basis_differential gives the same numbers to
+    roundoff.
     """
     alg = sys.alg
     if fn.tag == "moment":
@@ -418,11 +407,11 @@ def differential(fn, sys, pt, v, w):
 
 
 def basis_differential(fn, sys, pt):
-    """df at pt on the 2 dim(m) directions of phase_tangent_basis.
+    """df at pt on the 2 dim(m) tangent basis directions (PhasePoint).
 
-    Entry k equals differential(fn, sys, pt, *phase_tangent_basis(sys)[k])
-    bit for bit: the images are the point's memos, each gradient is
-    evaluated once, and the terms are summed in the same order.
+    df = images @ grad h: the point's image memos times the polynomial's
+    full gradient vector, evaluated in one pass (Polynomial.gradient).
+    Entry k equals differential on the k-th direction to roundoff.
     """
     if fn.tag == "combo":
         total = np.zeros(2 * len(sys.m))
@@ -430,21 +419,15 @@ def basis_differential(fn, sys, pt):
             total = total + weight * basis_differential(f, sys, pt)
         return total
     if fn.tag == "moment":
-        at, cols = pt.moment_coords, pt.moment_images.T
-    elif fn.tag == "slice":
-        at, cols = pt.xi[sys.m], pt.fiber_images.T[sys.m]
-    else:
-        raise TypeError(f"untagged integral function {fn!r}")
-    df = np.zeros(2 * len(sys.m))
-    for gr, col in zip(fn.gradients(), cols):
-        if gr.terms:
-            df = df + float(gr.evaluate(at)) * col
-    return df
+        return pt.moment_images @ fn.h.gradient(pt.moment_coords)
+    if fn.tag == "slice":
+        return pt.fiber_images[:, sys.m] @ fn.theta.gradient(pt.xi[sys.m])
+    raise TypeError(f"untagged integral function {fn!r}")
 
 
 def solve_field(sys, df):
     """Solve iota_X omega_eps = df for the tangent (v, w), df given on
-    the directions of phase_tangent_basis."""
+    the tangent basis directions (PhasePoint)."""
     alg = sys.alg
     m = sys.m
     v = np.zeros(alg.dim)
@@ -680,18 +663,24 @@ def _rk4_flow(sys, pt0, t_end, dt, field, drift_limit=DRIFT_LIMIT):
         A4 = (I + dt A3) M4, Phi = I + dt/6 (A1 + 2 A2 + 2 A3 + A4),
 
     M_k = M(v) at the k-th stage.  In each block of BLOCK_ROWS steps a
-    loop over the fiber stages stores the four v of every step, one
-    stacked matrix_of per stage and 3x3 products build every Phi_n
-    (no temporary larger than the block's 3x3 stack), and a loop
-    keeps g <- g Phi_n.  With D = g* g - I, a unitarity drift max |D|
-    beyond drift_limit rejects the step; otherwise one Newton-Schulz
-    step g <- g - 1/2 g D takes g back to the unitary group (to
-    O(|D|^2)).  _divide_det_phase then takes the block to SU(3): a
-    unit scalar commutes with the Newton-Schulz step, so the det phase
-    can be divided out per block.  The stack is then checked once with
-    the criteria of GroupElement and PhasePoint: unitary and of
-    determinant one within UNITARY_TOL, fiber supported on m; a failure
-    raises ValueError naming the step.
+    loop over the fiber stages stores the four v of every step, and one
+    stacked matrix_of per stage and 3x3 products build every Phi_n (no
+    temporary larger than the block's 3x3 stack).  The group is rebuilt
+    as a product of step factors:
+
+    - Psi_n = NS(Phi_n), one Newton-Schulz step (_newton_schulz), for
+      the whole block at once.  For unitary g, g Psi_n = NS(g Phi_n).
+    - A loop keeps only g <- g Psi_n.
+    - Over the block at once: with D_n = Y_n* Y_n - I for Y_n = g_n
+      Phi_n, a unitarity drift max |D_n| beyond drift_limit rejects the
+      block's first such step, which a RuntimeError names; a NaN drift
+      is rejected too.  Each row then takes one more Newton-Schulz step
+      back to the unitary group, and _divide_det_phase takes it to
+      SU(3).
+
+    The stack is then checked once with the criteria of GroupElement and
+    PhasePoint: unitary and of determinant one within UNITARY_TOL, fiber
+    supported on m; a failure raises ValueError naming the step.
     """
     nsteps = flow_steps(t_end, dt)
     g = pt0.g.matrix
@@ -714,26 +703,36 @@ def _rk4_flow(sys, pt0, t_end, dt, field, drift_limit=DRIFT_LIMIT):
             V[3, k], k4 = field(X + dt * k3)
             X = X + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
             Xs[lo + k + 1] = X
-        A1 = matrix_of(V[0, :n])
-        A2 = (eye + half * A1) @ matrix_of(V[1, :n])
-        A3 = (eye + half * A2) @ matrix_of(V[2, :n])
-        A4 = (eye + dt * A3) @ matrix_of(V[3, :n])
-        Phi = eye + sixth * (A1 + 2 * A2 + 2 * A3 + A4)
-        for k in range(n):
-            g = g @ Phi[k]
-            D = g.conj().T @ g - eye
-            drift = np.abs(D).max()
-            if not drift <= drift_limit:  # a NaN drift is rejected too
-                raise RuntimeError(f"unitarity drift {drift:.2e} exceeds "
-                                   f"limit at step {lo + k}")
-            g = g - 0.5 * (g @ D)
-            G[lo + k + 1] = g
-        G[lo + 1:lo + n + 1] = _divide_det_phase(G[lo + 1:lo + n + 1])
-        g = G[lo + n]
+        # the factors of a step that fails the guard may overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            A1 = matrix_of(V[0, :n])
+            A2 = (eye + half * A1) @ matrix_of(V[1, :n])
+            A3 = (eye + half * A2) @ matrix_of(V[2, :n])
+            A4 = (eye + dt * A3) @ matrix_of(V[3, :n])
+            Phi = eye + sixth * (A1 + 2 * A2 + 2 * A3 + A4)
+            Psi = _newton_schulz(Phi)
+            for k in range(n):
+                np.matmul(G[lo + k], Psi[k], out=G[lo + k + 1])
+            Y = G[lo:lo + n] @ Phi
+            drift = np.abs(_adjoint(Y) @ Y - eye).max(axis=(1, 2))
+        bad = ~(drift <= drift_limit)
+        if bad.any():
+            k = np.argmax(bad)
+            raise RuntimeError(f"unitarity drift {drift[k]:.2e} exceeds "
+                               f"limit at step {lo + k}")
+        G[lo + 1:lo + n + 1] = _divide_det_phase(
+            _newton_schulz(G[lo + 1:lo + n + 1]))
     _check_stack(sys, G, Xs)
     G.flags.writeable = False
     Xs.flags.writeable = False
     return G, Xs
+
+
+def _newton_schulz(M):
+    """One Newton-Schulz step M (3/2 I - 1/2 M* M) towards the unitary
+    group (Higham, Functions of Matrices, ch. 8), for a matrix or row by
+    row for a stack: at a drift |M* M - I| of d it lands within O(d^2)."""
+    return M @ (1.5 * np.eye(M.shape[-1]) - 0.5 * (_adjoint(M) @ M))
 
 
 def _divide_det_phase(G):
@@ -752,7 +751,7 @@ def _check_stack(sys, G, X):
     eye = np.eye(G.shape[1])
     for lo in range(0, len(G), BLOCK_ROWS):
         g = G[lo:lo + BLOCK_ROWS]
-        gram = np.swapaxes(g.conj(), 1, 2) @ g
+        gram = _adjoint(g) @ g
         bad = ~np.isclose(gram, eye, atol=UNITARY_TOL).all(axis=(1, 2))
         if bad.any():
             raise ValueError("group element is not unitary within "

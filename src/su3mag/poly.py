@@ -32,7 +32,7 @@ class DegreeCapError(ValueError):
 
 
 class Polynomial:
-    __slots__ = ("vars", "terms", "_floats", "_hash")
+    __slots__ = ("vars", "terms", "_floats", "_grad", "_hash")
 
     def __init__(self, variables, terms=None):
         self.vars = tuple(variables)
@@ -47,6 +47,7 @@ class Polynomial:
                 cleaned[tuple(expo)] = coeff
         self.terms = cleaned
         self._floats = None
+        self._grad = None
         self._hash = None
 
     # -- constructors -------------------------------------------------------
@@ -231,6 +232,50 @@ class Polynomial:
                              tuple((i, k) for i, k in enumerate(expo) if k))
                             for expo, coeff in self.terms.items()]
         return self._floats
+
+    def gradient(self, point):
+        """Float partial derivatives at a point, one per variable, in one
+        pass: the distinct monomials of the partials are evaluated once
+        and combined by one product with their coefficients (the array
+        form of _gradient_form).  As evaluate does, a value that
+        overflows at a finite point raises OverflowError."""
+        coeffs, factors = self._gradient_form()
+        x = np.concatenate((np.asarray(point, dtype=float), [1.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            monos = x[factors[0]]
+            for idx in factors[1:]:
+                monos = monos * x[idx]
+            grad = coeffs @ monos
+        if not np.isfinite(grad).all() and np.isfinite(x).all():
+            raise OverflowError(_OVERFLOW)
+        return grad
+
+    def _gradient_form(self):
+        """(coefficients, factors) of the partials, built on first use:
+        partial i is sum_u coefficients[i, u] m_u over the distinct
+        monomials m_u of the partials, and m_u is the product over rows
+        f of factors of the point's entry at f[u]: one variable index
+        per degree, padded with the index just past the variables, which
+        reads 1."""
+        if self._grad is None:
+            monos = {}
+            entries = []
+            for expo, coeff in self.terms.items():
+                for i, k in enumerate(expo):
+                    if k:
+                        mono = expo[:i] + (k - 1,) + expo[i + 1:]
+                        entries.append((i, monos.setdefault(mono, len(monos)),
+                                        float(coeff * k)))
+            coeffs = np.zeros((len(self.vars), len(monos)))
+            for i, u, c in entries:
+                coeffs[i, u] = c
+            width = max([1] + [sum(m) for m in monos])
+            factors = np.full((width, len(monos)), len(self.vars))
+            for u, mono in enumerate(monos):
+                idx = [i for i, k in enumerate(mono) for _ in range(k)]
+                factors[:len(idx), u] = idx
+            self._grad = (coeffs, factors)
+        return self._grad
 
     def substitute(self, target_vars, images):
         """Substitute each variable by a polynomial over target_vars."""

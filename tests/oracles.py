@@ -2,12 +2,17 @@
 
 * ``moment_of_direction``: the moment coordinate along a direction eta,
   a function the package itself never builds;
+* ``phase_tangent_basis``: the tangent basis directions as (v, w) pairs,
+  which the per-direction routes step through;
+* ``parse_algebra_text``: the reader of ``LieAlgebraSpec.serialize``,
+  for its round trip;
 * ``stage_projected_flow_step``: the partner flows' own RK4 loop, which
   evaluated the full field at (g, X) and projected every stage.  Unlike
   ``angles.flow_step`` it integrates any integral function, also one
   whose field depends on g.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +21,7 @@ from su3mag.algebra import GroupElement, polar_project
 from su3mag.phase import (MomentPullback, PhasePoint,
                           hamiltonian_vector_field, _fiber_velocity)
 from su3mag.poly import Polynomial
-from su3mag.scalars import Scalar
+from su3mag.scalars import Scalar, parse_scalar
 
 
 def moment_of_direction(sys, eta):
@@ -29,6 +34,68 @@ def moment_of_direction(sys, eta):
         if not c.is_zero():
             h = h + Polynomial.var(names, names[i], c)
     return MomentPullback(h, name="P_eta")
+
+
+@dataclass
+class AlgebraData:
+    """Structure-constant data parsed back from the text format.
+
+    Carries everything except the matrix realization: enough to rebuild
+    Lie-Poisson brackets, adjoint matrices and kernels.
+    """
+
+    name: str
+    labels: tuple
+    coord_names: tuple
+    bform: list
+    structure: dict
+
+    @property
+    def dim(self):
+        return len(self.labels)
+
+
+def parse_algebra_text(text):
+    """Inverse of LieAlgebraSpec.serialize (up to the matrix realization)."""
+    name = None
+    labels = coords = None
+    bform_rows = {}
+    structure = {}
+    for line in text.splitlines():
+        parts = line.split()
+        if not parts:
+            continue
+        if parts[0] == "algebra":
+            name = parts[1]
+        elif parts[0] == "labels":
+            labels = tuple(parts[1:])
+        elif parts[0] == "coords":
+            coords = tuple(parts[1:])
+        elif parts[0] == "bform":
+            bform_rows[int(parts[1])] = [parse_scalar(tok)
+                                         for tok in parts[2:]]
+        elif parts[0] == "C":
+            i, j, k = int(parts[1]), int(parts[2]), int(parts[3])
+            c = parse_scalar(parts[4])
+            structure[(i, j, k)] = c
+            structure[(j, i, k)] = -c
+    bform = [bform_rows[i] for i in sorted(bform_rows)]
+    return AlgebraData(name=name, labels=labels, coord_names=coords,
+                       bform=bform, structure=structure)
+
+
+def phase_tangent_basis(sys):
+    """The 2 dim(m) tangent directions: (e_j, 0) then (0, e_j), e_j in m."""
+    dirs = []
+    for j in sys.m:
+        v = np.zeros(sys.alg.dim)
+        v[j] = 1.0
+        dirs.append((v, np.zeros(sys.alg.dim)))
+    for j in sys.m:
+        w = np.zeros(sys.alg.dim)
+        w[j] = 1.0
+        dirs.append((np.zeros(sys.alg.dim), w))
+    return dirs
 
 
 def stage_projected_flow_step(fn, sys, pt, h, nsteps=1):

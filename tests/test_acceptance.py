@@ -19,7 +19,8 @@ from su3mag.poly import Polynomial
 from su3mag.phase import (su3_regular_system, su3_irregular_system,
                           PhasePoint, moment_coordinate, SlicePullback,
                           hamiltonian_vector_field,
-                          omega_eps, integrate_flow, closed_form_fiber)
+                          omega_eps, integrate_flow, closed_form_fiber,
+                          integral_values)
 from su3mag.algebra import build_su2, identity_element, centralizer_of
 from oracles import moment_of_direction
 from su3mag.invariants import (invariant_space, indecomposable_generators,
@@ -269,15 +270,11 @@ def test_criterion_08_flow_conservation(case):
         traj = integrate_flow(sys, pt, t_end=10.0, dt=1e-3)
         fam = generator_family(sys)
         assert len(fam) == (13 if case == "regular" else 9)
-        thin = traj.points[::5]
-        for f in fam:
-            base = f.value(traj.points[0])
-            worst_drift = max(worst_drift,
-                              max(abs(f.value(p) - base) for p in thin))
-        for idx in range(0, len(traj.points), 100):
-            worst_lax = max(worst_lax, np.abs(
-                traj.points[idx].X
-                - closed_form_fiber(sys, pt, traj.times[idx])).max())
+        V = integral_values(traj.points[::5], fam)
+        worst_drift = max(worst_drift, np.abs(V - V[0]).max())
+        worst_lax = max(worst_lax, np.abs(
+            traj.points.X[::100]
+            - closed_form_fiber(sys, pt, traj.times[::100])).max())
     elapsed = time.perf_counter() - t0
     report(8, worst_drift < 1e-8 and worst_lax < 1e-8 and elapsed < 60.0,
            f"{case}: max integral drift {worst_drift:.3e} < 1e-8, "

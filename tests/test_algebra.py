@@ -168,7 +168,7 @@ def test_regularity_matrix_path_and_rank_nullity():
 
 
 def test_serialization_round_trip():
-    from su3mag.algebra import parse_algebra_text
+    from oracles import parse_algebra_text
     for alg in (build_su2(), build_su3_gellmann(), build_su3_chevalley()):
         data = parse_algebra_text(alg.serialize())
         assert data.name == alg.name

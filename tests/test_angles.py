@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from su3mag.phase import (su3_regular_system, su3_irregular_system,
-                          PhasePoint, integrate_flow, phase_tangent_basis,
+                          PhasePoint, integrate_flow,
                           hamiltonian_vector_field, moment_coordinate,
                           _fiber_velocity)
 from su3mag.algebra import GroupElement, exp_map, identity_element
@@ -19,7 +19,7 @@ from su3mag.angles import (root_phases, torus_angles, torus_action,
                            flow_step, slice_z_values, ChartUndefined,
                            THETA_MATRIX, LEFT_INVERSE, _nearest_branch,
                            _rescale, TWO_PI)
-from oracles import stage_projected_flow_step
+from oracles import phase_tangent_basis, stage_projected_flow_step
 
 
 def test_import_builds_no_algebra():

@@ -83,6 +83,7 @@ def test_su3_irregular_invariant_dimensions():
     assert dense_nullity_oracle(sys.alg, sys.sub, 2) == 1
     assert dense_nullity_oracle(sys.alg, sys.sub, 4) == 1
     gens = indecomposable_generators(sys.alg, sys.sub, 4)
+    assert gens.dims == {1: 0, 2: 1, 3: 0, 4: 1}
     assert len(gens.generators) == 1
     name, poly, deg = gens.generators[0]
     assert deg == 2 and (poly - radial_generator(sys)).is_zero()
@@ -94,6 +95,7 @@ def test_generators_and_relation_regular():
     gens = indecomposable_generators(sys.alg, sys.sub, 6)
     degrees = sorted(d for _, _, d in gens.generators)
     assert degrees == [2, 2, 2, 3, 3]
+    assert [gens.dims[d] for d in (1, 2, 3)] == [0, 3, 2]
     assert len(gens.relations) == 1
     rel = gens.relations[0]
     # the relation is proportional to q2_1 q2_2 q2_3 - q3_1^2 - q3_2^2 in

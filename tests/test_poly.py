@@ -60,6 +60,33 @@ def test_evaluate_exact_and_float():
         p.evaluate([1, 2])
 
 
+def test_one_pass_gradient_matches_the_partials():
+    """Polynomial.gradient agrees with evaluating each partial within a
+    relative 1e-15 (another summation order), for the Casimirs and for
+    constant and zero polynomials, and raises OverflowError where a
+    partial overflows at a finite point, as evaluate does."""
+    rng = np.random.default_rng(0)
+    alg = build_su3_chevalley()
+    names = alg.coord_names
+    polys = list(casimirs_su3(alg)) + [Polynomial.const(names, 3),
+                                       Polynomial.zero(names)]
+    for p in polys:
+        for _ in range(20):
+            x = rng.uniform(-2, 2, len(names))
+            ref = np.array([float(p.diff(v).evaluate(x)) for v in names])
+            grad = p.gradient(x)
+            assert grad.shape == (len(names),)
+            assert np.abs(grad - ref).max() <= 1e-15 * np.abs(ref).max()
+    cube = Polynomial(("x",), {(3,): Scalar(1)})
+    mixed = Polynomial(("x", "y"), {(1, 2): Scalar(1)})
+    for p, big in ((cube, [1e200]), (mixed, [1e200, 1e200])):
+        with pytest.raises(OverflowError):
+            p.diff(p.vars[-1]).evaluate(big)
+        with pytest.raises(OverflowError):
+            p.gradient(big)
+    assert cube.gradient([np.inf]).tolist() == [np.inf]
+
+
 def test_serialization_round_trip():
     p = (Polynomial.var(VARS, "x", Scalar(Fraction(1, 2)))
          + Polynomial.var(VARS, "y") ** 2 * Scalar.sqrt3(Fraction(-2, 7))
