@@ -28,15 +28,14 @@ true frequency.
 
 from __future__ import annotations
 
-from functools import lru_cache
 import math
 
 import numpy as np
 
 from .algebra import exp_map
-from .poly import Polynomial, lie_poisson_bracket
 from .phase import (PhasePoint, hamiltonian_vector_field, omega_eps,
-                    slice_z_values, solve_field, _fiber_velocity, _rk4_flow)
+                    slice_z_values, solve_field, _fiber_velocity,
+                    _invariant_under, _rk4_flow)
 from .certify import action_functions
 
 TWO_PI = 2.0 * math.pi
@@ -143,9 +142,8 @@ def flow_step(fn, sys, pt, h, nsteps=1):
     integrate_flow.
 
     The field of a left-invariant function does not depend on g, so the
-    driver gets it at g = I.  Only an Ad-invariant MomentPullback, a
-    SlicePullback or a FuncCombo of them is accepted; any other function
-    raises ValueError.
+    driver gets it at g = I.  Only an Ad-invariant MomentPullback or a
+    SlicePullback is accepted; any other function raises ValueError.
     """
     if not _left_invariant(fn, sys.alg):
         raise ValueError(f"flow_step integrates left-invariant functions "
@@ -163,23 +161,12 @@ def flow_step(fn, sys, pt, h, nsteps=1):
 
 
 def _left_invariant(fn, alg):
-    """Whether fn is invariant under (g, X) -> (k g, X): a slice function,
-    an Ad-invariant moment pullback, or a combination of them."""
+    """Whether fn is invariant under (g, X) -> (k g, X): a slice function
+    or an Ad-invariant moment pullback."""
     if fn.tag == "slice":
         return True
-    if fn.tag == "moment":
-        return _ad_invariant(fn.h, alg)
-    if fn.tag == "combo":
-        return all(_left_invariant(f, alg) for _, fs in fn.terms for f in fs)
-    return False
-
-
-@lru_cache(maxsize=64)
-def _ad_invariant(h, alg):
-    """{h, x_i} = 0 exactly for every coordinate x_i: h is Ad-invariant."""
-    names = alg.coord_names
-    return all(lie_poisson_bracket(h, Polynomial.var(names, x), alg).is_zero()
-               for x in names)
+    return fn.tag == "moment" and _invariant_under(fn.h, alg,
+                                                    tuple(range(alg.dim)))
 
 
 def _nearest_branch(values, reference):

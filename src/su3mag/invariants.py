@@ -14,6 +14,7 @@ the elimination small.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -319,8 +320,10 @@ def _lift_relations(relations, gens, gen_vars, combos, degree):
     return rows
 
 
+@lru_cache(maxsize=4)
 def torus_generators(alg):
-    """The five torus-invariant generators u1, u2, u3, v, w on m.
+    """The five torus-invariant generators ((u1, u2, u3), v, w) on m,
+    built once per algebra.
 
     u_k = |z_k|^2 and v + i w = z1 z2 conj(z3) for the complex root
     coordinates recorded by the root-adapted build; all five are exact
@@ -347,7 +350,7 @@ def torus_generators(alg):
         return re, im
 
     z = [zpoly(k) for k in range(3)]
-    u = [z[k][0] * z[k][0] + z[k][1] * z[k][1] for k in range(3)]
+    u = tuple(z[k][0] * z[k][0] + z[k][1] * z[k][1] for k in range(3))
     a1, b1 = z[0]
     a2, b2 = z[1]
     a3, b3 = z[2]
@@ -359,8 +362,13 @@ def torus_generators(alg):
 
 
 def radial_generator(sys):
-    """R = sum of squared m-coordinates (the irregular-case generator)."""
-    names = sys.m_names()
+    """R = sum of squared m-coordinates (the irregular-case generator),
+    one polynomial per tuple of m-coordinate names."""
+    return _radial(sys.m_names())
+
+
+@lru_cache(maxsize=4)
+def _radial(names):
     return sum((Polynomial.var(names, n) ** 2 for n in names),
                Polynomial.zero(names))
 
@@ -369,8 +377,10 @@ def radial_generator(sys):
 # Casimirs and the shift restriction
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=4)
 def casimirs_su3(alg):
-    """The quadratic and cubic Casimirs as exact coordinate polynomials.
+    """The quadratic and cubic Casimirs (C2, C3) as exact coordinate
+    polynomials, built once per algebra.
 
     C2(Y) = B(Y, Y) and C3(Y) = -i tr(Y^3) on the anti-Hermitian matrix
     realization; both are Poisson-central.  On the Gell-Mann basis these
@@ -446,9 +456,7 @@ def numeric_rank(J):
 
 def independence_rank(polys, point):
     """Numeric rank of the Jacobian of a polynomial family at a point."""
-    x = [float(c) for c in point]
-    return numeric_rank([[p.diff(v).evaluate(x) for v in p.vars]
-                         for p in polys])
+    return numeric_rank([p.gradient(point) for p in polys])
 
 
 def casimir_count(alg, point):

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .scalars import Scalar
-from .poly import Polynomial, b_gradient
+from .poly import Polynomial, b_gradient, lie_poisson_bracket
 from .algebra import (GroupElement, UNITARY_TOL,
                       build_su3_chevalley, build_su3_gellmann,
                       centralizer_of, regularity, exp_map, _adjoint)
@@ -68,15 +68,12 @@ class MagneticSystem:
         # ad(e_j) and the rows e_j for j in m: the tangent basis directions
         self._ad_m = alg.ad_matrices()[self.m]
         self._e_m = np.eye(alg.dim)[self.m]
-        self._c2 = None
-        self._c3 = None
 
     # -- common exact objects -------------------------------------------------
 
     def casimirs(self):
-        if self._c2 is None:
-            self._c2, self._c3 = casimirs_su3(self.alg)
-        return self._c2, self._c3
+        """(C2, C3) of the algebra, shared by every system over it."""
+        return casimirs_su3(self.alg)
 
     def m_names(self):
         return tuple(self.alg.coord_names[i] for i in self.m)
@@ -275,12 +272,6 @@ class MomentPullback:
     def __init__(self, h, name=None):
         self.h = h
         self.name = name or f"P*({h.text()})"
-        self._grads = None
-
-    def gradients(self):
-        if self._grads is None:
-            self._grads = [self.h.diff(v) for v in self.h.vars]
-        return self._grads
 
     def value(self, pt):
         return self.h.evaluate(pt.moment_coords)
@@ -295,20 +286,14 @@ def moment_coordinate(sys, i):
 
 
 class SlicePullback:
-    """f = theta o pi_m for an A-invariant polynomial on the m-coordinates."""
+    """f = theta o pi_m for a polynomial theta on the m-coordinates; a
+    first integral when theta is Ad(A)-invariant."""
 
     tag = "slice"
 
-    def __init__(self, theta, name=None, invariant=True):
+    def __init__(self, theta, name=None):
         self.theta = theta  # over the m-coordinate names
         self.name = name or f"pi*({theta.text()})"
-        self.invariant = invariant
-        self._grads = None
-
-    def gradients(self):
-        if self._grads is None:
-            self._grads = [self.theta.diff(v) for v in self.theta.vars]
-        return self._grads
 
     def value(self, pt):
         m = pt.sys.m
@@ -316,31 +301,6 @@ class SlicePullback:
 
     def values(self, points):
         return self.theta.evaluate_stack(points.xi[:, points.sys.m])
-
-
-class FuncCombo:
-    """Sum of scalar multiples of products of integral functions."""
-
-    tag = "combo"
-
-    def __init__(self, terms, name=None):
-        # terms: list of (coefficient float, [factors])
-        self.terms = terms
-        self.name = name or "combo"
-
-    def value(self, pt):
-        return sum(c * np.prod([f.value(pt) for f in fs])
-                   for c, fs in self.terms)
-
-    def values(self, points):
-        # the products and sums of value, in its order, row by row
-        total = np.zeros(len(points))
-        for c, fs in self.terms:
-            prod = fs[0].values(points)
-            for f in fs[1:]:
-                prod = prod * f.values(points)
-            total = total + c * prod
-        return total
 
 
 def integral_values(points, functions):
@@ -369,41 +329,12 @@ def _fiber_velocity(sys, pt, v, w):
     return -0.5 * _project_m(sys, sys.alg.np_bracket(v, pt.X)) + w
 
 
-def _leibniz(fn, pt):
-    """The Leibniz rule of a FuncCombo at pt: (c * rest, factor) for each
-    factor of each term, rest the product of the other factors' values."""
-    for c, fs in fn.terms:
-        vals = [f.value(pt) for f in fs]
-        for i, f in enumerate(fs):
-            yield c * np.prod([vals[j] for j in range(len(fs)) if j != i]), f
-
-
 def differential(fn, sys, pt, v, w):
-    """df at pt applied to the tangent (v, w); analytic, no finite differences.
-
-    For the tangent basis, basis_differential gives the same numbers to
-    roundoff.
-    """
-    alg = sys.alg
-    if fn.tag == "moment":
-        dX = _fiber_velocity(sys, pt, v, w)
-        g = pt.g.matrix
-        Mdot = alg.matrix_of(alg.np_bracket(v, pt.xi) + dX)
-        dP = alg.coords_of_matrix(g @ Mdot @ g.conj().T)
-        P = pt.moment_coords
-        return sum(float(gr.evaluate(P)) * dP[i]
-                   for i, gr in enumerate(fn.gradients()) if gr.terms)
-    if fn.tag == "slice":
-        dX = _fiber_velocity(sys, pt, v, w)
-        xi_m = pt.xi[sys.m]
-        return sum(float(gr.evaluate(xi_m)) * dX[sys.m[i]]
-                   for i, gr in enumerate(fn.gradients()) if gr.terms)
-    if fn.tag == "combo":
-        total = 0.0
-        for weight, f in _leibniz(fn, pt):
-            total += weight * differential(f, sys, pt, v, w)
-        return total
-    raise TypeError(f"untagged integral function {fn!r}")
+    """df at pt applied to the tangent (v, w), v and w supported on m:
+    basis_differential against the coordinates (v[m], w[m]) of (v, w)
+    on the tangent basis, since df is linear."""
+    return basis_differential(fn, sys, pt) @ np.concatenate((v[sys.m],
+                                                              w[sys.m]))
 
 
 def basis_differential(fn, sys, pt):
@@ -411,13 +342,7 @@ def basis_differential(fn, sys, pt):
 
     df = images @ grad h: the point's image memos times the polynomial's
     full gradient vector, evaluated in one pass (Polynomial.gradient).
-    Entry k equals differential on the k-th direction to roundoff.
     """
-    if fn.tag == "combo":
-        total = np.zeros(2 * len(sys.m))
-        for weight, f in _leibniz(fn, pt):
-            total = total + weight * basis_differential(f, sys, pt)
-        return total
     if fn.tag == "moment":
         return pt.moment_images @ fn.h.gradient(pt.moment_coords)
     if fn.tag == "slice":
@@ -459,7 +384,8 @@ def twisted_bracket(sys, f, h, pt, method="omega"):
     fields; method "symbolic" uses the block shortcuts: the moment pullback
     is Poisson for the Lie-Poisson bracket, the slice pullback obeys
     {theta1,theta2}_2(xi) = -B(xi, [grad1_m, grad2_m]) and mixed brackets
-    vanish.  Products are expanded by the Leibniz rule.
+    vanish.  A mixed bracket raises ValueError unless its slice function
+    is Ad(A)-invariant, which is decided exactly.
     """
     if method == "omega":
         Xf = hamiltonian_vector_field(f, sys, pt)
@@ -471,26 +397,29 @@ def twisted_bracket(sys, f, h, pt, method="omega"):
 
 
 def _bracket_symbolic(sys, f, h, pt):
-    from .poly import lie_poisson_bracket
     alg = sys.alg
-    if f.tag == "combo":
-        total = 0.0
-        for weight, x in _leibniz(f, pt):
-            total += weight * _bracket_symbolic(sys, x, h, pt)
-        return total
-    if h.tag == "combo":
-        return -_bracket_symbolic(sys, h, f, pt)
     if f.tag == "moment" and h.tag == "moment":
         return float(lie_poisson_bracket(f.h, h.h, alg).evaluate(pt.moment_coords))
     if f.tag == "slice" and h.tag == "slice":
         return slice_bracket_value(sys, f.theta, h.theta, pt)
     if {f.tag, h.tag} == {"moment", "slice"}:
-        if f.tag == "slice" and not f.invariant:
-            raise ValueError("slice factor is not A-invariant")
-        if h.tag == "slice" and not h.invariant:
-            raise ValueError("slice factor is not A-invariant")
+        theta = f.theta if f.tag == "slice" else h.theta
+        if not _invariant_under(theta, alg, tuple(sys.a)):
+            raise ValueError("slice function is not A-invariant")
         return 0.0
     raise TypeError("untagged integral function in symbolic bracket")
+
+
+@lru_cache(maxsize=64)
+def _invariant_under(h, alg, indices):
+    """{h, x_j} = 0 exactly for every j in indices, h a polynomial over
+    the algebra's coordinates or over some of them: h is invariant under
+    the coadjoint action of the span of the e_j."""
+    names = alg.coord_names
+    if h.vars != names:
+        h = h.extend(names)
+    return all(lie_poisson_bracket(h, Polynomial.var(names, names[j]),
+                                   alg).is_zero() for j in indices)
 
 
 def slice_bracket_value(sys, theta1, theta2, pt):

@@ -4,6 +4,9 @@
   a function the package itself never builds;
 * ``phase_tangent_basis``: the tangent basis directions as (v, w) pairs,
   which the per-direction routes step through;
+* ``per_direction_differential``: df on one tangent (v, w) from its own
+  fiber and moment velocities and per-partial gradients, independent of
+  the stacked tangent images and the one-pass gradient;
 * ``parse_algebra_text``: the reader of ``LieAlgebraSpec.serialize``,
   for its round trip;
 * ``stage_projected_flow_step``: the partner flows' own RK4 loop, which
@@ -14,6 +17,7 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -96,6 +100,30 @@ def phase_tangent_basis(sys):
         w[j] = 1.0
         dirs.append((np.zeros(sys.alg.dim), w))
     return dirs
+
+
+@lru_cache(maxsize=None)
+def _partials(p):
+    """The exact partial derivatives of p, one per variable."""
+    return [p.diff(x) for x in p.vars]
+
+
+def per_direction_differential(fn, sys, pt, v, w):
+    """df at pt applied to the tangent (v, w): its fiber velocity dX, for
+    a moment pullback its moment velocity dP = Ad(g)([v, xi] + dX), each
+    paired with the partials of the polynomial evaluated one by one."""
+    alg = sys.alg
+    dX = _fiber_velocity(sys, pt, v, w)
+    if fn.tag == "moment":
+        g = pt.g.matrix
+        Mdot = alg.matrix_of(alg.np_bracket(v, pt.xi) + dX)
+        dP = alg.coords_of_matrix(g @ Mdot @ g.conj().T)
+        P = pt.moment_coords
+        return sum(float(gr.evaluate(P)) * dP[i]
+                   for i, gr in enumerate(_partials(fn.h)) if gr.terms)
+    xi_m = pt.xi[sys.m]
+    return sum(float(gr.evaluate(xi_m)) * dX[sys.m[i]]
+               for i, gr in enumerate(_partials(fn.theta)) if gr.terms)
 
 
 def stage_projected_flow_step(fn, sys, pt, h, nsteps=1):

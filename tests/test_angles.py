@@ -286,11 +286,11 @@ def test_flow_step_matches_the_stage_projected_loop(case):
 
 
 def test_flow_step_accepts_left_invariant_functions_only():
-    """Slice functions, Ad-invariant moment pullbacks and combinations
-    of them flow; a moment pullback that is not Ad-invariant is refused
-    by its polynomial, also at g = I, where a comparison of its field
-    with the field at I would show nothing."""
-    from su3mag.phase import FuncCombo, MomentPullback, SlicePullback
+    """Slice functions and Ad-invariant moment pullbacks flow; a moment
+    pullback that is not Ad-invariant is refused by its polynomial, also
+    at g = I, where a comparison of its field with the field at I would
+    show nothing."""
+    from su3mag.phase import MomentPullback, SlicePullback
     from su3mag.invariants import radial_generator
     sys = su3_regular_system(0.1)
     pt = chart_point(sys, np.random.default_rng(33))
@@ -298,7 +298,7 @@ def test_flow_step_accepts_left_invariant_functions_only():
     J2, J3 = action_functions(sys)
     P5 = moment_coordinate(sys, 4)
     R = SlicePullback(radial_generator(sys), name="R")
-    for fn in (J2, R, FuncCombo([(2.0, [J2, J3]), (1.0, [R])])):
+    for fn in (J2, J3, R):
         for start in (pt, at_identity):
             flow_step(fn, sys, start, 1e-3)
     # what flow_step relies on: their fields at (g, X) and (I, X) agree
@@ -308,8 +308,7 @@ def test_flow_step_accepts_left_invariant_functions_only():
             assert np.abs(full - at_I).max() < 1e-12 * np.abs(full).max()
     shifted = MomentPullback(sys.casimirs()[0] + P5.h, name="C2 plus P5")
     untagged = type("Untagged", (), {"tag": "other", "name": "f"})()
-    for fn in (P5, shifted, FuncCombo([(1.0, [J2, P5])], name="J2*P5"),
-               untagged):
+    for fn in (P5, shifted, untagged):
         for start in (pt, at_identity):
             with pytest.raises(ValueError) as err:
                 flow_step(fn, sys, start, 1e-3)

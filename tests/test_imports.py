@@ -1,11 +1,15 @@
-"""Every module of the package uses every name it imports."""
+"""Every module of the package uses every name it imports, and every
+name the benchmark's trace wraps exists."""
 
 import ast
+import importlib
 from pathlib import Path
+import sys
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "su3mag"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "su3mag"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -31,3 +35,22 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    """The FUNCTIONS, METHODS and COUNTED targets of perfbench/layers.py
+    are attributes of su3mag; the import writes no bytecode there."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.delitem(sys.modules, "layers", raising=False)
+    layers = importlib.import_module("layers")
+    missing = []
+    for mod, attr, _ in layers.FUNCTIONS:
+        if not hasattr(importlib.import_module(mod), attr):
+            missing.append(f"{mod}.{attr}")
+    for mod, cls, attr, _ in layers.METHODS + layers.COUNTED:
+        owner = getattr(importlib.import_module(mod), cls, None)
+        if not hasattr(owner, attr):
+            missing.append(f"{mod}.{cls}.{attr}")
+    assert layers.FUNCTIONS and layers.METHODS and layers.COUNTED
+    assert missing == []

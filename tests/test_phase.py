@@ -9,7 +9,7 @@ from su3mag.scalars import Scalar
 from su3mag.phase import (su3_regular_system, su3_irregular_system,
                           MagneticSystem, PhasePoint, moment_map, slice_map,
                           moment_coordinate,
-                          MomentPullback, SlicePullback, FuncCombo,
+                          MomentPullback, SlicePullback,
                           hamiltonian_vector_field,
                           omega_eps, twisted_bracket, slice_bracket_value,
                           slice_bracket_symbolic, integrate_flow,
@@ -17,8 +17,8 @@ from su3mag.phase import (su3_regular_system, su3_irregular_system,
                           closed_form_group, differential, flow_steps,
                           _project_m)
 from su3mag.invariants import radial_generator, torus_generators
-from oracles import (moment_of_direction, phase_tangent_basis,
-                     stage_projected_flow_step)
+from oracles import (moment_of_direction, per_direction_differential,
+                     phase_tangent_basis, stage_projected_flow_step)
 
 
 def _left_translate(pt, h):
@@ -107,7 +107,9 @@ def test_gauge_well_definedness():
 def test_hvf_defining_equation():
     """omega_eps(X_f, .) = df on 20 random tangents, for both pullback
     types; df is cross-checked by central finite differences of the
-    function value along the tangent curve (the independent oracle)."""
+    function value along the tangent curve (the independent oracle), and
+    against the per-direction differential within a relative 1e-14 (of
+    its largest value over the tangents)."""
     from su3mag import exp_map as _exp
     h = 1e-6
     for sys in (su3_regular_system(0.1), su3_irregular_system(0.3)):
@@ -118,6 +120,7 @@ def test_hvf_defining_equation():
                SlicePullback(radial_generator(sys), name="R")]
         for fn in fns:
             Xf = hamiltonian_vector_field(fn, sys, pt)
+            dfs, refs = [], []
             for _ in range(20):
                 v = np.zeros(sys.alg.dim)
                 w = np.zeros(sys.alg.dim)
@@ -125,6 +128,8 @@ def test_hvf_defining_equation():
                 w[sys.m] = rng.uniform(-1, 1, len(sys.m))
                 lhs = omega_eps(sys, pt, Xf, (v, w))
                 rhs = differential(fn, sys, pt, v, w)
+                dfs.append(rhs)
+                refs.append(per_direction_differential(fn, sys, pt, v, w))
                 assert abs(lhs - rhs) < 1e-10
                 dX = -0.5 * _project_m(sys, sys.alg.np_bracket(v, pt.X)) + w
                 gp = pt.g.matrix @ _exp(sys.alg, h * v).matrix
@@ -132,6 +137,7 @@ def test_hvf_defining_equation():
                 fd = (fn.value(PhasePoint(sys, gp, pt.X + h * dX))
                       - fn.value(PhasePoint(sys, gm, pt.X - h * dX))) / (2 * h)
                 assert abs(lhs - fd) < 1e-6
+            assert _agrees(np.array(dfs), np.array(refs)), fn.name
 
 
 def test_moment_flow_realizes_bracket():
@@ -211,10 +217,53 @@ def test_bracket_identities_both_cases():
             # slice bracket formula
             th2 = SlicePullback(
                 Polynomial.var(m_names, m_names[0]) *
-                Polynomial.var(m_names, m_names[1]), invariant=False)
+                Polynomial.var(m_names, m_names[1]))
             b_om = twisted_bracket(sys, R, th2, pt)
             b_f = slice_bracket_value(sys, R.theta, th2.theta, pt)
             assert abs(b_om - b_f) < 1e-10
+
+
+def test_symbolic_mixed_bracket_refuses_a_slice_function_not_invariant():
+    """A-invariance of a slice function is decided from its polynomial:
+    x4 is not Ad(A)-invariant, and its bracket with P5 is not zero."""
+    sys = su3_irregular_system(0.2)
+    pt = sys.random_regular_point(np.random.default_rng(8))
+    P5 = moment_coordinate(sys, 4)
+    theta = SlicePullback(Polynomial.var(sys.m_names(), "x4"))
+    assert abs(twisted_bracket(sys, P5, theta, pt)) > 0.1
+    for f, h in ((P5, theta), (theta, P5)):
+        with pytest.raises(ValueError, match="not A-invariant"):
+            twisted_bracket(sys, f, h, pt, method="symbolic")
+    R = SlicePullback(radial_generator(sys), name="R")
+    assert twisted_bracket(sys, P5, R, pt, method="symbolic") == 0.0
+    assert abs(twisted_bracket(sys, P5, R, pt)) < 1e-10
+    reg = su3_regular_system(0.2)
+    q = reg.random_regular_point(np.random.default_rng(8))
+    u, v, w = torus_generators(reg.alg)
+    for theta in u + (v, w):
+        assert twisted_bracket(reg, moment_coordinate(reg, 4),
+                               SlicePullback(theta), q,
+                               method="symbolic") == 0.0
+
+
+def test_systems_over_one_algebra_share_its_exact_objects():
+    """Casimirs and slice generators are built once per algebra; the
+    restrictions, which depend on eps, stay per system."""
+    from su3mag.invariants import casimirs_su3, restrict_shift
+    for make in (su3_regular_system, su3_irregular_system):
+        a, b = make(0.1), make(0.25)
+        assert all(x is y for x, y in zip(a.casimirs(), b.casimirs()))
+        if a.case_tag == "regular":
+            assert torus_generators(a.alg) is torus_generators(b.alg)
+        else:
+            assert radial_generator(a) is radial_generator(b)
+        fresh = casimirs_su3.__wrapped__(a.alg)
+        for k in (0, 1):
+            ra, rb = (restrict_shift(s.casimirs()[k], s, symbolic_eps=False)
+                      for s in (a, b))
+            assert ra != rb
+            for s, r in ((a, ra), (b, rb)):
+                assert r == restrict_shift(fresh[k], s, symbolic_eps=False)
 
 
 def test_symbolic_slice_bracket_matches_pointwise():
@@ -227,24 +276,6 @@ def test_symbolic_slice_bracket_matches_pointwise():
         lhs = float(sym.evaluate(list(pt.xi[sys.m]) + [sys.eps]))
         rhs = slice_bracket_value(sys, u[0], v, pt)
         assert abs(lhs - rhs) < 1e-12
-
-
-def test_product_functions_leibniz():
-    sys = su3_irregular_system(0.2)
-    rng = np.random.default_rng(8)
-    pt = sys.random_regular_point(rng)
-    P4 = moment_coordinate(sys, 3)
-    P5 = moment_coordinate(sys, 4)
-    R = SlicePullback(radial_generator(sys), name="R")
-    prod = FuncCombo([(1.0, [P4, P5])], name="P4*P5")
-    lhs = twisted_bracket(sys, prod, R, pt)
-    assert abs(lhs) < 1e-10  # both factors commute with R
-    mixed = FuncCombo([(2.0, [P4, R])], name="2 P4 R")
-    lhs2 = twisted_bracket(sys, mixed, P5, pt)
-    exp2 = 2.0 * R.value(pt) * twisted_bracket(sys, P4, P5, pt)
-    assert abs(lhs2 - exp2) < 1e-10
-    sym = twisted_bracket(sys, mixed, P5, pt, method="symbolic")
-    assert abs(sym - exp2) < 1e-10
 
 
 def test_flow_conservation_and_closed_forms():
@@ -271,8 +302,7 @@ def test_flow_conservation_and_closed_forms():
                           - closed_form_group(sys, pt, t)).max() < 1e-9
         # negative control: a bare coordinate is not conserved
         bare = SlicePullback(
-            Polynomial.var(sys.m_names(), sys.m_names()[0]), invariant=False,
-            name="x_bare")
+            Polynomial.var(sys.m_names(), sys.m_names()[0]), name="x_bare")
         rep_bad = conservation_report(sys, traj, [bare])
         assert rep_bad[0]["max_drift"] > 1e-3
 
@@ -652,26 +682,26 @@ def _reference_coords_of_matrix(alg, M):
 
 
 def _reference_hvf(fn, sys, pt):
-    """The Hamiltonian vector field from 2 dim(m) calls to differential,
-    one per tangent basis direction."""
+    """The Hamiltonian vector field from 2 dim(m) calls to the
+    per-direction differential, one per tangent basis direction."""
     alg = sys.alg
     zero = np.zeros(alg.dim)
     v_f = np.zeros(alg.dim)
     for j in sys.m:
         w = np.zeros(alg.dim)
         w[j] = 1.0
-        v_f[j] = differential(fn, sys, pt, zero, w)
+        v_f[j] = per_direction_differential(fn, sys, pt, zero, w)
     base = np.zeros(alg.dim)
     for j in sys.m:
         v = np.zeros(alg.dim)
         v[j] = 1.0
-        base[j] = differential(fn, sys, pt, v, zero)
+        base[j] = per_direction_differential(fn, sys, pt, v, zero)
     w_f = -base - sys.eps * _project_m(sys, alg.np_bracket(sys.W, v_f))
     return v_f, w_f
 
 
 def _reference_jacobian(sys, fns, pt):
-    return np.asarray([[differential(fn, sys, pt, v, w)
+    return np.asarray([[per_direction_differential(fn, sys, pt, v, w)
                         for v, w in phase_tangent_basis(sys)]
                        for fn in fns])
 
@@ -689,7 +719,7 @@ def _fresh(pt):
 
 
 def _oracle_functions(sys, rng):
-    """Moment, slice, moment_of_direction and FuncCombo functions."""
+    """Moment, slice and moment_of_direction functions."""
     c2, c3 = sys.casimirs()
     m_names = sys.m_names()
     P = [moment_coordinate(sys, i) for i in range(sys.alg.dim)]
@@ -699,14 +729,10 @@ def _oracle_functions(sys, rng):
     else:
         slices = [SlicePullback(radial_generator(sys), name="R")]
     bare = SlicePullback(Polynomial.var(m_names, m_names[1])
-                         * Polynomial.var(m_names, m_names[2]),
-                         invariant=False)
+                         * Polynomial.var(m_names, m_names[2]))
     eta = moment_of_direction(sys, rng.uniform(-1, 1, sys.alg.dim))
-    combo = FuncCombo([(1.0, [P[3], P[4]]), (-2.5, [P[5], slices[0], bare]),
-                       (0.5, [eta])])
-    nested = FuncCombo([(3.0, [combo, P[0]])])
     return (P + [MomentPullback(c2, name="J2"), MomentPullback(c3, name="J3"),
-                 eta, bare, combo, nested] + slices)
+                 eta, bare] + slices)
 
 
 def _oracle_points(sys, seed):

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from su3mag import exp_map
 from su3mag.algebra import GroupElement
 from su3mag.certify import action_functions
-from su3mag.phase import (FlowTrajectory, FuncCombo, PhasePoint,
+from su3mag.phase import (FlowTrajectory, PhasePoint,
                           TrajectoryPoints, closed_form_fiber,
                           conservation_report, integral_values,
                           integrate_flow, su3_irregular_system,
@@ -102,13 +102,8 @@ def _flows(case, seed):
 
 
 def _functions(sys):
-    """The monitored family, the actions and a nested FuncCombo."""
-    fam = monitored_functions(sys)
-    acts = action_functions(sys)
-    inner = FuncCombo([(0.5, [fam[3], fam[-1]]), (-2.0, [acts[0]])])
-    combo = FuncCombo([(1.5, [fam[0], fam[1], fam[2]]), (-0.25, [inner]),
-                       (3.0, [fam[-1], inner, fam[4]])], name="combo")
-    return fam + acts + [combo]
+    """The monitored family and the actions."""
+    return monitored_functions(sys) + action_functions(sys)
 
 
 # ---------------------------------------------------------------------------
