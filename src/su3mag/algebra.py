@@ -303,15 +303,20 @@ def exp_map(alg, coords):
     if not np.allclose(H, _adjoint(H), atol=1e-10):
         raise ValueError("exp_map requires an anti-Hermitian argument")
     w, U = np.linalg.eigh(H)
-    g = (U * np.exp(-1j * w)[..., None, :]) @ _adjoint(U)
-    det = np.linalg.det(g)
-    g = g * np.exp(-np.log(det) / M.shape[-1])[..., None, None]
+    g = _divide_det_phase((U * np.exp(-1j * w)[..., None, :]) @ _adjoint(U))
     return g if g.ndim == 3 else GroupElement(g)
 
 
 def _adjoint(M):
     """Conjugate transpose of a matrix or of each matrix in a stack."""
     return np.swapaxes(M.conj(), -1, -2)
+
+
+def _divide_det_phase(g):
+    """A unitary N x N matrix divided by an N-th root of its determinant,
+    landing in SU(N), or row by row for a stack."""
+    det = np.linalg.det(g)
+    return g * np.exp(-np.log(det) / g.shape[-1])[..., None, None]
 
 
 def adjoint_group(alg, g, coords):
@@ -325,9 +330,7 @@ def adjoint_group(alg, g, coords):
 def polar_project(M):
     """Nearest special-unitary matrix: polar factor with det-phase removed."""
     U, _, Vh = np.linalg.svd(M)
-    g = U @ Vh
-    det = np.linalg.det(g)
-    return g * np.exp(-np.log(det) / M.shape[0])
+    return _divide_det_phase(U @ Vh)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ along the k-th coroot flow.
 
 arg is not polynomial, but it has an analytic differential: z_k is linear
 in xi, so d theta_k = Im(z_k(d xi) / z_k(xi)) exactly.  The angle
-differential and the frequency matrix Omega_ak = d phi_a(X_{J_k}) =
-{phi_a, J_k}_eps are this formula over fiber velocities, the latter over
-those of the solved action fields; no finite difference is taken.  The one
+differential is this formula over the fiber images of the tangent basis,
+and the frequency matrix Omega_ak = {phi_a, J_k}_eps brackets it with the
+action differentials; no finite difference is taken.  The one
 flow-difference left is deliberate: angle_action_pairing differences phi
 along the integrated partner flow, an independent check that Omega is the
 true frequency.
@@ -33,10 +33,10 @@ import math
 import numpy as np
 
 from .algebra import exp_map
-from .phase import (PhasePoint, hamiltonian_vector_field, omega_eps,
-                    slice_z_values, solve_field, _fiber_velocity,
-                    _invariant_under, _rk4_flow)
-from .certify import action_functions
+from .phase import (PhasePoint, basis_bracket, hamiltonian_vector_field,
+                    slice_z_values, _fiber_velocity, _invariant_under,
+                    _rk4_flow)
+from .certify import action_functions, phase_jacobian
 
 TWO_PI = 2.0 * math.pi
 
@@ -175,23 +175,14 @@ def _nearest_branch(values, reference):
     return values + TWO_PI * np.round((reference - values) / TWO_PI)
 
 
-def _angle_rates(sys, pt, velocities):
-    """d phi(d xi) = L Im(z(d xi) / z(xi)) on the live roots, one column
-    per fiber velocity d xi (rows of velocities): the exact differential
-    of the torus angles, which read xi alone."""
-    dz = slice_z_values(sys, velocities)[:, list(live_roots(sys))]
-    return angle_map_matrix(sys) @ np.imag(dz / _live_z(sys, pt)).T
-
-
 def frequency_matrix(sys, pt):
-    """Omega_{ak} = {phi_a, J_k}_eps = d phi_a(X_{J_k}) from the solved
-    action fields.
+    """Omega_{ak} = {phi_a, J_k}_eps, the angle differential bracketed
+    with the action Jacobian.
 
     Shape (2, 2) in the regular case and (2,) in the irregular case.
     """
-    Om = _angle_rates(sys, pt, np.array([
-        _fiber_velocity(sys, pt, *hamiltonian_vector_field(J, sys, pt))
-        for J in action_functions(sys)]))
+    Om = basis_bracket(sys, angle_differential(sys, pt),
+                       phase_jacobian(sys, action_functions(sys), pt))
     return Om if sys.case_tag == "regular" else Om[:, 0]
 
 
@@ -230,21 +221,11 @@ def angle_action_pairing(sys, pt):
 
 def angle_differential(sys, pt):
     """Differential of the torus angles over the tangent basis, shape
-    (n_angles, 2 dim m)."""
-    return _angle_rates(sys, pt, pt.fiber_images)
-
-
-def plain_angle_bracket(sys, pt):
-    """The matrix {phi_a, phi_b}_eps via the symplectic solve on the
-    differentials of the plain torus angles."""
-    D = angle_differential(sys, pt)
-    fields = [solve_field(sys, row) for row in D]
-    n = len(fields)
-    out = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            out[a, b] = omega_eps(sys, pt, fields[a], fields[b])
-    return out
+    (n_angles, 2 dim m): d phi(d xi) = L Im(z(d xi) / z(xi)) on the live
+    roots, one column per fiber image d xi, exact since the angles read
+    xi alone."""
+    dz = slice_z_values(sys, pt.fiber_images)[:, list(live_roots(sys))]
+    return angle_map_matrix(sys) @ np.imag(dz / _live_z(sys, pt)).T
 
 
 def angle_angle_bracket(sys, pt):
@@ -257,6 +238,6 @@ def angle_angle_bracket(sys, pt):
     if sys.case_tag != "regular":
         raise ValueError("two independent angles exist only in the regular case")
     S = np.linalg.inv(frequency_matrix(sys, pt))
-    PP = plain_angle_bracket(sys, pt)
-    M = S @ PP @ S.T
+    D = angle_differential(sys, pt)
+    M = S @ basis_bracket(sys, D, D) @ S.T
     return M[0, 1]

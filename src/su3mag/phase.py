@@ -29,7 +29,8 @@ from .scalars import Scalar
 from .poly import Polynomial, b_gradient, lie_poisson_bracket
 from .algebra import (GroupElement, UNITARY_TOL,
                       build_su3_chevalley, build_su3_gellmann,
-                      centralizer_of, regularity, exp_map, _adjoint)
+                      centralizer_of, regularity, exp_map, _adjoint,
+                      _divide_det_phase)
 from .invariants import casimirs_su3, shift_images
 
 # Rows per block of the routes over a whole flow: blocks keep the
@@ -68,6 +69,12 @@ class MagneticSystem:
         # ad(e_j) and the rows e_j for j in m: the tangent basis directions
         self._ad_m = alg.ad_matrices()[self.m]
         self._e_m = np.eye(alg.dim)[self.m]
+        # the nonzero entries i < j of the Poisson tensor on the tangent
+        # basis, the same at every point (basis_bracket)
+        fields = [solve_field(self, e) for e in np.eye(2 * len(self.m))]
+        self._poisson = [(i, j, p) for i in range(len(fields))
+                         for j in range(i + 1, len(fields))
+                         if (p := omega_eps(self, fields[i], fields[j]))]
 
     # -- common exact objects -------------------------------------------------
 
@@ -281,7 +288,12 @@ class MomentPullback:
 
 
 def moment_coordinate(sys, i):
-    names = sys.alg.coord_names
+    return _moment_coordinate(sys.alg, i)
+
+
+@lru_cache(maxsize=32)
+def _moment_coordinate(alg, i):
+    names = alg.coord_names
     return MomentPullback(Polynomial.var(names, names[i]), name=f"P{i + 1}")
 
 
@@ -368,7 +380,7 @@ def hamiltonian_vector_field(fn, sys, pt):
     return solve_field(sys, basis_differential(fn, sys, pt))
 
 
-def omega_eps(sys, pt, vw1, vw2):
+def omega_eps(sys, vw1, vw2):
     """The magnetic symplectic form in the (v, w) parametrization."""
     v1, w1 = vw1
     v2, w2 = vw2
@@ -377,20 +389,33 @@ def omega_eps(sys, pt, vw1, vw2):
             - sys.eps * alg.np_bpair(sys.W, alg.np_bracket(v1, v2)))
 
 
+def basis_bracket(sys, Df, Dh):
+    """{f_r, h_s}_eps for the rows of two arrays of tangent-basis
+    differentials: the sum of Pi_ij (df_i dh_j - df_j dh_i) over the nonzero
+    i < j of the point-free Poisson tensor Pi_ij = omega_eps(X_i, X_j), X_i
+    solved from the i-th basis covector.  Term by term in a fixed order,
+    entry [r, s] reads rows r and s alone, bit for bit, and a stack's bracket
+    with itself is exactly antisymmetric; D Pi D^T is neither."""
+    out = np.zeros((len(Df), len(Dh)))
+    for i, j, p in sys._poisson:
+        out += p * (np.outer(Df[:, i], Dh[:, j])
+                    - np.outer(Df[:, j], Dh[:, i]))
+    return out
+
+
 def twisted_bracket(sys, f, h, pt, method="omega"):
     """{f, h}_eps at pt.
 
-    method "omega" evaluates omega_eps(X_f, X_h) from the solved vector
-    fields; method "symbolic" uses the block shortcuts: the moment pullback
-    is Poisson for the Lie-Poisson bracket, the slice pullback obeys
+    method "omega" pairs df and dh through the Poisson tensor of omega_eps
+    (basis_bracket); method "symbolic" uses the block shortcuts: the moment
+    pullback is Poisson for the Lie-Poisson bracket, the slice pullback obeys
     {theta1,theta2}_2(xi) = -B(xi, [grad1_m, grad2_m]) and mixed brackets
     vanish.  A mixed bracket raises ValueError unless its slice function
     is Ad(A)-invariant, which is decided exactly.
     """
     if method == "omega":
-        Xf = hamiltonian_vector_field(f, sys, pt)
-        Xh = hamiltonian_vector_field(h, sys, pt)
-        return omega_eps(sys, pt, Xf, Xh)
+        df, dh = (basis_differential(fn, sys, pt)[None] for fn in (f, h))
+        return float(basis_bracket(sys, df, dh)[0, 0])
     if method != "symbolic":
         raise ValueError(f"unknown bracket method {method!r}")
     return _bracket_symbolic(sys, f, h, pt)
@@ -662,13 +687,6 @@ def _newton_schulz(M):
     group (Higham, Functions of Matrices, ch. 8), for a matrix or row by
     row for a stack: at a drift |M* M - I| of d it lands within O(d^2)."""
     return M @ (1.5 * np.eye(M.shape[-1]) - 0.5 * (_adjoint(M) @ M))
-
-
-def _divide_det_phase(G):
-    """Each unitary matrix of the stack G divided by a cube root of its
-    determinant, as polar_project divides its polar factor."""
-    det = np.linalg.det(G)
-    return G * np.exp(-np.log(det) / G.shape[-1])[:, None, None]
 
 
 def _check_stack(sys, G, X):

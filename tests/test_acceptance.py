@@ -222,7 +222,7 @@ def test_criterion_06_mixed_block_vanishing():
             fields_s = [hamiltonian_vector_field(f, sys, pt) for f in slices]
             for Xm in fields_m:
                 for Xs in fields_s:
-                    worst = max(worst, abs(omega_eps(sys, pt, Xm, Xs)))
+                    worst = max(worst, abs(omega_eps(sys, Xm, Xs)))
     report(6, worst < 1e-10,
            f"max |{{P_i, pi*theta}}| over all generators at 100 points "
            f"per case: {worst:.3e} < 1e-10")
@@ -244,7 +244,7 @@ def test_criterion_07_moment_bracket_closure():
             h = moment_of_direction(sys, etap)
             Xf = hamiltonian_vector_field(f, sys, pt)
             Xh = hamiltonian_vector_field(h, sys, pt)
-            br = omega_eps(sys, pt, Xf, Xh)
+            br = omega_eps(sys, Xf, Xh)
             comm = sys.alg.np_bracket(eta, etap)
             expect = sys.alg.np_bpair(pt.moment_coords, comm)
             worst = max(worst, abs(br - expect))

@@ -126,7 +126,7 @@ def test_hvf_defining_equation():
                 w = np.zeros(sys.alg.dim)
                 v[sys.m] = rng.uniform(-1, 1, len(sys.m))
                 w[sys.m] = rng.uniform(-1, 1, len(sys.m))
-                lhs = omega_eps(sys, pt, Xf, (v, w))
+                lhs = omega_eps(sys, Xf, (v, w))
                 rhs = differential(fn, sys, pt, v, w)
                 dfs.append(rhs)
                 refs.append(per_direction_differential(fn, sys, pt, v, w))
@@ -247,12 +247,14 @@ def test_symbolic_mixed_bracket_refuses_a_slice_function_not_invariant():
 
 
 def test_systems_over_one_algebra_share_its_exact_objects():
-    """Casimirs and slice generators are built once per algebra; the
-    restrictions, which depend on eps, stay per system."""
+    """Casimirs, slice generators and moment coordinates are built once
+    per algebra; the restrictions, which depend on eps, stay per system."""
     from su3mag.invariants import casimirs_su3, restrict_shift
     for make in (su3_regular_system, su3_irregular_system):
         a, b = make(0.1), make(0.25)
         assert all(x is y for x, y in zip(a.casimirs(), b.casimirs()))
+        assert all(moment_coordinate(a, i) is moment_coordinate(b, i)
+                   for i in range(a.alg.dim))
         if a.case_tag == "regular":
             assert torus_generators(a.alg) is torus_generators(b.alg)
         else:
@@ -607,7 +609,7 @@ def test_chart_block_structure_of_omega():
     Om = np.zeros((n, n))
     for a in range(n):
         for b in range(n):
-            Om[a, b] = omega_eps(sys, pt, dirs[a], dirs[b])
+            Om[a, b] = omega_eps(sys, dirs[a], dirs[b])
     poisson = np.linalg.inv(Om)
     nm = len(sys.m)
     F = np.zeros((nm, nm))
@@ -831,6 +833,36 @@ def test_center_check_matches_twisted_bracket_route(case):
         assert new.to_dict() == old.to_dict()
         assert [c.observed for c in new.checks] == \
             [c.observed for c in old.checks]
+
+
+@pytest.mark.parametrize("case", ["regular", "irregular"])
+@pytest.mark.parametrize("eps", [0.1, 1.0])
+def test_basis_bracket_matches_omega_of_the_solved_fields(case, eps):
+    """basis_bracket on the rows of the generator and centre families and
+    the angle differential agrees with omega_eps of the fields solved
+    from each row, within a relative 1e-14 of the largest entry.  A stack
+    bracketed with itself is exactly antisymmetric with a zero diagonal,
+    and each entry reads its two rows alone, bit for bit."""
+    from su3mag.angles import angle_differential, chart_point
+    from su3mag.certify import center_family, generator_family, phase_jacobian
+    from su3mag.phase import basis_bracket, solve_field
+    sys = (su3_regular_system if case == "regular"
+           else su3_irregular_system)(eps)
+    rng = np.random.default_rng(47)
+    fns = generator_family(sys) + center_family(sys)
+    for _ in range(4):
+        pt = chart_point(sys, rng)
+        A = angle_differential(sys, pt)
+        D = np.concatenate([phase_jacobian(sys, fns, pt), A])
+        fields = ([hamiltonian_vector_field(fn, sys, pt) for fn in fns]
+                  + [solve_field(sys, row) for row in A])
+        ref = np.array([[omega_eps(sys, X, Y) for Y in fields]
+                        for X in fields])
+        new = basis_bracket(sys, D, D)
+        assert _agrees(new, ref)
+        assert np.array_equal(new, -new.T)
+        assert not np.diag(new).any()
+        assert np.array_equal(basis_bracket(sys, D[:3], D[3:]), new[:3, 3:])
 
 
 @pytest.mark.parametrize("case", ["regular", "irregular"])
