@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .scalars import (Scalar, CScalar, CZERO, cmat, cmat_commutator,
-                      cmat_scale, cmat_add)
+                      cmat_scale, cmat_add, is_exact)
 from .exact_linalg import nullspace
 
 UNITARY_TOL = 1e-12
@@ -268,7 +268,8 @@ class GroupElement:
     def __init__(self, matrix):
         M = np.asarray(matrix, dtype=complex)
         n = M.shape[0]
-        if not np.allclose(M.conj().T @ M, np.eye(n), atol=UNITARY_TOL):
+        if not np.allclose(M.conj().T @ M, np.eye(n), rtol=0,
+                           atol=UNITARY_TOL):
             raise ValueError("group element is not unitary within tolerance")
         if abs(np.linalg.det(M) - 1.0) > UNITARY_TOL:
             raise ValueError("group element does not have determinant one")
@@ -300,7 +301,7 @@ def exp_map(alg, coords):
     M = alg.matrix_of(coords) if not isinstance(coords, np.ndarray) or coords.ndim == 1 \
         else coords
     H = 1j * M
-    if not np.allclose(H, _adjoint(H), atol=1e-10):
+    if not np.allclose(H, _adjoint(H), rtol=0, atol=1e-10):
         raise ValueError("exp_map requires an anti-Hermitian argument")
     w, U = np.linalg.eigh(H)
     g = _divide_det_phase((U * np.exp(-1j * w)[..., None, :]) @ _adjoint(U))
@@ -461,7 +462,7 @@ def centralizer_of(alg, w):
     for every configuration used here); otherwise the basis is not adapted
     and we refuse.
     """
-    if not all(isinstance(c, (int, Fraction, Scalar)) for c in w):
+    if not all(map(is_exact, w)):
         raise ValueError("centralizer_of needs W with exact coordinates")
     w = [Scalar.of(c) for c in w]
     if all(c.is_zero() for c in w):
@@ -499,7 +500,7 @@ def regularity(alg, w, tol=1e-10):
     """
     roots = alg.extras.get("roots")
     torus = alg.extras.get("torus_indices")
-    exact = all(isinstance(c, (int, Fraction, Scalar)) for c in w)
+    exact = all(map(is_exact, w))
     if roots is not None and exact and torus is not None and \
             all(Scalar.of(w[j]).is_zero() for j in range(alg.dim) if j not in torus):
         vanishing = []

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .scalars import Scalar
+from .scalars import CZERO, Scalar
 from .poly import Polynomial, b_gradient, lie_poisson_bracket
 from .algebra import (GroupElement, UNITARY_TOL,
                       build_su3_chevalley, build_su3_gellmann,
@@ -70,11 +70,14 @@ class MagneticSystem:
         self._ad_m = alg.ad_matrices()[self.m]
         self._e_m = np.eye(alg.dim)[self.m]
         # the nonzero entries i < j of the Poisson tensor on the tangent
-        # basis, the same at every point (basis_bracket)
-        fields = [solve_field(self, e) for e in np.eye(2 * len(self.m))]
-        self._poisson = [(i, j, p) for i in range(len(fields))
-                         for j in range(i + 1, len(fields))
-                         if (p := omega_eps(self, fields[i], fields[j]))]
+        # basis, the same at every point (basis_bracket), in closed form:
+        # with n = dim m, Pi(j, n + j) = 1 and Pi(n + i, n + j) =
+        # eps B(W, [e_i, e_j]) = -eps (ad_W)[i, j]
+        n = len(self.m)
+        F = -self.eps * self._adW[np.ix_(self.m, self.m)]
+        self._poisson = [(j, n + j, 1.0) for j in range(n)] + [
+            (n + i, n + j, p) for i in range(n) for j in range(i + 1, n)
+            if (p := F[i, j])]
 
     # -- common exact objects -------------------------------------------------
 
@@ -90,10 +93,10 @@ class MagneticSystem:
     def random_point(self, rng):
         """A phase point with fiber coordinates uniform in [-1, 1]."""
         seed = rng.uniform(-1.0, 1.0, self.alg.dim)
-        g = exp_map(self.alg, seed).matrix
+        g = exp_map(self.alg, seed)
         X = np.zeros(self.alg.dim)
         X[self.m] = rng.uniform(-1.0, 1.0, len(self.m))
-        return PhasePoint(self, GroupElement(g), X)
+        return PhasePoint(self, g, X)
 
     def random_regular_point(self, rng):
         """Sample until xi = X - eps W is regular and the chart is safe.
@@ -116,27 +119,22 @@ class MagneticSystem:
         raise RuntimeError("failed to sample a regular phase point")
 
 
-@lru_cache(maxsize=1)
-def _z_duals():
-    """Dual matrices of the root coordinate functionals:
-    z_k(M) = -1/2 tr(M D_k), built on first use."""
+@lru_cache(maxsize=3)
+def _z_matrix(alg):
+    """The complex (dim, 3) matrix Z of the root coordinate functionals,
+    z = coords @ Z: row i holds z_k(e_i), exactly from the z_rows of the
+    root-adapted basis and the exact root-adapted coordinates of e_i."""
     chev = build_su3_chevalley()
-    duals = []
-    for row in chev.extras["z_rows"]:
-        D = np.zeros((3, 3), dtype=complex)
-        for i, c in enumerate(row):
-            if not c.is_zero():
-                D += complex(c) * chev._np_basis[i]
-        duals.append(D)
-    return tuple(duals)
+    return np.array([[complex(sum((c * x for c, x in zip(row, coords)), CZERO))
+                      for row in chev.extras["z_rows"]]
+                     for coords in map(chev.exact_coords_of_matrix,
+                                       alg.matrix_rep)])
 
 
 def slice_z_values(sys, coords):
     """Complex root coordinates z_k of a slice coordinate vector (xi =
     X - eps W, or a tangent to the slice), or row by row for a stack."""
-    M = sys.alg.matrix_of(coords)
-    return np.stack([-0.5 * np.trace(M @ D, axis1=-2, axis2=-1)
-                     for D in _z_duals()], axis=-1)
+    return np.asarray(coords, dtype=float) @ _z_matrix(sys.alg)
 
 
 def su3_regular_system(eps):
@@ -585,7 +583,7 @@ def flow_steps(t_end, dt):
     return nsteps
 
 
-def integrate_flow(sys, pt0, t_end, dt, drift_limit=DRIFT_LIMIT):
+def integrate_flow(sys, pt0, t_end, dt):
     """Classical RK4 (_rk4_flow) for gdot = g M(X), Xdot = -eps [W, X].
 
     The fiber field is g-free: v = X and Xdot = -eps ad_W X, so the
@@ -597,14 +595,13 @@ def integrate_flow(sys, pt0, t_end, dt, drift_limit=DRIFT_LIMIT):
     """
     adW = sys._adW
     eps = sys.eps
-    G, Xs = _rk4_flow(sys, pt0, t_end, dt,
-                      lambda X: (X, -eps * (adW @ X)), drift_limit)
+    G, Xs = _rk4_flow(sys, pt0, t_end, dt, lambda X: (X, -eps * (adW @ X)))
     times = [0.0] + [(step + 1) * dt for step in range(len(G) - 1)]
     return FlowTrajectory(times=times, points=TrajectoryPoints(sys, G, Xs),
                           dt=dt)
 
 
-def _rk4_flow(sys, pt0, t_end, dt, field, drift_limit=DRIFT_LIMIT):
+def _rk4_flow(sys, pt0, t_end, dt, field):
     """The one RK4 loop: ``flow_steps(t_end, dt)`` steps from pt0 of
     gdot = g M(v), Xdot = F(X), for a g-free field ``field(X) -> (v,
     F(X))``, returned as read-only arrays G of shape (n+1, N, N) and X
@@ -626,7 +623,7 @@ def _rk4_flow(sys, pt0, t_end, dt, field, drift_limit=DRIFT_LIMIT):
       the whole block at once.  For unitary g, g Psi_n = NS(g Phi_n).
     - A loop keeps only g <- g Psi_n.
     - Over the block at once: with D_n = Y_n* Y_n - I for Y_n = g_n
-      Phi_n, a unitarity drift max |D_n| beyond drift_limit rejects the
+      Phi_n, a unitarity drift max |D_n| beyond DRIFT_LIMIT rejects the
       block's first such step, which a RuntimeError names; a NaN drift
       is rejected too.  Each row then takes one more Newton-Schulz step
       back to the unitary group, and _divide_det_phase takes it to
@@ -669,7 +666,7 @@ def _rk4_flow(sys, pt0, t_end, dt, field, drift_limit=DRIFT_LIMIT):
                 np.matmul(G[lo + k], Psi[k], out=G[lo + k + 1])
             Y = G[lo:lo + n] @ Phi
             drift = np.abs(_adjoint(Y) @ Y - eye).max(axis=(1, 2))
-        bad = ~(drift <= drift_limit)
+        bad = ~(drift <= DRIFT_LIMIT)
         if bad.any():
             k = np.argmax(bad)
             raise RuntimeError(f"unitarity drift {drift[k]:.2e} exceeds "
@@ -699,7 +696,7 @@ def _check_stack(sys, G, X):
     for lo in range(0, len(G), BLOCK_ROWS):
         g = G[lo:lo + BLOCK_ROWS]
         gram = _adjoint(g) @ g
-        bad = ~np.isclose(gram, eye, atol=UNITARY_TOL).all(axis=(1, 2))
+        bad = ~np.isclose(gram, eye, rtol=0, atol=UNITARY_TOL).all(axis=(1, 2))
         if bad.any():
             raise ValueError("group element is not unitary within "
                              f"tolerance at {where(lo + np.argmax(bad))}")

@@ -16,11 +16,10 @@ and B-gradients dp_X(V) = B(grad p(X), V) used throughout.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
-from .scalars import Scalar, parse_scalar
+from .scalars import Scalar, is_exact, parse_scalar
 
 DEGREE_CAP = 8
 
@@ -76,7 +75,7 @@ class Polynomial:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
+        if is_exact(other):
             other = Polynomial.const(self.vars, other)
         self._check_compatible(other)
         terms = dict(self.terms)
@@ -95,15 +94,13 @@ class Polynomial:
         return Polynomial(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = Polynomial.const(self.vars, other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
+        if is_exact(other):
             c = Scalar.of(other)
             return Polynomial(self.vars,
                               {e: c * v for e, v in self.terms.items()})
@@ -179,8 +176,7 @@ class Polynomial:
         float value that overflows at a finite point raises OverflowError."""
         if len(point) != len(self.vars):
             raise ValueError("point length does not match variables")
-        exact = all(isinstance(x, (int, Fraction, Scalar)) for x in point)
-        if exact:
+        if all(map(is_exact, point)):
             pt = [Scalar.of(x) for x in point]
             out = Scalar(0)
             for expo, coeff in self.terms.items():

@@ -11,10 +11,13 @@ four integer numerators over one common denominator,
     (n0 + n1*sqrt2 + n2*sqrt3 + n3*sqrt6) / den,     den > 0,
 
 reduced so that gcd(n0, n1, n2, n3, den) == 1; zero is (0, 0, 0, 0, 1).
-The reduced form is unique, so equality is tuple equality.  Every ring
-operation works on Python ints and ends with one gcd; no ``Fraction`` is
-built on the arithmetic path.  The rational coefficients a, b, c, d are
-available as read-only ``Fraction`` views.
+The reduced form is unique, so equality and hashing read the tuple.  An
+int or Fraction operand enters through one coercion, ``_coerce`` (also
+``Scalar.of``; ``is_exact`` names what it accepts), on its integers.  So
+every ring operation works on Python ints and ends with one gcd; no
+``Fraction`` is built on the arithmetic path, hashing included.  The
+rational coefficients a, b, c, d are available as read-only ``Fraction``
+views.
 
 Division is exact field division: the inverse is the conjugate product over
 the rational field norm, both computed on the integer numerators.
@@ -54,6 +57,23 @@ def _make(n0, n1, n2, n3, den):
     return s
 
 
+def _coerce(x):
+    """x as a Scalar: a Scalar is itself, an int or a Fraction goes to
+    _make on its integers; anything else raises TypeError."""
+    if type(x) is Scalar:
+        return x
+    if isinstance(x, int):
+        return _make(int(x), 0, 0, 0, 1)
+    if isinstance(x, Fraction):
+        return _make(x.numerator, 0, 0, 0, x.denominator)
+    raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
+
+
+def is_exact(x):
+    """Whether _coerce accepts x: a Scalar, an int or a Fraction."""
+    return isinstance(x, (int, Fraction, Scalar))
+
+
 def _rational_parts(x):
     """(numerator, denominator) of an exact rational; floats are refused."""
     if isinstance(x, numbers.Rational):
@@ -70,21 +90,14 @@ class Scalar:
     __slots__ = ("ints",)
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        parts = [_rational_parts(x) for x in (a, b, c, d)]
+        parts = [(x, 1) if type(x) is int else _rational_parts(x)
+                 for x in (a, b, c, d)]
         den = math.lcm(*(q for _, q in parts))
-        s = _make(*(p * (den // q) for p, q in parts), den)
-        self.ints = s.ints
+        self.ints = _make(*(p * (den // q) for p, q in parts), den).ints
 
     # -- constructors -----------------------------------------------------
 
-    @staticmethod
-    def of(x):
-        """Coerce an int, Fraction or Scalar to a Scalar."""
-        if type(x) is Scalar:
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Scalar(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
+    of = staticmethod(_coerce)
 
     @staticmethod
     def sqrt3(coeff=1):
@@ -119,10 +132,10 @@ class Scalar:
     # -- field operations --------------------------------------------------
 
     def __add__(self, other):
-        if type(other) is not Scalar:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Scalar(other)
+        try:
+            other = _coerce(other)
+        except TypeError:
+            return NotImplemented
         b0, b1, b2, b3, bd = other.ints
         if not (b0 or b1 or b2 or b3):
             return self
@@ -143,20 +156,20 @@ class Scalar:
         return s
 
     def __sub__(self, other):
-        if type(other) is not Scalar:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Scalar(other)
+        try:
+            other = _coerce(other)
+        except TypeError:
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return Scalar.of(other) + (-self)
+        return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        if type(other) is not Scalar:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Scalar(other)
+        try:
+            other = _coerce(other)
+        except TypeError:
+            return NotImplemented
         a0, a1, a2, a3, ad = self.ints
         b0, b1, b2, b3, bd = other.ints
         if not (a1 or a2 or a3):
@@ -192,10 +205,10 @@ class Scalar:
                      den * conj[3], norm)
 
     def __truediv__(self, other):
-        return self * Scalar.of(other).inv()
+        return self * _coerce(other).inv()
 
     def __rtruediv__(self, other):
-        return Scalar.of(other) * self.inv()
+        return _coerce(other) * self.inv()
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -222,15 +235,14 @@ class Scalar:
         return not self.is_zero()
 
     def __eq__(self, other):
-        if type(other) is not Scalar:
-            try:
-                other = Scalar.of(other)
-            except TypeError:
-                return NotImplemented
+        try:
+            other = _coerce(other)
+        except TypeError:
+            return NotImplemented
         return self.ints == other.ints
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+        return hash(self.ints)
 
     def __float__(self):
         n0, n1, n2, n3, den = self.ints
@@ -263,21 +275,13 @@ def parse_scalar(s):
     s = s.strip()
     if "(" not in s:
         return Scalar(Fraction(s))
-    out = Scalar(0)
-    # split on '+' that separate "(..)tag" chunks; coefficients may be negative
+    # '+' separates the "(p/q)" and "(r/s)tag" chunks, one per part;
+    # coefficients may be negative
+    parts = dict.fromkeys(("", "√2", "√3", "√6"), 0)
     for chunk in s.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if chunk.endswith("√2"):
-            out = out + Scalar.sqrt2(Fraction(chunk[1:-3]))
-        elif chunk.endswith("√3"):
-            out = out + Scalar.sqrt3(Fraction(chunk[1:-3]))
-        elif chunk.endswith("√6"):
-            out = out + Scalar.sqrt6(Fraction(chunk[1:-3]))
-        else:
-            out = out + Scalar(Fraction(chunk.strip("()")))
-    return out
+        coeff, tag = chunk.strip()[1:].split(")")
+        parts[tag] = Fraction(coeff)
+    return Scalar(*parts.values())
 
 
 ONE = Scalar(1)
@@ -300,16 +304,13 @@ class CScalar:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Scalar else Scalar.of(re)
-        self.im = im if type(im) is Scalar else Scalar.of(im)
+        self.re = _coerce(re)
+        self.im = _coerce(im)
 
     @staticmethod
     def of(x):
-        if type(x) is CScalar:
-            return x
-        if isinstance(x, (int, Fraction, Scalar)):
-            return CScalar(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to CScalar")
+        """x as a CScalar; a real part goes through _coerce."""
+        return x if type(x) is CScalar else CScalar(x)
 
     @staticmethod
     def i(coeff=1):

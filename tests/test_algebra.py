@@ -9,7 +9,7 @@ from su3mag import (build_su3_gellmann, build_su3_chevalley, build_su2,
                     identity_element, GroupElement)
 from su3mag.scalars import (Scalar, CScalar, cmat_add, cmat_commutator,
                             cmat_scale, cmat_sub)
-from su3mag.algebra import LieAlgebraSpec
+from su3mag.algebra import LieAlgebraSpec, UNITARY_TOL
 from fractions import Fraction
 
 
@@ -87,6 +87,22 @@ def test_exp_map_identities():
     h1 = np.zeros(8)
     h1[0] = 2 * np.pi
     assert np.abs(exp_map(alg, h1).matrix - np.eye(3)).max() < 1e-10
+
+
+def test_group_checks_hold_at_their_absolute_tolerances():
+    """GroupElement's Gram check and exp_map's anti-Hermitian check use
+    their absolute tolerances alone: numpy's default rtol=1e-5 would let
+    a Gram error of 2e-7 and a Hermitian part of 1e-6 through."""
+    s = 1 + 1e-7
+    stretch = np.diag([s, 1 / s, 1.0])
+    assert abs(np.linalg.det(stretch) - 1) <= UNITARY_TOL
+    with pytest.raises(ValueError, match="not unitary"):
+        GroupElement(stretch)
+    alg = build_su3_chevalley()
+    M = alg.matrix_of([0, np.sqrt(3.0)] + [0] * 6)  # i diag(1, 1, -2)
+    exp_map(alg, M)
+    with pytest.raises(ValueError, match="anti-Hermitian"):
+        exp_map(alg, M + 1e-6 * np.eye(3))
 
 
 def test_adjoint_group():

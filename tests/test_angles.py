@@ -29,7 +29,7 @@ def test_import_builds_no_algebra():
              "for b in (algebra.build_su3_gellmann, "
              "algebra.build_su3_chevalley, algebra.build_su2):\n"
              "    assert b.cache_info().misses == 0, b.__name__\n"
-             "assert su3mag.phase._z_duals.cache_info().misses == 0\n")
+             "assert su3mag.phase._z_matrix.cache_info().misses == 0\n")
     proc = subprocess.run([sys.executable, "-c", probe],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

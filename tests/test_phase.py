@@ -442,8 +442,10 @@ def test_array_driver_guards(monkeypatch):
     sys = su3_irregular_system(0.1)
     pt = sys.random_regular_point(np.random.default_rng(5))
     # the per-step drift guard before reprojection
+    monkeypatch.setattr(phase, "DRIFT_LIMIT", 1e-30)
     with pytest.raises(RuntimeError, match="exceeds limit at step 0"):
-        integrate_flow(sys, pt, t_end=0.01, dt=1e-3, drift_limit=1e-30)
+        integrate_flow(sys, pt, t_end=0.01, dt=1e-3)
+    monkeypatch.undo()
     # the bulk check after the loop, on what the reprojection returned
     real_project = phase._divide_det_phase
     monkeypatch.setattr(phase, "_divide_det_phase",
@@ -454,6 +456,13 @@ def test_array_driver_guards(monkeypatch):
     shear[0, 1] = 1e-10  # off-diagonal Gram error above UNITARY_TOL
     monkeypatch.setattr(phase, "_divide_det_phase",
                         lambda G: real_project(G) @ shear)
+    with pytest.raises(ValueError, match="not unitary .* at step 0"):
+        integrate_flow(sys, pt, t_end=0.01, dt=1e-3)
+    # a diagonal Gram error of 2e-7 at determinant one, inside numpy's
+    # default rtol but far above UNITARY_TOL
+    stretch = np.diag([1 + 1e-7, 1 / (1 + 1e-7), 1.0])
+    monkeypatch.setattr(phase, "_divide_det_phase",
+                        lambda G: real_project(G) @ stretch)
     with pytest.raises(ValueError, match="not unitary .* at step 0"):
         integrate_flow(sys, pt, t_end=0.01, dt=1e-3)
     seen = [0]  # the rows of every block so far: one per step

@@ -1,6 +1,7 @@
 """Field axioms and serialization of the exact scalar type."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -112,8 +113,36 @@ def test_views_are_read_only_and_floats_refused():
         s.a = Fraction(1)
     with pytest.raises(TypeError):
         Scalar(0.5)
-    with pytest.raises(TypeError):
-        s * 0.5
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for x, y in ((s, 0.5), (0.5, s)):
+            with pytest.raises(TypeError):
+                op(x, y)
+    assert (Scalar(1) == 1.0) is False and (1.0 == Scalar(1)) is False
+    # equal values built in different ways hash alike
+    for x, y in ((Scalar(Fraction(2, 4)), Scalar(Fraction(1, 2))),
+                 (Scalar(1), Scalar.of(True)), (Scalar.of(3), Scalar(3))):
+        assert x == y and hash(x) == hash(y)
+        assert_normal(y)
+
+
+def test_int_operands_and_hashing_stay_on_integers(monkeypatch):
+    """An int operand of + - * / == and hash() go through the one
+    coercion on integers: no Fraction is built and Scalar.__init__ is
+    never called."""
+    x = Scalar(Fraction(1, 2), 0, Fraction(-3, 4), 5)
+    calls = []
+    real_new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k:
+                        calls.append(a) or real_new(cls, *a, **k))
+    monkeypatch.setattr(Scalar, "__init__", lambda self, *a:
+                        calls.append(a))
+    for k in (3, True):
+        for op in (operator.add, operator.sub, operator.mul,
+                   operator.truediv, operator.eq):
+            op(x, k)
+            op(k, x)
+    hash(x)
+    assert not calls
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
