@@ -4,8 +4,10 @@ The Hamilton equations in left trivialization are gdot = g X and
 Xdot = -eps [W, X]; the fiber has the closed Lax form
 X(t) = Ad(exp(-t eps W)) X(0) and the group factor
 g(t) = g(0) exp(t (X0 - eps W)) exp(t eps W).  The integrator steps the
-fiber alone with RK4 and rebuilds the group factor from the fiber's stage
-values (g_{n+1} = g_n Phi_n, one Newton-Schulz projection per step); it
+fiber alone with RK4, which on this linear field is one propagator
+(X_{k+1} = X_k + X_k E^T, the rows built by doubling), and rebuilds the
+group factor from the fiber's stage values (g_{n+1} = g_n Phi_n, one
+Newton-Schulz projection per step); it
 tracks both closed forms to machine precision, and all thirteen (regular)
 or nine (irregular) first integrals stay flat.
 """

@@ -31,8 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .scalars import (Scalar, CScalar, CZERO, cmat, cmat_commutator,
-                      cmat_scale, cmat_add, is_exact)
+from .scalars import (ONE, ZERO, Scalar, CScalar, CZERO, cmat,
+                      cmat_commutator, cmat_scale, cmat_add, is_exact)
 from .exact_linalg import nullspace
 
 UNITARY_TOL = 1e-12
@@ -190,32 +190,25 @@ class LieAlgebraSpec:
         """Exact antisymmetry, Jacobi, B-invariance and closure checks."""
         n = self.dim
         for (i, j, k), c in self.structure.items():
-            if self.structure.get((j, i, k), Scalar(0)) != -c:
+            if self.structure.get((j, i, k), ZERO) != -c:
                 raise AssertionError("structure constants are not antisymmetric")
         # Jacobi via exact matrices (closure already checked in constructor)
+        unit = [[ONE if t == i else ZERO for t in range(n)] for i in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    acc = [Scalar(0)] * n
+                    acc = [ZERO] * n
                     for (a, b, cc) in ((i, j, k), (j, k, i), (k, i, j)):
-                        ab = [Scalar(0)] * n
-                        for m in range(n):
-                            cab = self.structure.get((a, b, m))
-                            if cab is not None:
-                                ab[m] = cab
-                        inner = self.bracket_coords(
-                            ab, [Scalar(1) if t == cc else Scalar(0)
-                                 for t in range(n)])
+                        ab = [self.structure.get((a, b, m), ZERO)
+                              for m in range(n)]
+                        inner = self.bracket_coords(ab, unit[cc])
                         acc = [p + q for p, q in zip(acc, inner)]
                     if any(not v.is_zero() for v in acc):
                         raise AssertionError("Jacobi identity fails")
         # ad-invariance of B on basis triples
-        for i in range(n):
-            ei = [Scalar(1) if t == i else Scalar(0) for t in range(n)]
-            for j in range(n):
-                ej = [Scalar(1) if t == j else Scalar(0) for t in range(n)]
-                for k in range(n):
-                    ek = [Scalar(1) if t == k else Scalar(0) for t in range(n)]
+        for ei in unit:
+            for ej in unit:
+                for ek in unit:
                     lhs = self.bpair_coords(self.bracket_coords(ei, ej), ek)
                     rhs = self.bpair_coords(ej, self.bracket_coords(ei, ek))
                     if not (lhs + rhs).is_zero():
@@ -275,9 +268,6 @@ class GroupElement:
             raise ValueError("group element does not have determinant one")
         self.matrix = M
 
-    def inverse(self):
-        return GroupElement(self.matrix.conj().T)
-
     def __matmul__(self, other):
         return GroupElement(self.matrix @ other.matrix)
 
@@ -318,14 +308,6 @@ def _divide_det_phase(g):
     landing in SU(N), or row by row for a stack."""
     det = np.linalg.det(g)
     return g * np.exp(-np.log(det) / g.shape[-1])[..., None, None]
-
-
-def adjoint_group(alg, g, coords):
-    """Coordinates of Ad(g) X = g X g^-1; g must be a GroupElement."""
-    if not isinstance(g, GroupElement):
-        g = GroupElement(g)
-    M = alg.matrix_of(np.asarray(coords, dtype=float))
-    return alg.coords_of_matrix(g.matrix @ M @ g.matrix.conj().T)
 
 
 def polar_project(M):

@@ -138,12 +138,15 @@ def torus_action(sys, pt, sigma):
 
 def flow_step(fn, sys, pt, h, nsteps=1):
     """The point nsteps RK4 steps of h along the Hamiltonian flow of a
-    left-invariant integral function, on the loop (and drift guard) of
-    integrate_flow.
+    left-invariant integral function, on the driver (_rk4_flow) of
+    integrate_flow: its group reconstruction and drift guard.
 
     The field of a left-invariant function does not depend on g, so the
-    driver gets it at g = I.  Only an Ad-invariant MomentPullback or a
-    SlicePullback is accepted; any other function raises ValueError.
+    driver gets it at g = I, as a callback that its callback producer
+    calls four times a step (the geodesic's field, being linear, is
+    stepped by a propagator instead).  Only an Ad-invariant
+    MomentPullback or a SlicePullback is accepted; any other function
+    raises ValueError.
     """
     if not _left_invariant(fn, sys.alg):
         raise ValueError(f"flow_step integrates left-invariant functions "

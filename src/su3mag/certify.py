@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scalars import Scalar
+from .scalars import ZERO, Scalar
 from .poly import Polynomial
 from .exact_linalg import solve_in_span
 from .invariants import (torus_generators, radial_generator, restrict_shift,
@@ -110,16 +110,9 @@ def couplings(sys):
     Returned as the Scalar factors B(W, H_alpha_k); multiply by eps for the
     numeric coupling.
     """
-    alg = sys.alg
-    coroots = alg.extras["coroots"]
-    torus = alg.extras["torus_indices"]
-    out = []
-    for cr in coroots:
-        acc = Scalar(0)
-        for t, ti in enumerate(torus):
-            acc = acc + sys.W_exact[ti] * cr[t]
-        out.append(acc)
-    return out
+    torus = sys.alg.extras["torus_indices"]
+    return [sum((sys.W_exact[ti] * cr[t] for t, ti in enumerate(torus)), ZERO)
+            for cr in sys.alg.extras["coroots"]]
 
 
 def generator_family(sys):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .scalars import Scalar
+from .scalars import ONE, ZERO
 
 
 def rref(rows, ncols):
@@ -65,8 +65,8 @@ def nullspace(rows, ncols):
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free:
-        vec = [Scalar(0)] * ncols
-        vec[f] = Scalar(1)
+        vec = [ZERO] * ncols
+        vec[f] = ONE
         for pcol, row in zip(pivots, reduced):
             coeff = row.get(f)
             if coeff is not None:
@@ -95,12 +95,12 @@ def solve_in_span(target, vectors, ncols):
     pivots, reduced = rref(rows, len(vectors) + 1)
     if len(vectors) in pivots:
         return None  # inconsistent: target has a component outside the span
-    coeffs = [Scalar(0)] * len(vectors)
+    coeffs = [ZERO] * len(vectors)
     for pcol, row in zip(pivots, reduced):
-        coeffs[pcol] = row.get(len(vectors), Scalar(0))
+        coeffs[pcol] = row.get(len(vectors), ZERO)
     # verify (cheap, catches underdetermined corner cases)
     for j in range(ncols):
-        acc = Scalar(0)
+        acc = ZERO
         for c, vec in zip(coeffs, vectors):
             acc = acc + c * vec[j]
         if acc != target[j]:

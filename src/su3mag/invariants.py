@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .scalars import CZERO, Scalar, cmat_mul
+from .scalars import CZERO, ZERO, cmat_mul
 from .poly import Polynomial
 from .exact_linalg import nullspace, rref
 from .algebra import SubalgebraSpec
@@ -164,7 +164,7 @@ class GeneratorSet:
 
 
 def _poly_to_vec(poly, mono_index):
-    vec = [Scalar(0)] * len(mono_index)
+    vec = [ZERO] * len(mono_index)
     for expo, coeff in poly.terms.items():
         vec[mono_index[expo]] = coeff
     return vec
@@ -312,7 +312,7 @@ def _lift_relations(relations, gens, gen_vars, combos, degree):
                 if idx is None:
                     row = None
                     break
-                row[idx] = row.get(idx, Scalar(0)) + coeff
+                row[idx] = row.get(idx, ZERO) + coeff
             if row:
                 row = {i: c for i, c in row.items() if not c.is_zero()}
                 if row:

@@ -44,12 +44,10 @@ class MagneticSystem:
     """One phase space T*(G/A): algebra, reductive split, W and eps."""
 
     def __init__(self, alg, W_exact, eps, case_tag):
-        if isinstance(eps, Scalar):
-            self.eps_exact = eps
-            self.eps = float(eps)
-        else:
-            self.eps = float(eps)
-            self.eps_exact = Scalar(Fraction(eps))  # exact binary expansion
+        self.eps = float(eps)
+        # a float eps is taken exactly, by its binary expansion
+        self.eps_exact = (eps if isinstance(eps, Scalar)
+                          else Scalar(Fraction(eps)))
         if self.eps == 0.0:
             raise ValueError("the magnetic parameter eps must be nonzero")
         self.alg = alg
@@ -253,16 +251,6 @@ def _adjoint_coords(alg, g, coords):
     """Coordinates of g M(coords) g*, for one matrix g and coordinate
     vector, or row by row for a stack of each."""
     return alg.coords_of_matrix(g @ alg.matrix_of(coords) @ _adjoint(g))
-
-
-def moment_map(sys, pt):
-    """P(g, X) = Ad(g)(X - eps W), as a coordinate vector."""
-    return pt.moment_coords
-
-
-def slice_map(sys, pt):
-    """pi_m(g, X) = X - eps W, as a coordinate vector."""
-    return pt.xi
 
 
 # ---------------------------------------------------------------------------
@@ -586,38 +574,40 @@ def flow_steps(t_end, dt):
 def integrate_flow(sys, pt0, t_end, dt):
     """Classical RK4 (_rk4_flow) for gdot = g M(X), Xdot = -eps [W, X].
 
-    The fiber field is g-free: v = X and Xdot = -eps ad_W X, so the
-    driver steps X alone and rebuilds g from the stage values of X.  The
-    X-component has the closed Lax form Ad(exp(-t eps W)) X0 and g the
-    closed form of closed_form_group, which the tests compare against.
-    The trajectory's points are a TrajectoryPoints view over the arrays
-    of the steps.
+    The fiber field is g-free and linear, v = X and Xdot = A X with
+    A = -eps ad_W, so the driver gets the matrix A: it steps X alone by
+    the linear propagator (_linear_fiber) and rebuilds g from the stage
+    values of X.  The X-component has the closed Lax form
+    Ad(exp(-t eps W)) X0 and g the closed form of closed_form_group,
+    which the tests compare against.  The trajectory's points are a
+    TrajectoryPoints view over the arrays of the steps.
     """
-    adW = sys._adW
-    eps = sys.eps
-    G, Xs = _rk4_flow(sys, pt0, t_end, dt, lambda X: (X, -eps * (adW @ X)))
+    G, Xs = _rk4_flow(sys, pt0, t_end, dt, -sys.eps * sys._adW)
     times = [0.0] + [(step + 1) * dt for step in range(len(G) - 1)]
     return FlowTrajectory(times=times, points=TrajectoryPoints(sys, G, Xs),
                           dt=dt)
 
 
 def _rk4_flow(sys, pt0, t_end, dt, field):
-    """The one RK4 loop: ``flow_steps(t_end, dt)`` steps from pt0 of
-    gdot = g M(v), Xdot = F(X), for a g-free field ``field(X) -> (v,
-    F(X))``, returned as read-only arrays G of shape (n+1, N, N) and X
-    of shape (n+1, dim).
+    """The one RK4 driver: ``flow_steps(t_end, dt)`` steps from pt0 of
+    gdot = g M(v), Xdot = F(X), for a g-free fiber field, returned as
+    read-only arrays G of shape (n+1, N, N) and X of shape (n+1, dim).
 
-    This is Lie-Poisson reduction and reconstruction.  RK4 on the pair
-    steps X as RK4 on Xdot = F(X) does, and g by g_{n+1} = g_n Phi_n with
+    This is Lie-Poisson reduction and reconstruction.  A fiber producer
+    steps X as RK4 on Xdot = F(X) does and, block by block of BLOCK_ROWS
+    steps, fills the four stage values of v of each step: _callback_fiber
+    for a callback ``field(X) -> (v, F(X))``, and _linear_fiber, on the
+    same tableau, when ``field`` is the matrix A of the linear field
+    v = X, F(X) = A X.  The one reconstruction rebuilds g by
+    g_{n+1} = g_n Phi_n with
 
         A1 = M1, A2 = (I + dt/2 A1) M2, A3 = (I + dt/2 A2) M3,
         A4 = (I + dt A3) M4, Phi = I + dt/6 (A1 + 2 A2 + 2 A3 + A4),
 
-    M_k = M(v) at the k-th stage.  In each block of BLOCK_ROWS steps a
-    loop over the fiber stages stores the four v of every step, and one
-    stacked matrix_of per stage and 3x3 products build every Phi_n (no
-    temporary larger than the block's 3x3 stack).  The group is rebuilt
-    as a product of step factors:
+    M_k = M(v) at the k-th stage.  One stacked matrix_of per stage and
+    3x3 products build a block's Phi_n (no temporary larger than the
+    block's 3x3 stack), and the group is rebuilt as a product of step
+    factors:
 
     - Psi_n = NS(Phi_n), one Newton-Schulz step (_newton_schulz), for
       the whole block at once.  For unitary g, g Psi_n = NS(g Phi_n).
@@ -635,32 +625,22 @@ def _rk4_flow(sys, pt0, t_end, dt, field):
     """
     nsteps = flow_steps(t_end, dt)
     g = pt0.g.matrix
-    X = pt0.X
     G = np.empty((nsteps + 1,) + g.shape, dtype=complex)
-    Xs = np.empty((nsteps + 1, X.shape[0]))
+    Xs = np.empty((nsteps + 1, len(pt0.X)))
     G[0] = g
-    Xs[0] = X
+    Xs[0] = pt0.X
     eye = np.eye(g.shape[0])
-    half = 0.5 * dt
-    sixth = dt / 6.0
     matrix_of = sys.alg.matrix_of
-    V = np.empty((4, min(nsteps, BLOCK_ROWS), X.shape[0]))
-    for lo in range(0, nsteps, BLOCK_ROWS):
-        n = min(BLOCK_ROWS, nsteps - lo)
-        for k in range(n):
-            V[0, k], k1 = field(X)
-            V[1, k], k2 = field(X + half * k1)
-            V[2, k], k3 = field(X + half * k2)
-            V[3, k], k4 = field(X + dt * k3)
-            X = X + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-            Xs[lo + k + 1] = X
+    V = np.empty((4, min(nsteps, BLOCK_ROWS), len(pt0.X)))
+    fiber = _callback_fiber if callable(field) else _linear_fiber
+    for lo, n in fiber(field, Xs, V, dt):
         # the factors of a step that fails the guard may overflow
         with np.errstate(over="ignore", invalid="ignore"):
             A1 = matrix_of(V[0, :n])
-            A2 = (eye + half * A1) @ matrix_of(V[1, :n])
-            A3 = (eye + half * A2) @ matrix_of(V[2, :n])
+            A2 = (eye + 0.5 * dt * A1) @ matrix_of(V[1, :n])
+            A3 = (eye + 0.5 * dt * A2) @ matrix_of(V[2, :n])
             A4 = (eye + dt * A3) @ matrix_of(V[3, :n])
-            Phi = eye + sixth * (A1 + 2 * A2 + 2 * A3 + A4)
+            Phi = eye + dt / 6.0 * (A1 + 2 * A2 + 2 * A3 + A4)
             Psi = _newton_schulz(Phi)
             for k in range(n):
                 np.matmul(G[lo + k], Psi[k], out=G[lo + k + 1])
@@ -677,6 +657,57 @@ def _rk4_flow(sys, pt0, t_end, dt, field):
     G.flags.writeable = False
     Xs.flags.writeable = False
     return G, Xs
+
+
+def _callback_fiber(field, Xs, V, dt):
+    """Per block of BLOCK_ROWS steps, a loop of RK4 steps of four field
+    calls each fills the block's rows of Xs and its stage values V of v;
+    then yields (first step, steps)."""
+    X = Xs[0]
+    for lo in range(0, len(Xs) - 1, BLOCK_ROWS):
+        n = min(BLOCK_ROWS, len(Xs) - 1 - lo)
+        for k in range(n):
+            V[0, k], k1 = field(X)
+            V[1, k], k2 = field(X + 0.5 * dt * k1)
+            V[2, k], k3 = field(X + 0.5 * dt * k2)
+            V[3, k], k4 = field(X + dt * k3)
+            X = X + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            Xs[lo + k + 1] = X
+        yield lo, n
+
+
+def _rk4_increments(A, dt):
+    """RK4's stage maps I + E_j (j = 1, 2, 3) and step map I + E on
+    Xdot = A X, as (E1, E2, E3, E): kept apart from I, an increment
+    keeps the low bits that rounding I + E would drop."""
+    E1 = 0.5 * dt * A
+    E2 = 0.5 * dt * (A + A @ E1)
+    E3 = dt * (A + A @ E2)
+    E = dt / 6.0 * (6.0 * A + 2.0 * (A @ E1) + 2.0 * (A @ E2) + A @ E3)
+    return E1, E2, E3, E
+
+
+def _linear_fiber(A, Xs, V, dt):
+    """The rows X_{k+1} = X_k + X_k E^T of RK4 on Xdot = A X, by doubling
+    in place: with R^m = I + E_m, rows [m, 2m) are rows [0, m) plus rows
+    [0, m) E_m^T, and E_2m = 2 E_m + E_m E_m.  Then per block of
+    BLOCK_ROWS steps, the stage values V_0 = X_k, V_j = X_k + X_k E_j^T;
+    yields (first step, steps)."""
+    E1, E2, E3, E = _rk4_increments(A, dt)
+    m = 1
+    while m < len(Xs):
+        rows = min(m, len(Xs) - m)
+        np.matmul(Xs[:rows], E.T, out=Xs[m:m + rows])
+        Xs[m:m + rows] += Xs[:rows]
+        E = 2.0 * E + E @ E
+        m *= 2
+    for lo in range(0, len(Xs) - 1, BLOCK_ROWS):
+        n = min(BLOCK_ROWS, len(Xs) - 1 - lo)
+        X = V[0, :n] = Xs[lo:lo + n]
+        for j, Ej in enumerate((E1, E2, E3), 1):
+            np.matmul(X, Ej.T, out=V[j, :n])
+            V[j, :n] += X
+        yield lo, n
 
 
 def _newton_schulz(M):

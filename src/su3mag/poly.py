@@ -338,24 +338,6 @@ def parse_polynomial(text, variables):
     return out
 
 
-class PolyVector:
-    """A polynomial map g* -> g: one Polynomial per algebra basis direction."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components):
-        self.components = tuple(components)
-
-    def __len__(self):
-        return len(self.components)
-
-    def __getitem__(self, i):
-        return self.components[i]
-
-    def evaluate(self, point):
-        return [p.evaluate(point) for p in self.components]
-
-
 def lie_poisson_bracket(p, q, alg):
     """Lie-Poisson bracket of p, q in the coordinates of algebra ``alg``.
 
@@ -377,10 +359,11 @@ def lie_poisson_bracket(p, q, alg):
 
 
 def b_gradient(p, alg):
-    """B-gradient of p: the PolyVector V with dp_X(W) = B(V(X), W)."""
+    """B-gradient of p: the list V of polynomials, one per basis
+    direction, with dp_X(W) = B(V(X), W)."""
     names = alg.coord_names
     if p.vars != names:
         raise ValueError("polynomial is not over the algebra coordinates")
     # the basis is B-orthonormal (LieAlgebraSpec checks it), so the
     # B-gradient is the vector of partials
-    return PolyVector(p.diff(v) for v in names)
+    return [p.diff(v) for v in names]

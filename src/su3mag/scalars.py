@@ -11,8 +11,9 @@ four integer numerators over one common denominator,
     (n0 + n1*sqrt2 + n2*sqrt3 + n3*sqrt6) / den,     den > 0,
 
 reduced so that gcd(n0, n1, n2, n3, den) == 1; zero is (0, 0, 0, 0, 1).
-The reduced form is unique, so equality and hashing read the tuple.  An
-int or Fraction operand enters through one coercion, ``_coerce`` (also
+The reduced form is unique, so equality reads the tuple, and a rational
+hashes as Python hashes its value: as the equal int or Fraction.  An int
+or Fraction operand enters through one coercion, ``_coerce`` (also
 ``Scalar.of``; ``is_exact`` names what it accepts), on its integers.  So
 every ring operation works on Python ints and ends with one gcd; no
 ``Fraction`` is built on the arithmetic path, hashing included.  The
@@ -28,6 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 import numbers
+from sys import hash_info as _HASH
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
@@ -242,7 +244,14 @@ class Scalar:
         return self.ints == other.ints
 
     def __hash__(self):
-        return hash(self.ints)
+        n0, n1, n2, n3, den = self.ints
+        if n1 or n2 or n3:
+            return hash(self.ints)
+        # Python's hash of the rational n0/den ("Hashing of numeric types")
+        h = hash(hash(abs(n0)) * pow(den, -1, _HASH.modulus)
+                 if den % _HASH.modulus else _HASH.inf)
+        h = h if n0 >= 0 else -h
+        return -2 if h == -1 else h
 
     def __float__(self):
         n0, n1, n2, n3, den = self.ints
@@ -284,6 +293,7 @@ def parse_scalar(s):
     return Scalar(*parts.values())
 
 
+ZERO = Scalar(0)
 ONE = Scalar(1)
 
 

@@ -2,6 +2,9 @@
 
 * ``moment_of_direction``: the moment coordinate along a direction eta,
   a function the package itself never builds;
+* ``moment_map``, ``slice_map``, ``adjoint_group`` and ``group_inverse``:
+  the moment and slice maps, Ad(g) on coordinates and the inverse of a
+  group element, each through a validated GroupElement or PhasePoint;
 * ``phase_tangent_basis``: the tangent basis directions as (v, w) pairs,
   which the per-direction routes step through;
 * ``per_direction_differential``: df on one tangent (v, w) from its own
@@ -26,6 +29,29 @@ from su3mag.phase import (MomentPullback, PhasePoint,
                           hamiltonian_vector_field, _fiber_velocity)
 from su3mag.poly import Polynomial
 from su3mag.scalars import Scalar, parse_scalar
+
+
+def moment_map(sys, pt):
+    """P(g, X) = Ad(g)(X - eps W), as a coordinate vector."""
+    return pt.moment_coords
+
+
+def slice_map(sys, pt):
+    """pi_m(g, X) = X - eps W, as a coordinate vector."""
+    return pt.xi
+
+
+def adjoint_group(alg, g, coords):
+    """Coordinates of Ad(g) X = g X g^-1; g must be a GroupElement."""
+    if not isinstance(g, GroupElement):
+        g = GroupElement(g)
+    M = alg.matrix_of(np.asarray(coords, dtype=float))
+    return alg.coords_of_matrix(g.matrix @ M @ g.matrix.conj().T)
+
+
+def group_inverse(g):
+    """The inverse g* of a GroupElement, validated."""
+    return GroupElement(g.matrix.conj().T)
 
 
 def moment_of_direction(sys, eta):

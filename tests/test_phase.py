@@ -7,8 +7,7 @@ from su3mag import exp_map, identity_element, GroupElement
 from su3mag.poly import Polynomial
 from su3mag.scalars import Scalar
 from su3mag.phase import (su3_regular_system, su3_irregular_system,
-                          MagneticSystem, PhasePoint, moment_map, slice_map,
-                          moment_coordinate,
+                          MagneticSystem, PhasePoint, moment_coordinate,
                           MomentPullback, SlicePullback,
                           hamiltonian_vector_field,
                           omega_eps, twisted_bracket, slice_bracket_value,
@@ -17,8 +16,9 @@ from su3mag.phase import (su3_regular_system, su3_irregular_system,
                           closed_form_group, differential, flow_steps,
                           _project_m)
 from su3mag.invariants import radial_generator, torus_generators
-from oracles import (moment_of_direction, per_direction_differential,
-                     phase_tangent_basis, stage_projected_flow_step)
+from oracles import (adjoint_group, moment_map, moment_of_direction,
+                     per_direction_differential, phase_tangent_basis,
+                     slice_map, stage_projected_flow_step)
 
 
 def _left_translate(pt, h):
@@ -62,7 +62,6 @@ def test_moment_equivariance_and_slice_invariance():
         pt = sys.random_point(rng)
         h = exp_map(sys.alg, rng.uniform(-1, 1, 8))
         lhs = moment_map(sys, _left_translate(pt, h))
-        from su3mag.algebra import adjoint_group
         rhs = adjoint_group(sys.alg, h, moment_map(sys, pt))
         assert np.abs(lhs - rhs).max() < 1e-12
         assert np.abs(slice_map(sys, _left_translate(pt, h))
@@ -409,10 +408,12 @@ def _reference_flow(sys, pt0, t_end, dt, drift_limit=1e-8):
 
 @pytest.mark.parametrize("case", ["regular", "irregular"])
 def test_array_driver_matches_reference_loop_bit_for_bit(case):
-    """Times and X bit for bit; g within 1e-12 of the loop that stepped
-    (g, X) together and polar-projected every step, and the exports
-    inside the float fixture's budget of the conservation tolerance."""
+    """The driver's callback producer, given the geodesic field: times
+    and X bit for bit; g within 1e-12 of the loop that stepped (g, X)
+    together and polar-projected every step, and the exports inside the
+    float fixture's budget of the conservation tolerance."""
     from float_fixture import compare
+    from su3mag.phase import TrajectoryPoints, _rk4_flow
     from su3mag.reports import (conservation_json, monitored_functions,
                                 trajectory_csv)
     sys = (su3_regular_system if case == "regular"
@@ -422,6 +423,8 @@ def test_array_driver_matches_reference_loop_bit_for_bit(case):
         pt = sys.random_regular_point(np.random.default_rng(seed))
         ref = _reference_flow(sys, pt, t_end=0.2, dt=1e-3)
         traj = integrate_flow(sys, pt, t_end=0.2, dt=1e-3)
+        traj.points = TrajectoryPoints(sys, *_rk4_flow(
+            sys, pt, 0.2, 1e-3, lambda X: (X, -sys.eps * (sys._adW @ X))))
         assert traj.times == ref.times and traj.dt == ref.dt
         assert len(traj.points) == len(ref.points) == 201
         for new, old in zip(traj.points, ref.points):
@@ -435,6 +438,43 @@ def test_array_driver_matches_reference_loop_bit_for_bit(case):
                             conservation_json(sys, ref, fns, stride=stride),
                             conservation_json(sys, traj, fns, stride=stride))
             assert all(r["ok"] for r in rows), rows
+
+
+@pytest.mark.parametrize("case", ["regular", "irregular"])
+def test_linear_propagator_matches_the_callback_route(case):
+    """integrate_flow steps the geodesic's fiber with the linear
+    propagator; over 10k steps its X stays within 5e-14 of the callback
+    producer on the same field, and its G within 1e-12."""
+    from su3mag.phase import _rk4_flow
+    sys = (su3_regular_system if case == "regular"
+           else su3_irregular_system)(0.1)
+    for seed in (5, 7, 11):
+        pt = sys.random_regular_point(np.random.default_rng(seed))
+        traj = integrate_flow(sys, pt, t_end=10.0, dt=1e-3)
+        G, X = _rk4_flow(sys, pt, 10.0, 1e-3,
+                         lambda X: (X, -sys.eps * (sys._adW @ X)))
+        assert np.abs(traj.points.X - X).max() < 5e-14
+        assert np.abs(traj.points.G - G).max() < 1e-12
+
+
+@pytest.mark.parametrize("case", ["regular", "irregular"])
+def test_rk4_increment_is_one_callback_step(case):
+    """The one-step map E of _rk4_increments, applied to each unit
+    vector, is one callback RK4 step's increment dt/6 (k1 + 2 k2 + 2 k3
+    + k4) of the geodesic field within 1e-17."""
+    from su3mag.phase import _rk4_increments
+    sys = (su3_regular_system if case == "regular"
+           else su3_irregular_system)(0.1)
+    A = -sys.eps * sys._adW
+    for dt in (1e-3, 1e-2):
+        E = _rk4_increments(A, dt)[-1]
+        for i, x in enumerate(np.eye(sys.alg.dim)):
+            k1 = A @ x
+            k2 = A @ (x + 0.5 * dt * k1)
+            k3 = A @ (x + 0.5 * dt * k2)
+            k4 = A @ (x + dt * k3)
+            step = dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            assert np.abs(E[:, i] - step).max() < 1e-17
 
 
 def test_array_driver_guards(monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 import operator
+import sys
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,36 @@ def test_int_operands_and_hashing_stay_on_integers(monkeypatch):
             op(k, x)
     hash(x)
     assert not calls
+
+
+def test_a_rational_scalar_is_found_under_the_equal_int_or_fraction(
+        monkeypatch):
+    """Dict and set lookups agree with ==, and hashing a rational Scalar
+    builds no Fraction."""
+    assert {Scalar(1): "x"}.get(1) == "x"
+    assert Scalar(Fraction(1, 2)) in {Fraction(1, 2)}
+    assert {1: "y"}.get(Scalar(1)) == "y"
+    x = Scalar(Fraction(-3, 4))
+    calls = []
+    real_new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k:
+                        calls.append(a) or real_new(cls, *a, **k))
+    hash(x)
+    assert not calls
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30))
+def test_rational_hash_is_the_hash_of_the_value(n, d):
+    """A rational Scalar hashes as the equal Fraction (so as the equal
+    int), also at -1, whose hash is -2, and at a denominator the hash
+    modulus divides; an irrational one hashes its integers."""
+    P = sys.hash_info.modulus
+    for num, den in ((n, d), (-1, 1), (n, P * d)):
+        assert hash(Scalar(Fraction(num, den))) == hash(Fraction(num, den))
+    assert hash(Scalar(-1)) == hash(-1) == -2
+    x = Scalar(Fraction(n, d), 1)
+    assert hash(x) == hash(x.ints)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
