@@ -242,8 +242,8 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
-    except (OverflowError, RuntimeError) as exc:
-        # say, an overflow at a huge eps, or the flow's drift guard
+    except (OverflowError, RuntimeError, MemoryError) as exc:
+        # say, an overflow at a huge eps, the drift guard, a flow too long
         print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return 1
 

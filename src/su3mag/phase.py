@@ -605,13 +605,14 @@ def _rk4_flow(sys, pt0, t_end, dt, field):
         A4 = (I + dt A3) M4, Phi = I + dt/6 (A1 + 2 A2 + 2 A3 + A4),
 
     M_k = M(v) at the k-th stage.  One stacked matrix_of per stage and
-    3x3 products build a block's Phi_n (no temporary larger than the
-    block's 3x3 stack), and the group is rebuilt as a product of step
-    factors:
+    stacked 3x3 products (_mm) build a block's Phi_n (no temporary larger
+    than the block's 3x3 stack), and the group is rebuilt as a product of
+    step factors:
 
     - Psi_n = NS(Phi_n), one Newton-Schulz step (_newton_schulz), for
       the whole block at once.  For unitary g, g Psi_n = NS(g Phi_n).
-    - A loop keeps only g <- g Psi_n.
+    - The block's rows g_{n+1} = g_lo Psi_lo ... Psi_n come from one
+      two-level scan (_prefix_products), not a loop of g <- g Psi_n.
     - Over the block at once: with D_n = Y_n* Y_n - I for Y_n = g_n
       Phi_n, a unitarity drift max |D_n| beyond DRIFT_LIMIT rejects the
       block's first such step, which a RuntimeError names; a NaN drift
@@ -637,15 +638,14 @@ def _rk4_flow(sys, pt0, t_end, dt, field):
         # the factors of a step that fails the guard may overflow
         with np.errstate(over="ignore", invalid="ignore"):
             A1 = matrix_of(V[0, :n])
-            A2 = (eye + 0.5 * dt * A1) @ matrix_of(V[1, :n])
-            A3 = (eye + 0.5 * dt * A2) @ matrix_of(V[2, :n])
-            A4 = (eye + dt * A3) @ matrix_of(V[3, :n])
+            A2 = _mm(eye + 0.5 * dt * A1, matrix_of(V[1, :n]))
+            A3 = _mm(eye + 0.5 * dt * A2, matrix_of(V[2, :n]))
+            A4 = _mm(eye + dt * A3, matrix_of(V[3, :n]))
             Phi = eye + dt / 6.0 * (A1 + 2 * A2 + 2 * A3 + A4)
-            Psi = _newton_schulz(Phi)
-            for k in range(n):
-                np.matmul(G[lo + k], Psi[k], out=G[lo + k + 1])
-            Y = G[lo:lo + n] @ Phi
-            drift = np.abs(_adjoint(Y) @ Y - eye).max(axis=(1, 2))
+            _prefix_products(G[lo], _newton_schulz(Phi),
+                             G[lo + 1:lo + n + 1])
+            Y = _mm(G[lo:lo + n], Phi)
+            drift = np.abs(_mm(_adjoint(Y), Y) - eye).max(axis=(1, 2))
         bad = ~(drift <= DRIFT_LIMIT)
         if bad.any():
             k = np.argmax(bad)
@@ -710,11 +710,41 @@ def _linear_fiber(A, Xs, V, dt):
         yield lo, n
 
 
+def _prefix_products(g, Psi, out):
+    """out[k] = g Psi_0 ... Psi_k for a stack Psi of n factors, by a
+    two-level scan (Blelloch 1990): the factors, padded with identities,
+    fall into runs of L = ceil(sqrt(n)); the runs' partial products P are
+    taken side by side, the carries C_i = C_{i-1} (total of run i-1) from
+    C_0 = g, and out = C_i P[i, j] in one stacked product (_mm).  The
+    runs' products (sqrt(n) matrices at a time) and the carries (one at
+    a time) are small enough that numpy's matmul is the faster there."""
+    n, N = Psi.shape[:2]
+    L = math.isqrt(n - 1) + 1
+    P = np.concatenate([Psi, np.broadcast_to(np.eye(N), (-n % L, N, N))])
+    P = P.reshape(-1, L, N, N)
+    for j in range(1, L):
+        np.matmul(P[:, j - 1], P[:, j], out=P[:, j])
+    C = [g]
+    for total in P[:-1, -1]:
+        C.append(C[-1] @ total)
+    out[:] = _mm(np.array(C)[:, None], P).reshape(-1, N, N)[:n]
+
+
+def _mm(A, B):
+    """A B for N x N matrices or stacks of them, broadcast as matmul
+    does: a sum over k of broadcast outer products, which for N <= 3
+    beats numpy's matmul on a block's stack of complex matrices."""
+    out = A[..., :, 0, None] * B[..., None, 0, :]
+    for k in range(1, A.shape[-1]):
+        out += A[..., :, k, None] * B[..., None, k, :]
+    return out
+
+
 def _newton_schulz(M):
     """One Newton-Schulz step M (3/2 I - 1/2 M* M) towards the unitary
     group (Higham, Functions of Matrices, ch. 8), for a matrix or row by
     row for a stack: at a drift |M* M - I| of d it lands within O(d^2)."""
-    return M @ (1.5 * np.eye(M.shape[-1]) - 0.5 * (_adjoint(M) @ M))
+    return _mm(M, 1.5 * np.eye(M.shape[-1]) - 0.5 * _mm(_adjoint(M), M))
 
 
 def _check_stack(sys, G, X):
@@ -726,7 +756,7 @@ def _check_stack(sys, G, X):
     eye = np.eye(G.shape[1])
     for lo in range(0, len(G), BLOCK_ROWS):
         g = G[lo:lo + BLOCK_ROWS]
-        gram = _adjoint(g) @ g
+        gram = _mm(_adjoint(g), g)
         bad = ~np.isclose(gram, eye, rtol=0, atol=UNITARY_TOL).all(axis=(1, 2))
         if bad.any():
             raise ValueError("group element is not unitary within "

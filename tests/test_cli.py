@@ -357,6 +357,24 @@ def test_numerical_breakdown_is_a_one_line_error(tmp_path, args):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["flow", "--t-end", "1e5", "--dt", "1e-9"],
+    ["verify", "--t-end", "1e5", "--dt", "1e-9", "--samples", "1",
+     "--rank-samples", "1"],
+], ids=lambda a: a[0])
+def test_a_flow_too_long_to_allocate_is_a_one_line_error(tmp_path, args):
+    """1e14 steps ask for petabytes, beyond the address space, so the
+    request fails before anything is allocated: one MemoryError line on
+    stderr, exit 1, and no output files."""
+    proc = subprocess.run([sys.executable, "-m", "su3mag.cli", *args,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: MemoryError: ") and \
+        proc.stderr.count("\n") == 1, proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_partner_flow_too_coarse_for_its_step_is_a_one_line_error(
         tmp_path, capsys):
     """At eps 10 the pairing's partner flow drifts off the group beyond

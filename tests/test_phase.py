@@ -477,6 +477,55 @@ def test_rk4_increment_is_one_callback_step(case):
             assert np.abs(E[:, i] - step).max() < 1e-17
 
 
+@pytest.mark.parametrize("case", ["regular", "irregular"])
+def test_one_step_flow_matches_the_reference_loop(case):
+    """A flow of one step (t_end = dt), a scan over a single factor:
+    X within 1e-16 and g within 2e-15 of the per-step object loop."""
+    sys = (su3_regular_system if case == "regular"
+           else su3_irregular_system)(0.1)
+    pt = sys.random_regular_point(np.random.default_rng(3))
+    ref = _reference_flow(sys, pt, t_end=1e-3, dt=1e-3)
+    traj = integrate_flow(sys, pt, t_end=1e-3, dt=1e-3)
+    assert traj.times == ref.times == [0.0, 1e-3]
+    for new, old in zip(traj.points, ref.points, strict=True):
+        assert np.abs(new.X - old.X).max() < 1e-16
+        assert np.abs(new.g.matrix - old.g.matrix).max() < 2e-15
+
+
+def test_small_matrix_product_is_matmul():
+    """_mm equals np.matmul within 1e-15 of the product of the entries'
+    sizes, for complex stacks, single matrices and a single matrix
+    broadcast against a stack, at N = 2 and N = 3."""
+    from su3mag.phase import _mm
+    rng = np.random.default_rng(49)
+    for N in (2, 3):
+        for _ in range(50):
+            real, imag = rng.normal(size=(2, 2, 17, N, N))
+            A, B = real + 1j * imag
+            for a, b in ((A, B), (A[0], B[0]), (A[0], B), (A, B[0])):
+                scale = np.abs(a).max() * np.abs(b).max()
+                assert _mm(a, b).shape == (a @ b).shape
+                assert np.abs(_mm(a, b) - a @ b).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 255, 256])
+def test_prefix_products_match_the_sequential_loop(n):
+    """The two-level scan writes g Psi_0 ... Psi_k into row k, within
+    1e-14 of the loop g <- g Psi_k, on near-identity SU(3) factors: runs
+    of ceil(sqrt(n)), a partial last run, and the flow's last block of
+    16 steps (10000 mod 256)."""
+    from su3mag.phase import _prefix_products
+    rng = np.random.default_rng(50 + n)
+    alg = su3_regular_system(0.1).alg
+    g = exp_map(alg, rng.uniform(-2, 2, 8)).matrix
+    Psi = exp_map(alg, alg.matrix_of(rng.uniform(-1e-2, 1e-2, (n, 8))))
+    out = np.empty_like(Psi)
+    _prefix_products(g, Psi, out)
+    for k in range(n):
+        g = g @ Psi[k]
+        assert np.abs(out[k] - g).max() < 1e-14
+
+
 def test_array_driver_guards(monkeypatch):
     from su3mag import phase
     sys = su3_irregular_system(0.1)
