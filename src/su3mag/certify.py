@@ -25,6 +25,7 @@ Two classical-looking identities fail structurally and are documented:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -239,8 +240,10 @@ def expected_table_entries(sys):
     return entries, corrected
 
 
+@lru_cache(maxsize=2)
 def bracket_table_regular(sys):
-    """Compute the full slice bracket table symbolically and certify it."""
+    """Compute the slice bracket table symbolically and certify it, once
+    per system (lru_cache keeps no table whose certification raised)."""
     if sys.case_tag != "regular":
         raise ValueError("the bracket table is a regular-case certificate")
     u, v, w = torus_generators(sys.alg)

@@ -1,16 +1,18 @@
 """Exact Gaussian elimination over Q(sqrt2, sqrt3).
 
-Rows are sparse dicts {column: Scalar}.  Pivoting is deterministic: columns
-are processed in ascending order and the first available row is used, so
-reduced forms (and hence every generator basis derived from them) are
-reproducible run to run.
+Rows are sparse dicts {column: Scalar}.  Columns are processed in
+ascending order, each with the sparsest row holding it as pivot (the first
+on a tie).  The reduced row echelon form is unique, so the output is the
+same whatever the pivot: reduced forms, and every kernel and generator
+basis derived from them, are reproducible run to run.  Rows are reduced on
+their integral representations by the fused kernel scalars.submul_ints.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, from_ints, submul_ints
 
 
 def rref(rows, ncols):
@@ -18,39 +20,35 @@ def rref(rows, ncols):
 
     Returns (pivots, reduced) where pivots is the ordered list of pivot
     columns and reduced is a list of sparse rows, one per pivot, normalized
-    to a leading 1 and fully reduced.
+    to a leading 1 and fully reduced.  The result is the unique RREF, so it
+    does not depend on the order of the rows or on the pivot rule.
     """
-    work = [dict(r) for r in rows if r]
+    work = [{c: v.ints for c, v in r.items()} for r in rows if r]
     reduced = []
     pivots = []
     for col in range(ncols):
-        pivot_row = None
-        for idx, row in enumerate(work):
-            if col in row:
-                pivot_row = idx
-                break
-        if pivot_row is None:
+        holders = [i for i, r in enumerate(work) if col in r]
+        if not holders:
             continue
-        row = work.pop(pivot_row)
-        inv = row[col].inv()
-        row = {c: v * inv for c, v in row.items()}
+        row = work.pop(min(holders, key=lambda i: len(work[i])))
+        neg_inv = (-from_ints(row.pop(col)).inv()).ints
+        # the normalized pivot row without its leading 1
+        rest = [(c, submul_ints(None, neg_inv, v)) for c, v in row.items()]
         for other in chain(work, reduced):
-            if col in other:
-                factor = other[col]
-                for c, v in row.items():
-                    acc = other.get(c)
-                    nv = -factor * v if acc is None else acc - factor * v
-                    if nv.is_zero():
-                        other.pop(c, None)
-                    else:
-                        other[c] = nv
-        reduced.append(row)
+            if col not in other:
+                continue
+            factor = other.pop(col)
+            for c, v in rest:
+                nv = submul_ints(other.get(c), factor, v)
+                if nv == ZERO.ints:
+                    del other[c]
+                else:
+                    other[c] = nv
+        reduced.append(dict(rest + [(col, ONE.ints)]))
         pivots.append(col)
         work = [r for r in work if r]
-        if not work:
-            break
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [pivots[i] for i in order], [reduced[i] for i in order]
+    # columns run in ascending order, so the pivots come out sorted
+    return pivots, [{c: from_ints(t) for c, t in r.items()} for r in reduced]
 
 
 def nullspace(rows, ncols):
@@ -75,24 +73,24 @@ def nullspace(rows, ncols):
     return basis
 
 
+def transposed(vectors, length):
+    """The sparse rows of the matrix whose columns are the sparse vectors."""
+    rows = [{} for _ in range(length)]
+    for i, vec in enumerate(vectors):
+        for j, c in vec.items():
+            rows[j][i] = c
+    return rows
+
+
 def solve_in_span(target, vectors, ncols):
     """Express target (dense Scalar list) in the span of given vectors.
 
     Returns the coefficient list, or None if target is not in the span.
     Solves the stacked augmented system exactly.
     """
-    rows = []
-    for j in range(ncols):
-        row = {}
-        for i, vec in enumerate(vectors):
-            if not vec[j].is_zero():
-                row[i] = vec[j]
-        t = target[j]
-        if not t.is_zero():
-            row[len(vectors)] = t
-        if row:
-            rows.append(row)
-    pivots, reduced = rref(rows, len(vectors) + 1)
+    columns = [{j: x for j, x in enumerate(vec) if x}
+               for vec in [*vectors, target]]
+    pivots, reduced = rref(transposed(columns, ncols), len(vectors) + 1)
     if len(vectors) in pivots:
         return None  # inconsistent: target has a component outside the span
     coeffs = [ZERO] * len(vectors)

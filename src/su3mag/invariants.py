@@ -15,23 +15,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .scalars import CZERO, ZERO, cmat_mul
 from .poly import Polynomial
-from .exact_linalg import nullspace, rref
+from .exact_linalg import nullspace, rref, transposed
 from .algebra import SubalgebraSpec
 
 
 def monomials_of_degree(nvars, degree):
     """All exponent tuples of the given total degree, lexicographic order."""
-    if nvars == 1:
-        return [(degree,)]
     out = []
-    for first in range(degree, -1, -1):
-        for rest in monomials_of_degree(nvars - 1, degree - first):
-            out.append((first,) + rest)
+    for combo in combinations_with_replacement(range(nvars), degree):
+        expo = [0] * nvars
+        for v in combo:
+            expo[v] += 1
+        out.append(tuple(expo))
     return out
 
 
@@ -170,19 +171,19 @@ def _poly_to_vec(poly, mono_index):
     return vec
 
 
+def _poly_to_row(poly, mono_index):
+    """The sparse coefficient row {monomial index: coeff} of poly."""
+    return {mono_index[expo]: c for expo, c in poly.terms.items()}
+
+
 def _greedy_complete(span_rows, candidates, ncols):
-    """Indices of candidates that enlarge the span, in order (deterministic)."""
-    rows = [r for r in span_rows]
-    picked = []
-    current_rank = len(rref(rows, ncols)[0]) if rows else 0
-    for idx, cand in enumerate(candidates):
-        trial = rows + [cand]
-        r = len(rref(trial, ncols)[0])
-        if r > current_rank:
-            rows = trial
-            current_rank = r
-            picked.append(idx)
-    return picked
+    """Indices of candidates that enlarge the span, in order: candidate k
+    does exactly when it is a pivot column of the matrix whose columns are
+    the span rows, then the candidates."""
+    columns = list(span_rows) + list(candidates)
+    pivots, _ = rref(transposed(columns, ncols), len(columns))
+    offset = len(span_rows)
+    return [p - offset for p in pivots if p >= offset]
 
 
 def indecomposable_generators(alg, sub, max_degree, restrict_to_m=True):
@@ -203,17 +204,10 @@ def indecomposable_generators(alg, sub, max_degree, restrict_to_m=True):
         # span of all products of existing generators with total degree d;
         # every generator so far has degree below d, so every such
         # product has at least two factors
-        prod_rows = []
-        for combo in _monomials_in_generators(gens, d):
-            vec = _poly_to_vec(generator_monomial(gens, combo, names),
-                               mono_index)
-            row = {i: c for i, c in enumerate(vec) if not c.is_zero()}
-            if row:
-                prod_rows.append(row)
-        cand_rows = []
-        for p in inv.basis:
-            vec = _poly_to_vec(p, mono_index)
-            cand_rows.append({i: c for i, c in enumerate(vec) if not c.is_zero()})
+        prod_rows = [_poly_to_row(generator_monomial(gens, combo, names),
+                                  mono_index)
+                     for combo in _monomials_in_generators(gens, d)]
+        cand_rows = [_poly_to_row(p, mono_index) for p in inv.basis]
         picked = _greedy_complete(prod_rows, cand_rows, len(monos))
         for rank_in_degree, idx in enumerate(picked, start=1):
             gens.append((f"q{d}_{rank_in_degree}", inv.basis[idx], d))
@@ -239,7 +233,6 @@ def _generator_relations(gens, names, nvars, max_degree):
     """Minimal linear relations among generator monomials, degree by degree."""
     gen_vars = tuple(name for name, _, _ in gens)
     relations = []
-    lifted = []  # relation vectors already implied at the current degree
 
     for d in range(2, max_degree + 1):
         combos = _monomials_in_generators(gens, d)
@@ -247,17 +240,11 @@ def _generator_relations(gens, names, nvars, max_degree):
             continue
         monos = sorted(monomials_of_degree(nvars, d), reverse=True)
         mono_index = {e: i for i, e in enumerate(monos)}
-        rows = [_poly_to_vec(generator_monomial(gens, combo, names),
+        rows = [_poly_to_row(generator_monomial(gens, combo, names),
                              mono_index)
                 for combo in combos]
         # kernel of the transpose system: coefficient vectors over combos
-        sys_rows = []
-        for col in range(len(monos)):
-            row = {i: rows[i][col] for i in range(len(combos))
-                   if not rows[i][col].is_zero()}
-            if row:
-                sys_rows.append(row)
-        kernel = nullspace(sys_rows, len(combos))
+        kernel = nullspace(transposed(rows, len(monos)), len(combos))
         if not kernel:
             continue
         # quotient by relations lifted from lower degrees

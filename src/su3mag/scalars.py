@@ -16,7 +16,8 @@ hashes as Python hashes its value: as the equal int or Fraction.  An int
 or Fraction operand enters through one coercion, ``_coerce`` (also
 ``Scalar.of``; ``is_exact`` names what it accepts), on its integers.  So
 every ring operation works on Python ints and ends with one gcd; no
-``Fraction`` is built on the arithmetic path, hashing included.  The
+``Fraction`` is built on the arithmetic path, hashing included.
+Elimination has its own fused kernel, ``submul_ints``, on the ints.  The
 rational coefficients a, b, c, d are available as read-only ``Fraction``
 views.
 
@@ -48,15 +49,47 @@ def _mul4(a0, a1, a2, a3, b0, b1, b2, b3):
             a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1)
 
 
+def _reduce(n0, n1, n2, n3, den):
+    """The reduced ints of (n0 + n1 s2 + n2 s3 + n3 s6)/den, den > 0."""
+    g = _gcd(n0, n1, n2, n3, den)
+    if g == 1:
+        return (n0, n1, n2, n3, den)
+    return (n0 // g, n1 // g, n2 // g, n3 // g, den // g)
+
+
 def _make(n0, n1, n2, n3, den):
     """The Scalar (n0 + n1 s2 + n2 s3 + n3 s6)/den for den > 0, reduced."""
-    g = _gcd(n0, n1, n2, n3, den)
     s = _new(Scalar)
-    if g == 1:
-        s.ints = (n0, n1, n2, n3, den)
-    else:
-        s.ints = (n0 // g, n1 // g, n2 // g, n3 // g, den // g)
+    s.ints = _reduce(n0, n1, n2, n3, den)
     return s
+
+
+def from_ints(ints):
+    """The Scalar whose integral representation is the reduced ints."""
+    s = _new(Scalar)
+    s.ints = ints
+    return s
+
+
+def submul_ints(a, f, v):
+    """The reduced ints of a - f*v, or of -f*v when a is None; a, f and v
+    are reduced ints.  One product and one gcd, with no Scalar built."""
+    f0, f1, f2, f3, fd = f
+    v0, v1, v2, v3, vd = v
+    if not (f1 or f2 or f3):
+        p0, p1, p2, p3 = f0 * v0, f0 * v1, f0 * v2, f0 * v3
+    elif not (v1 or v2 or v3):
+        p0, p1, p2, p3 = v0 * f0, v0 * f1, v0 * f2, v0 * f3
+    else:
+        p0, p1, p2, p3 = _mul4(f0, f1, f2, f3, v0, v1, v2, v3)
+    pd = fd * vd
+    if a is None:
+        return _reduce(-p0, -p1, -p2, -p3, pd)
+    a0, a1, a2, a3, ad = a
+    if ad == pd:
+        return _reduce(a0 - p0, a1 - p1, a2 - p2, a3 - p3, ad)
+    return _reduce(a0 * pd - p0 * ad, a1 * pd - p1 * ad,
+                   a2 * pd - p2 * ad, a3 * pd - p3 * ad, ad * pd)
 
 
 def _coerce(x):
@@ -153,9 +186,7 @@ class Scalar:
 
     def __neg__(self):
         a0, a1, a2, a3, ad = self.ints
-        s = _new(Scalar)
-        s.ints = (-a0, -a1, -a2, -a3, ad)
-        return s
+        return from_ints((-a0, -a1, -a2, -a3, ad))
 
     def __sub__(self, other):
         try:
@@ -198,9 +229,12 @@ class Scalar:
         if self.is_zero():
             raise ZeroDivisionError("Scalar division by zero")
         n0, n1, n2, n3, den = self.ints
-        conj = _mul4(n0, -n1, n2, -n3, n0, n1, -n2, -n3)
-        conj = _mul4(*conj, n0, -n1, -n2, n3)
-        norm = _mul4(n0, n1, n2, n3, *conj)[0]  # rational by construction
+        if not (n1 or n2 or n3):
+            conj, norm = (1, 0, 0, 0), n0  # a rational n0/den: 1/x = den/n0
+        else:
+            conj = _mul4(n0, -n1, n2, -n3, n0, n1, -n2, -n3)
+            conj = _mul4(*conj, n0, -n1, -n2, n3)
+            norm = _mul4(n0, n1, n2, n3, *conj)[0]  # rational by construction
         if norm < 0:
             norm, den = -norm, -den
         return _make(den * conj[0], den * conj[1], den * conj[2],

@@ -15,12 +15,19 @@
 * ``stage_projected_flow_step``: the partner flows' own RK4 loop, which
   evaluated the full field at (g, X) and projected every stage.  Unlike
   ``angles.flow_step`` it integrates any integral function, also one
-  whose field depends on g.
+  whose field depends on g;
+* ``rref_by_scalars``, ``greedy_complete_by_rank`` and
+  ``monomials_by_recursion``: the exact elimination on Scalar entries with
+  the first available row as pivot, the generator-basis completion by one
+  rank test per candidate, and the recursive monomial enumeration, which
+  ``exact_linalg.rref``, ``invariants._greedy_complete`` and
+  ``invariants.monomials_of_degree`` must reproduce.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -172,3 +179,67 @@ def stage_projected_flow_step(fn, sys, pt, h, nsteps=1):
         g = polar_project(g + h / 6.0 * (k1g + 2 * k2g + 2 * k3g + k4g))
         X = X + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
     return PhasePoint(sys, GroupElement(g), X)
+
+
+def rref_by_scalars(rows, ncols):
+    """(pivots, reduced rows) by Gauss-Jordan elimination on Scalar
+    entries, columns in ascending order, the first row holding a column
+    as its pivot."""
+    work = [dict(r) for r in rows if r]
+    reduced = []
+    pivots = []
+    for col in range(ncols):
+        pivot_row = None
+        for idx, row in enumerate(work):
+            if col in row:
+                pivot_row = idx
+                break
+        if pivot_row is None:
+            continue
+        row = work.pop(pivot_row)
+        inv = row[col].inv()
+        row = {c: v * inv for c, v in row.items()}
+        for other in chain(work, reduced):
+            if col in other:
+                factor = other[col]
+                for c, v in row.items():
+                    acc = other.get(c)
+                    nv = -factor * v if acc is None else acc - factor * v
+                    if nv.is_zero():
+                        other.pop(c, None)
+                    else:
+                        other[c] = nv
+        reduced.append(row)
+        pivots.append(col)
+        work = [r for r in work if r]
+        if not work:
+            break
+    return pivots, reduced
+
+
+def greedy_complete_by_rank(span_rows, candidates, ncols):
+    """Indices of candidates that raise the rank of the span rows and the
+    candidates picked before them, one elimination per candidate."""
+    rows = list(span_rows)
+    picked = []
+    current_rank = len(rref_by_scalars(rows, ncols)[0]) if rows else 0
+    for idx, cand in enumerate(candidates):
+        trial = rows + [cand]
+        r = len(rref_by_scalars(trial, ncols)[0])
+        if r > current_rank:
+            rows = trial
+            current_rank = r
+            picked.append(idx)
+    return picked
+
+
+def monomials_by_recursion(nvars, degree):
+    """Exponent tuples of total degree, the first variable's power
+    falling first."""
+    if nvars == 1:
+        return [(degree,)]
+    out = []
+    for first in range(degree, -1, -1):
+        for rest in monomials_by_recursion(nvars - 1, degree - first):
+            out.append((first,) + rest)
+    return out

@@ -17,6 +17,7 @@ from su3mag.certify import (bracket_table_regular, expected_table_entries,
                             rewrite_in_generators, numeric_rank,
                             phase_jacobian)
 from su3mag.phase import slice_bracket_symbolic
+from su3mag import certify, reports
 
 
 def test_couplings_values():
@@ -51,6 +52,44 @@ def test_bracket_table_closes_and_matches():
             point = [gen_vals[n] for n in ("u1", "u2", "u3", "v", "w")] \
                 + [sys.eps]
             assert abs(lhs - float(poly.evaluate(point))) < 1e-10
+
+
+def _count_slice_brackets(monkeypatch):
+    """A list that grows by one per slice_bracket_symbolic call in certify."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return slice_bracket_symbolic(*args)
+
+    monkeypatch.setattr(certify, "slice_bracket_symbolic", counting)
+    return calls
+
+
+def test_regular_bracket_table_is_built_once_per_system(monkeypatch):
+    calls = _count_slice_brackets(monkeypatch)
+    sys = reports.make_system("regular", 0.1)
+    text = reports.bracket_table_text(sys)
+    assert len(calls) == 10
+    doc = reports.bracket_table_json(sys)
+    assert len(calls) == 10
+    # a fresh system builds its own table, with the same text
+    fresh = reports.make_system("regular", 0.1)
+    assert reports.bracket_table_json(fresh) == doc
+    assert reports.bracket_table_text(fresh) == text
+    assert len(calls) == 20
+
+
+def test_a_failed_bracket_table_is_not_cached(monkeypatch):
+    calls = _count_slice_brackets(monkeypatch)
+    sys = reports.make_system("regular", 0.1)
+    with monkeypatch.context() as m:
+        m.setattr(certify, "rewrite_in_generators", lambda q, gens: None)
+        with pytest.raises(AssertionError, match="not expressible"):
+            bracket_table_regular(sys)
+    assert len(calls) == 1
+    assert len(bracket_table_regular(sys).entries) == 10
+    assert len(calls) == 11
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -16,7 +16,11 @@ from su3mag.invariants import (invariant_space, indecomposable_generators,
                                torus_generators, radial_generator,
                                monomials_of_degree)
 from su3mag.phase import su3_regular_system, su3_irregular_system
-from su3mag.exact_linalg import rref
+from su3mag.exact_linalg import nullspace, rref
+from su3mag.invariants import _greedy_complete
+
+from oracles import (greedy_complete_by_rank, monomials_by_recursion,
+                     rref_by_scalars)
 
 
 def dense_nullity_oracle(alg, sub, degree, restrict_to_m=True):
@@ -324,3 +328,75 @@ def test_numeric_rank_equals_exact_rank_on_integer_matrices(rows):
     exact = len(rref([{j: Scalar(x) for j, x in enumerate(r) if x}
                       for r in rows], len(rows[0]))[0])
     assert numeric_rank(np.array(rows)) == exact
+
+
+# entries of the elimination properties: small rationals and the field's
+# generators, with zeros weighted up so that the rows come out sparse
+_NONZERO = (Scalar(1), Scalar(-1), Scalar(2), Scalar(-2),
+            Scalar(Fraction(1, 2)), Scalar(Fraction(-1, 2)),
+            Scalar.sqrt2(), Scalar.sqrt2(-1), Scalar.sqrt3(), Scalar.sqrt3(-1),
+            Scalar.sqrt6(), Scalar.sqrt6(-1), Scalar(1, 0, 1))
+_ENTRIES = (Scalar(0),) * 13 + _NONZERO
+
+
+@st.composite
+def field_matrices(draw):
+    """(sparse rows, ncols): up to 8 rows of up to 10 columns over
+    Q(sqrt2, sqrt3), some rows drawn entry by entry and the rest sums or
+    multiples of earlier rows, or zero."""
+    ncols = draw(st.integers(1, 10))
+    nrows = draw(st.integers(1, 8))
+    rows = []
+    while len(rows) < nrows:
+        kind = draw(st.sampled_from(("drawn", "sum", "multiple", "zero")))
+        if kind == "zero":
+            rows.append([Scalar(0)] * ncols)
+        elif kind == "drawn" or not rows:
+            rows.append([draw(st.sampled_from(_ENTRIES))
+                         for _ in range(ncols)])
+        elif kind == "sum":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([x + y for x, y in zip(a, b)])
+        else:
+            f = draw(st.sampled_from(_NONZERO))
+            rows.append([f * x for x in draw(st.sampled_from(rows))])
+    return [{j: x for j, x in enumerate(r) if x} for r in rows], ncols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(field_matrices(), st.data())
+def test_rref_is_the_oracle_rref_under_any_row_order(matrix, data):
+    rows, ncols = matrix
+    pivots, reduced = rref(rows, ncols)
+    assert (pivots, reduced) == rref_by_scalars(rows, ncols)
+    shuffled = data.draw(st.permutations(rows))
+    assert rref(shuffled, ncols) == (pivots, reduced)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(field_matrices())
+def test_nullspace_vectors_annihilate_every_row(matrix):
+    rows, ncols = matrix
+    basis = nullspace(rows, ncols)
+    assert len(basis) == ncols - len(rref(rows, ncols)[0])
+    for vec in basis:
+        for row in rows:
+            assert sum((x * vec[j] for j, x in row.items()),
+                       Scalar(0)).is_zero()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(field_matrices(), st.data())
+def test_greedy_completion_picks_the_oracle_candidates(matrix, data):
+    rows, ncols = matrix
+    k = data.draw(st.integers(0, len(rows)))
+    span, candidates = rows[:k], rows[k:]
+    assert _greedy_complete(span, candidates, ncols) == \
+        greedy_complete_by_rank(span, candidates, ncols)
+
+
+def test_monomial_order_is_the_recursive_order():
+    for nvars in range(1, 10):
+        for degree in range(8):
+            assert monomials_of_degree(nvars, degree) == \
+                monomials_by_recursion(nvars, degree)
