@@ -1,13 +1,14 @@
 """Commutant computations, Casimirs, restriction and rank counting."""
 
 from fractions import Fraction
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from su3mag import (build_su3_gellmann, build_su3_chevalley, build_su2,
-                    centralizer_of, Polynomial, lie_poisson_bracket)
+                    centralizer_of, Polynomial, lie_poisson_bracket, reports)
 from su3mag.scalars import Scalar
 from su3mag.invariants import (invariant_space, indecomposable_generators,
                                casimirs_su3, restrict_shift, shift_images,
@@ -400,3 +401,23 @@ def test_monomial_order_is_the_recursive_order():
         for degree in range(8):
             assert monomials_of_degree(nvars, degree) == \
                 monomials_by_recursion(nvars, degree)
+
+
+# SHA-256 of centralizer reports that neither the benchmark nor
+# tests/test_golden.py draws: the non-abelian A block over all 8 su(3)
+# variables, the full torus commutant to degree 6 and su(2)'s m-only one.
+UNDRAWN_REPORT_DIGESTS = {
+    ("su3", "irregular-A", False, 5):
+        "9012f74951b01a90e98da5f9b8b923e30528a9c19e10d25f74e5596b9dcd7e5d",
+    ("su3", "torus", False, 6):
+        "0ebf04c7aa38b40f1e59438f71603f34211cce1a3c728386c8d7523bf0a366cf",
+    ("su2", "torus", True, 4):
+        "9e3b9122b873904085731bda4e358c78eee62315deb5c7a308fa8e82de33e9d6",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDRAWN_REPORT_DIGESTS))
+def test_undrawn_centralizer_report_digest(case):
+    text = reports.centralizer_report(*case)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        UNDRAWN_REPORT_DIGESTS[case]
