@@ -35,7 +35,7 @@ from .exact_linalg import solve_in_span
 from .invariants import (torus_generators, radial_generator, restrict_shift,
                          monomials_of_degree, independence_rank, numeric_rank,
                          generator_monomial, _monomials_in_generators,
-                         _poly_to_vec)
+                         _poly_to_row)
 from .phase import (MomentPullback, SlicePullback, moment_coordinate,
                     slice_bracket_symbolic, basis_bracket,
                     basis_differential, slice_z_values)
@@ -180,12 +180,12 @@ def rewrite_in_generators(q, gens):
             combos = _monomials_in_generators(gens, deg)
             if not combos:
                 return None
-            monos = sorted(monomials_of_degree(len(m_names), deg), reverse=True)
+            monos = monomials_of_degree(len(m_names), deg)
             mono_index = {e: i for i, e in enumerate(monos)}
-            vectors = [_poly_to_vec(generator_monomial(gens, combo, m_names),
+            vectors = [_poly_to_row(generator_monomial(gens, combo, m_names),
                                     mono_index)
                        for combo in combos]
-            coeffs = solve_in_span(_poly_to_vec(comp, mono_index), vectors,
+            coeffs = solve_in_span(_poly_to_row(comp, mono_index), vectors,
                                    len(monos))
             if coeffs is None:
                 return None

@@ -1,11 +1,12 @@
 """Exact Gaussian elimination over Q(sqrt2, sqrt3).
 
-Rows are sparse dicts {column: Scalar}.  Columns are processed in
+One loop, ``rref_ints``, does every elimination, on sparse rows {column:
+Scalar.ints} with the fused kernel scalars.submul_ints; ``rref`` and
+``nullspace`` wrap it for rows {column: Scalar}.  Columns are processed in
 ascending order, each with the sparsest row holding it as pivot (the first
 on a tie).  The reduced row echelon form is unique, so the output is the
 same whatever the pivot: reduced forms, and every kernel and generator
-basis derived from them, are reproducible run to run.  Rows are reduced on
-their integral representations by the fused kernel scalars.submul_ints.
+basis derived from them, are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -15,15 +16,16 @@ from itertools import chain
 from .scalars import ONE, ZERO, from_ints, submul_ints
 
 
-def rref(rows, ncols):
-    """Reduced row echelon form.
+def rref_ints(rows, ncols):
+    """Reduced row echelon form of sparse rows {column: reduced ints}.
 
     Returns (pivots, reduced) where pivots is the ordered list of pivot
     columns and reduced is a list of sparse rows, one per pivot, normalized
     to a leading 1 and fully reduced.  The result is the unique RREF, so it
-    does not depend on the order of the rows or on the pivot rule.
+    does not depend on the order of the rows or on the pivot rule.  The
+    rows passed in are updated in place.
     """
-    work = [{c: v.ints for c, v in r.items()} for r in rows if r]
+    work = [r for r in rows if r]
     reduced = []
     pivots = []
     for col in range(ncols):
@@ -48,6 +50,13 @@ def rref(rows, ncols):
         pivots.append(col)
         work = [r for r in work if r]
     # columns run in ascending order, so the pivots come out sorted
+    return pivots, reduced
+
+
+def rref(rows, ncols):
+    """``rref_ints`` on sparse rows {column: Scalar}, left as they are."""
+    pivots, reduced = rref_ints([{c: v.ints for c, v in r.items()}
+                                 for r in rows], ncols)
     return pivots, [{c: from_ints(t) for c, t in r.items()} for r in reduced]
 
 
@@ -83,25 +92,24 @@ def transposed(vectors, length):
 
 
 def solve_in_span(target, vectors, ncols):
-    """Express target (dense Scalar list) in the span of given vectors.
+    """Express target in the span of vectors (sparse rows {j: nonzero Scalar}).
 
     Returns the coefficient list, or None if target is not in the span.
     Solves the stacked augmented system exactly.
     """
-    columns = [{j: x for j, x in enumerate(vec) if x}
-               for vec in [*vectors, target]]
-    pivots, reduced = rref(transposed(columns, ncols), len(vectors) + 1)
+    pivots, reduced = rref(transposed([*vectors, target], ncols),
+                           len(vectors) + 1)
     if len(vectors) in pivots:
         return None  # inconsistent: target has a component outside the span
     coeffs = [ZERO] * len(vectors)
     for pcol, row in zip(pivots, reduced):
         coeffs[pcol] = row.get(len(vectors), ZERO)
-    # verify (cheap, catches underdetermined corner cases)
-    for j in range(ncols):
-        acc = ZERO
-        for c, vec in zip(coeffs, vectors):
-            acc = acc + c * vec[j]
-        if acc != target[j]:
-            return None
+    # verify (cheap, catches underdetermined corner cases) on stored entries
+    combo = {}
+    for c, vec in zip(coeffs, vectors):
+        if not c.is_zero():
+            for j, x in vec.items():
+                combo[j] = combo.get(j, ZERO) + c * x
+    if {j: x for j, x in combo.items() if x} != target:
+        return None
     return coeffs
-

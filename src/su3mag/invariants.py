@@ -8,7 +8,9 @@ coadjoint derivations
 acting on homogeneous polynomials.  Kernels are exact (Gaussian elimination
 over Q(sqrt2, sqrt3)); monomials are grouped into blocks preserved by all
 L_j (the finest variable partition closed under the operators), which keeps
-the elimination small.
+the elimination small.  The operator rows are built on the integral
+representations of their entries and go straight into the int elimination
+(exact_linalg.rref_ints); a Scalar is built per basis coefficient only.
 """
 
 from __future__ import annotations
@@ -19,14 +21,15 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .scalars import CZERO, ZERO, cmat_mul
+from .scalars import (CZERO, ONE, ZERO, _reduce, cmat_mul, from_ints,
+                      submul_ints)
 from .poly import Polynomial
-from .exact_linalg import nullspace, rref, transposed
+from .exact_linalg import nullspace, rref, rref_ints, transposed
 from .algebra import SubalgebraSpec
 
 
 def monomials_of_degree(nvars, degree):
-    """All exponent tuples of the given total degree, lexicographic order."""
+    """All exponent tuples of the degree, in descending lexicographic order."""
     out = []
     for combo in combinations_with_replacement(range(nvars), degree):
         expo = [0] * nvars
@@ -50,7 +53,7 @@ class InvariantBasis:
 def _operator_terms(alg, sub, var_indices):
     """Terms (j, k, i, coeff) of each L_j restricted to the chosen variables.
 
-    Returns {j: [(k_pos, i_pos, Scalar)]} where positions index var_indices.
+    Returns {j: [(k_pos, i_pos, coeff.ints)]}; positions index var_indices.
     """
     pos = {v: p for p, v in enumerate(var_indices)}
     ops = {}
@@ -58,13 +61,15 @@ def _operator_terms(alg, sub, var_indices):
         terms = []
         for (jj, k, i), c in alg.structure.items():
             if jj == j and k in pos and i in pos:
-                terms.append((pos[k], pos[i], c))
+                terms.append((pos[k], pos[i], c.ints))
         ops[j] = terms
     return ops
 
 
-def _variable_blocks(ops, nvars):
-    """Finest partition of variables closed under all x_k d/dx_i terms."""
+def _monomial_buckets(ops, nvars, degree):
+    """Buckets of the degree's monomials that every L_j preserves: equal
+    multidegree over the finest variable partition closed under the terms,
+    blocks numbered by first variable, buckets in ascending multidegree."""
     parent = list(range(nvars))
 
     def find(a):
@@ -78,24 +83,41 @@ def _variable_blocks(ops, nvars):
             ra, rb = find(k), find(i)
             if ra != rb:
                 parent[rb] = ra
-    groups = {}
-    for v in range(nvars):
-        groups.setdefault(find(v), []).append(v)
-    return list(groups.values())
+    number = {}
+    block_of = [number.setdefault(find(v), len(number)) for v in range(nvars)]
+    buckets = {}
+    for expo in monomials_of_degree(nvars, degree):
+        profile = [0] * len(number)
+        for v, e in enumerate(expo):
+            profile[block_of[v]] += e
+        buckets.setdefault(tuple(profile), []).append(expo)
+    return [buckets[profile] for profile in sorted(buckets)]
 
 
-def _apply_operator(terms, expo):
-    """L_j applied to a monomial: list of (new exponent tuple, Scalar)."""
-    out = []
-    for (kpos, ipos, c) in terms:
-        e = expo[ipos]
-        if e == 0:
-            continue
-        new = list(expo)
-        new[ipos] -= 1
-        new[kpos] += 1
-        out.append((tuple(new), c * e))
-    return out
+def _operator_rows(ops, bucket):
+    """Rows {source index: reduced ints} of the stacked L_j on a bucket, one
+    per operator and target: C x_k d/dx_i maps a source with exponent e in
+    x_i to its target with entry C * e, summed per pair, zeros dropped."""
+    index = {e: i for i, e in enumerate(bucket)}
+    rows = []
+    for terms in ops.values():
+        per_target = {}
+        for src, expo in enumerate(bucket):
+            for kpos, ipos, (c0, c1, c2, c3, cd) in terms:
+                e = expo[ipos]
+                if e == 0:
+                    continue
+                new = list(expo)
+                new[ipos] -= 1
+                new[kpos] += 1
+                row = per_target.setdefault(index[tuple(new)], {})
+                val = _reduce(c0 * e, c1 * e, c2 * e, c3 * e, cd)
+                if src in row:  # one more diagonal term x_k d/dx_k: add
+                    val = submul_ints(row.pop(src), (-1, 0, 0, 0, 1), val)
+                if val != ZERO.ints:
+                    row[src] = val
+        rows.extend(r for r in per_target.values() if r)
+    return rows
 
 
 def invariant_space(alg, sub, degree, restrict_to_m=True):
@@ -105,43 +127,20 @@ def invariant_space(alg, sub, degree, restrict_to_m=True):
         raise ValueError(f"degree {degree} exceeds cap {DEGREE_CAP}")
     var_indices = list(sub.m_indices) if restrict_to_m else list(range(alg.dim))
     names = tuple(alg.coord_names[i] for i in var_indices)
-    nvars = len(var_indices)
     ops = _operator_terms(alg, sub, var_indices)
-    blocks = _variable_blocks(ops, nvars)
-    block_of = {}
-    for b, grp in enumerate(blocks):
-        for v in grp:
-            block_of[v] = b
-
-    monos = monomials_of_degree(nvars, degree)
-    # group monomials by their multidegree profile over blocks
-    buckets = {}
-    for expo in monos:
-        profile = [0] * len(blocks)
-        for v, e in enumerate(expo):
-            profile[block_of[v]] += e
-        buckets.setdefault(tuple(profile), []).append(expo)
-
     basis = []
-    for profile in sorted(buckets):
-        bucket = sorted(buckets[profile], reverse=True)
-        index = {e: i for i, e in enumerate(bucket)}
-        rows = []
-        for terms in ops.values():
-            per_source = {}
-            for src, expo in enumerate(bucket):
-                for new, coeff in _apply_operator(terms, expo):
-                    tgt = index[new]
-                    per_source.setdefault(tgt, {})
-                    acc = per_source[tgt].get(src)
-                    val = coeff if acc is None else acc + coeff
-                    if val.is_zero():
-                        per_source[tgt].pop(src, None)
-                    else:
-                        per_source[tgt][src] = val
-            rows.extend(r for r in per_source.values() if r)
-        for vec in nullspace(rows, len(bucket)):
-            terms = {bucket[i]: c for i, c in enumerate(vec) if not c.is_zero()}
+    for bucket in _monomial_buckets(ops, len(var_indices), degree):
+        pivots, reduced = rref_ints(_operator_rows(ops, bucket), len(bucket))
+        # per free column f, as nullspace lists them: the negated entries of
+        # the pivot columns left of f (no other holds one), then f's 1
+        for f in sorted(set(range(len(bucket))) - set(pivots)):
+            terms = {}
+            for pcol, row in zip(pivots, reduced):
+                t = row.get(f)
+                if t is not None:
+                    terms[bucket[pcol]] = from_ints(
+                        (-t[0], -t[1], -t[2], -t[3], t[4]))
+            terms[bucket[f]] = ONE
             basis.append(Polynomial(names, terms))
     return InvariantBasis(subalgebra=sub, degree=degree, basis=basis)
 
@@ -162,13 +161,6 @@ class GeneratorSet:
         if not self.relations:
             lines.append("relations none")
         return "\n".join(lines) + "\n"
-
-
-def _poly_to_vec(poly, mono_index):
-    vec = [ZERO] * len(mono_index)
-    for expo, coeff in poly.terms.items():
-        vec[mono_index[expo]] = coeff
-    return vec
 
 
 def _poly_to_row(poly, mono_index):
@@ -199,7 +191,7 @@ def indecomposable_generators(alg, sub, max_degree, restrict_to_m=True):
         dims[d] = inv.dim
         if not inv.basis:
             continue
-        monos = sorted(monomials_of_degree(nvars, d), reverse=True)
+        monos = monomials_of_degree(nvars, d)
         mono_index = {e: i for i, e in enumerate(monos)}
         # span of all products of existing generators with total degree d;
         # every generator so far has degree below d, so every such
@@ -238,7 +230,7 @@ def _generator_relations(gens, names, nvars, max_degree):
         combos = _monomials_in_generators(gens, d)
         if len(combos) < 2:
             continue
-        monos = sorted(monomials_of_degree(nvars, d), reverse=True)
+        monos = monomials_of_degree(nvars, d)
         mono_index = {e: i for i, e in enumerate(monos)}
         rows = [_poly_to_row(generator_monomial(gens, combo, names),
                              mono_index)
