@@ -21,7 +21,14 @@
   the first available row as pivot, the generator-basis completion by one
   rank test per candidate, and the recursive monomial enumeration, which
   ``exact_linalg.rref``, ``invariants._greedy_complete`` and
-  ``invariants.monomials_of_degree`` must reproduce.
+  ``invariants.monomials_of_degree`` must reproduce;
+* ``operator_rows_by_scalars``: the rows of the stacked coadjoint
+  derivations on a bucket of monomials, one Scalar product per operator
+  term and a Scalar sum per (target, source) pair, which the int rows of
+  ``invariants._operator_rows`` must reproduce;
+* ``solve_in_span_dense``: span membership on dense vectors, checked by
+  recombining every entry, which the sparse
+  ``exact_linalg.solve_in_span`` must reproduce.
 """
 
 from dataclasses import dataclass
@@ -35,7 +42,8 @@ from su3mag.algebra import GroupElement, polar_project
 from su3mag.phase import (MomentPullback, PhasePoint,
                           hamiltonian_vector_field, _fiber_velocity)
 from su3mag.poly import Polynomial
-from su3mag.scalars import Scalar, parse_scalar
+from su3mag.exact_linalg import transposed
+from su3mag.scalars import ZERO, Scalar, from_ints, parse_scalar
 
 
 def moment_map(sys, pt):
@@ -243,3 +251,62 @@ def monomials_by_recursion(nvars, degree):
         for rest in monomials_by_recursion(nvars - 1, degree - first):
             out.append((first,) + rest)
     return out
+
+
+def _apply_operator(terms, expo):
+    """L_j applied to a monomial: list of (new exponent tuple, Scalar)."""
+    out = []
+    for (kpos, ipos, c) in terms:
+        e = expo[ipos]
+        if e == 0:
+            continue
+        new = list(expo)
+        new[ipos] -= 1
+        new[kpos] += 1
+        out.append((tuple(new), c * e))
+    return out
+
+
+def operator_rows_by_scalars(ops, bucket):
+    """Sparse rows {source index: Scalar} of the stacked operators on a
+    bucket, one per operator and target in the order first reached;
+    ops maps each operator to its terms (k_pos, i_pos, coeff ints)."""
+    index = {e: i for i, e in enumerate(bucket)}
+    rows = []
+    for terms in ops.values():
+        terms = [(k, i, from_ints(c)) for k, i, c in terms]
+        per_source = {}
+        for src, expo in enumerate(bucket):
+            for new, coeff in _apply_operator(terms, expo):
+                tgt = index[new]
+                per_source.setdefault(tgt, {})
+                acc = per_source[tgt].get(src)
+                val = coeff if acc is None else acc + coeff
+                if val.is_zero():
+                    per_source[tgt].pop(src, None)
+                else:
+                    per_source[tgt][src] = val
+        rows.extend(r for r in per_source.values() if r)
+    return rows
+
+
+def solve_in_span_dense(target, vectors, ncols):
+    """Coefficients expressing the dense Scalar list target in the span of
+    the dense vectors, or None: the augmented system solved by
+    ``rref_by_scalars``, then every entry recombined and compared."""
+    columns = [{j: x for j, x in enumerate(vec) if x}
+               for vec in [*vectors, target]]
+    pivots, reduced = rref_by_scalars(transposed(columns, ncols),
+                                      len(vectors) + 1)
+    if len(vectors) in pivots:
+        return None  # inconsistent: target has a component outside the span
+    coeffs = [ZERO] * len(vectors)
+    for pcol, row in zip(pivots, reduced):
+        coeffs[pcol] = row.get(len(vectors), ZERO)
+    for j in range(ncols):
+        acc = ZERO
+        for c, vec in zip(coeffs, vectors):
+            acc = acc + c * vec[j]
+        if acc != target[j]:
+            return None
+    return coeffs

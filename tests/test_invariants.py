@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from su3mag import (build_su3_gellmann, build_su3_chevalley, build_su2,
                     centralizer_of, Polynomial, lie_poisson_bracket, reports)
-from su3mag.scalars import Scalar
+from su3mag.scalars import Scalar, from_ints
 from su3mag.invariants import (invariant_space, indecomposable_generators,
                                casimirs_su3, restrict_shift, shift_images,
                                independence_rank, casimir_count,
@@ -17,11 +17,13 @@ from su3mag.invariants import (invariant_space, indecomposable_generators,
                                torus_generators, radial_generator,
                                monomials_of_degree)
 from su3mag.phase import su3_regular_system, su3_irregular_system
-from su3mag.exact_linalg import nullspace, rref
-from su3mag.invariants import _greedy_complete
+from su3mag.exact_linalg import nullspace, rref, solve_in_span
+from su3mag.invariants import (_greedy_complete, _monomial_buckets,
+                               _operator_rows, _operator_terms)
 
 from oracles import (greedy_complete_by_rank, monomials_by_recursion,
-                     rref_by_scalars)
+                     operator_rows_by_scalars, rref_by_scalars,
+                     solve_in_span_dense)
 
 
 def dense_nullity_oracle(alg, sub, degree, restrict_to_m=True):
@@ -401,6 +403,105 @@ def test_monomial_order_is_the_recursive_order():
         for degree in range(8):
             assert monomials_of_degree(nvars, degree) == \
                 monomials_by_recursion(nvars, degree)
+
+
+def test_monomials_come_in_descending_lexicographic_order():
+    for nvars in range(1, 10):
+        for degree in range(8):
+            monos = monomials_of_degree(nvars, degree)
+            assert monos == sorted(monos, reverse=True)
+            assert len(set(monos)) == len(monos)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(field_matrices(), st.data())
+def test_sparse_solve_in_span_is_the_dense_solve(matrix, data):
+    vectors, ncols = matrix
+    kind = data.draw(st.sampled_from(("combination", "drawn", "zero")))
+    target = {}
+    if kind == "combination":
+        for vec in vectors:
+            c = data.draw(st.sampled_from(_ENTRIES))
+            for j, x in vec.items():
+                target[j] = target.get(j, Scalar(0)) + c * x
+    elif kind == "drawn":
+        for j in range(ncols):
+            target[j] = data.draw(st.sampled_from(_ENTRIES))
+    target = {j: x for j, x in target.items() if x}
+    coeffs = solve_in_span(target, vectors, ncols)
+
+    def dense(row):
+        return [row.get(j, Scalar(0)) for j in range(ncols)]
+
+    assert coeffs == solve_in_span_dense(dense(target), [dense(v) for v in
+                                                         vectors], ncols)
+    if kind != "drawn":
+        assert coeffs is not None
+    if kind == "zero":
+        assert all(c.is_zero() for c in coeffs)
+    if coeffs is not None:
+        combo = [sum((c * v.get(j, Scalar(0)) for c, v in zip(coeffs, vectors)),
+                     Scalar(0)) for j in range(ncols)]
+        assert combo == dense(target)
+
+
+# (algebra, subalgebra) selections of the centralizer reports
+SELECTIONS = (("su3", "torus"), ("su3", "irregular-A"), ("su2", "torus"))
+
+
+def _buckets_by_degree(selection, m_only):
+    """(names, operator terms, buckets) of invariant_space, degrees 1-5."""
+    alg, sub = reports._selection(*selection)
+    var_indices = list(sub.m_indices) if m_only else list(range(alg.dim))
+    names = tuple(alg.coord_names[i] for i in var_indices)
+    ops = _operator_terms(alg, sub, var_indices)
+    for degree in range(1, 6):
+        yield (alg, sub, degree, names, ops,
+               _monomial_buckets(ops, len(var_indices), degree))
+
+
+@pytest.mark.parametrize("m_only", (True, False), ids=("m", "full"))
+@pytest.mark.parametrize("selection", SELECTIONS, ids="/".join)
+def test_int_operator_rows_are_the_scalar_rows(selection, m_only):
+    for _, _, _, _, ops, buckets in _buckets_by_degree(selection, m_only):
+        for bucket in buckets:
+            rows = [{c: from_ints(t) for c, t in r.items()}
+                    for r in _operator_rows(ops, bucket)]
+            assert rows == operator_rows_by_scalars(ops, bucket)
+
+
+def test_operator_rows_sum_diagonal_terms_and_drop_zeros():
+    # x0 d/dx0 - x1 d/dx1 + (sqrt2/2) x0 d/dx1: the two diagonal terms land
+    # on the same (target, source) pair and cancel where the exponents
+    # agree; the half needs the entry reduced (every structure constant of
+    # the built algebras is integral over Z[sqrt2, sqrt3], so none does)
+    ops = {0: [(0, 0, Scalar(1).ints), (1, 1, Scalar(-1).ints),
+               (0, 1, Scalar.sqrt2(Fraction(1, 2)).ints)]}
+    for degree in range(1, 6):
+        bucket = monomials_of_degree(2, degree)
+        rows = [{c: from_ints(t) for c, t in r.items()}
+                for r in _operator_rows(ops, bucket)]
+        assert rows == operator_rows_by_scalars(ops, bucket)
+        if degree == 2:  # bucket x0^2, x0 x1, x1^2
+            assert rows == [{0: Scalar(2), 1: Scalar.sqrt2(Fraction(1, 2))},
+                            {2: Scalar.sqrt2()}, {2: Scalar(-2)}]
+
+
+@pytest.mark.parametrize("m_only", (True, False), ids=("m", "full"))
+@pytest.mark.parametrize("selection", SELECTIONS, ids="/".join)
+def test_invariant_space_is_the_nullspace_of_the_scalar_rows(selection,
+                                                              m_only):
+    for alg, sub, degree, names, ops, buckets in _buckets_by_degree(
+            selection, m_only):
+        expected = []
+        for bucket in buckets:
+            rows = operator_rows_by_scalars(ops, bucket)
+            for vec in nullspace(rows, len(bucket)):
+                expected.append({bucket[i]: c for i, c in enumerate(vec)
+                                 if not c.is_zero()})
+        basis = invariant_space(alg, sub, degree, m_only).basis
+        assert [list(p.terms.items()) for p in basis] == \
+            [list(t.items()) for t in expected]
 
 
 # SHA-256 of centralizer reports that neither the benchmark nor
