@@ -416,6 +416,9 @@ def test_monomials_come_in_descending_lexicographic_order():
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(field_matrices(), st.data())
 def test_sparse_solve_in_span_is_the_dense_solve(matrix, data):
+    # the vectors include sums, multiples and zeros of earlier ones; the
+    # target is a combination of them, drawn entry by entry (in the span
+    # or not), or zero
     vectors, ncols = matrix
     kind = data.draw(st.sampled_from(("combination", "drawn", "zero")))
     target = {}
@@ -428,13 +431,14 @@ def test_sparse_solve_in_span_is_the_dense_solve(matrix, data):
         for j in range(ncols):
             target[j] = data.draw(st.sampled_from(_ENTRIES))
     target = {j: x for j, x in target.items() if x}
-    coeffs = solve_in_span(target, vectors, ncols)
 
     def dense(row):
         return [row.get(j, Scalar(0)) for j in range(ncols)]
 
-    assert coeffs == solve_in_span_dense(dense(target), [dense(v) for v in
-                                                         vectors], ncols)
+    coeffs = solve_in_span(target, vectors, ncols)
+    expected = solve_in_span_dense(dense(target), list(map(dense, vectors)),
+                                   ncols)
+    assert coeffs == expected
     if kind != "drawn":
         assert coeffs is not None
     if kind == "zero":
