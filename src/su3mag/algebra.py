@@ -449,18 +449,13 @@ def centralizer_of(alg, w):
     w = [Scalar.of(c) for c in w]
     if all(c.is_zero() for c in w):
         raise ValueError("W = 0 centralizes everything")
-    M = alg.ad_matrix_exact(w)
-    rows = []
-    for r in M:
-        row = {j: v for j, v in enumerate(r) if not v.is_zero()}
-        if row:
-            rows.append(row)
+    rows = [{j: v.ints for j, v in enumerate(r) if not v.is_zero()}
+            for r in alg.ad_matrix_exact(w)]
     a_idx = []
-    for vec in nullspace(rows, alg.dim):
-        support = [j for j, v in enumerate(vec) if not v.is_zero()]
-        if len(support) != 1:
+    for vec in nullspace(rows, alg.dim):  # sparse: the support is its keys
+        if len(vec) != 1:
             raise ValueError("centralizer is not spanned by basis elements")
-        a_idx.append(support[0])
+        a_idx.extend(vec)
     a_idx = tuple(sorted(a_idx))
     m_idx = tuple(j for j in range(alg.dim) if j not in a_idx)
     return SubalgebraSpec(alg, a_idx, m_idx)

@@ -33,9 +33,8 @@ from .scalars import ZERO, Scalar
 from .poly import Polynomial
 from .exact_linalg import solve_in_span
 from .invariants import (torus_generators, radial_generator, restrict_shift,
-                         monomials_of_degree, independence_rank, numeric_rank,
-                         generator_monomial, _monomials_in_generators,
-                         _poly_to_row)
+                         independence_rank, numeric_rank,
+                         _generator_products, _poly_to_row)
 from .phase import (MomentPullback, SlicePullback, moment_coordinate,
                     slice_bracket_symbolic, basis_bracket,
                     basis_differential, slice_z_values)
@@ -177,16 +176,11 @@ def rewrite_in_generators(q, gens):
     for e_eps, terms in sorted(eps_slices.items()):
         part = Polynomial(m_names, terms)
         for deg, comp in part.homogeneous_components():
-            combos = _monomials_in_generators(gens, deg)
+            combos, rows, mono_index = _generator_products(gens, m_names, deg)
             if not combos:
                 return None
-            monos = monomials_of_degree(len(m_names), deg)
-            mono_index = {e: i for i, e in enumerate(monos)}
-            vectors = [_poly_to_row(generator_monomial(gens, combo, m_names),
-                                    mono_index)
-                       for combo in combos]
-            coeffs = solve_in_span(_poly_to_row(comp, mono_index), vectors,
-                                   len(monos))
+            coeffs = solve_in_span(_poly_to_row(comp, mono_index), rows,
+                                   len(mono_index))
             if coeffs is None:
                 return None
             for combo, c in zip(combos, coeffs):

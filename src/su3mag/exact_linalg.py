@@ -1,12 +1,15 @@
 """Exact Gaussian elimination over Q(sqrt2, sqrt3).
 
-One loop, ``rref_ints``, does every elimination, on sparse rows {column:
-Scalar.ints} with the fused kernel scalars.submul_ints; ``rref`` and
-``nullspace`` wrap it for rows {column: Scalar}.  Columns are processed in
-ascending order, each with the sparsest row holding it as pivot (the first
-on a tie).  The reduced row echelon form is unique, so the output is the
-same whatever the pivot: reduced forms, and every kernel and generator
-basis derived from them, are reproducible run to run.
+The package calls it on sparse rows {column: reduced ints}, the integral
+representation ``Scalar.ints``, only.  One loop, ``rref_ints``, does every
+elimination, with the fused kernel scalars.submul_ints; ``nullspace`` is
+the one reader of a kernel and ``solve_in_span`` the one span solve, each
+building a Scalar per output coefficient only.  ``rref`` wraps the loop
+for rows {column: Scalar}; the package does not call it.  Columns are
+processed in ascending order, each with the sparsest row holding it as
+pivot (the first on a tie).  The reduced row echelon form is unique, so
+the output is the same whatever the pivot: reduced forms, and every
+kernel and generator basis derived from them, are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -61,23 +64,23 @@ def rref(rows, ncols):
 
 
 def nullspace(rows, ncols):
-    """Basis of the exact nullspace of the row system.
+    """Basis of the exact nullspace of sparse rows {column: reduced ints}.
 
-    Basis vectors are indexed by free columns in ascending order, each a
-    dense list of Scalars with a 1 in its free slot.  This is the
-    deterministic tie-breaking used for all kernel computations.
+    One vector per free column, in ascending order, each a sparse
+    {column: Scalar} with the negated pivot entries (pivot columns
+    ascending, all left of the free column) and then a 1 in its free
+    column: the deterministic tie-breaking of every kernel computation.
+    The rows passed in are updated in place.
     """
-    pivots, reduced = rref(rows, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    pivots, reduced = rref_ints(rows, ncols)
     basis = []
-    for f in free:
-        vec = [ZERO] * ncols
-        vec[f] = ONE
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        vec = {}
         for pcol, row in zip(pivots, reduced):
-            coeff = row.get(f)
-            if coeff is not None:
-                vec[pcol] = -coeff
+            t = row.get(f)
+            if t is not None:
+                vec[pcol] = from_ints((-t[0], -t[1], -t[2], -t[3], t[4]))
+        vec[f] = ONE
         basis.append(vec)
     return basis
 
@@ -92,24 +95,26 @@ def transposed(vectors, length):
 
 
 def solve_in_span(target, vectors, ncols):
-    """Express target in the span of vectors (sparse rows {j: nonzero Scalar}).
+    """Express target in the span of vectors, all sparse rows {j: nonzero
+    reduced ints}.
 
-    Returns the coefficient list, or None if target is not in the span.
-    Solves the stacked augmented system exactly.
+    Returns the list of Scalar coefficients, or None if target is not in
+    the span.  Solves the stacked augmented system exactly.
     """
-    pivots, reduced = rref(transposed([*vectors, target], ncols),
-                           len(vectors) + 1)
-    if len(vectors) in pivots:
+    n = len(vectors)
+    pivots, reduced = rref_ints(transposed([*vectors, target], ncols), n + 1)
+    if n in pivots:
         return None  # inconsistent: target has a component outside the span
-    coeffs = [ZERO] * len(vectors)
+    coeffs = [ZERO.ints] * n
     for pcol, row in zip(pivots, reduced):
-        coeffs[pcol] = row.get(len(vectors), ZERO)
-    # verify (cheap, catches underdetermined corner cases) on stored entries
-    combo = {}
+        coeffs[pcol] = row.get(n, ZERO.ints)
+    # verify (cheap, catches underdetermined corner cases) on stored
+    # entries: target minus the recombination must vanish
+    residual = dict(target)
     for c, vec in zip(coeffs, vectors):
-        if not c.is_zero():
+        if c != ZERO.ints:
             for j, x in vec.items():
-                combo[j] = combo.get(j, ZERO) + c * x
-    if {j: x for j, x in combo.items() if x} != target:
+                residual[j] = submul_ints(residual.get(j), c, x)
+    if any(x != ZERO.ints for x in residual.values()):
         return None
-    return coeffs
+    return [from_ints(c) for c in coeffs]

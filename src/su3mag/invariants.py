@@ -8,9 +8,12 @@ coadjoint derivations
 acting on homogeneous polynomials.  Kernels are exact (Gaussian elimination
 over Q(sqrt2, sqrt3)); monomials are grouped into blocks preserved by all
 L_j (the finest variable partition closed under the operators), which keeps
-the elimination small.  The operator rows are built on the integral
-representations of their entries and go straight into the int elimination
-(exact_linalg.rref_ints); a Scalar is built per basis coefficient only.
+the elimination small.  Every row handed to exact_linalg is a sparse row
+of integral representations {column: Scalar.ints}: the operator rows are
+built on the ints of their entries, and _poly_to_row reads a polynomial's.
+One builder, _generator_products, makes the rows of a degree's products of
+generators for the quotient by decomposables, the relations and the
+bracket table's rewrite.
 """
 
 from __future__ import annotations
@@ -21,10 +24,9 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .scalars import (CZERO, ONE, ZERO, _reduce, cmat_mul, from_ints,
-                      submul_ints)
+from .scalars import CZERO, ZERO, _reduce, cmat_mul, submul_ints
 from .poly import Polynomial
-from .exact_linalg import nullspace, rref, rref_ints, transposed
+from .exact_linalg import nullspace, rref_ints, transposed
 from .algebra import SubalgebraSpec
 
 
@@ -130,17 +132,8 @@ def invariant_space(alg, sub, degree, restrict_to_m=True):
     ops = _operator_terms(alg, sub, var_indices)
     basis = []
     for bucket in _monomial_buckets(ops, len(var_indices), degree):
-        pivots, reduced = rref_ints(_operator_rows(ops, bucket), len(bucket))
-        # per free column f, as nullspace lists them: the negated entries of
-        # the pivot columns left of f (no other holds one), then f's 1
-        for f in sorted(set(range(len(bucket))) - set(pivots)):
-            terms = {}
-            for pcol, row in zip(pivots, reduced):
-                t = row.get(f)
-                if t is not None:
-                    terms[bucket[pcol]] = from_ints(
-                        (-t[0], -t[1], -t[2], -t[3], t[4]))
-            terms[bucket[f]] = ONE
+        for vec in nullspace(_operator_rows(ops, bucket), len(bucket)):
+            terms = {bucket[c]: x for c, x in vec.items()}
             basis.append(Polynomial(names, terms))
     return InvariantBasis(subalgebra=sub, degree=degree, basis=basis)
 
@@ -164,8 +157,8 @@ class GeneratorSet:
 
 
 def _poly_to_row(poly, mono_index):
-    """The sparse coefficient row {monomial index: coeff} of poly."""
-    return {mono_index[expo]: c for expo, c in poly.terms.items()}
+    """The sparse coefficient row {monomial index: coeff.ints} of poly."""
+    return {mono_index[expo]: c.ints for expo, c in poly.terms.items()}
 
 
 def _greedy_complete(span_rows, candidates, ncols):
@@ -173,7 +166,7 @@ def _greedy_complete(span_rows, candidates, ncols):
     does exactly when it is a pivot column of the matrix whose columns are
     the span rows, then the candidates."""
     columns = list(span_rows) + list(candidates)
-    pivots, _ = rref(transposed(columns, ncols), len(columns))
+    pivots, _ = rref_ints(transposed(columns, ncols), len(columns))
     offset = len(span_rows)
     return [p - offset for p in pivots if p >= offset]
 
@@ -182,7 +175,6 @@ def indecomposable_generators(alg, sub, max_degree, restrict_to_m=True):
     """Per-degree quotient of the invariant spaces by products of lower gens."""
     var_indices = list(sub.m_indices) if restrict_to_m else list(range(alg.dim))
     names = tuple(alg.coord_names[i] for i in var_indices)
-    nvars = len(var_indices)
     gens = []  # (name, Polynomial, degree)
     dims = {}
 
@@ -191,64 +183,59 @@ def indecomposable_generators(alg, sub, max_degree, restrict_to_m=True):
         dims[d] = inv.dim
         if not inv.basis:
             continue
-        monos = monomials_of_degree(nvars, d)
-        mono_index = {e: i for i, e in enumerate(monos)}
         # span of all products of existing generators with total degree d;
         # every generator so far has degree below d, so every such
         # product has at least two factors
-        prod_rows = [_poly_to_row(generator_monomial(gens, combo, names),
-                                  mono_index)
-                     for combo in _monomials_in_generators(gens, d)]
+        _, prod_rows, mono_index = _generator_products(gens, names, d)
         cand_rows = [_poly_to_row(p, mono_index) for p in inv.basis]
-        picked = _greedy_complete(prod_rows, cand_rows, len(monos))
+        picked = _greedy_complete(prod_rows, cand_rows, len(mono_index))
         for rank_in_degree, idx in enumerate(picked, start=1):
             gens.append((f"q{d}_{rank_in_degree}", inv.basis[idx], d))
 
-    relations = _generator_relations(gens, names, nvars, max_degree)
+    relations = _generator_relations(gens, names, max_degree)
     return GeneratorSet(generators=gens, relations=relations, dims=dims)
 
 
-def generator_monomial(gens, combo, names):
-    """The product of gens[i] ** combo[i] as a polynomial over names.
+def _generator_products(gens, names, degree):
+    """(combos, rows, mono_index) of the products of generators of the
+    weighted degree: the exponent tuples over gens (a list of (name,
+    Polynomial over names, degree)) as listed by _monomials_in_generators,
+    the int row of each product over the degree's monomials, and the
+    index of those monomials."""
+    combos = _monomials_in_generators(gens, degree)
+    mono_index = {e: i for i, e in
+                  enumerate(monomials_of_degree(len(names), degree))}
+    rows = []
+    for combo in combos:
+        poly = Polynomial.const(names, 1)
+        for (_, gp, _), k in zip(gens, combo):
+            for _ in range(k):
+                poly = poly * gp
+        rows.append(_poly_to_row(poly, mono_index))
+    return combos, rows, mono_index
 
-    gens is a list of (name, Polynomial, degree); combo an exponent tuple
-    over it, as listed by _monomials_in_generators.
-    """
-    poly = Polynomial.const(names, 1)
-    for (_, gp, _), k in zip(gens, combo):
-        for _ in range(k):
-            poly = poly * gp
-    return poly
 
-
-def _generator_relations(gens, names, nvars, max_degree):
+def _generator_relations(gens, names, max_degree):
     """Minimal linear relations among generator monomials, degree by degree."""
     gen_vars = tuple(name for name, _, _ in gens)
     relations = []
 
     for d in range(2, max_degree + 1):
-        combos = _monomials_in_generators(gens, d)
+        combos, rows, mono_index = _generator_products(gens, names, d)
         if len(combos) < 2:
             continue
-        monos = monomials_of_degree(nvars, d)
-        mono_index = {e: i for i, e in enumerate(monos)}
-        rows = [_poly_to_row(generator_monomial(gens, combo, names),
-                             mono_index)
-                for combo in combos]
         # kernel of the transpose system: coefficient vectors over combos
-        kernel = nullspace(transposed(rows, len(monos)), len(combos))
+        kernel = nullspace(transposed(rows, len(mono_index)), len(combos))
         if not kernel:
             continue
         # quotient by relations lifted from lower degrees
         lifted_rows = _lift_relations(relations, gens, gen_vars, combos, d)
         picked = _greedy_complete(
             lifted_rows,
-            [{i: c for i, c in enumerate(vec) if not c.is_zero()}
-             for vec in kernel],
+            [{i: c.ints for i, c in vec.items()} for vec in kernel],
             len(combos))
         for idx in picked:
-            vec = kernel[idx]
-            terms = {combos[i]: c for i, c in enumerate(vec) if not c.is_zero()}
+            terms = {combos[i]: c for i, c in kernel[idx].items()}
             relations.append(Polynomial(gen_vars, terms))
     return relations
 
@@ -274,7 +261,7 @@ def _monomials_in_generators(gens, total_degree):
 
 
 def _lift_relations(relations, gens, gen_vars, combos, degree):
-    """Coefficient rows of (lower relation) * (generator monomial) at degree."""
+    """Int coefficient rows of (lower relation) * (generator monomial)."""
     combo_index = {e: i for i, e in enumerate(combos)}
     rows = []
     for rel in relations:
@@ -293,7 +280,7 @@ def _lift_relations(relations, gens, gen_vars, combos, degree):
                     break
                 row[idx] = row.get(idx, ZERO) + coeff
             if row:
-                row = {i: c for i, c in row.items() if not c.is_zero()}
+                row = {i: c.ints for i, c in row.items() if not c.is_zero()}
                 if row:
                     rows.append(row)
     return rows
@@ -368,10 +355,7 @@ def casimirs_su3(alg):
     names = alg.coord_names
     n = alg.dim
     # B(Y, Y) = sum_i x_i^2: the basis is B-orthonormal
-    c2 = Polynomial.zero(names)
-    for i in range(n):
-        c2 = c2 + Polynomial.var(names, names[i]) * \
-            Polynomial.var(names, names[i])
+    c2 = _radial(names)
 
     # C3 = sum_ijk -i tr(b_i b_j b_k) x_i x_j x_k from the exact products
     # b_i b_j; the real parts of the traces cancel monomial by monomial

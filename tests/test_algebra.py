@@ -167,6 +167,14 @@ def test_centralizer_regular_and_irregular():
         centralizer_of(gm, [float(c) for c in Wig])
 
 
+def test_centralizer_refuses_a_kernel_not_spanned_by_basis_elements():
+    # W = e1 + e4 on the Gell-Mann basis: the kernel of ad W holds W, whose
+    # support is two basis elements, so the basis is not adapted to it
+    W = [Scalar(1), Scalar(0), Scalar(0), Scalar(1)] + [Scalar(0)] * 4
+    with pytest.raises(ValueError, match="not spanned by basis elements"):
+        centralizer_of(build_su3_gellmann(), W)
+
+
 def test_regularity_matrix_path_and_rank_nullity():
     gm = build_su3_gellmann()
     rng = np.random.default_rng(2)

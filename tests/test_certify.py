@@ -109,6 +109,20 @@ def test_bracket_table_cyclic_ansatz_u3_row_literal():
     assert (rw - ansatz).is_zero()
 
 
+def test_rewrite_refuses_what_the_generator_products_do_not_span():
+    # over the regular generators: x1 y1 has degree 2 but lies outside the
+    # span of u1, u2, u3; x1 has degree 1, which no generator product has
+    sys = su3_regular_system(0.1)
+    u, v, w = torus_generators(sys.alg)
+    gens = [("u1", u[0], 2), ("u2", u[1], 2), ("u3", u[2], 2),
+            ("v", v, 3), ("w", w, 3)]
+    names = sys.m_names() + ("eps",)
+    x1 = Polynomial.var(names, "x1")
+    assert rewrite_in_generators(x1 * Polynomial.var(names, "y1"),
+                                 gens) is None
+    assert rewrite_in_generators(x1, gens) is None
+
+
 def test_table_eps_scaling():
     """Setting eps to zero kills every coupling term: the table entries
     with eps-grade zero reproduce the unmagnetized table."""

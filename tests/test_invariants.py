@@ -366,6 +366,11 @@ def field_matrices(draw):
     return [{j: x for j, x in enumerate(r) if x} for r in rows], ncols
 
 
+def int_row(row):
+    """A sparse row {column: Scalar} as exact_linalg takes it."""
+    return {j: x.ints for j, x in row.items()}
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(field_matrices(), st.data())
 def test_rref_is_the_oracle_rref_under_any_row_order(matrix, data):
@@ -380,11 +385,11 @@ def test_rref_is_the_oracle_rref_under_any_row_order(matrix, data):
 @given(field_matrices())
 def test_nullspace_vectors_annihilate_every_row(matrix):
     rows, ncols = matrix
-    basis = nullspace(rows, ncols)
+    basis = nullspace(list(map(int_row, rows)), ncols)
     assert len(basis) == ncols - len(rref(rows, ncols)[0])
     for vec in basis:
         for row in rows:
-            assert sum((x * vec[j] for j, x in row.items()),
+            assert sum((x * vec.get(j, Scalar(0)) for j, x in row.items()),
                        Scalar(0)).is_zero()
 
 
@@ -394,7 +399,8 @@ def test_greedy_completion_picks_the_oracle_candidates(matrix, data):
     rows, ncols = matrix
     k = data.draw(st.integers(0, len(rows)))
     span, candidates = rows[:k], rows[k:]
-    assert _greedy_complete(span, candidates, ncols) == \
+    assert _greedy_complete(list(map(int_row, span)),
+                            list(map(int_row, candidates)), ncols) == \
         greedy_complete_by_rank(span, candidates, ncols)
 
 
@@ -435,7 +441,8 @@ def test_sparse_solve_in_span_is_the_dense_solve(matrix, data):
     def dense(row):
         return [row.get(j, Scalar(0)) for j in range(ncols)]
 
-    coeffs = solve_in_span(target, vectors, ncols)
+    coeffs = solve_in_span(int_row(target), list(map(int_row, vectors)),
+                           ncols)
     expected = solve_in_span_dense(dense(target), list(map(dense, vectors)),
                                    ncols)
     assert coeffs == expected
@@ -500,9 +507,8 @@ def test_invariant_space_is_the_nullspace_of_the_scalar_rows(selection,
         expected = []
         for bucket in buckets:
             rows = operator_rows_by_scalars(ops, bucket)
-            for vec in nullspace(rows, len(bucket)):
-                expected.append({bucket[i]: c for i, c in enumerate(vec)
-                                 if not c.is_zero()})
+            for vec in nullspace(list(map(int_row, rows)), len(bucket)):
+                expected.append({bucket[i]: vec[i] for i in sorted(vec)})
         basis = invariant_space(alg, sub, degree, m_only).basis
         assert [list(p.terms.items()) for p in basis] == \
             [list(t.items()) for t in expected]
