@@ -260,12 +260,7 @@ class GroupElement:
 
     def __init__(self, matrix):
         M = np.asarray(matrix, dtype=complex)
-        n = M.shape[0]
-        if not np.allclose(M.conj().T @ M, np.eye(n), rtol=0,
-                           atol=UNITARY_TOL):
-            raise ValueError("group element is not unitary within tolerance")
-        if abs(np.linalg.det(M) - 1.0) > UNITARY_TOL:
-            raise ValueError("group element does not have determinant one")
+        check_special_unitary(M)
         self.matrix = M
 
     def __matmul__(self, other):
@@ -301,6 +296,36 @@ def exp_map(alg, coords):
 def _adjoint(M):
     """Conjugate transpose of a matrix or of each matrix in a stack."""
     return np.swapaxes(M.conj(), -1, -2)
+
+
+def _mm(A, B):
+    """A B for N x N matrices or stacks of them, broadcast as matmul
+    does: a sum over k of broadcast outer products, which for N <= 3
+    beats numpy's matmul on a block's stack of complex matrices."""
+    out = A[..., :, 0, None] * B[..., None, 0, :]
+    for k in range(1, A.shape[-1]):
+        out += A[..., :, k, None] * B[..., None, k, :]
+    return out
+
+
+def check_special_unitary(G, where=None):
+    """Raise ValueError unless G, an N x N matrix or a stack of them, is
+    unitary and of determinant one within UNITARY_TOL: the largest entry
+    of |G* G - I| (the Gram by _mm) is at most UNITARY_TOL, so that a NaN
+    or infinite entry fails with no numpy warning, and then so is
+    |det G - 1|.  For a stack, the message ends "at <where(k)>" for the
+    first row k that fails."""
+    def refuse(bad, fault):
+        if bad.any():
+            at = "" if where is None else f" at {where(np.argmax(bad))}"
+            raise ValueError(f"group element {fault}{at}")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = _mm(_adjoint(G), G)
+    drift = np.abs(gram - np.eye(G.shape[-1])).max(axis=(-2, -1))
+    refuse(~(drift <= UNITARY_TOL), "is not unitary within tolerance")
+    refuse(~(np.abs(np.linalg.det(G) - 1.0) <= UNITARY_TOL),
+           "does not have determinant one")
 
 
 def _divide_det_phase(g):

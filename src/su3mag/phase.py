@@ -13,6 +13,12 @@ The sign convention is fixed so that, with iota_{X_f} omega = df and
 constants, the slice bracket takes the form -B(xi, [grad1_m, grad2_m]) and
 the Hamilton equations of H = 1/2 B(X,X) read gdot = gX, Xdot = -eps [W,X].
 These three identities pin the orientation; they are enforced by tests.
+
+The form is used through its Poisson tensor on the tangent basis, which
+is the same at every point: every twisted bracket, numeric Jacobian
+pairing and angle bracket is basis_bracket of two stacks of
+differentials.  The exact bracket table comes from
+slice_bracket_symbolic.
 """
 
 from __future__ import annotations
@@ -27,10 +33,10 @@ import numpy as np
 
 from .scalars import CZERO, Scalar
 from .poly import Polynomial, b_gradient, lie_poisson_bracket
-from .algebra import (GroupElement, UNITARY_TOL,
-                      build_su3_chevalley, build_su3_gellmann,
-                      centralizer_of, regularity, exp_map, _adjoint,
-                      _divide_det_phase)
+from .algebra import (GroupElement, build_su3_chevalley,
+                      build_su3_gellmann, centralizer_of, regularity,
+                      check_special_unitary, exp_map, _adjoint,
+                      _divide_det_phase, _mm)
 from .invariants import casimirs_su3, shift_images
 
 # Rows per block of the routes over a whole flow: blocks keep the
@@ -302,11 +308,13 @@ class SlicePullback:
 
 
 def integral_values(points, functions):
-    """Array whose entry [k, j] is functions[j].value(points[k]), bit for bit.
+    """Array whose entry [k, j] is functions[j].value(points[k]).
 
     ``points`` is a TrajectoryPoints: each function's ``values`` reads
     the shifted fibers and moment coordinates of every row, computed once
-    over the whole stack, and evaluates its polynomial over the rows.
+    over the whole stack, and evaluates its polynomial over the rows
+    (Polynomial.evaluate_stack, whose one-row case ``value`` is), in
+    blocks of BLOCK_ROWS rows.
     """
     out = np.empty((len(points), len(functions)))
     for lo in range(0, len(points), BLOCK_ROWS):
@@ -366,15 +374,6 @@ def hamiltonian_vector_field(fn, sys, pt):
     return solve_field(sys, basis_differential(fn, sys, pt))
 
 
-def omega_eps(sys, vw1, vw2):
-    """The magnetic symplectic form in the (v, w) parametrization."""
-    v1, w1 = vw1
-    v2, w2 = vw2
-    alg = sys.alg
-    return (alg.np_bpair(w2, v1) - alg.np_bpair(w1, v2)
-            - sys.eps * alg.np_bpair(sys.W, alg.np_bracket(v1, v2)))
-
-
 def basis_bracket(sys, Df, Dh):
     """{f_r, h_s}_eps for the rows of two arrays of tangent-basis
     differentials: the sum of Pi_ij (df_i dh_j - df_j dh_i) over the nonzero
@@ -389,36 +388,11 @@ def basis_bracket(sys, Df, Dh):
     return out
 
 
-def twisted_bracket(sys, f, h, pt, method="omega"):
-    """{f, h}_eps at pt.
-
-    method "omega" pairs df and dh through the Poisson tensor of omega_eps
-    (basis_bracket); method "symbolic" uses the block shortcuts: the moment
-    pullback is Poisson for the Lie-Poisson bracket, the slice pullback obeys
-    {theta1,theta2}_2(xi) = -B(xi, [grad1_m, grad2_m]) and mixed brackets
-    vanish.  A mixed bracket raises ValueError unless its slice function
-    is Ad(A)-invariant, which is decided exactly.
-    """
-    if method == "omega":
-        df, dh = (basis_differential(fn, sys, pt)[None] for fn in (f, h))
-        return float(basis_bracket(sys, df, dh)[0, 0])
-    if method != "symbolic":
-        raise ValueError(f"unknown bracket method {method!r}")
-    return _bracket_symbolic(sys, f, h, pt)
-
-
-def _bracket_symbolic(sys, f, h, pt):
-    alg = sys.alg
-    if f.tag == "moment" and h.tag == "moment":
-        return float(lie_poisson_bracket(f.h, h.h, alg).evaluate(pt.moment_coords))
-    if f.tag == "slice" and h.tag == "slice":
-        return slice_bracket_value(sys, f.theta, h.theta, pt)
-    if {f.tag, h.tag} == {"moment", "slice"}:
-        theta = f.theta if f.tag == "slice" else h.theta
-        if not _invariant_under(theta, alg, tuple(sys.a)):
-            raise ValueError("slice function is not A-invariant")
-        return 0.0
-    raise TypeError("untagged integral function in symbolic bracket")
+def twisted_bracket(sys, f, h, pt):
+    """{f, h}_eps at pt: df and dh on the tangent basis, paired through
+    the Poisson tensor of omega_eps (basis_bracket)."""
+    df, dh = (basis_differential(fn, sys, pt)[None] for fn in (f, h))
+    return float(basis_bracket(sys, df, dh)[0, 0])
 
 
 @lru_cache(maxsize=64)
@@ -431,21 +405,6 @@ def _invariant_under(h, alg, indices):
         h = h.extend(names)
     return all(lie_poisson_bracket(h, Polynomial.var(names, names[j]),
                                    alg).is_zero() for j in indices)
-
-
-def slice_bracket_value(sys, theta1, theta2, pt):
-    """{theta1, theta2}_2 at xi(pt) = -B(xi, [grad1_m, grad2_m])."""
-    alg = sys.alg
-    xi_m = pt.xi[sys.m]
-    g1 = np.zeros(alg.dim)
-    g2 = np.zeros(alg.dim)
-    for i, name in enumerate(theta1.vars):
-        g1[sys.m[i]] = float(theta1.diff(name).evaluate(xi_m))
-    for i, name in enumerate(theta2.vars):
-        g2[sys.m[i]] = float(theta2.diff(name).evaluate(xi_m))
-    # orthonormal-basis gradients: already the B-duals on m
-    comm = alg.np_bracket(g1, g2)
-    return -float(alg.np_bpair(pt.xi, comm))
 
 
 def slice_bracket_symbolic(sys, theta1, theta2):
@@ -621,8 +580,8 @@ def _rk4_flow(sys, pt0, t_end, dt, field):
       SU(3).
 
     The stack is then checked once with the criteria of GroupElement and
-    PhasePoint: unitary and of determinant one within UNITARY_TOL, fiber
-    supported on m; a failure raises ValueError naming the step.
+    PhasePoint: check_special_unitary, and the fiber supported on m; a
+    failure raises ValueError naming the step.
     """
     nsteps = flow_steps(t_end, dt)
     g = pt0.g.matrix
@@ -730,16 +689,6 @@ def _prefix_products(g, Psi, out):
     out[:] = _mm(np.array(C)[:, None], P).reshape(-1, N, N)[:n]
 
 
-def _mm(A, B):
-    """A B for N x N matrices or stacks of them, broadcast as matmul
-    does: a sum over k of broadcast outer products, which for N <= 3
-    beats numpy's matmul on a block's stack of complex matrices."""
-    out = A[..., :, 0, None] * B[..., None, 0, :]
-    for k in range(1, A.shape[-1]):
-        out += A[..., :, k, None] * B[..., None, k, :]
-    return out
-
-
 def _newton_schulz(M):
     """One Newton-Schulz step M (3/2 I - 1/2 M* M) towards the unitary
     group (Higham, Functions of Matrices, ch. 8), for a matrix or row by
@@ -753,18 +702,9 @@ def _check_stack(sys, G, X):
     def where(row):
         return "the initial point" if row == 0 else f"step {row - 1}"
 
-    eye = np.eye(G.shape[1])
     for lo in range(0, len(G), BLOCK_ROWS):
-        g = G[lo:lo + BLOCK_ROWS]
-        gram = _mm(_adjoint(g), g)
-        bad = ~np.isclose(gram, eye, rtol=0, atol=UNITARY_TOL).all(axis=(1, 2))
-        if bad.any():
-            raise ValueError("group element is not unitary within "
-                             f"tolerance at {where(lo + np.argmax(bad))}")
-        bad = np.abs(np.linalg.det(g) - 1.0) > UNITARY_TOL
-        if bad.any():
-            raise ValueError("group element does not have determinant one "
-                             f"at {where(lo + np.argmax(bad))}")
+        check_special_unitary(G[lo:lo + BLOCK_ROWS],
+                              lambda k: where(lo + k))
         bad = (np.abs(X[lo:lo + BLOCK_ROWS, sys.a]) > 1e-14).any(axis=1)
         if bad.any():
             raise ValueError("fiber coordinate must be supported on m "

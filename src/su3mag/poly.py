@@ -15,8 +15,6 @@ and B-gradients dp_X(V) = B(grad p(X), V) used throughout.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .scalars import Scalar, is_exact, parse_scalar
@@ -172,8 +170,9 @@ class Polynomial:
     # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, point):
-        """Exact evaluation at Scalar-valued points, float otherwise; a
-        float value that overflows at a finite point raises OverflowError."""
+        """Exact evaluation at a point of exact values (a Scalar); at any
+        other point the float value, a Python float, which is the one
+        row of evaluate_stack."""
         if len(point) != len(self.vars):
             raise ValueError("point length does not match variables")
         if all(map(is_exact, point)):
@@ -186,24 +185,14 @@ class Polynomial:
                         term = term * x ** k
                 out = out + term
             return out
-        pt = [float(x) for x in point]
-        out = 0.0
-        for coeff, powers in self._float_form():
-            term = coeff
-            for i, k in powers:
-                term *= pt[i] ** k
-            out += term
-        if not math.isfinite(out) and all(map(math.isfinite, pt)):
-            raise OverflowError(_OVERFLOW)
-        return out
+        return float(self.evaluate_stack([[float(x) for x in point]])[0])
 
     def evaluate_stack(self, points):
-        """Float values at each row of a (points, vars) array.
-
-        Entry k equals ``evaluate(points[k])`` bit for bit: the same terms
-        in the same order, and np.float_power, which rounds as Python's
-        ``x ** k`` does (np.power does not).  As there, a value that
-        overflows at a finite point raises OverflowError.
+        """Float values at each row of a (points, vars) array: the terms
+        in ``terms`` order, each a product of its float coefficient and
+        np.float_power of the variables, which rounds as Python's
+        ``x ** k`` does (np.power does not).  A value that overflows at
+        a finite point raises OverflowError.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != len(self.vars):

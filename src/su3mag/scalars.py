@@ -13,8 +13,9 @@ four integer numerators over one common denominator,
 reduced so that gcd(n0, n1, n2, n3, den) == 1; zero is (0, 0, 0, 0, 1).
 The reduced form is unique, so equality reads the tuple, and a rational
 hashes as Python hashes its value: as the equal int or Fraction.  An int
-or Fraction operand enters through one coercion, ``_coerce`` (also
-``Scalar.of``; ``is_exact`` names what it accepts), on its integers.  So
+or Fraction operand, and each argument of the constructor, enters through
+one coercion, ``_coerce`` (also ``Scalar.of``; ``is_exact`` names what it
+accepts), on its integers.  So
 every ring operation works on Python ints and ends with one gcd; no
 ``Fraction`` is built on the arithmetic path, hashing included.
 Elimination has its own fused kernel, ``submul_ints``, on the ints.  The
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 import math
-import numbers
 from sys import hash_info as _HASH
 
 _SQRT2 = math.sqrt(2.0)
@@ -109,11 +109,10 @@ def is_exact(x):
     return isinstance(x, (int, Fraction, Scalar))
 
 
-def _rational_parts(x):
-    """(numerator, denominator) of an exact rational; floats are refused."""
-    if isinstance(x, numbers.Rational):
-        return int(x.numerator), int(x.denominator)
-    raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
+# the reduced ints of -1, -sqrt2, -sqrt3 and -sqrt6: submul_ints(a, x, -u)
+# is a + x u
+_MINUS_UNITS = ((-1, 0, 0, 0, 1), (0, -1, 0, 0, 1), (0, 0, -1, 0, 1),
+                (0, 0, 0, -1, 1))
 
 
 class Scalar:
@@ -125,10 +124,12 @@ class Scalar:
     __slots__ = ("ints",)
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        parts = [(x, 1) if type(x) is int else _rational_parts(x)
-                 for x in (a, b, c, d)]
-        den = math.lcm(*(q for _, q in parts))
-        self.ints = _make(*(p * (den // q) for p, q in parts), den).ints
+        """a + b sqrt2 + c sqrt3 + d sqrt6, for a, b, c, d that is_exact
+        accepts (each through _coerce); anything else raises TypeError."""
+        ints = None
+        for x, unit in zip((a, b, c, d), _MINUS_UNITS):
+            ints = submul_ints(ints, _coerce(x).ints, unit)
+        self.ints = ints
 
     # -- constructors -----------------------------------------------------
 

@@ -7,6 +7,11 @@
   group element, each through a validated GroupElement or PhasePoint;
 * ``phase_tangent_basis``: the tangent basis directions as (v, w) pairs,
   which the per-direction routes step through;
+* ``omega_eps``, ``symbolic_bracket`` and ``slice_bracket_value``: the
+  magnetic form on two tangents, and the twisted bracket by the block
+  shortcuts (Lie-Poisson on moment pairs, the slice formula on slice
+  pairs, zero on mixed pairs after an exact invariance test), which
+  ``phase.twisted_bracket``'s Poisson-tensor route must reproduce;
 * ``per_direction_differential``: df on one tangent (v, w) from its own
   fiber and moment velocities and per-partial gradients, independent of
   the stacked tangent images and the one-pass gradient;
@@ -28,7 +33,12 @@
   ``invariants._operator_rows`` must reproduce;
 * ``solve_in_span_dense``: span membership on dense vectors, checked by
   recombining every entry, which the sparse
-  ``exact_linalg.solve_in_span`` must reproduce.
+  ``exact_linalg.solve_in_span`` must reproduce;
+* ``reference_float_evaluate``, ``cubic_relation_by_points`` and
+  ``phi_relation_by_points``: a polynomial's float value term by term in
+  Python floats, and the sampled cubic and Phi relations one point at a
+  time on it, which ``Polynomial.evaluate_stack`` and the stacked sample
+  loops of ``certify`` must reproduce bit for bit.
 """
 
 from dataclasses import dataclass
@@ -39,9 +49,12 @@ from itertools import chain
 import numpy as np
 
 from su3mag.algebra import GroupElement, polar_project
+from su3mag.certify import NUM_TOL
+from su3mag.invariants import torus_generators
 from su3mag.phase import (MomentPullback, PhasePoint,
-                          hamiltonian_vector_field, _fiber_velocity)
-from su3mag.poly import Polynomial
+                          hamiltonian_vector_field, slice_z_values,
+                          _fiber_velocity, _invariant_under)
+from su3mag.poly import Polynomial, lie_poisson_bracket
 from su3mag.exact_linalg import transposed
 from su3mag.scalars import ZERO, Scalar, from_ints, parse_scalar
 
@@ -165,6 +178,50 @@ def per_direction_differential(fn, sys, pt, v, w):
     xi_m = pt.xi[sys.m]
     return sum(float(gr.evaluate(xi_m)) * dX[sys.m[i]]
                for i, gr in enumerate(_partials(fn.theta)) if gr.terms)
+
+
+def omega_eps(sys, vw1, vw2):
+    """The magnetic symplectic form in the (v, w) parametrization."""
+    v1, w1 = vw1
+    v2, w2 = vw2
+    alg = sys.alg
+    return (alg.np_bpair(w2, v1) - alg.np_bpair(w1, v2)
+            - sys.eps * alg.np_bpair(sys.W, alg.np_bracket(v1, v2)))
+
+
+def symbolic_bracket(sys, f, h, pt):
+    """{f, h}_eps at pt by the block shortcuts: the moment pullback is
+    Poisson for the Lie-Poisson bracket, the slice pullback obeys
+    {theta1, theta2}_2(xi) = -B(xi, [grad1_m, grad2_m]) and mixed brackets
+    vanish.  A mixed bracket raises ValueError unless its slice function
+    is Ad(A)-invariant, which is decided exactly."""
+    alg = sys.alg
+    if f.tag == "moment" and h.tag == "moment":
+        return float(lie_poisson_bracket(f.h, h.h, alg)
+                     .evaluate(pt.moment_coords))
+    if f.tag == "slice" and h.tag == "slice":
+        return slice_bracket_value(sys, f.theta, h.theta, pt)
+    if {f.tag, h.tag} == {"moment", "slice"}:
+        theta = f.theta if f.tag == "slice" else h.theta
+        if not _invariant_under(theta, alg, tuple(sys.a)):
+            raise ValueError("slice function is not A-invariant")
+        return 0.0
+    raise TypeError("untagged integral function in symbolic bracket")
+
+
+def slice_bracket_value(sys, theta1, theta2, pt):
+    """{theta1, theta2}_2 at xi(pt) = -B(xi, [grad1_m, grad2_m])."""
+    alg = sys.alg
+    xi_m = pt.xi[sys.m]
+    g1 = np.zeros(alg.dim)
+    g2 = np.zeros(alg.dim)
+    for i, name in enumerate(theta1.vars):
+        g1[sys.m[i]] = float(theta1.diff(name).evaluate(xi_m))
+    for i, name in enumerate(theta2.vars):
+        g2[sys.m[i]] = float(theta2.diff(name).evaluate(xi_m))
+    # orthonormal-basis gradients: already the B-duals on m
+    comm = alg.np_bracket(g1, g2)
+    return -float(alg.np_bpair(pt.xi, comm))
 
 
 def stage_projected_flow_step(fn, sys, pt, h, nsteps=1):
@@ -310,3 +367,52 @@ def solve_in_span_dense(target, vectors, ncols):
         if acc != target[j]:
             return None
     return coeffs
+
+
+def reference_float_evaluate(poly, point):
+    """The float value of poly at point, term by term in ``terms`` order
+    with Python floats: the float branch Polynomial.evaluate had before it
+    read evaluate_stack."""
+    pt = [float(x) for x in point]
+    out = 0.0
+    for expo, coeff in poly.terms.items():
+        term = float(coeff)
+        for x, k in zip(pt, expo):
+            if k:
+                term *= x ** k
+        out += term
+    return out
+
+
+def cubic_relation_by_points(sys, rng, samples):
+    """certify.cubic_relation_numeric one sample point at a time, each
+    value through reference_float_evaluate."""
+    u, _, _ = torus_generators(sys.alg)
+    u123 = u[0] * u[1] * u[2]
+    coords = np.zeros(sys.alg.dim)
+    worst = 0.0
+    for _ in range(samples):
+        x = rng.uniform(-1, 1, len(sys.m))
+        coords[sys.m] = x
+        z = slice_z_values(sys, coords)
+        worst = max(worst, abs(reference_float_evaluate(u123, x)
+                               - abs(z[0] * z[1] * z[2]) ** 2))
+    return worst
+
+
+def phi_relation_by_points(sys, rng, samples):
+    """certify.phi_relation_irregular one sample point at a time, each
+    value through reference_float_evaluate."""
+    c2, c3 = sys.casimirs()
+    eps = sys.eps
+    worst = 0.0
+    control = 0.0
+    for _ in range(samples):
+        P = sys.random_point(rng).moment_coords
+        lhs = (reference_float_evaluate(c3, P)
+               + 3 * eps * reference_float_evaluate(c2, P))
+        worst = max(worst, abs(lhs - 3 * eps ** 3))
+        control = max(control, abs(lhs - 2.9 * eps ** 3))
+    return {"max_residual": worst, "pass": worst < NUM_TOL,
+            "negative_control_residual": control,
+            "negative_control_nonzero": control > NUM_TOL}

@@ -18,11 +18,10 @@ from su3mag.scalars import Scalar
 from su3mag.poly import Polynomial
 from su3mag.phase import (su3_regular_system, su3_irregular_system,
                           PhasePoint, moment_coordinate, SlicePullback,
-                          hamiltonian_vector_field,
-                          omega_eps, integrate_flow, closed_form_fiber,
-                          integral_values)
+                          hamiltonian_vector_field, integrate_flow,
+                          closed_form_fiber, integral_values)
 from su3mag.algebra import build_su2, identity_element, centralizer_of
-from oracles import moment_of_direction
+from oracles import moment_of_direction, omega_eps
 from su3mag.invariants import (invariant_space, indecomposable_generators,
                                restrict_shift, casimir_count,
                                torus_generators, radial_generator,

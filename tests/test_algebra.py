@@ -107,6 +107,21 @@ def test_group_checks_hold_at_their_absolute_tolerances():
         exp_map(alg, M + 1e-6 * np.eye(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 2)])
+def test_group_element_refuses_a_nan_or_infinite_entry(bad, entry):
+    """A NaN or infinite entry fails the Gram check, on the diagonal and
+    off it, with no numpy warning: a test of the form max > tol would let
+    the NaN through."""
+    import warnings
+    M = np.eye(3, dtype=complex)
+    M[entry] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not unitary within tolerance$"):
+            GroupElement(M)
+
+
 def test_adjoint_group():
     alg = build_su3_gellmann()
     rng = np.random.default_rng(1)

@@ -18,6 +18,7 @@ from su3mag.certify import (bracket_table_regular, expected_table_entries,
                             phase_jacobian)
 from su3mag.phase import slice_bracket_symbolic
 from su3mag import certify, reports
+from oracles import cubic_relation_by_points, phi_relation_by_points
 
 
 def test_couplings_values():
@@ -42,7 +43,7 @@ def test_bracket_table_closes_and_matches():
     u, v, w = torus_generators(sys.alg)
     by_name = {"u1": u[0], "u2": u[1], "u3": u[2], "v": v, "w": w}
     rng = np.random.default_rng(0)
-    from su3mag.phase import slice_bracket_value, SlicePullback
+    from oracles import slice_bracket_value
     for _ in range(5):
         pt = sys.random_regular_point(rng)
         gen_vals = {n: float(p.evaluate(pt.xi[sys.m]))
@@ -177,6 +178,27 @@ def test_phi_relation():
     assert out["negative_control_nonzero"]
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.3])
+@pytest.mark.parametrize("seed", [2, 3])
+def test_sampled_relations_match_their_per_point_oracles(eps, seed):
+    """The stacked sample loops of cubic_relation_numeric and
+    phi_relation_irregular draw the same points as the per-point loops
+    and give the same residuals, bit for bit (as the report stores them,
+    plain floats), and leave the generator in the same state."""
+    for make, fn, oracle in (
+            (su3_regular_system, cubic_relation_numeric,
+             cubic_relation_by_points),
+            (su3_irregular_system, phi_relation_irregular,
+             phi_relation_by_points)):
+        sys = make(eps)
+        rng_new = np.random.default_rng(seed)
+        rng_old = np.random.default_rng(seed)
+        new = fn(sys, rng_new, 30)
+        old = oracle(sys, rng_old, 30)
+        assert repr(certify._plain(new)) == repr(certify._plain(old))
+        assert rng_new.random() == rng_old.random()
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "the restriction pattern 3eps(2eps^2 + x4^2 + x5^2 - 2x6^2 - 2x7^2) "
     "mixes slice and stabilizer directions; the consistent slice gives "
@@ -256,6 +278,30 @@ def test_dimension_reports():
     for sys in (su3_regular_system(0.1), su3_irregular_system(0.1)):
         rep = dimension_report(sys, rng, samples=5)
         assert rep.passed, [c.line() for c in rep.checks if not c.passed]
+
+
+def test_dimension_ledger_adds_the_measured_ranks(monkeypatch):
+    """The ledger line sums the measured rank sets: one sum when each set
+    holds one value, the sorted sums otherwise.  A pi1 rank forced to 6
+    in the irregular case makes it read 7 and fail; ranks alternating 6
+    and 7 make it read [7, 8] and fail."""
+    sys = su3_irregular_system(0.1)
+    name = "trdeg A + trdeg R0 = dim T*M"
+
+    def ledger():
+        rep = dimension_report(sys, np.random.default_rng(7), samples=4)
+        return next(c for c in rep.checks if c.name == name)
+
+    line = ledger()
+    assert (line.expected, line.observed, line.passed) == (8, 8, True)
+    monkeypatch.setattr(certify, "jacobian_rank_pi1", lambda s, pt: 6)
+    line = ledger()
+    assert (line.observed, line.passed) == (7, False)
+    ranks = iter([6, 7] * 2)
+    monkeypatch.setattr(certify, "jacobian_rank_pi1",
+                        lambda s, pt: next(ranks))
+    line = ledger()
+    assert (line.observed, line.passed) == ([7, 8], False)
 
 
 def test_generator_brackets_close_numerically():

@@ -1,5 +1,6 @@
-"""Every module of the package uses every name it imports, and every
-name the benchmark's trace wraps exists."""
+"""Every module of the package uses every name it imports, every
+module-level function or class is read in the package or has a listed
+reason not to be, and every name the benchmark's trace wraps exists."""
 
 import ast
 import importlib
@@ -35,6 +36,49 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# module-level names of the package that nothing in it reads, each with
+# the reason it stays
+UNREAD = {
+    "algebra.polar_project": "traced by the benchmark (perfbench/layers.py)",
+    "phase.differential": "traced by the benchmark (perfbench/layers.py)",
+    "exact_linalg.rref": "traced by the benchmark (perfbench/layers.py)",
+    "angles.torus_angles": "used by demos/05_action_angles.py",
+    "angles.unwrapped_angle_series": "used by demos/05_action_angles.py",
+    "phase.closed_form_group": "used by demos/03_magnetic_flow.py",
+    "poly.parse_polynomial": "the documented inverse of Polynomial.text",
+}
+
+
+def unread_definitions(sources):
+    """"<module>.<name>" of each top-level function and class of the
+    {module: source} map that no module reads, as a name or as an
+    attribute (``module.name``).  An import alone is not a read."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if name not in read)
+
+
+def test_the_scan_sees_an_unread_definition():
+    sources = {"a": "def f():\n    return g()\ndef g():\n    pass\n"
+                    "def h():\n    pass\nclass C:\n    pass\n",
+               "b": "from .a import h\nimport a\nx = a.C\n"}
+    assert unread_definitions(sources) == ["a.f", "a.h"]
+
+
+def test_every_unread_definition_has_a_reason():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unread_definitions(sources) == sorted(UNREAD)
 
 
 def test_every_traced_name_resolves(monkeypatch):

@@ -9,16 +9,17 @@ from su3mag.scalars import Scalar
 from su3mag.phase import (su3_regular_system, su3_irregular_system,
                           MagneticSystem, PhasePoint, moment_coordinate,
                           MomentPullback, SlicePullback,
-                          hamiltonian_vector_field,
-                          omega_eps, twisted_bracket, slice_bracket_value,
+                          hamiltonian_vector_field, twisted_bracket,
                           slice_bracket_symbolic, integrate_flow,
                           conservation_report, closed_form_fiber,
                           closed_form_group, differential, flow_steps,
                           _project_m)
 from su3mag.invariants import radial_generator, torus_generators
 from oracles import (adjoint_group, moment_map, moment_of_direction,
-                     per_direction_differential, phase_tangent_basis,
-                     slice_map, stage_projected_flow_step)
+                     omega_eps, per_direction_differential,
+                     phase_tangent_basis, reference_float_evaluate,
+                     slice_bracket_value, slice_map,
+                     stage_projected_flow_step, symbolic_bracket)
 
 
 def _left_translate(pt, h):
@@ -211,7 +212,7 @@ def test_bracket_identities_both_cases():
             assert abs(twisted_bracket(sys, P[i], R, pt)) < 1e-10
             assert twisted_bracket(sys, R, R, pt) == 0.0
             # omega route matches the symbolic route
-            sym = twisted_bracket(sys, P[i], P[j], pt, method="symbolic")
+            sym = symbolic_bracket(sys, P[i], P[j], pt)
             assert abs(br - sym) < 1e-10
             # slice bracket formula
             th2 = SlicePullback(
@@ -232,17 +233,16 @@ def test_symbolic_mixed_bracket_refuses_a_slice_function_not_invariant():
     assert abs(twisted_bracket(sys, P5, theta, pt)) > 0.1
     for f, h in ((P5, theta), (theta, P5)):
         with pytest.raises(ValueError, match="not A-invariant"):
-            twisted_bracket(sys, f, h, pt, method="symbolic")
+            symbolic_bracket(sys, f, h, pt)
     R = SlicePullback(radial_generator(sys), name="R")
-    assert twisted_bracket(sys, P5, R, pt, method="symbolic") == 0.0
+    assert symbolic_bracket(sys, P5, R, pt) == 0.0
     assert abs(twisted_bracket(sys, P5, R, pt)) < 1e-10
     reg = su3_regular_system(0.2)
     q = reg.random_regular_point(np.random.default_rng(8))
     u, v, w = torus_generators(reg.alg)
     for theta in u + (v, w):
-        assert twisted_bracket(reg, moment_coordinate(reg, 4),
-                               SlicePullback(theta), q,
-                               method="symbolic") == 0.0
+        assert symbolic_bracket(reg, moment_coordinate(reg, 4),
+                                SlicePullback(theta), q) == 0.0
 
 
 def test_systems_over_one_algebra_share_its_exact_objects():
@@ -496,7 +496,7 @@ def test_small_matrix_product_is_matmul():
     """_mm equals np.matmul within 1e-15 of the product of the entries'
     sizes, for complex stacks, single matrices and a single matrix
     broadcast against a stack, at N = 2 and N = 3."""
-    from su3mag.phase import _mm
+    from su3mag.algebra import _mm
     rng = np.random.default_rng(49)
     for N in (2, 3):
         for _ in range(50):
@@ -575,6 +575,27 @@ def test_array_driver_guards(monkeypatch):
     off = PhasePoint.prevalidated(sys, pt.g.matrix, X)
     with pytest.raises(ValueError, match="supported on m at the initial"):
         integrate_flow(sys, off, t_end=0.01, dt=1e-3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_flow_stack_check_refuses_a_nan_or_infinite_entry(bad):
+    """The flow's check of its whole stack refuses a group row with a NaN
+    or infinite entry and names it: the initial point, a step in the
+    first block, and one in the second."""
+    import warnings
+    from su3mag.phase import _check_stack
+    sys = su3_irregular_system(0.1)
+    pt = sys.random_regular_point(np.random.default_rng(5))
+    traj = integrate_flow(sys, pt, t_end=0.4, dt=1e-3)
+    for row, where in ((0, "the initial point"), (17, "step 16"),
+                       (300, "step 299")):
+        G = traj.points.G.copy()
+        G[row, 1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"not unitary within "
+                               f"tolerance at {where}$"):
+                _check_stack(sys, G, traj.points.X)
 
 
 def test_blocked_driver_names_the_first_failing_step():
@@ -888,7 +909,8 @@ def test_coords_of_matrix_matches_trace_and_solve():
 
 
 def _reference_center_check(sys, rng, samples):
-    """center_check with one twisted_bracket per (centre, generator) pair."""
+    """center_check with one twisted_bracket per (centre, generator) pair
+    and the identifications evaluated one point at a time."""
     from su3mag.certify import (CertificateReport, NUM_TOL, center_family,
                                 generator_family)
     from su3mag.invariants import restrict_shift
@@ -909,10 +931,10 @@ def _reference_center_check(sys, rng, samples):
                 worst[(c.name, g.name)] = max(worst[(c.name, g.name)], val)
         xi_m = pt.xi[sys.m]
         P = pt.moment_coords
-        ident2 = max(ident2, abs(float(c2.evaluate(P))
-                                 - float(res2.evaluate(xi_m))))
-        ident3 = max(ident3, abs(float(c3.evaluate(P))
-                                 - float(res3.evaluate(xi_m))))
+        ident2 = max(ident2, abs(reference_float_evaluate(c2, P)
+                                 - reference_float_evaluate(res2, xi_m)))
+        ident3 = max(ident3, abs(reference_float_evaluate(c3, P)
+                                 - reference_float_evaluate(res3, xi_m)))
     for (cname, gname), val in sorted(worst.items()):
         report.add(f"{{{cname},{gname}}}", 0.0, val, tol, val < tol)
     report.add("P*C2 == pi*(Res_W C2)", 0.0, ident2, tol, ident2 < tol)

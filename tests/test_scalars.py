@@ -126,6 +126,28 @@ def test_views_are_read_only_and_floats_refused():
         assert_normal(y)
 
 
+def test_constructor_takes_what_is_exact_takes():
+    """Each argument of Scalar(a, b, c, d) enters through the one
+    coercion: a numpy integer, which is_exact and Scalar.of refuse, is
+    refused too, and a Scalar argument counts with its full value."""
+    import numpy as np
+    from su3mag.scalars import is_exact
+    for bad in (np.int64(3), np.float64(0.5), 0.5):
+        assert not is_exact(bad)
+        with pytest.raises(TypeError):
+            Scalar(bad)
+        with pytest.raises(TypeError):
+            Scalar(0, 0, 0, bad)
+        with pytest.raises(TypeError):
+            Scalar.of(bad)
+    assert Scalar(np.int64(3).item()) == Scalar.of(3)
+    assert Scalar(True, Fraction(1, 2)) == 1 + Scalar.sqrt2(Fraction(1, 2))
+    # (1 + sqrt3) + sqrt2 (1 + sqrt3) = 1 + sqrt2 + sqrt3 + sqrt6
+    one_s3 = Scalar(1, 0, 1)
+    assert Scalar(one_s3, one_s3).ints == (1, 1, 1, 1, 1)
+    assert Scalar(0, 0, 0, Scalar.sqrt6()).ints == (6, 0, 0, 0, 1)
+
+
 def test_int_operands_and_hashing_stay_on_integers(monkeypatch):
     """An int operand of + - * / == and hash() go through the one
     coercion on integers: no Fraction is built and Scalar.__init__ is

@@ -25,6 +25,7 @@ from su3mag.poly import Polynomial
 from su3mag.reports import (conservation_json, monitored_functions,
                             run_verification, trajectory_csv)
 from su3mag.scalars import Scalar
+from oracles import reference_float_evaluate
 
 SYSTEMS = {"regular": su3_regular_system, "irregular": su3_irregular_system}
 
@@ -33,25 +34,19 @@ SYSTEMS = {"regular": su3_regular_system, "irregular": su3_irregular_system}
 # oracles: the per-point routes
 # ---------------------------------------------------------------------------
 
-def _reference_float_evaluate(poly, point):
-    """The float branch of Polynomial.evaluate before its float form."""
-    pt = [float(x) for x in point]
-    out = 0.0
-    for expo, coeff in poly.terms.items():
-        term = float(coeff)
-        for x, k in zip(pt, expo):
-            if k:
-                term *= x ** k
-        out += term
-    return out
+def _reference_value(fn, pt):
+    """fn.value(pt), term by term (reference_float_evaluate)."""
+    if fn.tag == "moment":
+        return reference_float_evaluate(fn.h, pt.moment_coords)
+    return reference_float_evaluate(fn.theta, pt.xi[pt.sys.m])
 
 
 def _reference_conservation_report(traj, functions, stride=1):
     points = [traj.points[k] for k in range(0, len(traj.points), stride)]
     out = []
     for fn in functions:
-        first = fn.value(points[0])
-        drift = max(abs(fn.value(p) - first) for p in points)
+        first = _reference_value(fn, points[0])
+        drift = max(abs(_reference_value(fn, p) - first) for p in points)
         out.append({"function": fn.name, "initial": first,
                     "max_drift": drift})
     return out
@@ -73,7 +68,7 @@ def _reference_trajectory_csv(sys, traj, functions, stride=1):
                 row += [repr(float(p.g.matrix[r, c].real)),
                         repr(float(p.g.matrix[r, c].imag))]
         row += [repr(float(x)) for x in p.X]
-        row += [repr(float(f.value(p))) for f in functions]
+        row += [repr(float(_reference_value(f, p))) for f in functions]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -252,7 +247,7 @@ def test_stacked_evaluation_is_the_float_branch_bit_for_bit(case):
     single = [poly.evaluate(row) for row in points]
     assert all(type(v) is float for v in single)
     assert _bits(stacked) == _bits(single)
-    assert _bits(single) == _bits([_reference_float_evaluate(poly, row)
+    assert _bits(single) == _bits([reference_float_evaluate(poly, row)
                                    for row in points])
 
 
