@@ -36,7 +36,7 @@ from .invariants import (torus_generators, radial_generator, restrict_shift,
                          independence_rank, numeric_rank,
                          _generator_products, _poly_to_row)
 from .phase import (MomentPullback, SlicePullback, moment_coordinate,
-                    slice_bracket_symbolic, basis_bracket,
+                    slice_bracket_symbolic, basis_bracket, twisted_bracket,
                     basis_differential, slice_z_values)
 
 NUM_TOL = 1e-10
@@ -310,11 +310,13 @@ def phi_relation_irregular(sys, rng, samples=100):
     On the image cone Ad(G)(m - eps W) the two Casimirs are dependent:
     Phi(P) = C3(P) + 3 eps C2(P) - 3 eps^3 vanishes identically (its
     restriction at the identity is C3 + 3 eps (2 eps^2 + R)).  Checked at
-    random phase points, plus a perturbed negative control.
+    random phase points, drawn in turn and built as one stack, plus a
+    perturbed negative control.
     """
     c2, c3 = sys.casimirs()
     eps = sys.eps
-    P = [sys.random_point(rng).moment_coords for _ in range(samples)]
+    P = sys.points_of([sys.draw_point(rng)
+                       for _ in range(samples)]).moment_coords
     lhs = c3.evaluate_stack(P) + 3 * eps * c2.evaluate_stack(P)
     worst = _worst(lhs - 3 * eps ** 3)
     control = _worst(lhs - 2.9 * eps ** 3)
@@ -332,30 +334,26 @@ def center_check(sys, rng, samples=50):
 
     J2 = P*C2 and (regular) J3 = P*C3 are checked against every generator
     of the case's joint family at random regular points, along with the
-    pointwise identifications P*C = pi*(Res_W C).  Each point takes one
-    Jacobian of centres and generators, and basis_bracket pairs its rows
-    as twisted_bracket pairs two differentials; the identifications are
-    evaluated once over the stack of sampled points.
+    pointwise identifications P*C = pi*(Res_W C).  The points are drawn
+    in turn and built as one stack (MagneticSystem.points_of); each
+    bracket is one twisted_bracket over the stack, and each
+    identification one evaluation over it.
     """
     report = CertificateReport(case_tag=sys.case_tag, sample_count=samples)
     gens = generator_family(sys)
     centers = center_family(sys)
-    nc = len(centers)
     c2, c3 = sys.casimirs()
     res2 = restrict_shift(c2, sys, symbolic_eps=False)
     res3 = restrict_shift(c3, sys, symbolic_eps=False)
-    worst = np.zeros((nc, len(gens)))
-    xi_m, P = [], []
-    for _ in range(samples):
-        pt = sys.random_regular_point(rng)
-        D = phase_jacobian(sys, centers + gens, pt)
-        worst = np.maximum(worst, np.abs(basis_bracket(sys, D[:nc], D[nc:])))
-        xi_m.append(pt.xi[sys.m])
-        P.append(pt.moment_coords)
+    pts = sys.points_of([sys.draw_regular_point(rng)
+                         for _ in range(samples)])
+    worst = [_worst(twisted_bracket(sys, c, g, pts))
+             for c in centers for g in gens]
+    xi_m, P = pts.xi[:, sys.m], pts.moment_coords
     ident2 = _worst(c2.evaluate_stack(P) - res2.evaluate_stack(xi_m))
     ident3 = _worst(c3.evaluate_stack(P) - res3.evaluate_stack(xi_m))
     pairs = [(c.name, g.name) for c in centers for g in gens]
-    for (cname, gname), val in sorted(zip(pairs, worst.ravel().tolist())):
+    for (cname, gname), val in sorted(zip(pairs, worst)):
         report.add(f"{{{cname},{gname}}}", 0.0, val, NUM_TOL, val < NUM_TOL)
     report.add("P*C2 == pi*(Res_W C2)", 0.0, ident2, NUM_TOL,
                ident2 < NUM_TOL)
@@ -364,18 +362,58 @@ def center_check(sys, rng, samples=50):
     return report
 
 
+def bracket_samples(sys, rng, samples):
+    """Worst moment-bracket closure and mixed-block residuals over
+    ``samples`` random regular points, as (closure, mixed).
+
+    Each sample draws its point, then a moment pair (i, j) and a slice
+    generator th; the residuals are |{P_i, P_j} - C_ij^k P_k| and
+    |{P_i, th}|.  The points are built as one stack, the Jacobian of the
+    generator family is taken over it, and basis_bracket pairs each
+    point's picked rows as twisted_bracket pairs two differentials.
+    """
+    fam = generator_family(sys)
+    dim = sys.alg.dim
+    draws, pairs, picks = [], [], []
+    for _ in range(samples):
+        draws.append(sys.draw_regular_point(rng))
+        pairs.append(rng.integers(0, dim, 2))
+        picks.append(dim + rng.integers(0, len(fam) - dim))
+    pts = sys.points_of(draws)
+    D = phase_jacobian(sys, fam, pts)
+    rows = np.arange(samples)
+    i, j = np.transpose(pairs)
+    br = basis_bracket(sys, D[rows, i][:, None],
+                       np.stack([D[rows, j], D[rows, picks]], axis=1))[:, 0]
+    expect = np.matmul(sys.alg.ad_matrices()[i, :, j][:, None],
+                       pts.moment_coords[..., None])[:, 0, 0]
+    return _worst(br[:, 0] - expect), _worst(br[:, 1])
+
+
 # ---------------------------------------------------------------------------
 # Jacobian ranks
 # ---------------------------------------------------------------------------
 
 def phase_jacobian(sys, fns, pt):
-    """Analytic Jacobian of integral functions over the tangent basis."""
-    return np.asarray([basis_differential(fn, sys, pt) for fn in fns])
+    """Analytic Jacobian of integral functions over the tangent basis, at
+    a PhasePoint or point by point at a stack of points (TrajectoryPoints),
+    one row per function."""
+    return np.stack([basis_differential(fn, sys, pt) for fn in fns],
+                    axis=-2)
 
 
 def jacobian_rank_pi1(sys, pt):
-    """Rank of the differential of the full generator family at pt."""
+    """Rank of the differential of the full generator family at pt, or
+    point by point at a stack of points, an int array."""
     return numeric_rank(phase_jacobian(sys, generator_family(sys), pt))
+
+
+def pi1_rank_samples(sys, rng, samples):
+    """The sorted distinct pi1 ranks at ``samples`` random regular points,
+    drawn in turn and built as one stack."""
+    pts = sys.points_of([sys.draw_regular_point(rng)
+                         for _ in range(samples)])
+    return sorted(set(jacobian_rank_pi1(sys, pts).tolist()))
 
 
 def a_matrix_exact(sys):
@@ -430,7 +468,9 @@ def a_matrix_minors(sys):
 
 def dimension_report(sys, rng, samples=20):
     """Measured transcendence degrees and the superintegrability ledger,
-    which adds the measured trdeg A and trdeg R0 rank sets."""
+    which adds the measured trdeg A and trdeg R0 rank sets.  The random
+    regular points are drawn in turn and built as one stack, and every
+    rank is taken over the stack."""
     report = CertificateReport(case_tag=sys.case_tag, sample_count=samples)
     n, r = sys.alg.dim, 2
     c2, c3 = sys.casimirs()
@@ -444,15 +484,14 @@ def dimension_report(sys, rng, samples=20):
         expect = {"s": 1, "rho": 1, "trdeg_A": 7, "trdeg_R0": 1}
         slice_family = [radial_generator(sys)]
 
-    s_vals, rho_vals, trA_vals, trR_vals = [], [], [], []
-    for _ in range(samples):
-        pt = sys.random_regular_point(rng)
-        xi_m = pt.xi[sys.m]
-        s_vals.append(independence_rank(res, xi_m))
-        rho_vals.append(independence_rank(slice_family, xi_m))
-        trA_vals.append(jacobian_rank_pi1(sys, pt))
-        trR_vals.append(numeric_rank(
-            phase_jacobian(sys, center_family(sys), pt)))
+    pts = sys.points_of([sys.draw_regular_point(rng)
+                         for _ in range(samples)])
+    xi_m = pts.xi[:, sys.m]
+    s_vals = independence_rank(res, xi_m).tolist()
+    rho_vals = independence_rank(slice_family, xi_m).tolist()
+    trA_vals = jacobian_rank_pi1(sys, pts).tolist()
+    trR_vals = numeric_rank(
+        phase_jacobian(sys, center_family(sys), pts)).tolist()
 
     report.add("s = trdeg Im(Res_W)", expect["s"], sorted(set(s_vals)),
                "exact", set(s_vals) == {expect["s"]})

@@ -410,16 +410,19 @@ def restrict_shift(C, sys, symbolic_eps=True):
 
 
 def numeric_rank(J):
-    """Numeric rank of a matrix: singular values above 1e-10 * the largest."""
+    """Numeric rank of a matrix: singular values above 1e-10 * the
+    largest; or matrix by matrix for a stack, an int array."""
     s = np.linalg.svd(np.asarray(J, dtype=float), compute_uv=False)
-    if s.size == 0 or s.max() == 0.0:
-        return 0
-    return int((s > 1e-10 * s.max()).sum())
+    top = s.max(axis=-1, initial=0.0)
+    ranks = (s > 1e-10 * top[..., None]).sum(axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def independence_rank(polys, point):
-    """Numeric rank of the Jacobian of a polynomial family at a point."""
-    return numeric_rank([p.gradient(point) for p in polys])
+    """Numeric rank of the Jacobian of a polynomial family at a point, or
+    point by point at a stack of points, an int array."""
+    return numeric_rank(np.stack([p.gradient(point) for p in polys],
+                                 axis=-2))
 
 
 def casimir_count(alg, point):

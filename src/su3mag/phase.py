@@ -94,33 +94,57 @@ class MagneticSystem:
 
     # -- sampling ---------------------------------------------------------------
 
-    def random_point(self, rng):
-        """A phase point with fiber coordinates uniform in [-1, 1]."""
+    def draw_point(self, rng):
+        """The draw behind random_point: the exp_map seed of g, uniform in
+        [-1, 1] on every coordinate, then the fiber X, uniform in [-1, 1]
+        on m, as (seed, X)."""
         seed = rng.uniform(-1.0, 1.0, self.alg.dim)
-        g = exp_map(self.alg, seed)
         X = np.zeros(self.alg.dim)
         X[self.m] = rng.uniform(-1.0, 1.0, len(self.m))
-        return PhasePoint(self, g, X)
+        return seed, X
 
-    def random_regular_point(self, rng):
-        """Sample until xi = X - eps W is regular and the chart is safe.
+    def draw_regular_point(self, rng):
+        """Draw (draw_point) until xi = X - eps W is regular and the chart
+        is safe; the test reads X alone.
 
         Regular case: all root moduli |z_k| above 1e-3; irregular case:
         the fiber norm above 1e-3 (the rank statements hold on this locus).
         """
         for _ in range(500):
-            pt = self.random_point(rng)
-            if not regularity(self.alg, pt.xi, tol=1e-3).regular:
+            seed, X = self.draw_point(rng)
+            xi = X - self.eps * self.W
+            if not regularity(self.alg, xi, tol=1e-3).regular:
                 continue
             if self.case_tag == "regular":
-                z = slice_z_values(self, pt.xi)
-                if np.min(np.abs(z)) <= 1e-3:
+                if np.min(np.abs(slice_z_values(self, xi))) <= 1e-3:
                     continue
-            else:
-                if np.linalg.norm(pt.X[self.m]) <= 1e-3:
-                    continue
-            return pt
+            elif np.linalg.norm(X[self.m]) <= 1e-3:
+                continue
+            return seed, X
         raise RuntimeError("failed to sample a regular phase point")
+
+    def points_of(self, draws):
+        """The TrajectoryPoints stack of a list of draws, row k from draw
+        k: the seeds' matrices built one by one (matrix_of), one stacked
+        exp_map, then GroupElement's and PhasePoint's checks on the stack
+        (_check_stack).  Row k is bit for bit the point the draw gave
+        when it was built alone."""
+        seeds, X = zip(*draws)
+        G = exp_map(self.alg, np.array([self.alg.matrix_of(s)
+                                         for s in seeds]))
+        X = np.array(X)
+        _check_stack(self, G, X, lambda k: f"sample {k}")
+        return TrajectoryPoints(self, G, X)
+
+    def random_point(self, rng):
+        """A phase point with fiber coordinates uniform in [-1, 1]: the
+        one-row stack of a draw_point."""
+        return self.points_of([self.draw_point(rng)])[0]
+
+    def random_regular_point(self, rng):
+        """A regular phase point: the one-row stack of a
+        draw_regular_point."""
+        return self.points_of([self.draw_regular_point(rng)])[0]
 
 
 @lru_cache(maxsize=3)
@@ -176,7 +200,7 @@ class PhasePoint:
         if not isinstance(g, GroupElement):
             g = GroupElement(g)
         X = np.asarray(X, dtype=float)
-        if np.any(np.abs(X[sys.a]) > 1e-14):
+        if np.any(~(np.abs(X[sys.a]) <= 1e-14)):
             raise ValueError("fiber coordinate must be supported on m")
         self.sys = sys
         self.g = g
@@ -222,24 +246,19 @@ class PhasePoint:
 
     @property
     def fiber_images(self):
-        """dX = -1/2 [v, X]_m + w of each tangent basis direction (v, w):
-        the rows -1/2 [e_j, X]_m, from one contraction of the ad tensor
-        projected to m, stacked on the rows e_j."""
+        """dX = -1/2 [v, X]_m + w of each tangent basis direction (v, w)
+        (_fiber_images)."""
         if self._dX is None:
-            rows = -0.5 * (self.sys._ad_m @ self.X)
-            rows[:, self.sys.a] = 0.0
-            self._dX = np.concatenate([rows, self.sys._e_m])
+            self._dX = _fiber_images(self.sys, self.X)
         return self._dX
 
     @property
     def moment_images(self):
-        """dP = Ad(g)([v, xi] + dX) of each tangent basis direction: the
-        rows S = [v, xi] + dX, then one stacked matrix_of, g M g* and
-        coords_of_matrix."""
+        """dP = Ad(g)([v, xi] + dX) of each tangent basis direction
+        (_moment_images)."""
         if self._dP is None:
-            S = self.fiber_images.copy()
-            S[:len(self.sys.m)] += self.sys._ad_m @ self.xi
-            self._dP = _adjoint_coords(self.sys.alg, self.g.matrix, S)
+            self._dP = _moment_images(self.sys, self.g.matrix, self.xi,
+                                      self.fiber_images)
         return self._dP
 
     def right_act(self, a):
@@ -257,6 +276,25 @@ def _adjoint_coords(alg, g, coords):
     """Coordinates of g M(coords) g*, for one matrix g and coordinate
     vector, or row by row for a stack of each."""
     return alg.coords_of_matrix(g @ alg.matrix_of(coords) @ _adjoint(g))
+
+
+def _fiber_images(sys, X):
+    """The fiber images -1/2 [e_j, X]_m stacked on the rows e_j, for one
+    fiber X or row by row for a stack: one contraction of the ad tensor
+    per row, projected to m."""
+    rows = -0.5 * np.matmul(sys._ad_m, X[..., None, :, None])[..., 0]
+    rows[..., sys.a] = 0.0
+    return np.concatenate([rows, np.zeros(rows.shape) + sys._e_m], axis=-2)
+
+
+def _moment_images(sys, g, xi, dX):
+    """The moment images Ad(g) S of the rows S = [v, xi] + dX, for one
+    point or row by row for a stack: one stacked matrix_of, g M g* and
+    coords_of_matrix."""
+    S = dX.copy()
+    S[..., :len(sys.m), :] += np.matmul(sys._ad_m,
+                                        xi[..., None, :, None])[..., 0]
+    return _adjoint_coords(sys.alg, g[..., None, :, :], S)
 
 
 # ---------------------------------------------------------------------------
@@ -344,16 +382,23 @@ def differential(fn, sys, pt, v, w):
 
 
 def basis_differential(fn, sys, pt):
-    """df at pt on the 2 dim(m) tangent basis directions (PhasePoint).
+    """df at pt on the 2 dim(m) tangent basis directions, for a PhasePoint
+    or row by row for a stack of points (TrajectoryPoints).
 
     df = images @ grad h: the point's image memos times the polynomial's
-    full gradient vector, evaluated in one pass (Polynomial.gradient).
+    full gradient vector (Polynomial.gradient), one matmul for a whole
+    stack, whose row k is bit for bit the differential at point k.
     """
     if fn.tag == "moment":
-        return pt.moment_images @ fn.h.gradient(pt.moment_coords)
-    if fn.tag == "slice":
-        return pt.fiber_images[:, sys.m] @ fn.theta.gradient(pt.xi[sys.m])
-    raise TypeError(f"untagged integral function {fn!r}")
+        images, poly, x = pt.moment_images, fn.h, pt.moment_coords
+    elif fn.tag == "slice":
+        # fancy indexing keeps each point's images column-major, as
+        # the bits of the product at one point were taken
+        images = pt.fiber_images[..., sys.m]
+        poly, x = fn.theta, pt.xi.take(sys.m, axis=-1)
+    else:
+        raise TypeError(f"untagged integral function {fn!r}")
+    return np.matmul(images, poly.gradient(x)[..., None])[..., 0]
 
 
 def solve_field(sys, df):
@@ -376,23 +421,26 @@ def hamiltonian_vector_field(fn, sys, pt):
 
 def basis_bracket(sys, Df, Dh):
     """{f_r, h_s}_eps for the rows of two arrays of tangent-basis
-    differentials: the sum of Pi_ij (df_i dh_j - df_j dh_i) over the nonzero
-    i < j of the point-free Poisson tensor Pi_ij = omega_eps(X_i, X_j), X_i
-    solved from the i-th basis covector.  Term by term in a fixed order,
-    entry [r, s] reads rows r and s alone, bit for bit, and a stack's bracket
-    with itself is exactly antisymmetric; D Pi D^T is neither."""
-    out = np.zeros((len(Df), len(Dh)))
+    differentials, or stack by stack for two stacks of such arrays: the
+    sum of Pi_ij (df_i dh_j - df_j dh_i) over the nonzero i < j of the
+    point-free Poisson tensor Pi_ij = omega_eps(X_i, X_j), X_i solved from
+    the i-th basis covector.  Term by term in a fixed order, entry [r, s]
+    reads rows r and s alone, bit for bit, and a stack's bracket with
+    itself is exactly antisymmetric; D Pi D^T is neither."""
+    out = np.zeros(Df.shape[:-1] + Dh.shape[-2:-1])
     for i, j, p in sys._poisson:
-        out += p * (np.outer(Df[:, i], Dh[:, j])
-                    - np.outer(Df[:, j], Dh[:, i]))
+        out += p * (Df[..., :, i, None] * Dh[..., None, :, j]
+                    - Df[..., :, j, None] * Dh[..., None, :, i])
     return out
 
 
 def twisted_bracket(sys, f, h, pt):
-    """{f, h}_eps at pt: df and dh on the tangent basis, paired through
-    the Poisson tensor of omega_eps (basis_bracket)."""
-    df, dh = (basis_differential(fn, sys, pt)[None] for fn in (f, h))
-    return float(basis_bracket(sys, df, dh)[0, 0])
+    """{f, h}_eps at pt, or point by point at a stack of points, an
+    array: df and dh on the tangent basis, paired through the Poisson
+    tensor of omega_eps (basis_bracket)."""
+    df, dh = (basis_differential(fn, sys, pt)[..., None, :] for fn in (f, h))
+    out = basis_bracket(sys, df, dh)[..., 0, 0]
+    return out if out.ndim else float(out)
 
 
 @lru_cache(maxsize=64)
@@ -442,17 +490,19 @@ def slice_bracket_symbolic(sys, theta1, theta2):
 # ---------------------------------------------------------------------------
 
 class TrajectoryPoints(Sequence):
-    """Read-only sequence of the PhasePoints of a flow, over its arrays.
+    """Read-only sequence of PhasePoints over stacked arrays: the points
+    of a flow, or of a sample (MagneticSystem.points_of).
 
-    G has shape (n+1, N, N) and X shape (n+1, dim); row k is the point
-    after k steps.  The stack is validated once, by integrate_flow (or
-    point by point, for the stack ``of`` a PhasePoint list), so a row is
-    read as a PhasePoint without re-checking it; each read builds a new
-    one.  Slicing returns a TrajectoryPoints over views of the arrays.
+    G has shape (n, N, N) and X shape (n, dim); for a flow, row k is the
+    point after k steps.  The stack is validated once, by integrate_flow
+    or points_of (or point by point, for the stack ``of`` a PhasePoint
+    list), so a row is read as a PhasePoint without re-checking it; each
+    read builds a new one.  Slicing returns a TrajectoryPoints over views
+    of the arrays.
 
-    ``xi`` and ``moment_coords`` hold the shifted fibers and the moment
-    coordinates of every row, each computed once over the whole stack:
-    row k equals that memo of the PhasePoint of row k bit for bit.
+    ``xi``, ``moment_coords``, ``fiber_images`` and ``moment_images`` are
+    the PhasePoint memos of every row, each computed once over the whole
+    stack: row k equals that memo of the PhasePoint of row k bit for bit.
     """
 
     def __init__(self, sys, G, X):
@@ -461,6 +511,8 @@ class TrajectoryPoints(Sequence):
         self.X = X
         self._xi = None
         self._moment = None
+        self._dX = None
+        self._dP = None
 
     @classmethod
     def of(cls, sys, points):
@@ -492,6 +544,21 @@ class TrajectoryPoints(Sequence):
         if self._moment is None:
             self._moment = _adjoint_coords(self.sys.alg, self.G, self.xi)
         return self._moment
+
+    @property
+    def fiber_images(self):
+        """The fiber images of each row (_fiber_images)."""
+        if self._dX is None:
+            self._dX = _fiber_images(self.sys, self.X)
+        return self._dX
+
+    @property
+    def moment_images(self):
+        """The moment images of each row (_moment_images)."""
+        if self._dP is None:
+            self._dP = _moment_images(self.sys, self.G, self.xi,
+                                      self.fiber_images)
+        return self._dP
 
 
 @dataclass
@@ -579,9 +646,11 @@ def _rk4_flow(sys, pt0, t_end, dt, field):
       back to the unitary group, and _divide_det_phase takes it to
       SU(3).
 
-    The stack is then checked once with the criteria of GroupElement and
-    PhasePoint: check_special_unitary, and the fiber supported on m; a
-    failure raises ValueError naming the step.
+    The fiber of the initial point is checked before the first step
+    (_check_fiber), and at the end every row with the criteria of
+    GroupElement and PhasePoint (_check_stack: check_special_unitary,
+    and the fiber supported on m); a failure raises ValueError naming
+    the initial point or the step.
     """
     nsteps = flow_steps(t_end, dt)
     g = pt0.g.matrix
@@ -589,6 +658,7 @@ def _rk4_flow(sys, pt0, t_end, dt, field):
     Xs = np.empty((nsteps + 1, len(pt0.X)))
     G[0] = g
     Xs[0] = pt0.X
+    _check_fiber(sys, Xs[:1], _flow_row)
     eye = np.eye(g.shape[0])
     matrix_of = sys.alg.matrix_of
     V = np.empty((4, min(nsteps, BLOCK_ROWS), len(pt0.X)))
@@ -696,19 +766,28 @@ def _newton_schulz(M):
     return _mm(M, 1.5 * np.eye(M.shape[-1]) - 0.5 * _mm(_adjoint(M), M))
 
 
-def _check_stack(sys, G, X):
-    """GroupElement's and PhasePoint's checks on every row of a flow,
-    in blocks of BLOCK_ROWS rows."""
-    def where(row):
-        return "the initial point" if row == 0 else f"step {row - 1}"
+def _flow_row(row):
+    """Where row ``row`` of a flow's stack is, for _check_stack."""
+    return "the initial point" if row == 0 else f"step {row - 1}"
 
+
+def _check_stack(sys, G, X, where=_flow_row):
+    """GroupElement's and PhasePoint's checks on every row of a stack, in
+    blocks of BLOCK_ROWS rows; a failure names where(k) of its row k, by
+    default as a row of a flow."""
     for lo in range(0, len(G), BLOCK_ROWS):
         check_special_unitary(G[lo:lo + BLOCK_ROWS],
                               lambda k: where(lo + k))
-        bad = (np.abs(X[lo:lo + BLOCK_ROWS, sys.a]) > 1e-14).any(axis=1)
-        if bad.any():
-            raise ValueError("fiber coordinate must be supported on m "
-                             f"at {where(lo + np.argmax(bad))}")
+        _check_fiber(sys, X[lo:lo + BLOCK_ROWS], lambda k: where(lo + k))
+
+
+def _check_fiber(sys, X, where):
+    """PhasePoint's check, the fiber supported on m (a NaN is not), on
+    every row of a stack; a failure names where(k) of its row k."""
+    bad = ~(np.abs(X[:, sys.a]) <= 1e-14).all(axis=1)
+    if bad.any():
+        raise ValueError("fiber coordinate must be supported on m "
+                         f"at {where(np.argmax(bad))}")
 
 
 def closed_form_fiber(sys, pt0, t):

@@ -219,19 +219,27 @@ class Polynomial:
         return self._floats
 
     def gradient(self, point):
-        """Float partial derivatives at a point, one per variable, in one
-        pass: the distinct monomials of the partials are evaluated once
-        and combined by one product with their coefficients (the array
-        form of _gradient_form).  As evaluate does, a value that
-        overflows at a finite point raises OverflowError."""
+        """Float partial derivatives at a point, one per variable, or row
+        by row at a (points, vars) stack, in one pass: the distinct
+        monomials of the partials are evaluated once per row and combined
+        with their coefficients by one matmul (the array form of
+        _gradient_form), which keeps row k bit for bit the gradient at
+        point k.  As evaluate_stack does, a value that overflows at a
+        finite point raises OverflowError."""
         coeffs, factors = self._gradient_form()
-        x = np.concatenate((np.asarray(point, dtype=float), [1.0]))
+        point = np.asarray(point, dtype=float)
+        # one column per point, so that a factor row gathers by one index
+        x = np.concatenate((point, np.ones(point.shape[:-1] + (1,))),
+                           axis=-1).T
         with np.errstate(over="ignore", invalid="ignore"):
             monos = x[factors[0]]
             for idx in factors[1:]:
                 monos = monos * x[idx]
-            grad = coeffs @ monos
-        if not np.isfinite(grad).all() and np.isfinite(x).all():
+            monos = np.ascontiguousarray(monos.T)
+            grad = np.matmul(coeffs, monos[..., None])[..., 0]
+        if not np.isfinite(grad).all() and np.any(
+                ~np.isfinite(grad).all(axis=-1)
+                & np.isfinite(point).all(axis=-1)):
             raise OverflowError(_OVERFLOW)
         return grad
 

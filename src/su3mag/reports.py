@@ -15,15 +15,15 @@ from .poly import Polynomial
 from .invariants import (indecomposable_generators, restrict_shift,
                          casimir_count, radial_generator)
 from .phase import (su3_regular_system, su3_irregular_system, PhasePoint,
-                    TrajectoryPoints, twisted_bracket, integrate_flow,
+                    TrajectoryPoints, integrate_flow,
                     conservation_report, closed_form_fiber, integral_values)
 from .algebra import build_su2, centralizer_of, identity_element
 from .certify import (CertificateReport, bracket_table_regular,
                       cubic_relation_check, cubic_relation_numeric,
-                      phi_relation_irregular,
-                      center_check, jacobian_rank_pi1, a_matrix_minors,
-                      dimension_report, generator_family, couplings,
-                      NUM_TOL)
+                      phi_relation_irregular, bracket_samples,
+                      center_check, jacobian_rank_pi1, pi1_rank_samples,
+                      a_matrix_minors, dimension_report, generator_family,
+                      couplings, NUM_TOL)
 from .scalars import Scalar
 
 
@@ -51,7 +51,15 @@ def make_system(case, eps):
 
 
 def run_verification(config):
-    """The full certificate suite for one case; returns a CertificateReport."""
+    """The full certificate suite for one case; returns a CertificateReport.
+
+    One generator, seeded by config["seed"], feeds every sampled check
+    in a fixed order.  The phi relation, the bracket samples, the centre
+    check, the pi1 ranks and the dimension ledger each draw their points
+    in turn and build them as one stack (MagneticSystem.points_of), then
+    evaluate over the stack; the angle checks and the flow take their
+    points one at a time.
+    """
     case = config["case"]
     eps = config["eps"]
     if eps == 0:
@@ -132,21 +140,7 @@ def run_verification(config):
                    len(gens.generators), "exact", len(gens.generators) == 1)
 
     # --- numeric bracket certificates ----------------------------------------
-    fam = generator_family(sys)
-    moments = fam[:sys.alg.dim]
-    slices = fam[sys.alg.dim:]
-    worst_mixed = 0.0
-    worst_closure = 0.0
-    for _ in range(samples):
-        pt = sys.random_regular_point(rng)
-        P = pt.moment_coords
-        i, j = rng.integers(0, sys.alg.dim, 2)
-        br = twisted_bracket(sys, moments[i], moments[j], pt)
-        expect = float(sys.alg.ad_matrices()[i, :, j] @ P)
-        worst_closure = max(worst_closure, abs(br - expect))
-        th = slices[rng.integers(0, len(slices))]
-        worst_mixed = max(worst_mixed,
-                          abs(twisted_bracket(sys, moments[i], th, pt)))
+    worst_closure, worst_mixed = bracket_samples(sys, rng, samples)
     report.add("moment_bracket_closure", 0.0, worst_closure, NUM_TOL,
                worst_closure < NUM_TOL)
     report.add("mixed_block_vanishing", 0.0, worst_mixed, NUM_TOL,
@@ -160,8 +154,7 @@ def run_verification(config):
 
     # --- ranks -------------------------------------------------------------------
     expected_rank = 10 if case == "regular" else 7
-    ranks = sorted({jacobian_rank_pi1(sys, sys.random_regular_point(rng))
-                    for _ in range(rank_samples)})
+    ranks = pi1_rank_samples(sys, rng, rank_samples)
     report.add("pi1_rank", expected_rank, ranks, "exact",
                ranks == [expected_rank])
     if case == "irregular":
@@ -186,6 +179,7 @@ def run_verification(config):
     dt = float(config.get("dt", 1e-3))
     pt = sys.random_regular_point(rng)
     traj = integrate_flow(sys, pt, t_end=t_end, dt=dt)
+    fam = generator_family(sys)
     stride = max(1, len(traj.points) // 2000)
     # array maxima: a NaN anywhere along the flow fails the check
     drift = np.max([e["max_drift"]

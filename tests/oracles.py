@@ -38,7 +38,16 @@
   ``phi_relation_by_points``: a polynomial's float value term by term in
   Python floats, and the sampled cubic and Phi relations one point at a
   time on it, which ``Polynomial.evaluate_stack`` and the stacked sample
-  loops of ``certify`` must reproduce bit for bit.
+  loops of ``certify`` must reproduce bit for bit;
+* ``point_by_exp_map`` and ``regular_point_by_exp_map``: a random phase
+  point built alone, by one exp_map of its seed and a validated
+  PhasePoint, which the rows of ``MagneticSystem.points_of`` must
+  reproduce bit for bit;
+* ``bracket_samples_by_points``, ``pi1_rank_samples_by_points`` and
+  ``dimension_report_by_points``: the bracket samples, the pi1 rank
+  samples and the dimension ledger one point at a time, each point
+  built alone and each bracket one ``twisted_bracket``, which the
+  stacked checks of ``certify`` must reproduce bit for bit.
 """
 
 from dataclasses import dataclass
@@ -48,12 +57,17 @@ from itertools import chain
 
 import numpy as np
 
-from su3mag.algebra import GroupElement, polar_project
-from su3mag.certify import NUM_TOL
-from su3mag.invariants import torus_generators
+from su3mag.algebra import GroupElement, exp_map, polar_project, regularity
+from su3mag.certify import (NUM_TOL, CertificateReport, center_family,
+                            generator_family, jacobian_rank_pi1,
+                            phase_jacobian)
+from su3mag.invariants import (independence_rank, numeric_rank,
+                               radial_generator, restrict_shift,
+                               torus_generators)
 from su3mag.phase import (MomentPullback, PhasePoint,
                           hamiltonian_vector_field, slice_z_values,
-                          _fiber_velocity, _invariant_under)
+                          twisted_bracket, _fiber_velocity,
+                          _invariant_under)
 from su3mag.poly import Polynomial, lie_poisson_bracket
 from su3mag.exact_linalg import transposed
 from su3mag.scalars import ZERO, Scalar, from_ints, parse_scalar
@@ -416,3 +430,98 @@ def phi_relation_by_points(sys, rng, samples):
     return {"max_residual": worst, "pass": worst < NUM_TOL,
             "negative_control_residual": control,
             "negative_control_nonzero": control > NUM_TOL}
+
+
+def point_by_exp_map(sys, rng):
+    """A phase point with fiber coordinates uniform in [-1, 1], built
+    alone: g = exp_map of its seed, a validated GroupElement."""
+    seed = rng.uniform(-1.0, 1.0, sys.alg.dim)
+    g = exp_map(sys.alg, seed)
+    X = np.zeros(sys.alg.dim)
+    X[sys.m] = rng.uniform(-1.0, 1.0, len(sys.m))
+    return PhasePoint(sys, g, X)
+
+
+def regular_point_by_exp_map(sys, rng):
+    """point_by_exp_map until xi is regular and the chart is safe, each
+    draw built before it is tested."""
+    for _ in range(500):
+        pt = point_by_exp_map(sys, rng)
+        if not regularity(sys.alg, pt.xi, tol=1e-3).regular:
+            continue
+        if sys.case_tag == "regular":
+            if np.min(np.abs(slice_z_values(sys, pt.xi))) <= 1e-3:
+                continue
+        elif np.linalg.norm(pt.X[sys.m]) <= 1e-3:
+            continue
+        return pt
+    raise RuntimeError("failed to sample a regular phase point")
+
+
+def bracket_samples_by_points(sys, rng, samples):
+    """certify.bracket_samples one point at a time: per sample a point, a
+    moment pair (i, j) and a slice generator, two twisted_brackets."""
+    fam = generator_family(sys)
+    moments = fam[:sys.alg.dim]
+    slices = fam[sys.alg.dim:]
+    worst_mixed = 0.0
+    worst_closure = 0.0
+    for _ in range(samples):
+        pt = regular_point_by_exp_map(sys, rng)
+        P = pt.moment_coords
+        i, j = rng.integers(0, sys.alg.dim, 2)
+        br = twisted_bracket(sys, moments[i], moments[j], pt)
+        expect = float(sys.alg.ad_matrices()[i, :, j] @ P)
+        worst_closure = max(worst_closure, abs(br - expect))
+        th = slices[rng.integers(0, len(slices))]
+        worst_mixed = max(worst_mixed,
+                          abs(twisted_bracket(sys, moments[i], th, pt)))
+    return worst_closure, worst_mixed
+
+
+def pi1_rank_samples_by_points(sys, rng, samples):
+    """certify.pi1_rank_samples one point at a time."""
+    return sorted({jacobian_rank_pi1(sys, regular_point_by_exp_map(sys, rng))
+                   for _ in range(samples)})
+
+
+def dimension_report_by_points(sys, rng, samples):
+    """certify.dimension_report one point at a time: per point the
+    independence ranks, the pi1 rank and the R0 rank."""
+    report = CertificateReport(case_tag=sys.case_tag, sample_count=samples)
+    n, r = sys.alg.dim, 2
+    c2, c3 = sys.casimirs()
+    res = [restrict_shift(c2, sys, symbolic_eps=False),
+           restrict_shift(c3, sys, symbolic_eps=False)]
+    if sys.case_tag == "regular":
+        expect = {"s": 2, "rho": 4, "trdeg_A": 10, "trdeg_R0": 2}
+        u, v, w = torus_generators(sys.alg)
+        slice_family = [u[0], u[1], u[2], v, w]
+    else:
+        expect = {"s": 1, "rho": 1, "trdeg_A": 7, "trdeg_R0": 1}
+        slice_family = [radial_generator(sys)]
+    s_vals, rho_vals, trA_vals, trR_vals = [], [], [], []
+    for _ in range(samples):
+        pt = regular_point_by_exp_map(sys, rng)
+        xi_m = pt.xi[sys.m]
+        s_vals.append(independence_rank(res, xi_m))
+        rho_vals.append(independence_rank(slice_family, xi_m))
+        trA_vals.append(jacobian_rank_pi1(sys, pt))
+        trR_vals.append(numeric_rank(
+            phase_jacobian(sys, center_family(sys), pt)))
+    report.add("s = trdeg Im(Res_W)", expect["s"], sorted(set(s_vals)),
+               "exact", set(s_vals) == {expect["s"]})
+    report.add("rho_A = trdeg S(m)^A", expect["rho"], sorted(set(rho_vals)),
+               "exact", set(rho_vals) == {expect["rho"]})
+    report.add("trdeg A (pi1 rank)", expect["trdeg_A"], sorted(set(trA_vals)),
+               "exact", set(trA_vals) == {expect["trdeg_A"]})
+    report.add("trdeg R0", expect["trdeg_R0"], sorted(set(trR_vals)),
+               "exact", set(trR_vals) == {expect["trdeg_R0"]})
+    phase_dim = 2 * len(sys.m)
+    sums = sorted({a + b for a in trA_vals for b in trR_vals})
+    report.add("trdeg A + trdeg R0 = dim T*M", phase_dim,
+               sums[0] if len(sums) == 1 else sums, "exact",
+               sums == [phase_dim])
+    report.add("leaf dimension dim g - 3r (informational)", n - 3 * r,
+               n - 3 * r, "exact", True)
+    return report

@@ -18,7 +18,9 @@ from su3mag.certify import (bracket_table_regular, expected_table_entries,
                             phase_jacobian)
 from su3mag.phase import slice_bracket_symbolic
 from su3mag import certify, reports
-from oracles import cubic_relation_by_points, phi_relation_by_points
+from oracles import (bracket_samples_by_points, cubic_relation_by_points,
+                     dimension_report_by_points, phi_relation_by_points,
+                     pi1_rank_samples_by_points)
 
 
 def test_couplings_values():
@@ -199,6 +201,29 @@ def test_sampled_relations_match_their_per_point_oracles(eps, seed):
         assert rng_new.random() == rng_old.random()
 
 
+@pytest.mark.parametrize("case", ["regular", "irregular"])
+@pytest.mark.parametrize("eps", [0.1, 1.0])
+@pytest.mark.parametrize("seed", [4, 9])
+def test_stacked_samples_match_their_per_point_oracles(case, eps, seed):
+    """bracket_samples, pi1_rank_samples and dimension_report draw their
+    points (and the bracket samples their index draws) in the order of
+    the per-point loops, build them as one stack and report the same
+    values, bit for bit, leaving the generator in the same state."""
+    sys = reports.make_system(case, eps)
+    for fn, oracle, samples in (
+            (certify.bracket_samples, bracket_samples_by_points, 25),
+            (certify.pi1_rank_samples, pi1_rank_samples_by_points, 6),
+            (dimension_report, dimension_report_by_points, 6)):
+        rng_new = np.random.default_rng(seed)
+        rng_old = np.random.default_rng(seed)
+        new = fn(sys, rng_new, samples)
+        old = oracle(sys, rng_old, samples)
+        if fn is dimension_report:
+            new, old = new.to_dict(), old.to_dict()
+        assert repr(certify._plain(new)) == repr(certify._plain(old))
+        assert rng_new.random() == rng_old.random()
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "the restriction pattern 3eps(2eps^2 + x4^2 + x5^2 - 2x6^2 - 2x7^2) "
     "mixes slice and stabilizer directions; the consistent slice gives "
@@ -284,7 +309,8 @@ def test_dimension_ledger_adds_the_measured_ranks(monkeypatch):
     """The ledger line sums the measured rank sets: one sum when each set
     holds one value, the sorted sums otherwise.  A pi1 rank forced to 6
     in the irregular case makes it read 7 and fail; ranks alternating 6
-    and 7 make it read [7, 8] and fail."""
+    and 7 make it read [7, 8] and fail.  The ranks are taken over the
+    stack of sampled points, one per point."""
     sys = su3_irregular_system(0.1)
     name = "trdeg A + trdeg R0 = dim T*M"
 
@@ -294,12 +320,12 @@ def test_dimension_ledger_adds_the_measured_ranks(monkeypatch):
 
     line = ledger()
     assert (line.expected, line.observed, line.passed) == (8, 8, True)
-    monkeypatch.setattr(certify, "jacobian_rank_pi1", lambda s, pt: 6)
+    monkeypatch.setattr(certify, "jacobian_rank_pi1",
+                        lambda s, pts: np.full(len(pts), 6))
     line = ledger()
     assert (line.observed, line.passed) == (7, False)
-    ranks = iter([6, 7] * 2)
     monkeypatch.setattr(certify, "jacobian_rank_pi1",
-                        lambda s, pt: next(ranks))
+                        lambda s, pts: np.resize([6, 7], len(pts)))
     line = ledger()
     assert (line.observed, line.passed) == ([7, 8], False)
 

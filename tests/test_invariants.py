@@ -333,6 +333,20 @@ def test_numeric_rank_equals_exact_rank_on_integer_matrices(rows):
     assert numeric_rank(np.array(rows)) == exact
 
 
+def test_numeric_rank_of_a_stack_is_the_rank_of_each_matrix():
+    """Over a stack, numeric_rank returns one int rank per matrix, each
+    the rank of that matrix alone, a zero matrix's rank 0 included."""
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(6, 4, 5))
+    stack[1] = 0.0
+    stack[2, 3] = stack[2, 0] + stack[2, 1]
+    stack[4, 1:] = 0.0
+    ranks = numeric_rank(stack)
+    assert ranks.tolist() == [numeric_rank(J) for J in stack]
+    assert ranks.tolist() == [4, 0, 3, 4, 1, 4]
+    assert isinstance(numeric_rank(stack[0]), int)
+
+
 # entries of the elimination properties: small rationals and the field's
 # generators, with zeros weighted up so that the rows come out sparse
 _NONZERO = (Scalar(1), Scalar(-1), Scalar(2), Scalar(-2),

@@ -17,7 +17,8 @@ from su3mag.phase import (su3_regular_system, su3_irregular_system,
 from su3mag.invariants import radial_generator, torus_generators
 from oracles import (adjoint_group, moment_map, moment_of_direction,
                      omega_eps, per_direction_differential,
-                     phase_tangent_basis, reference_float_evaluate,
+                     phase_tangent_basis, point_by_exp_map,
+                     reference_float_evaluate, regular_point_by_exp_map,
                      slice_bracket_value, slice_map,
                      stage_projected_flow_step, symbolic_bracket)
 
@@ -577,6 +578,56 @@ def test_array_driver_guards(monkeypatch):
         integrate_flow(sys, off, t_end=0.01, dt=1e-3)
 
 
+def test_a_nan_fiber_coordinate_off_m_is_refused():
+    """A NaN in a stabilizer coordinate of X is not a fiber supported on
+    m: PhasePoint refuses it, and integrate_flow refuses it at the
+    initial point, before any step can report it as a drift."""
+    sys = su3_irregular_system(0.1)
+    pt = sys.random_regular_point(np.random.default_rng(5))
+    X = pt.X.copy()
+    X[sys.a[0]] = np.nan
+    with pytest.raises(ValueError, match="fiber coordinate must be "
+                                         "supported on m$"):
+        PhasePoint(sys, pt.g, X)
+    off = PhasePoint.prevalidated(sys, pt.g.matrix, X)
+    with pytest.raises(ValueError, match="fiber coordinate must be "
+                       "supported on m at the initial point$"):
+        integrate_flow(sys, off, t_end=0.01, dt=1e-3)
+
+
+@pytest.mark.parametrize("case", ["regular", "irregular"])
+@pytest.mark.parametrize("seed", [1, 8])
+def test_sampled_stacks_are_the_points_built_alone(case, seed):
+    """points_of builds the draws as one stack whose rows are, bit for
+    bit, the points built one by one from the same generator (one
+    exp_map and one GroupElement each); random_point and
+    random_regular_point are its one-row case, and every route leaves
+    the generator in the same state."""
+    sys = su3_regular_system(0.3) if case == "regular" \
+        else su3_irregular_system(0.3)
+    for draw, alone in ((sys.draw_point, point_by_exp_map),
+                        (sys.draw_regular_point, regular_point_by_exp_map)):
+        rng_new = np.random.default_rng(seed)
+        rng_old = np.random.default_rng(seed)
+        pts = sys.points_of([draw(rng_new) for _ in range(7)])
+        assert len(pts) == 7
+        for p in pts:
+            q = alone(sys, rng_old)
+            assert np.array_equal(p.g.matrix, q.g.matrix)
+            assert np.array_equal(p.X, q.X)
+        assert rng_new.random() == rng_old.random()
+    for one, alone in ((sys.random_point, point_by_exp_map),
+                       (sys.random_regular_point, regular_point_by_exp_map)):
+        rng_new = np.random.default_rng(seed)
+        rng_old = np.random.default_rng(seed)
+        for _ in range(3):
+            p, q = one(rng_new), alone(sys, rng_old)
+            assert isinstance(p, PhasePoint)
+            assert np.array_equal(p.g.matrix, q.g.matrix)
+            assert np.array_equal(p.X, q.X)
+        assert rng_new.random() == rng_old.random()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_flow_stack_check_refuses_a_nan_or_infinite_entry(bad):
     """The flow's check of its whole stack refuses a group row with a NaN
@@ -698,6 +749,26 @@ def test_trajectory_points_view():
     for k, p in enumerate(listed):
         assert np.array_equal(pts.xi[k], p.xi)
         assert np.array_equal(pts.moment_coords[k], p.moment_coords)
+        assert np.array_equal(pts.fiber_images[k], p.fiber_images)
+        assert np.array_equal(pts.moment_images[k], p.moment_images)
+    # and so are the stacked gradients, differentials and brackets
+    from su3mag.certify import generator_family, phase_jacobian
+    from su3mag.phase import basis_bracket
+    fam = generator_family(sys)
+    P, xi_m = pts.moment_coords, pts.xi[:, sys.m]
+    D = phase_jacobian(sys, fam, pts)
+    B = basis_bracket(sys, D[:, :3], D)
+    for fn in fam[:3] + fam[-5:]:
+        poly, x = (fn.h, P) if fn.tag == "moment" else (fn.theta, xi_m)
+        grads = poly.gradient(x)
+        brackets = twisted_bracket(sys, fam[0], fn, pts)
+        for k, p in enumerate(listed):
+            assert np.array_equal(grads[k], poly.gradient(x[k]))
+            assert brackets[k] == twisted_bracket(sys, fam[0], fn, p)
+    for k, p in enumerate(listed):
+        Dk = phase_jacobian(sys, fam, p)
+        assert np.array_equal(D[k], Dk)
+        assert np.array_equal(B[k], basis_bracket(sys, Dk[:3], Dk))
     assert TrajectoryPoints.of(sys, pts) is pts
     stacked = TrajectoryPoints.of(sys, listed)
     assert np.array_equal(stacked.G, pts.G) and np.array_equal(stacked.X, pts.X)
