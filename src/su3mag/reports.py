@@ -249,9 +249,10 @@ KNOWN_DEVIATIONS = {
         "{u3,w} = -c3 v); forced for every phase convention.",
         "Res_W(C2) = 4(u1+u2+u3) + eps^2/2 in the table-normalized "
         "generators; the bare u1+u2+u3 form drops the scale and shift.",
-        "P*C3 = pi*(Res_W C3) involves eps-weighted quadratic terms besides "
-        "the cubic generator; identifying it with 2v alone is only "
-        "valid in the eps->0 limit.",
+        "P*C3 = pi*(Res_W C3) = 48 w + eps (4 sqrt3 u1 - (6+2 sqrt3) u2 "
+        "+ (6-2 sqrt3) u3) + (sqrt3/6) eps^3 in the table-normalized "
+        "generators; identifying it with 48 w alone is only valid in the "
+        "eps->0 limit.",
         "{phi~1, phi~2} is constant on each invariant torus but not zero "
         "for the geometric angles; only the constancy is certified.",
     ],

@@ -244,6 +244,35 @@ def test_phi_relation_mixed_frame_literal():
     assert (r3 - mixed_frame).is_zero()
 
 
+def test_regular_c3_deviation_states_the_computed_rewrite():
+    """The regular known_deviations sentence on P*C3 states the rewrite
+    of Res_W C3 in the table-normalized generators and its eps -> 0
+    limit, 48 w, as rewrite_in_generators computes them."""
+    from fractions import Fraction
+    from su3mag.invariants import restrict_shift
+    sys = su3_regular_system(0.1)
+    u, v, w = torus_generators(sys.alg)
+    gens = [("u1", u[0], 2), ("u2", u[1], 2), ("u3", u[2], 2),
+            ("v", v, 3), ("w", w, 3)]
+    r3 = rewrite_in_generators(restrict_shift(sys.casimirs()[1], sys), gens)
+    u1, u2, u3, w, eps = (Polynomial.var(r3.vars, n)
+                          for n in ("u1", "u2", "u3", "w", "eps"))
+    stated = (48 * w
+              + eps * (u1 * Scalar.sqrt3(4) - u2 * (6 + Scalar.sqrt3(2))
+                       + u3 * (6 - Scalar.sqrt3(2)))
+              + eps ** 3 * Scalar.sqrt3(Fraction(1, 6)))
+    assert (r3 - stated).is_zero()
+    limit = Polynomial(r3.vars, {e: c for e, c in r3.terms.items()
+                                 if e[-1] == 0})
+    assert limit == 48 * w
+    sentence = reports.KNOWN_DEVIATIONS["regular"][2]
+    assert sentence.startswith(
+        "P*C3 = pi*(Res_W C3) = 48 w + eps (4 sqrt3 u1 - (6+2 sqrt3) u2 "
+        "+ (6-2 sqrt3) u3) + (sqrt3/6) eps^3 in the table-normalized "
+        "generators;")
+    assert "with 48 w alone is only valid in the eps->0 limit" in sentence
+
+
 def test_a_matrix_minors_exact():
     sys = su3_irregular_system(0.1)
     minors = a_matrix_minors(sys)
