@@ -127,13 +127,14 @@ class MagneticSystem:
         """The TrajectoryPoints stack of a list of draws, row k from draw
         k: the seeds' matrices built one by one (matrix_of), one stacked
         exp_map, then GroupElement's and PhasePoint's checks on the stack
-        (_check_stack).  Row k is bit for bit the point the draw gave
-        when it was built alone."""
+        (check_special_unitary, _check_fiber).  Row k is bit for bit the
+        point the draw gave when it was built alone."""
         seeds, X = zip(*draws)
         G = exp_map(self.alg, np.array([self.alg.matrix_of(s)
                                          for s in seeds]))
         X = np.array(X)
-        _check_stack(self, G, X, lambda k: f"sample {k}")
+        check_special_unitary(G, lambda k: f"sample {k}")
+        _check_fiber(self, X, lambda k: f"sample {k}")
         return TrajectoryPoints(self, G, X)
 
     def random_point(self, rng):
@@ -767,18 +768,18 @@ def _newton_schulz(M):
 
 
 def _flow_row(row):
-    """Where row ``row`` of a flow's stack is, for _check_stack."""
+    """Where row ``row`` of a flow's stack is, for its checks."""
     return "the initial point" if row == 0 else f"step {row - 1}"
 
 
-def _check_stack(sys, G, X, where=_flow_row):
-    """GroupElement's and PhasePoint's checks on every row of a stack, in
-    blocks of BLOCK_ROWS rows; a failure names where(k) of its row k, by
-    default as a row of a flow."""
+def _check_stack(sys, G, X):
+    """GroupElement's and PhasePoint's checks on every row of a flow, in
+    blocks of BLOCK_ROWS rows; a failure names its row (_flow_row)."""
     for lo in range(0, len(G), BLOCK_ROWS):
         check_special_unitary(G[lo:lo + BLOCK_ROWS],
-                              lambda k: where(lo + k))
-        _check_fiber(sys, X[lo:lo + BLOCK_ROWS], lambda k: where(lo + k))
+                              lambda k: _flow_row(lo + k))
+        _check_fiber(sys, X[lo:lo + BLOCK_ROWS],
+                     lambda k: _flow_row(lo + k))
 
 
 def _check_fiber(sys, X, where):
