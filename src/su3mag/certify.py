@@ -385,8 +385,10 @@ def bracket_samples(sys, rng, samples):
     i, j = np.transpose(pairs)
     br = basis_bracket(sys, D[rows, i][:, None],
                        np.stack([D[rows, j], D[rows, picks]], axis=1))[:, 0]
-    expect = np.matmul(sys.alg.ad_matrices()[i, :, j][:, None],
-                       pts.moment_coords[..., None])[:, 0, 0]
+    # C_ij^k P_k one dot per sample, on the strided column of ad_i: a
+    # stacked product of gathered rows rounds differently
+    ad = sys.alg.ad_matrices()
+    expect = [ad[a, :, b] @ P for a, b, P in zip(i, j, pts.moment_coords)]
     return _worst(br[:, 0] - expect), _worst(br[:, 1])
 
 

@@ -222,6 +222,13 @@ def test_stacked_samples_match_their_per_point_oracles(case, eps, seed):
             new, old = new.to_dict(), old.to_dict()
         assert repr(certify._plain(new)) == repr(certify._plain(old))
         assert rng_new.random() == rng_old.random()
+    # one sample per call, so that no sample's residual hides behind
+    # another's in the maximum
+    for s in range(40):
+        assert (certify.bracket_samples(sys, np.random.default_rng([seed, s]),
+                                        1)
+                == bracket_samples_by_points(
+                    sys, np.random.default_rng([seed, s]), 1))
 
 
 @pytest.mark.xfail(strict=True, reason=(
