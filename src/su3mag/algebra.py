@@ -107,6 +107,38 @@ class LieAlgebraSpec:
             [[[complex(x) for x in row] for row in M] for M in matrix_rep])
         self._np_basis_rows = self._np_basis.reshape(n, -1)
         self._np_ad = None
+        self._pair_gather = self._gather_of_pairing()
+
+    def _gather_of_pairing(self):
+        """coords_of_matrix's gather: for basis element i and column a,
+        the one entry E_i[k, a] that may be nonzero, read as a float
+        factor c on the real or the imaginary part of M[a, k]:
+        Re(M[a, k] E_i[k, a]) = c Re M[a, k] for a real entry c, and
+        -c' Im M[a, k] for an imaginary entry i c'.  Returns the
+        positions (row a, column 2k or 2k + 1) in M's float view and the
+        factors, each of shape (dim, N); a column of zeros gives factor
+        0.  Refuses a basis element with two nonzero entries in a column
+        or an entry with both parts nonzero."""
+        N = len(self.matrix_rep[0])
+        cols = np.zeros((self.dim, N), dtype=int)
+        factors = np.zeros((self.dim, N))
+        for i, E in enumerate(self.matrix_rep):
+            for a in range(N):
+                nonzero = [k for k in range(N) if not E[k][a].is_zero()]
+                if len(nonzero) > 1:
+                    raise ValueError(f"basis element {self.labels[i]} of "
+                                     f"{self.name} has {len(nonzero)} "
+                                     f"nonzero entries in column {a}")
+                for k in nonzero:
+                    e = self._np_basis[i, k, a]
+                    if e.real and e.imag:
+                        raise ValueError(
+                            f"basis element {self.labels[i]} of {self.name}"
+                            f" has an entry with both real and imaginary "
+                            f"parts at ({k}, {a})")
+                    cols[i, a] = 2 * k + (e.real == 0)
+                    factors[i, a] = e.real or -e.imag
+        return np.arange(N), cols, factors
 
     # -- exact views ---------------------------------------------------------
 
@@ -142,21 +174,41 @@ class LieAlgebraSpec:
 
     def coords_of_matrix(self, M):
         """Coordinates B(M, E_i) = -1/2 tr(M E_i) on the orthonormal basis,
-        for one matrix or a stack of them (rows of the result).
+        for one matrix or a stack of them: a C-ordered array, one row of
+        coordinates per matrix.
 
-        One batched product over the basis; the Gram matrix is the
-        identity (checked exactly in the constructor), so no solve.
+        Precondition, checked in the constructor: each basis matrix has
+        at most one nonzero entry per column, purely real or purely
+        imaginary.  So the diagonal entry a of M E_i is the one product
+        M[a, k] E_i[k, a], and coordinate i is -1/2 of the sum over
+        a = 0, 1, ... of their real parts, gathered from M's float view
+        and added in that order from +0.0: bit for bit the trace of the
+        product M E_i, zeros' signs included.  The Gram matrix is the
+        identity (checked exactly in the constructor), so no solve.  A
+        matrix with a NaN or infinite entry gives a row of NaNs, as the
+        product would.
         """
-        prods = M[..., None, :, :] @ self._np_basis
-        return -0.5 * np.trace(prods, axis1=-2, axis2=-1).real
+        M = np.ascontiguousarray(M, dtype=complex)
+        rows, cols, factors = self._pair_gather
+        parts = M.view(float)[..., rows, cols] * factors
+        out = np.zeros(parts.shape[:-1])
+        for a in range(len(rows)):
+            out += parts[..., a]
+        out *= -0.5
+        out[~np.isfinite(M).all(axis=(-2, -1))] = np.nan
+        return out
 
     def np_bracket(self, x, y):
         """[x, y]^k = sum over i < j of (x_i y_j - x_j y_i) C_ij^k for two
-        coordinate vectors: [y, x] = -[x, y] and [x, x] = 0 exactly."""
+        coordinate vectors, or row by row for stacks of them (broadcast):
+        [y, x] = -[x, y] and [x, x] = 0 exactly.  Each row is its own
+        vector-matrix product, so row k is bit for bit the bracket of the
+        vectors of row k."""
         self.ad_matrices()
         I, J = self._pairs
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        return (x[I] * y[J] - x[J] * y[I]) @ self._pair_ad
+        pairs = x[..., I] * y[..., J] - x[..., J] * y[..., I]
+        return np.matmul(pairs[..., None, :], self._pair_ad)[..., 0, :]
 
     def np_bpair(self, x, y):
         """B(x, y) = sum_i x_i y_i on the orthonormal basis."""
@@ -280,13 +332,17 @@ def exp_map(alg, coords):
 
     X is a coordinate vector or a matrix.  A stack of matrices, shape
     (n, N, N), gives the (n, N, N) array of their exponentials, each equal
-    bit for bit to the matrix of its own exp_map; the argument is refused
-    if any one of them is not anti-Hermitian.
+    bit for bit to the matrix of its own exp_map.  The argument is refused
+    by one ValueError if the largest entry of |H - H*|, H = iX, exceeds
+    1e-10 in any one of them; the compare is written so that a NaN or
+    infinite entry fails it, with no numpy warning.
     """
-    M = alg.matrix_of(coords) if not isinstance(coords, np.ndarray) or coords.ndim == 1 \
-        else coords
-    H = 1j * M
-    if not np.allclose(H, _adjoint(H), rtol=0, atol=1e-10):
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = alg.matrix_of(coords) if not isinstance(coords, np.ndarray) \
+            or coords.ndim == 1 else coords
+        H = 1j * M
+        skew = np.abs(H - _adjoint(H)).max()
+    if not skew <= 1e-10:
         raise ValueError("exp_map requires an anti-Hermitian argument")
     w, U = np.linalg.eigh(H)
     g = _divide_det_phase((U * np.exp(-1j * w)[..., None, :]) @ _adjoint(U))
@@ -314,10 +370,11 @@ def check_special_unitary(G, where=None):
     of |G* G - I| (the Gram by _mm) is at most UNITARY_TOL, so that a NaN
     or infinite entry fails with no numpy warning, and then so is
     |det G - 1|.  For a stack, the message ends "at <where(k)>" for the
-    first row k that fails."""
+    first row k that fails, and "at <where(k, b)>" for the first failing
+    row b of step k of a stack of flows' stacks, shape (n, B, N, N)."""
     def refuse(bad, fault):
         if bad.any():
-            at = "" if where is None else f" at {where(np.argmax(bad))}"
+            at = "" if where is None else f" at {where(*_first(bad))}"
             raise ValueError(f"group element {fault}{at}")
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -326,6 +383,12 @@ def check_special_unitary(G, where=None):
     refuse(~(drift <= UNITARY_TOL), "is not unitary within tolerance")
     refuse(~(np.abs(np.linalg.det(G) - 1.0) <= UNITARY_TOL),
            "does not have determinant one")
+
+
+def _first(bad):
+    """The index, a tuple, of the first True entry of a boolean array in
+    C order."""
+    return np.unravel_index(np.argmax(bad), bad.shape)
 
 
 def _divide_det_phase(g):

@@ -24,6 +24,13 @@ action differentials; no finite difference is taken.  The one
 flow-difference left is deliberate: angle_action_pairing differences phi
 along the integrated partner flow, an independent check that Omega is the
 true frequency.
+
+The pairing layer (root_phases, angle_differential, frequency_matrix,
+flow_step and angle_action_pairing) takes a PhasePoint or a stack of
+points (TrajectoryPoints), row by row: a single point is the one-row
+case, and row k of a stack is bit for bit the value at point k.  The
+pairing integrates the partner flows of all its points, both signs of
+the step, as one batch of the RK4 driver per action.
 """
 
 from __future__ import annotations
@@ -33,9 +40,9 @@ import math
 import numpy as np
 
 from .algebra import exp_map
-from .phase import (PhasePoint, basis_bracket, hamiltonian_vector_field,
-                    slice_z_values, _fiber_velocity, _invariant_under,
-                    _rk4_flow)
+from .phase import (PhasePoint, TrajectoryPoints, basis_bracket,
+                    hamiltonian_vector_field, slice_z_values,
+                    _fiber_velocity, _invariant_under, _rk4_flow)
 from .certify import action_functions, phase_jacobian
 
 TWO_PI = 2.0 * math.pi
@@ -69,15 +76,18 @@ def live_roots(sys):
 
 
 def _live_z(sys, pt):
-    """The live root coordinates z_k(xi), inside the angle chart."""
-    z = slice_z_values(sys, pt.xi)[list(live_roots(sys))]
+    """The live root coordinates z_k(xi), inside the angle chart, or row
+    by row for a stack of points.  Each part of z_k reads one coordinate
+    of xi, so row k of a stack is bit for bit the value at point k."""
+    z = slice_z_values(sys, pt.xi)[..., list(live_roots(sys))]
     if np.min(np.abs(z)) <= 1e-6:
         raise ChartUndefined("root coordinate too small for the angle chart")
     return z
 
 
 def root_phases(sys, pt):
-    """Slice phases theta_k = arg z_k(xi) on the live roots, in [0, 2 pi)."""
+    """Slice phases theta_k = arg z_k(xi) on the live roots, in [0, 2 pi),
+    or row by row for a stack of points."""
     return np.mod(np.angle(_live_z(sys, pt)), TWO_PI)
 
 
@@ -141,26 +151,38 @@ def flow_step(fn, sys, pt, h, nsteps=1):
     left-invariant integral function, on the driver (_rk4_flow) of
     integrate_flow: its group reconstruction and drift guard.
 
+    pt is a PhasePoint, or a stack of B points (TrajectoryPoints) with h
+    one step or B steps of one size |h|, one per row; the result is then
+    the stack of the B moved points.  The stack's flows run side by side
+    as one batch of the driver, and a PhasePoint is its one-row case.
+
     The field of a left-invariant function does not depend on g, so the
     driver gets it at g = I, as a callback that its callback producer
-    calls four times a step (the geodesic's field, being linear, is
-    stepped by a propagator instead).  Only an Ad-invariant
-    MomentPullback or a SlicePullback is accepted; any other function
-    raises ValueError.
+    calls four times a step, on all rows at once (the geodesic's field,
+    being linear, is stepped by a propagator instead).  Only an
+    Ad-invariant MomentPullback or a SlicePullback is accepted; any other
+    function raises ValueError.
     """
     if not _left_invariant(fn, sys.alg):
         raise ValueError(f"flow_step integrates left-invariant functions "
                          f"only, and {fn.name} is not one")
-    sign = 1.0 if h >= 0 else -1.0  # |h| steps of the negated field
-    eye = np.eye(3, dtype=complex)
+    single = isinstance(pt, PhasePoint)
+    pts = TrajectoryPoints.of(sys, [pt]) if single else pt
+    h = np.broadcast_to(np.asarray(h, dtype=float), (len(pts),))
+    dt = abs(h[0])
+    if np.any(np.abs(h) != dt):
+        raise ValueError("flow_step takes steps of one size |h|")
+    sign = np.where(h >= 0, 1.0, -1.0)[:, None]  # |h| steps of -field
+    eye = np.broadcast_to(np.eye(3, dtype=complex), (len(pts), 3, 3))
 
     def field(X):
-        p = PhasePoint.prevalidated(sys, eye, X)
+        p = TrajectoryPoints(sys, eye, X)
         v, w = hamiltonian_vector_field(fn, sys, p)
         return sign * v, sign * _fiber_velocity(sys, p, v, w)
 
-    G, X = _rk4_flow(sys, pt, nsteps * abs(h), abs(h), field)
-    return PhasePoint.prevalidated(sys, G[-1], X[-1])
+    G, X = _rk4_flow(sys, pts, nsteps * dt, dt, field)
+    moved = TrajectoryPoints(sys, G[-1], X[-1])
+    return moved[0] if single else moved
 
 
 def _left_invariant(fn, alg):
@@ -180,55 +202,73 @@ def _nearest_branch(values, reference):
 
 def frequency_matrix(sys, pt):
     """Omega_{ak} = {phi_a, J_k}_eps, the angle differential bracketed
-    with the action Jacobian.
+    with the action Jacobian, at a PhasePoint or row by row at a stack
+    of points.
 
-    Shape (2, 2) in the regular case and (2,) in the irregular case.
+    Shape (2, 2) in the regular case and (2,) in the irregular case (per
+    row, for a stack).
     """
     Om = basis_bracket(sys, angle_differential(sys, pt),
                        phase_jacobian(sys, action_functions(sys), pt))
-    return Om if sys.case_tag == "regular" else Om[:, 0]
+    return Om if sys.case_tag == "regular" else Om[..., 0]
 
 
 def _rescale(sys, Om, phi):
+    """S phi with S the canonical rescaling Omega^-1 (regular) or
+    Omega/|Omega|^2 (irregular), row by row for stacks of Omega and phi:
+    each row its own solve or dot product, as for one point."""
     if sys.case_tag == "regular":
-        if abs(np.linalg.det(Om)) < 1e-12:
+        if np.any(np.abs(np.linalg.det(Om)) < 1e-12):
             raise ValueError("singular frequency matrix; cannot rescale")
-        return np.linalg.solve(Om, phi)
-    norm2 = float(Om @ Om)
-    if norm2 < 1e-24:
+        return np.linalg.solve(Om, phi[..., None])[..., 0]
+    norm2 = np.matmul(Om[..., None, :], Om[..., None])[..., 0]
+    if np.any(norm2 < 1e-24):
         raise ValueError("vanishing frequency; cannot rescale")
-    return np.array([float((Om / norm2) @ phi)])
+    return np.matmul((Om / norm2)[..., None, :], phi[..., None])[..., 0]
 
 
 def angle_action_pairing(sys, pt):
-    """Matrix {phi~_i, J_j}_eps by central flow-differencing.
+    """Matrix {phi~_i, J_j}_eps by central flow-differencing, at a
+    PhasePoint or row by row at a stack of B points (TrajectoryPoints),
+    one matrix per row; a PhasePoint is the one-row case, and row k is
+    bit for bit the pairing at point k.
 
-    The partner flow is integrated a short exact step, the root phases are
-    unwrapped against the base point and combined into angles, and the
-    canonical rescaling is applied with the frequency matrix frozen at pt:
-    Omega is a function of the actions, which every action flow keeps, so
-    this is exact.  Expect the identity (regular) or 1.0 (irregular).
+    Per action, one flow_step integrates the 2B partner flows, a short
+    exact step +h from each point and then -h from each, as one batch.
+    The root phases are unwrapped against the base point and combined
+    into angles, and the canonical rescaling is applied with the
+    frequency matrix frozen at the base point: Omega is a function of
+    the actions, which every action flow keeps, so this is exact.
+    Expect the identity (regular) or 1.0 (irregular).
     """
+    single = isinstance(pt, PhasePoint)
+    pts = TrajectoryPoints.of(sys, [pt]) if single else pt
+    B = len(pts)
     h_flow = PAIRING_FLOW_STEP
-    th0 = root_phases(sys, pt)
+    th0 = root_phases(sys, pts)
     L = angle_map_matrix(sys)
-    Om = frequency_matrix(sys, pt)
+    Om = frequency_matrix(sys, pts)
+    both = TrajectoryPoints(sys, np.concatenate([pts.G, pts.G]),
+                            np.concatenate([pts.X, pts.X]))
+    steps = np.repeat([h_flow, -h_flow], B)
     cols = []
     for J in action_functions(sys):
-        th_p = root_phases(sys, flow_step(J, sys, pt, h_flow, nsteps=4))
-        th_m = root_phases(sys, flow_step(J, sys, pt, -h_flow, nsteps=4))
-        dphi = L @ (_nearest_branch(th_p, th0) - _nearest_branch(th_m, th0))
+        th = root_phases(sys, flow_step(J, sys, both, steps, nsteps=4))
+        d = _nearest_branch(th[:B], th0) - _nearest_branch(th[B:], th0)
+        dphi = np.matmul(L, d[..., None])[..., 0]
         cols.append(_rescale(sys, Om, dphi) / (8.0 * h_flow))
-    return np.column_stack(cols) if len(cols) > 1 else np.asarray(cols[0])
+    pair = np.stack(cols, axis=-1) if len(cols) > 1 else cols[0]
+    return pair[0] if single else pair
 
 
 def angle_differential(sys, pt):
     """Differential of the torus angles over the tangent basis, shape
-    (n_angles, 2 dim m): d phi(d xi) = L Im(z(d xi) / z(xi)) on the live
-    roots, one column per fiber image d xi, exact since the angles read
-    xi alone."""
-    dz = slice_z_values(sys, pt.fiber_images)[:, list(live_roots(sys))]
-    return angle_map_matrix(sys) @ np.imag(dz / _live_z(sys, pt)).T
+    (n_angles, 2 dim m), at a PhasePoint or row by row at a stack of
+    points: d phi(d xi) = L Im(z(d xi) / z(xi)) on the live roots, one
+    column per fiber image d xi, exact since the angles read xi alone."""
+    dz = slice_z_values(sys, pt.fiber_images)[..., list(live_roots(sys))]
+    ratio = np.imag(dz / _live_z(sys, pt)[..., None, :])
+    return angle_map_matrix(sys) @ np.swapaxes(ratio, -1, -2)
 
 
 def angle_angle_bracket(sys, pt):

@@ -36,7 +36,7 @@ from .poly import Polynomial, b_gradient, lie_poisson_bracket
 from .algebra import (GroupElement, build_su3_chevalley,
                       build_su3_gellmann, centralizer_of, regularity,
                       check_special_unitary, exp_map, _adjoint,
-                      _divide_det_phase, _mm)
+                      _divide_det_phase, _first, _mm)
 from .invariants import casimirs_su3, shift_images
 
 # Rows per block of the routes over a whole flow: blocks keep the
@@ -364,13 +364,16 @@ def integral_values(points, functions):
 
 
 def _project_m(sys, coords):
+    """coords with the components on a set to zero, row by row for a
+    stack."""
     out = coords.copy()
-    out[sys.a] = 0.0
+    out[..., sys.a] = 0.0
     return out
 
 
 def _fiber_velocity(sys, pt, v, w):
-    """dX = -1/2 [v, X]_m + w, the fiber velocity of the tangent (v, w)."""
+    """dX = -1/2 [v, X]_m + w, the fiber velocity of the tangent (v, w),
+    or row by row for a stack of points and tangents."""
     return -0.5 * _project_m(sys, sys.alg.np_bracket(v, pt.X)) + w
 
 
@@ -404,19 +407,21 @@ def basis_differential(fn, sys, pt):
 
 def solve_field(sys, df):
     """Solve iota_X omega_eps = df for the tangent (v, w), df given on
-    the tangent basis directions (PhasePoint)."""
+    the tangent basis directions (basis_differential), or row by row for
+    a stack of rows df."""
     alg = sys.alg
     m = sys.m
-    v = np.zeros(alg.dim)
-    v[m] = df[len(m):]
-    base = np.zeros(alg.dim)
-    base[m] = df[:len(m)]
+    v = np.zeros(df.shape[:-1] + (alg.dim,))
+    v[..., m] = df[..., len(m):]
+    base = np.zeros(v.shape)
+    base[..., m] = df[..., :len(m)]
     w = -base - sys.eps * _project_m(sys, alg.np_bracket(sys.W, v))
     return v, w
 
 
 def hamiltonian_vector_field(fn, sys, pt):
-    """Solve iota_{X_f} omega_eps = df for the tangent (v_f, w_f)."""
+    """Solve iota_{X_f} omega_eps = df for the tangent (v_f, w_f), at a
+    PhasePoint or row by row at a stack of points."""
     return solve_field(sys, basis_differential(fn, sys, pt))
 
 
@@ -620,6 +625,13 @@ def _rk4_flow(sys, pt0, t_end, dt, field):
     gdot = g M(v), Xdot = F(X), for a g-free fiber field, returned as
     read-only arrays G of shape (n+1, N, N) and X of shape (n+1, dim).
 
+    With the callback producer, pt0 may also be a stack of B points (a
+    TrajectoryPoints), integrated as B flows side by side: G then has
+    shape (n+1, B, N, N) and X shape (n+1, B, dim), the batch axis after
+    the step axis, and ``field`` takes and returns (B, dim) rows.  Every
+    step below acts row by row on the batch axis, and the guard and the
+    checks name the failing row of the batch with the step.
+
     This is Lie-Poisson reduction and reconstruction.  A fiber producer
     steps X as RK4 on Xdot = F(X) does and, block by block of BLOCK_ROWS
     steps, fills the four stage values of v of each step: _callback_fiber
@@ -654,15 +666,15 @@ def _rk4_flow(sys, pt0, t_end, dt, field):
     the initial point or the step.
     """
     nsteps = flow_steps(t_end, dt)
-    g = pt0.g.matrix
+    g = pt0.G if isinstance(pt0, TrajectoryPoints) else pt0.g.matrix
     G = np.empty((nsteps + 1,) + g.shape, dtype=complex)
-    Xs = np.empty((nsteps + 1, len(pt0.X)))
+    Xs = np.empty((nsteps + 1,) + pt0.X.shape)
     G[0] = g
     Xs[0] = pt0.X
     _check_fiber(sys, Xs[:1], _flow_row)
-    eye = np.eye(g.shape[0])
+    eye = np.eye(g.shape[-1])
     matrix_of = sys.alg.matrix_of
-    V = np.empty((4, min(nsteps, BLOCK_ROWS), len(pt0.X)))
+    V = np.empty((4, min(nsteps, BLOCK_ROWS)) + pt0.X.shape)
     fiber = _callback_fiber if callable(field) else _linear_fiber
     for lo, n in fiber(field, Xs, V, dt):
         # the factors of a step that fails the guard may overflow
@@ -675,12 +687,13 @@ def _rk4_flow(sys, pt0, t_end, dt, field):
             _prefix_products(G[lo], _newton_schulz(Phi),
                              G[lo + 1:lo + n + 1])
             Y = _mm(G[lo:lo + n], Phi)
-            drift = np.abs(_mm(_adjoint(Y), Y) - eye).max(axis=(1, 2))
+            drift = np.abs(_mm(_adjoint(Y), Y) - eye).max(axis=(-2, -1))
         bad = ~(drift <= DRIFT_LIMIT)
         if bad.any():
-            k = np.argmax(bad)
-            raise RuntimeError(f"unitarity drift {drift[k]:.2e} exceeds "
-                               f"limit at step {lo + k}")
+            k, *b = idx = _first(bad)
+            row = "".join(f" in batch row {r}" for r in b)
+            raise RuntimeError(f"unitarity drift {drift[idx]:.2e}{row} "
+                               f"exceeds limit at step {lo + k}")
         G[lo + 1:lo + n + 1] = _divide_det_phase(
             _newton_schulz(G[lo + 1:lo + n + 1]))
     _check_stack(sys, G, Xs)
@@ -741,23 +754,25 @@ def _linear_fiber(A, Xs, V, dt):
 
 
 def _prefix_products(g, Psi, out):
-    """out[k] = g Psi_0 ... Psi_k for a stack Psi of n factors, by a
+    """out[k] = g Psi_0 ... Psi_k for a stack Psi of n factors (or row
+    by row of a batch: g of shape (B, N, N), Psi (n, B, N, N)), by a
     two-level scan (Blelloch 1990): the factors, padded with identities,
     fall into runs of L = ceil(sqrt(n)); the runs' partial products P are
     taken side by side, the carries C_i = C_{i-1} (total of run i-1) from
     C_0 = g, and out = C_i P[i, j] in one stacked product (_mm).  The
     runs' products (sqrt(n) matrices at a time) and the carries (one at
     a time) are small enough that numpy's matmul is the faster there."""
-    n, N = Psi.shape[:2]
+    n, factor = len(Psi), Psi.shape[1:]
     L = math.isqrt(n - 1) + 1
-    P = np.concatenate([Psi, np.broadcast_to(np.eye(N), (-n % L, N, N))])
-    P = P.reshape(-1, L, N, N)
+    P = np.concatenate([Psi, np.broadcast_to(np.eye(Psi.shape[-1]),
+                                             (-n % L,) + factor)])
+    P = P.reshape((-1, L) + factor)
     for j in range(1, L):
         np.matmul(P[:, j - 1], P[:, j], out=P[:, j])
     C = [g]
     for total in P[:-1, -1]:
         C.append(C[-1] @ total)
-    out[:] = _mm(np.array(C)[:, None], P).reshape(-1, N, N)[:n]
+    out[:] = _mm(np.array(C)[:, None], P).reshape((-1,) + factor)[:n]
 
 
 def _newton_schulz(M):
@@ -767,28 +782,32 @@ def _newton_schulz(M):
     return _mm(M, 1.5 * np.eye(M.shape[-1]) - 0.5 * _mm(_adjoint(M), M))
 
 
-def _flow_row(row):
-    """Where row ``row`` of a flow's stack is, for its checks."""
-    return "the initial point" if row == 0 else f"step {row - 1}"
+def _flow_row(row, *batch_row):
+    """Where row ``row`` of a flow's stack is, for its checks, and in
+    which row of a batch of flows."""
+    at = "the initial point" if row == 0 else f"step {row - 1}"
+    return at + "".join(f" of batch row {b}" for b in batch_row)
 
 
 def _check_stack(sys, G, X):
-    """GroupElement's and PhasePoint's checks on every row of a flow, in
-    blocks of BLOCK_ROWS rows; a failure names its row (_flow_row)."""
+    """GroupElement's and PhasePoint's checks on every row of a flow, or
+    of a batch of flows, in blocks of BLOCK_ROWS rows; a failure names
+    its row (_flow_row)."""
     for lo in range(0, len(G), BLOCK_ROWS):
         check_special_unitary(G[lo:lo + BLOCK_ROWS],
-                              lambda k: _flow_row(lo + k))
+                              lambda k, *b: _flow_row(lo + k, *b))
         _check_fiber(sys, X[lo:lo + BLOCK_ROWS],
-                     lambda k: _flow_row(lo + k))
+                     lambda k, *b: _flow_row(lo + k, *b))
 
 
 def _check_fiber(sys, X, where):
     """PhasePoint's check, the fiber supported on m (a NaN is not), on
-    every row of a stack; a failure names where(k) of its row k."""
-    bad = ~(np.abs(X[:, sys.a]) <= 1e-14).all(axis=1)
+    every row of a stack (or of a stack of batches); a failure names
+    where(k) of its row k (where(k, b) of its batch row b)."""
+    bad = ~(np.abs(X[..., sys.a]) <= 1e-14).all(axis=-1)
     if bad.any():
         raise ValueError("fiber coordinate must be supported on m "
-                         f"at {where(np.argmax(bad))}")
+                         f"at {where(*_first(bad))}")
 
 
 def closed_form_fiber(sys, pt0, t):

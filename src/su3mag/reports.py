@@ -23,7 +23,7 @@ from .certify import (CertificateReport, bracket_table_regular,
                       phi_relation_irregular, bracket_samples,
                       center_check, jacobian_rank_pi1, pi1_rank_samples,
                       a_matrix_minors, dimension_report, generator_family,
-                      couplings, NUM_TOL)
+                      couplings, NUM_TOL, _worst)
 from .scalars import Scalar
 
 
@@ -57,8 +57,10 @@ def run_verification(config):
     in a fixed order.  The phi relation, the bracket samples, the centre
     check, the pi1 ranks and the dimension ledger each draw their points
     in turn and build them as one stack (MagneticSystem.points_of), then
-    evaluate over the stack; the angle checks and the flow take their
-    points one at a time.
+    evaluate over the stack.  The angle-action pairing draws its chart
+    points in turn and pairs them as one stack (angle_action_pairing,
+    whose partner flows run as one batch per action); the other angle
+    checks and the flow take their points one at a time.
     """
     case = config["case"]
     eps = config["eps"]
@@ -193,12 +195,10 @@ def run_verification(config):
     from .angles import (chart_point, angle_action_pairing, frequency_matrix,
                          angle_angle_bracket, torus_action)
     n_angle = min(5, rank_samples)
-    worst_pair = 0.0
-    for _ in range(n_angle):
-        apt = chart_point(sys, rng)
-        pair = angle_action_pairing(sys, apt)
-        target = np.eye(2) if case == "regular" else np.array([1.0])
-        worst_pair = max(worst_pair, np.abs(pair - target).max())
+    apts = TrajectoryPoints.of(sys, [chart_point(sys, rng)
+                                     for _ in range(n_angle)])
+    target = np.eye(2) if case == "regular" else np.array([1.0])
+    worst_pair = _worst(angle_action_pairing(sys, apts) - target)
     report.add("angle_action_pairing", 0.0, worst_pair, 1e-5,
                worst_pair < 1e-5)
     if case == "irregular":

@@ -21,6 +21,11 @@
   evaluated the full field at (g, X) and projected every stage.  Unlike
   ``angles.flow_step`` it integrates any integral function, also one
   whose field depends on g;
+* ``pairing_by_points``: the angle-action pairing at one point with one
+  partner flow per action and sign, the angle difference as one
+  matrix-vector product and the rescaling by one solve or dot product,
+  which the rows of the batched ``angles.angle_action_pairing`` must
+  reproduce bit for bit;
 * ``rref_by_scalars``, ``greedy_complete_by_rank`` and
   ``monomials_by_recursion``: the exact elimination on Scalar entries with
   the first available row as pivot, the generator-basis completion by one
@@ -58,9 +63,9 @@ from itertools import chain
 import numpy as np
 
 from su3mag.algebra import GroupElement, exp_map, polar_project, regularity
-from su3mag.certify import (NUM_TOL, CertificateReport, center_family,
-                            generator_family, jacobian_rank_pi1,
-                            phase_jacobian)
+from su3mag.certify import (NUM_TOL, CertificateReport, action_functions,
+                            center_family, generator_family,
+                            jacobian_rank_pi1, phase_jacobian)
 from su3mag.invariants import (independence_rank, numeric_rank,
                                radial_generator, restrict_shift,
                                torus_generators)
@@ -258,6 +263,31 @@ def stage_projected_flow_step(fn, sys, pt, h, nsteps=1):
         g = polar_project(g + h / 6.0 * (k1g + 2 * k2g + 2 * k3g + k4g))
         X = X + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
     return PhasePoint(sys, GroupElement(g), X)
+
+
+def pairing_by_points(sys, pt):
+    """{phi~_i, J_j}_eps at one point: per action, the flow_step of the
+    point alone by +h and by -h, the angle difference L d as one
+    matrix-vector product, and the rescaling by a solve against Omega
+    (regular) or a dot product with Omega/|Omega|^2 (irregular)."""
+    from su3mag.angles import (PAIRING_FLOW_STEP, angle_map_matrix,
+                               flow_step, frequency_matrix, root_phases,
+                               _nearest_branch)
+    h = PAIRING_FLOW_STEP
+    th0 = root_phases(sys, pt)
+    L = angle_map_matrix(sys)
+    Om = frequency_matrix(sys, pt)
+    cols = []
+    for J in action_functions(sys):
+        th_p = root_phases(sys, flow_step(J, sys, pt, h, nsteps=4))
+        th_m = root_phases(sys, flow_step(J, sys, pt, -h, nsteps=4))
+        dphi = L @ (_nearest_branch(th_p, th0) - _nearest_branch(th_m, th0))
+        if sys.case_tag == "regular":
+            cols.append(np.linalg.solve(Om, dphi) / (8.0 * h))
+        else:
+            cols.append(np.array([float((Om / float(Om @ Om)) @ dphi)])
+                        / (8.0 * h))
+    return np.column_stack(cols) if len(cols) > 1 else cols[0]
 
 
 def rref_by_scalars(rows, ncols):

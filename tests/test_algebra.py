@@ -122,6 +122,61 @@ def test_group_element_refuses_a_nan_or_infinite_entry(bad, entry):
             GroupElement(M)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_exp_map_refuses_a_nan_or_infinite_argument(bad):
+    """exp_map's anti-Hermitian check is a max-abs compare that a NaN or
+    infinite entry fails: a coordinate vector, a matrix (on the diagonal
+    and off it) and one matrix of a stack each get the one ValueError,
+    with no numpy warning."""
+    import warnings
+    alg = build_su3_chevalley()
+    x = np.linspace(-0.5, 0.5, 8)
+    coords = x.copy()
+    coords[3] = bad
+    M = alg.matrix_of(x)
+    on_diag, off_diag = M.copy(), M.copy()
+    on_diag[1, 1] = bad
+    off_diag[0, 2] = bad
+    stack = np.array([M, M, off_diag])
+    for arg in (coords, on_diag, off_diag, stack):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="^exp_map requires an anti-Hermitian "
+                                     "argument$"):
+                exp_map(alg, arg)
+
+
+def _rotated_su2(mix):
+    """su(2) with two of its basis elements e_j, e_k replaced by
+    (e_j + e_k)/sqrt2 and (e_j - e_k)/sqrt2: still B-orthonormal."""
+    basis = list(build_su2().matrix_rep)
+    j, k = mix
+    r = CScalar(Scalar.sqrt2(Fraction(1, 2)))
+    plus = cmat_scale(r, cmat_add(basis[j], basis[k]))
+    minus = cmat_scale(r, cmat_sub(basis[j], basis[k]))
+    basis[j], basis[k] = plus, minus
+    return LieAlgebraSpec("rotated", ("X", "Y", "Z"), ("x", "y", "z"), basis)
+
+
+def test_coords_gather_refuses_a_basis_it_cannot_read():
+    """coords_of_matrix reads one product per diagonal entry, which needs
+    at most one nonzero entry per column of each basis matrix, purely
+    real or purely imaginary.  Rotating X into Y puts two nonzeros in a
+    column; rotating Y into Z (-i sigma1 and -i sigma2) makes entries
+    with both parts.  Each is refused by a one-line ValueError naming the
+    basis element, though both bases are B-orthonormal."""
+    with pytest.raises(ValueError,
+                       match=r"^basis element X of rotated has 2 nonzero "
+                             r"entries in column 0$"):
+        _rotated_su2((0, 1))
+    with pytest.raises(ValueError,
+                       match=r"^basis element Y of rotated has an entry "
+                             r"with both real and imaginary parts at "
+                             r"\(1, 0\)$"):
+        _rotated_su2((1, 2))
+
+
 def test_adjoint_group():
     alg = build_su3_gellmann()
     rng = np.random.default_rng(1)
@@ -295,3 +350,22 @@ def test_np_bracket_of_unit_vectors_is_a_column_of_ad():
                 # [e_i, e_j] = C_ij^. = column j of ad_i
                 assert np.array_equal(alg.np_bracket(eye[i], eye[j]),
                                       alg.ad_matrices()[i, :, j])
+
+
+def test_np_bracket_of_stacks_is_the_bracket_row_by_row():
+    """np_bracket of two stacks, or of one vector and a stack, is row by
+    row the bracket of the two vectors, bit for bit: each row is its own
+    vector-matrix product (one stacked matrix product would sum the terms
+    of a row in another order)."""
+    rng = np.random.default_rng(54)
+    for build in ALGEBRAS:
+        alg = build()
+        x, y = rng.normal(size=(2, 40, alg.dim))
+        w = rng.normal(size=alg.dim)
+        xy, wy = alg.np_bracket(x, y), alg.np_bracket(w, y)
+        assert xy.shape == wy.shape == (40, alg.dim)
+        for k in range(40):
+            assert np.array_equal(xy[k], alg.np_bracket(x[k], y[k]))
+            assert np.array_equal(wy[k], alg.np_bracket(w, y[k]))
+        grid = alg.np_bracket(x.reshape(5, 8, -1), y.reshape(5, 8, -1))
+        assert np.array_equal(grid.reshape(40, -1), xy)

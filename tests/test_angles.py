@@ -19,7 +19,8 @@ from su3mag.angles import (root_phases, torus_angles, torus_action,
                            flow_step, slice_z_values, ChartUndefined,
                            THETA_MATRIX, LEFT_INVERSE, _nearest_branch,
                            _rescale, TWO_PI)
-from oracles import phase_tangent_basis, stage_projected_flow_step
+from oracles import (pairing_by_points, phase_tangent_basis,
+                     stage_projected_flow_step)
 
 
 def test_import_builds_no_algebra():
@@ -315,6 +316,71 @@ def test_flow_step_accepts_left_invariant_functions_only():
             assert str(err.value) == ("flow_step integrates left-invariant "
                                       f"functions only, and {fn.name} is "
                                       "not one")
+
+
+def _chart_stack(sys, seeds):
+    """The chart points of the seeds, one at a time, and their stack."""
+    from su3mag.phase import TrajectoryPoints
+    pts = [chart_point(sys, np.random.default_rng(seed)) for seed in seeds]
+    return pts, TrajectoryPoints.of(sys, pts)
+
+
+@pytest.mark.parametrize("case", ["regular", "irregular"])
+@pytest.mark.parametrize("eps", [0.1, 0.5])
+def test_stacked_pairing_is_the_per_point_pairing(case, eps):
+    """angle_action_pairing over a stack of the chart points of seeds
+    30-32 (its partner flows one batch of six per action) equals the
+    per-point calls bit for bit, row by row, and so do the stacked
+    frequency matrices, angle differentials and root phases; each row is
+    also the pairing of the point with one partner flow per action and
+    sign (oracles.pairing_by_points)."""
+    sys = (su3_regular_system if case == "regular"
+           else su3_irregular_system)(eps)
+    pts, stack = _chart_stack(sys, (30, 31, 32))
+    pair = angle_action_pairing(sys, stack)
+    assert pair.shape == ((3, 2, 2) if case == "regular" else (3, 1))
+    layers = (angle_action_pairing, frequency_matrix, angle_differential,
+              root_phases)
+    for fn in layers:
+        rows = fn(sys, stack)
+        for k, pt in enumerate(pts):
+            assert np.array_equal(rows[k], fn(sys, pt)), (fn.__name__, k)
+    for k, pt in enumerate(pts):
+        assert np.array_equal(pair[k], pairing_by_points(sys, pt))
+    assert np.abs(pair - (np.eye(2) if case == "regular" else 1.0)
+                  ).max() < 1e-5
+
+
+@pytest.mark.parametrize("case", ["regular", "irregular"])
+def test_stacked_flow_step_matches_the_stage_projected_loop(case):
+    """flow_step on a stack of the chart points of seeds 30-32, each with
+    steps +1e-3 and -1e-3 (one batch of six flows): every row agrees with
+    the loop that projected every stage as the per-point flow does (the
+    actions and a moment coordinate within 1e-8 after 4 steps), and is
+    bit for bit the per-point flow_step of its point and step."""
+    from su3mag.phase import TrajectoryPoints
+    sys = (su3_regular_system if case == "regular"
+           else su3_irregular_system)(0.1)
+    P5 = moment_coordinate(sys, 4)
+    pts, stack = _chart_stack(sys, (30, 31, 32))
+    rows = TrajectoryPoints.of(sys, pts + pts)
+    steps = np.repeat([1e-3, -1e-3], len(pts))
+    for fn in action_functions(sys):
+        moved = flow_step(fn, sys, rows, steps, nsteps=4)
+        assert len(moved) == 6
+        for k, (pt, h) in enumerate(zip(pts + pts, steps)):
+            new = moved[k]
+            old = stage_projected_flow_step(fn, sys, pt, h, nsteps=4)
+            for f in (*action_functions(sys), P5):
+                assert abs(f.value(new) - f.value(old)) < 1e-8, \
+                    (k, fn.name, f.name)
+            assert np.abs(new.g.matrix - old.g.matrix).max() < 1e-8
+            assert np.abs(new.X - old.X).max() < 1e-8
+            alone = flow_step(fn, sys, pt, h, nsteps=4)
+            assert np.array_equal(new.g.matrix, alone.g.matrix)
+            assert np.array_equal(new.X, alone.X)
+    with pytest.raises(ValueError, match="steps of one size"):
+        flow_step(action_functions(sys)[0], sys, stack, [1e-3, 2e-3, 1e-3])
 
 
 def test_a_partner_step_too_coarse_for_the_drift_guard_raises():

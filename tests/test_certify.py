@@ -280,6 +280,39 @@ def test_regular_c3_deviation_states_the_computed_rewrite():
     assert "with 48 w alone is only valid in the eps->0 limit" in sentence
 
 
+def test_regular_c2_deviation_states_the_computed_rewrite():
+    """The regular known_deviations sentence on Res_W(C2) states its
+    rewrite in the table-normalized generators, 4(u1+u2+u3) + eps^2/2,
+    as rewrite_in_generators computes it."""
+    from fractions import Fraction
+    from su3mag.invariants import restrict_shift
+    sys = su3_regular_system(0.1)
+    u, v, w = torus_generators(sys.alg)
+    gens = [("u1", u[0], 2), ("u2", u[1], 2), ("u3", u[2], 2),
+            ("v", v, 3), ("w", w, 3)]
+    r2 = rewrite_in_generators(restrict_shift(sys.casimirs()[0], sys), gens)
+    u1, u2, u3, eps = (Polynomial.var(r2.vars, n)
+                       for n in ("u1", "u2", "u3", "eps"))
+    assert (r2 - (4 * (u1 + u2 + u3) + eps ** 2 * Fraction(1, 2))).is_zero()
+    sentence = reports.KNOWN_DEVIATIONS["regular"][1]
+    assert sentence.startswith("Res_W(C2) = 4(u1+u2+u3) + eps^2/2 in the "
+                               "table-normalized generators;")
+
+
+def test_irregular_c3_deviation_states_the_computed_rewrite():
+    """The irregular known_deviations sentence on Res_W(C3) states its
+    rewrite in the one slice generator R, -3 eps (2 eps^2 + R), as
+    rewrite_in_generators computes it."""
+    from su3mag.invariants import restrict_shift
+    sys = su3_irregular_system(0.1)
+    r3 = rewrite_in_generators(restrict_shift(sys.casimirs()[1], sys),
+                               [("R", radial_generator(sys), 2)])
+    R, eps = (Polynomial.var(r3.vars, n) for n in ("R", "eps"))
+    assert (r3 - (-3 * eps * (2 * eps ** 2 + R))).is_zero()
+    sentence = reports.KNOWN_DEVIATIONS["irregular"][1]
+    assert sentence.startswith("Res_W(C3) = -3 eps (2 eps^2 + R);")
+
+
 def test_a_matrix_minors_exact():
     sys = su3_irregular_system(0.1)
     minors = a_matrix_minors(sys)

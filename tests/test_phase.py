@@ -673,6 +673,84 @@ def test_blocked_driver_names_the_first_failing_step():
         assert calls[0] == 4 * 400
 
 
+def _batch_of_flows(seed, rows):
+    """An irregular system, a sample stack of ``rows`` regular points and
+    the geodesic's field on a batch, each row its own matrix-vector
+    product, as one point's callback would take it."""
+    sys = su3_irregular_system(0.1)
+    rng = np.random.default_rng(seed)
+    pts = sys.points_of([sys.draw_regular_point(rng) for _ in range(rows)])
+    A = -sys.eps * sys._adW
+
+    def field(X):
+        return X, np.matmul(A, X[..., None])[..., 0]
+
+    return sys, pts, field
+
+
+def test_batched_driver_rows_are_the_flows_alone():
+    """The driver's batch axis (callback producer): each row of a batch
+    of 300-step flows, across the block boundary at 256 steps, is bit
+    for bit the flow of its point alone, G and X."""
+    from su3mag.phase import _rk4_flow
+    sys, pts, field = _batch_of_flows(52, 5)
+    G, X = _rk4_flow(sys, pts, 0.3, 1e-3, field)
+    assert G.shape == (301, 5, 3, 3) and X.shape == (301, 5, sys.alg.dim)
+    for b in range(5):
+        G1, X1 = _rk4_flow(sys, pts[b], 0.3, 1e-3, field)
+        assert np.array_equal(G[:, b], G1) and np.array_equal(X[:, b], X1)
+
+
+def test_batched_driver_names_the_step_and_the_row():
+    """A field that turns NaN, or overflows, in row 2 of a batch at step
+    300 fails the drift guard there, and the error names the row and the
+    step; a NaN fiber coordinate off m in row 1 of the start, and a bad
+    group entry or fiber coordinate in one row of a batch's stack, are
+    refused naming both, with no numpy warning."""
+    import warnings
+    from su3mag.phase import TrajectoryPoints, _check_stack, _rk4_flow
+    sys, pts, field = _batch_of_flows(53, 4)
+    for bad in (np.nan, 1e200):
+        calls = [0]
+
+        def faulty(X):
+            calls[0] += 1  # four stages per step
+            scale = np.ones((len(X), 1))
+            if calls[0] > 4 * 300:
+                scale[2] = bad
+            v, F = field(X)
+            return scale * v, F
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError,
+                               match=" in batch row 2 exceeds limit at step "
+                                     "300$"):
+                _rk4_flow(sys, pts, 0.4, 1e-3, faulty)
+    X0 = pts.X.copy()
+    X0[1, sys.a[0]] = np.nan
+    with pytest.raises(ValueError, match="supported on m at the initial "
+                                         "point of batch row 1$"):
+        _rk4_flow(sys, TrajectoryPoints(sys, pts.G, X0), 0.4, 1e-3, field)
+    G, X = _rk4_flow(sys, pts, 0.4, 1e-3, field)
+    for row, b, where in ((0, 3, "the initial point"), (17, 2, "step 16"),
+                          (300, 1, "step 299")):
+        for bad in (np.nan, np.inf):
+            G1 = G.copy()
+            G1[row, b, 1, 2] = bad
+            X1 = X.copy()
+            X1[row, b, sys.a[1]] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"not unitary within "
+                                   f"tolerance at {where} of batch row "
+                                   f"{b}$"):
+                    _check_stack(sys, G1, X)
+                with pytest.raises(ValueError, match=f"supported on m at "
+                                   f"{where} of batch row {b}$"):
+                    _check_stack(sys, G, X1)
+
+
 def test_step_factor_projection_commutes_with_a_unitary_g():
     """g Psi with Psi = _newton_schulz(Phi) equals the Newton-Schulz step
     of g Phi, Y - 1/2 Y (Y* Y - I) for Y = g Phi, within 1e-15 at
@@ -977,6 +1055,114 @@ def test_coords_of_matrix_matches_trace_and_solve():
                       Mx, Me, Mx @ Me - Me @ Mx):
                 assert np.array_equal(alg.coords_of_matrix(M),
                                       _reference_coords_of_matrix(alg, M))
+
+
+def _matmul_trace_coords(alg, M):
+    """The batched product over the basis and its trace: the route that
+    coords_of_matrix's gather replaced."""
+    prods = M[..., None, :, :] @ alg._np_basis
+    return -0.5 * np.trace(prods, axis1=-2, axis2=-1).real
+
+
+def _same_bits(a, b):
+    """Equal shapes and equal bit patterns (so also the signs of zeros)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+def _sparse_matrices(rng, n, N):
+    """n random complex N x N matrices with about half their entries
+    zero, some of those with negative zero parts."""
+    M = rng.normal(size=(n, N, N)) + 1j * rng.normal(size=(n, N, N))
+    zero = rng.random(M.shape) < 0.5
+    M[zero] = 0.0
+    M.real[zero & (rng.random(M.shape) < 0.4)] = -0.0
+    M.imag[zero & (rng.random(M.shape) < 0.4)] = -0.0
+    return M
+
+
+@pytest.mark.parametrize("build", ["gellmann", "chevalley", "su2"])
+def test_coords_of_matrix_is_the_trace_bit_for_bit(build):
+    """The gather gives the bits of the batched product and trace, the
+    signs of zeros included, and the values of the trace-and-solve
+    oracle, as a C-ordered array: for a stack of sparse matrices, for
+    each matrix alone, for a transposed view and for a stack broadcast
+    along a new axis (g[..., None], as the moment images pass it)."""
+    from su3mag.algebra import build_su2, build_su3_chevalley, \
+        build_su3_gellmann, _adjoint
+    alg = {"gellmann": build_su3_gellmann, "chevalley": build_su3_chevalley,
+           "su2": build_su2}[build]()
+    rng = np.random.default_rng(49)
+    N = alg._np_basis.shape[1]
+    M = _sparse_matrices(rng, 60, N)
+    x = rng.uniform(-1, 1, (20, alg.dim))
+    x[rng.random(x.shape) < 0.3] = 0.0
+    Mx = alg.matrix_of(x)
+    M = np.concatenate([M, Mx, Mx[:10] @ Mx[10:] - Mx[10:] @ Mx[:10]])
+    new = alg.coords_of_matrix(M)
+    assert new.flags.c_contiguous
+    assert _same_bits(new, _matmul_trace_coords(alg, M))
+    for row, one in zip(new, M):
+        assert _same_bits(alg.coords_of_matrix(one), row)
+        assert np.array_equal(row, _reference_coords_of_matrix(alg, one))
+    view = _adjoint(M)
+    assert _same_bits(alg.coords_of_matrix(view),
+                      _matmul_trace_coords(alg, view))
+    spread = np.broadcast_to(M[:, None], (len(M), 3, N, N))
+    out = alg.coords_of_matrix(spread)
+    assert out.flags.c_contiguous and out.shape == (len(M), 3, alg.dim)
+    assert _same_bits(out, np.broadcast_to(new[:, None], out.shape))
+
+
+@pytest.mark.parametrize("case", ["regular", "irregular"])
+def test_moment_images_keep_their_bits_under_the_gather(case, monkeypatch):
+    """The (n, 2 dim m, 3, 3) stack of products g M(S) g* that
+    _moment_images builds, read by the gather, has the bits of the
+    batched product and trace; and so do the moment coordinates and
+    images of a sample, computed afresh with the old route patched in."""
+    from su3mag.algebra import LieAlgebraSpec, _adjoint
+    from su3mag.phase import TrajectoryPoints
+    sys = (su3_regular_system if case == "regular"
+           else su3_irregular_system)(0.3)
+    rng = np.random.default_rng(50)
+    pts = sys.points_of([sys.draw_regular_point(rng) for _ in range(12)])
+    g = pts.G[:, None]
+    M = g @ sys.alg.matrix_of(pts.fiber_images) @ _adjoint(g)
+    assert M.shape == (12, 2 * len(sys.m), 3, 3)
+    out = sys.alg.coords_of_matrix(M)
+    assert out.flags.c_contiguous
+    assert _same_bits(out, _matmul_trace_coords(sys.alg, M))
+    images, coords = pts.moment_images, pts.moment_coords
+    with monkeypatch.context() as mp:
+        mp.setattr(LieAlgebraSpec, "coords_of_matrix", _matmul_trace_coords)
+        old = TrajectoryPoints(sys, pts.G, pts.X)
+        assert _same_bits(images, old.moment_images)
+        assert _same_bits(coords, old.moment_coords)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.inf])
+def test_coords_of_a_nan_or_infinite_entry_are_a_row_of_nans(bad):
+    """A matrix with a NaN or infinite entry anywhere, also where the
+    gather reads nothing, gives a row of NaNs, as the product and trace
+    do; the other rows of its stack keep their bits."""
+    import warnings
+    from su3mag.algebra import build_su2, build_su3_chevalley, \
+        build_su3_gellmann
+    rng = np.random.default_rng(51)
+    for alg in (build_su3_gellmann(), build_su3_chevalley(), build_su2()):
+        N = alg._np_basis.shape[1]
+        good = _sparse_matrices(rng, 3, N)
+        for entry in np.ndindex(N, N):
+            M = good.copy()
+            M[(1,) + entry] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                out = alg.coords_of_matrix(M)
+                assert np.isnan(_matmul_trace_coords(alg, M[1])).all()
+                assert np.isnan(alg.coords_of_matrix(M[1])).all()
+            assert np.isnan(out[1]).all(), (alg.name, entry)
+            assert _same_bits(out[[0, 2]], alg.coords_of_matrix(good[[0, 2]]))
 
 
 def _reference_center_check(sys, rng, samples):
