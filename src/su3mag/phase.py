@@ -213,8 +213,7 @@ class PhasePoint:
 
     @classmethod
     def prevalidated(cls, sys, g, X):
-        """The point (g, X) from arrays whose checks have already passed,
-        or the point (I, X) of a partner flow's RK4 stage fiber X."""
+        """The point (g, X) from arrays whose checks have already passed."""
         pt = cls.__new__(cls)
         pt.sys = sys
         pt.g = GroupElement.__new__(GroupElement)
@@ -497,7 +496,8 @@ def slice_bracket_symbolic(sys, theta1, theta2):
 
 class TrajectoryPoints(Sequence):
     """Read-only sequence of PhasePoints over stacked arrays: the points
-    of a flow, or of a sample (MagneticSystem.points_of).
+    of a flow, of a sample (MagneticSystem.points_of), or the RK4 stage
+    points (I, X) of a batch of partner flows (angles.flow_step).
 
     G has shape (n, N, N) and X shape (n, dim); for a flow, row k is the
     point after k steps.  The stack is validated once, by integrate_flow
