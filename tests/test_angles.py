@@ -339,14 +339,13 @@ def test_stacked_pairing_is_the_per_point_pairing(case, eps):
     pts, stack = _chart_stack(sys, (30, 31, 32))
     pair = angle_action_pairing(sys, stack)
     assert pair.shape == ((3, 2, 2) if case == "regular" else (3, 1))
-    layers = (angle_action_pairing, frequency_matrix, angle_differential,
-              root_phases)
-    for fn in layers:
+    for k, pt in enumerate(pts):
+        assert np.array_equal(pair[k], angle_action_pairing(sys, pt))
+        assert np.array_equal(pair[k], pairing_by_points(sys, pt))
+    for fn in (frequency_matrix, angle_differential, root_phases):
         rows = fn(sys, stack)
         for k, pt in enumerate(pts):
             assert np.array_equal(rows[k], fn(sys, pt)), (fn.__name__, k)
-    for k, pt in enumerate(pts):
-        assert np.array_equal(pair[k], pairing_by_points(sys, pt))
     assert np.abs(pair - (np.eye(2) if case == "regular" else 1.0)
                   ).max() < 1e-5
 
