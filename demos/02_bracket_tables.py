@@ -33,7 +33,7 @@ u, v, w = torus_generators(sys.alg)
 fns = {"u1": SlicePullback(u[0], name="u1"),
        "v": SlicePullback(v, name="v")}
 pt = sys.random_regular_point(rng)
-vals = {"u1": fns["u1"].value(pt), "v": fns["v"].value(pt)}
+vals = {"u1": fns["u1"].values(pt), "v": fns["v"].values(pt)}
 omega_val = twisted_bracket(sys, fns["u1"], fns["v"], pt)
 gen_point = [float(q.evaluate(pt.xi[sys.m])) for q in (u[0], u[1], u[2], v, w)]
 closed = float(table.entries[("u1", "v")].evaluate(gen_point + [sys.eps]))

@@ -39,7 +39,7 @@ for make, label in ((su3_regular_system, "regular  SU(3)/T"),
     # the fiber at every 200th step against the Lax form, as one stack
     errX = np.abs(traj.points[::200].X
                   - closed_form_fiber(sys, pt, traj.times[::200])).max()
-    errG = max(np.abs(traj.points[i].g.matrix
+    errG = max(np.abs(traj.points[i].G
                       - closed_form_group(sys, pt, traj.times[i])).max()
                for i in range(0, len(traj.points), 200))
     print(f"  fiber vs Lax closed form: {errX:.2e}")

@@ -315,9 +315,6 @@ class GroupElement:
         check_special_unitary(M)
         self.matrix = M
 
-    def __matmul__(self, other):
-        return GroupElement(self.matrix @ other.matrix)
-
 
 def identity_element(dim=3):
     return GroupElement(np.eye(dim, dtype=complex))

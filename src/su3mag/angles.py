@@ -26,11 +26,11 @@ along the integrated partner flow, an independent check that Omega is the
 true frequency.
 
 The pairing layer (root_phases, angle_differential, frequency_matrix,
-flow_step and angle_action_pairing) takes a PhasePoint or a stack of
-points (TrajectoryPoints), row by row: a single point is the one-row
-case, and row k of a stack is bit for bit the value at point k.  The
-pairing integrates the partner flows of all its points, both signs of
-the step, as one batch of the RK4 driver per action.
+flow_step and angle_action_pairing) takes a point or a stack of points
+(PhasePoint), row by row: a single point is the one-row case, and row
+k of a stack is bit for bit the value at point k.  The pairing
+integrates the partner flows of all its points, both signs of the
+step, as one batch of the RK4 driver per action.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ import math
 import numpy as np
 
 from .algebra import exp_map
-from .phase import (PhasePoint, TrajectoryPoints, basis_bracket,
-                    hamiltonian_vector_field, slice_z_values,
-                    _fiber_velocity, _invariant_under, _rk4_flow)
+from .phase import (PhasePoint, basis_bracket, hamiltonian_vector_field,
+                    slice_z_values, _fiber_velocity, _invariant_under,
+                    _rk4_flow)
 from .certify import action_functions, phase_jacobian
 
 TWO_PI = 2.0 * math.pi
@@ -151,10 +151,10 @@ def flow_step(fn, sys, pt, h, nsteps=1):
     left-invariant integral function, on the driver (_rk4_flow) of
     integrate_flow: its group reconstruction and drift guard.
 
-    pt is a PhasePoint, or a stack of B points (TrajectoryPoints) with h
-    one step or B steps of one size |h|, one per row; the result is then
-    the stack of the B moved points.  The stack's flows run side by side
-    as one batch of the driver, and a PhasePoint is its one-row case.
+    pt is a point, or a stack of B points with h one step or B steps of
+    one size |h|, one per row; the result is then the stack of the B
+    moved points.  The stack's flows run side by side as one batch of
+    the driver, and a single point runs as one flow.
 
     The field of a left-invariant function does not depend on g, so the
     driver gets it at g = I, as a callback that its callback producer
@@ -166,23 +166,20 @@ def flow_step(fn, sys, pt, h, nsteps=1):
     if not _left_invariant(fn, sys.alg):
         raise ValueError(f"flow_step integrates left-invariant functions "
                          f"only, and {fn.name} is not one")
-    single = isinstance(pt, PhasePoint)
-    pts = TrajectoryPoints.of(sys, [pt]) if single else pt
-    h = np.broadcast_to(np.asarray(h, dtype=float), (len(pts),))
-    dt = abs(h[0])
+    h = np.broadcast_to(np.asarray(h, dtype=float), pt.X.shape[:-1])
+    dt = abs(h.flat[0])
     if np.any(np.abs(h) != dt):
         raise ValueError("flow_step takes steps of one size |h|")
-    sign = np.where(h >= 0, 1.0, -1.0)[:, None]  # |h| steps of -field
-    eye = np.broadcast_to(np.eye(3, dtype=complex), (len(pts), 3, 3))
+    sign = np.where(h >= 0, 1.0, -1.0)[..., None]  # |h| steps of -field
+    eye = np.broadcast_to(np.eye(3, dtype=complex), pt.G.shape)
 
     def field(X):
-        p = TrajectoryPoints(sys, eye, X)
+        p = PhasePoint.prevalidated(sys, eye, X)
         v, w = hamiltonian_vector_field(fn, sys, p)
         return sign * v, sign * _fiber_velocity(sys, p, v, w)
 
-    G, X = _rk4_flow(sys, pts, nsteps * dt, dt, field)
-    moved = TrajectoryPoints(sys, G[-1], X[-1])
-    return moved[0] if single else moved
+    G, X = _rk4_flow(sys, pt, nsteps * dt, dt, field)
+    return PhasePoint.prevalidated(sys, G[-1], X[-1])
 
 
 def _left_invariant(fn, alg):
@@ -202,8 +199,8 @@ def _nearest_branch(values, reference):
 
 def frequency_matrix(sys, pt):
     """Omega_{ak} = {phi_a, J_k}_eps, the angle differential bracketed
-    with the action Jacobian, at a PhasePoint or row by row at a stack
-    of points.
+    with the action Jacobian, at a point or row by row at a stack of
+    points.
 
     Shape (2, 2) in the regular case and (2,) in the irregular case (per
     row, for a stack).
@@ -228,44 +225,42 @@ def _rescale(sys, Om, phi):
 
 
 def angle_action_pairing(sys, pt):
-    """Matrix {phi~_i, J_j}_eps by central flow-differencing, at a
-    PhasePoint or row by row at a stack of B points (TrajectoryPoints),
-    one matrix per row; a PhasePoint is the one-row case, and row k is
+    """Matrix {phi~_i, J_j}_eps by central flow-differencing, at a point
+    or row by row at a stack of B points, one matrix per row; row k is
     bit for bit the pairing at point k.
 
-    Per action, one flow_step integrates the 2B partner flows, a short
-    exact step +h from each point and then -h from each, as one batch.
+    Per action, one flow_step integrates the 2B partner flows (B = 1 for
+    a single point), a short exact step +h from each point and then -h
+    from each, as one batch.
     The root phases are unwrapped against the base point and combined
     into angles, and the canonical rescaling is applied with the
     frequency matrix frozen at the base point: Omega is a function of
     the actions, which every action flow keeps, so this is exact.
     Expect the identity (regular) or 1.0 (irregular).
     """
-    single = isinstance(pt, PhasePoint)
-    pts = TrajectoryPoints.of(sys, [pt]) if single else pt
-    B = len(pts)
     h_flow = PAIRING_FLOW_STEP
-    th0 = root_phases(sys, pts)
+    th0 = root_phases(sys, pt)
     L = angle_map_matrix(sys)
-    Om = frequency_matrix(sys, pts)
-    both = TrajectoryPoints(sys, np.concatenate([pts.G, pts.G]),
-                            np.concatenate([pts.X, pts.X]))
-    steps = np.repeat([h_flow, -h_flow], B)
+    Om = frequency_matrix(sys, pt)
+    both = PhasePoint.prevalidated(
+        sys, np.stack([pt.G, pt.G]).reshape((-1,) + pt.G.shape[-2:]),
+        np.stack([pt.X, pt.X]).reshape(-1, pt.X.shape[-1]))
+    steps = np.repeat([h_flow, -h_flow], len(both) // 2)
     cols = []
     for J in action_functions(sys):
         th = root_phases(sys, flow_step(J, sys, both, steps, nsteps=4))
-        d = _nearest_branch(th[:B], th0) - _nearest_branch(th[B:], th0)
+        th = th.reshape((2,) + th0.shape)  # +h rows, then -h rows
+        d = _nearest_branch(th[0], th0) - _nearest_branch(th[1], th0)
         dphi = np.matmul(L, d[..., None])[..., 0]
         cols.append(_rescale(sys, Om, dphi) / (8.0 * h_flow))
-    pair = np.stack(cols, axis=-1) if len(cols) > 1 else cols[0]
-    return pair[0] if single else pair
+    return np.stack(cols, axis=-1) if len(cols) > 1 else cols[0]
 
 
 def angle_differential(sys, pt):
     """Differential of the torus angles over the tangent basis, shape
-    (n_angles, 2 dim m), at a PhasePoint or row by row at a stack of
-    points: d phi(d xi) = L Im(z(d xi) / z(xi)) on the live roots, one
-    column per fiber image d xi, exact since the angles read xi alone."""
+    (n_angles, 2 dim m), at a point or row by row at a stack of points:
+    d phi(d xi) = L Im(z(d xi) / z(xi)) on the live roots, one column
+    per fiber image d xi, exact since the angles read xi alone."""
     dz = slice_z_values(sys, pt.fiber_images)[..., list(live_roots(sys))]
     ratio = np.imag(dz / _live_z(sys, pt)[..., None, :])
     return angle_map_matrix(sys) @ np.swapaxes(ratio, -1, -2)

@@ -329,6 +329,15 @@ def phi_relation_irregular(sys, rng, samples=100):
 # centrality
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=2)
+def _casimir_restrictions(sys):
+    """(Res_W C2, Res_W C3) at the system's float eps, exact polynomials
+    over the m-coordinates, built once per system for center_check and
+    dimension_report."""
+    return tuple(restrict_shift(c, sys, symbolic_eps=False)
+                 for c in sys.casimirs())
+
+
 def center_check(sys, rng, samples=50):
     """R0 elements Poisson-commute with every generator; identifications hold.
 
@@ -343,8 +352,7 @@ def center_check(sys, rng, samples=50):
     gens = generator_family(sys)
     centers = center_family(sys)
     c2, c3 = sys.casimirs()
-    res2 = restrict_shift(c2, sys, symbolic_eps=False)
-    res3 = restrict_shift(c3, sys, symbolic_eps=False)
+    res2, res3 = _casimir_restrictions(sys)
     pts = sys.points_of([sys.draw_regular_point(rng)
                          for _ in range(samples)])
     worst = [_worst(twisted_bracket(sys, c, g, pts))
@@ -398,8 +406,8 @@ def bracket_samples(sys, rng, samples):
 
 def phase_jacobian(sys, fns, pt):
     """Analytic Jacobian of integral functions over the tangent basis, at
-    a PhasePoint or point by point at a stack of points (TrajectoryPoints),
-    one row per function."""
+    a point or point by point at a stack of points, one row per
+    function."""
     return np.stack([basis_differential(fn, sys, pt) for fn in fns],
                     axis=-2)
 
@@ -475,9 +483,6 @@ def dimension_report(sys, rng, samples=20):
     rank is taken over the stack."""
     report = CertificateReport(case_tag=sys.case_tag, sample_count=samples)
     n, r = sys.alg.dim, 2
-    c2, c3 = sys.casimirs()
-    res = [restrict_shift(c2, sys, symbolic_eps=False),
-           restrict_shift(c3, sys, symbolic_eps=False)]
     if sys.case_tag == "regular":
         expect = {"s": 2, "rho": 4, "trdeg_A": 10, "trdeg_R0": 2}
         u, v, w = torus_generators(sys.alg)
@@ -489,7 +494,7 @@ def dimension_report(sys, rng, samples=20):
     pts = sys.points_of([sys.draw_regular_point(rng)
                          for _ in range(samples)])
     xi_m = pts.xi[:, sys.m]
-    s_vals = independence_rank(res, xi_m).tolist()
+    s_vals = independence_rank(_casimir_restrictions(sys), xi_m).tolist()
     rho_vals = independence_rank(slice_family, xi_m).tolist()
     trA_vals = jacobian_rank_pi1(sys, pts).tolist()
     trR_vals = numeric_rank(

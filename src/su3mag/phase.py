@@ -23,7 +23,6 @@ slice_bracket_symbolic.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -124,18 +123,18 @@ class MagneticSystem:
         raise RuntimeError("failed to sample a regular phase point")
 
     def points_of(self, draws):
-        """The TrajectoryPoints stack of a list of draws, row k from draw
-        k: the seeds' matrices built one by one (matrix_of), one stacked
-        exp_map, then GroupElement's and PhasePoint's checks on the stack
-        (check_special_unitary, _check_fiber).  Row k is bit for bit the
-        point the draw gave when it was built alone."""
+        """The stack of points of a list of draws, row k from draw k: the
+        seeds' matrices built one by one (matrix_of), one stacked exp_map,
+        then PhasePoint's checks on the stack (check_special_unitary,
+        _check_fiber).  Row k is bit for bit the point the draw gave when
+        it was built alone."""
         seeds, X = zip(*draws)
         G = exp_map(self.alg, np.array([self.alg.matrix_of(s)
                                          for s in seeds]))
         X = np.array(X)
         check_special_unitary(G, lambda k: f"sample {k}")
         _check_fiber(self, X, lambda k: f"sample {k}")
-        return TrajectoryPoints(self, G, X)
+        return PhasePoint.prevalidated(self, G, X)
 
     def random_point(self, rng):
         """A phase point with fiber coordinates uniform in [-1, 1]: the
@@ -188,42 +187,55 @@ def su3_irregular_system(eps):
 
 
 class PhasePoint:
-    """(g, X) with X a full coordinate vector supported on m.
+    """(g, X) with X a full coordinate vector supported on m, or a stack
+    of such points: G of shape (..., N, N) and X of shape (..., dim).
+
+    The constructor checks g (check_special_unitary, unless g is a
+    GroupElement, checked when it was built) and X (_check_fiber); a
+    stack of checked arrays skips them (prevalidated).  Every routine
+    that reads points takes a stack, row by row, and a single point is
+    its one-row case.  Indexing a stack gives the point of a row over
+    views of its arrays, and slicing gives a stack.
 
     The shifted fiber, the moment coordinates and the images of the
-    tangent basis are memos of this point alone: every operation that
-    makes a new point makes a new PhasePoint, which builds its own.
+    tangent basis are memos, each computed once over the whole stack:
+    row k is bit for bit the memo of the point of row k.  Every operation
+    that makes a new point makes a new PhasePoint, which builds its own.
     """
 
-    __slots__ = ("sys", "g", "X", "_xi", "_moment", "_dX", "_dP")
+    __slots__ = ("sys", "G", "X", "_xi", "_moment", "_dX", "_dP")
 
     def __init__(self, sys, g, X):
-        if not isinstance(g, GroupElement):
-            g = GroupElement(g)
+        G = g.matrix if isinstance(g, GroupElement) else GroupElement(g).matrix
         X = np.asarray(X, dtype=float)
-        if np.any(~(np.abs(X[sys.a]) <= 1e-14)):
-            raise ValueError("fiber coordinate must be supported on m")
-        self.sys = sys
-        self.g = g
-        self.X = X
-        self._xi = None
-        self._moment = None
-        self._dX = None
-        self._dP = None
+        _check_fiber(sys, X)
+        self.sys, self.G, self.X = sys, G, X
+        self._xi = self._moment = self._dX = self._dP = None
 
     @classmethod
-    def prevalidated(cls, sys, g, X):
-        """The point (g, X) from arrays whose checks have already passed."""
+    def prevalidated(cls, sys, G, X):
+        """The point or stack (G, X) from arrays whose checks have
+        already passed: a sample (MagneticSystem.points_of), a flow
+        (integrate_flow) or the stage points of flow_step."""
         pt = cls.__new__(cls)
-        pt.sys = sys
-        pt.g = GroupElement.__new__(GroupElement)
-        pt.g.matrix = g
-        pt.X = X
-        pt._xi = None
-        pt._moment = None
-        pt._dX = None
-        pt._dP = None
+        pt.sys, pt.G, pt.X = sys, G, X
+        pt._xi = pt._moment = pt._dX = pt._dP = None
         return pt
+
+    @classmethod
+    def of(cls, sys, points):
+        """The stack of a sequence of points, row k from points[k]."""
+        return cls.prevalidated(sys, np.array([p.G for p in points]),
+                                np.array([p.X for p in points]))
+
+    def __len__(self):
+        # the rows of a stack; X[..., 0] of a single point is a number,
+        # which has no length
+        return len(self.X[..., 0])
+
+    def __getitem__(self, idx):
+        range(len(self))[idx]  # refuses a bad row, and a single point
+        return PhasePoint.prevalidated(self.sys, self.G[idx], self.X[idx])
 
     @property
     def xi(self):
@@ -236,13 +248,12 @@ class PhasePoint:
     def moment_coords(self):
         """Coordinates of Ad(g)(X - eps W)."""
         if self._moment is None:
-            self._moment = _adjoint_coords(self.sys.alg, self.g.matrix,
-                                           self.xi)
+            self._moment = _adjoint_coords(self.sys.alg, self.G, self.xi)
         return self._moment
 
     # The images of the tangent basis, one row per direction: the 2 dim(m)
     # directions (v, w) are (e_j, 0) and then (0, e_j), for j in m.  Each
-    # memo is a few whole-array operations, built once per point.
+    # memo is a few whole-array operations, built once per point or stack.
 
     @property
     def fiber_images(self):
@@ -257,7 +268,7 @@ class PhasePoint:
         """dP = Ad(g)([v, xi] + dX) of each tangent basis direction
         (_moment_images)."""
         if self._dP is None:
-            self._dP = _moment_images(self.sys, self.g.matrix, self.xi,
+            self._dP = _moment_images(self.sys, self.G, self.xi,
                                       self.fiber_images)
         return self._dP
 
@@ -269,7 +280,7 @@ class PhasePoint:
         MX = alg.matrix_of(self.X)
         Xn = alg.coords_of_matrix(a.matrix.conj().T @ MX @ a.matrix)
         Xn[self.sys.a] = 0.0
-        return PhasePoint(self.sys, self.g @ a, Xn)
+        return PhasePoint(self.sys, self.G @ a.matrix, Xn)
 
 
 def _adjoint_coords(alg, g, coords):
@@ -310,11 +321,9 @@ class MomentPullback:
         self.h = h
         self.name = name or f"P*({h.text()})"
 
-    def value(self, pt):
-        return self.h.evaluate(pt.moment_coords)
-
-    def values(self, points):
-        return self.h.evaluate_stack(points.moment_coords)
+    def values(self, pt):
+        """f at a point, a float, or row by row at a stack (_evaluate)."""
+        return _evaluate(self.h, pt.moment_coords)
 
 
 def moment_coordinate(sys, i):
@@ -337,22 +346,26 @@ class SlicePullback:
         self.theta = theta  # over the m-coordinate names
         self.name = name or f"pi*({theta.text()})"
 
-    def value(self, pt):
-        m = pt.sys.m
-        return self.theta.evaluate(pt.xi[m])
+    def values(self, pt):
+        """f at a point, a float, or row by row at a stack (_evaluate)."""
+        return _evaluate(self.theta, pt.xi[..., pt.sys.m])
 
-    def values(self, points):
-        return self.theta.evaluate_stack(points.xi[:, points.sys.m])
+
+def _evaluate(poly, x):
+    """poly at a point x, a float, or row by row at a stack of points:
+    Polynomial.evaluate_stack of the rows, whose one-row case is
+    Polynomial.evaluate (``[()]`` reads a 0-d result as its number)."""
+    return poly.evaluate_stack(
+        x.reshape(-1, x.shape[-1])).reshape(x.shape[:-1])[()]
 
 
 def integral_values(points, functions):
-    """Array whose entry [k, j] is functions[j].value(points[k]).
+    """Array whose entry [k, j] is functions[j].values(points[k]).
 
-    ``points`` is a TrajectoryPoints: each function's ``values`` reads
-    the shifted fibers and moment coordinates of every row, computed once
-    over the whole stack, and evaluates its polynomial over the rows
-    (Polynomial.evaluate_stack, whose one-row case ``value`` is), in
-    blocks of BLOCK_ROWS rows.
+    ``points`` is a stack: each function's ``values`` reads the shifted
+    fibers and moment coordinates of every row, computed once over the
+    whole stack, and evaluates its polynomial over the rows, in blocks of
+    BLOCK_ROWS rows.
     """
     out = np.empty((len(points), len(functions)))
     for lo in range(0, len(points), BLOCK_ROWS):
@@ -385,8 +398,8 @@ def differential(fn, sys, pt, v, w):
 
 
 def basis_differential(fn, sys, pt):
-    """df at pt on the 2 dim(m) tangent basis directions, for a PhasePoint
-    or row by row for a stack of points (TrajectoryPoints).
+    """df at pt on the 2 dim(m) tangent basis directions, at a point or
+    row by row at a stack of points.
 
     df = images @ grad h: the point's image memos times the polynomial's
     full gradient vector (Polynomial.gradient), one matmul for a whole
@@ -420,7 +433,7 @@ def solve_field(sys, df):
 
 def hamiltonian_vector_field(fn, sys, pt):
     """Solve iota_{X_f} omega_eps = df for the tangent (v_f, w_f), at a
-    PhasePoint or row by row at a stack of points."""
+    point or row by row at a stack of points."""
     return solve_field(sys, basis_differential(fn, sys, pt))
 
 
@@ -444,8 +457,7 @@ def twisted_bracket(sys, f, h, pt):
     array: df and dh on the tangent basis, paired through the Poisson
     tensor of omega_eps (basis_bracket)."""
     df, dh = (basis_differential(fn, sys, pt)[..., None, :] for fn in (f, h))
-    out = basis_bracket(sys, df, dh)[..., 0, 0]
-    return out if out.ndim else float(out)
+    return basis_bracket(sys, df, dh)[..., 0, 0][()]
 
 
 @lru_cache(maxsize=64)
@@ -494,90 +506,13 @@ def slice_bracket_symbolic(sys, theta1, theta2):
 # flow integration
 # ---------------------------------------------------------------------------
 
-class TrajectoryPoints(Sequence):
-    """Read-only sequence of PhasePoints over stacked arrays: the points
-    of a flow, of a sample (MagneticSystem.points_of), or the RK4 stage
-    points (I, X) of a batch of partner flows (angles.flow_step).
-
-    G has shape (n, N, N) and X shape (n, dim); for a flow, row k is the
-    point after k steps.  The stack is validated once, by integrate_flow
-    or points_of (or point by point, for the stack ``of`` a PhasePoint
-    list), so a row is read as a PhasePoint without re-checking it; each
-    read builds a new one.  Slicing returns a TrajectoryPoints over views
-    of the arrays.
-
-    ``xi``, ``moment_coords``, ``fiber_images`` and ``moment_images`` are
-    the PhasePoint memos of every row, each computed once over the whole
-    stack: row k equals that memo of the PhasePoint of row k bit for bit.
-    """
-
-    def __init__(self, sys, G, X):
-        self.sys = sys
-        self.G = G
-        self.X = X
-        self._xi = None
-        self._moment = None
-        self._dX = None
-        self._dP = None
-
-    @classmethod
-    def of(cls, sys, points):
-        """``points`` itself, or the stack of a sequence of PhasePoints."""
-        if isinstance(points, cls):
-            return points
-        return cls(sys, np.array([p.g.matrix for p in points]),
-                   np.array([p.X for p in points]))
-
-    def __len__(self):
-        return len(self.X)
-
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return TrajectoryPoints(self.sys, self.G[idx], self.X[idx])
-        k = range(len(self))[idx]
-        return PhasePoint.prevalidated(self.sys, self.G[k], self.X[k])
-
-    @property
-    def xi(self):
-        """Rows X - eps W."""
-        if self._xi is None:
-            self._xi = self.X - self.sys.eps * self.sys.W
-        return self._xi
-
-    @property
-    def moment_coords(self):
-        """Rows Ad(g)(X - eps W)."""
-        if self._moment is None:
-            self._moment = _adjoint_coords(self.sys.alg, self.G, self.xi)
-        return self._moment
-
-    @property
-    def fiber_images(self):
-        """The fiber images of each row (_fiber_images)."""
-        if self._dX is None:
-            self._dX = _fiber_images(self.sys, self.X)
-        return self._dX
-
-    @property
-    def moment_images(self):
-        """The moment images of each row (_moment_images)."""
-        if self._dP is None:
-            self._dP = _moment_images(self.sys, self.G, self.xi,
-                                      self.fiber_images)
-        return self._dP
-
-
 @dataclass
 class FlowTrajectory:
-    """A flow's times (a list of floats) and its points.
-
-    ``points`` is a TrajectoryPoints view over the stored arrays when
-    the trajectory comes from integrate_flow; any sequence of PhasePoints
-    may be assigned to it.
-    """
+    """A flow's times (a list of floats) and its points, the stack over
+    the arrays of the steps that integrate_flow builds."""
 
     times: list
-    points: Sequence
+    points: PhasePoint
     dt: float
 
 
@@ -611,13 +546,13 @@ def integrate_flow(sys, pt0, t_end, dt):
     the linear propagator (_linear_fiber) and rebuilds g from the stage
     values of X.  The X-component has the closed Lax form
     Ad(exp(-t eps W)) X0 and g the closed form of closed_form_group,
-    which the tests compare against.  The trajectory's points are a
-    TrajectoryPoints view over the arrays of the steps.
+    which the tests compare against.  The trajectory's points are the
+    stack over the arrays of the steps.
     """
     G, Xs = _rk4_flow(sys, pt0, t_end, dt, -sys.eps * sys._adW)
     times = [0.0] + [(step + 1) * dt for step in range(len(G) - 1)]
-    return FlowTrajectory(times=times, points=TrajectoryPoints(sys, G, Xs),
-                          dt=dt)
+    return FlowTrajectory(times=times,
+                          points=PhasePoint.prevalidated(sys, G, Xs), dt=dt)
 
 
 def _rk4_flow(sys, pt0, t_end, dt, field):
@@ -625,8 +560,8 @@ def _rk4_flow(sys, pt0, t_end, dt, field):
     gdot = g M(v), Xdot = F(X), for a g-free fiber field, returned as
     read-only arrays G of shape (n+1, N, N) and X of shape (n+1, dim).
 
-    With the callback producer, pt0 may also be a stack of B points (a
-    TrajectoryPoints), integrated as B flows side by side: G then has
+    With the callback producer, pt0 may also be a stack of B points,
+    integrated as B flows side by side: G then has
     shape (n+1, B, N, N) and X shape (n+1, B, dim), the batch axis after
     the step axis, and ``field`` takes and returns (B, dim) rows.  Every
     step below acts row by row on the batch axis, and the guard and the
@@ -660,13 +595,12 @@ def _rk4_flow(sys, pt0, t_end, dt, field):
       SU(3).
 
     The fiber of the initial point is checked before the first step
-    (_check_fiber), and at the end every row with the criteria of
-    GroupElement and PhasePoint (_check_stack: check_special_unitary,
-    and the fiber supported on m); a failure raises ValueError naming
-    the initial point or the step.
+    (_check_fiber), and at the end every row with PhasePoint's checks
+    (_check_stack: check_special_unitary, and the fiber supported on m);
+    a failure raises ValueError naming the initial point or the step.
     """
     nsteps = flow_steps(t_end, dt)
-    g = pt0.G if isinstance(pt0, TrajectoryPoints) else pt0.g.matrix
+    g = pt0.G
     G = np.empty((nsteps + 1,) + g.shape, dtype=complex)
     Xs = np.empty((nsteps + 1,) + pt0.X.shape)
     G[0] = g
@@ -790,9 +724,9 @@ def _flow_row(row, *batch_row):
 
 
 def _check_stack(sys, G, X):
-    """GroupElement's and PhasePoint's checks on every row of a flow, or
-    of a batch of flows, in blocks of BLOCK_ROWS rows; a failure names
-    its row (_flow_row)."""
+    """PhasePoint's checks on every row of a flow, or of a batch of
+    flows, in blocks of BLOCK_ROWS rows; a failure names its row
+    (_flow_row)."""
     for lo in range(0, len(G), BLOCK_ROWS):
         check_special_unitary(G[lo:lo + BLOCK_ROWS],
                               lambda k, *b: _flow_row(lo + k, *b))
@@ -800,14 +734,15 @@ def _check_stack(sys, G, X):
                      lambda k, *b: _flow_row(lo + k, *b))
 
 
-def _check_fiber(sys, X, where):
-    """PhasePoint's check, the fiber supported on m (a NaN is not), on
-    every row of a stack (or of a stack of batches); a failure names
-    where(k) of its row k (where(k, b) of its batch row b)."""
+def _check_fiber(sys, X, where=None):
+    """PhasePoint's check of the fiber, supported on m (a NaN is not), on
+    one fiber or every row of a stack (or of a stack of batches); with
+    ``where``, a failure names where(k) of its row k (where(k, b) of its
+    batch row b)."""
     bad = ~(np.abs(X[..., sys.a]) <= 1e-14).all(axis=-1)
     if bad.any():
-        raise ValueError("fiber coordinate must be supported on m "
-                         f"at {where(*_first(bad))}")
+        at = "" if where is None else f" at {where(*_first(bad))}"
+        raise ValueError(f"fiber coordinate must be supported on m{at}")
 
 
 def closed_form_fiber(sys, pt0, t):
@@ -825,22 +760,21 @@ def closed_form_fiber(sys, pt0, t):
         rows.append(_adjoint_coords(alg, exp_map(alg, alg.matrix_of(xs)),
                                     pt0.X))
     X = np.concatenate(rows)
-    return X if t.ndim else X[0]
+    return X.reshape(t.shape + X.shape[1:])
 
 
 def closed_form_group(sys, pt0, t):
     """g(t) = g0 exp(t (X0 - eps W)) exp(t eps W), the magnetic geodesic."""
     a = exp_map(sys.alg, t * pt0.xi)
     b = exp_map(sys.alg, t * sys.eps * sys.W)
-    return pt0.g.matrix @ a.matrix @ b.matrix
+    return pt0.G @ a.matrix @ b.matrix
 
 
 def conservation_report(sys, traj, functions, stride=1):
     """Per-function max |f(pt_t) - f(pt_0)| over every stride-th point of
     the trajectory, as Python floats; a NaN value at any of those points
     makes the drift NaN."""
-    V = integral_values(TrajectoryPoints.of(sys, traj.points[::stride]),
-                        functions)
+    V = integral_values(traj.points[::stride], functions)
     drift = np.abs(V - V[0]).max(axis=0)
     return [{"function": fn.name, "initial": first, "max_drift": d}
             for fn, first, d in zip(functions, V[0].tolist(),

@@ -15,8 +15,8 @@ from .poly import Polynomial
 from .invariants import (indecomposable_generators, restrict_shift,
                          casimir_count, radial_generator)
 from .phase import (su3_regular_system, su3_irregular_system, PhasePoint,
-                    TrajectoryPoints, integrate_flow,
-                    conservation_report, closed_form_fiber, integral_values)
+                    integrate_flow, conservation_report, closed_form_fiber,
+                    integral_values)
 from .algebra import build_su2, centralizer_of, identity_element
 from .certify import (CertificateReport, bracket_table_regular,
                       cubic_relation_check, cubic_relation_numeric,
@@ -195,8 +195,8 @@ def run_verification(config):
     from .angles import (chart_point, angle_action_pairing, frequency_matrix,
                          angle_angle_bracket, torus_action)
     n_angle = min(5, rank_samples)
-    apts = TrajectoryPoints.of(sys, [chart_point(sys, rng)
-                                     for _ in range(n_angle)])
+    apts = PhasePoint.of(sys, [chart_point(sys, rng)
+                               for _ in range(n_angle)])
     target = np.eye(2) if case == "regular" else np.array([1.0])
     worst_pair = _worst(angle_action_pairing(sys, apts) - target)
     report.add("angle_action_pairing", 0.0, worst_pair, 1e-5,
@@ -289,7 +289,7 @@ def trajectory_csv(sys, traj, functions, stride=1):
             header += [f"re_g{r}{c}", f"im_g{r}{c}"]
     header += [f"X_{name}" for name in sys.alg.coord_names]
     header += [f.name for f in functions]
-    points = TrajectoryPoints.of(sys, traj.points[::stride])
+    points = traj.points[::stride]
     G = points.G
     rows = np.column_stack([
         np.asarray(traj.times[::stride], dtype=float),

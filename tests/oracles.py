@@ -188,7 +188,7 @@ def per_direction_differential(fn, sys, pt, v, w):
     alg = sys.alg
     dX = _fiber_velocity(sys, pt, v, w)
     if fn.tag == "moment":
-        g = pt.g.matrix
+        g = pt.G
         Mdot = alg.matrix_of(alg.np_bracket(v, pt.xi) + dX)
         dP = alg.coords_of_matrix(g @ Mdot @ g.conj().T)
         P = pt.moment_coords
@@ -247,7 +247,7 @@ def stage_projected_flow_step(fn, sys, pt, h, nsteps=1):
     """RK4 along the Hamiltonian flow of fn, every stage's group factor
     polar-projected, each stage a validated PhasePoint."""
     alg = sys.alg
-    g = pt.g.matrix.copy()
+    g = pt.G.copy()
     X = pt.X.copy()
 
     def deriv(gm, Xv):

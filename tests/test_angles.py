@@ -19,6 +19,7 @@ from su3mag.angles import (root_phases, torus_angles, torus_action,
                            flow_step, slice_z_values, ChartUndefined,
                            THETA_MATRIX, LEFT_INVERSE, _nearest_branch,
                            _rescale, TWO_PI)
+from su3mag.reports import KNOWN_DEVIATIONS
 from oracles import (pairing_by_points, phase_tangent_basis,
                      stage_projected_flow_step)
 
@@ -143,6 +144,9 @@ def test_angle_action_pairing_irregular_and_normalization():
 
 
 def test_angle_angle_constant_on_torus():
+    """The regular known_deviations sentence on {phi~1, phi~2}: the
+    bracket is constant along the torus actions and an action flow, and
+    far from zero (the strict xfail below holds the vanishing claim)."""
     sys = su3_regular_system(0.1)
     rng = np.random.default_rng(7)
     pt = chart_point(sys, rng)
@@ -154,13 +158,16 @@ def test_angle_angle_constant_on_torus():
     vals.append(angle_angle_bracket(sys, flow_step(J3, sys, pt, 5e-3,
                                                    nsteps=4)))
     assert max(vals) - min(vals) < 1e-6
+    assert min(abs(v) for v in vals) > 1e-3
+    assert KNOWN_DEVIATIONS["regular"][3] == (
+        "{phi~1, phi~2} is constant on each invariant torus but not zero "
+        "for the geometric angles; only the constancy is certified.")
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "{phi~1, phi~2} is constant on each invariant torus but does not vanish "
-    "for the geometric angles phi~ = Omega^-1 phi; the vanishing claim "
-    "needs an action-dependent shear unavailable pointwise "
-    ""))
+    KNOWN_DEVIATIONS["regular"][3] + " The geometric angles are phi~ = "
+    "Omega^-1 phi; the vanishing claim needs an action-dependent shear "
+    "unavailable pointwise."))
 def test_angle_angle_bracket_vanishes_literal():
     sys = su3_regular_system(0.1)
     rng = np.random.default_rng(8)
@@ -185,7 +192,7 @@ def test_affine_advance_along_physical_flow():
             assert resid < 1e-4
         # the actions stay constant along the flow
         for J in action_functions(sys):
-            assert max(abs(J.value(p) - J.value(pts[0])) for p in pts) < 1e-8
+            assert max(abs(J.values(p) - J.values(pts[0])) for p in pts) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +226,7 @@ def _fd_angle_differential(sys, pt, h=1e-6):
         dX = _fiber_velocity(sys, pt, v, w)
         ends = []
         for s in (h, -h):
-            g = pt.g.matrix @ exp_map(alg, alg.matrix_of(v) * s).matrix
+            g = pt.G @ exp_map(alg, alg.matrix_of(v) * s).matrix
             moved = PhasePoint(sys, GroupElement(g), pt.X + s * dX)
             ends.append(_nearest_branch(root_phases(sys, moved), base))
         rows.append(angle_map_matrix(sys) @ ((ends[0] - ends[1]) / (2.0 * h)))
@@ -278,9 +285,9 @@ def test_flow_step_matches_the_stage_projected_loop(case):
                 new = flow_step(fn, sys, pt, h, nsteps=4)
                 old = stage_projected_flow_step(fn, sys, pt, h, nsteps=4)
                 for f in (*action_functions(sys), P5):
-                    assert abs(f.value(new) - f.value(old)) < 1e-8, \
+                    assert abs(f.values(new) - f.values(old)) < 1e-8, \
                         (seed, fn.name, h, f.name)
-                assert np.abs(new.g.matrix - old.g.matrix).max() < 1e-8
+                assert np.abs(new.G - old.G).max() < 1e-8
                 assert np.abs(new.X - old.X).max() < 1e-8
         with pytest.raises(ValueError, match="P5 is not one"):
             flow_step(P5, sys, pt, 1e-3, nsteps=4)
@@ -320,9 +327,8 @@ def test_flow_step_accepts_left_invariant_functions_only():
 
 def _chart_stack(sys, seeds):
     """The chart points of the seeds, one at a time, and their stack."""
-    from su3mag.phase import TrajectoryPoints
     pts = [chart_point(sys, np.random.default_rng(seed)) for seed in seeds]
-    return pts, TrajectoryPoints.of(sys, pts)
+    return pts, PhasePoint.of(sys, pts)
 
 
 @pytest.mark.parametrize("case", ["regular", "irregular"])
@@ -357,12 +363,11 @@ def test_stacked_flow_step_matches_the_stage_projected_loop(case):
     the loop that projected every stage as the per-point flow does (the
     actions and a moment coordinate within 1e-8 after 4 steps), and is
     bit for bit the per-point flow_step of its point and step."""
-    from su3mag.phase import TrajectoryPoints
     sys = (su3_regular_system if case == "regular"
            else su3_irregular_system)(0.1)
     P5 = moment_coordinate(sys, 4)
     pts, stack = _chart_stack(sys, (30, 31, 32))
-    rows = TrajectoryPoints.of(sys, pts + pts)
+    rows = PhasePoint.of(sys, pts + pts)
     steps = np.repeat([1e-3, -1e-3], len(pts))
     for fn in action_functions(sys):
         moved = flow_step(fn, sys, rows, steps, nsteps=4)
@@ -371,12 +376,12 @@ def test_stacked_flow_step_matches_the_stage_projected_loop(case):
             new = moved[k]
             old = stage_projected_flow_step(fn, sys, pt, h, nsteps=4)
             for f in (*action_functions(sys), P5):
-                assert abs(f.value(new) - f.value(old)) < 1e-8, \
+                assert abs(f.values(new) - f.values(old)) < 1e-8, \
                     (k, fn.name, f.name)
-            assert np.abs(new.g.matrix - old.g.matrix).max() < 1e-8
+            assert np.abs(new.G - old.G).max() < 1e-8
             assert np.abs(new.X - old.X).max() < 1e-8
             alone = flow_step(fn, sys, pt, h, nsteps=4)
-            assert np.array_equal(new.g.matrix, alone.g.matrix)
+            assert np.array_equal(new.G, alone.G)
             assert np.array_equal(new.X, alone.X)
     with pytest.raises(ValueError, match="steps of one size"):
         flow_step(action_functions(sys)[0], sys, stack, [1e-3, 2e-3, 1e-3])

@@ -83,6 +83,26 @@ def test_regular_bracket_table_is_built_once_per_system(monkeypatch):
     assert len(calls) == 20
 
 
+def test_casimir_restrictions_are_built_once_per_system(monkeypatch):
+    """center_check and dimension_report share one Res_W C2 and one
+    Res_W C3 per system; a fresh system builds its own."""
+    from su3mag.invariants import restrict_shift
+    calls = []
+
+    def counting(c, *args, **kwargs):
+        calls.append(c)
+        return restrict_shift(c, *args, **kwargs)
+
+    monkeypatch.setattr(certify, "restrict_shift", counting)
+    for fresh in (1, 2):
+        sys = su3_irregular_system(0.1)
+        rng = np.random.default_rng(0)
+        center_check(sys, rng, samples=2)
+        dimension_report(sys, rng, samples=2)
+        assert len(calls) == 2 * fresh
+    assert calls[2:] == list(sys.casimirs())
+
+
 def test_a_failed_bracket_table_is_not_cached(monkeypatch):
     calls = _count_slice_brackets(monkeypatch)
     sys = reports.make_system("regular", 0.1)
@@ -311,6 +331,59 @@ def test_irregular_c3_deviation_states_the_computed_rewrite():
     assert (r3 - (-3 * eps * (2 * eps ** 2 + R))).is_zero()
     sentence = reports.KNOWN_DEVIATIONS["irregular"][1]
     assert sentence.startswith("Res_W(C3) = -3 eps (2 eps^2 + R);")
+
+
+def test_u3_row_deviation_states_the_computed_entries():
+    """The regular known_deviations sentence on the u3 row states the
+    computed entries {u3,v} = u3(u2-u1) + c3 w and {u3,w} = -c3 v (c_k
+    the eps-couplings); the cyclic ansatz, the u1 row with the indices
+    moved on, gives the u2 row and these two with the sign of c3
+    flipped."""
+    sys = su3_regular_system(0.1)
+    entries = bracket_table_regular(sys).entries
+    gv = ("u1", "u2", "u3", "v", "w", "eps")
+    u = [Polynomial.var(gv, n) for n in ("u1", "u2", "u3")]
+    v, w = Polynomial.var(gv, "v"), Polynomial.var(gv, "w")
+    c = [Polynomial.var(gv, "eps", ck) for ck in couplings(sys)]
+    for k, sign in enumerate((1, 1, -1)):
+        ui, uj, ul = u[k], u[(k + 1) % 3], u[(k + 2) % 3]
+        name = f"u{k + 1}"
+        assert (entries[(name, "v")] - (ui * (ul - uj) - sign * c[k] * w)
+                ).is_zero()
+        assert (entries[(name, "w")] - sign * c[k] * v).is_zero()
+    sentence = reports.KNOWN_DEVIATIONS["regular"][0]
+    assert sentence.startswith(
+        "u3-row couplings of the invariant bracket table carry the "
+        "opposite sign to the naive cyclic ansatz ({u3,v} = u3(u2-u1) + "
+        "c3 w, {u3,w} = -c3 v);")
+
+
+def test_irregular_w_deviation_states_the_forced_hypercharge():
+    """The irregular known_deviations sentence on W: the system's W has
+    the Hermitian shadow diag(1,1,-2) up to sign and commutes with the
+    stabilizer span{e1, e2, e3, e8}, exactly; a W of the shape
+    diag(2,-1,-1) fails to commute with e1 and e2."""
+    sys = su3_irregular_system(0.1)
+    alg = sys.alg
+    assert sys.a == [0, 1, 2, 7]
+
+    def shadow(W):
+        return 1j * alg.matrix_of(np.array([float(x) for x in W]))
+
+    def commutes(W):
+        return [all(x.is_zero() for x in alg.bracket_coords(
+            [Scalar(int(t == j)) for t in range(alg.dim)], W))
+            for j in sys.a]
+
+    other = [Scalar(0)] * 2 + [Scalar(3)] + [Scalar(0)] * 4 + [Scalar.sqrt3(1)]
+    assert np.abs(shadow(sys.W_exact) + np.diag([1, 1, -2])).max() < 1e-12
+    assert np.abs(shadow(other) - 2 * np.diag([2, -1, -1])).max() < 1e-12
+    assert commutes(sys.W_exact) == [True] * 4
+    assert commutes(other) == [False, False, True, True]
+    assert reports.KNOWN_DEVIATIONS["irregular"][0] == (
+        "The Ad(A)-fixed W is the hypercharge direction diag(1,1,-2) (up to "
+        "sign); a diag(2,-1,-1) shape does not centralize this "
+        "stabilizer algebra.")
 
 
 def test_a_matrix_minors_exact():

@@ -25,7 +25,7 @@ from oracles import (adjoint_group, moment_map, moment_of_direction,
 
 def _left_translate(pt, h):
     """The point (h g, X): the left action of h on pt."""
-    return PhasePoint(pt.sys, h @ pt.g, pt.X)
+    return PhasePoint(pt.sys, h.matrix @ pt.G, pt.X)
 
 
 def test_eps_zero_rejected():
@@ -55,6 +55,16 @@ def test_moment_components_at_identity():
     pt0 = PhasePoint(sys, identity_element(), np.zeros(8))
     assert np.abs(moment_map(sys, pt0) + sys.eps * sys.W).max() < 1e-15
     assert np.abs(slice_map(sys, pt0) + sys.eps * sys.W).max() < 1e-15
+    # the irregular known_deviations sentence states these components;
+    # P3 = -eps W3 at the identity, and an e3 part of W is not
+    # centralized by e1 (exactly)
+    from su3mag.reports import KNOWN_DEVIATIONS
+    assert KNOWN_DEVIATIONS["irregular"][2].startswith(
+        "Moment components at the identity are (0,0,0,-x4,...,-x7,"
+        "sqrt3 eps) in Hermitian coordinates; a nonzero P3 would belong "
+        "to a non-centralized W.")
+    e1, e3 = ([Scalar(int(t == j)) for t in range(8)] for j in (0, 2))
+    assert not all(c.is_zero() for c in sys.alg.bracket_coords(e1, e3))
 
 
 def test_moment_equivariance_and_slice_invariance():
@@ -88,9 +98,9 @@ def test_gauge_well_definedness():
         sigma = rng.uniform(-2, 2, 2)
         a = exp_map(sys.alg, np.concatenate([sigma, np.zeros(6)]))
         pt2 = pt.right_act(a)
-        assert abs(theta.value(pt) - theta.value(pt2)) < 1e-12
-        assert abs(moment_coordinate(sys, 3).value(pt)
-                   - moment_coordinate(sys, 3).value(pt2)) < 1e-12
+        assert abs(theta.values(pt) - theta.values(pt2)) < 1e-12
+        assert abs(moment_coordinate(sys, 3).values(pt)
+                   - moment_coordinate(sys, 3).values(pt2)) < 1e-12
     # irregular case: gauge by full stabilizer elements, not just the torus
     sysI = su3_irregular_system(0.1)
     R = SlicePullback(radial_generator(sysI), name="R")
@@ -100,9 +110,9 @@ def test_gauge_well_definedness():
         coeff[[0, 1, 2, 7]] = rng.uniform(-2, 2, 4)
         a = exp_map(sysI.alg, coeff)
         pt2 = pt.right_act(a)
-        assert abs(R.value(pt) - R.value(pt2)) < 1e-12
-        assert abs(moment_coordinate(sysI, 4).value(pt)
-                   - moment_coordinate(sysI, 4).value(pt2)) < 1e-12
+        assert abs(R.values(pt) - R.values(pt2)) < 1e-12
+        assert abs(moment_coordinate(sysI, 4).values(pt)
+                   - moment_coordinate(sysI, 4).values(pt2)) < 1e-12
 
 
 def test_hvf_defining_equation():
@@ -133,10 +143,10 @@ def test_hvf_defining_equation():
                 refs.append(per_direction_differential(fn, sys, pt, v, w))
                 assert abs(lhs - rhs) < 1e-10
                 dX = -0.5 * _project_m(sys, sys.alg.np_bracket(v, pt.X)) + w
-                gp = pt.g.matrix @ _exp(sys.alg, h * v).matrix
-                gm = pt.g.matrix @ _exp(sys.alg, -h * v).matrix
-                fd = (fn.value(PhasePoint(sys, gp, pt.X + h * dX))
-                      - fn.value(PhasePoint(sys, gm, pt.X - h * dX))) / (2 * h)
+                gp = pt.G @ _exp(sys.alg, h * v).matrix
+                gm = pt.G @ _exp(sys.alg, -h * v).matrix
+                fd = (fn.values(PhasePoint(sys, gp, pt.X + h * dX))
+                      - fn.values(PhasePoint(sys, gm, pt.X - h * dX))) / (2 * h)
                 assert abs(lhs - fd) < 1e-6
             assert _agrees(np.array(dfs), np.array(refs)), fn.name
 
@@ -156,7 +166,7 @@ def test_moment_flow_realizes_bracket():
         fp = moment_of_direction(sys, etap)
         plus = stage_projected_flow_step(f, sys, pt, h)
         minus = stage_projected_flow_step(f, sys, pt, -h)
-        ddt = (fp.value(plus) - fp.value(minus)) / (2 * h)
+        ddt = (fp.values(plus) - fp.values(minus)) / (2 * h)
         comm = sys.alg.np_bracket(etap, eta)
         expect = sys.alg.np_bpair(pt.moment_coords, comm)
         assert abs(ddt - expect) < 1e-8
@@ -300,7 +310,7 @@ def test_flow_conservation_and_closed_forms():
             t = traj.times[idx]
             assert np.abs(traj.points[idx].X
                           - closed_form_fiber(sys, pt, t)).max() < 1e-10
-            assert np.abs(traj.points[idx].g.matrix
+            assert np.abs(traj.points[idx].G
                           - closed_form_group(sys, pt, t)).max() < 1e-9
         # negative control: a bare coordinate is not conserved
         bare = SlicePullback(
@@ -318,9 +328,9 @@ def test_eps_zero_flow_limit_via_small_eps():
     traj = integrate_flow(sys, pt, t_end=0.5, dt=1e-3)
     # X barely moves and g follows plain exp(tX)
     assert np.abs(traj.points[-1].X - pt.X).max() < 1e-8
-    expect = pt.g.matrix @ exp_map(sys.alg, 0.5 * pt.xi).matrix
+    expect = pt.G @ exp_map(sys.alg, 0.5 * pt.xi).matrix
     # xi = X - eps W with eps ~ 0
-    assert np.abs(traj.points[-1].g.matrix - expect).max() < 1e-7
+    assert np.abs(traj.points[-1].G - expect).max() < 1e-7
 
 
 def test_integrator_guards():
@@ -375,7 +385,7 @@ def _reference_flow(sys, pt0, t_end, dt, drift_limit=1e-8):
     def xdot(X):
         return -sys.eps * (adW @ X)
 
-    g = pt0.g.matrix.copy()
+    g = pt0.G.copy()
     X = pt0.X.copy()
     times = [0.0]
     points = [PhasePoint(sys, GroupElement(g), X.copy())]
@@ -404,7 +414,8 @@ def _reference_flow(sys, pt0, t_end, dt, drift_limit=1e-8):
         g = polar_project(g)
         times.append((step + 1) * dt)
         points.append(PhasePoint(sys, GroupElement(g), X.copy()))
-    return FlowTrajectory(times=times, points=points, dt=dt)
+    return FlowTrajectory(times=times, points=PhasePoint.of(sys, points),
+                          dt=dt)
 
 
 @pytest.mark.parametrize("case", ["regular", "irregular"])
@@ -414,7 +425,7 @@ def test_array_driver_matches_reference_loop_bit_for_bit(case):
     together and polar-projected every step, and the exports inside the
     float fixture's budget of the conservation tolerance."""
     from float_fixture import compare
-    from su3mag.phase import TrajectoryPoints, _rk4_flow
+    from su3mag.phase import _rk4_flow
     from su3mag.reports import (conservation_json, monitored_functions,
                                 trajectory_csv)
     sys = (su3_regular_system if case == "regular"
@@ -424,12 +435,12 @@ def test_array_driver_matches_reference_loop_bit_for_bit(case):
         pt = sys.random_regular_point(np.random.default_rng(seed))
         ref = _reference_flow(sys, pt, t_end=0.2, dt=1e-3)
         traj = integrate_flow(sys, pt, t_end=0.2, dt=1e-3)
-        traj.points = TrajectoryPoints(sys, *_rk4_flow(
+        traj.points = PhasePoint.prevalidated(sys, *_rk4_flow(
             sys, pt, 0.2, 1e-3, lambda X: (X, -sys.eps * (sys._adW @ X))))
         assert traj.times == ref.times and traj.dt == ref.dt
         assert len(traj.points) == len(ref.points) == 201
         for new, old in zip(traj.points, ref.points):
-            assert np.abs(new.g.matrix - old.g.matrix).max() < 1e-12
+            assert np.abs(new.G - old.G).max() < 1e-12
             assert np.array_equal(new.X, old.X)
         for stride in (1, 7):
             rows = compare(f"trajectory_{case}.csv",
@@ -490,7 +501,7 @@ def test_one_step_flow_matches_the_reference_loop(case):
     assert traj.times == ref.times == [0.0, 1e-3]
     for new, old in zip(traj.points, ref.points, strict=True):
         assert np.abs(new.X - old.X).max() < 1e-16
-        assert np.abs(new.g.matrix - old.g.matrix).max() < 2e-15
+        assert np.abs(new.G - old.G).max() < 2e-15
 
 
 def test_small_matrix_product_is_matmul():
@@ -573,7 +584,7 @@ def test_array_driver_guards(monkeypatch):
     # a fiber off m at the start is caught too
     X = pt.X.copy()
     X[sys.a[0]] = 1e-10
-    off = PhasePoint.prevalidated(sys, pt.g.matrix, X)
+    off = PhasePoint.prevalidated(sys, pt.G, X)
     with pytest.raises(ValueError, match="supported on m at the initial"):
         integrate_flow(sys, off, t_end=0.01, dt=1e-3)
 
@@ -588,8 +599,8 @@ def test_a_nan_fiber_coordinate_off_m_is_refused():
     X[sys.a[0]] = np.nan
     with pytest.raises(ValueError, match="fiber coordinate must be "
                                          "supported on m$"):
-        PhasePoint(sys, pt.g, X)
-    off = PhasePoint.prevalidated(sys, pt.g.matrix, X)
+        PhasePoint(sys, pt.G, X)
+    off = PhasePoint.prevalidated(sys, pt.G, X)
     with pytest.raises(ValueError, match="fiber coordinate must be "
                        "supported on m at the initial point$"):
         integrate_flow(sys, off, t_end=0.01, dt=1e-3)
@@ -613,7 +624,7 @@ def test_sampled_stacks_are_the_points_built_alone(case, seed):
         assert len(pts) == 7
         for p in pts:
             q = alone(sys, rng_old)
-            assert np.array_equal(p.g.matrix, q.g.matrix)
+            assert np.array_equal(p.G, q.G)
             assert np.array_equal(p.X, q.X)
         assert rng_new.random() == rng_old.random()
     for one, alone in ((sys.random_point, point_by_exp_map),
@@ -623,7 +634,7 @@ def test_sampled_stacks_are_the_points_built_alone(case, seed):
         for _ in range(3):
             p, q = one(rng_new), alone(sys, rng_old)
             assert isinstance(p, PhasePoint)
-            assert np.array_equal(p.g.matrix, q.g.matrix)
+            assert np.array_equal(p.G, q.G)
             assert np.array_equal(p.X, q.X)
         assert rng_new.random() == rng_old.random()
 
@@ -708,7 +719,7 @@ def test_batched_driver_names_the_step_and_the_row():
     group entry or fiber coordinate in one row of a batch's stack, are
     refused naming both, with no numpy warning."""
     import warnings
-    from su3mag.phase import TrajectoryPoints, _check_stack, _rk4_flow
+    from su3mag.phase import _check_stack, _rk4_flow
     sys, pts, field = _batch_of_flows(53, 4)
     for bad in (np.nan, 1e200):
         calls = [0]
@@ -731,7 +742,8 @@ def test_batched_driver_names_the_step_and_the_row():
     X0[1, sys.a[0]] = np.nan
     with pytest.raises(ValueError, match="supported on m at the initial "
                                          "point of batch row 1$"):
-        _rk4_flow(sys, TrajectoryPoints(sys, pts.G, X0), 0.4, 1e-3, field)
+        _rk4_flow(sys, PhasePoint.prevalidated(sys, pts.G, X0), 0.4, 1e-3,
+                  field)
     G, X = _rk4_flow(sys, pts, 0.4, 1e-3, field)
     for row, b, where in ((0, 3, "the initial point"), (17, 2, "step 16"),
                           (300, 1, "step 299")):
@@ -798,7 +810,6 @@ def test_newton_schulz_step_matches_the_polar_projection():
 
 
 def test_trajectory_points_view():
-    from su3mag.phase import TrajectoryPoints
     sys = su3_regular_system(0.1)
     pt = sys.random_regular_point(np.random.default_rng(6))
     traj = integrate_flow(sys, pt, t_end=0.02, dt=1e-3)
@@ -806,19 +817,24 @@ def test_trajectory_points_view():
     assert len(pts) == 21 and len(traj.times) == 21
     # a row is read as a PhasePoint over views of the stored arrays
     for k in (0, 20, -1, -21):
-        assert np.shares_memory(pts[k].g.matrix, pts.G)
+        assert np.shares_memory(pts[k].G, pts.G)
         assert np.shares_memory(pts[k].X, pts.X)
     assert np.array_equal(pts[-1].X, pts[20].X)
-    assert np.array_equal(pts[0].g.matrix, pt.g.matrix)
+    assert np.array_equal(pts[0].G, pt.G)
     assert np.array_equal(pts[0].X, pt.X)
     with pytest.raises(IndexError):
         pts[21]
+    # a single point has no rows
+    with pytest.raises(TypeError):
+        len(pt)
+    with pytest.raises(TypeError):
+        pt[0]
     # slicing gives a stack over views of the rows
     thin = pts[::5]
-    assert isinstance(thin, TrajectoryPoints) and len(thin) == 5
+    assert isinstance(thin, PhasePoint) and len(thin) == 5
     assert np.shares_memory(thin.G, pts.G) and np.shares_memory(thin.X, pts.X)
     for p, k in zip(thin, range(0, 21, 5)):
-        assert np.array_equal(p.g.matrix, pts[k].g.matrix)
+        assert np.array_equal(p.G, pts[k].G)
         assert np.array_equal(p.X, pts[k].X)
     assert np.array_equal(pts[-2:].X, pts.X[19:])
     listed = list(pts)
@@ -847,8 +863,7 @@ def test_trajectory_points_view():
         Dk = phase_jacobian(sys, fam, p)
         assert np.array_equal(D[k], Dk)
         assert np.array_equal(B[k], basis_bracket(sys, Dk[:3], Dk))
-    assert TrajectoryPoints.of(sys, pts) is pts
-    stacked = TrajectoryPoints.of(sys, listed)
+    stacked = PhasePoint.of(sys, listed)
     assert np.array_equal(stacked.G, pts.G) and np.array_equal(stacked.X, pts.X)
     # the stored arrays cannot be changed through a point
     with pytest.raises(ValueError):
@@ -985,7 +1000,7 @@ def _agrees(new, ref):
 
 def _fresh(pt):
     """The same (g, X) as a new point, with none of pt's memos."""
-    return PhasePoint.prevalidated(pt.sys, pt.g.matrix, pt.X)
+    return PhasePoint.prevalidated(pt.sys, pt.G, pt.X)
 
 
 def _oracle_functions(sys, rng):
@@ -1122,7 +1137,6 @@ def test_moment_images_keep_their_bits_under_the_gather(case, monkeypatch):
     batched product and trace; and so do the moment coordinates and
     images of a sample, computed afresh with the old route patched in."""
     from su3mag.algebra import LieAlgebraSpec, _adjoint
-    from su3mag.phase import TrajectoryPoints
     sys = (su3_regular_system if case == "regular"
            else su3_irregular_system)(0.3)
     rng = np.random.default_rng(50)
@@ -1136,7 +1150,7 @@ def test_moment_images_keep_their_bits_under_the_gather(case, monkeypatch):
     images, coords = pts.moment_images, pts.moment_coords
     with monkeypatch.context() as mp:
         mp.setattr(LieAlgebraSpec, "coords_of_matrix", _matmul_trace_coords)
-        old = TrajectoryPoints(sys, pts.G, pts.X)
+        old = PhasePoint.prevalidated(sys, pts.G, pts.X)
         assert _same_bits(images, old.moment_images)
         assert _same_bits(coords, old.moment_coords)
 

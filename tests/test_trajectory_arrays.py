@@ -14,10 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from su3mag import exp_map
-from su3mag.algebra import GroupElement
 from su3mag.certify import action_functions
-from su3mag.phase import (FlowTrajectory, PhasePoint,
-                          TrajectoryPoints, closed_form_fiber,
+from su3mag.phase import (FlowTrajectory, PhasePoint, closed_form_fiber,
                           conservation_report, integral_values,
                           integrate_flow, su3_irregular_system,
                           su3_regular_system)
@@ -35,7 +33,7 @@ SYSTEMS = {"regular": su3_regular_system, "irregular": su3_irregular_system}
 # ---------------------------------------------------------------------------
 
 def _reference_value(fn, pt):
-    """fn.value(pt), term by term (reference_float_evaluate)."""
+    """fn.values(pt), term by term (reference_float_evaluate)."""
     if fn.tag == "moment":
         return reference_float_evaluate(fn.h, pt.moment_coords)
     return reference_float_evaluate(fn.theta, pt.xi[pt.sys.m])
@@ -65,8 +63,8 @@ def _reference_trajectory_csv(sys, traj, functions, stride=1):
         row = [repr(float(traj.times[idx]))]
         for r in range(3):
             for c in range(3):
-                row += [repr(float(p.g.matrix[r, c].real)),
-                        repr(float(p.g.matrix[r, c].imag))]
+                row += [repr(float(p.G[r, c].real)),
+                        repr(float(p.G[r, c].imag))]
         row += [repr(float(x)) for x in p.X]
         row += [repr(float(_reference_value(f, p))) for f in functions]
         lines.append(",".join(row))
@@ -85,15 +83,11 @@ def _bits(values):
 
 
 def _flows(case, seed):
-    """The same flow as integrate_flow returns it and as a PhasePoint list;
-    600 steps, so stride 1 spans several row blocks."""
+    """A flow as integrate_flow returns it; 600 steps, so stride 1 spans
+    several row blocks."""
     sys = SYSTEMS[case](0.1)
     pt = sys.random_regular_point(np.random.default_rng(seed))
-    traj = integrate_flow(sys, pt, t_end=0.6, dt=1e-3)
-    listed = [PhasePoint(sys, GroupElement(p.g.matrix.copy()), p.X.copy())
-              for p in traj.points]
-    plain = FlowTrajectory(times=list(traj.times), points=listed, dt=traj.dt)
-    return sys, pt, traj, plain
+    return sys, pt, integrate_flow(sys, pt, t_end=0.6, dt=1e-3)
 
 
 def _functions(sys):
@@ -108,30 +102,28 @@ def _functions(sys):
 @pytest.mark.parametrize("case", ["regular", "irregular"])
 @pytest.mark.parametrize("seed", [9, 11])
 def test_exports_match_the_per_point_routes(case, seed):
-    sys, pt, traj, plain = _flows(case, seed)
+    sys, pt, traj = _flows(case, seed)
     fns = monitored_functions(sys)
-    for flow in (traj, plain):
-        for stride in (1, 5, 7):
-            assert trajectory_csv(sys, flow, fns, stride) == \
-                _reference_trajectory_csv(sys, flow, fns, stride)
-            got = conservation_report(sys, flow, fns, stride)
-            want = _reference_conservation_report(flow, fns, stride)
-            assert repr(got) == repr(want)
-            assert all(type(e["initial"]) is float
-                       and type(e["max_drift"]) is float for e in got)
-            text = conservation_json(sys, flow, fns, stride=stride)
-            assert json.loads(text)["functions"] == [
-                dict(e, **{"pass": e["max_drift"] < 1e-8}) for e in want]
+    for stride in (1, 5, 7):
+        assert trajectory_csv(sys, traj, fns, stride) == \
+            _reference_trajectory_csv(sys, traj, fns, stride)
+        got = conservation_report(sys, traj, fns, stride)
+        want = _reference_conservation_report(traj, fns, stride)
+        assert repr(got) == repr(want)
+        assert all(type(e["initial"]) is float
+                   and type(e["max_drift"]) is float for e in got)
+        text = conservation_json(sys, traj, fns, stride=stride)
+        assert json.loads(text)["functions"] == [
+            dict(e, **{"pass": e["max_drift"] < 1e-8}) for e in want]
 
 
 @pytest.mark.parametrize("case", ["regular", "irregular"])
 @pytest.mark.parametrize("seed", [9, 11])
 def test_integral_values_match_value_at_each_point(case, seed):
-    sys, pt, traj, plain = _flows(case, seed)
+    sys, pt, traj = _flows(case, seed)
     fns = _functions(sys)
-    want = np.array([[f.value(p) for f in fns] for p in traj.points])
-    for flow in (traj, plain):
-        stack = TrajectoryPoints.of(sys, flow.points)
+    want = np.array([[f.values(p) for f in fns] for p in traj.points])
+    for stack in (traj.points, PhasePoint.of(sys, list(traj.points))):
         assert _bits(integral_values(stack, fns)) == _bits(want)
     thin = traj.points[::7]
     assert _bits(integral_values(thin, fns)) == _bits(want[::7])
@@ -140,7 +132,7 @@ def test_integral_values_match_value_at_each_point(case, seed):
 @pytest.mark.parametrize("case", ["regular", "irregular"])
 @pytest.mark.parametrize("seed", [9, 11])
 def test_stacked_lax_form_matches_one_time_at_a_time(case, seed):
-    sys, pt, traj, plain = _flows(case, seed)
+    sys, pt, traj = _flows(case, seed)
     for stride in (1, 5, 7):
         times = traj.times[::stride]
         got = closed_form_fiber(sys, pt, times)
@@ -160,7 +152,7 @@ def _with_nan_row(sys, traj, row):
     """A copy of a flow whose point ``row`` has a NaN on an m-coordinate."""
     X = traj.points.X.copy()
     X[row, sys.m[0]] = np.nan
-    points = TrajectoryPoints(sys, traj.points.G, X)
+    points = PhasePoint.prevalidated(sys, traj.points.G, X)
     return FlowTrajectory(times=traj.times, points=points, dt=traj.dt)
 
 
@@ -168,11 +160,7 @@ def test_conservation_json_fails_a_nan_in_the_middle_point():
     sys = su3_irregular_system(0.1)
     pt = sys.random_regular_point(np.random.default_rng(4))
     traj = integrate_flow(sys, pt, t_end=0.002, dt=1e-3)
-    points = list(traj.points)
-    X = points[1].X.copy()
-    X[sys.m[0]] = np.nan
-    points[1] = PhasePoint(sys, points[1].g, X)
-    bad = FlowTrajectory(times=traj.times, points=points, dt=traj.dt)
+    bad = _with_nan_row(sys, traj, 1)
     fns = monitored_functions(sys)
     doc = json.loads(conservation_json(sys, bad, fns))
     assert len(bad.points) == 3 and doc["nsteps"] == 2
@@ -209,7 +197,7 @@ def test_drift_guard_rejects_a_nan_fiber():
     pt = sys.random_regular_point(np.random.default_rng(2))
     X = pt.X.copy()
     X[sys.m[0]] = np.nan
-    bad = PhasePoint(sys, pt.g, X)
+    bad = PhasePoint(sys, pt.G, X)
     with pytest.raises(RuntimeError, match="step 0"):
         integrate_flow(sys, bad, t_end=0.01, dt=1e-3)
 
