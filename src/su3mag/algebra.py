@@ -352,33 +352,78 @@ def _adjoint(M):
 
 
 def _mm(A, B):
-    """A B for N x N matrices or stacks of them, broadcast as matmul
-    does: a sum over k of broadcast outer products, which for N <= 3
-    beats numpy's matmul on a block's stack of complex matrices."""
-    out = A[..., :, 0, None] * B[..., None, 0, :]
-    for k in range(1, A.shape[-1]):
-        out += A[..., :, k, None] * B[..., None, k, :]
+    """A B for N x N matrices stored with the two matrix axes first: A
+    and B of shape (N, N, ...), the axes after the first two broadcast
+    as numpy's do (a single matrix against a stack of n is (N, N, 1)).
+    A sum over k of broadcast outer products, so that numpy's inner loop
+    runs along the stack axes, not along an axis of length N."""
+    out = A[:, 0, None] * B[None, 0]
+    for k in range(1, len(A)):
+        out += A[:, k, None] * B[None, k]
     return out
+
+
+def _axes_first(G):
+    """The view (N, N, ...) of a matrix or stack of shape (..., N, N):
+    the layout of _mm and _det."""
+    rest = tuple(range(G.ndim - 2))
+    return G.transpose((G.ndim - 2, G.ndim - 1) + rest)
+
+
+def _identity(M):
+    """The identity, shaped to broadcast against M, a matrix or a stack
+    with the matrix axes first."""
+    return np.eye(len(M)).reshape(M.shape[:2] + (1,) * (M.ndim - 2))
+
+
+def _gram_defect(M):
+    """M* M - I by _mm, for a matrix or a stack with the matrix axes
+    first."""
+    return _mm(M.conj().swapaxes(0, 1), M) - _identity(M)
+
+
+def _det(M):
+    """Determinant of a 2 x 2 or 3 x 3 matrix, or of each matrix of a
+    stack with the matrix axes first, in closed form (cofactors along
+    the first row).  A NaN or infinite entry gives a non-finite
+    determinant, with no numpy warning."""
+    if len(M) not in (2, 3):
+        raise ValueError(f"_det takes 2 x 2 or 3 x 3 matrices, not "
+                         f"{len(M)} x {len(M)}")
+    # a trailing axis keeps each entry M[i, j] an array even for one
+    # matrix: numpy multiplies complex scalars with other roundings than
+    # complex arrays, and one matrix must get the bits of its stack's row
+    M = M[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(M) == 2:
+            det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+        else:
+            det = (M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
+                   - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
+                   + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0]))
+    return det[..., 0]
 
 
 def check_special_unitary(G, where=None):
     """Raise ValueError unless G, an N x N matrix or a stack of them, is
     unitary and of determinant one within UNITARY_TOL: the largest entry
-    of |G* G - I| (the Gram by _mm) is at most UNITARY_TOL, so that a NaN
-    or infinite entry fails with no numpy warning, and then so is
-    |det G - 1|.  For a stack, the message ends "at <where(k)>" for the
-    first row k that fails, and "at <where(k, b)>" for the first failing
-    row b of step k of a stack of flows' stacks, shape (n, B, N, N)."""
+    of |G* G - I| is at most UNITARY_TOL, so that a NaN or infinite
+    entry fails with no numpy warning, and then so is |det G - 1|.  The
+    stack is transposed once, to the matrix axes first, for the Gram
+    product (_gram_defect) and the determinant (_det).  For a stack, the
+    message ends "at <where(k)>" for the first row k that fails, and
+    "at <where(k, b)>" for the first failing row b of step k of a stack
+    of flows' stacks, shape (n, B, N, N)."""
     def refuse(bad, fault):
         if bad.any():
             at = "" if where is None else f" at {where(*_first(bad))}"
             raise ValueError(f"group element {fault}{at}")
 
+    M = np.ascontiguousarray(_axes_first(G))
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = _mm(_adjoint(G), G)
-    drift = np.abs(gram - np.eye(G.shape[-1])).max(axis=(-2, -1))
+        drift = np.abs(_gram_defect(M)).max(axis=(0, 1))
     refuse(~(drift <= UNITARY_TOL), "is not unitary within tolerance")
-    refuse(~(np.abs(np.linalg.det(G) - 1.0) <= UNITARY_TOL),
+    refuse(~(np.abs(_det(M) - 1.0) <= UNITARY_TOL),
            "does not have determinant one")
 
 
@@ -389,9 +434,10 @@ def _first(bad):
 
 
 def _divide_det_phase(g):
-    """A unitary N x N matrix divided by an N-th root of its determinant,
-    landing in SU(N), or row by row for a stack."""
-    det = np.linalg.det(g)
+    """A unitary N x N matrix divided by an N-th root of its determinant
+    (_det, in closed form), landing in SU(N), or row by row for a stack
+    of shape (..., N, N)."""
+    det = _det(_axes_first(g))
     return g * np.exp(-np.log(det) / g.shape[-1])[..., None, None]
 
 

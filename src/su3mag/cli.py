@@ -146,7 +146,7 @@ def cmd_flow(args):
     traj = integrate_flow(sys_, pt, t_end=float(config["t_end"]),
                           dt=float(config["dt"]))
     fns = reports.monitored_functions(sys_)
-    stride = max(1, len(traj.points) // int(args.max_rows))
+    stride = math.ceil(len(traj.points) / int(args.max_rows))
     out = _out_dir(args)
     csv_path = out / f"trajectory_{config['case']}.csv"
     csv_path.write_text(reports.trajectory_csv(sys_, traj, fns, stride),

@@ -35,7 +35,8 @@ from .poly import Polynomial, b_gradient, lie_poisson_bracket
 from .algebra import (GroupElement, build_su3_chevalley,
                       build_su3_gellmann, centralizer_of, regularity,
                       check_special_unitary, exp_map, _adjoint,
-                      _divide_det_phase, _first, _mm)
+                      _axes_first, _divide_det_phase, _first,
+                      _gram_defect, _identity, _mm)
 from .invariants import casimirs_su3, shift_images
 
 # Rows per block of the routes over a whole flow: blocks keep the
@@ -515,6 +516,21 @@ class FlowTrajectory:
     points: PhasePoint
     dt: float
 
+    def __post_init__(self):
+        self._values = {}
+
+    def integral_values(self, functions, stride=1):
+        """integral_values(points[::stride], functions), as a read-only
+        array computed once per stride and list of functions: the CSV
+        rows and the conservation report of a flow read the same
+        array."""
+        key = (stride, *functions)
+        if key not in self._values:
+            V = integral_values(self.points[::stride], functions)
+            V.flags.writeable = False
+            self._values[key] = V
+        return self._values[key]
+
 
 def flow_steps(t_end, dt):
     """Number of steps of size dt that reach t_end.
@@ -578,21 +594,25 @@ def _rk4_flow(sys, pt0, t_end, dt, field):
         A1 = M1, A2 = (I + dt/2 A1) M2, A3 = (I + dt/2 A2) M3,
         A4 = (I + dt A3) M4, Phi = I + dt/6 (A1 + 2 A2 + 2 A3 + A4),
 
-    M_k = M(v) at the k-th stage.  One stacked matrix_of per stage and
-    stacked 3x3 products (_mm) build a block's Phi_n (no temporary larger
-    than the block's 3x3 stack), and the group is rebuilt as a product of
-    step factors:
+    M_k = M(v) at the k-th stage.  A block's 3x3 stacks are stored with
+    the matrix axes first, (3, 3, n[, B]): the step axis next and the
+    batch axis last and contiguous, so that the stacked 3x3 products
+    (_mm) loop over the block's steps, not over an axis of length 3.
+    One stacked product per stage (_stage_matrices) gives the M_k, and
+    stacked products build a block's Phi_n (no temporary larger than the
+    block's 3x3 stack); the group is rebuilt as a product of step
+    factors:
 
     - Psi_n = NS(Phi_n), one Newton-Schulz step (_newton_schulz), for
       the whole block at once.  For unitary g, g Psi_n = NS(g Phi_n).
     - The block's rows g_{n+1} = g_lo Psi_lo ... Psi_n come from one
-      two-level scan (_prefix_products), not a loop of g <- g Psi_n.
+      doubling scan (_prefix_products), not a loop of g <- g Psi_n.
     - Over the block at once: with D_n = Y_n* Y_n - I for Y_n = g_n
       Phi_n, a unitarity drift max |D_n| beyond DRIFT_LIMIT rejects the
       block's first such step, which a RuntimeError names; a NaN drift
       is rejected too.  Each row then takes one more Newton-Schulz step
-      back to the unitary group, and _divide_det_phase takes it to
-      SU(3).
+      back to the unitary group, and _divide_det_phase takes it, in the
+      layout of G, to SU(3).
 
     The fiber of the initial point is checked before the first step
     (_check_fiber), and at the end every row with PhasePoint's checks
@@ -606,22 +626,26 @@ def _rk4_flow(sys, pt0, t_end, dt, field):
     G[0] = g
     Xs[0] = pt0.X
     _check_fiber(sys, Xs[:1], _flow_row)
-    eye = np.eye(g.shape[-1])
-    matrix_of = sys.alg.matrix_of
+    # the block's rows g_lo, g_lo+1, ..., the matrix axes first
+    S = np.empty(g.shape[-2:] + (min(nsteps, BLOCK_ROWS) + 1,)
+                 + g.shape[:-2], dtype=complex)
+    S[:, :, 0] = _axes_first(g)
+    eye = _identity(S)
+    alg = sys.alg
     V = np.empty((4, min(nsteps, BLOCK_ROWS)) + pt0.X.shape)
     fiber = _callback_fiber if callable(field) else _linear_fiber
     for lo, n in fiber(field, Xs, V, dt):
+        rows = S[:, :, 1:n + 1]
         # the factors of a step that fails the guard may overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            A1 = matrix_of(V[0, :n])
-            A2 = _mm(eye + 0.5 * dt * A1, matrix_of(V[1, :n]))
-            A3 = _mm(eye + 0.5 * dt * A2, matrix_of(V[2, :n]))
-            A4 = _mm(eye + dt * A3, matrix_of(V[3, :n]))
+            A1 = _stage_matrices(alg, V[0, :n])
+            A2 = _mm(eye + 0.5 * dt * A1, _stage_matrices(alg, V[1, :n]))
+            A3 = _mm(eye + 0.5 * dt * A2, _stage_matrices(alg, V[2, :n]))
+            A4 = _mm(eye + dt * A3, _stage_matrices(alg, V[3, :n]))
             Phi = eye + dt / 6.0 * (A1 + 2 * A2 + 2 * A3 + A4)
-            _prefix_products(G[lo], _newton_schulz(Phi),
-                             G[lo + 1:lo + n + 1])
-            Y = _mm(G[lo:lo + n], Phi)
-            drift = np.abs(_mm(_adjoint(Y), Y) - eye).max(axis=(-2, -1))
+            _prefix_products(S[:, :, 0], _newton_schulz(Phi), rows)
+            drift = np.abs(_gram_defect(_mm(S[:, :, :n], Phi))).max(
+                axis=(0, 1))
         bad = ~(drift <= DRIFT_LIMIT)
         if bad.any():
             k, *b = idx = _first(bad)
@@ -629,11 +653,20 @@ def _rk4_flow(sys, pt0, t_end, dt, field):
             raise RuntimeError(f"unitarity drift {drift[idx]:.2e}{row} "
                                f"exceeds limit at step {lo + k}")
         G[lo + 1:lo + n + 1] = _divide_det_phase(
-            _newton_schulz(G[lo + 1:lo + n + 1]))
+            np.moveaxis(_newton_schulz(rows), (0, 1), (-2, -1)))
+        S[:, :, 0] = _axes_first(G[lo + n])
     _check_stack(sys, G, Xs)
     G.flags.writeable = False
     Xs.flags.writeable = False
     return G, Xs
+
+
+def _stage_matrices(alg, V):
+    """alg.matrix_of of each row of V, a stack (n[, B], dim) of
+    coordinates, stored with the matrix axes first, (N, N, n[, B]): one
+    np.dot of the transposed flattened arrays."""
+    M = np.dot(alg._np_basis_rows.T, V.reshape(-1, alg.dim).T)
+    return M.reshape(alg._np_basis.shape[1:] + V.shape[:-1])
 
 
 def _callback_fiber(field, Xs, V, dt):
@@ -688,32 +721,27 @@ def _linear_fiber(A, Xs, V, dt):
 
 
 def _prefix_products(g, Psi, out):
-    """out[k] = g Psi_0 ... Psi_k for a stack Psi of n factors (or row
-    by row of a batch: g of shape (B, N, N), Psi (n, B, N, N)), by a
-    two-level scan (Blelloch 1990): the factors, padded with identities,
-    fall into runs of L = ceil(sqrt(n)); the runs' partial products P are
-    taken side by side, the carries C_i = C_{i-1} (total of run i-1) from
-    C_0 = g, and out = C_i P[i, j] in one stacked product (_mm).  The
-    runs' products (sqrt(n) matrices at a time) and the carries (one at
-    a time) are small enough that numpy's matmul is the faster there."""
-    n, factor = len(Psi), Psi.shape[1:]
-    L = math.isqrt(n - 1) + 1
-    P = np.concatenate([Psi, np.broadcast_to(np.eye(Psi.shape[-1]),
-                                             (-n % L,) + factor)])
-    P = P.reshape((-1, L) + factor)
-    for j in range(1, L):
-        np.matmul(P[:, j - 1], P[:, j], out=P[:, j])
-    C = [g]
-    for total in P[:-1, -1]:
-        C.append(C[-1] @ total)
-    out[:] = _mm(np.array(C)[:, None], P).reshape((-1,) + factor)[:n]
+    """out[:, :, k] = g Psi_0 ... Psi_k for a stack Psi of n factors
+    stored with the matrix axes first, (N, N, n), and g (N, N) (or row
+    by row of a batch: g (N, N, B), Psi (N, N, n, B)), by a doubling
+    scan (Hillis and Steele 1986): for s = 1, 2, 4, ... below n, each
+    step's running product takes the one s steps before it in front,
+    out[s:] = out[:-s] out[s:] along the step axis, then one product
+    with g; each is one stacked product (_mm) over the block."""
+    out[...] = Psi
+    s = 1
+    while s < out.shape[2]:
+        out[:, :, s:] = _mm(out[:, :, :-s], out[:, :, s:])
+        s *= 2
+    out[...] = _mm(g[:, :, None], out)
 
 
 def _newton_schulz(M):
-    """One Newton-Schulz step M (3/2 I - 1/2 M* M) towards the unitary
+    """One Newton-Schulz step M (I - 1/2 (M* M - I)) towards the unitary
     group (Higham, Functions of Matrices, ch. 8), for a matrix or row by
-    row for a stack: at a drift |M* M - I| of d it lands within O(d^2)."""
-    return _mm(M, 1.5 * np.eye(M.shape[-1]) - 0.5 * _mm(_adjoint(M), M))
+    row for a stack with the matrix axes first, (N, N, ...): at a drift
+    |M* M - I| of d it lands within O(d^2)."""
+    return _mm(M, _identity(M) - 0.5 * _gram_defect(M))
 
 
 def _flow_row(row, *batch_row):
@@ -774,7 +802,7 @@ def conservation_report(sys, traj, functions, stride=1):
     """Per-function max |f(pt_t) - f(pt_0)| over every stride-th point of
     the trajectory, as Python floats; a NaN value at any of those points
     makes the drift NaN."""
-    V = integral_values(traj.points[::stride], functions)
+    V = traj.integral_values(functions, stride)
     drift = np.abs(V - V[0]).max(axis=0)
     return [{"function": fn.name, "initial": first, "max_drift": d}
             for fn, first, d in zip(functions, V[0].tolist(),

@@ -15,8 +15,7 @@ from .poly import Polynomial
 from .invariants import (indecomposable_generators, restrict_shift,
                          casimir_count, radial_generator)
 from .phase import (su3_regular_system, su3_irregular_system, PhasePoint,
-                    integrate_flow, conservation_report, closed_form_fiber,
-                    integral_values)
+                    integrate_flow, conservation_report, closed_form_fiber)
 from .algebra import build_su2, centralizer_of, identity_element
 from .certify import (CertificateReport, bracket_table_regular,
                       cubic_relation_check, cubic_relation_numeric,
@@ -281,7 +280,8 @@ def trajectory_csv(sys, traj, functions, stride=1):
     """CSV rows: t, Re/Im of g entries, X coordinates, monitored integrals.
 
     The rows of every stride-th point are formatted from one array: the
-    times, the stacked g and X, and the integral values over the stack.
+    times, the stacked g and X, and the integral values over the stack
+    (FlowTrajectory.integral_values, shared with conservation_report).
     """
     header = ["t"]
     for r in range(3):
@@ -294,10 +294,11 @@ def trajectory_csv(sys, traj, functions, stride=1):
     rows = np.column_stack([
         np.asarray(traj.times[::stride], dtype=float),
         np.stack([G.real, G.imag], axis=-1).reshape(len(G), -1),
-        points.X, integral_values(points, functions)])
+        points.X, traj.integral_values(functions, stride)])
     lines = [",".join(header)]
     lines += [",".join(map(repr, row.tolist())) for row in rows]
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a copy of the text
+    return "\n".join(lines)
 
 
 def conservation_json(sys, traj, functions, stride=1):

@@ -301,6 +301,19 @@ def test_flow_max_rows_below_one_is_refused_before_integrating(
     assert not (tmp_path / "out").exists()
 
 
+def test_flow_max_rows_caps_the_csv_rows(tmp_path):
+    """--max-rows is a cap: an 11-point flow at --max-rows 5 writes every
+    third point, 4 rows under the header (6 at a stride of 11 // 5)."""
+    code = run_cli(["flow", "--case", "irregular", "--t-end", "0.01",
+                    "--dt", "1e-3", "--max-rows", "5",
+                    "--out", str(tmp_path)])
+    assert code == 0
+    lines = (tmp_path / "trajectory_irregular.csv").read_text().splitlines()
+    times = [float(line.split(",")[0]) for line in lines[1:]]
+    assert len(times) == 4
+    assert times == pytest.approx([0.0, 3e-3, 6e-3, 9e-3])
+
+
 @pytest.mark.parametrize("degree", ["0", "-1"])
 def test_centralizer_max_degree_below_one_is_refused(tmp_path, capsys,
                                                      degree):

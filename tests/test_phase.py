@@ -505,37 +505,52 @@ def test_one_step_flow_matches_the_reference_loop(case):
 
 
 def test_small_matrix_product_is_matmul():
-    """_mm equals np.matmul within 1e-15 of the product of the entries'
-    sizes, for complex stacks, single matrices and a single matrix
-    broadcast against a stack, at N = 2 and N = 3."""
-    from su3mag.algebra import _mm
+    """_mm, on matrices stored with the matrix axes first, equals
+    np.matmul within 1e-15 of the product of the entries' sizes, for
+    complex stacks, single matrices and a single matrix (N, N, 1)
+    broadcast against a stack, at N = 2 and N = 3; the product of one
+    matrix pair is its row of the stack's product, bit for bit."""
+    from su3mag.algebra import _axes_first, _mm
     rng = np.random.default_rng(49)
     for N in (2, 3):
         for _ in range(50):
             real, imag = rng.normal(size=(2, 2, 17, N, N))
             A, B = real + 1j * imag
-            for a, b in ((A, B), (A[0], B[0]), (A[0], B), (A, B[0])):
+            for a, b in ((A, B), (A[0], B[0]), (A[:1], B), (A, B[:1])):
                 scale = np.abs(a).max() * np.abs(b).max()
-                assert _mm(a, b).shape == (a @ b).shape
-                assert np.abs(_mm(a, b) - a @ b).max() <= 1e-15 * scale
+                out = _mm(_axes_first(a), _axes_first(b))
+                assert out.shape == _axes_first(a @ b).shape
+                assert (np.abs(out - _axes_first(a @ b)).max()
+                        <= 1e-15 * scale)
+            stack = _mm(_axes_first(A), _axes_first(B))
+            assert np.array_equal(_mm(A[5], B[5]), stack[:, :, 5])
 
 
 @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 255, 256])
 def test_prefix_products_match_the_sequential_loop(n):
-    """The two-level scan writes g Psi_0 ... Psi_k into row k, within
-    1e-14 of the loop g <- g Psi_k, on near-identity SU(3) factors: runs
-    of ceil(sqrt(n)), a partial last run, and the flow's last block of
-    16 steps (10000 mod 256)."""
+    """The doubling scan writes g Psi_0 ... Psi_k into step k of its
+    stack (matrix axes first), within 1e-14 of the loop g <- g Psi_k, on
+    near-identity SU(3) factors: powers of two and one either side, and
+    the flow's last block of 16 steps (10000 mod 256); and row by row
+    for a batch of two flows, the batch axis last."""
+    from su3mag.algebra import _axes_first
     from su3mag.phase import _prefix_products
     rng = np.random.default_rng(50 + n)
     alg = su3_regular_system(0.1).alg
-    g = exp_map(alg, rng.uniform(-2, 2, 8)).matrix
-    Psi = exp_map(alg, alg.matrix_of(rng.uniform(-1e-2, 1e-2, (n, 8))))
-    out = np.empty_like(Psi)
-    _prefix_products(g, Psi, out)
-    for k in range(n):
-        g = g @ Psi[k]
-        assert np.abs(out[k] - g).max() < 1e-14
+    g = exp_map(alg, alg.matrix_of(rng.uniform(-2, 2, (2, 8))))
+    Psi = exp_map(alg, alg.matrix_of(rng.uniform(-1e-2, 1e-2, (2 * n, 8)))
+                  ).reshape(n, 2, 3, 3)
+    out = np.empty((3, 3, n), dtype=complex)
+    _prefix_products(g[0], _axes_first(Psi[:, 0]), out)
+    batch = np.empty((3, 3, n, 2), dtype=complex)
+    _prefix_products(_axes_first(g), _axes_first(Psi), batch)
+    for b in range(2):
+        gb = g[b]
+        for k in range(n):
+            gb = gb @ Psi[k, b]
+            assert np.abs(batch[:, :, k, b] - gb).max() < 1e-14
+            if b == 0:
+                assert np.abs(out[:, :, k] - gb).max() < 1e-14
 
 
 def test_array_driver_guards(monkeypatch):
@@ -766,47 +781,51 @@ def test_batched_driver_names_the_step_and_the_row():
 def test_step_factor_projection_commutes_with_a_unitary_g():
     """g Psi with Psi = _newton_schulz(Phi) equals the Newton-Schulz step
     of g Phi, Y - 1/2 Y (Y* Y - I) for Y = g Phi, within 1e-15 at
-    unitarity drifts of Y up to 1e-8."""
+    unitarity drifts of Y up to 1e-8, for a stack of factors Phi stored
+    with the matrix axes first, as the driver holds a block."""
+    from su3mag.algebra import _adjoint, _axes_first
     from su3mag.phase import _newton_schulz
     rng = np.random.default_rng(48)
     alg = su3_regular_system(0.1).alg
     eye = np.eye(3)
     for drift in (1e-8, 1e-10, 1e-12):
-        for _ in range(20):
-            g = exp_map(alg, rng.uniform(-2, 2, 8)).matrix
-            u = exp_map(alg, rng.uniform(-1e-2, 1e-2, 8)).matrix
-            E = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            E = (E + E.conj().T) / 2
-            E *= 0.49 * drift / np.abs(E).max()
-            Phi = u @ (eye + E)
-            Y = g @ Phi
-            assert np.abs(Y.conj().T @ Y - eye).max() <= drift
-            ns = Y - 0.5 * (Y @ (Y.conj().T @ Y - eye))
-            assert np.abs(g @ _newton_schulz(Phi) - ns).max() < 1e-15
+        g = exp_map(alg, alg.matrix_of(rng.uniform(-2, 2, (20, 8))))
+        u = exp_map(alg, alg.matrix_of(rng.uniform(-1e-2, 1e-2, (20, 8))))
+        E = rng.normal(size=(20, 3, 3)) + 1j * rng.normal(size=(20, 3, 3))
+        E = (E + _adjoint(E)) / 2
+        E *= 0.49 * drift / np.abs(E).max(axis=(1, 2), keepdims=True)
+        Phi = u @ (eye + E)
+        Y = g @ Phi
+        assert (np.abs(_adjoint(Y) @ Y - eye).max(axis=(1, 2))
+                <= drift).all()
+        ns = Y - 0.5 * (Y @ (_adjoint(Y) @ Y - eye))
+        Psi = np.moveaxis(_newton_schulz(_axes_first(Phi)), (0, 1), (1, 2))
+        assert np.abs(g @ Psi - ns).max() < 1e-15
 
 
 def test_newton_schulz_step_matches_the_polar_projection():
-    """At a unitarity drift up to 1e-8, the Newton-Schulz step g (3/2 I -
-    1/2 g* g), then the det phase divided out, lands on SU(3) and on
-    polar_project within 1e-14."""
-    from su3mag.algebra import polar_project
+    """At a unitarity drift up to 1e-8, the Newton-Schulz step g (I -
+    1/2 (g* g - I)) of a stack stored with the matrix axes first, then
+    the det phase divided out in the layout of the flow's rows, lands
+    on SU(3) and on polar_project within 1e-14, row by row."""
+    from su3mag.algebra import _adjoint, _axes_first, polar_project
     from su3mag.phase import _divide_det_phase, _newton_schulz
     rng = np.random.default_rng(47)
     alg = su3_regular_system(0.1).alg
     eye = np.eye(3)
     for drift in (1e-8, 1e-10, 1e-12):
-        for _ in range(20):
-            u = exp_map(alg, rng.uniform(-2, 2, 8)).matrix
-            E = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            E = (E + E.conj().T) / 2
-            E *= 0.49 * drift / np.abs(E).max()
-            g = u @ (eye + E) * np.exp(0.3j)
-            D = g.conj().T @ g - eye
-            assert np.abs(D).max() <= drift
-            out = _divide_det_phase(_newton_schulz(g)[None])[0]
-            assert np.abs(out.conj().T @ out - eye).max() < 1e-14
-            assert abs(np.linalg.det(out) - 1) < 1e-14
-            assert np.abs(out - polar_project(g)).max() < 1e-14
+        u = exp_map(alg, alg.matrix_of(rng.uniform(-2, 2, (20, 8))))
+        E = rng.normal(size=(20, 3, 3)) + 1j * rng.normal(size=(20, 3, 3))
+        E = (E + _adjoint(E)) / 2
+        E *= 0.49 * drift / np.abs(E).max(axis=(1, 2), keepdims=True)
+        g = u @ (eye + E) * np.exp(0.3j)
+        D = _adjoint(g) @ g - eye
+        assert (np.abs(D).max(axis=(1, 2)) <= drift).all()
+        out = _divide_det_phase(np.moveaxis(
+            _newton_schulz(_axes_first(g)), (0, 1), (1, 2)))
+        assert np.abs(_adjoint(out) @ out - eye).max() < 1e-14
+        assert np.abs(np.linalg.det(out) - 1).max() < 1e-14
+        assert np.abs(out - polar_project(g)).max() < 1e-14
 
 
 def test_trajectory_points_view():

@@ -117,6 +117,30 @@ def test_exports_match_the_per_point_routes(case, seed):
             dict(e, **{"pass": e["max_drift"] < 1e-8}) for e in want]
 
 
+def test_flow_exports_evaluate_the_integrals_once(monkeypatch):
+    """The CSV rows and the conservation report of a flow read one
+    read-only array of the strided integral values, computed once per
+    stride and list of functions, bit for bit integral_values."""
+    from su3mag import phase
+    sys, pt, traj = _flows("irregular", 9)
+    fns = monitored_functions(sys)
+    want = {stride: integral_values(traj.points[::stride], fns)
+            for stride in (1, 7)}
+    calls = []
+
+    def counted(points, functions):
+        calls.append(len(points))
+        return integral_values(points, functions)
+
+    monkeypatch.setattr(phase, "integral_values", counted)
+    for stride in (7, 1, 7):
+        trajectory_csv(sys, traj, fns, stride)
+        conservation_json(sys, traj, fns, stride=stride)
+        V = traj.integral_values(fns, stride)
+        assert _bits(V) == _bits(want[stride]) and not V.flags.writeable
+    assert calls == [len(want[7]), len(want[1])]
+
+
 @pytest.mark.parametrize("case", ["regular", "irregular"])
 @pytest.mark.parametrize("seed", [9, 11])
 def test_integral_values_match_value_at_each_point(case, seed):
