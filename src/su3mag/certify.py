@@ -161,15 +161,17 @@ def center_family(sys):
 # generator rewriting and the bracket table
 # ---------------------------------------------------------------------------
 
-def rewrite_in_generators(q, gens):
+def rewrite_in_generators(q, gens, products=None):
     """Rewrite q (over m-vars + eps) as a polynomial in named generators.
 
     gens is a list of (name, Polynomial over the m-vars, degree); each
     eps-slice of q is solved exactly in the span of generator monomials of
     the right degree.  Returns the rewritten polynomial over
     (gen names..., "eps"), or None with the offending residue if q is not
-    expressible.
+    expressible.  products is the memo of the generator products, shared
+    by the rewrites of one bracket table.
     """
+    products = {} if products is None else products
     m_names = gens[0][1].vars
     gen_names = tuple(n for n, _, _ in gens)
     out_vars = gen_names + ("eps",)
@@ -182,7 +184,8 @@ def rewrite_in_generators(q, gens):
     for e_eps, terms in sorted(eps_slices.items()):
         part = Polynomial(m_names, terms)
         for deg, comp in part.homogeneous_components():
-            combos, rows, mono_index = _generator_products(gens, m_names, deg)
+            combos, rows, mono_index = _generator_products(gens, m_names, deg,
+                                                           products)
             if not combos:
                 return None
             coeffs = solve_in_span(_poly_to_row(comp, mono_index), rows,
@@ -254,9 +257,10 @@ def bracket_table_regular(sys):
     entries = {}
     matches = {}
     residuals = {}
+    products = {}  # the generator products, built once for the table
     for (a, b), exp_poly in expected.items():
         raw = slice_bracket_symbolic(sys, by_name[a], by_name[b])
-        rw = rewrite_in_generators(raw, gens)
+        rw = rewrite_in_generators(raw, gens, products)
         if rw is None:
             raise AssertionError(
                 f"bracket {{{a},{b}}} is not expressible in the generators; "

@@ -7,14 +7,15 @@ the one reader of a kernel and ``solve_in_span`` the one span solve, each
 building a Scalar per output coefficient only.  ``rref`` wraps the loop
 for rows {column: Scalar}; the package does not call it.  Columns are
 processed in ascending order, each with the sparsest row holding it as
-pivot (the first on a tie).  The reduced row echelon form is unique, so
+pivot (the first on a tie).  The work rows sit in buckets by lowest
+column, so a column's holders are read off its bucket and no row is
+scanned for it; a rational pivot is inverted on its integers, an
+irrational one by Scalar.inv.  The reduced row echelon form is unique, so
 the output is the same whatever the pivot: reduced forms, and every
 kernel and generator basis derived from them, are reproducible run to run.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 from .scalars import ONE, ZERO, from_ints, submul_ints
 
@@ -28,32 +29,51 @@ def rref_ints(rows, ncols):
     does not depend on the order of the rows or on the pivot rule.  The
     rows passed in are updated in place.
     """
-    work = [r for r in rows if r]
+    # work rows by lowest column: when a column comes up, no work row
+    # holds an earlier one, so its holders are exactly its bucket
+    buckets = {}
+    for i, r in enumerate(rows):
+        if r:
+            buckets.setdefault(min(r), []).append(i)
     reduced = []
     pivots = []
     for col in range(ncols):
-        holders = [i for i, r in enumerate(work) if col in r]
-        if not holders:
+        holders = buckets.pop(col, None)
+        if holders is None:
             continue
-        row = work.pop(min(holders, key=lambda i: len(work[i])))
-        neg_inv = (-from_ints(row.pop(col)).inv()).ints
+        # the sparsest holder, the first in the input on a tie
+        p = min(holders, key=lambda i: (len(rows[i]), i))
+        row = rows[p]
+        p0, p1, p2, p3, pd = row.pop(col)
+        if p1 or p2 or p3:
+            neg_inv = (-from_ints((p0, p1, p2, p3, pd)).inv()).ints
+        else:  # -1/(p0/pd) on the integers, the denominator positive
+            neg_inv = (-pd, 0, 0, 0, p0) if p0 > 0 else (pd, 0, 0, 0, -p0)
         # the normalized pivot row without its leading 1
         rest = [(c, submul_ints(None, neg_inv, v)) for c, v in row.items()]
-        for other in chain(work, reduced):
-            if col not in other:
-                continue
-            factor = other.pop(col)
-            for c, v in rest:
-                nv = submul_ints(other.get(c), factor, v)
-                if nv == ZERO.ints:
-                    del other[c]
-                else:
-                    other[c] = nv
+        for i in holders:
+            if i != p and _eliminate(rows[i], col, rest):
+                buckets.setdefault(min(rows[i]), []).append(i)
+        for other in reduced:
+            if col in other:
+                _eliminate(other, col, rest)
         reduced.append(dict(rest + [(col, ONE.ints)]))
         pivots.append(col)
-        work = [r for r in work if r]
     # columns run in ascending order, so the pivots come out sorted
     return pivots, reduced
+
+
+def _eliminate(row, col, rest):
+    """Subtract row[col] times the normalized pivot row (rest and a 1 in
+    col) from row, in place, dropping zeros; returns the row."""
+    factor = row.pop(col)
+    for c, v in rest:
+        nv = submul_ints(row.get(c), factor, v)
+        if nv == ZERO.ints:
+            del row[c]
+        else:
+            row[c] = nv
+    return row
 
 
 def rref(rows, ncols):

@@ -13,7 +13,9 @@ of integral representations {column: Scalar.ints}: the operator rows are
 built on the ints of their entries, and _poly_to_row reads a polynomial's.
 One builder, _generator_products, makes the rows of a degree's products of
 generators for the quotient by decomposables, the relations and the
-bracket table's rewrite.
+bracket table's rewrite; each product is one lower product times one
+generator, in a memo that one top-level call (indecomposable_generators,
+or one bracket table) owns, so nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -177,6 +179,7 @@ def indecomposable_generators(alg, sub, max_degree, restrict_to_m=True):
     names = tuple(alg.coord_names[i] for i in var_indices)
     gens = []  # (name, Polynomial, degree)
     dims = {}
+    memo = {}  # the products of generators built so far, this call only
 
     for d in range(1, max_degree + 1):
         inv = invariant_space(alg, sub, d, restrict_to_m)
@@ -186,42 +189,53 @@ def indecomposable_generators(alg, sub, max_degree, restrict_to_m=True):
         # span of all products of existing generators with total degree d;
         # every generator so far has degree below d, so every such
         # product has at least two factors
-        _, prod_rows, mono_index = _generator_products(gens, names, d)
+        _, prod_rows, mono_index = _generator_products(gens, names, d, memo)
         cand_rows = [_poly_to_row(p, mono_index) for p in inv.basis]
         picked = _greedy_complete(prod_rows, cand_rows, len(mono_index))
         for rank_in_degree, idx in enumerate(picked, start=1):
             gens.append((f"q{d}_{rank_in_degree}", inv.basis[idx], d))
 
-    relations = _generator_relations(gens, names, max_degree)
+    relations = _generator_relations(gens, names, max_degree, memo)
     return GeneratorSet(generators=gens, relations=relations, dims=dims)
 
 
-def _generator_products(gens, names, degree):
+def _generator_products(gens, names, degree, memo):
     """(combos, rows, mono_index) of the products of generators of the
     weighted degree: the exponent tuples over gens (a list of (name,
     Polynomial over names, degree)) as listed by _monomials_in_generators,
     the int row of each product over the degree's monomials, and the
-    index of those monomials."""
+    index of those monomials.  memo is _product's, shared by the calls of
+    one top-level computation on one growing gens."""
     combos = _monomials_in_generators(gens, degree)
     mono_index = {e: i for i, e in
                   enumerate(monomials_of_degree(len(names), degree))}
-    rows = []
-    for combo in combos:
-        poly = Polynomial.const(names, 1)
-        for (_, gp, _), k in zip(gens, combo):
-            for _ in range(k):
-                poly = poly * gp
-        rows.append(_poly_to_row(poly, mono_index))
+    rows = [_poly_to_row(_product(gens, combo, memo) if any(combo)
+                         else Polynomial.const(names, 1), mono_index)
+            for combo in combos]
     return combos, rows, mono_index
 
 
-def _generator_relations(gens, names, max_degree):
+def _product(gens, combo, memo):
+    """The product of generators of a nonzero exponent tuple: the product
+    of one factor fewer times its last generator, each kept in memo under
+    its tuple without trailing zeros (gens only ever grows)."""
+    key = combo[:max(i for i, k in enumerate(combo) if k) + 1]
+    poly = memo.get(key)
+    if poly is None:
+        gen = gens[len(key) - 1][1]
+        lower = key[:-1] + (key[-1] - 1,)
+        poly = _product(gens, lower, memo) * gen if any(lower) else gen
+        memo[key] = poly
+    return poly
+
+
+def _generator_relations(gens, names, max_degree, memo):
     """Minimal linear relations among generator monomials, degree by degree."""
     gen_vars = tuple(name for name, _, _ in gens)
     relations = []
 
     for d in range(2, max_degree + 1):
-        combos, rows, mono_index = _generator_products(gens, names, d)
+        combos, rows, mono_index = _generator_products(gens, names, d, memo)
         if len(combos) < 2:
             continue
         # kernel of the transpose system: coefficient vectors over combos

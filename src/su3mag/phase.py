@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .scalars import CZERO, Scalar
-from .poly import Polynomial, b_gradient, lie_poisson_bracket
+from .poly import Polynomial, lie_poisson_bracket
 from .algebra import (GroupElement, build_su3_chevalley,
                       build_su3_gellmann, centralizer_of, regularity,
                       check_special_unitary, exp_map, _adjoint,
@@ -477,29 +477,29 @@ def slice_bracket_symbolic(sys, theta1, theta2):
     """{theta1, theta2}_2 as an exact polynomial over (m-vars..., "eps").
 
     theta1, theta2 are polynomials over the m-coordinate names of the
-    system; the result keeps eps symbolic.
+    system; the result keeps eps symbolic.  theta depends on m alone, so
+    its B-gradient is its partials on m and zero on a.
     """
     alg = sys.alg
-    names = alg.coord_names
-    evars = sys.m_names() + ("eps",)
-    t1 = theta1.extend(names) if theta1.vars != names else theta1
-    t2 = theta2.extend(names) if theta2.vars != names else theta2
-    g1 = b_gradient(t1, alg)
-    g2 = b_gradient(t2, alg)
-    comm = [Polynomial.zero(names) for _ in range(alg.dim)]
+    m_names = sys.m_names()
+    evars = m_names + ("eps",)
+    zero = Polynomial.zero(m_names)
+    on_m = dict(zip(sys.m, m_names))
+    d1, d2 = ([t.diff(on_m[i]) if i in on_m else zero for i in range(alg.dim)]
+              for t in (theta1.extend(m_names), theta2.extend(m_names)))
+    comm = [zero] * alg.dim
     for (i, j, k), c in alg.structure.items():
-        p, q = g1[i], g2[j]
+        p, q = d1[i], d2[j]
         if p.is_zero() or q.is_zero():
             continue
         comm[k] = comm[k] + p * q * c
-    # xi = X - eps W over evars, and comm read at X in m (eps = 0)
-    images = shift_images(sys, evars, eps=0)
-    # B(xi, comm) = sum_i xi_i comm_i: the basis is B-orthonormal
+    # B(xi, comm) = sum_i xi_i comm_i with xi = X - eps W over evars: the
+    # basis is B-orthonormal
     out = Polynomial.zero(evars)
     for xi, c in zip(shift_images(sys, evars), comm):
         if c.is_zero() or xi.is_zero():
             continue
-        out = out + xi * c.substitute(images=images, target_vars=evars)
+        out = out + xi * c.extend(evars)
     return -out
 
 

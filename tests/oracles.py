@@ -26,6 +26,12 @@
   matrix-vector product and the rescaling by one solve or dot product,
   which the rows of the batched ``angles.angle_action_pairing`` must
   reproduce bit for bit;
+* ``slice_bracket_by_substitution``: the exact slice bracket from the
+  B-gradients over every coordinate, read at X in m by substitution,
+  which ``phase.slice_bracket_symbolic``'s partials on m must reproduce;
+* ``generator_products_by_chain``: the products of generators, each
+  chained from 1 one factor at a time, which the memoized
+  ``invariants._generator_products`` must reproduce;
 * ``rref_by_scalars``, ``greedy_complete_by_rank`` and
   ``monomials_by_recursion``: the exact elimination on Scalar entries with
   the first available row as pivot, the generator-basis completion by one
@@ -68,12 +74,14 @@ from su3mag.certify import (NUM_TOL, CertificateReport, action_functions,
                             jacobian_rank_pi1, phase_jacobian)
 from su3mag.invariants import (independence_rank, numeric_rank,
                                radial_generator, restrict_shift,
-                               torus_generators)
+                               shift_images, torus_generators,
+                               monomials_of_degree, _monomials_in_generators,
+                               _poly_to_row)
 from su3mag.phase import (MomentPullback, PhasePoint,
                           hamiltonian_vector_field, slice_z_values,
                           twisted_bracket, _fiber_velocity,
                           _invariant_under)
-from su3mag.poly import Polynomial, lie_poisson_bracket
+from su3mag.poly import Polynomial, b_gradient, lie_poisson_bracket
 from su3mag.exact_linalg import transposed
 from su3mag.scalars import ZERO, Scalar, from_ints, parse_scalar
 
@@ -228,6 +236,30 @@ def symbolic_bracket(sys, f, h, pt):
     raise TypeError("untagged integral function in symbolic bracket")
 
 
+def slice_bracket_by_substitution(sys, theta1, theta2):
+    """{theta1, theta2}_2 as an exact polynomial over (m-vars..., "eps"):
+    the B-gradients over every coordinate, their bracket comm over all
+    coordinates, read at X in m by substituting the shift images at eps
+    = 0, then -B(xi, comm) with xi = X - eps W."""
+    alg = sys.alg
+    names = alg.coord_names
+    evars = sys.m_names() + ("eps",)
+    g1, g2 = (b_gradient(t.extend(names), alg) for t in (theta1, theta2))
+    comm = [Polynomial.zero(names) for _ in range(alg.dim)]
+    for (i, j, k), c in alg.structure.items():
+        p, q = g1[i], g2[j]
+        if p.is_zero() or q.is_zero():
+            continue
+        comm[k] = comm[k] + p * q * c
+    images = shift_images(sys, evars, eps=0)
+    out = Polynomial.zero(evars)
+    for xi, c in zip(shift_images(sys, evars), comm):
+        if c.is_zero() or xi.is_zero():
+            continue
+        out = out + xi * c.substitute(images=images, target_vars=evars)
+    return -out
+
+
 def slice_bracket_value(sys, theta1, theta2, pt):
     """{theta1, theta2}_2 at xi(pt) = -B(xi, [grad1_m, grad2_m])."""
     alg = sys.alg
@@ -324,6 +356,23 @@ def rref_by_scalars(rows, ncols):
         if not work:
             break
     return pivots, reduced
+
+
+def generator_products_by_chain(gens, names, degree):
+    """(combos, rows, mono_index) of the products of generators of the
+    weighted degree, each product chained from 1 by one multiplication
+    per factor, generators in order, nothing shared between products."""
+    combos = _monomials_in_generators(gens, degree)
+    mono_index = {e: i for i, e in
+                  enumerate(monomials_of_degree(len(names), degree))}
+    rows = []
+    for combo in combos:
+        poly = Polynomial.const(names, 1)
+        for (_, gp, _), k in zip(gens, combo):
+            for _ in range(k):
+                poly = poly * gp
+        rows.append(_poly_to_row(poly, mono_index))
+    return combos, rows, mono_index
 
 
 def greedy_complete_by_rank(span_rows, candidates, ncols):

@@ -107,7 +107,8 @@ def test_a_failed_bracket_table_is_not_cached(monkeypatch):
     calls = _count_slice_brackets(monkeypatch)
     sys = reports.make_system("regular", 0.1)
     with monkeypatch.context() as m:
-        m.setattr(certify, "rewrite_in_generators", lambda q, gens: None)
+        m.setattr(certify, "rewrite_in_generators",
+                  lambda q, gens, products=None: None)
         with pytest.raises(AssertionError, match="not expressible"):
             bracket_table_regular(sys)
     assert len(calls) == 1

@@ -44,6 +44,8 @@ UNREAD = {
     "algebra.polar_project": "traced by the benchmark (perfbench/layers.py)",
     "phase.differential": "traced by the benchmark (perfbench/layers.py)",
     "exact_linalg.rref": "traced by the benchmark (perfbench/layers.py)",
+    "poly.b_gradient": "traced by the benchmark (perfbench/layers.py); "
+                       "exported as su3mag.b_gradient",
     "angles.torus_angles": "used by demos/05_action_angles.py",
     "angles.unwrapped_angle_series": "used by demos/05_action_angles.py",
     "phase.closed_form_group": "used by demos/03_magnetic_flow.py",

@@ -18,12 +18,13 @@ from su3mag.invariants import (invariant_space, indecomposable_generators,
                                monomials_of_degree)
 from su3mag.phase import su3_regular_system, su3_irregular_system
 from su3mag.exact_linalg import nullspace, rref, solve_in_span
-from su3mag.invariants import (_greedy_complete, _monomial_buckets,
+from su3mag.invariants import (_generator_products, _greedy_complete,
+                               _monomial_buckets, _monomials_in_generators,
                                _operator_rows, _operator_terms)
 
-from oracles import (greedy_complete_by_rank, monomials_by_recursion,
-                     operator_rows_by_scalars, rref_by_scalars,
-                     solve_in_span_dense)
+from oracles import (generator_products_by_chain, greedy_complete_by_rank,
+                     monomials_by_recursion, operator_rows_by_scalars,
+                     rref_by_scalars, solve_in_span_dense)
 
 
 def dense_nullity_oracle(alg, sub, degree, restrict_to_m=True):
@@ -380,13 +381,65 @@ def field_matrices(draw):
     return [{j: x for j, x in enumerate(r) if x} for r in rows], ncols
 
 
+# pivot scales: negative rationals, denominators above 1, and elements
+# of sqrt2, sqrt3 and sqrt6 and of neither
+_PIVOTS = (Scalar(-1), Scalar(Fraction(-3, 2)), Scalar(Fraction(2, 3)),
+           Scalar(Fraction(-5, 4)), Scalar(7), Scalar.sqrt2(),
+           Scalar.sqrt3(Fraction(-1, 2)), Scalar.sqrt6(Fraction(1, 3)),
+           Scalar(1, 1))
+
+
+@st.composite
+def pivot_matrices(draw):
+    """(sparse rows, ncols): the rows of field_matrices, each scaled by a
+    drawn pivot scale, then empty rows and shadows: a scaled copy of a
+    row plus a row drawn past its second column, which the row's pivot
+    reduces to that tail, skipping a column that can end up free."""
+    rows, ncols = draw(field_matrices())
+    rows = [{j: f * x for j, x in r.items()}
+            for r, f in zip(rows, draw(st.lists(st.sampled_from(_PIVOTS),
+                                                min_size=len(rows),
+                                                max_size=len(rows))))]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("empty", "shadow")))
+        long_rows = [r for r in rows if len(r) > 2]
+        if kind == "empty" or not long_rows:
+            rows.insert(draw(st.integers(0, len(rows))), {})
+            continue
+        base = draw(st.sampled_from(long_rows))
+        f = draw(st.sampled_from(_PIVOTS))
+        shadow = {j: f * x for j, x in base.items()}
+        for j in range(sorted(base)[1] + 1, ncols):
+            shadow[j] = shadow.get(j, Scalar(0)) + draw(st.sampled_from(
+                _ENTRIES))
+        rows.append({j: x for j, x in shadow.items() if x})
+    return rows, ncols
+
+
 def int_row(row):
     """A sparse row {column: Scalar} as exact_linalg takes it."""
     return {j: x.ints for j, x in row.items()}
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(field_matrices(), st.data())
+def test_rref_pivots_rational_irrational_and_across_a_free_column():
+    # column 0: a tie of negative rational pivots with denominator 2, the
+    # first taken; the second row drops to its column 2 and leaves column
+    # 1 free; column 2: the rational pivot -1; column 3: 1 + 2 sqrt3
+    half = Scalar(Fraction(-3, 2))
+    rows = [{0: half, 1: Scalar(1), 2: Scalar(1)},
+            {0: half, 1: Scalar(1), 3: Scalar.sqrt2()},
+            {}, {2: Scalar.sqrt6(), 3: Scalar(1)}]
+    pivots, reduced = rref(rows, 5)
+    assert pivots == [0, 2, 3]
+    assert (pivots, reduced) == rref_by_scalars(rows, 5)
+    assert reduced == [{0: Scalar(1), 1: Scalar(Fraction(-2, 3))},
+                       {2: Scalar(1)}, {3: Scalar(1)}]
+    assert [list(r) for r in reduced] == [[1, 0], [2], [3]]
+    assert len(nullspace(list(map(int_row, rows)), 5)) == 2
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(field_matrices(), pivot_matrices()), st.data())
 def test_rref_is_the_oracle_rref_under_any_row_order(matrix, data):
     rows, ncols = matrix
     pivots, reduced = rref(rows, ncols)
@@ -395,8 +448,8 @@ def test_rref_is_the_oracle_rref_under_any_row_order(matrix, data):
     assert rref(shuffled, ncols) == (pivots, reduced)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(field_matrices())
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(field_matrices(), pivot_matrices()))
 def test_nullspace_vectors_annihilate_every_row(matrix):
     rows, ncols = matrix
     basis = nullspace(list(map(int_row, rows)), ncols)
@@ -526,6 +579,44 @@ def test_invariant_space_is_the_nullspace_of_the_scalar_rows(selection,
         basis = invariant_space(alg, sub, degree, m_only).basis
         assert [list(p.terms.items()) for p in basis] == \
             [list(t.items()) for t in expected]
+
+
+@pytest.mark.parametrize("selection", SELECTIONS, ids="/".join)
+def test_generator_products_are_the_chained_products(selection):
+    """Rows of the generator products on the m-coordinates to degree 6,
+    with a memo per degree and with one memo filled first by the first
+    generators alone, as indecomposable_generators fills it."""
+    alg, sub = reports._selection(*selection)
+    names = tuple(alg.coord_names[i] for i in sub.m_indices)
+    gens = indecomposable_generators(alg, sub, 6).generators
+    shared = {}
+    for first in (gens[:len(gens) // 2], gens):
+        for degree in range(7):
+            expected = generator_products_by_chain(first, names, degree)
+            assert _generator_products(first, names, degree, {}) == expected
+            assert _generator_products(first, names, degree,
+                                       shared) == expected
+
+
+def test_each_generator_product_is_one_multiplication(monkeypatch):
+    """indecomposable_generators(torus, m, 6) multiplies polynomials once
+    per distinct product of two or more generators, and nowhere else."""
+    alg, sub = reports._selection("su3", "torus")
+    calls = []
+    multiply = Polynomial.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    gens = indecomposable_generators(alg, sub, 6).generators
+    monkeypatch.undo()
+    products = {c for d in range(7) for c in _monomials_in_generators(gens, d)
+                if sum(c) > 1}
+    assert [d for _, _, d in gens] == [2, 2, 2, 3, 3]
+    assert len(products) == 25
+    assert len(calls) == len(products)
 
 
 # SHA-256 of centralizer reports that neither the benchmark nor

@@ -1,5 +1,7 @@
 """Phase space: maps, vector fields, twisted brackets and the flow."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,8 @@ from oracles import (adjoint_group, moment_map, moment_of_direction,
                      omega_eps, per_direction_differential,
                      phase_tangent_basis, point_by_exp_map,
                      reference_float_evaluate, regular_point_by_exp_map,
-                     slice_bracket_value, slice_map,
+                     slice_bracket_by_substitution, slice_bracket_value,
+                     slice_map,
                      stage_projected_flow_step, symbolic_bracket)
 
 
@@ -288,6 +291,51 @@ def test_symbolic_slice_bracket_matches_pointwise():
         lhs = float(sym.evaluate(list(pt.xi[sys.m]) + [sys.eps]))
         rhs = slice_bracket_value(sys, u[0], v, pt)
         assert abs(lhs - rhs) < 1e-12
+
+
+def _random_invariants(gens, rng, count, most):
+    """count random polynomials in the generators (name, Polynomial,
+    degree), each a sum of three products of one to ``most`` of them with
+    small integer coefficients, Ad(A)-invariant as the generators are."""
+    out = []
+    for _ in range(count):
+        poly = Polynomial.zero(gens[0][1].vars)
+        for _ in range(3):
+            term = Polynomial.const(poly.vars, int(rng.integers(-3, 4)))
+            for f in rng.choice(len(gens), size=rng.integers(1, most + 1)):
+                term = term * gens[f][1]
+            poly = poly + term
+        out.append(poly)
+    return out
+
+
+def test_slice_bracket_is_the_substitution_route():
+    """The partials on m give the polynomial of the B-gradients over every
+    coordinate read at X in m: for the 10 regular generator pairs, for the
+    irregular (R, R), for random Ad(A)-invariant polynomials and for one
+    pair that is not invariant (theta need only live on m)."""
+    sysR = su3_regular_system(0.1)
+    u, v, w = torus_generators(sysR.alg)
+    gens = [("u1", u[0], 2), ("u2", u[1], 2), ("u3", u[2], 2),
+            ("v", v, 3), ("w", w, 3)]
+    cases = [(sysR, a, b) for k, (_, a, _) in enumerate(gens)
+             for (_, b, _) in gens[k + 1:]]
+    assert len(cases) == 10
+    # degrees at most 4 and 3, so that every bracket stays in the cap
+    rng = np.random.default_rng(27)
+    cases += [(sysR, a, b) for a, b in zip(
+        _random_invariants(gens[:3], rng, 4, 2),
+        _random_invariants(gens, rng, 4, 1))]
+    sysI = su3_irregular_system(Fraction(1, 4))
+    R = radial_generator(sysI)
+    x1 = Polynomial.var(R.vars, R.vars[0])
+    cases += [(sysI, R, R), (sysI, R * x1, R + x1)]
+    with_eps = 0
+    for sys, a, b in cases:
+        bracket = slice_bracket_symbolic(sys, a, b)
+        assert bracket == slice_bracket_by_substitution(sys, a, b)
+        with_eps += any(e[-1] for e in bracket.terms)
+    assert with_eps >= 10  # the a-block term -eps W is read
 
 
 def test_flow_conservation_and_closed_forms():
