@@ -33,7 +33,7 @@ from .scalars import ZERO, Scalar
 from .poly import Polynomial
 from .exact_linalg import solve_in_span
 from .invariants import (torus_generators, radial_generator, restrict_shift,
-                         independence_rank, numeric_rank,
+                         independence_rank, numeric_rank, CallMemo,
                          _generator_products, _poly_to_row)
 from .phase import (MomentPullback, SlicePullback, moment_coordinate,
                     slice_bracket_symbolic, basis_bracket, twisted_bracket,
@@ -161,17 +161,17 @@ def center_family(sys):
 # generator rewriting and the bracket table
 # ---------------------------------------------------------------------------
 
-def rewrite_in_generators(q, gens, products=None):
+def rewrite_in_generators(q, gens, memo=None):
     """Rewrite q (over m-vars + eps) as a polynomial in named generators.
 
     gens is a list of (name, Polynomial over the m-vars, degree); each
     eps-slice of q is solved exactly in the span of generator monomials of
     the right degree.  Returns the rewritten polynomial over
     (gen names..., "eps"), or None with the offending residue if q is not
-    expressible.  products is the memo of the generator products, shared
-    by the rewrites of one bracket table.
+    expressible.  memo is the CallMemo of the generator products and
+    monomials, shared by the rewrites of one bracket table.
     """
-    products = {} if products is None else products
+    memo = CallMemo() if memo is None else memo
     m_names = gens[0][1].vars
     gen_names = tuple(n for n, _, _ in gens)
     out_vars = gen_names + ("eps",)
@@ -185,7 +185,7 @@ def rewrite_in_generators(q, gens, products=None):
         part = Polynomial(m_names, terms)
         for deg, comp in part.homogeneous_components():
             combos, rows, mono_index = _generator_products(gens, m_names, deg,
-                                                           products)
+                                                           memo)
             if not combos:
                 return None
             coeffs = solve_in_span(_poly_to_row(comp, mono_index), rows,
@@ -257,10 +257,10 @@ def bracket_table_regular(sys):
     entries = {}
     matches = {}
     residuals = {}
-    products = {}  # the generator products, built once for the table
+    memo = CallMemo()  # the generator products, built once for the table
     for (a, b), exp_poly in expected.items():
         raw = slice_bracket_symbolic(sys, by_name[a], by_name[b])
-        rw = rewrite_in_generators(raw, gens, products)
+        rw = rewrite_in_generators(raw, gens, memo)
         if rw is None:
             raise AssertionError(
                 f"bracket {{{a},{b}}} is not expressible in the generators; "

@@ -6,16 +6,26 @@ coadjoint derivations
     L_j = sum_{k,i} C_jk^i x_k d/dx_i,       j in a_indices,
 
 acting on homogeneous polynomials.  Kernels are exact (Gaussian elimination
-over Q(sqrt2, sqrt3)); monomials are grouped into blocks preserved by all
-L_j (the finest variable partition closed under the operators), which keeps
-the elimination small.  Every row handed to exact_linalg is a sparse row
-of integral representations {column: Scalar.ints}: the operator rows are
-built on the ints of their entries, and _poly_to_row reads a polynomial's.
+over Q(sqrt2, sqrt3)).  The joint kernel depends only on span{L_j}, so it
+is taken of the reduced row echelon basis of that span (the L_j as rows
+over their term keys (k, i)): the fewest terms, and rational for the
+torus and the A block.  Monomials are grouped into buckets preserved by
+every operator (equal multidegree over the finest variable partition
+closed under the operators), which keeps the elimination small.  A
+variable that no operator term touches is inert (h1 and h2 over all of
+su(3) for the torus, z for su(2)); buckets that differ only in inert
+exponents have the same rows, so one kernel serves them all.  The rows
+are built on monomials coded as one int whose digits in base degree + 1
+are the exponents: a term moves a source to its target by one addition.
+Every row handed to exact_linalg is a sparse row of integral
+representations {column: Scalar.ints}; _poly_to_row reads a polynomial's.
 One builder, _generator_products, makes the rows of a degree's products of
 generators for the quotient by decomposables, the relations and the
 bracket table's rewrite; each product is one lower product times one
-generator, in a memo that one top-level call (indecomposable_generators,
-or one bracket table) owns, so nothing is cached across calls.
+generator.  A CallMemo, owned by one top-level call (indecomposable_generators,
+or one bracket table), keeps the products, one list of each degree's
+monomials and the bucket kernels by active exponents; nothing is cached
+across calls.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from operator import mul
 
 import numpy as np
 
@@ -34,6 +45,8 @@ from .algebra import SubalgebraSpec
 
 def monomials_of_degree(nvars, degree):
     """All exponent tuples of the degree, in descending lexicographic order."""
+    if degree < 0:
+        raise ValueError(f"degree {degree} is negative")
     out = []
     for combo in combinations_with_replacement(range(nvars), degree):
         expo = [0] * nvars
@@ -41,6 +54,32 @@ def monomials_of_degree(nvars, degree):
             expo[v] += 1
         out.append(tuple(expo))
     return out
+
+
+class CallMemo:
+    """What one top-level computation (one indecomposable_generators call,
+    or one bracket table) builds once and reuses; the caller makes it, and
+    nothing in it outlives that call.
+
+    monomials: (nvars, degree) -> {exponent tuple: index}, in the order of
+    monomials_of_degree; products: generator exponent tuple -> Polynomial
+    (see _product); kernels: active exponents -> the nullspace vectors of
+    a bucket (see invariant_space), valid for one (alg, sub, variables).
+    """
+
+    def __init__(self):
+        self.monomials = {}
+        self.products = {}
+        self.kernels = {}
+
+    def monomial_index(self, nvars, degree):
+        """{monomial: index} over the degree's monomials, listed once."""
+        index = self.monomials.get((nvars, degree))
+        if index is None:
+            index = {e: i for i, e in
+                     enumerate(monomials_of_degree(nvars, degree))}
+            self.monomials[(nvars, degree)] = index
+        return index
 
 
 @dataclass
@@ -70,11 +109,26 @@ def _operator_terms(alg, sub, var_indices):
     return ops
 
 
-def _monomial_buckets(ops, nvars, degree):
-    """Buckets of the degree's monomials that every L_j preserves: equal
-    multidegree over the finest variable partition closed under the terms,
-    blocks numbered by first variable, buckets in ascending multidegree."""
-    parent = list(range(nvars))
+def _reduced_operators(ops):
+    """A basis of span{L_j} with the same joint kernel and the fewest
+    terms: the reduced row echelon form of the operators as rows over
+    their term keys (k_pos, i_pos) in ascending order.  Returns
+    {pivot key: [(k_pos, i_pos, coeff.ints)]}, terms by key."""
+    keys = sorted({(k, i) for terms in ops.values() for k, i, _ in terms})
+    column = {key: c for c, key in enumerate(keys)}
+    rows = [{column[(k, i)]: c for k, i, c in terms} for terms in ops.values()]
+    pivots, reduced = rref_ints(rows, len(keys))
+    return {keys[p]: [(*keys[c], row[c]) for c in sorted(row)]
+            for p, row in zip(pivots, reduced)}
+
+
+def _monomial_buckets(ops, monomials):
+    """Buckets of the monomials of one degree that every L_j preserves:
+    equal multidegree over the finest variable partition closed under the
+    terms, blocks numbered by first variable, buckets in ascending
+    multidegree, monomials in the order given."""
+    first = next(iter(monomials), ())
+    parent = list(range(len(first)))
 
     def find(a):
         while parent[a] != a:
@@ -88,34 +142,52 @@ def _monomial_buckets(ops, nvars, degree):
             if ra != rb:
                 parent[rb] = ra
     number = {}
-    block_of = [number.setdefault(find(v), len(number)) for v in range(nvars)]
+    block_of = [number.setdefault(find(v), len(number))
+                for v in range(len(first))]
+    # the multidegree as one int in base degree + 1, the first block the
+    # most significant digit: ascending ints are ascending multidegrees
+    place = [(sum(first) + 1) ** (len(number) - 1 - b) for b in block_of]
     buckets = {}
-    for expo in monomials_of_degree(nvars, degree):
-        profile = [0] * len(number)
-        for v, e in enumerate(expo):
-            profile[block_of[v]] += e
-        buckets.setdefault(tuple(profile), []).append(expo)
+    for expo in monomials:
+        buckets.setdefault(sum(map(mul, expo, place)), []).append(expo)
     return [buckets[profile] for profile in sorted(buckets)]
 
 
-def _operator_rows(ops, bucket):
+def _operator_moves(ops, nvars, degree):
+    """The operators on the integer code of the degree's monomials, whose
+    exponents are the digits of one int in base degree + 1: (weight,
+    moves) with weight[v] the place value of x_v, and per operator the
+    list of (i_pos, shift, entries) of its terms C x_k d/dx_i, which move
+    a source's code by shift = weight[k] - weight[i] with entries[e] the
+    reduced ints of C * e for a source of exponent e >= 1 in x_i."""
+    weight = [(degree + 1) ** v for v in range(nvars)]
+    moves = [[(ipos, weight[kpos] - weight[ipos],
+               [None] + [_reduce(c0 * e, c1 * e, c2 * e, c3 * e, cd)
+                         for e in range(1, degree + 1)])
+              for kpos, ipos, (c0, c1, c2, c3, cd) in terms]
+             for terms in ops.values()]
+    return weight, moves
+
+
+def _operator_rows(coded, bucket):
     """Rows {source index: reduced ints} of the stacked L_j on a bucket, one
     per operator and target: C x_k d/dx_i maps a source with exponent e in
-    x_i to its target with entry C * e, summed per pair, zeros dropped."""
-    index = {e: i for i, e in enumerate(bucket)}
+    x_i to its target with entry C * e, summed per pair, zeros dropped.
+    coded is _operator_moves of the operators at the bucket's degree."""
+    weight, moves = coded
+    codes = [sum(map(mul, expo, weight)) for expo in bucket]
+    index = {code: i for i, code in enumerate(codes)}
     rows = []
-    for terms in ops.values():
+    for terms in moves:
         per_target = {}
         for src, expo in enumerate(bucket):
-            for kpos, ipos, (c0, c1, c2, c3, cd) in terms:
+            code = codes[src]
+            for ipos, shift, entries in terms:
                 e = expo[ipos]
                 if e == 0:
                     continue
-                new = list(expo)
-                new[ipos] -= 1
-                new[kpos] += 1
-                row = per_target.setdefault(index[tuple(new)], {})
-                val = _reduce(c0 * e, c1 * e, c2 * e, c3 * e, cd)
+                row = per_target.setdefault(index[code + shift], {})
+                val = entries[e]
                 if src in row:  # one more diagonal term x_k d/dx_k: add
                     val = submul_ints(row.pop(src), (-1, 0, 0, 0, 1), val)
                 if val != ZERO.ints:
@@ -124,17 +196,33 @@ def _operator_rows(ops, bucket):
     return rows
 
 
-def invariant_space(alg, sub, degree, restrict_to_m=True):
-    """Exact basis of the joint kernel of the L_j on degree-k polynomials."""
+def invariant_space(alg, sub, degree, restrict_to_m=True, memo=None):
+    """Exact basis of the joint kernel of the L_j on degree-k polynomials.
+
+    memo is the CallMemo of one top-level call over this (alg, sub,
+    restrict_to_m), shared by its degrees; a fresh one by default.  A
+    bucket's kernel is kept under its active exponents (those of the
+    variables some operator term touches): buckets that differ only in
+    the inert exponents have the same rows, so the same kernel."""
     from .poly import DEGREE_CAP
     if degree > DEGREE_CAP:
         raise ValueError(f"degree {degree} exceeds cap {DEGREE_CAP}")
+    memo = CallMemo() if memo is None else memo
     var_indices = list(sub.m_indices) if restrict_to_m else list(range(alg.dim))
     names = tuple(alg.coord_names[i] for i in var_indices)
-    ops = _operator_terms(alg, sub, var_indices)
+    ops = _reduced_operators(_operator_terms(alg, sub, var_indices))
+    active = sorted({v for terms in ops.values() for k, i, _ in terms
+                     for v in (k, i)})
+    coded = _operator_moves(ops, len(var_indices), degree)
     basis = []
-    for bucket in _monomial_buckets(ops, len(var_indices), degree):
-        for vec in nullspace(_operator_rows(ops, bucket), len(bucket)):
+    for bucket in _monomial_buckets(
+            ops, memo.monomial_index(len(var_indices), degree)):
+        key = tuple(bucket[0][v] for v in active)
+        kernel = memo.kernels.get(key)
+        if kernel is None:
+            kernel = nullspace(_operator_rows(coded, bucket), len(bucket))
+            memo.kernels[key] = kernel
+        for vec in kernel:
             terms = {bucket[c]: x for c, x in vec.items()}
             basis.append(Polynomial(names, terms))
     return InvariantBasis(subalgebra=sub, degree=degree, basis=basis)
@@ -179,10 +267,10 @@ def indecomposable_generators(alg, sub, max_degree, restrict_to_m=True):
     names = tuple(alg.coord_names[i] for i in var_indices)
     gens = []  # (name, Polynomial, degree)
     dims = {}
-    memo = {}  # the products of generators built so far, this call only
+    memo = CallMemo()  # shared by the degrees and relations of this call
 
     for d in range(1, max_degree + 1):
-        inv = invariant_space(alg, sub, d, restrict_to_m)
+        inv = invariant_space(alg, sub, d, restrict_to_m, memo)
         dims[d] = inv.dim
         if not inv.basis:
             continue
@@ -204,28 +292,27 @@ def _generator_products(gens, names, degree, memo):
     weighted degree: the exponent tuples over gens (a list of (name,
     Polynomial over names, degree)) as listed by _monomials_in_generators,
     the int row of each product over the degree's monomials, and the
-    index of those monomials.  memo is _product's, shared by the calls of
-    one top-level computation on one growing gens."""
+    index of those monomials (memo's, not to be changed).  memo is the
+    CallMemo of one top-level computation on one growing gens."""
     combos = _monomials_in_generators(gens, degree)
-    mono_index = {e: i for i, e in
-                  enumerate(monomials_of_degree(len(names), degree))}
-    rows = [_poly_to_row(_product(gens, combo, memo) if any(combo)
+    mono_index = memo.monomial_index(len(names), degree)
+    rows = [_poly_to_row(_product(gens, combo, memo.products) if any(combo)
                          else Polynomial.const(names, 1), mono_index)
             for combo in combos]
     return combos, rows, mono_index
 
 
-def _product(gens, combo, memo):
+def _product(gens, combo, products):
     """The product of generators of a nonzero exponent tuple: the product
-    of one factor fewer times its last generator, each kept in memo under
-    its tuple without trailing zeros (gens only ever grows)."""
+    of one factor fewer times its last generator, each kept in products
+    under its tuple without trailing zeros (gens only ever grows)."""
     key = combo[:max(i for i, k in enumerate(combo) if k) + 1]
-    poly = memo.get(key)
+    poly = products.get(key)
     if poly is None:
         gen = gens[len(key) - 1][1]
         lower = key[:-1] + (key[-1] - 1,)
-        poly = _product(gens, lower, memo) * gen if any(lower) else gen
-        memo[key] = poly
+        poly = _product(gens, lower, products) * gen if any(lower) else gen
+        products[key] = poly
     return poly
 
 

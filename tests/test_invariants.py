@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from su3mag import (build_su3_gellmann, build_su3_chevalley, build_su2,
                     centralizer_of, Polynomial, lie_poisson_bracket, reports)
+from su3mag import invariants
 from su3mag.scalars import Scalar, from_ints
 from su3mag.invariants import (invariant_space, indecomposable_generators,
                                casimirs_su3, restrict_shift, shift_images,
@@ -18,9 +19,10 @@ from su3mag.invariants import (invariant_space, indecomposable_generators,
                                monomials_of_degree)
 from su3mag.phase import su3_regular_system, su3_irregular_system
 from su3mag.exact_linalg import nullspace, rref, solve_in_span
-from su3mag.invariants import (_generator_products, _greedy_complete,
+from su3mag.invariants import (CallMemo, _generator_products, _greedy_complete,
                                _monomial_buckets, _monomials_in_generators,
-                               _operator_rows, _operator_terms)
+                               _operator_moves, _operator_rows,
+                               _operator_terms, _reduced_operators)
 
 from oracles import (generator_products_by_chain, greedy_complete_by_rank,
                      monomials_by_recursion, operator_rows_by_scalars,
@@ -535,16 +537,19 @@ def _buckets_by_degree(selection, m_only):
     ops = _operator_terms(alg, sub, var_indices)
     for degree in range(1, 6):
         yield (alg, sub, degree, names, ops,
-               _monomial_buckets(ops, len(var_indices), degree))
+               _monomial_buckets(
+                   ops, monomials_of_degree(len(var_indices), degree)))
 
 
 @pytest.mark.parametrize("m_only", (True, False), ids=("m", "full"))
 @pytest.mark.parametrize("selection", SELECTIONS, ids="/".join)
 def test_int_operator_rows_are_the_scalar_rows(selection, m_only):
-    for _, _, _, _, ops, buckets in _buckets_by_degree(selection, m_only):
+    for _, _, degree, names, ops, buckets in _buckets_by_degree(selection,
+                                                                m_only):
+        coded = _operator_moves(ops, len(names), degree)
         for bucket in buckets:
             rows = [{c: from_ints(t) for c, t in r.items()}
-                    for r in _operator_rows(ops, bucket)]
+                    for r in _operator_rows(coded, bucket)]
             assert rows == operator_rows_by_scalars(ops, bucket)
 
 
@@ -558,7 +563,8 @@ def test_operator_rows_sum_diagonal_terms_and_drop_zeros():
     for degree in range(1, 6):
         bucket = monomials_of_degree(2, degree)
         rows = [{c: from_ints(t) for c, t in r.items()}
-                for r in _operator_rows(ops, bucket)]
+                for r in _operator_rows(_operator_moves(ops, 2, degree),
+                                        bucket)]
         assert rows == operator_rows_by_scalars(ops, bucket)
         if degree == 2:  # bucket x0^2, x0 x1, x1^2
             assert rows == [{0: Scalar(2), 1: Scalar.sqrt2(Fraction(1, 2))},
@@ -581,6 +587,130 @@ def test_invariant_space_is_the_nullspace_of_the_scalar_rows(selection,
             [list(t.items()) for t in expected]
 
 
+def _term_rows(ops):
+    """The operators as rows {term column: Scalar} over their term keys."""
+    keys = sorted({(k, i) for terms in ops.values() for k, i, _ in terms})
+    return ([{keys.index((k, i)): from_ints(c) for k, i, c in terms}
+             for terms in ops.values()], len(keys))
+
+
+def _assert_same_span(ops, reduced):
+    rows, ncols = _term_rows(ops)
+    keys = sorted({(k, i) for terms in ops.values() for k, i, _ in terms})
+    reduced_rows = [{keys.index((k, i)): from_ints(c) for k, i, c in terms}
+                    for terms in reduced.values()]
+    expected = rref_by_scalars(rows, ncols)
+    assert rref_by_scalars(reduced_rows, ncols) == expected
+    assert len(reduced) == len(expected[0])
+    for key, terms in reduced.items():  # each keyed by its leading 1
+        assert terms[0] == (*key, Scalar(1).ints)
+
+
+@pytest.mark.parametrize("m_only", (True, False), ids=("m", "full"))
+@pytest.mark.parametrize("selection", SELECTIONS, ids="/".join)
+def test_reduced_operators_span_the_operators(selection, m_only):
+    alg, sub = reports._selection(*selection)
+    var_indices = list(sub.m_indices) if m_only else list(range(alg.dim))
+    ops = _operator_terms(alg, sub, var_indices)
+    reduced = _reduced_operators(ops)
+    _assert_same_span(ops, reduced)
+    # the torus operators rotate three root planes, with sqrt3 weights;
+    # their span has a rational basis of two operators of four terms
+    if selection == ("su3", "torus"):
+        assert [len(t) for t in reduced.values()] == [4, 4]
+        assert all(from_ints(c).is_rational() for terms in
+                   reduced.values() for _, _, c in terms)
+
+
+def test_reduced_operators_of_irrational_and_zero_operators():
+    # an irrational leading coefficient, an operator with no terms, one
+    # that is the first times 1 + sqrt3, and a rational one that the
+    # first reduces to a new pivot
+    s2, s3 = Scalar.sqrt2(), Scalar.sqrt3()
+    first = [(0, 1, s2), (1, 0, -s2), (2, 2, s3 / 2)]
+    ops = {0: [(k, i, c.ints) for k, i, c in first],
+           1: [],
+           2: [(k, i, (c * (1 + s3)).ints) for k, i, c in first],
+           3: [(0, 1, Scalar(3).ints), (1, 0, Scalar(-3).ints),
+               (2, 1, Scalar(Fraction(1, 5)).ints)]}
+    reduced = _reduced_operators(ops)
+    _assert_same_span(ops, reduced)
+    assert list(reduced) == [(0, 1), (2, 1)]
+    assert reduced[(0, 1)] == [(0, 1, Scalar(1).ints),
+                               (1, 0, Scalar(-1).ints),
+                               (2, 2, (s3 / (2 * s2)).ints)]
+    assert _reduced_operators({0: [], 1: []}) == {}
+
+
+@pytest.mark.parametrize("m_only", (True, False), ids=("m", "full"))
+@pytest.mark.parametrize("selection", SELECTIONS, ids="/".join)
+def test_one_memo_over_the_degrees_gives_the_fresh_bases(selection, m_only):
+    alg, sub = reports._selection(*selection)
+    memo = CallMemo()
+    for degree in range(1, 7):
+        shared = invariant_space(alg, sub, degree, m_only, memo).basis
+        fresh = invariant_space(alg, sub, degree, m_only).basis
+        assert [list(p.terms.items()) for p in shared] == \
+            [list(p.terms.items()) for p in fresh]
+
+
+def _counting(monkeypatch, name):
+    """Replace invariants.<name> by a wrapper that logs each call's args."""
+    calls = []
+    original = getattr(invariants, name)
+
+    def logged(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(invariants, name, logged)
+    return calls
+
+
+def test_full_torus_solves_each_active_profile_once(monkeypatch):
+    """Over all 8 su(3) variables no torus operator touches h1 or h2, so
+    the buckets to degree 4 are those of the 6 m-variables to degree 4
+    times powers of h1 and h2: 210 distinct columns, not 494."""
+    alg, sub = reports._selection("su3", "torus")
+    ops = _operator_terms(alg, sub, list(sub.m_indices))
+    profiles = [bucket for a in range(5) for bucket in
+                _monomial_buckets(ops, monomials_of_degree(6, a))]
+    assert sum(map(len, profiles)) == 210
+    solves = _counting(monkeypatch, "nullspace")
+    memo = CallMemo()
+    for degree in range(1, 5):
+        invariant_space(alg, sub, degree, False, memo)
+    assert sorted(ncols for _, ncols in solves) == \
+        sorted(map(len, profiles))
+    # indecomposable_generators shares one memo over its degrees
+    built = _counting(monkeypatch, "_operator_rows")
+    indecomposable_generators(alg, sub, 4, restrict_to_m=False)
+    assert len(built) == len(profiles)
+    assert sum(len(bucket) for _, bucket in built) == 210
+
+
+def test_nothing_outlives_an_indecomposable_generators_call(monkeypatch):
+    alg, sub = reports._selection("su3", "torus")
+    counts = []
+    for _ in range(2):
+        solves = _counting(monkeypatch, "nullspace")
+        listed = _counting(monkeypatch, "monomials_of_degree")
+        indecomposable_generators(alg, sub, 4, restrict_to_m=False)
+        counts.append((len(solves), len(listed)))
+        monkeypatch.undo()
+    assert counts[0] == counts[1]
+    # one list of each degree's 8-variable monomials, degrees 1-4
+    assert counts[0][1] == 4
+
+
+def test_a_negative_degree_is_refused_by_name():
+    alg, sub = reports._selection("su2", "torus")
+    for call in (lambda: invariant_space(alg, sub, -1),
+                 lambda: monomials_of_degree(3, -2)):
+        with pytest.raises(ValueError, match=r"^degree -\d is negative$"):
+            call()
+
+
 @pytest.mark.parametrize("selection", SELECTIONS, ids="/".join)
 def test_generator_products_are_the_chained_products(selection):
     """Rows of the generator products on the m-coordinates to degree 6,
@@ -589,11 +719,12 @@ def test_generator_products_are_the_chained_products(selection):
     alg, sub = reports._selection(*selection)
     names = tuple(alg.coord_names[i] for i in sub.m_indices)
     gens = indecomposable_generators(alg, sub, 6).generators
-    shared = {}
+    shared = CallMemo()
     for first in (gens[:len(gens) // 2], gens):
         for degree in range(7):
             expected = generator_products_by_chain(first, names, degree)
-            assert _generator_products(first, names, degree, {}) == expected
+            assert _generator_products(first, names, degree,
+                                       CallMemo()) == expected
             assert _generator_products(first, names, degree,
                                        shared) == expected
 
