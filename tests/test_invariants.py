@@ -587,20 +587,17 @@ def test_invariant_space_is_the_nullspace_of_the_scalar_rows(selection,
             [list(t.items()) for t in expected]
 
 
-def _term_rows(ops):
-    """The operators as rows {term column: Scalar} over their term keys."""
-    keys = sorted({(k, i) for terms in ops.values() for k, i, _ in terms})
-    return ([{keys.index((k, i)): from_ints(c) for k, i, c in terms}
-             for terms in ops.values()], len(keys))
-
-
 def _assert_same_span(ops, reduced):
-    rows, ncols = _term_rows(ops)
+    """The reduced operators and ops, as rows {term column: Scalar} over
+    ops' term keys, have one RREF, with one reduced operator per pivot."""
     keys = sorted({(k, i) for terms in ops.values() for k, i, _ in terms})
-    reduced_rows = [{keys.index((k, i)): from_ints(c) for k, i, c in terms}
-                    for terms in reduced.values()]
-    expected = rref_by_scalars(rows, ncols)
-    assert rref_by_scalars(reduced_rows, ncols) == expected
+
+    def rows(operators):
+        return [{keys.index((k, i)): from_ints(c) for k, i, c in terms}
+                for terms in operators.values()]
+
+    expected = rref_by_scalars(rows(ops), len(keys))
+    assert rref_by_scalars(rows(reduced), len(keys)) == expected
     assert len(reduced) == len(expected[0])
     for key, terms in reduced.items():  # each keyed by its leading 1
         assert terms[0] == (*key, Scalar(1).ints)
