@@ -34,6 +34,7 @@ import numpy as np
 from .scalars import (ONE, ZERO, Scalar, CScalar, CZERO, cmat,
                       cmat_commutator, cmat_scale, cmat_add, is_exact)
 from .exact_linalg import nullspace
+from .poly import Polynomial
 
 UNITARY_TOL = 1e-12
 
@@ -147,13 +148,22 @@ class LieAlgebraSpec:
         return [_bpair_exact(M, E) for E in self.matrix_rep]
 
     def bracket_coords(self, x, y):
-        """Exact commutator of coordinate vectors."""
-        out = [Scalar(0)] * self.dim
+        """[x, y]^k = sum_ij C_ij^k x_i y_j: the one exact contraction of
+        the structure constants, for coordinate vectors of exact scalars
+        (is_exact) or of Polynomials over one variable tuple.  Zero entries
+        are skipped; an entry no term reaches is the zero of their kind."""
+        x, y = ([v if isinstance(v, Polynomial) else Scalar.of(v)
+                 for v in vec] for vec in (x, y))
+        out = [None] * self.dim
         for (i, j, k), c in self.structure.items():
-            xi, yj = Scalar.of(x[i]), Scalar.of(y[j])
-            if not xi.is_zero() and not yj.is_zero():
-                out[k] = out[k] + c * xi * yj
-        return out
+            xi, yj = x[i], y[j]
+            if xi.is_zero() or yj.is_zero():
+                continue
+            term = xi * yj * c
+            out[k] = term if out[k] is None else out[k] + term
+        polys = [v for v in x + y if isinstance(v, Polynomial)]
+        zero = Polynomial.zero(polys[0].vars) if polys else ZERO
+        return [zero if v is None else v for v in out]
 
     def bpair_coords(self, x, y):
         """Exact B(x, y) = sum_i x_i y_i on the orthonormal basis."""
@@ -226,16 +236,6 @@ class LieAlgebraSpec:
             self._pair_ad = ad[self._pairs[0], :, self._pairs[1]]
         return self._np_ad
 
-    def ad_matrix_exact(self, w):
-        """Matrix of ad_W over Scalars for a Scalar coordinate vector w."""
-        n = self.dim
-        M = [[Scalar(0)] * n for _ in range(n)]
-        for (i, j, k), c in self.structure.items():
-            wi = Scalar.of(w[i])
-            if not wi.is_zero():
-                M[k][j] = M[k][j] + wi * c
-        return M
-
     # -- verification -----------------------------------------------------------
 
     def verify(self):
@@ -244,16 +244,15 @@ class LieAlgebraSpec:
         for (i, j, k), c in self.structure.items():
             if self.structure.get((j, i, k), ZERO) != -c:
                 raise AssertionError("structure constants are not antisymmetric")
-        # Jacobi via exact matrices (closure already checked in constructor)
+        # Jacobi on basis triples, by nested brackets
         unit = [[ONE if t == i else ZERO for t in range(n)] for i in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
                     acc = [ZERO] * n
                     for (a, b, cc) in ((i, j, k), (j, k, i), (k, i, j)):
-                        ab = [self.structure.get((a, b, m), ZERO)
-                              for m in range(n)]
-                        inner = self.bracket_coords(ab, unit[cc])
+                        inner = self.bracket_coords(
+                            self.bracket_coords(unit[a], unit[b]), unit[cc])
                         acc = [p + q for p, q in zip(acc, inner)]
                     if any(not v.is_zero() for v in acc):
                         raise AssertionError("Jacobi identity fails")
@@ -580,8 +579,11 @@ def centralizer_of(alg, w):
     w = [Scalar.of(c) for c in w]
     if all(c.is_zero() for c in w):
         raise ValueError("W = 0 centralizes everything")
-    rows = [{j: v.ints for j, v in enumerate(r) if not v.is_zero()}
-            for r in alg.ad_matrix_exact(w)]
+    # column j of ad_W is [W, e_j]; row k reads entry k of each column
+    cols = [alg.bracket_coords(w, [int(t == j) for t in range(alg.dim)])
+            for j in range(alg.dim)]
+    rows = [{j: col[k].ints for j, col in enumerate(cols)
+             if not col[k].is_zero()} for k in range(alg.dim)]
     a_idx = []
     for vec in nullspace(rows, alg.dim):  # sparse: the support is its keys
         if len(vec) != 1:

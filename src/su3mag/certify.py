@@ -31,12 +31,11 @@ import numpy as np
 
 from .scalars import ZERO, Scalar
 from .poly import Polynomial
-from .exact_linalg import solve_in_span
 from .invariants import (torus_generators, radial_generator, restrict_shift,
                          independence_rank, numeric_rank, CallMemo,
-                         _generator_products, _poly_to_row)
+                         rewrite_in_generators, shift_images)
 from .phase import (MomentPullback, SlicePullback, moment_coordinate,
-                    slice_bracket_symbolic, basis_bracket, twisted_bracket,
+                    slice_bracket_symbolic, basis_bracket,
                     basis_differential, slice_z_values)
 
 NUM_TOL = 1e-10
@@ -158,47 +157,8 @@ def center_family(sys):
 
 
 # ---------------------------------------------------------------------------
-# generator rewriting and the bracket table
+# the bracket table
 # ---------------------------------------------------------------------------
-
-def rewrite_in_generators(q, gens, memo=None):
-    """Rewrite q (over m-vars + eps) as a polynomial in named generators.
-
-    gens is a list of (name, Polynomial over the m-vars, degree); each
-    eps-slice of q is solved exactly in the span of generator monomials of
-    the right degree.  Returns the rewritten polynomial over
-    (gen names..., "eps"), or None with the offending residue if q is not
-    expressible.  memo is the CallMemo of the generator products and
-    monomials, shared by the rewrites of one bracket table.
-    """
-    memo = CallMemo() if memo is None else memo
-    m_names = gens[0][1].vars
-    gen_names = tuple(n for n, _, _ in gens)
-    out_vars = gen_names + ("eps",)
-    eps_slices = {}
-    for expo, coeff in q.terms.items():
-        e_eps = expo[-1]
-        e_m = expo[:-1]
-        eps_slices.setdefault(e_eps, {})[e_m] = coeff
-    result = Polynomial.zero(out_vars)
-    for e_eps, terms in sorted(eps_slices.items()):
-        part = Polynomial(m_names, terms)
-        for deg, comp in part.homogeneous_components():
-            combos, rows, mono_index = _generator_products(gens, m_names, deg,
-                                                           memo)
-            if not combos:
-                return None
-            coeffs = solve_in_span(_poly_to_row(comp, mono_index), rows,
-                                   len(mono_index))
-            if coeffs is None:
-                return None
-            for combo, c in zip(combos, coeffs):
-                if c.is_zero():
-                    continue
-                expo = tuple(combo) + (e_eps,)
-                result = result + Polynomial(out_vars, {expo: c})
-    return result
-
 
 @dataclass
 class BracketTable:
@@ -348,9 +308,10 @@ def center_check(sys, rng, samples=50):
     J2 = P*C2 and (regular) J3 = P*C3 are checked against every generator
     of the case's joint family at random regular points, along with the
     pointwise identifications P*C = pi*(Res_W C).  The points are drawn
-    in turn and built as one stack (MagneticSystem.points_of); each
-    bracket is one twisted_bracket over the stack, and each
-    identification one evaluation over it.
+    in turn and built as one stack (MagneticSystem.points_of); the
+    brackets are one basis_bracket of the centres' Jacobian with the
+    generators' over the stack, and each identification one evaluation
+    over it.
     """
     report = CertificateReport(case_tag=sys.case_tag, sample_count=samples)
     gens = generator_family(sys)
@@ -359,8 +320,10 @@ def center_check(sys, rng, samples=50):
     res2, res3 = _casimir_restrictions(sys)
     pts = sys.points_of([sys.draw_regular_point(rng)
                          for _ in range(samples)])
-    worst = [_worst(twisted_bracket(sys, c, g, pts))
-             for c in centers for g in gens]
+    br = basis_bracket(sys, phase_jacobian(sys, centers, pts),
+                       phase_jacobian(sys, gens, pts))
+    # a maximum over the points per pair: a NaN bracket stays NaN and fails
+    worst = np.abs(br).max(axis=0).ravel().tolist()
     xi_m, P = pts.xi[:, sys.m], pts.moment_coords
     ident2 = _worst(c2.evaluate_stack(P) - res2.evaluate_stack(xi_m))
     ident3 = _worst(c3.evaluate_stack(P) - res3.evaluate_stack(xi_m))
@@ -431,27 +394,24 @@ def pi1_rank_samples(sys, rng, samples):
 
 
 def a_matrix_exact(sys):
-    """The 3x4 matrix of u -> B([u, X], e_a), a = 1, 2, 3, exactly.
+    """The 3x4 matrix of u -> B([u, X], e_a) for e_a the su(2) block of
+    the stabilizer S(U(2)xU(1)), the first three basis elements of a,
+    exactly.
 
-    Rows are the su(2)-block directions of the stabilizer, columns the m
-    basis; entries are linear polynomials in the m-coordinates.  In the
+    Column j is the bracket [e_j, X] of the m basis element e_j with X
+    the m-coordinate variables (bracket_coords), read on those rows;
+    entries are linear polynomials in the m-coordinates.  In the
     Hermitian presentation (coordinates negated) its column minors are
-    x7 R, -x6 R, x5 R, -x4 R.
+    x7 R, -x6 R, x5 R, -x4 R.  Any other stabilizer is refused.
     """
+    if len(sys.a) != 4:
+        raise ValueError(f"the A matrix needs the 4-dimensional stabilizer "
+                         f"S(U(2)xU(1)), not one of dimension {len(sys.a)}")
     alg = sys.alg
-    m_names = sys.m_names()
-    rows = []
-    for a in range(3):
-        row = []
-        for j in sys.m:
-            entry = Polynomial.zero(m_names)
-            for (jj, k, kk), c in alg.structure.items():
-                if jj == j and kk == a and k in sys.m:
-                    entry = entry + Polynomial.var(
-                        m_names, alg.coord_names[k], c)
-            row.append(entry)
-        rows.append(row)
-    return rows
+    X = shift_images(sys, sys.m_names(), eps=0)
+    cols = [alg.bracket_coords([int(t == j) for t in range(alg.dim)], X)
+            for j in sys.m]
+    return [[col[a] for col in cols] for a in sys.a[:3]]
 
 
 def a_matrix_minors(sys):
@@ -461,7 +421,6 @@ def a_matrix_minors(sys):
     coordinates negated), where they factor as x7 R, -x6 R, x5 R, -x4 R.
     """
     rows = a_matrix_exact(sys)
-    m_names = sys.m_names()
 
     def det3(cols):
         M = [[rows[r][c] for c in cols] for r in range(3)]
@@ -471,9 +430,8 @@ def a_matrix_minors(sys):
 
     minors = [det3(cols) for cols in ((0, 1, 2), (0, 1, 3),
                                       (0, 2, 3), (1, 2, 3))]
-    # x -> -x is odd on the cubic minors
-    flip = [Polynomial.var(m_names, n, Scalar(-1)) for n in m_names]
-    return [p.substitute(m_names, flip) for p in minors]
+    # x -> -x negates the minors, which are homogeneous cubics
+    return [-p for p in minors]
 
 
 # ---------------------------------------------------------------------------

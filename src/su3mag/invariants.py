@@ -20,9 +20,9 @@ are the exponents: a term moves a source to its target by one addition.
 Every row handed to exact_linalg is a sparse row of integral
 representations {column: Scalar.ints}; _poly_to_row reads a polynomial's.
 One builder, _generator_products, makes the rows of a degree's products of
-generators for the quotient by decomposables, the relations and the
-bracket table's rewrite; each product is one lower product times one
-generator.  A CallMemo, owned by one top-level call (indecomposable_generators,
+generators for the quotient by decomposables, the relations and
+rewrite_in_generators (the bracket table's rewrite); each product is one
+lower product times one generator.  A CallMemo, owned by one top-level call (indecomposable_generators,
 or one bracket table), keeps the products, one list of each degree's
 monomials and the bucket kernels by active exponents; nothing is cached
 across calls.
@@ -39,7 +39,7 @@ import numpy as np
 
 from .scalars import CZERO, ZERO, _reduce, cmat_mul, submul_ints
 from .poly import Polynomial
-from .exact_linalg import nullspace, rref_ints, transposed
+from .exact_linalg import nullspace, rref_ints, solve_in_span, transposed
 from .algebra import SubalgebraSpec
 
 
@@ -300,6 +300,45 @@ def _generator_products(gens, names, degree, memo):
                          else Polynomial.const(names, 1), mono_index)
             for combo in combos]
     return combos, rows, mono_index
+
+
+def rewrite_in_generators(q, gens, memo=None):
+    """Rewrite q (over m-vars + eps) as a polynomial in named generators.
+
+    gens is a list of (name, Polynomial over the m-vars, degree); each
+    eps-slice of q is solved exactly in the span of generator monomials of
+    the right degree.  Returns the rewritten polynomial over
+    (gen names..., "eps"), or None with the offending residue if q is not
+    expressible.  memo is the CallMemo of the generator products and
+    monomials, shared by the rewrites of one bracket table.
+    """
+    memo = CallMemo() if memo is None else memo
+    m_names = gens[0][1].vars
+    gen_names = tuple(n for n, _, _ in gens)
+    out_vars = gen_names + ("eps",)
+    eps_slices = {}
+    for expo, coeff in q.terms.items():
+        e_eps = expo[-1]
+        e_m = expo[:-1]
+        eps_slices.setdefault(e_eps, {})[e_m] = coeff
+    result = Polynomial.zero(out_vars)
+    for e_eps, terms in sorted(eps_slices.items()):
+        part = Polynomial(m_names, terms)
+        for deg, comp in part.homogeneous_components():
+            combos, rows, mono_index = _generator_products(gens, m_names, deg,
+                                                           memo)
+            if not combos:
+                return None
+            coeffs = solve_in_span(_poly_to_row(comp, mono_index), rows,
+                                   len(mono_index))
+            if coeffs is None:
+                return None
+            for combo, c in zip(combos, coeffs):
+                if c.is_zero():
+                    continue
+                expo = tuple(combo) + (e_eps,)
+                result = result + Polynomial(out_vars, {expo: c})
+    return result
 
 
 def _product(gens, combo, products):

@@ -338,20 +338,18 @@ def parse_polynomial(text, variables):
 def lie_poisson_bracket(p, q, alg):
     """Lie-Poisson bracket of p, q in the coordinates of algebra ``alg``.
 
-    {p,q} = sum C_ij^k x_k dp/dx_i dq/dx_j, computed exactly.  Variables of
-    p and q must both equal alg.coord_names.
+    {p,q} = sum C_ij^k x_k dp/dx_i dq/dx_j = B(x, [grad p, grad q]),
+    computed exactly: the B-gradients bracketed by the algebra's one exact
+    contraction (LieAlgebraSpec.bracket_coords).  Variables of p and q
+    must both equal alg.coord_names.
     """
     names = alg.coord_names
-    if p.vars != names or q.vars != names:
-        raise ValueError("polynomials are not over the algebra coordinates")
-    dp = [p.diff(v) for v in names]
-    dq = [q.diff(v) for v in names]
+    comm = alg.bracket_coords(b_gradient(p, alg), b_gradient(q, alg))
+    # B(x, comm) = sum_k x_k comm_k: the basis is B-orthonormal
     out = Polynomial.zero(names)
-    for (i, j, k), c in alg.structure.items():
-        if dp[i].is_zero() or dq[j].is_zero():
-            continue
-        xk = Polynomial.var(names, names[k], c)
-        out = out + xk * dp[i] * dq[j]
+    for name, c in zip(names, comm):
+        if not c.is_zero():
+            out = out + Polynomial.var(names, name) * c
     return out
 
 

@@ -27,6 +27,8 @@ from .scalars import Scalar
 
 
 CASES = ("regular", "irregular")
+# the flow checks' tolerance (drift, Lax closed form, conservation export)
+FLOW_TOL = 1e-8
 
 
 def default_config(case):
@@ -66,8 +68,9 @@ def run_verification(config):
     if eps == 0:
         raise ValueError("eps must be nonzero")
     seed = int(config["seed"])
-    samples = int(config.get("samples", 100))
-    rank_samples = int(config.get("rank_samples", 20))
+    config = {**default_config(case), **config}  # defaults for the rest
+    samples = int(config["samples"])
+    rank_samples = int(config["rank_samples"])
     if samples < 1 or rank_samples < 1:
         # a sampled check that draws no sample would pass on no evidence
         raise ValueError(f"samples and rank_samples must be at least 1, "
@@ -176,8 +179,8 @@ def run_verification(config):
     report.add("casimir_count_su2", 1, cc2, "exact", cc2 == 1)
 
     # --- conservation along the flow -----------------------------------------------
-    t_end = float(config.get("t_end", 10.0))
-    dt = float(config.get("dt", 1e-3))
+    t_end = float(config["t_end"])
+    dt = float(config["dt"])
     pt = sys.random_regular_point(rng)
     traj = integrate_flow(sys, pt, t_end=t_end, dt=dt)
     fam = generator_family(sys)
@@ -185,10 +188,12 @@ def run_verification(config):
     # array maxima: a NaN anywhere along the flow fails the check
     drift = np.max([e["max_drift"]
                     for e in conservation_report(sys, traj, fam, stride)])
-    report.add("flow_conservation_max_drift", 0.0, drift, 1e-8, drift < 1e-8)
+    report.add("flow_conservation_max_drift", 0.0, drift, FLOW_TOL,
+               drift < FLOW_TOL)
     lax = np.abs(traj.points[::stride].X - closed_form_fiber(
         sys, traj.points[0], traj.times[::stride])).max()
-    report.add("flow_fiber_vs_lax_closed_form", 0.0, lax, 1e-8, lax < 1e-8)
+    report.add("flow_fiber_vs_lax_closed_form", 0.0, lax, FLOW_TOL,
+               lax < FLOW_TOL)
 
     # --- action-angle canonicity ------------------------------------------------------
     from .angles import (chart_point, angle_action_pairing, frequency_matrix,
@@ -303,12 +308,11 @@ def trajectory_csv(sys, traj, functions, stride=1):
 
 def conservation_json(sys, traj, functions, stride=1):
     """Conservation report of a flow; a flow of no steps passes nothing."""
-    tol = 1e-8  # the tolerance of the flow_conservation_max_drift check
     nsteps = len(traj.points) - 1
     entries = conservation_report(sys, traj, functions, stride)
     for e in entries:
-        e["pass"] = nsteps > 0 and e["max_drift"] < tol
-    return json.dumps({"case": sys.case_tag, "eps": sys.eps, "tol": tol,
+        e["pass"] = nsteps > 0 and e["max_drift"] < FLOW_TOL
+    return json.dumps({"case": sys.case_tag, "eps": sys.eps, "tol": FLOW_TOL,
                        "nsteps": nsteps, "functions": entries},
                       sort_keys=True, indent=2) + "\n"
 

@@ -29,6 +29,14 @@
 * ``slice_bracket_by_substitution``: the exact slice bracket from the
   B-gradients over every coordinate, read at X in m by substitution,
   which ``phase.slice_bracket_symbolic``'s partials on m must reproduce;
+* ``selection_systems``, ``ad_matrix_by_structure``,
+  ``lie_poisson_by_structure``, ``slice_bracket_by_structure`` and
+  ``a_matrix_by_structure``: the three centralizer selections as
+  systems, and the exact brackets each by its own loop over the
+  structure constants, which the routes through
+  ``LieAlgebraSpec.bracket_coords`` (``centralizer_of``'s ad_W,
+  ``poly.lie_poisson_bracket``, ``phase.slice_bracket_symbolic`` and
+  ``certify.a_matrix_exact``) must reproduce;
 * ``generator_products_by_chain``: the products of generators, each
   chained from 1 one factor at a time, which the memoized
   ``invariants._generator_products`` must reproduce;
@@ -68,7 +76,8 @@ from itertools import chain
 
 import numpy as np
 
-from su3mag.algebra import GroupElement, exp_map, polar_project, regularity
+from su3mag.algebra import (GroupElement, build_su2, exp_map, polar_project,
+                            regularity)
 from su3mag.certify import (NUM_TOL, CertificateReport, action_functions,
                             center_family, generator_family,
                             jacobian_rank_pi1, phase_jacobian)
@@ -77,8 +86,9 @@ from su3mag.invariants import (independence_rank, numeric_rank,
                                shift_images, torus_generators,
                                monomials_of_degree, _monomials_in_generators,
                                _poly_to_row)
-from su3mag.phase import (MomentPullback, PhasePoint,
+from su3mag.phase import (MagneticSystem, MomentPullback, PhasePoint,
                           hamiltonian_vector_field, slice_z_values,
+                          su3_irregular_system, su3_regular_system,
                           twisted_bracket, _fiber_velocity,
                           _invariant_under)
 from su3mag.poly import Polynomial, b_gradient, lie_poisson_bracket
@@ -258,6 +268,86 @@ def slice_bracket_by_substitution(sys, theta1, theta2):
             continue
         out = out + xi * c.substitute(images=images, target_vars=evars)
     return -out
+
+
+def selection_systems():
+    """The systems of the three centralizer selections: su(3) over its
+    torus (the regular case), su(3) over S(U(2)xU(1)) (the irregular
+    case) and su(2) over its torus, W = e_x."""
+    return [su3_regular_system(0.1), su3_irregular_system(0.1),
+            MagneticSystem(build_su2(), [1, 0, 0], 0.1, "su2")]
+
+
+def ad_matrix_by_structure(alg, w):
+    """The matrix of ad_W over Scalars, (ad_W)[k][j] = sum_i w_i C_ij^k,
+    for an exact coordinate vector w."""
+    n = alg.dim
+    M = [[Scalar(0)] * n for _ in range(n)]
+    for (i, j, k), c in alg.structure.items():
+        wi = Scalar.of(w[i])
+        if not wi.is_zero():
+            M[k][j] = M[k][j] + wi * c
+    return M
+
+
+def lie_poisson_by_structure(p, q, alg):
+    """{p, q} = sum C_ij^k x_k dp/dx_i dq/dx_j, one product per nonzero
+    structure constant."""
+    names = alg.coord_names
+    dp = [p.diff(v) for v in names]
+    dq = [q.diff(v) for v in names]
+    out = Polynomial.zero(names)
+    for (i, j, k), c in alg.structure.items():
+        if dp[i].is_zero() or dq[j].is_zero():
+            continue
+        xk = Polynomial.var(names, names[k], c)
+        out = out + xk * dp[i] * dq[j]
+    return out
+
+
+def slice_bracket_by_structure(sys, theta1, theta2):
+    """{theta1, theta2}_2 over (m-vars..., "eps") from the partials on m:
+    their bracket comm summed term by term over the structure constants,
+    then -B(xi, comm) with xi = X - eps W."""
+    alg = sys.alg
+    m_names = sys.m_names()
+    evars = m_names + ("eps",)
+    zero = Polynomial.zero(m_names)
+    on_m = dict(zip(sys.m, m_names))
+    d1, d2 = ([t.diff(on_m[i]) if i in on_m else zero for i in range(alg.dim)]
+              for t in (theta1.extend(m_names), theta2.extend(m_names)))
+    comm = [zero] * alg.dim
+    for (i, j, k), c in alg.structure.items():
+        p, q = d1[i], d2[j]
+        if p.is_zero() or q.is_zero():
+            continue
+        comm[k] = comm[k] + p * q * c
+    out = Polynomial.zero(evars)
+    for xi, c in zip(shift_images(sys, evars), comm):
+        if c.is_zero() or xi.is_zero():
+            continue
+        out = out + xi * c.extend(evars)
+    return -out
+
+
+def a_matrix_by_structure(sys, rows):
+    """The matrix of u -> B([u, X], e_a) for a in rows and u over the m
+    basis, X the m-coordinate variables: entry (a, j) is the sum of
+    C_jk^a x_k over k in m."""
+    alg = sys.alg
+    m_names = sys.m_names()
+    out = []
+    for a in rows:
+        row = []
+        for j in sys.m:
+            entry = Polynomial.zero(m_names)
+            for (jj, k, kk), c in alg.structure.items():
+                if jj == j and kk == a and k in sys.m:
+                    entry = entry + Polynomial.var(
+                        m_names, alg.coord_names[k], c)
+            row.append(entry)
+        out.append(row)
+    return out
 
 
 def slice_bracket_value(sys, theta1, theta2, pt):

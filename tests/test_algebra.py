@@ -6,13 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from su3mag import (build_su3_gellmann, build_su3_chevalley, build_su2,
                     centralizer_of, regularity, exp_map,
-                    identity_element, GroupElement)
+                    identity_element, GroupElement, Polynomial,
+                    lie_poisson_bracket)
 from su3mag.scalars import (Scalar, CScalar, cmat_add, cmat_commutator,
                             cmat_scale, cmat_sub)
 from su3mag.algebra import LieAlgebraSpec, UNITARY_TOL
 from fractions import Fraction
 
-from oracles import adjoint_group, group_inverse
+from oracles import (a_matrix_by_structure, ad_matrix_by_structure,
+                     adjoint_group, group_inverse, lie_poisson_by_structure,
+                     selection_systems, slice_bracket_by_structure)
 
 
 def exact_matrix_of(alg, coords):
@@ -400,3 +403,126 @@ def test_closed_form_determinant_is_numpys(N):
         assert np.isfinite(out).tolist() == [k != 7 for k in range(40)]
     with pytest.raises(ValueError, match="2 x 2 or 3 x 3"):
         _det(np.eye(4))
+
+
+# ---------------------------------------------------------------------------
+# the exact kernel: bracket_coords, the one exact structure-constant
+# contraction, against the commutator and the per-caller loops
+# ---------------------------------------------------------------------------
+
+_RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_VARS = ("a", "b")
+# exponents over _VARS of degree at most 2
+_EXPONENT = st.sampled_from([(i, j) for i in range(3) for j in range(3)
+                             if i + j <= 2])
+
+
+@st.composite
+def _algebra_and_polynomial_pair(draw):
+    """An algebra, two coordinate vectors of polynomials over _VARS of
+    degree at most 2 (some zero) and a rational point."""
+    alg = draw(st.sampled_from(ALGEBRAS))()
+    poly = st.dictionaries(_EXPONENT, _RATIONAL, max_size=3).map(
+        lambda terms: Polynomial(_VARS, terms))
+    vec = st.lists(poly, min_size=alg.dim, max_size=alg.dim)
+    return alg, draw(vec), draw(vec), draw(st.tuples(_RATIONAL, _RATIONAL))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_algebra_and_polynomial_pair())
+def test_bracket_coords_of_polynomials_commutes_with_evaluation(case):
+    """bracket_coords of polynomial vectors, evaluated at a rational
+    point, is bracket_coords of the evaluated Scalar vectors, which is
+    the exact commutator of their matrices read back in coordinates;
+    every entry of the polynomial bracket is a Polynomial over the same
+    variables."""
+    alg, x, y, point = case
+    xy = alg.bracket_coords(x, y)
+    assert all(isinstance(p, Polynomial) and p.vars == _VARS for p in xy)
+    at = [[p.evaluate(point) for p in vec] for vec in (x, y)]
+    assert [p.evaluate(point) for p in xy] == alg.bracket_coords(*at)
+    comm = cmat_commutator(*(exact_matrix_of(alg, v) for v in at))
+    assert alg.bracket_coords(*at) == alg.exact_coords_of_matrix(comm)
+
+
+def test_bracket_coords_returns_the_zero_of_the_entries_kind():
+    for build in ALGEBRAS:
+        alg = build()
+        n = alg.dim
+        zeros = alg.bracket_coords([0] * n, [Scalar(0)] * n)
+        assert zeros == [Scalar(0)] * n
+        assert all(type(c) is Scalar for c in zeros)
+        unit = [int(t == 0) for t in range(n)]
+        X = [Polynomial.var(_VARS, "a")] + [Polynomial.zero(_VARS)] * (n - 1)
+        assert alg.bracket_coords(unit, X) == [Polynomial.zero(_VARS)] * n
+
+
+SELECTIONS = ("su3/torus", "su3/irregular-A", "su2/torus")
+
+
+@pytest.fixture(scope="module")
+def selections():
+    return dict(zip(SELECTIONS, selection_systems()))
+
+
+@pytest.mark.parametrize("name", SELECTIONS)
+def test_ad_w_columns_match_the_structure_loop(selections, name):
+    """The columns [W, e_j] that centralizer_of reads are the matrix of
+    ad_W summed over the structure constants, for the selection's W and
+    for a rational W."""
+    sys = selections[name]
+    alg = sys.alg
+    n = alg.dim
+    w_rat = [Fraction(k + 1, 3) * (-1) ** k for k in range(n)]
+    for w in (sys.W_exact, w_rat):
+        cols = [alg.bracket_coords(w, [int(t == j) for t in range(n)])
+                for j in range(n)]
+        assert [[col[k] for col in cols] for k in range(n)] == \
+            ad_matrix_by_structure(alg, w)
+
+
+@pytest.mark.parametrize("name", SELECTIONS)
+def test_lie_poisson_bracket_matches_the_structure_loop(selections, name):
+    alg = selections[name].alg
+    names = alg.coord_names
+    xs = [Polynomial.var(names, v) for v in names]
+    c2 = sum((x * x for x in xs), Polynomial.zero(names))
+    polys = xs + [c2, xs[0] * xs[-1] + xs[1] * 3,
+                  xs[1] * xs[2] * xs[-1] - xs[0]]
+    for p in polys:
+        for q in polys:
+            assert lie_poisson_bracket(p, q, alg) == \
+                lie_poisson_by_structure(p, q, alg)
+
+
+@pytest.mark.parametrize("name", SELECTIONS)
+def test_slice_bracket_matches_the_structure_loop(selections, name):
+    from su3mag.phase import slice_bracket_symbolic
+    sys = selections[name]
+    names = sys.m_names()
+    xs = [Polynomial.var(names, v) for v in names]
+    thetas = xs + [xs[0] * xs[-1], sum((x * x for x in xs),
+                                       Polynomial.zero(names)),
+                   xs[-1] * xs[-1] * xs[0] - xs[1]]
+    for t1 in thetas:
+        for t2 in thetas:
+            assert slice_bracket_symbolic(sys, t1, t2) == \
+                slice_bracket_by_structure(sys, t1, t2)
+
+
+@pytest.mark.parametrize("name", SELECTIONS)
+def test_a_matrix_columns_match_the_structure_loop(selections, name):
+    """The columns [e_j, X] of a_matrix_exact, on every row of a, are the
+    structure-constant sums; a_matrix_exact itself takes the first three
+    rows of the 4-dimensional stabilizer."""
+    from su3mag.certify import a_matrix_exact
+    from su3mag.invariants import shift_images
+    sys = selections[name]
+    alg = sys.alg
+    X = shift_images(sys, sys.m_names(), eps=0)
+    cols = [alg.bracket_coords([int(t == j) for t in range(alg.dim)], X)
+            for j in sys.m]
+    assert [[col[a] for col in cols] for a in sys.a] == \
+        a_matrix_by_structure(sys, sys.a)
+    if len(sys.a) == 4:
+        assert a_matrix_exact(sys) == a_matrix_by_structure(sys, sys.a[:3])

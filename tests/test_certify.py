@@ -408,6 +408,43 @@ def test_a_matrix_minors_exact():
     assert numeric_rank(A0) == 0
 
 
+def test_a_matrix_refuses_a_stabilizer_other_than_s_u2_u1():
+    """The regular case's stabilizer is the 2-dimensional torus, not
+    S(U(2)xU(1)): A(X) and its minors are refused by one line that names
+    the dimension (rows 0-2 of a 2-row stabilizer would read an m
+    direction); so is su(2)'s 1-dimensional torus."""
+    from su3mag.certify import a_matrix_exact
+    from oracles import selection_systems
+    regular, _, su2 = selection_systems()
+    for sys, dim in ((regular, 2), (su2, 1)):
+        for build in (a_matrix_exact, a_matrix_minors):
+            with pytest.raises(ValueError) as err:
+                build(sys)
+            assert str(err.value) == (
+                "the A matrix needs the 4-dimensional stabilizer "
+                f"S(U(2)xU(1)), not one of dimension {dim}")
+
+
+def test_a_nan_centre_bracket_fails_its_line_alone(monkeypatch):
+    """The centre check reduces each (centre, generator) pair over the
+    points by a maximum that keeps a NaN: one NaN bracket, at one point,
+    fails its own line and no other."""
+    real = certify.basis_bracket
+
+    def poisoned(*args):
+        out = real(*args)
+        out[1, 0, 2] = np.nan  # point 1, centre J2, generator P3
+        return out
+
+    monkeypatch.setattr(certify, "basis_bracket", poisoned)
+    report = center_check(su3_irregular_system(0.1),
+                          np.random.default_rng(5), samples=3)
+    failed = [c.name for c in report.checks if not c.passed]
+    assert failed == ["{J2,P3}"]
+    assert np.isnan([c.observed for c in report.checks
+                     if c.name == "{J2,P3}"][0])
+
+
 def test_center_check_both_cases():
     for sys in (su3_regular_system(0.1), su3_irregular_system(0.1)):
         rng = np.random.default_rng(4)

@@ -1,6 +1,8 @@
 """Every module of the package uses every name it imports, every
 module-level function or class is read in the package or has a listed
-reason not to be, and every name the benchmark's trace wraps exists."""
+reason not to be, every name the benchmark's trace wraps exists, and no
+module but algebra.py contracts the structure constants by a loop of its
+own, outside the coadjoint derivations."""
 
 import ast
 import importlib
@@ -44,8 +46,9 @@ UNREAD = {
     "algebra.polar_project": "traced by the benchmark (perfbench/layers.py)",
     "phase.differential": "traced by the benchmark (perfbench/layers.py)",
     "exact_linalg.rref": "traced by the benchmark (perfbench/layers.py)",
-    "poly.b_gradient": "traced by the benchmark (perfbench/layers.py); "
-                       "exported as su3mag.b_gradient",
+    "phase.twisted_bracket": "traced by the benchmark (perfbench/layers.py); "
+                             "used by demos/02_bracket_tables.py; exported "
+                             "as su3mag.twisted_bracket",
     "angles.torus_angles": "used by demos/05_action_angles.py",
     "angles.unwrapped_angle_series": "used by demos/05_action_angles.py",
     "phase.closed_form_group": "used by demos/03_magnetic_flow.py",
@@ -100,3 +103,46 @@ def test_every_traced_name_resolves(monkeypatch):
             missing.append(f"{mod}.{cls}.{attr}")
     assert layers.FUNCTIONS and layers.METHODS and layers.COUNTED
     assert missing == []
+
+
+def structure_loops(source):
+    """Qualified names ("Class.method" or "function") of the functions of
+    source whose body iterates ``<expr>.structure.items()``, by a for
+    statement or a comprehension."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, (ast.For, ast.comprehension)):
+                it = child.iter
+                if (isinstance(it, ast.Call)
+                        and isinstance(it.func, ast.Attribute)
+                        and it.func.attr == "items"
+                        and isinstance(it.func.value, ast.Attribute)
+                        and it.func.value.attr == "structure"):
+                    found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sorted(set(found))
+
+
+def test_the_scan_sees_a_structure_loop():
+    source = ("def f(alg):\n    for key, c in alg.structure.items():\n"
+              "        pass\n"
+              "class A:\n    def g(self):\n"
+              "        return [c for _, c in self.structure.items()]\n"
+              "def h(alg):\n    return sorted(alg.structure)\n")
+    assert structure_loops(source) == ["A.g", "f"]
+
+
+def test_only_the_coadjoint_derivations_loop_over_the_structure():
+    """Every exact bracket outside algebra.py goes through
+    LieAlgebraSpec.bracket_coords; the one other loop over the structure
+    constants builds the coadjoint derivations' terms."""
+    loops = [f"{p.stem}.{name}" for p in MODULES if p.name != "algebra.py"
+             for name in structure_loops(p.read_text(encoding="utf-8"))]
+    assert loops == ["invariants._operator_terms"]
