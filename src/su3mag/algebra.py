@@ -293,10 +293,8 @@ class SubalgebraSpec:
         n = self.parent.dim
         if sorted(self.a_indices + self.m_indices) != list(range(n)):
             raise ValueError("a_indices and m_indices must partition the basis")
-        for i in self.a_indices:
-            for j in self.m_indices:
-                if not self.parent.bform[i][j].is_zero():
-                    raise ValueError("a and m are not B-orthogonal")
+        # a and m are B-orthogonal: the basis is B-orthonormal
+        # (LieAlgebraSpec) and they partition it
         # reductivity: [a, m] in m, checked on structure constants
         for (i, j, k), c in self.parent.structure.items():
             if i in self.a_indices and j in self.m_indices:

@@ -22,7 +22,7 @@ from .certify import (CertificateReport, bracket_table_regular,
                       phi_relation_irregular, bracket_samples,
                       center_check, jacobian_rank_pi1, pi1_rank_samples,
                       a_matrix_minors, dimension_report, generator_family,
-                      couplings, NUM_TOL, _worst)
+                      couplings, LEDGER, NUM_TOL, _worst)
 from .scalars import Scalar
 
 
@@ -65,8 +65,6 @@ def run_verification(config):
     """
     case = config["case"]
     eps = config["eps"]
-    if eps == 0:
-        raise ValueError("eps must be nonzero")
     seed = int(config["seed"])
     config = {**default_config(case), **config}  # defaults for the rest
     samples = int(config["samples"])
@@ -82,30 +80,28 @@ def run_verification(config):
     # --- exact structure certificates -------------------------------------
     if case == "regular":
         table = bracket_table_regular(sys)
-        report.add("bracket_table_closes", True, True, "exact", True)
+        report.add("bracket_table_closes", True, True, "exact")
         matched = sum(table.matches_reference.values())
-        report.add("bracket_table_reference_entries", 8, matched, "exact",
-                   matched == 8)
+        report.add("bracket_table_reference_entries", 8, matched, "exact")
         cubic_exact = cubic_relation_check(sys.alg)
         report.add("cubic_relation_u1u2u3_eq_v2_w2", True, cubic_exact,
-                   "exact", cubic_exact)
+                   "exact")
         # the cubic relation again, by the float root coordinates
         worst = cubic_relation_numeric(sys, rng, samples)
-        report.add("cubic_relation_numeric", 0.0, worst, 1e-12, worst < 1e-12)
+        report.add("cubic_relation_numeric", 0.0, worst, 1e-12)
     else:
         phi = phi_relation_irregular(sys, rng, samples=samples)
         report.add("phi_relation_max_residual", 0.0, phi["max_residual"],
-                   NUM_TOL, phi["pass"])
+                   NUM_TOL)
         report.add("phi_relation_negative_control_nonzero", True,
-                   phi["negative_control_nonzero"], "exact",
-                   phi["negative_control_nonzero"])
+                   phi["negative_control_nonzero"], "exact")
         minors = a_matrix_minors(sys)
         m_names = sys.m_names()
         R = radial_generator(sys)
         pats = [("x7", 1), ("x6", -1), ("x5", 1), ("x4", -1)]
         ok = all((minor - s * Polynomial.var(m_names, nm) * R).is_zero()
                  for minor, (nm, s) in zip(minors, pats))
-        report.add("a_matrix_minor_identities", True, ok, "exact", ok)
+        report.add("a_matrix_minor_identities", True, ok, "exact")
 
     # --- restriction identities --------------------------------------------
     c2, c3 = sys.casimirs()
@@ -116,67 +112,58 @@ def run_verification(config):
         expect2 = sum((Polynomial.var(evars, nm) ** 2 for nm in m_names),
                       Polynomial.var(evars, "eps") ** 2 * 3)
         ok2 = (r2 - expect2).is_zero()
-        report.add("ResW_C2_equals_R_plus_3eps2", True, ok2, "exact", ok2)
+        report.add("ResW_C2_equals_R_plus_3eps2", True, ok2, "exact")
         r3 = restrict_shift(c3, sys)
         expect3 = -3 * Polynomial.var(evars, "eps") * expect2 \
             + 3 * Polynomial.var(evars, "eps") ** 3
         ok3 = (r3 - expect3).is_zero()
         report.add("ResW_C3_equals_minus3eps_2eps2_plus_R", True, ok3,
-                   "exact", ok3)
+                   "exact")
 
     # --- commutant dimensions ----------------------------------------------
     # one invariant solve per degree: the generators carry the dimensions
     if case == "regular":
         gens = indecomposable_generators(sys.alg, sys.sub, 3)
         dims = [gens.dims[d] for d in (2, 3)]
-        report.add("invariant_dims_m_deg2_deg3", [3, 2], dims, "exact",
-                   dims == [3, 2])
+        report.add("invariant_dims_m_deg2_deg3", [3, 2], dims, "exact")
         per_degree = sorted((d, sum(1 for _, _, dd in gens.generators
                                     if dd == d)) for d in (2, 3))
         report.add("indecomposable_generators_deg2_deg3", [(2, 3), (3, 2)],
-                   per_degree, "exact", per_degree == [(2, 3), (3, 2)])
+                   per_degree, "exact")
     else:
         gens = indecomposable_generators(sys.alg, sys.sub, 4)
         dims = [gens.dims[d] for d in (2, 3, 4)]
-        report.add("invariant_dims_m_deg2_3_4", [1, 0, 1], dims, "exact",
-                   dims == [1, 0, 1])
+        report.add("invariant_dims_m_deg2_3_4", [1, 0, 1], dims, "exact")
         report.add("single_generator_R_through_deg4", 1,
-                   len(gens.generators), "exact", len(gens.generators) == 1)
+                   len(gens.generators), "exact")
 
     # --- numeric bracket certificates ----------------------------------------
     worst_closure, worst_mixed = bracket_samples(sys, rng, samples)
-    report.add("moment_bracket_closure", 0.0, worst_closure, NUM_TOL,
-               worst_closure < NUM_TOL)
-    report.add("mixed_block_vanishing", 0.0, worst_mixed, NUM_TOL,
-               worst_mixed < NUM_TOL)
+    report.add("moment_bracket_closure", 0.0, worst_closure, NUM_TOL)
+    report.add("mixed_block_vanishing", 0.0, worst_mixed, NUM_TOL)
 
     # --- centrality -------------------------------------------------------------
     sub_report = center_check(sys, rng, samples=min(50, samples))
-    worst_center = max(c.observed for c in sub_report.checks)
-    report.add("center_check_worst_bracket", 0.0, worst_center, NUM_TOL,
-               sub_report.passed)
+    worst_center = _worst([c.observed for c in sub_report.checks])
+    report.add("center_check_worst_bracket", 0.0, worst_center, NUM_TOL)
 
     # --- ranks -------------------------------------------------------------------
-    expected_rank = 10 if case == "regular" else 7
     ranks = pi1_rank_samples(sys, rng, rank_samples)
-    report.add("pi1_rank", expected_rank, ranks, "exact",
-               ranks == [expected_rank])
+    report.add("pi1_rank", LEDGER[case]["trdeg_A"], ranks, "exact")
     if case == "irregular":
         pt0 = PhasePoint(sys, identity_element(), np.zeros(sys.alg.dim))
         r0 = jacobian_rank_pi1(sys, pt0)
-        report.add("pi1_rank_at_zero_fiber", 4, r0, "exact", r0 == 4)
+        report.add("pi1_rank_at_zero_fiber", 4, r0, "exact")
 
     # --- dimension ledger ---------------------------------------------------------
-    dim_report = dimension_report(sys, rng, samples=rank_samples)
-    for c in dim_report.checks:
-        report.add(c.name, c.expected, c.observed, c.tolerance, c.passed)
+    report.checks += dimension_report(sys, rng, samples=rank_samples).checks
 
     # --- casimir count ---------------------------------------------------------------
     cc = casimir_count(sys.alg, rng.uniform(-1, 1, sys.alg.dim))
-    report.add("casimir_count_su3", 2, cc, "exact", cc == 2)
+    report.add("casimir_count_su3", 2, cc, "exact")
     su2 = build_su2()
     cc2 = casimir_count(su2, rng.uniform(-1, 1, 3))
-    report.add("casimir_count_su2", 1, cc2, "exact", cc2 == 1)
+    report.add("casimir_count_su2", 1, cc2, "exact")
 
     # --- conservation along the flow -----------------------------------------------
     t_end = float(config["t_end"])
@@ -188,12 +175,10 @@ def run_verification(config):
     # array maxima: a NaN anywhere along the flow fails the check
     drift = np.max([e["max_drift"]
                     for e in conservation_report(sys, traj, fam, stride)])
-    report.add("flow_conservation_max_drift", 0.0, drift, FLOW_TOL,
-               drift < FLOW_TOL)
+    report.add("flow_conservation_max_drift", 0.0, drift, FLOW_TOL)
     lax = np.abs(traj.points[::stride].X - closed_form_fiber(
         sys, traj.points[0], traj.times[::stride])).max()
-    report.add("flow_fiber_vs_lax_closed_form", 0.0, lax, FLOW_TOL,
-               lax < FLOW_TOL)
+    report.add("flow_fiber_vs_lax_closed_form", 0.0, lax, FLOW_TOL)
 
     # --- action-angle canonicity ------------------------------------------------------
     from .angles import (chart_point, angle_action_pairing, frequency_matrix,
@@ -203,14 +188,12 @@ def run_verification(config):
                                for _ in range(n_angle)])
     target = np.eye(2) if case == "regular" else np.array([1.0])
     worst_pair = _worst(angle_action_pairing(sys, apts) - target)
-    report.add("angle_action_pairing", 0.0, worst_pair, 1e-5,
-               worst_pair < 1e-5)
+    report.add("angle_action_pairing", 0.0, worst_pair, 1e-5)
     if case == "irregular":
         apt = chart_point(sys, rng)
         Om = frequency_matrix(sys, apt)
         u_dot = abs(float((Om / float(Om @ Om)) @ Om) - 1.0)
-        report.add("frequency_normalization_u_dot_Omega", 0.0, u_dot, 1e-10,
-                   u_dot < 1e-10)
+        report.add("frequency_normalization_u_dot_Omega", 0.0, u_dot, 1e-10)
     else:
         apt = chart_point(sys, rng)
         vals = [angle_angle_bracket(sys, apt)]
@@ -218,8 +201,7 @@ def run_verification(config):
             vals.append(angle_angle_bracket(
                 sys, torus_action(sys, apt, np.array(s))))
         const = max(vals) - min(vals)
-        report.add("angle_angle_bracket_constant_on_torus", 0.0, const, 1e-6,
-                   const < 1e-6)
+        report.add("angle_angle_bracket_constant_on_torus", 0.0, const, 1e-6)
     return report
 
 

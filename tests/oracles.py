@@ -66,7 +66,10 @@
   ``dimension_report_by_points``: the bracket samples, the pi1 rank
   samples and the dimension ledger one point at a time, each point
   built alone and each bracket one ``twisted_bracket``, which the
-  stacked checks of ``certify`` must reproduce bit for bit.
+  stacked checks of ``certify`` must reproduce bit for bit;
+* ``add_with_verdict``: a certificate line appended with its verdict
+  stated by hand, so that the oracles' explicit verdicts cross-check the
+  rule that ``CertificateReport.add`` reads off the evidence.
 """
 
 from dataclasses import dataclass
@@ -78,9 +81,10 @@ import numpy as np
 
 from su3mag.algebra import (GroupElement, build_su2, exp_map, polar_project,
                             regularity)
-from su3mag.certify import (NUM_TOL, CertificateReport, action_functions,
-                            center_family, generator_family,
-                            jacobian_rank_pi1, phase_jacobian)
+from su3mag.certify import (NUM_TOL, CertificateReport, CheckResult,
+                            action_functions, center_family,
+                            generator_family, jacobian_rank_pi1,
+                            phase_jacobian, _plain)
 from su3mag.invariants import (independence_rank, numeric_rank,
                                radial_generator, restrict_shift,
                                shift_images, torus_generators,
@@ -596,8 +600,7 @@ def phi_relation_by_points(sys, rng, samples):
                + 3 * eps * reference_float_evaluate(c2, P))
         worst = max(worst, abs(lhs - 3 * eps ** 3))
         control = max(control, abs(lhs - 2.9 * eps ** 3))
-    return {"max_residual": worst, "pass": worst < NUM_TOL,
-            "negative_control_residual": control,
+    return {"max_residual": worst, "negative_control_residual": control,
             "negative_control_nonzero": control > NUM_TOL}
 
 
@@ -654,6 +657,13 @@ def pi1_rank_samples_by_points(sys, rng, samples):
                    for _ in range(samples)})
 
 
+def add_with_verdict(report, name, expected, observed, tolerance, passed):
+    """Append a check to a CertificateReport with its own verdict, the
+    values made plain as CertificateReport.add makes them."""
+    report.checks.append(CheckResult(name, _plain(expected), _plain(observed),
+                                     _plain(tolerance), bool(passed)))
+
+
 def dimension_report_by_points(sys, rng, samples):
     """certify.dimension_report one point at a time: per point the
     independence ranks, the pi1 rank and the R0 rank."""
@@ -678,19 +688,23 @@ def dimension_report_by_points(sys, rng, samples):
         trA_vals.append(jacobian_rank_pi1(sys, pt))
         trR_vals.append(numeric_rank(
             phase_jacobian(sys, center_family(sys), pt)))
-    report.add("s = trdeg Im(Res_W)", expect["s"], sorted(set(s_vals)),
-               "exact", set(s_vals) == {expect["s"]})
-    report.add("rho_A = trdeg S(m)^A", expect["rho"], sorted(set(rho_vals)),
-               "exact", set(rho_vals) == {expect["rho"]})
-    report.add("trdeg A (pi1 rank)", expect["trdeg_A"], sorted(set(trA_vals)),
-               "exact", set(trA_vals) == {expect["trdeg_A"]})
-    report.add("trdeg R0", expect["trdeg_R0"], sorted(set(trR_vals)),
-               "exact", set(trR_vals) == {expect["trdeg_R0"]})
+    add_with_verdict(report, "s = trdeg Im(Res_W)", expect["s"],
+                     sorted(set(s_vals)), "exact",
+                     set(s_vals) == {expect["s"]})
+    add_with_verdict(report, "rho_A = trdeg S(m)^A", expect["rho"],
+                     sorted(set(rho_vals)), "exact",
+                     set(rho_vals) == {expect["rho"]})
+    add_with_verdict(report, "trdeg A (pi1 rank)", expect["trdeg_A"],
+                     sorted(set(trA_vals)), "exact",
+                     set(trA_vals) == {expect["trdeg_A"]})
+    add_with_verdict(report, "trdeg R0", expect["trdeg_R0"],
+                     sorted(set(trR_vals)), "exact",
+                     set(trR_vals) == {expect["trdeg_R0"]})
     phase_dim = 2 * len(sys.m)
     sums = sorted({a + b for a in trA_vals for b in trR_vals})
-    report.add("trdeg A + trdeg R0 = dim T*M", phase_dim,
-               sums[0] if len(sums) == 1 else sums, "exact",
-               sums == [phase_dim])
-    report.add("leaf dimension dim g - 3r (informational)", n - 3 * r,
-               n - 3 * r, "exact", True)
+    add_with_verdict(report, "trdeg A + trdeg R0 = dim T*M", phase_dim,
+                     sums[0] if len(sums) == 1 else sums, "exact",
+                     sums == [phase_dim])
+    add_with_verdict(report, "leaf dimension dim g - 3r (informational)",
+                     n - 3 * r, n - 3 * r, "exact", True)
     return report

@@ -297,6 +297,26 @@ def test_non_orthonormal_basis_rejected():
                        [sheared, y, z])
 
 
+def test_a_split_that_does_not_partition_the_basis_is_refused():
+    from su3mag.algebra import SubalgebraSpec
+    alg = build_su2()
+    for a, m in (((0,), (1,)), ((0,), (0, 1, 2)), ((0, 1), (1, 2))):
+        with pytest.raises(ValueError, match="must partition the basis"):
+            SubalgebraSpec(alg, a, m)
+
+
+def test_a_split_that_is_not_reductive_is_refused():
+    from su3mag.algebra import SubalgebraSpec
+    # [e_x, e_z] is a multiple of e_y: with a = span{e_x, e_y} the bracket
+    # [a, m] leaves m = span{e_z}
+    alg = build_su2()
+    assert not alg.structure[(0, 2, 1)].is_zero()
+    with pytest.raises(ValueError, match="not reductive"):
+        SubalgebraSpec(alg, (0, 1), (2,))
+    # the split by one basis element is reductive
+    assert SubalgebraSpec(alg, (2,), (0, 1)).m_indices == (0, 1)
+
+
 def test_exact_coords_recover_unit_vectors():
     for alg in (build_su2(), build_su3_gellmann(), build_su3_chevalley()):
         for i, E in enumerate(alg.matrix_rep):

@@ -1,5 +1,9 @@
 """Chain verifier: bracket table, relations, centrality, ranks, dimensions."""
 
+import ast
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -197,7 +201,7 @@ def test_phi_relation():
     sys = su3_irregular_system(0.3)
     rng = np.random.default_rng(2)
     out = phi_relation_irregular(sys, rng, samples=100)
-    assert out["pass"] and out["max_residual"] < 1e-10
+    assert out["max_residual"] < 1e-10
     assert out["negative_control_nonzero"]
 
 
@@ -443,6 +447,113 @@ def test_a_nan_centre_bracket_fails_its_line_alone(monkeypatch):
     assert failed == ["{J2,P3}"]
     assert np.isnan([c.observed for c in report.checks
                      if c.name == "{J2,P3}"][0])
+
+
+def test_a_nan_centre_bracket_reads_nan_in_its_verify_line(monkeypatch):
+    """run_verification reads the centre check's residuals by _worst: one
+    NaN bracket, not the first residual of the sub-report, shows as NaN
+    in center_check_worst_bracket and fails that line alone."""
+    real = certify.basis_bracket
+
+    def poisoned(sys, A, B):
+        out = real(sys, A, B)
+        if out.shape[1:] == (2, 9):  # centres (J2, pi*R), generators P1..R
+            out[1, 0, 2] = np.nan  # point 1, centre J2, generator P3
+        return out
+
+    monkeypatch.setattr(certify, "basis_bracket", poisoned)
+    config = dict(reports.default_config("irregular"), samples=3,
+                  rank_samples=3, t_end=0.01)
+    report = reports.run_verification(config)
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["center_check_worst_bracket"]
+    assert math.isnan(failed[0].observed)
+
+
+def test_run_verification_refuses_a_zero_eps():
+    """The system refuses eps = 0; run_verification has no refusal of
+    its own."""
+    with pytest.raises(ValueError, match="eps must be nonzero"):
+        reports.run_verification({"case": "irregular", "eps": 0, "seed": 1})
+
+
+def _verdict(expected, observed, tolerance):
+    """The documented rule of CertificateReport.add: a numeric tolerance
+    passes observed < tolerance, "exact" passes observed == expected or
+    observed == [expected]."""
+    if tolerance == "exact":
+        return observed == expected or observed == [expected]
+    return observed < tolerance
+
+
+def test_the_verdict_is_read_off_the_evidence():
+    rep = certify.CertificateReport(case_tag="regular")
+    rep.add("under", 0.0, np.float64(1e-11), 1e-10)
+    rep.add("at", 0.0, 1e-10, 1e-10)
+    rep.add("nan", 0.0, float("nan"), 1e-10)
+    rep.add("equal", [3, 2], [np.int64(3), 2], "exact")
+    rep.add("one rank", 7, [7], "exact")
+    rep.add("two ranks", 7, [6, 7], "exact")
+    rep.add("other rank", 7, np.int64(6), "exact")
+    rep.add("true", True, np.bool_(True), "exact")
+    rep.add("false", True, False, "exact")
+    assert [c.passed for c in rep.checks] == [
+        True, False, False, True, True, False, False, True, False]
+    assert all(type(c.passed) is bool for c in rep.checks)
+
+
+@pytest.mark.parametrize("case", ["regular", "irregular"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_each_verify_line_passes_by_the_rule_on_its_json(case, seed,
+                                                         monkeypatch):
+    """Each check of the verify JSON, read back from its expected,
+    observed and tolerance fields, passes exactly when the documented
+    rule says so; a ledger entry forced wrong fails the lines that read
+    it, and those lines only."""
+    def lines():
+        config = dict(reports.default_config(case), seed=seed)
+        report = reports.run_verification(config)
+        checks = json.loads(reports.report_json(report, config))["checks"]
+        for c in checks:
+            fields = [ast.literal_eval(c[k]) if c[k] != "nan" else math.nan
+                      for k in ("expected", "observed", "tolerance")]
+            assert c["pass"] is _verdict(*fields), c
+        return checks
+
+    assert all(c["pass"] for c in lines())
+    monkeypatch.setitem(certify.LEDGER, case,
+                        dict(certify.LEDGER[case], trdeg_A=6))
+    failed = [c["name"] for c in lines() if not c["pass"]]
+    assert failed == ["pi1_rank", "trdeg A (pi1 rank)"]
+
+
+def test_slice_generators_name_the_slice_family():
+    """slice_generators states each case's slice family once:
+    generator_family appends it to the moments, the bracket table names
+    it, and dimension_report's rho family is it."""
+    sysR, sysI = su3_regular_system(0.1), su3_irregular_system(0.1)
+    u, v, w = torus_generators(sysR.alg)
+    named = certify.slice_generators(sysR)
+    assert [n for n, _ in named] == ["u1", "u2", "u3", "v", "w"]
+    assert all(p is q for (_, p), q in zip(named, (*u, v, w)))
+    assert [p.degree() for _, p in named] == [2, 2, 2, 3, 3]
+    assert bracket_table_regular(sysR).generator_names == \
+        ("u1", "u2", "u3", "v", "w")
+    assert certify.slice_generators(sysI) == [("R", radial_generator(sysI))]
+    for sys in (sysR, sysI):
+        names = [f.name for f in generator_family(sys)]
+        assert names == [f"P{i + 1}" for i in range(8)] + [
+            n for n, _ in certify.slice_generators(sys)]
+
+
+def test_a_wrong_rho_fails_the_rho_line_alone(monkeypatch):
+    """dimension_report reads its expected values from LEDGER."""
+    sys = su3_irregular_system(0.1)
+    monkeypatch.setitem(certify.LEDGER, "irregular",
+                        dict(certify.LEDGER["irregular"], rho=2))
+    rep = dimension_report(sys, np.random.default_rng(7), samples=4)
+    assert [c.name for c in rep.checks if not c.passed] == \
+        ["rho_A = trdeg S(m)^A"]
 
 
 def test_center_check_both_cases():

@@ -103,7 +103,7 @@ def test_verify_exit_status_contract(tmp_path, monkeypatch):
 
     def failing(config):
         rep = CertificateReport(case_tag=config["case"], seed=config["seed"])
-        rep.add("synthetic", 0.0, 1.0, 1e-10, False)
+        rep.add("synthetic", 0.0, 1.0, 1e-10)
         return rep
 
     monkeypatch.setattr(reports, "run_verification", failing)
