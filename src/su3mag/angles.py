@@ -108,14 +108,20 @@ def torus_angles(sys, pt):
     return np.mod(angle_map_matrix(sys) @ root_phases(sys, pt), TWO_PI)
 
 
-def chart_point(sys, rng):
-    """A random regular point comfortably inside the angle chart."""
+def chart_draw(sys, rng):
+    """A draw_regular_point comfortably inside the angle chart, tested
+    on its X - eps W, the bits of its point's xi, before any point."""
     for _ in range(500):
-        pt = sys.random_regular_point(rng)
-        z = slice_z_values(sys, pt.xi)[list(live_roots(sys))]
+        seed, X = sys.draw_regular_point(rng)
+        z = slice_z_values(sys, X - sys.eps * sys.W)[list(live_roots(sys))]
         if np.min(np.abs(z)) > 5e-2:
-            return pt
+            return seed, X
     raise RuntimeError("failed to sample a chart-safe point")
+
+
+def chart_point(sys, rng):
+    """A random regular point inside the angle chart (chart_draw)."""
+    return sys.points_of([chart_draw(sys, rng)])[0]
 
 
 def unwrapped_angle_series(sys, points):

@@ -273,9 +273,7 @@ class PhasePoint:
         """[g, X] -> [g a, Ad(a^-1) X] (the same point in a new gauge only
         when a is in A; for torus elements of A this is the right action)."""
         a = a if isinstance(a, GroupElement) else GroupElement(a)
-        alg = self.sys.alg
-        MX = alg.matrix_of(self.X)
-        Xn = alg.coords_of_matrix(a.matrix.conj().T @ MX @ a.matrix)
+        Xn = _adjoint_coords(self.sys.alg, a.matrix.conj().T, self.X)
         Xn[self.sys.a] = 0.0
         return PhasePoint(self.sys, self.G @ a.matrix, Xn)
 
@@ -765,20 +763,19 @@ def _check_fiber(sys, X, where=None):
 
 
 def closed_form_fiber(sys, pt0, t):
-    """Lax solution X(t) = Ad(exp(-t eps W)) X(0) in coordinates.
-
-    ``t`` is a time, or an array of times with one row of the result per
-    time: one stacked exp_map serves each block of BLOCK_ROWS times.
-    """
-    alg = sys.alg
+    """Lax solution X(t) = Ad(exp(-t eps W)) X(0) in coordinates, for a
+    time t or one row per time of an array.  One eigh, i M(W) = U diag(w)
+    U*, gives X(t) = U P U*, P being N0 = U* M(X0) U with entry (a, b)
+    turned by exp(i t eps (w_a - w_b)); coordinate i is Re sum_ab P_ab
+    K[(a, b), i], K[(a, b), i] = -1/2 tr(U E_ab U* E_i).  A time holds
+    N^2 numbers, as many as its output row, so no blocks; row k of a
+    stack is bit for bit the value at time k alone."""
     t = np.asarray(t, dtype=float)
-    times = t.reshape(-1)
-    rows = []
-    for lo in range(0, len(times), BLOCK_ROWS):
-        xs = (-times[lo:lo + BLOCK_ROWS] * sys.eps)[:, None] * sys.W
-        rows.append(_adjoint_coords(alg, exp_map(alg, alg.matrix_of(xs)),
-                                    pt0.X))
-    X = np.concatenate(rows)
+    w, U = np.linalg.eigh(1j * sys.alg.matrix_of(sys.W))
+    N0 = (_adjoint(U) @ sys.alg.matrix_of(pt0.X) @ U).reshape(-1)
+    K = -0.5 * (_adjoint(U) @ sys.alg.matrix_of(np.eye(sys.alg.dim)) @ U).T
+    theta = (t.reshape(-1, 1) * sys.eps) * (w[:, None] - w).reshape(-1)
+    X = ((N0 * np.exp(1j * theta)) @ K.reshape(-1, sys.alg.dim)).real
     return X.reshape(t.shape + X.shape[1:])
 
 

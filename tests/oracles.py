@@ -67,6 +67,10 @@
   samples and the dimension ledger one point at a time, each point
   built alone and each bracket one ``twisted_bracket``, which the
   stacked checks of ``certify`` must reproduce bit for bit;
+* ``closed_form_fiber_by_exp_map``: the Lax form X(t) = Ad(exp(-t eps
+  W)) X(0) by one exp_map of a coordinate vector per time, which
+  ``phase.closed_form_fiber``'s spectral form must reproduce within
+  roundoff;
 * ``add_with_verdict``: a certificate line appended with its verdict
   stated by hand, so that the oracles' explicit verdicts cross-check the
   rule that ``CertificateReport.add`` reads off the evidence.
@@ -116,6 +120,12 @@ def adjoint_group(alg, g, coords):
         g = GroupElement(g)
     M = alg.matrix_of(np.asarray(coords, dtype=float))
     return alg.coords_of_matrix(g.matrix @ M @ g.matrix.conj().T)
+
+
+def closed_form_fiber_by_exp_map(sys, pt0, t):
+    """Coordinates of Ad(exp(-t eps W)) X(0) at one time t."""
+    return adjoint_group(sys.alg, exp_map(sys.alg, -t * sys.eps * sys.W),
+                         pt0.X)
 
 
 def group_inverse(g):

@@ -470,6 +470,32 @@ def test_a_nan_centre_bracket_reads_nan_in_its_verify_line(monkeypatch):
     assert math.isnan(failed[0].observed)
 
 
+def test_a_nan_angle_angle_bracket_reads_nan_in_its_verify_line(monkeypatch):
+    """run_verification reads the angle-angle spread by np.ptp: one NaN
+    bracket, not the first of the three, shows as NaN in
+    angle_angle_bracket_constant_on_torus and fails that line and the
+    report."""
+    from su3mag import angles
+    real, calls = angles.angle_angle_bracket, []
+
+    def poisoned(sys, pt):
+        calls.append(pt)
+        return np.nan if len(calls) == 2 else real(sys, pt)
+
+    monkeypatch.setattr(angles, "angle_angle_bracket", poisoned)
+    config = dict(reports.default_config("regular"), samples=3,
+                  rank_samples=3, t_end=0.01)
+    report = reports.run_verification(config)
+    failed = [c for c in report.checks if not c.passed]
+    assert len(calls) == 3
+    assert [c.name for c in failed] == ["angle_angle_bracket_constant_on_torus"]
+    assert math.isnan(failed[0].observed) and not report.passed
+    line = [ln for ln in reports.report_lines(report)
+            if "angle_angle_bracket" in ln]
+    assert line == ["[FAIL] angle_angle_bracket_constant_on_torus: "
+                    "expected=0.0 observed=nan tol=1e-06"]
+
+
 def test_run_verification_refuses_a_zero_eps():
     """The system refuses eps = 0; run_verification has no refusal of
     its own."""

@@ -2,7 +2,8 @@
 module-level function or class is read in the package or has a listed
 reason not to be, every name the benchmark's trace wraps exists, and no
 module but algebra.py contracts the structure constants by a loop of its
-own, outside the coadjoint derivations."""
+own, outside the coadjoint derivations, and the certificate modules call a
+builtin max or min on integer counts only."""
 
 import ast
 import importlib
@@ -146,3 +147,37 @@ def test_only_the_coadjoint_derivations_loop_over_the_structure():
     loops = [f"{p.stem}.{name}" for p in MODULES if p.name != "algebra.py"
              for name in structure_loops(p.read_text(encoding="utf-8"))]
     assert loops == ["invariants._operator_terms"]
+
+
+# the builtin max and min calls of the certificate modules, each an
+# integer count: a builtin max or min over floats skips a NaN that is not
+# its first value, so a float line would pass on a NaN residual
+INTEGER_MAX_MIN = {
+    "reports": ["max(1, len(traj.points) // 2000)", "min(5, rank_samples)",
+                "min(50, samples)"],
+}
+
+
+def builtin_max_min_calls(source):
+    """The source text of each call of a bare ``max`` or ``min`` name in
+    source, sorted; a method or numpy call (``a.max()``, ``np.min(a)``)
+    is not one."""
+    return sorted(ast.unparse(node) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id in ("max", "min"))
+
+
+def test_the_scan_sees_a_builtin_max_or_min():
+    source = ("def f(vals, a):\n    n = min(5, len(vals))\n"
+              "    return max(vals) - np.min(a) + a.max()\n")
+    assert builtin_max_min_calls(source) == ["max(vals)", "min(5, len(vals))"]
+
+
+@pytest.mark.parametrize("module", ["certify", "reports", "angles"])
+def test_certificate_modules_reduce_floats_by_numpy(module):
+    """certify, reports and angles reduce float residuals by numpy
+    (_worst, np.ptp), which keeps a NaN; their only builtin max and min
+    calls are the integer counts of INTEGER_MAX_MIN."""
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    assert builtin_max_min_calls(source) == INTEGER_MAX_MIN.get(module, [])

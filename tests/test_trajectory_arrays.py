@@ -2,7 +2,10 @@
 
 The flow exports, the conservation report and the Lax check evaluate a
 trajectory as stacked arrays.  The per-point loops they replaced are kept
-here as oracles, and every comparison is bit for bit.
+here as oracles, and every comparison is bit for bit.  The Lax form is
+the exception: its spectral route matches the per-time exp_map oracle
+(oracles.closed_form_fiber_by_exp_map) within roundoff, and its stack
+matches its own single times bit for bit.
 """
 
 import json
@@ -14,16 +17,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from su3mag import exp_map
+from su3mag.algebra import build_su3_gellmann
 from su3mag.certify import action_functions
-from su3mag.phase import (FlowTrajectory, PhasePoint, closed_form_fiber,
-                          conservation_report, integral_values,
-                          integrate_flow, su3_irregular_system,
-                          su3_regular_system)
+from su3mag.phase import (FlowTrajectory, MagneticSystem, PhasePoint,
+                          closed_form_fiber, conservation_report,
+                          integral_values, integrate_flow,
+                          su3_irregular_system, su3_regular_system)
 from su3mag.poly import Polynomial
 from su3mag.reports import (conservation_json, monitored_functions,
                             run_verification, trajectory_csv)
 from su3mag.scalars import Scalar
-from oracles import reference_float_evaluate
+from oracles import closed_form_fiber_by_exp_map, reference_float_evaluate
 
 SYSTEMS = {"regular": su3_regular_system, "irregular": su3_irregular_system}
 
@@ -69,13 +73,6 @@ def _reference_trajectory_csv(sys, traj, functions, stride=1):
         row += [repr(float(_reference_value(f, p))) for f in functions]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
-
-
-def _reference_closed_form_fiber(sys, pt0, t):
-    """One exp_map of a coordinate vector per time."""
-    g = exp_map(sys.alg, -t * sys.eps * sys.W)
-    M = sys.alg.matrix_of(pt0.X)
-    return sys.alg.coords_of_matrix(g.matrix @ M @ g.matrix.conj().T)
 
 
 def _bits(values):
@@ -156,16 +153,50 @@ def test_integral_values_match_value_at_each_point(case, seed):
 @pytest.mark.parametrize("case", ["regular", "irregular"])
 @pytest.mark.parametrize("seed", [9, 11])
 def test_stacked_lax_form_matches_one_time_at_a_time(case, seed):
+    """Row k of a stack is bit for bit the Lax form at time k alone, and
+    within roundoff of the per-time exp_map oracle."""
     sys, pt, traj = _flows(case, seed)
     for stride in (1, 5, 7):
         times = traj.times[::stride]
         got = closed_form_fiber(sys, pt, times)
-        want = np.array([_reference_closed_form_fiber(sys, pt, t)
+        alone = np.array([closed_form_fiber(sys, pt, t) for t in times])
+        assert got.shape == alone.shape and _bits(got) == _bits(alone)
+        want = np.array([closed_form_fiber_by_exp_map(sys, pt, t)
                          for t in times])
-        assert got.shape == want.shape and _bits(got) == _bits(want)
+        assert np.abs(got - want).max() < 1e-14
     t = traj.times[123]
-    assert _bits(closed_form_fiber(sys, pt, t)) == \
-        _bits(_reference_closed_form_fiber(sys, pt, t))
+    assert closed_form_fiber(sys, pt, t).shape == (sys.alg.dim,)
+
+
+def _off_diagonal_system(eps):
+    """su(3) over the torus of W = e1 = -i lambda_1 (Gell-Mann basis): the
+    eigenvectors U of its matrix mix the basis, and U* != U, so U* M(X0) U
+    differs from U M(X0) U*.  The matrices of the shipped W are diagonal,
+    with U = I."""
+    return MagneticSystem(build_su3_gellmann(), [1] + [0] * 7, eps, "e1")
+
+
+@pytest.mark.parametrize("make", [su3_regular_system, su3_irregular_system,
+                                  _off_diagonal_system])
+def test_lax_form_matches_the_exp_map_oracle_to_t_10(make):
+    sys = make(0.1)
+    pt = sys.random_point(np.random.default_rng(5))
+    times = np.linspace(0.0, 10.0, 101)
+    want = np.array([closed_form_fiber_by_exp_map(sys, pt, t)
+                     for t in times])
+    assert np.abs(closed_form_fiber(sys, pt, times) - want).max() < 1e-14
+
+
+def test_the_lax_form_is_independent_of_the_flow_driver(monkeypatch):
+    """closed_form_fiber reads the matrix of W, not the RK4 driver's ad W:
+    with sys._adW doubled, integrate_flow's fiber moves and the Lax form
+    keeps its bits."""
+    sys, pt, traj = _flows("irregular", 9)
+    before = closed_form_fiber(sys, pt, traj.times)
+    monkeypatch.setattr(sys, "_adW", 2.0 * sys._adW)
+    moved = integrate_flow(sys, pt, t_end=0.6, dt=1e-3)
+    assert np.abs(moved.points.X - traj.points.X).max() > 1e-3
+    assert _bits(closed_form_fiber(sys, pt, traj.times)) == _bits(before)
 
 
 # ---------------------------------------------------------------------------
