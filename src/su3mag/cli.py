@@ -5,7 +5,8 @@ structured text (JSON or CSV); identical configuration and seed produce
 byte-identical files.  The default output directory comes from the
 SU3MAG_OUTDIR environment variable (falling back to the working
 directory); a JSON config file mirroring the flags can be passed with
---config, with explicit flags taking precedence.
+--config, with explicit flags taking precedence; a config key the
+command does not take is refused.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from . import reports
 from .phase import flow_steps, integrate_flow
 from .poly import DEGREE_CAP
 
+# the CSV row cap of su3mag flow, unless the flag or the config sets it
+FLOW_MAX_ROWS = 2000
+
 
 def _out_dir(args):
     out = args.out or os.environ.get("SU3MAG_OUTDIR") or "."
@@ -35,7 +39,9 @@ class UsageError(ValueError):
     """Bad input: reported as one ``error:`` line with exit status 2."""
 
 
-def _merge_config(args, keys):
+def _merge_config(args, keys, known):
+    """The config file's keys, then the flags in ``keys`` that were given;
+    a config key outside ``known`` (say, a misspelt one) is refused."""
     config = {}
     if getattr(args, "config", None):
         try:
@@ -49,6 +55,10 @@ def _merge_config(args, keys):
                              f"{exc}") from None
         if not isinstance(loaded, dict):
             raise UsageError(f"config {args.config} must hold a JSON object")
+        for key in loaded:
+            if key not in known:
+                raise UsageError(f"config {args.config} has unknown key "
+                                 f"{key!r}")
         config.update(loaded)
     for key in keys:
         val = getattr(args, key, None)
@@ -57,27 +67,33 @@ def _merge_config(args, keys):
     return config
 
 
-def _load_config(args, keys, flow=True):
+def _load_config(args, keys, extra=None):
     """Defaults for the case, then the config file, then explicit flags.
 
     The case is the flag's if given, else the config file's, else
-    "regular".
+    "regular".  The config file may hold the keys of the run config
+    (reports.default_config) and of ``extra``, a command's own
+    defaults; any other key is refused, and every value is checked,
+    whether the command reads it or not.
     """
-    merged = _merge_config(args, ("case",) + keys)
+    extra = extra or {}
+    known = set(reports.default_config("regular")) | set(extra)
+    merged = _merge_config(args, ("case",) + keys, known)
     config = reports.default_config(merged.get("case", "regular"))
+    config.update(extra)
     config.update(merged)
-    _check_config(config, flow)
+    _check_config(config)
     return config
 
 
-def _check_config(config, flow=True):
+def _check_config(config):
     """Refuse an unknown case, a non-finite or zero eps, a non-integer or
-    out-of-range seed/samples/rank_samples and, for a flow, bad
-    t_end/dt."""
+    out-of-range seed/samples/rank_samples (and max_rows, where the
+    command takes it) and bad t_end/dt."""
     if config["case"] not in reports.CASES:
         raise UsageError(f"case must be one of {', '.join(reports.CASES)}, "
                          f"got {config['case']!r}")
-    for key in ("eps", "t_end", "dt") if flow else ("eps",):
+    for key in ("eps", "t_end", "dt"):
         try:
             value = float(config[key])
         except (TypeError, ValueError):
@@ -87,17 +103,19 @@ def _check_config(config, flow=True):
             raise UsageError(f"{key} must be finite, got {value}")
     if float(config["eps"]) == 0.0:
         raise UsageError("eps must be nonzero (the magnetic parameter)")
-    for key, least in (("seed", 0), ("samples", 1), ("rank_samples", 1)):
+    for key, least in (("seed", 0), ("samples", 1), ("rank_samples", 1),
+                       ("max_rows", 1)):
+        if key not in config:
+            continue
         value = config[key]
         if not isinstance(value, int) or isinstance(value, bool):
             raise UsageError(f"{key} must be an integer, got {value!r}")
         if value < least:
             raise UsageError(f"{key} must be at least {least}, got {value}")
-    if flow:
-        try:
-            flow_steps(float(config["t_end"]), float(config["dt"]))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    try:
+        flow_steps(float(config["t_end"]), float(config["dt"]))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_verify(args):
@@ -138,15 +156,17 @@ def cmd_centralizer(args):
 
 
 def cmd_flow(args):
-    _check_at_least_one("--max-rows", args.max_rows)
-    config = _load_config(args, ("eps", "seed", "t_end", "dt"))
+    if args.max_rows is not None:
+        _check_at_least_one("--max-rows", args.max_rows)
+    config = _load_config(args, ("eps", "seed", "t_end", "dt", "max_rows"),
+                          extra={"max_rows": FLOW_MAX_ROWS})
     sys_ = reports.make_system(config["case"], config["eps"])
     rng = np.random.default_rng(int(config["seed"]))
     pt = sys_.random_regular_point(rng)
     traj = integrate_flow(sys_, pt, t_end=float(config["t_end"]),
                           dt=float(config["dt"]))
     fns = reports.monitored_functions(sys_)
-    stride = math.ceil(len(traj.points) / int(args.max_rows))
+    stride = math.ceil(len(traj.points) / config["max_rows"])
     out = _out_dir(args)
     csv_path = out / f"trajectory_{config['case']}.csv"
     csv_path.write_text(reports.trajectory_csv(sys_, traj, fns, stride),
@@ -165,7 +185,7 @@ def cmd_flow(args):
 
 
 def cmd_brackets(args):
-    config = _load_config(args, ("eps",), flow=False)
+    config = _load_config(args, ("eps",))
     sys_ = reports.make_system(config["case"], config["eps"])
     text = reports.bracket_table_text(sys_)
     print(text, end="")
@@ -218,8 +238,9 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.add_argument("--t-end", dest="t_end", type=float)
     p.add_argument("--dt", type=float)
-    p.add_argument("--max-rows", type=int, default=2000,
-                   help="cap on exported CSV rows")
+    p.add_argument("--max-rows", dest="max_rows", type=int,
+                   help=f"cap on exported CSV rows (default: the config's, "
+                        f"else {FLOW_MAX_ROWS})")
     common(p)
     p.set_defaults(func=cmd_flow)
 

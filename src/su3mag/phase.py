@@ -39,9 +39,12 @@ from .algebra import (GroupElement, build_su3_chevalley,
                       _gram_defect, _identity, _mm)
 from .invariants import casimirs_su3, shift_images
 
-# Rows per block of the routes over a whole flow: blocks keep the
-# temporaries of a long flow small.
-BLOCK_ROWS = 256
+# Rows per block of the routes over a whole flow (the RK4 driver,
+# integral_values, _check_stack): blocks keep the temporaries of a long
+# flow small, and each block's stacked products run over its steps.
+# 1024 holds certify's 1000-step flow in one block; past it, a 2048-row
+# block barely speeds the flow and grows the temporaries.
+BLOCK_ROWS = 1024
 # Largest unitarity drift of an RK4 step before its projection.
 DRIFT_LIMIT = 1e-8
 
@@ -555,7 +558,7 @@ def integrate_flow(sys, pt0, t_end, dt):
     stack over the arrays of the steps.
     """
     G, Xs = _rk4_flow(sys, pt0, t_end, dt, -sys.eps * sys._adW)
-    times = [0.0] + [(step + 1) * dt for step in range(len(G) - 1)]
+    times = (np.arange(len(G)) * dt).tolist()
     return FlowTrajectory(times=times,
                           points=PhasePoint.prevalidated(sys, G, Xs), dt=dt)
 
@@ -595,7 +598,9 @@ def _rk4_flow(sys, pt0, t_end, dt, field):
     - Psi_n = NS(Phi_n), one Newton-Schulz step (_newton_schulz), for
       the whole block at once.  For unitary g, g Psi_n = NS(g Phi_n).
     - The block's rows g_{n+1} = g_lo Psi_lo ... Psi_n come from one
-      doubling scan (_prefix_products), not a loop of g <- g Psi_n.
+      work-efficient prefix scan (_prefix_products: Brent-Kung, fewer
+      than two stacked 3x3 products a step, then one with g_lo), not a
+      loop of g <- g Psi_n.
     - Over the block at once: with D_n = Y_n* Y_n - I for Y_n = g_n
       Phi_n, a unitarity drift max |D_n| beyond DRIFT_LIMIT rejects the
       block's first such step, which a RuntimeError names; a NaN drift
@@ -712,16 +717,28 @@ def _linear_fiber(A, Xs, V, dt):
 def _prefix_products(g, Psi, out):
     """out[:, :, k] = g Psi_0 ... Psi_k for a stack Psi of n factors
     stored with the matrix axes first, (N, N, n), and g (N, N) (or row
-    by row of a batch: g (N, N, B), Psi (N, N, n, B)), by a doubling
-    scan (Hillis and Steele 1986): for s = 1, 2, 4, ... below n, each
-    step's running product takes the one s steps before it in front,
-    out[s:] = out[:-s] out[s:] along the step axis, then one product
-    with g; each is one stacked product (_mm) over the block."""
+    by row of a batch: g (N, N, B), Psi (N, N, n, B)), by a work-efficient
+    scan (Brent and Kung 1982; Blelloch 1990) in place along the step
+    axis.  The up-sweep, for s = 1, 2, 4, ... with 2s <= n, takes step
+    k - s in front of each step k = 2s-1 mod 2s, so that step 2^j - 1
+    holds its whole prefix; the down-sweep, for s back down to 1, takes
+    the prefix at step k - s in front of each step k = 3s-1 mod 2s.  The
+    earlier factor is always on the left.  Each level is one stacked
+    product (_mm) over strided steps: fewer than 2n products in at most
+    2 floor(log2 n) levels (one fewer when n < 3/2 2^floor(log2 n), as
+    for n a power of two), then one product of all n steps with g."""
     out[...] = Psi
+    n = out.shape[2]
     s = 1
-    while s < out.shape[2]:
-        out[:, :, s:] = _mm(out[:, :, :-s], out[:, :, s:])
+    while 2 * s <= n:
+        out[:, :, 2 * s - 1::2 * s] = _mm(out[:, :, s - 1:n - s:2 * s],
+                                          out[:, :, 2 * s - 1::2 * s])
         s *= 2
+    while s > 1:
+        s //= 2
+        if 3 * s <= n:
+            out[:, :, 3 * s - 1::2 * s] = _mm(
+                out[:, :, 2 * s - 1:n - s:2 * s], out[:, :, 3 * s - 1::2 * s])
     out[...] = _mm(g[:, :, None], out)
 
 

@@ -1,0 +1,204 @@
+"""The mutation suite: deliberate faults that the named tests must catch.
+
+Each entry of MUTATIONS is one fault: an id, the file it edits, an exact
+old text (which must occur once in that file) and the new text put in
+its place, the change that first recorded it (by its commit subject),
+and the tests that must fail with it.  The script extracts a ``git
+archive`` copy of a revision (HEAD unless ``--rev`` is given) into a
+temporary directory, and for each entry applies the edit, runs the
+named tests with ``-x`` and puts the file back.  It prints CAUGHT when the tests fail, MISSED when they
+pass, and ERROR when pytest could not run them (say, a collection
+error), and exits 1 unless every entry is caught.
+
+Run from the repository root:
+
+    python tests/mutations.py                 # every entry
+    python tests/mutations.py scan-up-swap    # the entries named
+
+``tests/test_imports.py::test_each_mutation_still_applies`` checks, in
+tier-1, that each old text still occurs exactly once and each named
+test still exists, so a change that rewrites the code must update or
+retire its entries.  Like ``tests/pairing_sweep.py``, pytest does not
+collect this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutation(NamedTuple):
+    id: str
+    file: str
+    old: str
+    new: str
+    change: str
+    tests: tuple
+
+
+# the changes that recorded the entries, by their commit subjects
+KERNEL = "One exact Lie-algebra kernel"
+VERDICT = "One verdict rule"
+LAX = "Lax closed form from one eigendecomposition of W"
+SCAN = "Brent-Kung prefix scan over 1024-step blocks"
+
+MUTATIONS = (
+    # the one exact structure-constant contraction
+    Mutation("bracket-coords-swap", "src/su3mag/algebra.py",
+             "xi, yj = x[i], y[j]", "xi, yj = y[i], x[j]", KERNEL,
+             ("tests/test_algebra.py::"
+              "test_ad_w_columns_match_the_structure_loop",)),
+    Mutation("bracket-coords-scalar-zero", "src/su3mag/algebra.py",
+             "zero = Polynomial.zero(polys[0].vars) if polys else ZERO",
+             "zero = ZERO", KERNEL,
+             ("tests/test_algebra.py::"
+              "test_bracket_coords_returns_the_zero_of_the_entries_kind",)),
+    Mutation("a-matrix-minors-sign", "src/su3mag/certify.py",
+             "return [-p for p in minors]", "return minors", KERNEL,
+             ("tests/test_certify.py::test_a_matrix_minors_exact",)),
+    # the one verdict rule
+    Mutation("verdict-rank-set-dropped", "src/su3mag/certify.py",
+             "passed = observed == expected or observed == [expected]",
+             "passed = observed == expected", VERDICT,
+             ("tests/test_certify.py::"
+              "test_each_verify_line_passes_by_the_rule_on_its_json",)),
+    Mutation("verdict-lt-made-le", "src/su3mag/certify.py",
+             "passed = observed < tolerance",
+             "passed = observed <= tolerance", VERDICT,
+             ("tests/test_certify.py::"
+              "test_the_verdict_is_read_off_the_evidence",)),
+    Mutation("centre-line-python-max", "src/su3mag/reports.py",
+             "worst_center = _worst([c.observed for c in sub_report.checks])",
+             "worst_center = max(c.observed for c in sub_report.checks)",
+             VERDICT,
+             ("tests/test_certify.py::"
+              "test_a_nan_centre_bracket_reads_nan_in_its_verify_line",)),
+    Mutation("pi1-rank-literal", "src/su3mag/reports.py",
+             'report.add("pi1_rank", LEDGER[case]["trdeg_A"], ranks, '
+             '"exact")',
+             'report.add("pi1_rank", 10, ranks, "exact")', VERDICT,
+             ("tests/test_certify.py::"
+              "test_each_verify_line_passes_by_the_rule_on_its_json",)),
+    Mutation("slice-generators-v-w-swap", "src/su3mag/certify.py",
+             '("u1", "u2", "u3", "v", "w"), (*u, v, w)',
+             '("u1", "u2", "u3", "v", "w"), (*u, w, v)', VERDICT,
+             ("tests/test_certify.py::"
+              "test_bracket_table_closes_and_matches",)),
+    # the Lax closed form from one eigendecomposition of W
+    Mutation("lax-phase-sign", "src/su3mag/phase.py",
+             "* (w[:, None] - w).reshape(-1)",
+             "* (w - w[:, None]).reshape(-1)", LAX,
+             ("tests/test_trajectory_arrays.py::"
+              "test_lax_form_matches_the_exp_map_oracle_to_t_10",)),
+    Mutation("lax-eps-dropped", "src/su3mag/phase.py",
+             "theta = (t.reshape(-1, 1) * sys.eps)",
+             "theta = (t.reshape(-1, 1) * 1.0)", LAX,
+             ("tests/test_trajectory_arrays.py::"
+              "test_lax_form_matches_the_exp_map_oracle_to_t_10",)),
+    Mutation("lax-u-adjoint-swap", "src/su3mag/phase.py",
+             "N0 = (_adjoint(U) @ sys.alg.matrix_of(pt0.X) @ U)",
+             "N0 = (U @ sys.alg.matrix_of(pt0.X) @ _adjoint(U))", LAX,
+             ("tests/test_trajectory_arrays.py::"
+              "test_lax_form_matches_the_exp_map_oracle_to_t_10",)),
+    # the Brent-Kung prefix scan of the RK4 driver
+    Mutation("scan-up-swap", "src/su3mag/phase.py",
+             "_mm(out[:, :, s - 1:n - s:2 * s],\n"
+             "                                          "
+             "out[:, :, 2 * s - 1::2 * s])",
+             "_mm(out[:, :, 2 * s - 1::2 * s],\n"
+             "                                          "
+             "out[:, :, s - 1:n - s:2 * s])", SCAN,
+             ("tests/test_phase.py::"
+              "test_prefix_products_match_the_sequential_loop",)),
+    Mutation("scan-down-swap", "src/su3mag/phase.py",
+             "out[:, :, 2 * s - 1:n - s:2 * s], out[:, :, 3 * s - 1::2 * s])",
+             "out[:, :, 3 * s - 1::2 * s], out[:, :, 2 * s - 1:n - s:2 * s])",
+             SCAN,
+             ("tests/test_phase.py::"
+              "test_prefix_products_match_the_sequential_loop",)),
+    Mutation("scan-down-offset", "src/su3mag/phase.py",
+             "out[:, :, 3 * s - 1::2 * s] = _mm(\n"
+             "                out[:, :, 2 * s - 1:n - s:2 * s], "
+             "out[:, :, 3 * s - 1::2 * s])",
+             "out[:, :, 3 * s::2 * s] = _mm(\n"
+             "                out[:, :, 2 * s - 1:n - s:2 * s], "
+             "out[:, :, 3 * s::2 * s])", SCAN,
+             ("tests/test_phase.py::"
+              "test_prefix_products_match_the_sequential_loop",)),
+    Mutation("flow-times-running-sum", "src/su3mag/phase.py",
+             "times = (np.arange(len(G)) * dt).tolist()",
+             "times = np.cumsum([0.0] + [dt] * (len(G) - 1)).tolist()", SCAN,
+             ("tests/test_phase.py::test_flow_times_are_the_list_formula",)),
+    Mutation("config-unknown-key-allowed", "src/su3mag/cli.py",
+             "            if key not in known:",
+             "            if key not in known and key != 'sampels':", SCAN,
+             ("tests/test_cli.py::"
+              "test_an_unknown_config_key_is_a_one_line_error",)),
+)
+
+
+def archive(rev, dest):
+    """Extract ``git archive rev`` of the repository into dest."""
+    tar = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                         capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as fh:
+        fh.extractall(dest, filter="data")
+
+
+def run_entry(copy, entry):
+    """Apply one entry in copy, run its tests, put the file back; returns
+    (verdict, seconds)."""
+    path = Path(copy) / entry.file
+    text = path.read_text(encoding="utf-8")
+    if text.count(entry.old) != 1:
+        return "STALE", 0.0
+    path.write_text(text.replace(entry.old, entry.new), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    t0 = time.perf_counter()
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+             "no:cacheprovider", *entry.tests],
+            cwd=copy, env=env, capture_output=True, text=True)
+    finally:
+        path.write_text(text, encoding="utf-8")
+    verdict = {0: "MISSED", 1: "CAUGHT"}.get(proc.returncode, "ERROR")
+    return verdict, time.perf_counter() - t0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("ids", nargs="*", help="entries to run (default all)")
+    parser.add_argument("--rev", default="HEAD",
+                        help="revision to mutate (default HEAD)")
+    args = parser.parse_args(argv)
+    known = {m.id for m in MUTATIONS}
+    unknown = set(args.ids) - known
+    if unknown:
+        parser.error(f"unknown mutation ids: {', '.join(sorted(unknown))}")
+    entries = [m for m in MUTATIONS if not args.ids or m.id in args.ids]
+    caught = 0
+    with tempfile.TemporaryDirectory() as copy:
+        archive(args.rev, copy)
+        for entry in entries:
+            verdict, secs = run_entry(copy, entry)
+            caught += verdict == "CAUGHT"
+            print(f"{verdict:6} {entry.id} ({entry.change}; {secs:.1f} s)",
+                  flush=True)
+    print(f"{caught} of {len(entries)} caught")
+    return 0 if caught == len(entries) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -285,6 +285,68 @@ def test_unknown_config_case_is_a_one_line_error(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, key", [
+    ("verify", "sampels"), ("flow", "sampels"), ("flow", "max-rows"),
+    ("verify", "max_rows"), ("brackets", "sampels")])
+def test_an_unknown_config_key_is_a_one_line_error(tmp_path, capsys,
+                                                   monkeypatch, command, key):
+    """A config key the command does not take, a misspelt one or a flag's
+    dashed name, ends in one error line naming it, exit 2, before any
+    work and with no output; only flow takes max_rows."""
+    from su3mag import cli, reports
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(reports, "run_verification", no_work)
+    monkeypatch.setattr(cli, "integrate_flow", no_work)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 3, "t_end": 0.01}))
+    err = _one_line_error(capsys, run_cli(
+        [command, "--config", str(cfg), "--out", str(tmp_path / "o")]))
+    assert err == f"error: config {cfg} has unknown key {key!r}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("entry", [{"t_end": "x"}, {"dt": -1},
+                                   {"t_end": 0.01, "dt": 1}])
+def test_brackets_checks_the_flow_keys_of_its_config(tmp_path, capsys,
+                                                    entry):
+    """brackets loads the run config as verify does, so a bad t_end or dt
+    in its config file is a one-line error too, not ignored."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    _one_line_error(capsys, run_cli(
+        ["brackets", "--config", str(cfg), "--out", str(tmp_path / "o")]))
+    assert not (tmp_path / "o").exists()
+
+
+def test_flow_reads_max_rows_from_the_config(tmp_path):
+    """flow takes max_rows from the config as it takes --max-rows; the
+    flag wins over the config."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"case": "irregular", "t_end": 0.05,
+                               "max_rows": 5}))
+    assert run_cli(["flow", "--config", str(cfg),
+                    "--out", str(tmp_path / "c")]) == 0
+    csv = (tmp_path / "c" / "trajectory_irregular.csv").read_text()
+    assert len(csv.splitlines()) == 1 + 5  # 51 points at stride 11
+    assert run_cli(["flow", "--config", str(cfg), "--max-rows", "10",
+                    "--out", str(tmp_path / "f")]) == 0
+    csv = (tmp_path / "f" / "trajectory_irregular.csv").read_text()
+    assert len(csv.splitlines()) == 1 + 9  # 51 points at stride 6
+
+
+@pytest.mark.parametrize("value", [0, -3, "x", 2.5, True])
+def test_a_bad_config_max_rows_is_a_one_line_error(tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_rows": value}))
+    err = _one_line_error(capsys, run_cli(
+        ["flow", "--config", str(cfg), "--out", str(tmp_path / "o")]))
+    assert "max_rows" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("rows", ["0", "-3"])
 def test_flow_max_rows_below_one_is_refused_before_integrating(
         tmp_path, capsys, monkeypatch, rows):

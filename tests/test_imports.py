@@ -2,8 +2,9 @@
 module-level function or class is read in the package or has a listed
 reason not to be, every name the benchmark's trace wraps exists, and no
 module but algebra.py contracts the structure constants by a loop of its
-own, outside the coadjoint derivations, and the certificate modules call a
-builtin max or min on integer counts only."""
+own, outside the coadjoint derivations, the certificate modules call a
+builtin max or min on integer counts only, and every entry of the
+mutation suite (tests/mutations.py) still applies."""
 
 import ast
 import importlib
@@ -11,6 +12,8 @@ from pathlib import Path
 import sys
 
 import pytest
+
+from mutations import MUTATIONS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "su3mag"
@@ -181,3 +184,15 @@ def test_certificate_modules_reduce_floats_by_numpy(module):
     calls are the integer counts of INTEGER_MAX_MIN."""
     source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
     assert builtin_max_min_calls(source) == INTEGER_MAX_MIN.get(module, [])
+
+
+@pytest.mark.parametrize("entry", MUTATIONS, ids=lambda m: m.id)
+def test_each_mutation_still_applies(entry):
+    """The old text of each mutation occurs exactly once in its file and
+    each of its tests still exists, so the suite cannot rot silently."""
+    assert (ROOT / entry.file).read_text(encoding="utf-8").count(
+        entry.old) == 1
+    assert entry.old != entry.new and entry.tests
+    for test in entry.tests:
+        path, name = test.split("::")
+        assert f"def {name}(" in (ROOT / path).read_text(encoding="utf-8")

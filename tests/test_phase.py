@@ -15,7 +15,7 @@ from su3mag.phase import (su3_regular_system, su3_irregular_system,
                           slice_bracket_symbolic, integrate_flow,
                           conservation_report, closed_form_fiber,
                           closed_form_group, differential, flow_steps,
-                          _project_m)
+                          BLOCK_ROWS, _project_m)
 from su3mag.invariants import radial_generator, torus_generators
 from oracles import (add_with_verdict, adjoint_group, moment_map,
                      moment_of_direction, omega_eps,
@@ -25,6 +25,14 @@ from oracles import (add_with_verdict, adjoint_group, moment_map,
                      slice_bracket_by_substitution, slice_bracket_value,
                      slice_map,
                      stage_projected_flow_step, symbolic_bracket)
+
+
+# A step in the driver's second block, and a flow of 100 steps more
+# (steps 300 and 400 at 256 rows a block): tests of the blocked driver
+# derive their step counts from BLOCK_ROWS, so that they cross a block
+# boundary at any block size.
+LATE_STEP = BLOCK_ROWS + 44
+LONG_STEPS = LATE_STEP + 100
 
 
 def _left_translate(pt, h):
@@ -538,6 +546,30 @@ def test_rk4_increment_is_one_callback_step(case):
             assert np.abs(E[:, i] - step).max() < 1e-17
 
 
+@pytest.mark.parametrize("dt", [1e-3, 0.1, 1 / 3, 2.5e-4, 0.007])
+def test_flow_times_are_the_list_formula(monkeypatch, dt):
+    """integrate_flow's times, one product of the step numbers with dt,
+    are bit for bit the Python floats [0.0] + [(k + 1) dt for each step
+    k]; the driver is stubbed by stacks of the start point, so that a
+    coarse dt runs no flow."""
+    from su3mag import phase
+    sys = su3_irregular_system(0.1)
+    pt = sys.random_regular_point(np.random.default_rng(5))
+
+    def still(sys_, pt0, t_end, dt_, field):
+        rows = flow_steps(t_end, dt_) + 1
+        return (np.repeat(pt0.G[None], rows, axis=0),
+                np.repeat(pt0.X[None], rows, axis=0))
+
+    monkeypatch.setattr(phase, "_rk4_flow", still)
+    traj = integrate_flow(sys, pt, t_end=10000 * dt, dt=dt)
+    want = [0.0] + [(step + 1) * dt for step in range(10000)]
+    assert traj.times == want
+    assert all(type(t) is float for t in traj.times)
+    assert np.array_equal(np.array(traj.times).view(np.int64),
+                          np.array(want).view(np.int64))
+
+
 @pytest.mark.parametrize("case", ["regular", "irregular"])
 def test_one_step_flow_matches_the_reference_loop(case):
     """A flow of one step (t_end = dt), a scan over a single factor:
@@ -575,13 +607,16 @@ def test_small_matrix_product_is_matmul():
             assert np.array_equal(_mm(A[5], B[5]), stack[:, :, 5])
 
 
-@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 255, 256])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 15, 16, 17, 255, 256, 784, 1000,
+                               1023, 1024])
 def test_prefix_products_match_the_sequential_loop(n):
-    """The doubling scan writes g Psi_0 ... Psi_k into step k of its
-    stack (matrix axes first), within 1e-14 of the loop g <- g Psi_k, on
-    near-identity SU(3) factors: powers of two and one either side, and
-    the flow's last block of 16 steps (10000 mod 256); and row by row
-    for a batch of two flows, the batch axis last."""
+    """The scan writes g Psi_0 ... Psi_k into step k of its stack
+    (matrix axes first), within 1e-14 of the loop g <- g Psi_k, on
+    near-identity SU(3) factors: powers of two and one either side, odd
+    lengths whose last step only the down-sweep reaches (3, 5), the
+    flow's last block (784 = 10000 mod 1024, 16 = 10000 mod 256), the
+    1000 steps of certify's flow and a full block of 1024; and row by
+    row for a batch of two flows, the batch axis last."""
     from su3mag.algebra import _axes_first
     from su3mag.phase import _prefix_products
     rng = np.random.default_rng(50 + n)
@@ -600,6 +635,34 @@ def test_prefix_products_match_the_sequential_loop(n):
             assert np.abs(batch[:, :, k, b] - gb).max() < 1e-14
             if b == 0:
                 assert np.abs(out[:, :, k] - gb).max() < 1e-14
+
+
+@pytest.mark.parametrize("n", [3, 5, 784, 1000, 1023, 1024])
+def test_prefix_products_are_work_efficient(monkeypatch, n):
+    """The scan is work-efficient: fewer than 2n step products in at
+    most 2 floor(log2 n) stacked products (_mm), 2 floor(log2 n) - 1 for
+    n a power of two, then one product of all n steps with g."""
+    from su3mag import phase
+    from su3mag.algebra import _mm
+    widths = []
+
+    def counted(A, B):
+        out = _mm(A, B)
+        widths.append(out.shape[2])
+        return out
+
+    monkeypatch.setattr(phase, "_mm", counted)
+    eye = np.eye(3, dtype=complex)
+    out = np.empty((3, 3, n), dtype=complex)
+    phase._prefix_products(eye, np.repeat(eye[:, :, None], n, axis=2), out)
+    *levels, with_g = widths
+    depth = n.bit_length() - 1
+    assert with_g == n
+    assert sum(levels) < 2 * n
+    assert len(levels) <= 2 * depth
+    if n == 2 ** depth:
+        assert len(levels) == 2 * depth - 1
+    assert np.array_equal(out, np.repeat(eye[:, :, None], n, axis=2))
 
 
 def test_array_driver_guards(monkeypatch):
@@ -636,14 +699,15 @@ def test_array_driver_guards(monkeypatch):
         out = real_project(G)
         first = seen[0]
         seen[0] += len(G)
-        if first <= 299 < seen[0]:
-            out[299 - first] *= np.exp(1e-3j)
+        if first <= LATE_STEP - 1 < seen[0]:
+            out[LATE_STEP - 1 - first] *= np.exp(1e-3j)
         return out
 
     monkeypatch.setattr(phase, "_divide_det_phase", bad_late)
-    with pytest.raises(ValueError, match="determinant one at step 299$"):
-        integrate_flow(sys, pt, t_end=0.4, dt=1e-3)
-    assert seen[0] == 400
+    with pytest.raises(ValueError, match=f"determinant one at step "
+                                         f"{LATE_STEP - 1}$"):
+        integrate_flow(sys, pt, t_end=LONG_STEPS * 1e-3, dt=1e-3)
+    assert seen[0] == LONG_STEPS
     monkeypatch.undo()
     # a fiber off m at the start is caught too
     X = pt.X.copy()
@@ -712,9 +776,9 @@ def test_flow_stack_check_refuses_a_nan_or_infinite_entry(bad):
     from su3mag.phase import _check_stack
     sys = su3_irregular_system(0.1)
     pt = sys.random_regular_point(np.random.default_rng(5))
-    traj = integrate_flow(sys, pt, t_end=0.4, dt=1e-3)
+    traj = integrate_flow(sys, pt, t_end=LONG_STEPS * 1e-3, dt=1e-3)
     for row, where in ((0, "the initial point"), (17, "step 16"),
-                       (300, "step 299")):
+                       (LATE_STEP, f"step {LATE_STEP - 1}")):
         G = traj.points.G.copy()
         G[row, 1, 2] = bad
         with warnings.catch_warnings():
@@ -725,9 +789,10 @@ def test_flow_stack_check_refuses_a_nan_or_infinite_entry(bad):
 
 
 def test_blocked_driver_names_the_first_failing_step():
-    """A field that turns NaN, or overflows, at step 300 (in the middle of
-    the second block) is rejected at exactly that step: a NaN drift fails
-    the guard as an infinite one does, and no numpy warning escapes."""
+    """A field that turns NaN, or overflows, at LATE_STEP (in the middle
+    of the second block) is rejected at exactly that step: a NaN drift
+    fails the guard as an infinite one does, and no numpy warning
+    escapes."""
     import warnings
     from su3mag.phase import _rk4_flow
     sys = su3_irregular_system(0.1)
@@ -737,15 +802,15 @@ def test_blocked_driver_names_the_first_failing_step():
 
         def field(X):
             calls[0] += 1  # four stages per step
-            scale = bad if calls[0] > 4 * 300 else 1.0
+            scale = bad if calls[0] > 4 * LATE_STEP else 1.0
             return scale * X, -sys.eps * (sys._adW @ X)
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RuntimeError,
-                               match="exceeds limit at step 300$"):
-                _rk4_flow(sys, pt, 0.4, 1e-3, field)
-        assert calls[0] == 4 * 400
+                               match=f"exceeds limit at step {LATE_STEP}$"):
+                _rk4_flow(sys, pt, LONG_STEPS * 1e-3, 1e-3, field)
+        assert calls[0] == 4 * LONG_STEPS
 
 
 def _batch_of_flows(seed, rows):
@@ -765,20 +830,21 @@ def _batch_of_flows(seed, rows):
 
 def test_batched_driver_rows_are_the_flows_alone():
     """The driver's batch axis (callback producer): each row of a batch
-    of 300-step flows, across the block boundary at 256 steps, is bit
-    for bit the flow of its point alone, G and X."""
+    of LATE_STEP-step flows, across the block boundary at BLOCK_ROWS
+    steps, is bit for bit the flow of its point alone, G and X."""
     from su3mag.phase import _rk4_flow
     sys, pts, field = _batch_of_flows(52, 5)
-    G, X = _rk4_flow(sys, pts, 0.3, 1e-3, field)
-    assert G.shape == (301, 5, 3, 3) and X.shape == (301, 5, sys.alg.dim)
+    G, X = _rk4_flow(sys, pts, LATE_STEP * 1e-3, 1e-3, field)
+    rows = LATE_STEP + 1
+    assert G.shape == (rows, 5, 3, 3) and X.shape == (rows, 5, sys.alg.dim)
     for b in range(5):
-        G1, X1 = _rk4_flow(sys, pts[b], 0.3, 1e-3, field)
+        G1, X1 = _rk4_flow(sys, pts[b], LATE_STEP * 1e-3, 1e-3, field)
         assert np.array_equal(G[:, b], G1) and np.array_equal(X[:, b], X1)
 
 
 def test_batched_driver_names_the_step_and_the_row():
-    """A field that turns NaN, or overflows, in row 2 of a batch at step
-    300 fails the drift guard there, and the error names the row and the
+    """A field that turns NaN, or overflows, in row 2 of a batch at
+    LATE_STEP (in the second block) fails the drift guard there, and the error names the row and the
     step; a NaN fiber coordinate off m in row 1 of the start, and a bad
     group entry or fiber coordinate in one row of a batch's stack, are
     refused naming both, with no numpy warning."""
@@ -791,7 +857,7 @@ def test_batched_driver_names_the_step_and_the_row():
         def faulty(X):
             calls[0] += 1  # four stages per step
             scale = np.ones((len(X), 1))
-            if calls[0] > 4 * 300:
+            if calls[0] > 4 * LATE_STEP:
                 scale[2] = bad
             v, F = field(X)
             return scale * v, F
@@ -799,18 +865,18 @@ def test_batched_driver_names_the_step_and_the_row():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RuntimeError,
-                               match=" in batch row 2 exceeds limit at step "
-                                     "300$"):
-                _rk4_flow(sys, pts, 0.4, 1e-3, faulty)
+                               match=f" in batch row 2 exceeds limit at "
+                                     f"step {LATE_STEP}$"):
+                _rk4_flow(sys, pts, LONG_STEPS * 1e-3, 1e-3, faulty)
     X0 = pts.X.copy()
     X0[1, sys.a[0]] = np.nan
     with pytest.raises(ValueError, match="supported on m at the initial "
                                          "point of batch row 1$"):
-        _rk4_flow(sys, PhasePoint.prevalidated(sys, pts.G, X0), 0.4, 1e-3,
-                  field)
-    G, X = _rk4_flow(sys, pts, 0.4, 1e-3, field)
+        _rk4_flow(sys, PhasePoint.prevalidated(sys, pts.G, X0),
+                  LONG_STEPS * 1e-3, 1e-3, field)
+    G, X = _rk4_flow(sys, pts, LONG_STEPS * 1e-3, 1e-3, field)
     for row, b, where in ((0, 3, "the initial point"), (17, 2, "step 16"),
-                          (300, 1, "step 299")):
+                          (LATE_STEP, 1, f"step {LATE_STEP - 1}")):
         for bad in (np.nan, np.inf):
             G1 = G.copy()
             G1[row, b, 1, 2] = bad

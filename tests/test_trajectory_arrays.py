@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 from su3mag import exp_map
 from su3mag.algebra import build_su3_gellmann
 from su3mag.certify import action_functions
-from su3mag.phase import (FlowTrajectory, MagneticSystem, PhasePoint,
-                          closed_form_fiber, conservation_report,
+from su3mag.phase import (BLOCK_ROWS, FlowTrajectory, MagneticSystem,
+                          PhasePoint, closed_form_fiber, conservation_report,
                           integral_values, integrate_flow,
                           su3_irregular_system, su3_regular_system)
 from su3mag.poly import Polynomial
@@ -79,12 +79,17 @@ def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
+# steps of _flows: at stride 1 its rows span two row blocks of
+# integral_values and of the flow's checks (300 steps at 256 rows a block)
+FLOW_STEPS = BLOCK_ROWS + 44
+
+
 def _flows(case, seed):
-    """A flow as integrate_flow returns it; 600 steps, so stride 1 spans
-    several row blocks."""
+    """A flow as integrate_flow returns it, FLOW_STEPS steps of 1e-3."""
     sys = SYSTEMS[case](0.1)
     pt = sys.random_regular_point(np.random.default_rng(seed))
-    return sys, pt, integrate_flow(sys, pt, t_end=0.6, dt=1e-3)
+    return sys, pt, integrate_flow(sys, pt, t_end=FLOW_STEPS * 1e-3,
+                                   dt=1e-3)
 
 
 def _functions(sys):
@@ -194,7 +199,7 @@ def test_the_lax_form_is_independent_of_the_flow_driver(monkeypatch):
     sys, pt, traj = _flows("irregular", 9)
     before = closed_form_fiber(sys, pt, traj.times)
     monkeypatch.setattr(sys, "_adW", 2.0 * sys._adW)
-    moved = integrate_flow(sys, pt, t_end=0.6, dt=1e-3)
+    moved = integrate_flow(sys, pt, t_end=FLOW_STEPS * 1e-3, dt=1e-3)
     assert np.abs(moved.points.X - traj.points.X).max() > 1e-3
     assert _bits(closed_form_fiber(sys, pt, traj.times)) == _bits(before)
 
