@@ -14,7 +14,7 @@ from su3mag import su3_regular_system, su3_irregular_system, integrate_flow
 from su3mag.angles import (chart_point, root_phases, torus_angles,
                            torus_action, frequency_matrix,
                            angle_action_pairing, angle_angle_bracket,
-                           unwrapped_angle_series, _rescale,
+                           angle_map_matrix, _rescale,
                            THETA_MATRIX, _nearest_branch)
 
 rng = np.random.default_rng(3)
@@ -40,10 +40,11 @@ print(f"{{phi~1, phi~2}} = {angle_angle_bracket(sys, pt):+.6f} "
 print()
 print("affine advance of the canonical angles along the physical flow:")
 traj = integrate_flow(sys, pt, t_end=5.0, dt=2e-3)
-sel = list(range(0, len(traj.points), 250))
-pts = [traj.points[i] for i in sel]
-ts = np.array([traj.times[i] for i in sel])
-phis = unwrapped_angle_series(sys, pts)
+pts = traj.points[::250]
+ts = np.array(traj.times[::250])
+# the root phases unwrapped along the flow before the angles are formed,
+# so that a single phase's wrap adds no lattice jump
+phis = np.unwrap(root_phases(sys, pts), axis=0) @ angle_map_matrix(sys).T
 tilde = np.array([_rescale(sys, frequency_matrix(sys, p), ph)
                   for p, ph in zip(pts, phis)])
 for c in range(2):

@@ -220,10 +220,6 @@ class LieAlgebraSpec:
         pairs = x[..., I] * y[..., J] - x[..., J] * y[..., I]
         return np.matmul(pairs[..., None, :], self._pair_ad)[..., 0, :]
 
-    def np_bpair(self, x, y):
-        """B(x, y) = sum_i x_i y_i on the orthonormal basis."""
-        return float(np.dot(x, y))
-
     def ad_matrices(self):
         """ad_i as dense float arrays: (ad_i)[k, j] = C_ij^k; the one float
         copy of the structure constants, with its i < j rows C_ij^."""

@@ -41,8 +41,7 @@ import numpy as np
 
 from .algebra import exp_map
 from .phase import (PhasePoint, basis_bracket, hamiltonian_vector_field,
-                    slice_z_values, _fiber_velocity, _invariant_under,
-                    _rk4_flow)
+                    slice_z_values, _invariant_under, _rk4_flow)
 from .certify import action_functions, phase_jacobian
 
 TWO_PI = 2.0 * math.pi
@@ -124,24 +123,6 @@ def chart_point(sys, rng):
     return sys.points_of([chart_draw(sys, rng)])[0]
 
 
-def unwrapped_angle_series(sys, points):
-    """Torus angles along a trajectory, unwrapped by nearest continuation.
-
-    Unwrapping happens in phase space (each theta_k has period 2 pi) before
-    the angle combination is formed, so the series is free of the lattice
-    jumps the composed map would show when a single phase wraps.
-    """
-    thetas = []
-    prev = None
-    for pt in points:
-        th = root_phases(sys, pt)
-        if prev is not None:
-            th = _nearest_branch(th, prev)
-        prev = th
-        thetas.append(th)
-    return np.array(thetas) @ angle_map_matrix(sys).T
-
-
 def torus_action(sys, pt, sigma):
     """Right-gauge action by t(sigma) = exp(sigma1 H_a1 + sigma2 H_a2).
 
@@ -182,7 +163,11 @@ def flow_step(fn, sys, pt, h, nsteps=1):
     def field(X):
         p = PhasePoint.prevalidated(sys, eye, X)
         v, w = hamiltonian_vector_field(fn, sys, p)
-        return sign * v, sign * _fiber_velocity(sys, p, v, w)
+        # dX = -1/2 [v, X]_m + w: the field's coordinates on the tangent
+        # basis times the fiber images of the basis
+        c = np.concatenate((v[..., sys.m], w[..., sys.m]), axis=-1)
+        dX = np.matmul(c[..., None, :], p.fiber_images)[..., 0, :]
+        return sign * v, sign * dX
 
     G, X = _rk4_flow(sys, pt, nsteps * dt, dt, field)
     return PhasePoint.prevalidated(sys, G[-1], X[-1])

@@ -4,9 +4,9 @@ Subcommands: verify, centralizer, flow, brackets.  All output is plain
 structured text (JSON or CSV); identical configuration and seed produce
 byte-identical files.  The default output directory comes from the
 SU3MAG_OUTDIR environment variable (falling back to the working
-directory); a JSON config file mirroring the flags can be passed with
---config, with explicit flags taking precedence; a config key the
-command does not take is refused.
+directory); a JSON config file mirroring the flags can be passed to
+verify, flow and brackets with --config, with explicit flags taking
+precedence; a config key the command does not take is refused.
 """
 
 from __future__ import annotations
@@ -205,9 +205,12 @@ def build_parser():
                     "homogeneous spaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def out_flag(p):
         p.add_argument("--out", help="output directory "
                                      "(default: $SU3MAG_OUTDIR or .)")
+
+    def common(p):
+        out_flag(p)
         p.add_argument("--config", help="JSON config file mirroring flags")
 
     p = sub.add_parser("verify", help="run the full certificate suite")
@@ -228,7 +231,7 @@ def build_parser():
     p.add_argument("--m-only", action="store_true",
                    help="restrict to the reductive complement")
     p.add_argument("--max-degree", type=int, default=3)
-    common(p)
+    out_flag(p)
     p.set_defaults(func=cmd_centralizer)
 
     p = sub.add_parser("flow", help="integrate the magnetic geodesic flow")

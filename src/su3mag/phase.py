@@ -14,9 +14,10 @@ constants, the slice bracket takes the form -B(xi, [grad1_m, grad2_m]) and
 the Hamilton equations of H = 1/2 B(X,X) read gdot = gX, Xdot = -eps [W,X].
 These three identities pin the orientation; they are enforced by tests.
 
-The form is used through its Poisson tensor on the tangent basis, which
-is the same at every point: every twisted bracket, numeric Jacobian
-pairing and angle bracket is basis_bracket of two stacks of
+The form is used through its Poisson tensor Pi on the tangent basis,
+which is the same at every point: every Hamiltonian vector field has the
+coordinates Pi df (solve_field), and every twisted bracket, numeric
+Jacobian pairing and angle bracket is basis_bracket of two stacks of
 differentials.  The exact bracket table comes from
 slice_bracket_symbolic.
 """
@@ -72,15 +73,19 @@ class MagneticSystem:
         # ad(e_j) and the rows e_j for j in m: the tangent basis directions
         self._ad_m = alg.ad_matrices()[self.m]
         self._e_m = np.eye(alg.dim)[self.m]
-        # the nonzero entries i < j of the Poisson tensor on the tangent
-        # basis, the same at every point (basis_bracket), in closed form:
-        # with n = dim m, Pi(j, n + j) = 1 and Pi(n + i, n + j) =
-        # eps B(W, [e_i, e_j]) = -eps (ad_W)[i, j]
+        # the Poisson tensor Pi_ij = omega_eps(X_i, X_j) on the tangent
+        # basis, X_i solved from the i-th basis covector, the same at
+        # every point, in closed form: with n = dim m, Pi(j, n + j) = 1
+        # and Pi(n + i, n + j) = eps B(W, [e_i, e_j]) = -eps (ad_W)[i, j].
+        # A field has the coordinates Pi df (solve_field), and
+        # basis_bracket sums the nonzero entries i < j, row by row.
         n = len(self.m)
-        F = -self.eps * self._adW[np.ix_(self.m, self.m)]
-        self._poisson = [(j, n + j, 1.0) for j in range(n)] + [
-            (n + i, n + j, p) for i in range(n) for j in range(i + 1, n)
-            if (p := F[i, j])]
+        self._Pi = np.zeros((2 * n, 2 * n))
+        self._Pi[:n, n:] = np.eye(n)
+        self._Pi[n:, :n] = -np.eye(n)
+        self._Pi[n:, n:] = -self.eps * self._adW[np.ix_(self.m, self.m)]
+        self._poisson = [(i, j, self._Pi[i, j])
+                         for i, j in zip(*np.nonzero(np.triu(self._Pi, 1)))]
 
     # -- common exact objects -------------------------------------------------
 
@@ -373,20 +378,6 @@ def integral_values(points, functions):
     return out
 
 
-def _project_m(sys, coords):
-    """coords with the components on a set to zero, row by row for a
-    stack."""
-    out = coords.copy()
-    out[..., sys.a] = 0.0
-    return out
-
-
-def _fiber_velocity(sys, pt, v, w):
-    """dX = -1/2 [v, X]_m + w, the fiber velocity of the tangent (v, w),
-    or row by row for a stack of points and tangents."""
-    return -0.5 * _project_m(sys, sys.alg.np_bracket(v, pt.X)) + w
-
-
 def differential(fn, sys, pt, v, w):
     """df at pt applied to the tangent (v, w), v and w supported on m:
     basis_differential against the coordinates (v[m], w[m]) of (v, w)
@@ -418,14 +409,14 @@ def basis_differential(fn, sys, pt):
 def solve_field(sys, df):
     """Solve iota_X omega_eps = df for the tangent (v, w), df given on
     the tangent basis directions (basis_differential), or row by row for
-    a stack of rows df."""
-    alg = sys.alg
-    m = sys.m
-    v = np.zeros(df.shape[:-1] + (alg.dim,))
-    v[..., m] = df[..., len(m):]
-    base = np.zeros(v.shape)
-    base[..., m] = df[..., :len(m)]
-    w = -base - sys.eps * _project_m(sys, alg.np_bracket(sys.W, v))
+    a stack of rows df: the tangent whose coordinates on the tangent
+    basis are Pi df, v on the first dim(m) and w on the last."""
+    n = len(sys.m)
+    coords = np.matmul(df, sys._Pi.T)
+    v = np.zeros(df.shape[:-1] + (sys.alg.dim,))
+    w = np.zeros(v.shape)
+    v[..., sys.m] = coords[..., :n]
+    w[..., sys.m] = coords[..., n:]
     return v, w
 
 
@@ -439,10 +430,10 @@ def basis_bracket(sys, Df, Dh):
     """{f_r, h_s}_eps for the rows of two arrays of tangent-basis
     differentials, or stack by stack for two stacks of such arrays: the
     sum of Pi_ij (df_i dh_j - df_j dh_i) over the nonzero i < j of the
-    point-free Poisson tensor Pi_ij = omega_eps(X_i, X_j), X_i solved from
-    the i-th basis covector.  Term by term in a fixed order, entry [r, s]
-    reads rows r and s alone, bit for bit, and a stack's bracket with
-    itself is exactly antisymmetric; D Pi D^T is neither."""
+    point-free Poisson tensor Pi of the system (sys._poisson).  Term by
+    term in a fixed order, entry [r, s] reads rows r and s alone, bit for
+    bit, and a stack's bracket with itself is exactly antisymmetric;
+    D Pi D^T is neither."""
     out = np.zeros(Df.shape[:-1] + Dh.shape[-2:-1])
     for i, j, p in sys._poisson:
         out += p * (Df[..., :, i, None] * Dh[..., None, :, j]

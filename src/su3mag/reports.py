@@ -62,10 +62,11 @@ def run_verification(config):
     draws (chart_draw), its partner flows one batch per action.  The
     other angle checks and the flow take their points one at a time.
     """
+    # the case's defaults for the keys the config leaves out
+    config = {**default_config(config["case"]), **config}
     case = config["case"]
     eps = config["eps"]
     seed = int(config["seed"])
-    config = {**default_config(case), **config}  # defaults for the rest
     samples = int(config["samples"])
     rank_samples = int(config["rank_samples"])
     if samples < 1 or rank_samples < 1:

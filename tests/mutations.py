@@ -52,6 +52,7 @@ KERNEL = "One exact Lie-algebra kernel"
 VERDICT = "One verdict rule"
 LAX = "Lax closed form from one eigendecomposition of W"
 SCAN = "Brent-Kung prefix scan over 1024-step blocks"
+POISSON = "One Poisson tensor for brackets and fields"
 
 MUTATIONS = (
     # the one exact structure-constant contraction
@@ -145,6 +146,29 @@ MUTATIONS = (
              "            if key not in known and key != 'sampels':", SCAN,
              ("tests/test_cli.py::"
               "test_an_unknown_config_key_is_a_one_line_error",)),
+    # the one Poisson tensor of the fields and the brackets
+    Mutation("pi-fiber-block-sign", "src/su3mag/phase.py",
+             "self._Pi[n:, n:] = -self.eps * self._adW",
+             "self._Pi[n:, n:] = self.eps * self._adW", POISSON,
+             ("tests/test_phase.py::test_hvf_defining_equation",
+              "tests/test_phase.py::"
+              "test_basis_bracket_matches_omega_of_the_solved_fields")),
+    Mutation("pi-unit-block-sign", "src/su3mag/phase.py",
+             "self._Pi[:n, n:] = np.eye(n)\n"
+             "        self._Pi[n:, :n] = -np.eye(n)",
+             "self._Pi[:n, n:] = -np.eye(n)\n"
+             "        self._Pi[n:, :n] = np.eye(n)", POISSON,
+             ("tests/test_phase.py::test_hvf_defining_equation",
+              "tests/test_phase.py::test_hvf_slice_gradient_direction")),
+    # only the regular case catches it: on the irregular slice the
+    # v rows' part -1/2 [v, X]_m of the fiber velocity is zero
+    Mutation("flow-step-fiber-v-rows-dropped", "src/su3mag/angles.py",
+             "c = np.concatenate((v[..., sys.m], w[..., sys.m]), axis=-1)",
+             "c = np.concatenate((0 * v[..., sys.m], w[..., sys.m]), "
+             "axis=-1)", POISSON,
+             ("tests/test_angles.py::"
+              "test_flow_step_matches_the_stage_projected_loop",
+              "tests/test_angles.py::test_frequency_constancy_along_flows")),
 )
 
 

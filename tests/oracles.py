@@ -7,6 +7,10 @@
   group element, each through a validated GroupElement or PhasePoint;
 * ``phase_tangent_basis``: the tangent basis directions as (v, w) pairs,
   which the per-direction routes step through;
+* ``project_m`` and ``fiber_velocity``: the fiber velocity
+  -1/2 [v, X]_m + w of one tangent (v, w) through the float bracket
+  ``np_bracket``, independent of the tangent images and the Poisson
+  tensor that ``phase.solve_field`` and ``angles.flow_step`` read;
 * ``omega_eps``, ``symbolic_bracket`` and ``slice_bracket_value``: the
   magnetic form on two tangents, and the twisted bracket by the block
   shortcuts (Lie-Poisson on moment pairs, the slice formula on slice
@@ -97,8 +101,7 @@ from su3mag.invariants import (independence_rank, numeric_rank,
 from su3mag.phase import (MagneticSystem, MomentPullback, PhasePoint,
                           hamiltonian_vector_field, slice_z_values,
                           su3_irregular_system, su3_regular_system,
-                          twisted_bracket, _fiber_velocity,
-                          _invariant_under)
+                          twisted_bracket, _invariant_under)
 from su3mag.poly import Polynomial, b_gradient, lie_poisson_bracket
 from su3mag.exact_linalg import transposed
 from su3mag.scalars import ZERO, Scalar, from_ints, parse_scalar
@@ -207,6 +210,20 @@ def phase_tangent_basis(sys):
     return dirs
 
 
+def project_m(sys, coords):
+    """coords with the components on a set to zero, row by row for a
+    stack."""
+    out = coords.copy()
+    out[..., sys.a] = 0.0
+    return out
+
+
+def fiber_velocity(sys, pt, v, w):
+    """dX = -1/2 [v, X]_m + w, the fiber velocity of the tangent (v, w),
+    or row by row for a stack of points and tangents."""
+    return -0.5 * project_m(sys, sys.alg.np_bracket(v, pt.X)) + w
+
+
 @lru_cache(maxsize=None)
 def _partials(p):
     """The exact partial derivatives of p, one per variable."""
@@ -218,7 +235,7 @@ def per_direction_differential(fn, sys, pt, v, w):
     a moment pullback its moment velocity dP = Ad(g)([v, xi] + dX), each
     paired with the partials of the polynomial evaluated one by one."""
     alg = sys.alg
-    dX = _fiber_velocity(sys, pt, v, w)
+    dX = fiber_velocity(sys, pt, v, w)
     if fn.tag == "moment":
         g = pt.G
         Mdot = alg.matrix_of(alg.np_bracket(v, pt.xi) + dX)
@@ -236,8 +253,8 @@ def omega_eps(sys, vw1, vw2):
     v1, w1 = vw1
     v2, w2 = vw2
     alg = sys.alg
-    return (alg.np_bpair(w2, v1) - alg.np_bpair(w1, v2)
-            - sys.eps * alg.np_bpair(sys.W, alg.np_bracket(v1, v2)))
+    return float(np.dot(w2, v1) - np.dot(w1, v2)
+                 - sys.eps * np.dot(sys.W, alg.np_bracket(v1, v2)))
 
 
 def symbolic_bracket(sys, f, h, pt):
@@ -376,7 +393,7 @@ def slice_bracket_value(sys, theta1, theta2, pt):
         g2[sys.m[i]] = float(theta2.diff(name).evaluate(xi_m))
     # orthonormal-basis gradients: already the B-duals on m
     comm = alg.np_bracket(g1, g2)
-    return -float(alg.np_bpair(pt.xi, comm))
+    return -float(np.dot(pt.xi, comm))
 
 
 def stage_projected_flow_step(fn, sys, pt, h, nsteps=1):
@@ -389,7 +406,7 @@ def stage_projected_flow_step(fn, sys, pt, h, nsteps=1):
     def deriv(gm, Xv):
         p = PhasePoint(sys, GroupElement(gm), Xv)
         v, w = hamiltonian_vector_field(fn, sys, p)
-        return gm @ alg.matrix_of(v), _fiber_velocity(sys, p, v, w)
+        return gm @ alg.matrix_of(v), fiber_velocity(sys, p, v, w)
 
     for _ in range(nsteps):
         k1g, k1x = deriv(g, X)

@@ -203,7 +203,7 @@ def test_adjoint_group():
         y = adjoint_group(alg, g, x)
         Mx = alg.matrix_of(x)
         direct = -0.5 * np.trace(Mx @ Mx).real
-        assert abs(alg.np_bpair(y, y) - direct) < 1e-12
+        assert abs(np.dot(y, y) - direct) < 1e-12
     with pytest.raises(ValueError):
         GroupElement(np.diag([2.0, 1.0, 0.5]))
 

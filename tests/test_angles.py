@@ -8,19 +8,18 @@ import pytest
 
 from su3mag.phase import (su3_regular_system, su3_irregular_system,
                           PhasePoint, integrate_flow,
-                          hamiltonian_vector_field, moment_coordinate,
-                          _fiber_velocity)
+                          hamiltonian_vector_field, moment_coordinate)
 from su3mag.algebra import GroupElement, exp_map, identity_element
 from su3mag.angles import (root_phases, torus_angles, torus_action,
                            chart_point, frequency_matrix,
                            angle_action_pairing, angle_angle_bracket,
                            angle_differential, angle_map_matrix,
-                           unwrapped_angle_series, action_functions,
+                           action_functions,
                            flow_step, slice_z_values, ChartUndefined,
                            THETA_MATRIX, LEFT_INVERSE, _nearest_branch,
                            _rescale, TWO_PI)
 from su3mag.reports import KNOWN_DEVIATIONS
-from oracles import (pairing_by_points, phase_tangent_basis,
+from oracles import (fiber_velocity, pairing_by_points, phase_tangent_basis,
                      stage_projected_flow_step)
 
 
@@ -180,10 +179,10 @@ def test_affine_advance_along_physical_flow():
         rng = np.random.default_rng(9)
         pt = chart_point(sys, rng)
         traj = integrate_flow(sys, pt, t_end=5.0, dt=2e-3)
-        sel = list(range(0, len(traj.points), 125))
-        pts = [traj.points[i] for i in sel]
-        ts = np.array([traj.times[i] for i in sel])
-        phis = unwrapped_angle_series(sys, pts)
+        pts = traj.points[::125]
+        ts = np.array(traj.times[::125])
+        phis = (np.unwrap(root_phases(sys, pts), axis=0)
+                @ angle_map_matrix(sys).T)
         tilde = np.array([_rescale(sys, frequency_matrix(sys, p), ph)
                           for p, ph in zip(pts, phis)])
         for c in range(tilde.shape[1]):
@@ -223,7 +222,7 @@ def _fd_angle_differential(sys, pt, h=1e-6):
     base = root_phases(sys, pt)
     rows = []
     for (v, w) in phase_tangent_basis(sys):
-        dX = _fiber_velocity(sys, pt, v, w)
+        dX = fiber_velocity(sys, pt, v, w)
         ends = []
         for s in (h, -h):
             g = pt.G @ exp_map(alg, alg.matrix_of(v) * s).matrix

@@ -503,6 +503,18 @@ def test_run_verification_refuses_a_zero_eps():
         reports.run_verification({"case": "irregular", "eps": 0, "seed": 1})
 
 
+def test_run_verification_takes_the_defaults_for_missing_keys():
+    """A config holding only the case and the sizes runs on the case's
+    defaults for eps and seed: its report, written with the full config,
+    is byte for byte the report of the run with the defaults spelled
+    out."""
+    sizes = {"samples": 2, "rank_samples": 1, "t_end": 0.01}
+    full = {**reports.default_config("irregular"), **sizes}
+    short = reports.run_verification({"case": "irregular", **sizes})
+    assert (reports.report_json(short, full)
+            == reports.report_json(reports.run_verification(full), full))
+
+
 def _verdict(expected, observed, tolerance):
     """The documented rule of CertificateReport.add: a numeric tolerance
     passes observed < tolerance, "exact" passes observed == expected or

@@ -308,6 +308,22 @@ def test_an_unknown_config_key_is_a_one_line_error(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("config", ["unknown-key", "missing"])
+def test_centralizer_refuses_a_config(tmp_path, capsys, config):
+    """centralizer reads no config, so argparse refuses --config with
+    exit 2, whether the file holds an unknown key or does not exist,
+    before any output."""
+    cfg = tmp_path / "cfg.json"
+    if config == "unknown-key":
+        cfg.write_text(json.dumps({"sampels": 3}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["centralizer", "--algebra", "su2", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("entry", [{"t_end": "x"}, {"dt": -1},
                                    {"t_end": 0.01, "dt": 1}])
 def test_brackets_checks_the_flow_keys_of_its_config(tmp_path, capsys,

@@ -15,12 +15,12 @@ from su3mag.phase import (su3_regular_system, su3_irregular_system,
                           slice_bracket_symbolic, integrate_flow,
                           conservation_report, closed_form_fiber,
                           closed_form_group, differential, flow_steps,
-                          BLOCK_ROWS, _project_m)
+                          solve_field, BLOCK_ROWS)
 from su3mag.invariants import radial_generator, torus_generators
-from oracles import (add_with_verdict, adjoint_group, moment_map,
-                     moment_of_direction, omega_eps,
+from oracles import (add_with_verdict, adjoint_group, fiber_velocity,
+                     moment_map, moment_of_direction, omega_eps,
                      per_direction_differential,
-                     phase_tangent_basis, point_by_exp_map,
+                     phase_tangent_basis, project_m, point_by_exp_map,
                      reference_float_evaluate, regular_point_by_exp_map,
                      slice_bracket_by_substitution, slice_bracket_value,
                      slice_map,
@@ -92,11 +92,11 @@ def test_moment_equivariance_and_slice_invariance():
                       - slice_map(sys, pt)).max() < 1e-15
     # B(P, P) independent of the group factor (oracle: Ad-invariance of B)
     pt = sys.random_point(rng)
-    val = sys.alg.np_bpair(pt.moment_coords, pt.moment_coords)
+    val = np.dot(pt.moment_coords, pt.moment_coords)
     for _ in range(100):
         h = exp_map(sys.alg, rng.uniform(-1, 1, 8))
         p2 = moment_map(sys, _left_translate(pt, h))
-        assert abs(sys.alg.np_bpair(p2, p2) - val) < 1e-12
+        assert abs(np.dot(p2, p2) - val) < 1e-12
 
 
 def test_gauge_well_definedness():
@@ -154,7 +154,7 @@ def test_hvf_defining_equation():
                 dfs.append(rhs)
                 refs.append(per_direction_differential(fn, sys, pt, v, w))
                 assert abs(lhs - rhs) < 1e-10
-                dX = -0.5 * _project_m(sys, sys.alg.np_bracket(v, pt.X)) + w
+                dX = fiber_velocity(sys, pt, v, w)
                 gp = pt.G @ _exp(sys.alg, h * v).matrix
                 gm = pt.G @ _exp(sys.alg, -h * v).matrix
                 fd = (fn.values(PhasePoint(sys, gp, pt.X + h * dX))
@@ -180,7 +180,7 @@ def test_moment_flow_realizes_bracket():
         minus = stage_projected_flow_step(f, sys, pt, -h)
         ddt = (fp.values(plus) - fp.values(minus)) / (2 * h)
         comm = sys.alg.np_bracket(etap, eta)
-        expect = sys.alg.np_bpair(pt.moment_coords, comm)
+        expect = np.dot(pt.moment_coords, comm)
         assert abs(ddt - expect) < 1e-8
 
 
@@ -196,8 +196,8 @@ def test_hvf_moment_stabilizer_direction():
     eta[0] = 1.0  # first stabilizer direction
     v, w = hamiltonian_vector_field(moment_of_direction(sys, eta), sys, pt)
     assert np.abs(v).max() < 1e-12
-    dX = -0.5 * _project_m(sys, sys.alg.np_bracket(v, pt.X)) + w
-    expect = _project_m(sys, sys.alg.np_bracket(eta, X))
+    dX = fiber_velocity(sys, pt, v, w)
+    expect = project_m(sys, sys.alg.np_bracket(eta, X))
     assert np.abs(dX - expect).max() < 1e-12
 
 
@@ -1010,6 +1010,23 @@ def test_trajectory_points_view():
     assert np.array_equal(traj.points[0].X, pts[0].X)
 
 
+@pytest.mark.parametrize("case", ["regular", "irregular"])
+def test_poisson_tensor_is_minus_the_inverse_of_omega(case):
+    """The system's Poisson tensor Pi, built in closed form, is -Om^-1
+    for the matrix Om of omega_eps on the tangent basis directions, and
+    the entries i < j of _poisson, mirrored, rebuild it exactly."""
+    sys = (su3_regular_system if case == "regular"
+           else su3_irregular_system)(0.3)
+    dirs = phase_tangent_basis(sys)
+    Om = np.array([[omega_eps(sys, a, b) for b in dirs] for a in dirs])
+    assert np.abs(sys._Pi + np.linalg.inv(Om)).max() < 1e-12
+    P = np.zeros(sys._Pi.shape)
+    for i, j, p in sys._poisson:
+        assert i < j
+        P[i, j], P[j, i] = p, -p
+    assert np.array_equal(P, sys._Pi)
+
+
 def test_chart_block_structure_of_omega():
     """The (x, p, F_ij) coordinate presentation of the magnetic bracket.
 
@@ -1036,7 +1053,7 @@ def test_chart_block_structure_of_omega():
             ej = np.zeros(8)
             ei[i] = 1.0
             ej[j] = 1.0
-            F[a, b] = sys.alg.np_bpair(sys.W, sys.alg.np_bracket(ei, ej))
+            F[a, b] = np.dot(sys.W, sys.alg.np_bracket(ei, ej))
     # Poisson blocks: {x,x} = 0, {x,p} = -delta, {p,p} = -eps F in this
     # orientation (the overall sign is the documented global flip of the
     # canonical chart form; the block structure is the content)
@@ -1101,22 +1118,11 @@ def _reference_coords_of_matrix(alg, M):
 
 
 def _reference_hvf(fn, sys, pt):
-    """The Hamiltonian vector field from 2 dim(m) calls to the
-    per-direction differential, one per tangent basis direction."""
-    alg = sys.alg
-    zero = np.zeros(alg.dim)
-    v_f = np.zeros(alg.dim)
-    for j in sys.m:
-        w = np.zeros(alg.dim)
-        w[j] = 1.0
-        v_f[j] = per_direction_differential(fn, sys, pt, zero, w)
-    base = np.zeros(alg.dim)
-    for j in sys.m:
-        v = np.zeros(alg.dim)
-        v[j] = 1.0
-        base[j] = per_direction_differential(fn, sys, pt, v, zero)
-    w_f = -base - sys.eps * _project_m(sys, alg.np_bracket(sys.W, v_f))
-    return v_f, w_f
+    """The Hamiltonian vector field solved (solve_field) from 2 dim(m)
+    calls to the per-direction differential, one per tangent basis
+    direction: a check of the df route, whose inversion of omega_eps
+    test_hvf_defining_equation checks."""
+    return solve_field(sys, _reference_jacobian(sys, [fn], pt)[0])
 
 
 def _reference_jacobian(sys, fns, pt):
