@@ -4,7 +4,7 @@ actions and regularity classification for su(2) and the two su(3) bases.
 Conventions
 -----------
 All algebras are presented by real bases of anti-Hermitian matrices, so that
-every structure constant is a real element of Q(sqrt2, sqrt3) and the trace
+every structure constant is a real element of Q(sqrt3) and the trace
 form B(X, Y) = -1/2 tr(XY) is positive definite.
 
 * Gell-Mann basis (``build_su3_gellmann``): e_k = -i * lambda_k.  These are
@@ -18,9 +18,8 @@ form B(X, Y) = -1/2 tr(XY) is positive definite.
   (H1, H2, X1, Y1, X2, Y2, X3, Y3) where H1 = i*diag(1,-1,0),
   H2 = (i/sqrt3)*diag(1,1,-2) span the torus and Xk, Yk are real and
   imaginary root directions for the positive roots (1,2), (2,3), (1,3).
-  The build records root functionals, coroots, B-normalized complex root
-  vectors and the complex root coordinate functionals z_k used by the
-  torus-invariant generators.
+  The build records root functionals, coroots and the complex root
+  coordinate functionals z_k used by the torus-invariant generators.
 """
 
 from __future__ import annotations
@@ -520,16 +519,6 @@ def build_su3_chevalley():
         row[3 + 2 * k] = _Z_PHASES[k] * half * i
         z_rows.append(tuple(row))
 
-    # B-normalized complex root vectors: B(E_alpha, E_-alpha) = 1 exactly,
-    # aligned with the z_k so that B(zeta, E_-alpha_k) = sqrt2 * z_k(zeta).
-    sqrt2 = CScalar(Scalar.sqrt2())
-    root_vectors = []
-    for k, (r, c) in enumerate(pairs):
-        phase = _Z_PHASES[k]
-        e_minus = cmat_scale(i * sqrt2 * phase, E(c, r))
-        e_plus = cmat_scale(i * sqrt2 * phase.conj(), E(r, c))
-        root_vectors.append((e_plus, e_minus))
-
     extras = {
         "family": "su3",
         "presentation": "chevalley",
@@ -538,7 +527,6 @@ def build_su3_chevalley():
         "roots": roots,
         "coroots": coroots,
         "z_rows": tuple(z_rows),
-        "root_vectors": tuple(root_vectors),
     }
     return LieAlgebraSpec("su3-chevalley", labels, coords, basis, extras)
 

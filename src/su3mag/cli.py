@@ -89,16 +89,16 @@ def _load_config(args, keys, extra=None):
 def _check_config(config):
     """Refuse an unknown case, a non-finite or zero eps, a non-integer or
     out-of-range seed/samples/rank_samples (and max_rows, where the
-    command takes it) and bad t_end/dt."""
+    command takes it) and bad t_end/dt.  eps, t_end and dt must be JSON
+    numbers: a string or a bool is refused, not converted."""
     if config["case"] not in reports.CASES:
         raise UsageError(f"case must be one of {', '.join(reports.CASES)}, "
                          f"got {config['case']!r}")
     for key in ("eps", "t_end", "dt"):
-        try:
-            value = float(config[key])
-        except (TypeError, ValueError):
-            raise UsageError(f"{key} must be a number, got "
-                             f"{config[key]!r}") from None
+        value = config[key]
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise UsageError(f"{key} must be a number, got {value!r}")
+        value = float(value)
         if not math.isfinite(value):
             raise UsageError(f"{key} must be finite, got {value}")
     if float(config["eps"]) == 0.0:

@@ -1,4 +1,4 @@
-"""Exact Gaussian elimination over Q(sqrt2, sqrt3).
+"""Exact Gaussian elimination over Q(sqrt3).
 
 The package calls it on sparse rows {column: reduced ints}, the integral
 representation ``Scalar.ints``, only.  One loop, ``rref_ints``, does every
@@ -10,14 +10,14 @@ processed in ascending order, each with the sparsest row holding it as
 pivot (the first on a tie).  The work rows sit in buckets by lowest
 column, so a column's holders are read off its bucket and no row is
 scanned for it; a rational pivot is inverted on its integers, an
-irrational one by Scalar.inv.  The reduced row echelon form is unique, so
+irrational one by its conjugate.  The reduced row echelon form is unique, so
 the output is the same whatever the pivot: reduced forms, and every
 kernel and generator basis derived from them, are reproducible run to run.
 """
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, from_ints, submul_ints
+from .scalars import ONE, ZERO, from_ints, inv_ints, neg_ints, submul_ints
 
 
 def rref_ints(rows, ncols):
@@ -44,11 +44,7 @@ def rref_ints(rows, ncols):
         # the sparsest holder, the first in the input on a tie
         p = min(holders, key=lambda i: (len(rows[i]), i))
         row = rows[p]
-        p0, p1, p2, p3, pd = row.pop(col)
-        if p1 or p2 or p3:
-            neg_inv = (-from_ints((p0, p1, p2, p3, pd)).inv()).ints
-        else:  # -1/(p0/pd) on the integers, the denominator positive
-            neg_inv = (-pd, 0, 0, 0, p0) if p0 > 0 else (pd, 0, 0, 0, -p0)
+        neg_inv = neg_ints(inv_ints(row.pop(col)))
         # the normalized pivot row without its leading 1
         rest = [(c, submul_ints(None, neg_inv, v)) for c, v in row.items()]
         for i in holders:
@@ -99,7 +95,7 @@ def nullspace(rows, ncols):
         for pcol, row in zip(pivots, reduced):
             t = row.get(f)
             if t is not None:
-                vec[pcol] = from_ints((-t[0], -t[1], -t[2], -t[3], t[4]))
+                vec[pcol] = from_ints(neg_ints(t))
         vec[f] = ONE
         basis.append(vec)
     return basis

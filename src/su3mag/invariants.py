@@ -6,7 +6,7 @@ coadjoint derivations
     L_j = sum_{k,i} C_jk^i x_k d/dx_i,       j in a_indices,
 
 acting on homogeneous polynomials.  Kernels are exact (Gaussian elimination
-over Q(sqrt2, sqrt3)).  The joint kernel depends only on span{L_j}, so it
+over Q(sqrt3)).  The joint kernel depends only on span{L_j}, so it
 is taken of the reduced row echelon basis of that span (the L_j as rows
 over their term keys (k, i)): the fewest terms, and rational for the
 torus and the A block.  Monomials are grouped into buckets preserved by
@@ -37,7 +37,8 @@ from operator import mul
 
 import numpy as np
 
-from .scalars import CZERO, ZERO, _reduce, cmat_mul, submul_ints
+from .scalars import (CZERO, ONE, ZERO, cmat_mul, neg_ints, scale_ints,
+                      submul_ints)
 from .poly import Polynomial
 from .exact_linalg import nullspace, rref_ints, solve_in_span, transposed
 from .algebra import SubalgebraSpec
@@ -162,9 +163,8 @@ def _operator_moves(ops, nvars, degree):
     reduced ints of C * e for a source of exponent e >= 1 in x_i."""
     weight = [(degree + 1) ** v for v in range(nvars)]
     moves = [[(ipos, weight[kpos] - weight[ipos],
-               [None] + [_reduce(c0 * e, c1 * e, c2 * e, c3 * e, cd)
-                         for e in range(1, degree + 1)])
-              for kpos, ipos, (c0, c1, c2, c3, cd) in terms]
+               [None] + [scale_ints(c, e) for e in range(1, degree + 1)])
+              for kpos, ipos, c in terms]
              for terms in ops.values()]
     return weight, moves
 
@@ -189,7 +189,7 @@ def _operator_rows(coded, bucket):
                 row = per_target.setdefault(index[code + shift], {})
                 val = entries[e]
                 if src in row:  # one more diagonal term x_k d/dx_k: add
-                    val = submul_ints(row.pop(src), (-1, 0, 0, 0, 1), val)
+                    val = submul_ints(row.pop(src), neg_ints(val), ONE.ints)
                 if val != ZERO.ints:
                     row[src] = val
         rows.extend(r for r in per_target.values() if r)

@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials over Q(sqrt2, sqrt3).
+"""Sparse multivariate polynomials over Q(sqrt3).
 
 Polynomials carry an ordered variable tuple (coordinate functions bound to a
 Lie algebra basis, slice coordinates, or the formal magnetic parameter "eps")

@@ -1,16 +1,15 @@
-"""Exact scalar arithmetic in the real quadratic field Q(sqrt2, sqrt3).
+"""Exact scalar arithmetic in the real quadratic field Q(sqrt3).
 
 Every structure constant, bilinear-form entry and invariant-polynomial
-coefficient appearing in the two SU(3) bases lives in Q(sqrt3); a handful of
-root-vector normalizations additionally need sqrt2, so we work in the degree-4
-extension Q(sqrt2, sqrt3) with basis (1, sqrt2, sqrt3, sqrt6).
+coefficient appearing in the two SU(3) bases lives in Q(sqrt3), and those
+of su(2) are rational.
 
 An element is stored in its integral representation (Cohen, GTM 138, §4.2):
-four integer numerators over one common denominator,
+two integer numerators over one common denominator,
 
-    (n0 + n1*sqrt2 + n2*sqrt3 + n3*sqrt6) / den,     den > 0,
+    (n0 + n1*sqrt3) / den,     den > 0,
 
-reduced so that gcd(n0, n1, n2, n3, den) == 1; zero is (0, 0, 0, 0, 1).
+reduced so that gcd(n0, n1, den) == 1; zero is (0, 0, 1).
 The reduced form is unique, so equality reads the tuple, and a rational
 hashes as Python hashes its value: as the equal int or Fraction.  An int
 or Fraction operand, and each argument of the constructor, enters through
@@ -18,12 +17,13 @@ one coercion, ``_coerce`` (also ``Scalar.of``; ``is_exact`` names what it
 accepts), on its integers.  So
 every ring operation works on Python ints and ends with one gcd; no
 ``Fraction`` is built on the arithmetic path, hashing included.
-Elimination has its own fused kernel, ``submul_ints``, on the ints.  The
-rational coefficients a, b, c, d are available as read-only ``Fraction``
-views.
+Elimination has its own fused kernel, ``submul_ints``, on the ints, and
+only this module spells the ints out: other modules use ``submul_ints``,
+``neg_ints``, ``inv_ints`` and ``scale_ints``.  The rational coefficients
+a, c of a + c*sqrt3 are available as read-only ``Fraction`` views.
 
-Division is exact field division: the inverse is the conjugate product over
-the rational field norm, both computed on the integer numerators.
+Division is exact field division: the inverse is the conjugate over the
+rational field norm, both computed on the integer numerators.
 """
 
 from __future__ import annotations
@@ -32,35 +32,25 @@ from fractions import Fraction
 import math
 from sys import hash_info as _HASH
 
-_SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
-_SQRT6 = math.sqrt(6.0)
 
 _gcd = math.gcd
 _new = object.__new__
-_ZERO_INTS = (0, 0, 0, 0, 1)
+_ZERO_INTS = (0, 0, 1)
 
 
-def _mul4(a0, a1, a2, a3, b0, b1, b2, b3):
-    """Product of two numerator quadruples: s2*s3 = s6, s2*s6 = 2*s3, ..."""
-    return (a0 * b0 + 2 * a1 * b1 + 3 * a2 * b2 + 6 * a3 * b3,
-            a0 * b1 + a1 * b0 + 3 * (a2 * b3 + a3 * b2),
-            a0 * b2 + a2 * b0 + 2 * (a1 * b3 + a3 * b1),
-            a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1)
-
-
-def _reduce(n0, n1, n2, n3, den):
-    """The reduced ints of (n0 + n1 s2 + n2 s3 + n3 s6)/den, den > 0."""
-    g = _gcd(n0, n1, n2, n3, den)
+def _reduce(n0, n1, den):
+    """The reduced ints of (n0 + n1 s3)/den, den > 0."""
+    g = _gcd(n0, n1, den)
     if g == 1:
-        return (n0, n1, n2, n3, den)
-    return (n0 // g, n1 // g, n2 // g, n3 // g, den // g)
+        return (n0, n1, den)
+    return (n0 // g, n1 // g, den // g)
 
 
-def _make(n0, n1, n2, n3, den):
-    """The Scalar (n0 + n1 s2 + n2 s3 + n3 s6)/den for den > 0, reduced."""
+def _make(n0, n1, den):
+    """The Scalar (n0 + n1 s3)/den for den > 0, reduced."""
     s = _new(Scalar)
-    s.ints = _reduce(n0, n1, n2, n3, den)
+    s.ints = _reduce(n0, n1, den)
     return s
 
 
@@ -74,22 +64,49 @@ def from_ints(ints):
 def submul_ints(a, f, v):
     """The reduced ints of a - f*v, or of -f*v when a is None; a, f and v
     are reduced ints.  One product and one gcd, with no Scalar built."""
-    f0, f1, f2, f3, fd = f
-    v0, v1, v2, v3, vd = v
-    if not (f1 or f2 or f3):
-        p0, p1, p2, p3 = f0 * v0, f0 * v1, f0 * v2, f0 * v3
-    elif not (v1 or v2 or v3):
-        p0, p1, p2, p3 = v0 * f0, v0 * f1, v0 * f2, v0 * f3
+    f0, f1, fd = f
+    v0, v1, vd = v
+    if not f1:
+        p0, p1 = f0 * v0, f0 * v1
+    elif not v1:
+        p0, p1 = v0 * f0, v0 * f1
     else:
-        p0, p1, p2, p3 = _mul4(f0, f1, f2, f3, v0, v1, v2, v3)
+        p0, p1 = f0 * v0 + 3 * f1 * v1, f0 * v1 + f1 * v0
     pd = fd * vd
     if a is None:
-        return _reduce(-p0, -p1, -p2, -p3, pd)
-    a0, a1, a2, a3, ad = a
+        return _reduce(-p0, -p1, pd)
+    a0, a1, ad = a
     if ad == pd:
-        return _reduce(a0 - p0, a1 - p1, a2 - p2, a3 - p3, ad)
-    return _reduce(a0 * pd - p0 * ad, a1 * pd - p1 * ad,
-                   a2 * pd - p2 * ad, a3 * pd - p3 * ad, ad * pd)
+        return _reduce(a0 - p0, a1 - p1, ad)
+    return _reduce(a0 * pd - p0 * ad, a1 * pd - p1 * ad, ad * pd)
+
+
+def neg_ints(t):
+    """The reduced ints of -x, for the reduced ints t of x."""
+    n0, n1, den = t
+    return (-n0, -n1, den)
+
+
+def inv_ints(t):
+    """The reduced ints of 1/x, for the reduced ints t of a nonzero x.
+
+    x (n0 - n1*sqrt3) = (n0^2 - 3 n1^2)/den is rational, and nonzero since
+    sqrt3 is irrational, so 1/x = den (n0 - n1*sqrt3) / (n0^2 - 3 n1^2);
+    a rational n0/den inverts to den/n0 with no gcd.
+    """
+    n0, n1, den = t
+    if not n1:
+        return (den, 0, n0) if n0 > 0 else (-den, 0, -n0)
+    norm = n0 * n0 - 3 * n1 * n1
+    if norm < 0:
+        norm, den = -norm, -den
+    return _reduce(den * n0, -den * n1, norm)
+
+
+def scale_ints(t, e):
+    """The reduced ints of e*x, for the reduced ints t of x and an int e."""
+    n0, n1, den = t
+    return _reduce(n0 * e, n1 * e, den)
 
 
 def _coerce(x):
@@ -98,9 +115,9 @@ def _coerce(x):
     if type(x) is Scalar:
         return x
     if isinstance(x, int):
-        return _make(int(x), 0, 0, 0, 1)
+        return _make(int(x), 0, 1)
     if isinstance(x, Fraction):
-        return _make(x.numerator, 0, 0, 0, x.denominator)
+        return _make(x.numerator, 0, x.denominator)
     raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
 
 
@@ -109,27 +126,19 @@ def is_exact(x):
     return isinstance(x, (int, Fraction, Scalar))
 
 
-# the reduced ints of -1, -sqrt2, -sqrt3 and -sqrt6: submul_ints(a, x, -u)
-# is a + x u
-_MINUS_UNITS = ((-1, 0, 0, 0, 1), (0, -1, 0, 0, 1), (0, 0, -1, 0, 1),
-                (0, 0, 0, -1, 1))
-
-
 class Scalar:
-    """An element a + b*sqrt2 + c*sqrt3 + d*sqrt6 with a,b,c,d rational.
+    """An element a + c*sqrt3 with a, c rational.
 
-    ``ints`` is the reduced integral representation (n0, n1, n2, n3, den).
+    ``ints`` is the reduced integral representation (n0, n1, den).
     """
 
     __slots__ = ("ints",)
 
-    def __init__(self, a=0, b=0, c=0, d=0):
-        """a + b sqrt2 + c sqrt3 + d sqrt6, for a, b, c, d that is_exact
-        accepts (each through _coerce); anything else raises TypeError."""
-        ints = None
-        for x, unit in zip((a, b, c, d), _MINUS_UNITS):
-            ints = submul_ints(ints, _coerce(x).ints, unit)
-        self.ints = ints
+    def __init__(self, a=0, c=0):
+        """a + c sqrt3, for a and c that is_exact accepts (each through
+        _coerce); anything else raises TypeError."""
+        # a - c (-sqrt3): one product and one gcd
+        self.ints = submul_ints(_coerce(a).ints, _coerce(c).ints, (0, -1, 1))
 
     # -- constructors -----------------------------------------------------
 
@@ -137,33 +146,17 @@ class Scalar:
 
     @staticmethod
     def sqrt3(coeff=1):
-        return Scalar(0, 0, coeff, 0)
-
-    @staticmethod
-    def sqrt2(coeff=1):
-        return Scalar(0, coeff, 0, 0)
-
-    @staticmethod
-    def sqrt6(coeff=1):
-        return Scalar(0, 0, 0, coeff)
+        return Scalar(0, coeff)
 
     # -- rational views -----------------------------------------------------
 
     @property
     def a(self):
-        return Fraction(self.ints[0], self.ints[4])
-
-    @property
-    def b(self):
-        return Fraction(self.ints[1], self.ints[4])
+        return Fraction(self.ints[0], self.ints[2])
 
     @property
     def c(self):
-        return Fraction(self.ints[2], self.ints[4])
-
-    @property
-    def d(self):
-        return Fraction(self.ints[3], self.ints[4])
+        return Fraction(self.ints[1], self.ints[2])
 
     # -- field operations --------------------------------------------------
 
@@ -172,22 +165,20 @@ class Scalar:
             other = _coerce(other)
         except TypeError:
             return NotImplemented
-        b0, b1, b2, b3, bd = other.ints
-        if not (b0 or b1 or b2 or b3):
+        b0, b1, bd = other.ints
+        if not (b0 or b1):
             return self
-        a0, a1, a2, a3, ad = self.ints
-        if not (a0 or a1 or a2 or a3):
+        a0, a1, ad = self.ints
+        if not (a0 or a1):
             return other
         if ad == bd:
-            return _make(a0 + b0, a1 + b1, a2 + b2, a3 + b3, ad)
-        return _make(a0 * bd + b0 * ad, a1 * bd + b1 * ad,
-                     a2 * bd + b2 * ad, a3 * bd + b3 * ad, ad * bd)
+            return _make(a0 + b0, a1 + b1, ad)
+        return _make(a0 * bd + b0 * ad, a1 * bd + b1 * ad, ad * bd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        a0, a1, a2, a3, ad = self.ints
-        return from_ints((-a0, -a1, -a2, -a3, ad))
+        return from_ints(neg_ints(self.ints))
 
     def __sub__(self, other):
         try:
@@ -204,42 +195,25 @@ class Scalar:
             other = _coerce(other)
         except TypeError:
             return NotImplemented
-        a0, a1, a2, a3, ad = self.ints
-        b0, b1, b2, b3, bd = other.ints
-        if not (a1 or a2 or a3):
+        a0, a1, ad = self.ints
+        b0, b1, bd = other.ints
+        if not a1:
             if not a0:
                 return self
-            return _make(a0 * b0, a0 * b1, a0 * b2, a0 * b3, ad * bd)
-        if not (b1 or b2 or b3):
+            return _make(a0 * b0, a0 * b1, ad * bd)
+        if not b1:
             if not b0:
                 return other
-            return _make(b0 * a0, b0 * a1, b0 * a2, b0 * a3, ad * bd)
-        return _make(*_mul4(a0, a1, a2, a3, b0, b1, b2, b3), ad * bd)
+            return _make(b0 * a0, b0 * a1, ad * bd)
+        return _make(a0 * b0 + 3 * a1 * b1, a0 * b1 + a1 * b0, ad * bd)
 
     __rmul__ = __mul__
 
     def inv(self):
-        """Multiplicative inverse, via the conjugate product.
-
-        With s(x) = a - b*sqrt2 + c*sqrt3 - d*sqrt6 and
-        t(x) = a + b*sqrt2 - c*sqrt3 - d*sqrt6, the product
-        x * s(x) * t(x) * s(t(x)) is the rational field norm.  On the
-        numerators n of x = n/den this is an integer N, and
-        1/x = den * s(n) t(n) st(n) / N.
-        """
+        """Multiplicative inverse, via the conjugate (inv_ints)."""
         if self.is_zero():
             raise ZeroDivisionError("Scalar division by zero")
-        n0, n1, n2, n3, den = self.ints
-        if not (n1 or n2 or n3):
-            conj, norm = (1, 0, 0, 0), n0  # a rational n0/den: 1/x = den/n0
-        else:
-            conj = _mul4(n0, -n1, n2, -n3, n0, n1, -n2, -n3)
-            conj = _mul4(*conj, n0, -n1, -n2, n3)
-            norm = _mul4(n0, n1, n2, n3, *conj)[0]  # rational by construction
-        if norm < 0:
-            norm, den = -norm, -den
-        return _make(den * conj[0], den * conj[1], den * conj[2],
-                     den * conj[3], norm)
+        return from_ints(inv_ints(self.ints))
 
     def __truediv__(self, other):
         return self * _coerce(other).inv()
@@ -265,8 +239,7 @@ class Scalar:
         return self.ints == _ZERO_INTS
 
     def is_rational(self):
-        _, n1, n2, n3, _ = self.ints
-        return not (n1 or n2 or n3)
+        return not self.ints[1]
 
     def __bool__(self):
         return not self.is_zero()
@@ -279,8 +252,8 @@ class Scalar:
         return self.ints == other.ints
 
     def __hash__(self):
-        n0, n1, n2, n3, den = self.ints
-        if n1 or n2 or n3:
+        n0, n1, den = self.ints
+        if n1:
             return hash(self.ints)
         # Python's hash of the rational n0/den ("Hashing of numeric types")
         h = hash(hash(abs(n0)) * pow(den, -1, _HASH.modulus)
@@ -289,41 +262,40 @@ class Scalar:
         return -2 if h == -1 else h
 
     def __float__(self):
-        n0, n1, n2, n3, den = self.ints
+        n0, n1, den = self.ints
         # each component rounded as float(Fraction(n_i, den)) would be
-        return (n0 / den + n1 / den * _SQRT2
-                + n2 / den * _SQRT3 + n3 / den * _SQRT6)
+        return n0 / den + n1 / den * _SQRT3
 
     # -- canonical text form -------------------------------------------------
 
     def text(self):
         """Canonical serialization, bit-exact round-trip via parse_scalar.
 
-        Rational values print as "p/q"; values with irrational parts print
-        as "(p/q)+(r/s)√3", extended with √2/√6 terms only when nonzero.
+        Rational values print as "p/q"; values with an irrational part
+        print as "(p/q)+(r/s)√3".
         """
         if self.is_rational():
             return str(self.a)
-        parts = [f"({self.a})"]
-        for coeff, tag in ((self.b, "√2"), (self.c, "√3"), (self.d, "√6")):
-            if coeff:
-                parts.append(f"({coeff}){tag}")
-        return "+".join(parts)
+        return f"({self.a})+({self.c})√3"
 
     def __repr__(self):
         return f"Scalar({self.text()})"
 
 
 def parse_scalar(s):
-    """Inverse of Scalar.text()."""
+    """Inverse of Scalar.text().  A chunk with any tag but √3 (say the √2
+    or √6 of a larger field) is refused by a ValueError naming the tag."""
     s = s.strip()
     if "(" not in s:
         return Scalar(Fraction(s))
-    # '+' separates the "(p/q)" and "(r/s)tag" chunks, one per part;
-    # coefficients may be negative
-    parts = dict.fromkeys(("", "√2", "√3", "√6"), 0)
+    # '+' separates the "(p/q)" and "(r/s)√3" chunks; coefficients may be
+    # negative
+    parts = {"": 0, "√3": 0}
     for chunk in s.split("+"):
         coeff, tag = chunk.strip()[1:].split(")")
+        if tag not in parts:
+            raise ValueError(f"scalar {s!r} has a part {tag!r}; "
+                             f"only rational and √3 parts are exact here")
         parts[tag] = Fraction(coeff)
     return Scalar(*parts.values())
 

@@ -53,6 +53,7 @@ VERDICT = "One verdict rule"
 LAX = "Lax closed form from one eigendecomposition of W"
 SCAN = "Brent-Kung prefix scan over 1024-step blocks"
 POISSON = "One Poisson tensor for brackets and fields"
+FIELD = "One field: the exact scalar kernel over Q(sqrt3)"
 
 MUTATIONS = (
     # the one exact structure-constant contraction
@@ -169,6 +170,31 @@ MUTATIONS = (
              ("tests/test_angles.py::"
               "test_flow_step_matches_the_stage_projected_loop",
               "tests/test_angles.py::test_frequency_constancy_along_flows")),
+    # the exact scalar kernel over Q(sqrt3)
+    Mutation("mul-sqrt3-square-made-2", "src/su3mag/scalars.py",
+             "return _make(a0 * b0 + 3 * a1 * b1,",
+             "return _make(a0 * b0 + 2 * a1 * b1,", FIELD,
+             ("tests/test_scalars.py::test_sqrt_constants_multiply",
+              "tests/test_scalars.py::"
+              "test_integer_kernel_matches_fraction_reference")),
+    Mutation("inv-conjugate-sign", "src/su3mag/scalars.py",
+             "return _reduce(den * n0, -den * n1, norm)",
+             "return _reduce(den * n0, den * n1, norm)", FIELD,
+             ("tests/test_scalars.py::test_division",
+              "tests/test_scalars.py::"
+              "test_integer_kernel_matches_fraction_reference")),
+    # the Scalar constructor multiplies by -sqrt3 = (0, -1, 1), whose
+    # rational part is 0, so only the elimination tests see this one
+    Mutation("submul-cross-term-sign", "src/su3mag/scalars.py",
+             "f0 * v1 + f1 * v0", "f0 * v1 - f1 * v0", FIELD,
+             ("tests/test_invariants.py::"
+              "test_rref_is_the_oracle_rref_under_any_row_order",)),
+    Mutation("rational-inverse-sign", "src/su3mag/scalars.py",
+             "return (den, 0, n0) if n0 > 0 else (-den, 0, -n0)",
+             "return (-den, 0, n0) if n0 > 0 else (den, 0, -n0)", FIELD,
+             ("tests/test_scalars.py::test_normal_form_examples",
+              "tests/test_invariants.py::"
+              "test_rref_pivots_rational_irrational_and_across_a_free_column")),
 )
 
 

@@ -8,8 +8,8 @@ from su3mag import (build_su3_gellmann, build_su3_chevalley, build_su2,
                     centralizer_of, regularity, exp_map,
                     identity_element, GroupElement, Polynomial,
                     lie_poisson_bracket)
-from su3mag.scalars import (Scalar, CScalar, cmat_add, cmat_commutator,
-                            cmat_scale, cmat_sub)
+from su3mag.scalars import (Scalar, CScalar, cmat, cmat_add,
+                            cmat_commutator, cmat_scale, cmat_sub)
 from su3mag.algebra import LieAlgebraSpec, UNITARY_TOL
 from fractions import Fraction
 
@@ -54,22 +54,26 @@ def test_chevalley_build():
     for i in range(8):
         for j in range(8):
             assert alg.bform[i][j] == (Scalar(1) if i == j else Scalar(0))
-    # B(E_alpha, E_-alpha) = 1 exactly; torus perpendicular to root vectors
+    # the elementary root vectors E_alpha = E_rc, E_-alpha = E_cr of each
+    # root pair (r, c): the torus is perpendicular to them, and
+    # [E_alpha, E_-alpha] = E_rr - E_cc = -i H_alpha exactly for the
+    # recorded coroot H_alpha (the torus is i times the real diagonal)
     from su3mag.algebra import _bpair_exact
-    for k, (e_plus, e_minus) in enumerate(alg.extras["root_vectors"]):
-        pair = _bpair_exact(e_plus, e_minus)
-        assert pair == Scalar(1)
+
+    def elementary(r, c):
+        return cmat([[int((i, j) == (r, c)) for j in range(3)]
+                     for i in range(3)])
+
+    coroots = alg.extras["coroots"]
+    for k, (r, c) in enumerate(alg.extras["root_pairs"]):
+        e_plus, e_minus = elementary(r, c), elementary(c, r)
         for t in (0, 1):
             val = _bpair_exact(alg.matrix_rep[t], e_plus)
             assert val == Scalar(0)
-    # [E_alpha, E_-alpha] = 2i H_alpha exactly (the compact-form pairing
-    # makes a real coroot impossible with B(E,E)=1; the 2i is documented)
-    coroots = alg.extras["coroots"]
-    for k, (e_plus, e_minus) in enumerate(alg.extras["root_vectors"]):
         comm = cmat_commutator(e_plus, e_minus)
         h = exact_matrix_of(alg, [coroots[k][0], coroots[k][1]]
                             + [Scalar(0)] * 6)
-        assert cmat_is_zero(cmat_sub(comm, cmat_scale(CScalar(0, 2), h)))
+        assert cmat_is_zero(cmat_sub(comm, cmat_scale(CScalar(0, -1), h)))
 
 
 def test_su2_build():
@@ -152,12 +156,12 @@ def test_exp_map_refuses_a_nan_or_infinite_argument(bad):
 
 def _rotated_su2(mix):
     """su(2) with two of its basis elements e_j, e_k replaced by
-    (e_j + e_k)/sqrt2 and (e_j - e_k)/sqrt2: still B-orthonormal."""
+    (3 e_j + 4 e_k)/5 and (4 e_j - 3 e_k)/5: still B-orthonormal."""
     basis = list(build_su2().matrix_rep)
     j, k = mix
-    r = CScalar(Scalar.sqrt2(Fraction(1, 2)))
-    plus = cmat_scale(r, cmat_add(basis[j], basis[k]))
-    minus = cmat_scale(r, cmat_sub(basis[j], basis[k]))
+    c, s = CScalar(Fraction(3, 5)), CScalar(Fraction(4, 5))
+    plus = cmat_add(cmat_scale(c, basis[j]), cmat_scale(s, basis[k]))
+    minus = cmat_sub(cmat_scale(s, basis[j]), cmat_scale(c, basis[k]))
     basis[j], basis[k] = plus, minus
     return LieAlgebraSpec("rotated", ("X", "Y", "Z"), ("x", "y", "z"), basis)
 
@@ -324,7 +328,7 @@ def test_exact_coords_recover_unit_vectors():
             assert coords == [Scalar(1) if j == i else Scalar(0)
                               for j in range(alg.dim)]
         # and a combination comes back coefficient for coefficient
-        combo = [Scalar(k + 1, 0, Fraction(1, k + 2)) for k in range(alg.dim)]
+        combo = [Scalar(k + 1, Fraction(1, k + 2)) for k in range(alg.dim)]
         assert alg.exact_coords_of_matrix(exact_matrix_of(alg, combo)) == combo
 
 

@@ -325,11 +325,15 @@ def test_centralizer_refuses_a_config(tmp_path, capsys, config):
 
 
 @pytest.mark.parametrize("entry", [{"t_end": "x"}, {"dt": -1},
-                                   {"t_end": 0.01, "dt": 1}])
+                                   {"t_end": 0.01, "dt": 1},
+                                   {"eps": "0.1"}, {"eps": True},
+                                   {"dt": "1e-3"}])
 def test_brackets_checks_the_flow_keys_of_its_config(tmp_path, capsys,
                                                     entry):
-    """brackets loads the run config as verify does, so a bad t_end or dt
-    in its config file is a one-line error too, not ignored."""
+    """brackets loads the run config as verify does, so a bad eps, t_end
+    or dt in its config file is a one-line error too, not ignored.  A
+    number must be a JSON number: the string "0.1" and true are refused,
+    not read as 0.1 and 1."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(entry))
     _one_line_error(capsys, run_cli(

@@ -354,15 +354,16 @@ def test_numeric_rank_of_a_stack_is_the_rank_of_each_matrix():
 # generators, with zeros weighted up so that the rows come out sparse
 _NONZERO = (Scalar(1), Scalar(-1), Scalar(2), Scalar(-2),
             Scalar(Fraction(1, 2)), Scalar(Fraction(-1, 2)),
-            Scalar.sqrt2(), Scalar.sqrt2(-1), Scalar.sqrt3(), Scalar.sqrt3(-1),
-            Scalar.sqrt6(), Scalar.sqrt6(-1), Scalar(1, 0, 1))
+            Scalar.sqrt3(), Scalar.sqrt3(-1), Scalar.sqrt3(Fraction(1, 2)),
+            Scalar.sqrt3(Fraction(-1, 2)), Scalar(2, 1), Scalar(2, -1),
+            Scalar(1, 1))
 _ENTRIES = (Scalar(0),) * 13 + _NONZERO
 
 
 @st.composite
 def field_matrices(draw):
     """(sparse rows, ncols): up to 8 rows of up to 10 columns over
-    Q(sqrt2, sqrt3), some rows drawn entry by entry and the rest sums or
+    Q(sqrt3), some rows drawn entry by entry and the rest sums or
     multiples of earlier rows, or zero."""
     ncols = draw(st.integers(1, 10))
     nrows = draw(st.integers(1, 8))
@@ -383,11 +384,11 @@ def field_matrices(draw):
     return [{j: x for j, x in enumerate(r) if x} for r in rows], ncols
 
 
-# pivot scales: negative rationals, denominators above 1, and elements
-# of sqrt2, sqrt3 and sqrt6 and of neither
+# pivot scales: negative rationals, denominators above 1, multiples of
+# sqrt3 and elements with both a rational and a sqrt3 part
 _PIVOTS = (Scalar(-1), Scalar(Fraction(-3, 2)), Scalar(Fraction(2, 3)),
-           Scalar(Fraction(-5, 4)), Scalar(7), Scalar.sqrt2(),
-           Scalar.sqrt3(Fraction(-1, 2)), Scalar.sqrt6(Fraction(1, 3)),
+           Scalar(Fraction(-5, 4)), Scalar(7), Scalar.sqrt3(),
+           Scalar.sqrt3(Fraction(-1, 2)), Scalar(Fraction(1, 3), -1),
            Scalar(1, 1))
 
 
@@ -426,11 +427,11 @@ def int_row(row):
 def test_rref_pivots_rational_irrational_and_across_a_free_column():
     # column 0: a tie of negative rational pivots with denominator 2, the
     # first taken; the second row drops to its column 2 and leaves column
-    # 1 free; column 2: the rational pivot -1; column 3: 1 + 2 sqrt3
+    # 1 free; column 2: the rational pivot -1; column 3: 4 + sqrt3
     half = Scalar(Fraction(-3, 2))
     rows = [{0: half, 1: Scalar(1), 2: Scalar(1)},
-            {0: half, 1: Scalar(1), 3: Scalar.sqrt2()},
-            {}, {2: Scalar.sqrt6(), 3: Scalar(1)}]
+            {0: half, 1: Scalar(1), 3: Scalar.sqrt3()},
+            {}, {2: Scalar(1, 1), 3: Scalar(1)}]
     pivots, reduced = rref(rows, 5)
     assert pivots == [0, 2, 3]
     assert (pivots, reduced) == rref_by_scalars(rows, 5)
@@ -554,12 +555,12 @@ def test_int_operator_rows_are_the_scalar_rows(selection, m_only):
 
 
 def test_operator_rows_sum_diagonal_terms_and_drop_zeros():
-    # x0 d/dx0 - x1 d/dx1 + (sqrt2/2) x0 d/dx1: the two diagonal terms land
+    # x0 d/dx0 - x1 d/dx1 + (sqrt3/2) x0 d/dx1: the two diagonal terms land
     # on the same (target, source) pair and cancel where the exponents
     # agree; the half needs the entry reduced (every structure constant of
-    # the built algebras is integral over Z[sqrt2, sqrt3], so none does)
+    # the built algebras is integral over Z[sqrt3], so none does)
     ops = {0: [(0, 0, Scalar(1).ints), (1, 1, Scalar(-1).ints),
-               (0, 1, Scalar.sqrt2(Fraction(1, 2)).ints)]}
+               (0, 1, Scalar.sqrt3(Fraction(1, 2)).ints)]}
     for degree in range(1, 6):
         bucket = monomials_of_degree(2, degree)
         rows = [{c: from_ints(t) for c, t in r.items()}
@@ -567,8 +568,8 @@ def test_operator_rows_sum_diagonal_terms_and_drop_zeros():
                                         bucket)]
         assert rows == operator_rows_by_scalars(ops, bucket)
         if degree == 2:  # bucket x0^2, x0 x1, x1^2
-            assert rows == [{0: Scalar(2), 1: Scalar.sqrt2(Fraction(1, 2))},
-                            {2: Scalar.sqrt2()}, {2: Scalar(-2)}]
+            assert rows == [{0: Scalar(2), 1: Scalar.sqrt3(Fraction(1, 2))},
+                            {2: Scalar.sqrt3()}, {2: Scalar(-2)}]
 
 
 @pytest.mark.parametrize("m_only", (True, False), ids=("m", "full"))
@@ -623,8 +624,8 @@ def test_reduced_operators_of_irrational_and_zero_operators():
     # an irrational leading coefficient, an operator with no terms, one
     # that is the first times 1 + sqrt3, and a rational one that the
     # first reduces to a new pivot
-    s2, s3 = Scalar.sqrt2(), Scalar.sqrt3()
-    first = [(0, 1, s2), (1, 0, -s2), (2, 2, s3 / 2)]
+    s3 = Scalar.sqrt3()
+    first = [(0, 1, s3), (1, 0, -s3), (2, 2, (1 + s3) / 2)]
     ops = {0: [(k, i, c.ints) for k, i, c in first],
            1: [],
            2: [(k, i, (c * (1 + s3)).ints) for k, i, c in first],
@@ -635,7 +636,7 @@ def test_reduced_operators_of_irrational_and_zero_operators():
     assert list(reduced) == [(0, 1), (2, 1)]
     assert reduced[(0, 1)] == [(0, 1, Scalar(1).ints),
                                (1, 0, Scalar(-1).ints),
-                               (2, 2, (s3 / (2 * s2)).ints)]
+                               (2, 2, ((1 + s3) / (2 * s3)).ints)]
     assert _reduced_operators({0: [], 1: []}) == {}
 
 

@@ -272,8 +272,8 @@ _COEFFS = st.one_of(
     st.fractions(min_value=-9, max_value=9, max_denominator=7).map(Scalar),
     st.fractions(min_value=-3, max_value=3, max_denominator=5)
     .map(Scalar.sqrt3),
-    st.fractions(min_value=-3, max_value=3, max_denominator=5)
-    .map(Scalar.sqrt2))
+    st.builds(Scalar, *[st.fractions(min_value=-3, max_value=3,
+                                     max_denominator=5)] * 2))
 
 
 @st.composite
