@@ -751,9 +751,12 @@ def test_each_generator_product_is_one_multiplication(monkeypatch):
 # SHA-256 of centralizer reports (the text `su3mag centralizer` prints)
 # that neither the benchmark nor tests/test_golden.py draws: the
 # non-abelian A block over all 8 su(3) variables to degrees 4 and 5 and on
-# m to the degree cap, the full torus commutant to degree 6, su(2)'s m-only
-# one and its full one to the degree cap.  The full selections have inert
-# variables (touched by no operator term), whose buckets the solver shares.
+# m to the degree cap, the full torus commutant to degree 6, the torus
+# commutant on m to the degree cap, su(2)'s m-only one and its full one to
+# the degree cap.  The full selections have inert variables (touched by no
+# operator term), whose buckets the solver shares.  The torus on m past
+# degree 6 is the one selection that lifts a lower relation (the cubic,
+# times each u_k at degree 8): without the lift it lists three more.
 UNDRAWN_REPORT_DIGESTS = {
     ("su3", "irregular-A", False, 4):
         "9012f74951b01a90e98da5f9b8b923e30528a9c19e10d25f74e5596b9dcd7e5d",
@@ -763,6 +766,8 @@ UNDRAWN_REPORT_DIGESTS = {
         "182486364d62ce0a2240bdc38c5630e24b5022985e4de3435578848a42a9c8c9",
     ("su3", "torus", False, 6):
         "0ebf04c7aa38b40f1e59438f71603f34211cce1a3c728386c8d7523bf0a366cf",
+    ("su3", "torus", True, 8):
+        "8f237f3d91868c0467ccdfa83e49e98e492aa84a2c1e7f848949005ced5e54e7",
     ("su2", "torus", True, 4):
         "9e3b9122b873904085731bda4e358c78eee62315deb5c7a308fa8e82de33e9d6",
     ("su2", "torus", False, 8):
