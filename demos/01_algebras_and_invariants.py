@@ -60,7 +60,7 @@ print("=" * 70)
 print("4. stabilizer commutant on the irregular slice")
 print("=" * 70)
 for d in (2, 3, 4):
-    print(f"  degree {d}: dimension {invariant_space(gm, subA, d).dim}")
+    print(f"  degree {d}: dimension {len(invariant_space(gm, subA, d))}")
 gensA = indecomposable_generators(gm, subA, 4)
 for name, poly, deg in gensA.generators:
     print(f"  single generator {name}: {poly.text()}")

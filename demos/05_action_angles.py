@@ -11,10 +11,9 @@ the normalized frequency covector.
 import numpy as np
 
 from su3mag import su3_regular_system, su3_irregular_system, integrate_flow
-from su3mag.angles import (chart_point, root_phases, torus_angles,
-                           torus_action, frequency_matrix,
-                           angle_action_pairing, angle_angle_bracket,
-                           angle_map_matrix, _rescale,
+from su3mag.angles import (chart_point, root_phases, torus_action,
+                           frequency_matrix, angle_action_pairing,
+                           angle_angle_bracket, angle_map_matrix, _rescale,
                            THETA_MATRIX, _nearest_branch)
 
 rng = np.random.default_rng(3)

@@ -97,16 +97,6 @@ def angle_map_matrix(sys):
     return -np.linalg.inv(_M_LIVE_IRREGULAR)
 
 
-def torus_angles(sys, pt):
-    """The two geometric torus angles, mod 2 pi.
-
-    Regular: phi_1 = -(theta1 + theta3)/3, phi_2 = -(theta2 + theta3)/3;
-    irregular: the analogous combination of the two live phases.  In both
-    cases d phi_j = delta_jk along the k-th coroot gauge flow.
-    """
-    return np.mod(angle_map_matrix(sys) @ root_phases(sys, pt), TWO_PI)
-
-
 def chart_draw(sys, rng):
     """A draw_regular_point comfortably inside the angle chart, tested
     on its X - eps W, the bits of its point's xi, before any point."""

@@ -181,7 +181,6 @@ def center_family(sys):
 class BracketTable:
     generator_names: tuple
     entries: dict        # (i, j) -> Polynomial over generator names + eps
-    couplings: list      # Scalar factors B(W, H_alpha_k)
     matches_reference: dict  # (i, j) -> bool against the cyclic-ansatz forms
 
 
@@ -245,8 +244,7 @@ def bracket_table_regular(sys):
         matches[(a, b)] = diff.is_zero()
         if not matches[(a, b)]:
             residuals[(a, b)] = diff
-    table = BracketTable(generator_names=tuple(by_name),
-                         entries=entries, couplings=couplings(sys),
+    table = BracketTable(generator_names=tuple(by_name), entries=entries,
                          matches_reference={k: (m and k not in corrected)
                                           for k, m in matches.items()})
     if residuals:

@@ -19,13 +19,17 @@ are built on monomials coded as one int whose digits in base degree + 1
 are the exponents: a term moves a source to its target by one addition.
 Every row handed to exact_linalg is a sparse row of integral
 representations {column: Scalar.ints}; _poly_to_row reads a polynomial's.
+invariant_space returns its basis as a list of Polynomials.
 One builder, _generator_products, makes the rows of a degree's products of
 generators for the quotient by decomposables, the relations and
 rewrite_in_generators (the bracket table's rewrite); each product is one
-lower product times one generator.  A CallMemo, owned by one top-level call (indecomposable_generators,
-or one bracket table), keeps the products, one list of each degree's
-monomials and the bucket kernels by active exponents; nothing is cached
-across calls.
+lower product times one generator.  A lower relation times a generator
+monomial is the relation with each exponent shifted by the monomial's, and
+the rewrite solves one part of q per (power of eps, degree in the m-vars).
+A CallMemo, owned by one top-level call (indecomposable_generators, or one
+bracket table), keeps the products, one list of each degree's monomials
+and the bucket kernels by active exponents; nothing is cached across
+calls.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
@@ -41,7 +45,6 @@ from .scalars import (CZERO, ONE, ZERO, cmat_mul, neg_ints, scale_ints,
                       submul_ints)
 from .poly import Polynomial
 from .exact_linalg import nullspace, rref_ints, solve_in_span, transposed
-from .algebra import SubalgebraSpec
 
 
 def monomials_of_degree(nvars, degree):
@@ -81,17 +84,6 @@ class CallMemo:
                      enumerate(monomials_of_degree(nvars, degree))}
             self.monomials[(nvars, degree)] = index
         return index
-
-
-@dataclass
-class InvariantBasis:
-    subalgebra: SubalgebraSpec
-    degree: int
-    basis: list  # list of Polynomial
-
-    @property
-    def dim(self):
-        return len(self.basis)
 
 
 def _operator_terms(alg, sub, var_indices):
@@ -197,7 +189,8 @@ def _operator_rows(coded, bucket):
 
 
 def invariant_space(alg, sub, degree, restrict_to_m=True, memo=None):
-    """Exact basis of the joint kernel of the L_j on degree-k polynomials.
+    """Exact basis of the joint kernel of the L_j on degree-k polynomials,
+    a list of Polynomials.
 
     memo is the CallMemo of one top-level call over this (alg, sub,
     restrict_to_m), shared by its degrees; a fresh one by default.  A
@@ -225,7 +218,7 @@ def invariant_space(alg, sub, degree, restrict_to_m=True, memo=None):
         for vec in kernel:
             terms = {bucket[c]: x for c, x in vec.items()}
             basis.append(Polynomial(names, terms))
-    return InvariantBasis(subalgebra=sub, degree=degree, basis=basis)
+    return basis
 
 
 @dataclass
@@ -270,18 +263,18 @@ def indecomposable_generators(alg, sub, max_degree, restrict_to_m=True):
     memo = CallMemo()  # shared by the degrees and relations of this call
 
     for d in range(1, max_degree + 1):
-        inv = invariant_space(alg, sub, d, restrict_to_m, memo)
-        dims[d] = inv.dim
-        if not inv.basis:
+        basis = invariant_space(alg, sub, d, restrict_to_m, memo)
+        dims[d] = len(basis)
+        if not basis:
             continue
         # span of all products of existing generators with total degree d;
         # every generator so far has degree below d, so every such
         # product has at least two factors
         _, prod_rows, mono_index = _generator_products(gens, names, d, memo)
-        cand_rows = [_poly_to_row(p, mono_index) for p in inv.basis]
+        cand_rows = [_poly_to_row(p, mono_index) for p in basis]
         picked = _greedy_complete(prod_rows, cand_rows, len(mono_index))
         for rank_in_degree, idx in enumerate(picked, start=1):
-            gens.append((f"q{d}_{rank_in_degree}", inv.basis[idx], d))
+            gens.append((f"q{d}_{rank_in_degree}", basis[idx], d))
 
     relations = _generator_relations(gens, names, max_degree, memo)
     return GeneratorSet(generators=gens, relations=relations, dims=dims)
@@ -305,40 +298,33 @@ def _generator_products(gens, names, degree, memo):
 def rewrite_in_generators(q, gens, memo=None):
     """Rewrite q (over m-vars + eps) as a polynomial in named generators.
 
-    gens is a list of (name, Polynomial over the m-vars, degree); each
-    eps-slice of q is solved exactly in the span of generator monomials of
-    the right degree.  Returns the rewritten polynomial over
-    (gen names..., "eps"), or None with the offending residue if q is not
-    expressible.  memo is the CallMemo of the generator products and
-    monomials, shared by the rewrites of one bracket table.
+    gens is a list of (name, Polynomial over the m-vars, degree); q is
+    split once into its parts of one power of eps and one degree in the
+    m-vars, and each part is solved exactly in the span of generator
+    monomials of that degree.  Returns the rewritten polynomial over
+    (gen names..., "eps"), or None if q is not expressible.  memo is the
+    CallMemo of the generator products and monomials, shared by the
+    rewrites of one bracket table.
     """
     memo = CallMemo() if memo is None else memo
     m_names = gens[0][1].vars
-    gen_names = tuple(n for n, _, _ in gens)
-    out_vars = gen_names + ("eps",)
-    eps_slices = {}
+    parts = {}
     for expo, coeff in q.terms.items():
-        e_eps = expo[-1]
-        e_m = expo[:-1]
-        eps_slices.setdefault(e_eps, {})[e_m] = coeff
-    result = Polynomial.zero(out_vars)
-    for e_eps, terms in sorted(eps_slices.items()):
-        part = Polynomial(m_names, terms)
-        for deg, comp in part.homogeneous_components():
-            combos, rows, mono_index = _generator_products(gens, m_names, deg,
-                                                           memo)
-            if not combos:
-                return None
-            coeffs = solve_in_span(_poly_to_row(comp, mono_index), rows,
-                                   len(mono_index))
-            if coeffs is None:
-                return None
-            for combo, c in zip(combos, coeffs):
-                if c.is_zero():
-                    continue
-                expo = tuple(combo) + (e_eps,)
-                result = result + Polynomial(out_vars, {expo: c})
-    return result
+        parts.setdefault((expo[-1], sum(expo[:-1])), {})[expo[:-1]] = coeff
+    terms = {}
+    for (e_eps, deg), part in sorted(parts.items()):
+        combos, rows, mono_index = _generator_products(gens, m_names, deg,
+                                                       memo)
+        if not combos:
+            return None
+        coeffs = solve_in_span(
+            _poly_to_row(Polynomial(m_names, part), mono_index), rows,
+            len(mono_index))
+        if coeffs is None:
+            return None
+        for combo, c in zip(combos, coeffs):
+            terms[combo + (e_eps,)] = c
+    return Polynomial(tuple(n for n, _, _ in gens) + ("eps",), terms)
 
 
 def _product(gens, combo, products):
@@ -369,7 +355,7 @@ def _generator_relations(gens, names, max_degree, memo):
         if not kernel:
             continue
         # quotient by relations lifted from lower degrees
-        lifted_rows = _lift_relations(relations, gens, gen_vars, combos, d)
+        lifted_rows = _lift_relations(relations, gens, combos, d)
         picked = _greedy_complete(
             lifted_rows,
             [{i: c.ints for i, c in vec.items()} for vec in kernel],
@@ -400,29 +386,20 @@ def _monomials_in_generators(gens, total_degree):
     return out
 
 
-def _lift_relations(relations, gens, gen_vars, combos, degree):
-    """Int coefficient rows of (lower relation) * (generator monomial)."""
+def _lift_relations(relations, gens, combos, degree):
+    """Int coefficient rows over combos of (lower relation) * (generator
+    monomial): the relation's terms with each exponent shifted by the
+    monomial's.  A relation is weighted-homogeneous, so its first term
+    gives the gap; a shifted exponent has the weighted degree, so it is a
+    combo, and a shift is injective, so no two terms meet."""
     combo_index = {e: i for i, e in enumerate(combos)}
     rows = []
     for rel in relations:
-        rel_deg = max(sum(k * gens[i][2] for i, k in enumerate(expo))
-                      for expo in rel.terms)
-        gap = degree - rel_deg
-        if gap < 0:
-            continue
+        first = next(iter(rel.terms))
+        gap = degree - sum(k * gens[i][2] for i, k in enumerate(first))
         for mult in _monomials_in_generators(gens, gap):
-            row = {}
-            for expo, coeff in rel.terms.items():
-                shifted = tuple(a + b for a, b in zip(expo, mult))
-                idx = combo_index.get(shifted)
-                if idx is None:
-                    row = None
-                    break
-                row[idx] = row.get(idx, ZERO) + coeff
-            if row:
-                row = {i: c.ints for i, c in row.items() if not c.is_zero()}
-                if row:
-                    rows.append(row)
+            rows.append({combo_index[tuple(map(add, expo, mult))]: c.ints
+                         for expo, c in rel.terms.items()})
     return rows
 
 
@@ -440,20 +417,13 @@ def torus_generators(alg):
     torus = alg.extras["torus_indices"]
     m_idx = [i for i in range(alg.dim) if i not in torus]
     names = tuple(alg.coord_names[i] for i in m_idx)
-    pos = {i: p for p, i in enumerate(m_idx)}
+    units = [tuple(int(q == p) for q in range(len(m_idx)))
+             for p in range(len(m_idx))]
 
     def zpoly(k):
-        row = alg.extras["z_rows"][k]
-        re = Polynomial.zero(names)
-        im = Polynomial.zero(names)
-        for i, c in enumerate(row):
-            if c.is_zero():
-                continue
-            if not c.re.is_zero():
-                re = re + Polynomial.var(names, names[pos[i]], c.re)
-            if not c.im.is_zero():
-                im = im + Polynomial.var(names, names[pos[i]], c.im)
-        return re, im
+        row = [alg.extras["z_rows"][k][i] for i in m_idx]
+        return (Polynomial(names, {e: c.re for e, c in zip(units, row)}),
+                Polynomial(names, {e: c.im for e, c in zip(units, row)}))
 
     z = [zpoly(k) for k in range(3)]
     u = tuple(z[k][0] * z[k][0] + z[k][1] * z[k][1] for k in range(3))

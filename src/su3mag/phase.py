@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import math
+from numbers import Rational, Real
 
 import numpy as np
 
@@ -54,10 +55,14 @@ class MagneticSystem:
     """One phase space T*(G/A): algebra, reductive split, W and eps."""
 
     def __init__(self, alg, W_exact, eps, case_tag):
+        if isinstance(eps, bool) or not isinstance(eps, (Real, Scalar)):
+            raise TypeError(f"the magnetic parameter eps must be a real "
+                            f"number or a Scalar, got {eps!r}")
         self.eps = float(eps)
-        # a float eps is taken exactly, by its binary expansion
-        self.eps_exact = (eps if isinstance(eps, Scalar)
-                          else Scalar(Fraction(eps)))
+        # a rational eps stays exact; any other real (a float) is taken
+        # exactly, by the binary expansion of its float
+        self.eps_exact = (eps if isinstance(eps, Scalar) else Scalar(
+            Fraction(eps if isinstance(eps, Rational) else self.eps)))
         if self.eps == 0.0:
             raise ValueError("the magnetic parameter eps must be nonzero")
         self.alg = alg

@@ -104,9 +104,9 @@ def run_verification(config):
         report.add("a_matrix_minor_identities", True, ok, "exact")
 
     # --- restriction identities --------------------------------------------
-    c2, c3 = sys.casimirs()
-    r2 = restrict_shift(c2, sys)
     if case == "irregular":
+        c2, c3 = sys.casimirs()
+        r2 = restrict_shift(c2, sys)
         m_names = sys.m_names()
         evars = m_names + ("eps",)
         expect2 = sum((Polynomial.var(evars, nm) ** 2 for nm in m_names),

@@ -54,6 +54,11 @@ LAX = "Lax closed form from one eigendecomposition of W"
 SCAN = "Brent-Kung prefix scan over 1024-step blocks"
 POISSON = "One Poisson tensor for brackets and fields"
 FIELD = "One field: the exact scalar kernel over Q(sqrt3)"
+HALVE = "Halve the exact pass: row-reduce on integer numerators"
+INT_ROWS = "Build the commutant's operator rows on integer numerators"
+ONE_ROW = "Exact elimination on one row format"
+BUCKETS = "Faster exact invariant solver: lowest-column buckets"
+GENERATORS = "The exact generator layer on exponent tuples and term maps"
 
 MUTATIONS = (
     # the one exact structure-constant contraction
@@ -195,6 +200,71 @@ MUTATIONS = (
              ("tests/test_scalars.py::test_normal_form_examples",
               "tests/test_invariants.py::"
               "test_rref_pivots_rational_irrational_and_across_a_free_column")),
+    # the exact elimination and the commutant's operator rows
+    Mutation("submul-denominator-ad", "src/su3mag/scalars.py",
+             "a1 * pd - p1 * ad, ad * pd)", "a1 * pd - p1 * ad, ad)", HALVE,
+             ("tests/test_invariants.py::"
+              "test_rref_is_the_oracle_rref_under_any_row_order",
+              "tests/test_invariants.py::"
+              "test_nullspace_vectors_annihilate_every_row")),
+    Mutation("rref-back-substitution-skipped", "src/su3mag/exact_linalg.py",
+             "                _eliminate(other, col, rest)",
+             "                pass", HALVE,
+             ("tests/test_invariants.py::"
+              "test_rref_is_the_oracle_rref_under_any_row_order",
+              "tests/test_invariants.py::"
+              "test_rref_pivots_rational_irrational_and_across_a_free_column")),
+    Mutation("rref-row-not-rebucketed", "src/su3mag/exact_linalg.py",
+             "            if i != p and _eliminate(rows[i], col, rest):\n"
+             "                buckets.setdefault(min(rows[i]), []).append(i)",
+             "            if i != p:\n"
+             "                _eliminate(rows[i], col, rest)", BUCKETS,
+             ("tests/test_invariants.py::"
+              "test_rref_is_the_oracle_rref_under_any_row_order",
+              "tests/test_invariants.py::"
+              "test_nullspace_vectors_annihilate_every_row")),
+    Mutation("greedy-offset-zero", "src/su3mag/invariants.py",
+             "offset = len(span_rows)", "offset = 0", HALVE,
+             ("tests/test_invariants.py::"
+              "test_greedy_completion_picks_the_oracle_candidates",
+              "tests/test_invariants.py::"
+              "test_full_variable_commutant_and_mu_centrality")),
+    Mutation("operator-move-factor-dropped", "src/su3mag/invariants.py",
+             "[None] + [scale_ints(c, e) for e in range(1, degree + 1)]",
+             "[None] + [c for e in range(1, degree + 1)]", INT_ROWS,
+             ("tests/test_invariants.py::"
+              "test_int_operator_rows_are_the_scalar_rows",
+              "tests/test_invariants.py::"
+              "test_invariant_space_is_the_nullspace_of_the_scalar_rows")),
+    # accepting supports of two (len(vec) > 2) rather than of one: the
+    # Gell-Mann kernel of the test also holds a support of three, so only
+    # its su(2) input catches it
+    Mutation("centralizer-two-element-support", "src/su3mag/algebra.py",
+             "        if len(vec) != 1:", "        if len(vec) > 2:", ONE_ROW,
+             ("tests/test_algebra.py::test_centralizer_refuses_a_kernel_"
+              "not_spanned_by_basis_elements",)),
+    # the generator layer: relation multiples, the rewrite, the z_k; only
+    # the torus on m to degree 8 lifts a relation (the cubic, times u_k)
+    Mutation("lift-shift-dropped", "src/su3mag/invariants.py",
+             "combo_index[tuple(map(add, expo, mult))]", "combo_index[expo]",
+             GENERATORS,
+             ("tests/test_invariants.py::"
+              "test_undrawn_centralizer_report_digest",)),
+    Mutation("rewrite-eps-power-dropped", "src/su3mag/invariants.py",
+             "terms[combo + (e_eps,)] = c", "terms[combo + (0,)] = c",
+             GENERATORS,
+             ("tests/test_certify.py::test_bracket_table_closes_and_matches",
+              "tests/test_certify.py::test_table_eps_scaling")),
+    Mutation("z-re-im-swap", "src/su3mag/invariants.py",
+             "return (Polynomial(names, {e: c.re for e, c in zip(units, row)}),"
+             "\n                Polynomial(names, {e: c.im for e, c in "
+             "zip(units, row)}))",
+             "return (Polynomial(names, {e: c.im for e, c in zip(units, row)}),"
+             "\n                Polynomial(names, {e: c.re for e, c in "
+             "zip(units, row)}))", GENERATORS,
+             ("tests/test_certify.py::test_bracket_table_closes_and_matches",
+              "tests/test_certify.py::"
+              "test_slice_generators_name_the_slice_family")),
 )
 
 

@@ -144,19 +144,19 @@ def _dense_nullity(alg, sub, degree):
 def test_criterion_04_commutant_dimensions():
     t0 = time.perf_counter()
     sysR = su3_regular_system(0.1)
-    dims_R = [invariant_space(sysR.alg, sysR.sub, d).dim for d in (2, 3)]
+    dims_R = [len(invariant_space(sysR.alg, sysR.sub, d)) for d in (2, 3)]
     oracle_R = [_dense_nullity(sysR.alg, sysR.sub, d) for d in (2, 3)]
     gens = indecomposable_generators(sysR.alg, sysR.sub, 3)
     deg3_new = sum(1 for _, _, d in gens.generators if d == 3)
 
     sysI = su3_irregular_system(0.1)
-    dims_I = [invariant_space(sysI.alg, sysI.sub, d).dim for d in (2, 3, 4)]
+    dims_I = [len(invariant_space(sysI.alg, sysI.sub, d)) for d in (2, 3, 4)]
     oracle_I = [_dense_nullity(sysI.alg, sysI.sub, d) for d in (2, 3, 4)]
     gens_I = indecomposable_generators(sysI.alg, sysI.sub, 4)
 
     su2 = build_su2()
     sub2 = centralizer_of(su2, [Scalar(1), Scalar(0), Scalar(0)])
-    dim_su2 = invariant_space(su2, sub2, 2).dim
+    dim_su2 = len(invariant_space(su2, sub2, 2))
     oracle_su2 = _dense_nullity(su2, sub2, 2)
     elapsed = time.perf_counter() - t0
     ok = (dims_R == [3, 2] == oracle_R and deg3_new == 2

@@ -250,6 +250,11 @@ def test_centralizer_refuses_a_kernel_not_spanned_by_basis_elements():
     W = [Scalar(1), Scalar(0), Scalar(0), Scalar(1)] + [Scalar(0)] * 4
     with pytest.raises(ValueError, match="not spanned by basis elements"):
         centralizer_of(build_su3_gellmann(), W)
+    # that kernel also holds a vector of support three; on su(2) the
+    # kernel of ad W is the line of W alone, so W = e1 + e2 is refused for
+    # its two-element support only
+    with pytest.raises(ValueError, match="not spanned by basis elements"):
+        centralizer_of(build_su2(), [Scalar(1), Scalar(1), Scalar(0)])
 
 
 def test_regularity_matrix_path_and_rank_nullity():

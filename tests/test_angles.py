@@ -10,7 +10,7 @@ from su3mag.phase import (su3_regular_system, su3_irregular_system,
                           PhasePoint, integrate_flow,
                           hamiltonian_vector_field, moment_coordinate)
 from su3mag.algebra import GroupElement, exp_map, identity_element
-from su3mag.angles import (root_phases, torus_angles, torus_action,
+from su3mag.angles import (root_phases, torus_action,
                            chart_point, frequency_matrix,
                            angle_action_pairing, angle_angle_bracket,
                            angle_differential, angle_map_matrix,
@@ -51,7 +51,8 @@ def test_real_positive_roots_have_zero_phase():
     pt = PhasePoint(sys, identity_element(), X)
     th = root_phases(sys, pt)
     assert np.abs(th).max() < 1e-12
-    assert np.abs(torus_angles(sys, pt)).max() < 1e-12
+    # and so are the torus angles phi = L theta, mod 2 pi
+    assert np.abs(np.mod(angle_map_matrix(sys) @ th, TWO_PI)).max() < 1e-12
 
 
 def test_phase_equivariance_regular():
@@ -65,7 +66,6 @@ def test_phase_equivariance_regular():
                               th0)
         assert np.abs((th1 - th0) + THETA_MATRIX @ sig).max() < 1e-12
         # torus angles shift by +sigma (right-action equivariance)
-        ph0 = torus_angles(sys, pt)
         ph1 = -LEFT_INVERSE @ th1
         shift = (ph1 - (-LEFT_INVERSE @ th0)) - sig
         assert np.abs(shift).max() < 1e-8
@@ -75,9 +75,10 @@ def test_full_rotation_returns_angle():
     sys = su3_regular_system(0.1)
     rng = np.random.default_rng(1)
     pt = chart_point(sys, rng)
-    ph0 = torus_angles(sys, pt)
+    L = angle_map_matrix(sys)
+    ph0 = np.mod(L @ root_phases(sys, pt), TWO_PI)
     moved = torus_action(sys, pt, np.array([TWO_PI, 0.0]))
-    ph1 = torus_angles(sys, moved)
+    ph1 = np.mod(L @ root_phases(sys, moved), TWO_PI)
     assert np.abs(np.mod(ph1 - ph0 + np.pi, TWO_PI) - np.pi).max() < 1e-8
 
 

@@ -497,10 +497,17 @@ def test_a_nan_angle_angle_bracket_reads_nan_in_its_verify_line(monkeypatch):
 
 
 def test_run_verification_refuses_a_zero_eps():
-    """The system refuses eps = 0; run_verification has no refusal of
-    its own."""
+    """The system refuses eps = 0, and an eps that is not a real number
+    or a Scalar (a string, which Fraction would parse, or a bool);
+    run_verification has no refusal of its own."""
     with pytest.raises(ValueError, match="eps must be nonzero"):
         reports.run_verification({"case": "irregular", "eps": 0, "seed": 1})
+    for eps in ("0.1", True, False, None, [0.1]):
+        with pytest.raises(TypeError,
+                           match=r"^the magnetic parameter eps must be a "
+                                 r"real number or a Scalar, got "):
+            reports.run_verification({"case": "irregular", "eps": eps,
+                                      "seed": 1})
 
 
 def test_run_verification_takes_the_defaults_for_missing_keys():

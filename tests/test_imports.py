@@ -53,7 +53,6 @@ UNREAD = {
     "phase.twisted_bracket": "traced by the benchmark (perfbench/layers.py); "
                              "used by demos/02_bracket_tables.py; exported "
                              "as su3mag.twisted_bracket",
-    "angles.torus_angles": "used by demos/05_action_angles.py",
     "phase.closed_form_group": "used by demos/03_magnetic_flow.py",
     "poly.parse_polynomial": "the documented inverse of Polynomial.text",
 }
