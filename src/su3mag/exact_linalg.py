@@ -2,17 +2,18 @@
 
 The package calls it on sparse rows {column: reduced ints}, the integral
 representation ``Scalar.ints``, only.  One loop, ``rref_ints``, does every
-elimination, with the fused kernel scalars.submul_ints; ``nullspace`` is
-the one reader of a kernel and ``solve_in_span`` the one span solve, each
-building a Scalar per output coefficient only.  ``rref`` wraps the loop
-for rows {column: Scalar}; the package does not call it.  Columns are
-processed in ascending order, each with the sparsest row holding it as
-pivot (the first on a tie).  The work rows sit in buckets by lowest
-column, so a column's holders are read off its bucket and no row is
-scanned for it; a rational pivot is inverted on its integers, an
+elimination, with the fused kernel scalars.submul_ints; ``nullspace`` is the
+one reader of a kernel and ``solve_in_span`` the one span solve, each
+building a Scalar per output coefficient only.  ``rref`` wraps the loop for
+rows {column: Scalar}; the package does not call it.  The loop reads the
+rows sparsest first, reduces each at its lowest column until that column has
+no pivot, and stops once every column has one; the pivot rows are then
+back-substituted from the highest pivot down, each clearing only the higher
+pivot columns it holds.  A rational pivot is inverted on its integers, an
 irrational one by its conjugate.  The reduced row echelon form is unique, so
-the output is the same whatever the pivot: reduced forms, and every
-kernel and generator basis derived from them, are reproducible run to run.
+the output does not depend on the row order or the pivots taken: reduced
+forms, and every kernel and generator basis derived from them, are
+reproducible run to run.
 """
 
 from __future__ import annotations
@@ -23,40 +24,37 @@ from .scalars import ONE, ZERO, from_ints, inv_ints, neg_ints, submul_ints
 def rref_ints(rows, ncols):
     """Reduced row echelon form of sparse rows {column: reduced ints}.
 
-    Returns (pivots, reduced) where pivots is the ordered list of pivot
-    columns and reduced is a list of sparse rows, one per pivot, normalized
-    to a leading 1 and fully reduced.  The result is the unique RREF, so it
-    does not depend on the order of the rows or on the pivot rule.  The
-    rows passed in are updated in place.
+    Returns (pivots, reduced) where pivots is the ascending list of pivot
+    columns and reduced is a list of sparse rows, one per pivot, normalized to
+    a leading 1 and fully reduced, each with its pivot entry last.  The result
+    is the unique RREF, so it does not depend on the order of the rows or on
+    the pivot rule.  The rows are read sparsest first (in the given order on a
+    tie) until every column has a pivot.  A row read is reduced in place; one
+    left nonzero is normalized in place and becomes the pivot row of its lowest
+    column, and the reduced rows returned are these same dicts.  The rows not
+    read are left as they are.
     """
-    # work rows by lowest column: when a column comes up, no work row
-    # holds an earlier one, so its holders are exactly its bucket
-    buckets = {}
-    for i, r in enumerate(rows):
-        if r:
-            buckets.setdefault(min(r), []).append(i)
-    reduced = []
-    pivots = []
-    for col in range(ncols):
-        holders = buckets.pop(col, None)
-        if holders is None:
-            continue
-        # the sparsest holder, the first in the input on a tie
-        p = min(holders, key=lambda i: (len(rows[i]), i))
-        row = rows[p]
-        neg_inv = neg_ints(inv_ints(row.pop(col)))
-        # the normalized pivot row without its leading 1
-        rest = [(c, submul_ints(None, neg_inv, v)) for c, v in row.items()]
-        for i in holders:
-            if i != p and _eliminate(rows[i], col, rest):
-                buckets.setdefault(min(rows[i]), []).append(i)
-        for other in reduced:
-            if col in other:
-                _eliminate(other, col, rest)
-        reduced.append(dict(rest + [(col, ONE.ints)]))
-        pivots.append(col)
-    # columns run in ascending order, so the pivots come out sorted
-    return pivots, reduced
+    piv = {}  # pivot column -> its normalized row without the leading 1
+    for row in sorted(rows, key=len):
+        if len(piv) == ncols:
+            break  # full rank: the rows left lie in the span already
+        while row and (col := min(row)) in piv:
+            _eliminate(row, col, piv[col].items())
+        if row:  # a new pivot row, normalized in place
+            neg_inv = neg_ints(inv_ints(row.pop(col)))
+            for c, v in row.items():
+                row[c] = submul_ints(None, neg_inv, v)
+            piv[col] = row
+    # from the highest pivot down: the pivot rows above are reduced, so
+    # clearing their columns brings in free columns only
+    pivots = sorted(piv)
+    for col in reversed(pivots):
+        row = piv[col]
+        for c in [c for c in row if c in piv]:
+            _eliminate(row, c, piv[c].items())
+    for col in pivots:
+        piv[col][col] = ONE.ints
+    return pivots, [piv[col] for col in pivots]
 
 
 def _eliminate(row, col, rest):

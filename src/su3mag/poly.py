@@ -160,13 +160,6 @@ class Polynomial:
             terms[tuple(e)] = coeff * k
         return Polynomial(self.vars, terms)
 
-    def homogeneous_components(self):
-        """List of (degree, homogeneous part), ascending, zero parts omitted."""
-        buckets = {}
-        for expo, coeff in self.terms.items():
-            buckets.setdefault(sum(expo), {})[expo] = coeff
-        return [(d, Polynomial(self.vars, t)) for d, t in sorted(buckets.items())]
-
     # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, point):

@@ -59,6 +59,7 @@ INT_ROWS = "Build the commutant's operator rows on integer numerators"
 ONE_ROW = "Exact elimination on one row format"
 BUCKETS = "Faster exact invariant solver: lowest-column buckets"
 GENERATORS = "The exact generator layer on exponent tuples and term maps"
+ROW_BY_ROW = "Row-by-row exact elimination that stops at full rank"
 
 MUTATIONS = (
     # the one exact structure-constant contraction
@@ -208,21 +209,26 @@ MUTATIONS = (
               "tests/test_invariants.py::"
               "test_nullspace_vectors_annihilate_every_row")),
     Mutation("rref-back-substitution-skipped", "src/su3mag/exact_linalg.py",
-             "                _eliminate(other, col, rest)",
-             "                pass", HALVE,
+             "            _eliminate(row, c, piv[c].items())",
+             "            pass", ROW_BY_ROW,
+             ("tests/test_invariants.py::"
+              "test_rref_pivots_rational_irrational_and_across_a_free_column",
+              "tests/test_invariants.py::"
+              "test_rref_is_the_oracle_rref_under_any_row_order")),
+    Mutation("rref-stops-one-column-early", "src/su3mag/exact_linalg.py",
+             "if len(piv) == ncols:", "if len(piv) == ncols - 1:",
+             ROW_BY_ROW,
              ("tests/test_invariants.py::"
               "test_rref_is_the_oracle_rref_under_any_row_order",
               "tests/test_invariants.py::"
-              "test_rref_pivots_rational_irrational_and_across_a_free_column")),
-    Mutation("rref-row-not-rebucketed", "src/su3mag/exact_linalg.py",
-             "            if i != p and _eliminate(rows[i], col, rest):\n"
-             "                buckets.setdefault(min(rows[i]), []).append(i)",
-             "            if i != p:\n"
-             "                _eliminate(rows[i], col, rest)", BUCKETS,
+              "test_rref_stops_reading_rows_at_full_rank")),
+    # the RREF is the same in any row order: only the rows left unread
+    # at full rank show which were read first
+    Mutation("rref-rows-read-as-given", "src/su3mag/exact_linalg.py",
+             "for row in sorted(rows, key=len):", "for row in rows:",
+             ROW_BY_ROW,
              ("tests/test_invariants.py::"
-              "test_rref_is_the_oracle_rref_under_any_row_order",
-              "tests/test_invariants.py::"
-              "test_nullspace_vectors_annihilate_every_row")),
+              "test_rref_stops_reading_rows_at_full_rank",)),
     Mutation("greedy-offset-zero", "src/su3mag/invariants.py",
              "offset = len(span_rows)", "offset = 0", HALVE,
              ("tests/test_invariants.py::"
@@ -269,10 +275,17 @@ MUTATIONS = (
 
 
 def archive(rev, dest):
-    """Extract ``git archive rev`` of the repository into dest."""
-    tar = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
-                         capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as fh:
+    """Extract ``git archive rev`` of the repository into dest; outside a
+    git checkout (or for an unknown rev) exit 2 with a one-line error."""
+    proc = subprocess.run(["git", "archive", rev], cwd=ROOT,
+                          capture_output=True)
+    if proc.returncode:
+        reason = proc.stderr.decode(errors="replace").strip().splitlines()
+        print(f"error: git archive {rev} failed; the mutation suite needs a "
+              f"git checkout with that revision"
+              f"{': ' + reason[0] if reason else ''}", file=sys.stderr)
+        raise SystemExit(2)
+    with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as fh:
         fh.extractall(dest, filter="data")
 
 

@@ -18,7 +18,7 @@ from su3mag.invariants import (invariant_space, indecomposable_generators,
                                torus_generators, radial_generator,
                                monomials_of_degree)
 from su3mag.phase import su3_regular_system, su3_irregular_system
-from su3mag.exact_linalg import nullspace, rref, solve_in_span
+from su3mag.exact_linalg import nullspace, rref, rref_ints, solve_in_span
 from su3mag.invariants import (CallMemo, _generator_products, _greedy_complete,
                                _monomial_buckets, _monomials_in_generators,
                                _operator_moves, _operator_rows,
@@ -439,6 +439,18 @@ def test_rref_pivots_rational_irrational_and_across_a_free_column():
                        {2: Scalar(1)}, {3: Scalar(1)}]
     assert [list(r) for r in reduced] == [[1, 0], [2], [3]]
     assert len(nullspace(list(map(int_row, rows)), 5)) == 2
+
+
+def test_rref_stops_reading_rows_at_full_rank():
+    # read sparsest first, the unit rows give both columns a pivot, so
+    # the dense row, given first, is never read and comes back untouched
+    one, two = Scalar(1).ints, Scalar(2).ints
+    rows = [{0: one, 1: two}, {1: two}, {0: one}]
+    assert rref_ints(rows, 2) == ([0, 1], [{0: one}, {1: one}])
+    assert list(rows[0].items()) == [(0, one), (1, two)]
+    assert rref_ints([], 0) == ([], []) == rref_ints([{}], 0)
+    assert rref_ints([], 3) == ([], [])
+    assert nullspace([], 2) == [{0: Scalar(1)}, {1: Scalar(1)}]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

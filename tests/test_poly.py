@@ -41,15 +41,6 @@ def test_degree_cap():
         p * p
 
 
-def test_homogeneous_components():
-    x = Polynomial.var(VARS, "x")
-    p = x * x + x
-    comps = p.homogeneous_components()
-    assert [d for d, _ in comps] == [1, 2]
-    assert sum((c for _, c in comps), Polynomial.zero(VARS)) == p
-    assert Polynomial.zero(VARS).homogeneous_components() == []
-
-
 def test_evaluate_exact_and_float():
     x = Polynomial.var(VARS, "x")
     y = Polynomial.var(VARS, "y")
