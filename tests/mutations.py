@@ -57,7 +57,6 @@ FIELD = "One field: the exact scalar kernel over Q(sqrt3)"
 HALVE = "Halve the exact pass: row-reduce on integer numerators"
 INT_ROWS = "Build the commutant's operator rows on integer numerators"
 ONE_ROW = "Exact elimination on one row format"
-BUCKETS = "Faster exact invariant solver: lowest-column buckets"
 GENERATORS = "The exact generator layer on exponent tuples and term maps"
 ROW_BY_ROW = "Row-by-row exact elimination that stops at full rank"
 
