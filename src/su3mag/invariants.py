@@ -21,15 +21,20 @@ Every row handed to exact_linalg is a sparse row of integral
 representations {column: Scalar.ints}; _poly_to_row reads a polynomial's.
 invariant_space returns its basis as a list of Polynomials.
 One builder, _generator_products, makes the rows of a degree's products of
-generators for the quotient by decomposables, the relations and
-rewrite_in_generators (the bracket table's rewrite); each product is one
-lower product times one generator.  A lower relation times a generator
-monomial is the relation with each exponent shifted by the monomial's, and
-the rewrite solves one part of q per (power of eps, degree in the m-vars).
-A CallMemo, owned by one top-level call (indecomposable_generators, or one
-bracket table), keeps the products, one list of each degree's monomials
-and the bucket kernels by active exponents; nothing is cached across
-calls.
+generators (each product is one lower product times one generator), and
+_product_echelon adds them in order to one Echelon, row i tagged {i: 1}.
+The quotient by decomposables, the relations and rewrite_in_generators
+(the bracket table's rewrite) share that echelon: a candidate generator
+is picked when it does not reduce to zero against it and the generators
+picked before it, the relations are the tags of the product rows that
+vanish, and a part of q reduced against it gives its coefficients.  A
+lower relation times a generator monomial is the relation with each
+exponent shifted by the monomial's, and the rewrite solves one part of q
+per (power of eps, degree in the m-vars).  A CallMemo, owned by one
+top-level call (indecomposable_generators, or one bracket table), keeps
+the products, each degree's product echelon, one list of each degree's
+monomials and the bucket kernels by active exponents; nothing is cached
+across calls.
 """
 
 from __future__ import annotations
@@ -41,10 +46,10 @@ from operator import add, mul
 
 import numpy as np
 
-from .scalars import (CZERO, ONE, ZERO, cmat_mul, neg_ints, scale_ints,
-                      submul_ints)
+from .scalars import (CZERO, ONE, ZERO, cmat_mul, from_ints, neg_ints,
+                      scale_ints, submul_ints)
 from .poly import Polynomial
-from .exact_linalg import nullspace, rref_ints, solve_in_span, transposed
+from .exact_linalg import Echelon, nullspace, rref_ints, solve_in_span
 
 
 def monomials_of_degree(nvars, degree):
@@ -67,13 +72,17 @@ class CallMemo:
 
     monomials: (nvars, degree) -> {exponent tuple: index}, in the order of
     monomials_of_degree; products: generator exponent tuple -> Polynomial
-    (see _product); kernels: active exponents -> the nullspace vectors of
-    a bucket (see invariant_space), valid for one (alg, sub, variables).
+    (see _product); echelons: (degree, len(gens)) -> the combos, monomial
+    index and tagged Echelon of the degree's generator products (see
+    _product_echelon); kernels: active exponents -> the nullspace vectors
+    of a bucket (see invariant_space), valid for one (alg, sub, variables).
+    products and echelons are valid for one gens that only grows.
     """
 
     def __init__(self):
         self.monomials = {}
         self.products = {}
+        self.echelons = {}
         self.kernels = {}
 
     def monomial_index(self, nvars, degree):
@@ -244,14 +253,11 @@ def _poly_to_row(poly, mono_index):
     return {mono_index[expo]: c.ints for expo, c in poly.terms.items()}
 
 
-def _greedy_complete(span_rows, candidates, ncols):
-    """Indices of candidates that enlarge the span, in order: candidate k
-    does exactly when it is a pivot column of the matrix whose columns are
-    the span rows, then the candidates."""
-    columns = list(span_rows) + list(candidates)
-    pivots, _ = rref_ints(transposed(columns, ncols), len(columns))
-    offset = len(span_rows)
-    return [p - offset for p in pivots if p >= offset]
+def _greedy_complete(echelon, candidates):
+    """Indices of the candidate rows that enlarge the span of echelon and
+    of the candidates picked before them, in order; each candidate is
+    reduced in place, and each one picked joins the echelon."""
+    return [k for k, row in enumerate(candidates) if echelon.add(row)]
 
 
 def indecomposable_generators(alg, sub, max_degree, restrict_to_m=True):
@@ -269,10 +275,11 @@ def indecomposable_generators(alg, sub, max_degree, restrict_to_m=True):
             continue
         # span of all products of existing generators with total degree d;
         # every generator so far has degree below d, so every such
-        # product has at least two factors
-        _, prod_rows, mono_index = _generator_products(gens, names, d, memo)
-        cand_rows = [_poly_to_row(p, mono_index) for p in basis]
-        picked = _greedy_complete(prod_rows, cand_rows, len(mono_index))
+        # product has at least two factors.  The candidates picked join
+        # its echelon; gens then grows, so the memo hands it out no more
+        _, mono_index, products = _product_echelon(gens, names, d, memo)
+        picked = _greedy_complete(
+            products, [_poly_to_row(p, mono_index) for p in basis])
         for rank_in_degree, idx in enumerate(picked, start=1):
             gens.append((f"q{d}_{rank_in_degree}", basis[idx], d))
 
@@ -295,16 +302,33 @@ def _generator_products(gens, names, degree, memo):
     return combos, rows, mono_index
 
 
+def _product_echelon(gens, names, degree, memo):
+    """(combos, mono_index, echelon) of the generator products of the
+    weighted degree: combos and mono_index as _generator_products lists
+    them, and the Echelon of the product rows added in the order of combos,
+    row i tagged {i: 1}, so its kernel holds the linear relations among the
+    products.  Kept in memo under (degree, len(gens)), for the generator
+    completion, the relations and the rewrites of one call to share."""
+    key = (degree, len(gens))
+    entry = memo.echelons.get(key)
+    if entry is None:
+        combos, rows, mono_index = _generator_products(gens, names, degree,
+                                                       memo)
+        entry = combos, mono_index, Echelon(rows, tagged=True)
+        memo.echelons[key] = entry
+    return entry
+
+
 def rewrite_in_generators(q, gens, memo=None):
     """Rewrite q (over m-vars + eps) as a polynomial in named generators.
 
     gens is a list of (name, Polynomial over the m-vars, degree); q is
     split once into its parts of one power of eps and one degree in the
-    m-vars, and each part is solved exactly in the span of generator
+    m-vars, and each part is reduced against the echelon of the generator
     monomials of that degree.  Returns the rewritten polynomial over
     (gen names..., "eps"), or None if q is not expressible.  memo is the
-    CallMemo of the generator products and monomials, shared by the
-    rewrites of one bracket table.
+    CallMemo of the generator products, their echelons and the monomials,
+    shared by the rewrites of one bracket table.
     """
     memo = CallMemo() if memo is None else memo
     m_names = gens[0][1].vars
@@ -313,17 +337,14 @@ def rewrite_in_generators(q, gens, memo=None):
         parts.setdefault((expo[-1], sum(expo[:-1])), {})[expo[:-1]] = coeff
     terms = {}
     for (e_eps, deg), part in sorted(parts.items()):
-        combos, rows, mono_index = _generator_products(gens, m_names, deg,
-                                                       memo)
-        if not combos:
-            return None
+        combos, mono_index, products = _product_echelon(gens, m_names, deg,
+                                                        memo)
         coeffs = solve_in_span(
-            _poly_to_row(Polynomial(m_names, part), mono_index), rows,
-            len(mono_index))
+            _poly_to_row(Polynomial(m_names, part), mono_index), products)
         if coeffs is None:
             return None
-        for combo, c in zip(combos, coeffs):
-            terms[combo + (e_eps,)] = c
+        for i, c in coeffs.items():
+            terms[combos[i] + (e_eps,)] = c
     return Polynomial(tuple(n for n, _, _ in gens) + ("eps",), terms)
 
 
@@ -342,27 +363,26 @@ def _product(gens, combo, products):
 
 
 def _generator_relations(gens, names, max_degree, memo):
-    """Minimal linear relations among generator monomials, degree by degree."""
+    """Minimal linear relations among generator monomials, degree by degree.
+
+    A degree's kernel is the tags of its product rows that vanish: one
+    relation per product that lies in the span of the products before it,
+    with a 1 on that product and its other entries on earlier products, in
+    ascending order (the canonical kernel basis of the products' matrix)."""
     gen_vars = tuple(name for name, _, _ in gens)
     relations = []
 
     for d in range(2, max_degree + 1):
-        combos, rows, mono_index = _generator_products(gens, names, d, memo)
-        if len(combos) < 2:
-            continue
-        # kernel of the transpose system: coefficient vectors over combos
-        kernel = nullspace(transposed(rows, len(mono_index)), len(combos))
+        combos, _, products = _product_echelon(gens, names, d, memo)
+        kernel = products.kernel
         if not kernel:
             continue
         # quotient by relations lifted from lower degrees
-        lifted_rows = _lift_relations(relations, gens, combos, d)
-        picked = _greedy_complete(
-            lifted_rows,
-            [{i: c.ints for i, c in vec.items()} for vec in kernel],
-            len(combos))
-        for idx in picked:
-            terms = {combos[i]: c for i, c in kernel[idx].items()}
-            relations.append(Polynomial(gen_vars, terms))
+        lifted = Echelon(_lift_relations(relations, gens, combos, d))
+        for idx in _greedy_complete(lifted, [dict(t) for t in kernel]):
+            tag = kernel[idx]
+            relations.append(Polynomial(
+                gen_vars, {combos[i]: from_ints(tag[i]) for i in sorted(tag)}))
     return relations
 
 

@@ -59,6 +59,8 @@ INT_ROWS = "Build the commutant's operator rows on integer numerators"
 ONE_ROW = "Exact elimination on one row format"
 GENERATORS = "The exact generator layer on exponent tuples and term maps"
 ROW_BY_ROW = "Row-by-row exact elimination that stops at full rank"
+ECHELON = ("Row-oriented generator layer: one shared echelon of generator "
+           "products per degree")
 
 MUTATIONS = (
     # the one exact structure-constant contraction
@@ -208,7 +210,7 @@ MUTATIONS = (
               "tests/test_invariants.py::"
               "test_nullspace_vectors_annihilate_every_row")),
     Mutation("rref-back-substitution-skipped", "src/su3mag/exact_linalg.py",
-             "            _eliminate(row, c, piv[c].items())",
+             "            _submul(row, row.pop(c), piv[c].items())",
              "            pass", ROW_BY_ROW,
              ("tests/test_invariants.py::"
               "test_rref_pivots_rational_irrational_and_across_a_free_column",
@@ -228,12 +230,26 @@ MUTATIONS = (
              ROW_BY_ROW,
              ("tests/test_invariants.py::"
               "test_rref_stops_reading_rows_at_full_rank",)),
-    Mutation("greedy-offset-zero", "src/su3mag/invariants.py",
-             "offset = len(span_rows)", "offset = 0", HALVE,
+    # the shared echelon of the generator layer
+    Mutation("greedy-picked-not-kept", "src/su3mag/invariants.py",
+             "if echelon.add(row)]", "if echelon.add(row, keep=False)]",
+             ECHELON,
              ("tests/test_invariants.py::"
-              "test_greedy_completion_picks_the_oracle_candidates",
+              "test_greedy_completion_picks_the_oracle_candidates",)),
+    Mutation("tag-not-updated", "src/su3mag/exact_linalg.py",
+             "                _submul(tag, factor, self.tags[col].items())",
+             "                pass", ECHELON,
+             ("tests/test_invariants.py::"
+              "test_tagged_kernel_is_the_nullspace_of_the_transposed_rows",
               "tests/test_invariants.py::"
-              "test_full_variable_commutant_and_mu_centrality")),
+              "test_sparse_solve_in_span_is_the_dense_solve")),
+    # a report shares one echelon between a degree's completion and its
+    # relations only where nothing was picked there, so no report digest
+    # sees this key; the memo shared by two generator lists does
+    Mutation("product-echelon-keyed-by-degree", "src/su3mag/invariants.py",
+             "key = (degree, len(gens))", "key = degree", ECHELON,
+             ("tests/test_invariants.py::"
+              "test_generator_products_are_the_chained_products",)),
     Mutation("operator-move-factor-dropped", "src/su3mag/invariants.py",
              "[None] + [scale_ints(c, e) for e in range(1, degree + 1)]",
              "[None] + [c for e in range(1, degree + 1)]", INT_ROWS,
@@ -256,7 +272,8 @@ MUTATIONS = (
              ("tests/test_invariants.py::"
               "test_undrawn_centralizer_report_digest",)),
     Mutation("rewrite-eps-power-dropped", "src/su3mag/invariants.py",
-             "terms[combo + (e_eps,)] = c", "terms[combo + (0,)] = c",
+             "terms[combos[i] + (e_eps,)] = c",
+             "terms[combos[i] + (0,)] = c",
              GENERATORS,
              ("tests/test_certify.py::test_bracket_table_closes_and_matches",
               "tests/test_certify.py::test_table_eps_scaling")),

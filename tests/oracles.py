@@ -57,6 +57,10 @@
 * ``solve_in_span_dense``: span membership on dense vectors, checked by
   recombining every entry, which the sparse
   ``exact_linalg.solve_in_span`` must reproduce;
+* ``transposed``: the sparse rows of the matrix whose columns are given
+  sparse vectors, so that the kernel of a row combination (the
+  ``nullspace`` of the transposed rows) and a span solve by columns are
+  the oracles of the tags that ``exact_linalg.Echelon`` tracks;
 * ``reference_float_evaluate``, ``cubic_relation_by_points`` and
   ``phi_relation_by_points``: a polynomial's float value term by term in
   Python floats, and the sampled cubic and Phi relations one point at a
@@ -103,7 +107,6 @@ from su3mag.phase import (MagneticSystem, MomentPullback, PhasePoint,
                           su3_irregular_system, su3_regular_system,
                           twisted_bracket, _invariant_under)
 from su3mag.poly import Polynomial, b_gradient, lie_poisson_bracket
-from su3mag.exact_linalg import transposed
 from su3mag.scalars import ZERO, Scalar, from_ints, parse_scalar
 
 
@@ -558,6 +561,15 @@ def operator_rows_by_scalars(ops, bucket):
                 else:
                     per_source[tgt][src] = val
         rows.extend(r for r in per_source.values() if r)
+    return rows
+
+
+def transposed(vectors, length):
+    """The sparse rows of the matrix whose columns are the sparse vectors."""
+    rows = [{} for _ in range(length)]
+    for i, vec in enumerate(vectors):
+        for j, c in vec.items():
+            rows[j][i] = c
     return rows
 
 

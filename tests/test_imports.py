@@ -1,8 +1,9 @@
 """Every module of the package uses every name it imports, every
-module-level function or class is read in the package or has a listed
-reason not to be, every name the benchmark's trace wraps exists, and no
-module but algebra.py contracts the structure constants by a loop of its
-own, outside the coadjoint derivations, the certificate modules call a
+module-level function or class, and every method of a top-level class
+but the dunders, is read in the package or has a listed reason not to
+be, every name the benchmark's trace wraps exists, and no module but
+algebra.py contracts the structure constants by a loop of its own,
+outside the coadjoint derivations, the certificate modules call a
 builtin max or min on integer counts only, and every entry of the
 mutation suite (tests/mutations.py) still applies."""
 
@@ -44,8 +45,8 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-# module-level names of the package that nothing in it reads, each with
-# the reason it stays
+# module-level names and methods of the package that nothing in it reads,
+# each with the reason it stays
 UNREAD = {
     "algebra.polar_project": "traced by the benchmark (perfbench/layers.py)",
     "phase.differential": "traced by the benchmark (perfbench/layers.py)",
@@ -55,18 +56,39 @@ UNREAD = {
                              "as su3mag.twisted_bracket",
     "phase.closed_form_group": "used by demos/03_magnetic_flow.py",
     "poly.parse_polynomial": "the documented inverse of Polynomial.text",
+    "algebra.LieAlgebraSpec.np_bracket": "traced by the benchmark "
+                                         "(perfbench/layers.py); the tests' "
+                                         "independent float bracket",
+    "algebra.LieAlgebraSpec.verify": "the exact Jacobi, antisymmetry and "
+                                     "invariance check of a build; used by "
+                                     "demos/01_algebras_and_invariants.py",
+    "phase.MagneticSystem.random_point": "traced by the benchmark "
+                                         "(perfbench/layers.py); the tests' "
+                                         "unfiltered phase point",
+    "poly.Polynomial.evaluate": "traced by the benchmark "
+                                "(perfbench/layers.py); used by "
+                                "demos/02_bracket_tables.py",
 }
 
 
 def unread_definitions(sources):
     """"<module>.<name>" of each top-level function and class of the
-    {module: source} map that no module reads, as a name or as an
-    attribute (``module.name``).  An import alone is not a read."""
+    {module: source} map, and "<module>.<class>.<name>" of each method of
+    a top-level class but the dunders, that no module reads, as a name or
+    as an attribute (``module.name``, ``obj.method``).  An import alone is
+    not a read."""
     defined, read = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        defined += [(module, node.name) for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{module}.{node.name}", item.name)
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not (item.name.startswith("__")
+                                     and item.name.endswith("__"))]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -81,6 +103,18 @@ def test_the_scan_sees_an_unread_definition():
                     "def h():\n    pass\nclass C:\n    pass\n",
                "b": "from .a import h\nimport a\nx = a.C\n"}
     assert unread_definitions(sources) == ["a.f", "a.h"]
+
+
+def test_the_scan_sees_an_unread_method():
+    sources = {"a": "class C:\n    def __init__(self):\n        self.g()\n"
+                    "    def g(self):\n        pass\n"
+                    "    def h(self):\n        pass\n"
+                    "    def __repr__(self):\n        pass\n"
+                    "def f():\n    return C()\n",
+               "b": "from a import f\nf().x.h\n"}
+    assert unread_definitions(sources) == []
+    sources["b"] = "from a import f\n"
+    assert unread_definitions(sources) == ["a.C.h", "a.f"]
 
 
 def test_every_unread_definition_has_a_reason():

@@ -18,15 +18,17 @@ from su3mag.invariants import (invariant_space, indecomposable_generators,
                                torus_generators, radial_generator,
                                monomials_of_degree)
 from su3mag.phase import su3_regular_system, su3_irregular_system
-from su3mag.exact_linalg import nullspace, rref, rref_ints, solve_in_span
+from su3mag.exact_linalg import (Echelon, nullspace, rref, rref_ints,
+                                 solve_in_span)
 from su3mag.invariants import (CallMemo, _generator_products, _greedy_complete,
                                _monomial_buckets, _monomials_in_generators,
                                _operator_moves, _operator_rows,
-                               _operator_terms, _reduced_operators)
+                               _operator_terms, _product_echelon,
+                               _reduced_operators)
 
 from oracles import (generator_products_by_chain, greedy_complete_by_rank,
                      monomials_by_recursion, operator_rows_by_scalars,
-                     rref_by_scalars, solve_in_span_dense)
+                     rref_by_scalars, solve_in_span_dense, transposed)
 
 
 def dense_nullity_oracle(alg, sub, degree, restrict_to_m=True):
@@ -481,9 +483,24 @@ def test_greedy_completion_picks_the_oracle_candidates(matrix, data):
     rows, ncols = matrix
     k = data.draw(st.integers(0, len(rows)))
     span, candidates = rows[:k], rows[k:]
-    assert _greedy_complete(list(map(int_row, span)),
-                            list(map(int_row, candidates)), ncols) == \
+    assert _greedy_complete(Echelon(list(map(int_row, span))),
+                            list(map(int_row, candidates))) == \
         greedy_complete_by_rank(span, candidates, ncols)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(field_matrices(), st.data())
+def test_tagged_kernel_is_the_nullspace_of_the_transposed_rows(matrix, data):
+    # the rows include sums, multiples and zeros of earlier ones, and one
+    # more repeats a drawn row; the relation kernel is the tags of the rows
+    # that vanish, read as _generator_relations reads them
+    rows, ncols = matrix
+    rows = rows + [data.draw(st.sampled_from(rows))]
+    kernel = Echelon(list(map(int_row, rows)), tagged=True).kernel
+    expected = nullspace(transposed(list(map(int_row, rows)), ncols),
+                         len(rows))
+    assert [[(i, from_ints(tag[i])) for i in sorted(tag)] for tag in kernel] \
+        == [list(vec.items()) for vec in expected]
 
 
 def test_monomial_order_is_the_recursive_order():
@@ -504,35 +521,44 @@ def test_monomials_come_in_descending_lexicographic_order():
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(field_matrices(), st.data())
 def test_sparse_solve_in_span_is_the_dense_solve(matrix, data):
-    # the vectors include sums, multiples and zeros of earlier ones; the
+    # the vectors include sums, multiples and zeros of earlier ones; each
     # target is a combination of them, drawn entry by entry (in the span
-    # or not), or zero
+    # or not), or zero, and every target is solved through one echelon
     vectors, ncols = matrix
-    kind = data.draw(st.sampled_from(("combination", "drawn", "zero")))
-    target = {}
-    if kind == "combination":
-        for vec in vectors:
-            c = data.draw(st.sampled_from(_ENTRIES))
-            for j, x in vec.items():
-                target[j] = target.get(j, Scalar(0)) + c * x
-    elif kind == "drawn":
-        for j in range(ncols):
-            target[j] = data.draw(st.sampled_from(_ENTRIES))
-    target = {j: x for j, x in target.items() if x}
+    echelon = Echelon(list(map(int_row, vectors)), tagged=True)
 
     def dense(row):
         return [row.get(j, Scalar(0)) for j in range(ncols)]
 
-    coeffs = solve_in_span(int_row(target), list(map(int_row, vectors)),
-                           ncols)
-    expected = solve_in_span_dense(dense(target), list(map(dense, vectors)),
-                                   ncols)
-    assert coeffs == expected
-    if kind != "drawn":
-        assert coeffs is not None
-    if kind == "zero":
-        assert all(c.is_zero() for c in coeffs)
-    if coeffs is not None:
+    kinds = data.draw(st.lists(st.sampled_from(("combination", "drawn",
+                                                "zero")), min_size=1,
+                               max_size=4))
+    for kind in kinds:
+        target = {}
+        if kind == "combination":
+            for vec in vectors:
+                c = data.draw(st.sampled_from(_ENTRIES))
+                for j, x in vec.items():
+                    target[j] = target.get(j, Scalar(0)) + c * x
+        elif kind == "drawn":
+            for j in range(ncols):
+                target[j] = data.draw(st.sampled_from(_ENTRIES))
+        target = {j: x for j, x in target.items() if x}
+
+        sparse = solve_in_span(int_row(target), echelon)
+        expected = solve_in_span_dense(dense(target),
+                                       list(map(dense, vectors)), ncols)
+        if kind != "drawn":
+            assert sparse is not None
+        if sparse is None:
+            assert expected is None
+            continue
+        assert list(sparse) == sorted(sparse)
+        assert not any(c.is_zero() for c in sparse.values())
+        coeffs = [sparse.get(i, Scalar(0)) for i in range(len(vectors))]
+        assert coeffs == expected
+        if kind == "zero":
+            assert sparse == {}
         combo = [sum((c * v.get(j, Scalar(0)) for c, v in zip(coeffs, vectors)),
                      Scalar(0)) for j in range(ncols)]
         assert combo == dense(target)
@@ -701,16 +727,30 @@ def test_full_torus_solves_each_active_profile_once(monkeypatch):
 
 def test_nothing_outlives_an_indecomposable_generators_call(monkeypatch):
     alg, sub = reports._selection("su3", "torus")
+    products = invariants._generator_products
     counts = []
     for _ in range(2):
         solves = _counting(monkeypatch, "nullspace")
         listed = _counting(monkeypatch, "monomials_of_degree")
+        built = []
+
+        def logged(gens, names, degree, memo):
+            # len(gens) now: the list grows after the call
+            built.append((degree, len(gens)))
+            return products(gens, names, degree, memo)
+
+        monkeypatch.setattr(invariants, "_generator_products", logged)
         indecomposable_generators(alg, sub, 4, restrict_to_m=False)
-        counts.append((len(solves), len(listed)))
+        counts.append((len(solves), len(listed), built))
         monkeypatch.undo()
     assert counts[0] == counts[1]
     # one list of each degree's 8-variable monomials, degrees 1-4
     assert counts[0][1] == 4
+    # one echelon of products per degree and generator count, built anew
+    # by each call: degrees 1-4 as the generators grow (h1 and h2, then
+    # u1-u3, then v and w), then the relations over all seven, which
+    # share degree 4's
+    assert counts[0][2] == [(1, 0), (2, 2), (3, 5), (4, 7), (2, 7), (3, 7)]
 
 
 def test_a_negative_degree_is_refused_by_name():
@@ -737,6 +777,10 @@ def test_generator_products_are_the_chained_products(selection):
                                        CallMemo()) == expected
             assert _generator_products(first, names, degree,
                                        shared) == expected
+            # the memo keeps one echelon per degree and generator count
+            combos, _, mono_index = expected
+            assert _product_echelon(first, names, degree,
+                                    shared)[:2] == (combos, mono_index)
 
 
 def test_each_generator_product_is_one_multiplication(monkeypatch):
