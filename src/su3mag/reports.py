@@ -264,9 +264,14 @@ def monitored_functions(sys):
 def trajectory_csv(sys, traj, functions, stride=1):
     """CSV rows: t, Re/Im of g entries, X coordinates, monitored integrals.
 
-    The rows of every stride-th point are formatted from one array: the
-    times, the stacked g and X, and the integral values over the stack
-    (FlowTrajectory.integral_values, shared with conservation_report).
+    The rows of every stride-th point are formatted from one array of
+    the times and the stacked g and X, one repr per entry, and the
+    integral values over the stack (FlowTrajectory.integral_values,
+    shared with conservation_report).  The integrals are first
+    integrals, so along a flow their values repeat: each column's
+    distinct values are found by their bits (0.0 and -0.0 have two
+    reprs), formatted once each and gathered back to the rows.  The
+    text is the same bytes as a repr of every cell.
     """
     header = ["t"]
     for r in range(3):
@@ -279,11 +284,31 @@ def trajectory_csv(sys, traj, functions, stride=1):
     rows = np.column_stack([
         np.asarray(traj.times[::stride], dtype=float),
         np.stack([G.real, G.imag], axis=-1).reshape(len(G), -1),
-        points.X, traj.integral_values(functions, stride)])
+        points.X])
+    integrals = _distinct_reprs(traj.integral_values(functions, stride))
     lines = [",".join(header)]
-    lines += [",".join(map(repr, row.tolist())) for row in rows]
+    # row by row: a float list of the whole table would double its peak
+    lines += [",".join([*map(repr, row.tolist()), *texts])
+              for row, texts in zip(rows, integrals, strict=True)]
+    del rows, integrals  # the join's peak holds the lines and the text alone
     lines.append("")  # the final newline, without a copy of the text
     return "\n".join(lines)
+
+
+def _distinct_reprs(values):
+    """The reprs of a 2-D float array's entries, as a list of its rows,
+    with one repr per distinct value of a column.  Values are keyed by
+    their bits, not compared as floats: 0.0 == -0.0, but their reprs
+    differ."""
+    texts = np.empty(values.shape, dtype=object)
+    for j, column in enumerate(values.T):
+        _, first, inverse = np.unique(column.view(np.int64),
+                                      return_index=True,
+                                      return_inverse=True)
+        distinct = np.array([repr(v) for v in column[first].tolist()],
+                            dtype=object)
+        texts[:, j] = distinct[inverse]
+    return texts.tolist()
 
 
 def conservation_json(sys, traj, functions, stride=1):

@@ -61,6 +61,7 @@ GENERATORS = "The exact generator layer on exponent tuples and term maps"
 ROW_BY_ROW = "Row-by-row exact elimination that stops at full rank"
 ECHELON = ("Row-oriented generator layer: one shared echelon of generator "
            "products per degree")
+DISTINCT = "Flow CSV: one repr per distinct value of each monitored integral"
 
 MUTATIONS = (
     # the one exact structure-constant contraction
@@ -264,6 +265,16 @@ MUTATIONS = (
              "        if len(vec) != 1:", "        if len(vec) > 2:", ONE_ROW,
              ("tests/test_algebra.py::test_centralizer_refuses_a_kernel_"
               "not_spanned_by_basis_elements",)),
+    # the flow exports: the integral texts and the memo of the values
+    Mutation("csv-integral-keyed-by-value", "src/su3mag/reports.py",
+             "np.unique(column.view(np.int64),", "np.unique(column,",
+             DISTINCT,
+             ("tests/test_trajectory_arrays.py::"
+              "test_csv_integral_columns_are_every_cell_repr",)),
+    Mutation("integral-memo-stride-dropped", "src/su3mag/phase.py",
+             "key = (stride, *functions)", "key = (*functions,)", DISTINCT,
+             ("tests/test_trajectory_arrays.py::"
+              "test_exports_match_the_per_point_routes",)),
     # the generator layer: relation multiples, the rewrite, the z_k; only
     # the torus on m to degree 8 lifts a relation (the cubic, times u_k)
     Mutation("lift-shift-dropped", "src/su3mag/invariants.py",

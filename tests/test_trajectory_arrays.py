@@ -10,6 +10,7 @@ matches its own single times bit for bit.
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -54,7 +55,10 @@ def _reference_conservation_report(traj, functions, stride=1):
     return out
 
 
-def _reference_trajectory_csv(sys, traj, functions, stride=1):
+def _reference_trajectory_csv(sys, traj, functions, stride=1, values=None):
+    """The CSV, one repr per cell; the integral cells are the rows of
+    ``values`` where given (the integrals of the strided points), each
+    function's value at each point otherwise."""
     header = ["t"]
     for r in range(3):
         for c in range(3):
@@ -62,16 +66,19 @@ def _reference_trajectory_csv(sys, traj, functions, stride=1):
     header += [f"X_{name}" for name in sys.alg.coord_names]
     header += [f.name for f in functions]
     lines = [",".join(header)]
-    for idx in range(0, len(traj.points), stride):
+    for row, idx in enumerate(range(0, len(traj.points), stride)):
         p = traj.points[idx]
-        row = [repr(float(traj.times[idx]))]
+        cells = [repr(float(traj.times[idx]))]
         for r in range(3):
             for c in range(3):
-                row += [repr(float(p.G[r, c].real)),
-                        repr(float(p.G[r, c].imag))]
-        row += [repr(float(x)) for x in p.X]
-        row += [repr(float(_reference_value(f, p))) for f in functions]
-        lines.append(",".join(row))
+                cells += [repr(float(p.G[r, c].real)),
+                          repr(float(p.G[r, c].imag))]
+        cells += [repr(float(x)) for x in p.X]
+        if values is None:
+            cells += [repr(float(_reference_value(f, p))) for f in functions]
+        else:
+            cells += [repr(float(v)) for v in values[row]]
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -141,6 +148,69 @@ def test_flow_exports_evaluate_the_integrals_once(monkeypatch):
         V = traj.integral_values(fns, stride)
         assert _bits(V) == _bits(want[stride]) and not V.flags.writeable
     assert calls == [len(want[7]), len(want[1])]
+
+
+def _crafted_values(n):
+    """n rows of four integral columns: runs of repeats, 0.0 beside -0.0,
+    NaNs of both signs among repeats, and distinct values."""
+    runs = np.repeat([1.5, -2.25, 1 / 3, 1.5, 0.1 + 0.2],
+                     -(-n // 5))[:n]
+    zeros = np.resize([0.0, -0.0, -0.0, 5e-324, 0.0], n)
+    nans = np.resize([np.nan, 2.0, 2.0, -np.nan, 1e300, 2.0], n)
+    distinct = np.arange(n) * 0.1 - 7.0
+    return np.column_stack([runs, zeros, nans, distinct])
+
+
+def test_csv_integral_columns_are_every_cell_repr(monkeypatch):
+    """Each integral cell of the CSV is the repr of its value, whatever
+    the values repeat: runs, 0.0 and -0.0 in one column (equal floats
+    with two reprs), NaNs, a column of distinct values; also with no
+    functions and for a one-row export."""
+    from su3mag import phase
+    sys, pt, traj = _flows("irregular", 9)
+    fns = monitored_functions(sys)[:4]
+    crafted = {}
+
+    def craft(points, functions):
+        V = _crafted_values(len(points))[:, :len(functions)]
+        crafted[len(points), len(functions)] = V
+        return V
+
+    monkeypatch.setattr(phase, "integral_values", craft)
+    n = len(traj.points)
+    for functions in (fns, []):
+        for stride in (1, 7, n):
+            text = trajectory_csv(sys, traj, functions, stride)
+            V = crafted[len(range(0, n, stride)), len(functions)]
+            assert text == _reference_trajectory_csv(
+                sys, traj, functions, stride, values=V)
+    one_row = trajectory_csv(sys, traj, fns, n)
+    assert one_row.count("\n") == 2
+    assert one_row.endswith(",1.5,0.0,nan,-7.0\n")
+    zeros = [line.split(",")[-3] for line in
+             trajectory_csv(sys, traj, fns, 1).splitlines()[1:6]]
+    assert zeros == ["0.0", "-0.0", "-0.0", "5e-324", "0.0"]
+
+
+@pytest.mark.parametrize("case", ["regular", "irregular"])
+def test_trajectory_csv_peak_memory_is_bounded_by_its_text(case):
+    """One trajectory_csv call of a 10k-step flow at stride 5 (seed 3),
+    its integral values computed first, allocates at its peak at most
+    2.6 times the length of its text: the rows are formatted one at a
+    time, never as one float list of the whole table."""
+    sys = SYSTEMS[case](0.1)
+    pt = sys.random_regular_point(np.random.default_rng(3))
+    traj = integrate_flow(sys, pt, t_end=10.0, dt=1e-3)
+    fns = monitored_functions(sys)
+    traj.integral_values(fns, 5)
+    tracemalloc.start()
+    try:
+        text = trajectory_csv(sys, traj, fns, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 2002
+    assert peak <= 2.6 * len(text)
 
 
 @pytest.mark.parametrize("case", ["regular", "irregular"])
