@@ -108,6 +108,13 @@ class LieAlgebraSpec:
         self._np_basis_rows = self._np_basis.reshape(n, -1)
         self._np_ad = None
         self._pair_gather = self._gather_of_pairing()
+        # per basis element, the index pairs (r, c), r <= c, of its nonzero
+        # entries: the diagonal torus acts on it by a sign when they are
+        # one pair (see invariants._sign_elements)
+        self.entry_pairs = tuple(
+            tuple(sorted({(min(r, c), max(r, c)) for r, row in enumerate(E)
+                          for c, x in enumerate(row) if not x.is_zero()}))
+            for E in matrix_rep)
 
     def _gather_of_pairing(self):
         """coords_of_matrix's gather: for basis element i and column a,

@@ -14,9 +14,16 @@ every operator (equal multidegree over the finest variable partition
 closed under the operators), which keeps the elimination small.  A
 variable that no operator term touches is inert (h1 and h2 over all of
 su(3) for the torus, z for su(2)); buckets that differ only in inert
-exponents have the same rows, so one kernel serves them all.  The rows
-are built on monomials coded as one int whose digits in base degree + 1
-are the exponents: a term moves a source to its target by one addition.
+exponents have the same rows, so one kernel serves them all.  An
+invariant is fixed by every element of A (Derksen-Kemper, Computational
+Invariant Theory, ch. 3), and some of A's elements are sign elements
+D = zeta diag(s), s in {1, -1}^N: when a holds the diagonal torus and
+every basis element is diagonal or on one index pair, Ad(D) multiplies
+each variable by a sign.  A D that fixes a gives each bucket one sign,
+and a bucket that some D negates has no invariant, so it is not solved.
+The rows are built on monomials coded as one int whose digits in base
+degree + 1 are the exponents: a term moves a source to its target by one
+addition.
 Every row handed to exact_linalg is a sparse row of integral
 representations {column: Scalar.ints}; _poly_to_row reads a polynomial's.
 invariant_space returns its basis as a list of Polynomials.
@@ -41,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from operator import add, mul
 
 import numpy as np
@@ -75,7 +82,8 @@ class CallMemo:
     (see _product); echelons: (degree, len(gens)) -> the combos, monomial
     index and tagged Echelon of the degree's generator products (see
     _product_echelon); kernels: active exponents -> the nullspace vectors
-    of a bucket (see invariant_space), valid for one (alg, sub, variables).
+    of a bucket, [] for one a sign element negates (see invariant_space),
+    valid for one (alg, sub, variables).
     products and echelons are valid for one gens that only grows.
     """
 
@@ -197,6 +205,35 @@ def _operator_rows(coded, bucket):
     return rows
 
 
+def _sign_elements(alg, sub, var_indices):
+    """The sign elements D = zeta diag(s) of A, s in {1, -1}^N up to sign
+    and zeta^N = prod s, that Ad(D) fixes a and negates some variable: per
+    D, the positions in var_indices of the variables it negates.
+
+    Ad(D) multiplies a basis element on the one index pair {(r, c), (c, r)}
+    by s_r s_c and fixes a diagonal one, read off alg.entry_pairs.  There
+    are none unless every basis element is diagonal or on one pair and a
+    holds N - 1 diagonal basis elements: these are traceless (every basis
+    here is of su(N)), so they span the diagonal torus, which the
+    connected A then holds, and with it every D."""
+    n = len(alg.matrix_rep[0])
+    pairs = alg.entry_pairs
+    diagonal = {i for i, p in enumerate(pairs) if all(r == c for r, c in p)}
+    if any(len(p) > 1 and i not in diagonal for i, p in enumerate(pairs)) \
+            or len(diagonal.intersection(sub.a_indices)) < n - 1:
+        return []
+    flips = []
+    for tail in product((1, -1), repeat=n - 1):
+        s = (1,) + tail
+        if any(s[r] != s[c] for i in sub.a_indices for r, c in pairs[i]):
+            continue  # Ad(D) does not fix a
+        negated = tuple(p for p, v in enumerate(var_indices)
+                        if any(s[r] != s[c] for r, c in pairs[v]))
+        if negated:
+            flips.append(negated)
+    return flips
+
+
 def invariant_space(alg, sub, degree, restrict_to_m=True, memo=None):
     """Exact basis of the joint kernel of the L_j on degree-k polynomials,
     a list of Polynomials.
@@ -205,7 +242,14 @@ def invariant_space(alg, sub, degree, restrict_to_m=True, memo=None):
     restrict_to_m), shared by its degrees; a fresh one by default.  A
     bucket's kernel is kept under its active exponents (those of the
     variables some operator term touches): buckets that differ only in
-    the inert exponents have the same rows, so the same kernel."""
+    the inert exponents have the same rows, so the same kernel.
+
+    A bucket that a sign element D of A negates (see _sign_elements) is
+    not solved: an invariant f in it has f = f o Ad(D)^-1 = -f, so its
+    kernel is empty.  D fixes a, so the operators join only variables of
+    one sign, and the bucket's sign is the parity of the first monomial's
+    exponents on the variables D negates.  Inert variables are diagonal,
+    of sign 1, so the empty kernel is kept under the active exponents."""
     from .poly import DEGREE_CAP
     if degree > DEGREE_CAP:
         raise ValueError(f"degree {degree} exceeds cap {DEGREE_CAP}")
@@ -216,13 +260,18 @@ def invariant_space(alg, sub, degree, restrict_to_m=True, memo=None):
     active = sorted({v for terms in ops.values() for k, i, _ in terms
                      for v in (k, i)})
     coded = _operator_moves(ops, len(var_indices), degree)
+    flips = _sign_elements(alg, sub, var_indices)
     basis = []
     for bucket in _monomial_buckets(
             ops, memo.monomial_index(len(var_indices), degree)):
         key = tuple(bucket[0][v] for v in active)
         kernel = memo.kernels.get(key)
         if kernel is None:
-            kernel = nullspace(_operator_rows(coded, bucket), len(bucket))
+            if any(sum(bucket[0][p] for p in negated) % 2
+                   for negated in flips):
+                kernel = []  # a sign element negates the bucket
+            else:
+                kernel = nullspace(_operator_rows(coded, bucket), len(bucket))
             memo.kernels[key] = kernel
         for vec in kernel:
             terms = {bucket[c]: x for c, x in vec.items()}

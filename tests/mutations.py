@@ -62,6 +62,8 @@ ROW_BY_ROW = "Row-by-row exact elimination that stops at full rank"
 ECHELON = ("Row-oriented generator layer: one shared echelon of generator "
            "products per degree")
 DISTINCT = "Flow CSV: one repr per distinct value of each monitored integral"
+SIGNS = ("Skip the commutant buckets that an order-two torus element "
+         "proves empty")
 
 MUTATIONS = (
     # the one exact structure-constant contraction
@@ -251,6 +253,26 @@ MUTATIONS = (
              "key = (degree, len(gens))", "key = degree", ECHELON,
              ("tests/test_invariants.py::"
               "test_generator_products_are_the_chained_products",)),
+    # the sign elements of A that prove a bucket's kernel empty
+    Mutation("sign-parity-inverted", "src/su3mag/invariants.py",
+             "if any(sum(bucket[0][p] for p in negated) % 2",
+             "if any(not sum(bucket[0][p] for p in negated) % 2", SIGNS,
+             ("tests/test_invariants.py::"
+              "test_a_bucket_that_a_sign_element_negates_has_no_invariant",)),
+    # only the A block has a root pair in a
+    Mutation("sign-fixes-a-dropped", "src/su3mag/invariants.py",
+             "if any(s[r] != s[c] for i in sub.a_indices for r, c in "
+             "pairs[i]):",
+             "if False:", SIGNS,
+             ("tests/test_invariants.py::"
+              "test_sign_elements_are_the_sign_matrices_that_fix_a",
+              "tests/test_invariants.py::"
+              "test_a_bucket_that_a_sign_element_negates_has_no_invariant")),
+    Mutation("sign-torus-check-dropped", "src/su3mag/invariants.py",
+             "or len(diagonal.intersection(sub.a_indices)) < n - 1:",
+             "or False:", SIGNS,
+             ("tests/test_invariants.py::"
+              "test_no_sign_elements_without_the_torus_or_off_one_pair",)),
     Mutation("operator-move-factor-dropped", "src/su3mag/invariants.py",
              "[None] + [scale_ints(c, e) for e in range(1, degree + 1)]",
              "[None] + [c for e in range(1, degree + 1)]", INT_ROWS,

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 import hashlib
+import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from su3mag import (build_su3_gellmann, build_su3_chevalley, build_su2,
                     centralizer_of, Polynomial, lie_poisson_bracket, reports)
 from su3mag import invariants
-from su3mag.scalars import Scalar, from_ints
+from su3mag.algebra import SubalgebraSpec
+from su3mag.scalars import Scalar, cmat, cmat_mul, cmat_scale, from_ints
 from su3mag.invariants import (invariant_space, indecomposable_generators,
                                casimirs_su3, restrict_shift, shift_images,
                                independence_rank, casimir_count,
@@ -24,7 +27,7 @@ from su3mag.invariants import (CallMemo, _generator_products, _greedy_complete,
                                _monomial_buckets, _monomials_in_generators,
                                _operator_moves, _operator_rows,
                                _operator_terms, _product_echelon,
-                               _reduced_operators)
+                               _reduced_operators, _sign_elements)
 
 from oracles import (generator_products_by_chain, greedy_complete_by_rank,
                      monomials_by_recursion, operator_rows_by_scalars,
@@ -706,23 +709,136 @@ def _counting(monkeypatch, name):
 def test_full_torus_solves_each_active_profile_once(monkeypatch):
     """Over all 8 su(3) variables no torus operator touches h1 or h2, so
     the buckets to degree 4 are those of the 6 m-variables to degree 4
-    times powers of h1 and h2: 210 distinct columns, not 494."""
+    times powers of h1 and h2: 35 profiles of 210 columns, not 494.  A
+    sign element diag(s) of the torus negates root plane k = {x_k, y_k}
+    on the index pair (r, c) by s_r s_c, so a profile of degrees (d1, d2,
+    d3) in the three planes is kept, and solved once, only when d1, d2
+    and d3 have one parity: 11 profiles of 60 columns."""
     alg, sub = reports._selection("su3", "torus")
     ops = _operator_terms(alg, sub, list(sub.m_indices))
     profiles = [bucket for a in range(5) for bucket in
                 _monomial_buckets(ops, monomials_of_degree(6, a))]
-    assert sum(map(len, profiles)) == 210
+    assert len(profiles) == 35 and sum(map(len, profiles)) == 210
+
+    def planes(expo):  # the degrees in x1, y1 | x2, y2 | x3, y3
+        return [expo[2 * k] + expo[2 * k + 1] for k in range(3)]
+
+    kept = [bucket for bucket in profiles
+            if len({d % 2 for d in planes(bucket[0])}) == 1]
+    assert len(kept) == 11 and sum(map(len, kept)) == 60
     solves = _counting(monkeypatch, "nullspace")
     memo = CallMemo()
     for degree in range(1, 5):
         invariant_space(alg, sub, degree, False, memo)
-    assert sorted(ncols for _, ncols in solves) == \
-        sorted(map(len, profiles))
+    assert sorted(ncols for _, ncols in solves) == sorted(map(len, kept))
     # indecomposable_generators shares one memo over its degrees
     built = _counting(monkeypatch, "_operator_rows")
     indecomposable_generators(alg, sub, 4, restrict_to_m=False)
-    assert len(built) == len(profiles)
-    assert sum(len(bucket) for _, bucket in built) == 210
+    assert len(built) == len(kept)
+    assert sum(len(bucket) for _, bucket in built) == 60
+
+
+def _ad_of_sign(s, E):
+    """Ad(diag(s)) E = diag(s) E diag(s) for a sign vector s, exactly."""
+    D = cmat([[s[r] if r == c else 0 for c in range(len(s))]
+              for r in range(len(s))])
+    return cmat_mul(cmat_mul(D, E), D)
+
+
+@pytest.mark.parametrize("m_only", (True, False), ids=("m", "full"))
+@pytest.mark.parametrize("selection", SELECTIONS, ids="/".join)
+def test_sign_elements_are_the_sign_matrices_that_fix_a(selection, m_only):
+    """Each sign element is a diag(s) whose exact adjoint action fixes
+    every element of a and negates the variables it lists, and fixes the
+    others; the torus of su(3) has three, su(2)'s and the A block's one."""
+    alg, sub = reports._selection(*selection)
+    var_indices = list(sub.m_indices) if m_only else list(range(alg.dim))
+    N = len(alg.matrix_rep[0])
+    expected = []
+    for tail in itertools.product((1, -1), repeat=N - 1):
+        s = (1,) + tail
+        images = [_ad_of_sign(s, E) for E in alg.matrix_rep]
+        if any(images[j] != alg.matrix_rep[j] for j in sub.a_indices):
+            continue
+        negated = []
+        for p, v in enumerate(var_indices):
+            if images[v] != alg.matrix_rep[v]:
+                assert images[v] == cmat_scale(-1, alg.matrix_rep[v])
+                negated.append(p)
+        if negated:
+            expected.append(tuple(negated))
+    flips = _sign_elements(alg, sub, var_indices)
+    assert flips == expected
+    assert len(flips) == {"torus": 3 if selection[0] == "su3" else 1,
+                          "irregular-A": 1}[selection[1]]
+
+
+# (buckets, empty kernels, buckets a sign element negates) to degree 6 on
+# m and over the full su(2), to degree 5 over the full su(3)
+SIGN_SKIPS = {
+    ("su3", "torus", True): (83, 60, 60),
+    ("su3", "torus", False): (251, 174, 174),
+    ("su3", "irregular-A", True): (6, 3, 3),
+    ("su3", "irregular-A", False): (55, 31, 22),
+    ("su2", "torus", True): (6, 3, 3),
+    ("su2", "torus", False): (27, 12, 12),
+}
+
+
+@pytest.mark.parametrize("m_only", (True, False), ids=("m", "full"))
+@pytest.mark.parametrize("selection", SELECTIONS, ids="/".join)
+def test_a_bucket_that_a_sign_element_negates_has_no_invariant(
+        monkeypatch, selection, m_only):
+    """Every monomial of a bucket has one sign under each sign element,
+    and a bucket of sign -1 has an empty kernel by nullspace of its rows;
+    the counts of such buckets are pinned, and invariant_space solves
+    just the others, once per active profile."""
+    alg, sub = reports._selection(*selection)
+    var_indices = list(sub.m_indices) if m_only else list(range(alg.dim))
+    ops = _reduced_operators(_operator_terms(alg, sub, var_indices))
+    active = sorted({v for terms in ops.values() for k, i, _ in terms
+                     for v in (k, i)})
+    flips = _sign_elements(alg, sub, var_indices)
+    top = 5 if selection[0] == "su3" and not m_only else 6
+    solves = _counting(monkeypatch, "nullspace")
+    buckets = empty = negated = 0
+    for degree in range(1, top + 1):
+        coded = _operator_moves(ops, len(var_indices), degree)
+        solved = {}
+        for bucket in _monomial_buckets(
+                ops, monomials_of_degree(len(var_indices), degree)):
+            signs = [{sum(expo[p] for p in f) % 2 for expo in bucket}
+                     for f in flips]
+            assert all(len(sign) == 1 for sign in signs)
+            kernel = nullspace(_operator_rows(coded, bucket), len(bucket))
+            buckets += 1
+            empty += not kernel
+            if {1} in signs:
+                assert kernel == []
+                negated += 1
+            else:
+                solved[tuple(bucket[0][v] for v in active)] = len(bucket)
+        del solves[:]
+        invariant_space(alg, sub, degree, m_only)
+        assert sorted(ncols for _, ncols in solves) == sorted(solved.values())
+    assert (buckets, empty, negated) == SIGN_SKIPS[(*selection, m_only)]
+
+
+def test_no_sign_elements_without_the_torus_or_off_one_pair():
+    """A subalgebra a without the diagonal torus (H1 alone) gets no sign
+    element, and none does an algebra with a basis element on two index
+    pairs or on a pair and the diagonal, though each D would fix a."""
+    alg = build_su3_chevalley()
+    torus = reports._selection("su3", "torus")[1]
+    line = SubalgebraSpec(alg, (0,), tuple(range(1, 8)))
+    for var_indices in (list(line.m_indices), list(range(8))):
+        assert _sign_elements(alg, line, var_indices) == []
+    assert len(_sign_elements(alg, torus, list(torus.m_indices))) == 3
+    for odd in (((0, 1), (1, 2)), ((0, 0), (1, 2))):
+        pairs = alg.entry_pairs[:2] + (odd,) + alg.entry_pairs[3:]
+        stand_in = SimpleNamespace(matrix_rep=alg.matrix_rep,
+                                   entry_pairs=pairs)
+        assert _sign_elements(stand_in, torus, list(torus.m_indices)) == []
 
 
 def test_nothing_outlives_an_indecomposable_generators_call(monkeypatch):

@@ -104,6 +104,20 @@ def _functions(sys):
     return monitored_functions(sys) + action_functions(sys)
 
 
+def _assert_same_text(got, want):
+    """got == want byte for byte.  A failure names the line counts and the
+    first line that differs: pytest's diff of two whole exports takes
+    about a minute."""
+    if got == want:
+        return
+    a, b = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    first = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+                 min(len(a), len(b)))
+    pytest.fail(f"texts differ: {len(a)} against {len(b)} lines, first at "
+                f"line {first + 1}: {a[first:first + 1]!r} against "
+                f"{b[first:first + 1]!r}", pytrace=False)
+
+
 # ---------------------------------------------------------------------------
 # stacked routes == per-point routes
 # ---------------------------------------------------------------------------
@@ -114,8 +128,8 @@ def test_exports_match_the_per_point_routes(case, seed):
     sys, pt, traj = _flows(case, seed)
     fns = monitored_functions(sys)
     for stride in (1, 5, 7):
-        assert trajectory_csv(sys, traj, fns, stride) == \
-            _reference_trajectory_csv(sys, traj, fns, stride)
+        _assert_same_text(trajectory_csv(sys, traj, fns, stride),
+                          _reference_trajectory_csv(sys, traj, fns, stride))
         got = conservation_report(sys, traj, fns, stride)
         want = _reference_conservation_report(traj, fns, stride)
         assert repr(got) == repr(want)
@@ -182,8 +196,8 @@ def test_csv_integral_columns_are_every_cell_repr(monkeypatch):
         for stride in (1, 7, n):
             text = trajectory_csv(sys, traj, functions, stride)
             V = crafted[len(range(0, n, stride)), len(functions)]
-            assert text == _reference_trajectory_csv(
-                sys, traj, functions, stride, values=V)
+            _assert_same_text(text, _reference_trajectory_csv(
+                sys, traj, functions, stride, values=V))
     one_row = trajectory_csv(sys, traj, fns, n)
     assert one_row.count("\n") == 2
     assert one_row.endswith(",1.5,0.0,nan,-7.0\n")
