@@ -6,6 +6,18 @@ and a term map {exponent tuple: Scalar}.  Monomial order is graded
 lexicographic in the fixed variable order, which gives deterministic normal
 forms for the exact-match tests.
 
+A term map holds tuple exponents, each of the variable tuple's length, and
+no zero coefficient.  The public constructor ``Polynomial(vars, terms)``
+checks and cleans any map it is given; the ring operations (``+``, ``-``,
+the product of two polynomials, ``diff``, ``extend`` and ``substitute``
+through them) build maps that already hold, and hand them to the new
+object through one private constructor, ``_from_terms``, unchecked.  No
+code outside this module calls it.  A term map keeps the order in which
+its operation inserted the terms, and float evaluation (``evaluate_stack``,
+``gradient``) sums in that order, so the order is part of the result.
+The degree is memoized; a product of two nonzero factors records the sum
+of their degrees, which is exact since Q(sqrt3)[x] is an integral domain.
+
 The module also provides the Lie-Poisson bracket
 
     {p, q} = sum_{i,j,k}  C_ij^k x_k (dp/dx_i)(dq/dx_j)
@@ -14,6 +26,8 @@ and B-gradients dp_X(V) = B(grad p(X), V) used throughout.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 import numpy as np
 
@@ -29,7 +43,7 @@ class DegreeCapError(ValueError):
 
 
 class Polynomial:
-    __slots__ = ("vars", "terms", "_floats", "_grad", "_hash")
+    __slots__ = ("vars", "terms", "_floats", "_grad", "_hash", "_degree")
 
     def __init__(self, variables, terms=None):
         self.vars = tuple(variables)
@@ -46,6 +60,7 @@ class Polynomial:
         self._floats = None
         self._grad = None
         self._hash = None
+        self._degree = None
 
     # -- constructors -------------------------------------------------------
 
@@ -73,7 +88,9 @@ class Polynomial:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
 
     def __add__(self, other):
-        if is_exact(other):
+        if type(other) is not Polynomial:
+            if not is_exact(other):
+                return NotImplemented
             other = Polynomial.const(self.vars, other)
         self._check_compatible(other)
         terms = dict(self.terms)
@@ -84,33 +101,40 @@ class Polynomial:
                 terms.pop(expo, None)
             else:
                 terms[expo] = coeff
-        return Polynomial(self.vars, terms)
+        return _from_terms(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.vars, {e: -c for e, c in self.terms.items()})
+        return _from_terms(self.vars, {e: -c for e, c in self.terms.items()},
+                           self._degree)
 
     def __sub__(self, other):
+        if type(other) is not Polynomial and not is_exact(other):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not is_exact(other):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
-        if is_exact(other):
+        if type(other) is not Polynomial:
+            if not is_exact(other):
+                return NotImplemented
             c = Scalar.of(other)
             return Polynomial(self.vars,
                               {e: c * v for e, v in self.terms.items()})
         self._check_compatible(other)
-        if self.degree() + other.degree() > DEGREE_CAP:
+        degree = self.degree() + other.degree()
+        if degree > DEGREE_CAP:
             raise DegreeCapError(
-                f"product degree {self.degree() + other.degree()} exceeds "
-                f"cap {DEGREE_CAP}")
+                f"product degree {degree} exceeds cap {DEGREE_CAP}")
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 acc = terms.get(e)
                 c = c if acc is None else acc + c
@@ -118,7 +142,7 @@ class Polynomial:
                     terms.pop(e, None)
                 else:
                     terms[e] = c
-        return Polynomial(self.vars, terms)
+        return _from_terms(self.vars, terms, degree if terms else 0)
 
     __rmul__ = __mul__
 
@@ -146,7 +170,9 @@ class Polynomial:
     # -- calculus -----------------------------------------------------------
 
     def degree(self):
-        return max((sum(e) for e in self.terms), default=0)
+        if self._degree is None:
+            self._degree = max(map(sum, self.terms), default=0)
+        return self._degree
 
     def diff(self, name):
         i = self.vars.index(name)
@@ -158,7 +184,7 @@ class Polynomial:
             e = list(expo)
             e[i] = k - 1
             terms[tuple(e)] = coeff * k
-        return Polynomial(self.vars, terms)
+        return _from_terms(self.vars, terms)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -285,7 +311,7 @@ class Polynomial:
             for j, k in zip(idx, expo):
                 e[j] = k
             terms[tuple(e)] = coeff
-        return Polynomial(variables, terms)
+        return _from_terms(variables, terms, self._degree)
 
     # -- ordering and text ----------------------------------------------------
 
@@ -308,6 +334,21 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial[{','.join(self.vars)}]({self.text()})"
+
+
+_new = object.__new__
+
+
+def _from_terms(variables, terms, degree=None):
+    """The Polynomial over the variable tuple with the term map terms,
+    taken as it is: tuple exponents of len(variables), no zero
+    coefficient.  degree, when given, is the exact degree."""
+    p = _new(Polynomial)
+    p.vars = variables
+    p.terms = terms
+    p._floats = p._grad = p._hash = None
+    p._degree = degree
+    return p
 
 
 def parse_polynomial(text, variables):

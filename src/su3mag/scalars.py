@@ -122,8 +122,9 @@ def _coerce(x):
 
 
 def is_exact(x):
-    """Whether _coerce accepts x: a Scalar, an int or a Fraction."""
-    return isinstance(x, (int, Fraction, Scalar))
+    """Whether _coerce accepts x: a Scalar, an int or a Fraction.  Scalar
+    is tested first: the Fraction test goes through ABCMeta."""
+    return isinstance(x, (Scalar, int, Fraction))
 
 
 class Scalar:

@@ -64,6 +64,8 @@ ECHELON = ("Row-oriented generator layer: one shared echelon of generator "
 DISTINCT = "Flow CSV: one repr per distinct value of each monitored integral"
 SIGNS = ("Skip the commutant buckets that an order-two torus element "
          "proves empty")
+LEAN_RING = ("A lean exact polynomial ring: one trusted constructor for the "
+             "term maps its own operations build")
 
 MUTATIONS = (
     # the one exact structure-constant contraction
@@ -320,6 +322,26 @@ MUTATIONS = (
              ("tests/test_certify.py::test_bracket_table_closes_and_matches",
               "tests/test_certify.py::"
               "test_slice_generators_name_the_slice_family")),
+    # the polynomial ring: only the ring's own term maps skip the checks
+    Mutation("scalar-product-unchecked", "src/su3mag/poly.py",
+             "            return Polynomial(self.vars,\n"
+             "                              {e: c * v for e, v in "
+             "self.terms.items()})",
+             "            return _from_terms(self.vars,\n"
+             "                               {e: c * v for e, v in "
+             "self.terms.items()})", LEAN_RING,
+             ("tests/test_poly.py::"
+              "test_degree_memo_on_cancellation_zero_and_the_cap",)),
+    Mutation("product-degree-max", "src/su3mag/poly.py",
+             "return _from_terms(self.vars, terms, degree if terms else 0)",
+             "return _from_terms(self.vars, terms, max(self.degree(), "
+             "other.degree()) if terms else 0)", LEAN_RING,
+             ("tests/test_poly.py::"
+              "test_degree_memo_on_cancellation_zero_and_the_cap",)),
+    Mutation("product-cancelled-term-kept", "src/su3mag/poly.py",
+             "terms.pop(e, None)", "terms[e] = c", LEAN_RING,
+             ("tests/test_poly.py::"
+              "test_ring_operations_keep_the_term_loops_order",)),
 )
 
 

@@ -61,6 +61,12 @@
   sparse vectors, so that the kernel of a row combination (the
   ``nullspace`` of the transposed rows) and a span solve by columns are
   the oracles of the tags that ``exact_linalg.Echelon`` tracks;
+* ``sum_by_loop``, ``negation_by_loop``, ``product_by_loop``,
+  ``derivative_by_loop``, ``extension_by_loop`` and
+  ``substitution_by_loop``: the polynomial ring operations by their
+  term loops, each result built through the validating
+  ``Polynomial(vars, terms)``, whose term maps (their insertion order
+  included) the ring operations of ``poly`` must reproduce;
 * ``reference_float_evaluate``, ``cubic_relation_by_points`` and
   ``phi_relation_by_points``: a polynomial's float value term by term in
   Python floats, and the sampled cubic and Phi relations one point at a
@@ -593,6 +599,79 @@ def solve_in_span_dense(target, vectors, ncols):
         if acc != target[j]:
             return None
     return coeffs
+
+
+def sum_by_loop(p, q):
+    """p + q: a copy of p's terms, then q's added in q's order, a sum that
+    cancels popped (a later term on that monomial goes to the end)."""
+    terms = dict(p.terms)
+    for expo, coeff in q.terms.items():
+        acc = terms.get(expo)
+        coeff = coeff if acc is None else acc + coeff
+        if coeff.is_zero():
+            terms.pop(expo, None)
+        else:
+            terms[expo] = coeff
+    return Polynomial(p.vars, terms)
+
+
+def negation_by_loop(p):
+    """-p, term by term in p's order."""
+    return Polynomial(p.vars, {e: -c for e, c in p.terms.items()})
+
+
+def product_by_loop(p, q):
+    """p * q: every pair of terms, p's outer, q's inner, accumulated as
+    sum_by_loop does."""
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            acc = terms.get(e)
+            c = c1 * c2 if acc is None else acc + c1 * c2
+            if c.is_zero():
+                terms.pop(e, None)
+            else:
+                terms[e] = c
+    return Polynomial(p.vars, terms)
+
+
+def derivative_by_loop(p, name):
+    """dp/d(name), term by term in p's order."""
+    i = p.vars.index(name)
+    terms = {}
+    for expo, coeff in p.terms.items():
+        if expo[i]:
+            e = list(expo)
+            e[i] -= 1
+            terms[tuple(e)] = coeff * expo[i]
+    return Polynomial(p.vars, terms)
+
+
+def extension_by_loop(p, variables):
+    """p over the larger variable tuple, term by term in p's order."""
+    variables = tuple(variables)
+    terms = {}
+    for expo, coeff in p.terms.items():
+        e = [0] * len(variables)
+        for name, k in zip(p.vars, expo):
+            e[variables.index(name)] = k
+        terms[tuple(e)] = coeff
+    return Polynomial(variables, terms)
+
+
+def substitution_by_loop(p, target_vars, images):
+    """p with each variable replaced by its image: per term of p, the
+    coefficient times each image k times, added to the running sum."""
+    target_vars = tuple(target_vars)
+    out = Polynomial.zero(target_vars)
+    for expo, coeff in p.terms.items():
+        term = Polynomial.const(target_vars, coeff)
+        for img, k in zip(images, expo):
+            for _ in range(k):
+                term = product_by_loop(term, img)
+        out = sum_by_loop(out, term)
+    return out
 
 
 def reference_float_evaluate(poly, point):

@@ -1,11 +1,12 @@
 """Every module of the package uses every name it imports, every
 module-level function or class, and every method of a top-level class
 but the dunders, is read in the package or has a listed reason not to
-be, every name the benchmark's trace wraps exists, and no module but
+be, every name the benchmark's trace wraps exists, no module but
 algebra.py contracts the structure constants by a loop of its own,
-outside the coadjoint derivations, the certificate modules call a
-builtin max or min on integer counts only, and every entry of the
-mutation suite (tests/mutations.py) still applies."""
+outside the coadjoint derivations, no file but poly.py builds a
+polynomial through its unchecked constructor, the certificate modules
+call a builtin max or min on integer counts only, and every entry of
+the mutation suite (tests/mutations.py) still applies."""
 
 import ast
 import importlib
@@ -182,6 +183,42 @@ def test_only_the_coadjoint_derivations_loop_over_the_structure():
     loops = [f"{p.stem}.{name}" for p in MODULES if p.name != "algebra.py"
              for name in structure_loops(p.read_text(encoding="utf-8"))]
     assert loops == ["invariants._operator_terms"]
+
+
+def trusted_constructor_uses(source):
+    """The source text of each use of ``_from_terms``, the polynomial
+    ring's unchecked constructor, in source: a name, an attribute or an
+    imported name, sorted."""
+    tree = ast.parse(source)
+    found = [ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "_from_terms"
+             or isinstance(node, ast.Attribute) and node.attr == "_from_terms"]
+    found += [alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names
+              if alias.name == "_from_terms"]
+    return sorted(found)
+
+
+def test_the_scan_sees_the_trusted_constructor():
+    source = ("from su3mag.poly import _from_terms\n"
+              "import su3mag.poly as poly\n"
+              "p = poly._from_terms(('x',), {(1,): c})\n"
+              "make = _from_terms\n"
+              "q = Polynomial(('x',), {(1,): c})\n")
+    assert trusted_constructor_uses(source) == [
+        "_from_terms", "_from_terms", "poly._from_terms"]
+
+
+def test_only_the_ring_builds_unchecked_term_maps():
+    """No file of the package but poly.py, and no test, demo or benchmark
+    script, calls or names poly._from_terms: every term map built
+    elsewhere goes through the validating Polynomial(vars, terms)."""
+    files = [p for p in MODULES if p.name != "poly.py"] + sorted(
+        p for folder in ("tests", "demos", "perfbench")
+        for p in (ROOT / folder).rglob("*.py"))
+    uses = [f"{p.relative_to(ROOT)}: {use}" for p in files
+            for use in trusted_constructor_uses(p.read_text(encoding="utf-8"))]
+    assert uses == []
 
 
 # the builtin max and min calls of the certificate modules, each an

@@ -1,10 +1,12 @@
-"""Polynomial ring laws, Lie-Poisson brackets and B-gradients."""
+"""Polynomial ring laws, the ring operations' term order and degree
+memo, Lie-Poisson brackets and B-gradients."""
 
 from fractions import Fraction
+import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from su3mag import (Polynomial, parse_polynomial, lie_poisson_bracket,
                     b_gradient, build_su3_gellmann, build_su3_chevalley,
@@ -12,7 +14,12 @@ from su3mag import (Polynomial, parse_polynomial, lie_poisson_bracket,
 from su3mag.scalars import Scalar
 from su3mag.invariants import casimirs_su3
 
+from oracles import (derivative_by_loop, extension_by_loop,
+                     negation_by_loop, product_by_loop, substitution_by_loop,
+                     sum_by_loop)
+
 VARS = ("x", "y", "z")
+WIDE = ("w", "z", "v", "x", "y")
 
 
 def _poly_strategy():
@@ -39,6 +46,114 @@ def test_degree_cap():
     p = Polynomial.var(VARS, "x") ** 5
     with pytest.raises(DegreeCapError):
         p * p
+
+
+# term maps in draw order, through the validating constructor, with
+# coefficients from a small set of Q(sqrt3) so that sums cancel often
+_drawn_polys = st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 1)] * 3),
+              st.builds(Scalar, st.integers(-2, 2), st.integers(-1, 1))),
+    max_size=6).map(lambda pairs: Polynomial(VARS, dict(pairs)))
+
+
+def _poly(text):
+    return parse_polynomial(text, VARS)
+
+
+# (x + y + 1)(y - x + xy): the xy products cancel (x*y, then y*(-x)) and
+# xy comes back from 1*xy, so the loop puts it last
+CANCEL_AND_REAPPEAR = (_poly("1 * x^1 + 1 * y^1 + 1"),
+                       _poly("1 * y^1 + -1 * x^1 + 1 * x^1 * y^1"))
+
+
+def _assert_same_order(result, oracle):
+    """The same variables, the same terms in the same order, and the same
+    float values and gradients bit for bit at four points."""
+    assert result.vars == oracle.vars
+    assert list(result.terms.items()) == list(oracle.terms.items())
+    points = np.random.default_rng(7).uniform(-2, 2, (4, len(result.vars)))
+    assert (result.evaluate_stack(points).tobytes()
+            == oracle.evaluate_stack(points).tobytes())
+    assert (result.gradient(points).tobytes()
+            == oracle.gradient(points).tobytes())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_drawn_polys, _drawn_polys, _drawn_polys)
+@example(*CANCEL_AND_REAPPEAR, CANCEL_AND_REAPPEAR[0])
+def test_ring_operations_keep_the_term_loops_order(p, q, r):
+    """Each ring operation builds the term map, in its insertion order,
+    that the term loops of the oracles build through the validating
+    constructor, so float evaluation sums in the same order."""
+    _assert_same_order(p + q, sum_by_loop(p, q))
+    _assert_same_order(-p, negation_by_loop(p))
+    _assert_same_order(p - q, sum_by_loop(p, negation_by_loop(q)))
+    _assert_same_order(p * q, product_by_loop(p, q))
+    _assert_same_order(q * p, product_by_loop(q, p))
+    for name in VARS:
+        _assert_same_order(p.diff(name), derivative_by_loop(p, name))
+    _assert_same_order(p.extend(WIDE), extension_by_loop(p, WIDE))
+    images = [h.diff("x") for h in (q, r, p)]
+    _assert_same_order(p.substitute(VARS, images),
+                       substitution_by_loop(p, VARS, images))
+    wide = [h.extend(WIDE) for h in (p, q, r)]
+    _assert_same_order(p.substitute(WIDE, wide),
+                       substitution_by_loop(p, WIDE, wide))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_drawn_polys, _drawn_polys)
+def test_degree_is_the_top_degree_after_every_operation(p, q):
+    zero = Polynomial.zero(VARS)
+    x = Polynomial.var(VARS, "x")
+    results = [p + q, p - q, q - p, -p, p * q, (p * q) * x, p * zero,
+               zero * p, p * 0, 0 * p, p * 3, p ** 2, p.diff("y"),
+               p.extend(WIDE), (-(p * q)).extend(WIDE), p + 1, 1 - p,
+               p.substitute(VARS, [q.diff("z"), x, zero])]
+    for r in results:
+        assert r.degree() == max(map(sum, r.terms), default=0)
+
+
+def test_degree_memo_on_cancellation_zero_and_the_cap():
+    """A sum whose top part cancels, the zero polynomial, products with a
+    zero factor and a product's recorded degree read the top degree; a
+    product over the cap raises with both factors' degrees memoized."""
+    x, y = Polynomial.var(VARS, "x"), Polynomial.var(VARS, "y")
+    cancelled = x ** 2 + y - x ** 2
+    assert cancelled.degree() == 1 and list(cancelled.terms) == [(0, 1, 0)]
+    zero = Polynomial.zero(VARS)
+    assert zero.degree() == 0
+    p = x * y + y ** 3
+    assert (x * y).degree() == 2 and p.degree() == 3
+    for r in (p * 0, 0 * p, p * Fraction(0), p * zero, zero * p):
+        assert r.is_zero() and r.terms == {} and r.degree() == 0
+    assert (p * p).degree() == 6
+    big = x ** 5
+    assert big.degree() == 5
+    also = Polynomial(VARS, {(0, 4, 0): Scalar(1)})
+    assert also.degree() == 4
+    with pytest.raises(DegreeCapError):
+        big * also
+    with pytest.raises(DegreeCapError):
+        also * big
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul],
+                         ids=lambda op: op.__name__)
+def test_an_inexact_operand_is_a_type_error(op):
+    """A float, None or a string on either side of +, - or * is a
+    TypeError (NotImplemented from both operands); an int or a Fraction
+    is a constant polynomial."""
+    p = Polynomial.var(VARS, "x")
+    for other in (0.5, None, "1"):
+        with pytest.raises(TypeError):
+            op(p, other)
+        with pytest.raises(TypeError):
+            op(other, p)
+    half = Fraction(1, 2)
+    assert op(p, half) == op(p, Polynomial.const(VARS, half))
+    assert op(half, p) == op(Polynomial.const(VARS, half), p)
+    assert op(2, p) == op(Polynomial.const(VARS, 2), p)
 
 
 def test_evaluate_exact_and_float():
