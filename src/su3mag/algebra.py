@@ -109,8 +109,7 @@ class LieAlgebraSpec:
         self._np_ad = None
         self._pair_gather = self._gather_of_pairing()
         # per basis element, the index pairs (r, c), r <= c, of its nonzero
-        # entries: the diagonal torus acts on it by a sign when they are
-        # one pair (see invariants._sign_elements)
+        # entries, which give its torus weight (invariants._weight_split)
         self.entry_pairs = tuple(
             tuple(sorted({(min(r, c), max(r, c)) for r, row in enumerate(E)
                           for c, x in enumerate(row) if not x.is_zero()}))

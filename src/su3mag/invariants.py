@@ -1,47 +1,24 @@
 """Commutants, Casimirs and the shift-restriction map.
 
-The commutant S(g)^a is computed degree by degree as the joint kernel of the
-coadjoint derivations
-
-    L_j = sum_{k,i} C_jk^i x_k d/dx_i,       j in a_indices,
-
-acting on homogeneous polynomials.  Kernels are exact (Gaussian elimination
-over Q(sqrt3)).  The joint kernel depends only on span{L_j}, so it
-is taken of the reduced row echelon basis of that span (the L_j as rows
-over their term keys (k, i)): the fewest terms, and rational for the
-torus and the A block.  Monomials are grouped into buckets preserved by
-every operator (equal multidegree over the finest variable partition
-closed under the operators), which keeps the elimination small.  A
-variable that no operator term touches is inert (h1 and h2 over all of
-su(3) for the torus, z for su(2)); buckets that differ only in inert
-exponents have the same rows, so one kernel serves them all.  An
-invariant is fixed by every element of A (Derksen-Kemper, Computational
-Invariant Theory, ch. 3), and some of A's elements are sign elements
-D = zeta diag(s), s in {1, -1}^N: when a holds the diagonal torus and
-every basis element is diagonal or on one index pair, Ad(D) multiplies
-each variable by a sign.  A D that fixes a gives each bucket one sign,
-and a bucket that some D negates has no invariant, so it is not solved.
-The rows are built on monomials coded as one int whose digits in base
-degree + 1 are the exponents: a term moves a source to its target by one
-addition.
-Every row handed to exact_linalg is a sparse row of integral
-representations {column: Scalar.ints}; _poly_to_row reads a polynomial's.
-invariant_space returns its basis as a list of Polynomials.
-One builder, _generator_products, makes the rows of a degree's products of
-generators (each product is one lower product times one generator), and
-_product_echelon adds them in order to one Echelon, row i tagged {i: 1}.
-The quotient by decomposables, the relations and rewrite_in_generators
-(the bracket table's rewrite) share that echelon: a candidate generator
-is picked when it does not reduce to zero against it and the generators
-picked before it, the relations are the tags of the product rows that
-vanish, and a part of q reduced against it gives its coefficients.  A
-lower relation times a generator monomial is the relation with each
-exponent shifted by the monomial's, and the rewrite solves one part of q
-per (power of eps, degree in the m-vars).  A CallMemo, owned by one
-top-level call (indecomposable_generators, or one bracket table), keeps
-the products, each degree's product echelon, one list of each degree's
-monomials and the bucket kernels by active exponents; nothing is cached
-across calls.
+The commutant S(g)^a is, degree by degree, the joint kernel of the
+coadjoint derivations L_j = sum_{k,i} C_jk^i x_k d/dx_i, j in a_indices.
+Every a here holds the diagonal torus T, so it is read off the weights
+(Sturmfels, Algorithms in Invariant Theory, 1.4; Derksen-Kemper,
+Computational Invariant Theory, ch. 3): the T-invariants are the real and
+imaginary parts of the monomials of weight 0 in the entries of X, cut by
+one root operator per root plane of a where a is more than T.  Each
+bucket of monomials that the L_j preserve is brought to the one form in
+which exact_linalg.nullspace lists a kernel.  Rows handed to exact_linalg
+are sparse rows {column: Scalar.ints}.  _product_echelon adds the rows of
+a degree's products of generators (_generator_products: each one lower
+product times one generator) in order to one Echelon, row i tagged
+{i: 1}, which the quotient by decomposables (a candidate is picked when it
+does not reduce to zero against it and those picked before it), the
+relations (the tags of the rows that vanish, lower ones lifted by shifting
+exponents) and rewrite_in_generators (one part of q per power of eps and
+degree) share.  A CallMemo, owned by one top-level call
+(indecomposable_generators, or one bracket table), keeps what the call
+shares; nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -49,14 +26,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from operator import add, mul
+from operator import add
 
 import numpy as np
 
-from .scalars import (CZERO, ONE, ZERO, cmat_mul, from_ints, neg_ints,
+from .scalars import (CZERO, ZERO, CScalar, cmat_mul, from_ints, neg_ints,
                       scale_ints, submul_ints)
-from .poly import Polynomial
-from .exact_linalg import Echelon, nullspace, rref_ints, solve_in_span
+from .poly import DEGREE_CAP, Polynomial
+from .exact_linalg import Echelon, rref_ints, solve_in_span
+
+_I = CScalar.i()
+# a weight sum_r n_r e_r of a monomial of degree at most DEGREE_CAP, so
+# |n_r| <= DEGREE_CAP, as the one int sum_r n_r _BASE^r
+_BASE = 2 * DEGREE_CAP + 3
 
 
 def monomials_of_degree(nvars, degree):
@@ -79,19 +61,18 @@ class CallMemo:
 
     monomials: (nvars, degree) -> {exponent tuple: index}, in the order of
     monomials_of_degree; products: generator exponent tuple -> Polynomial
-    (see _product); echelons: (degree, len(gens)) -> the combos, monomial
-    index and tagged Echelon of the degree's generator products (see
-    _product_echelon); kernels: active exponents -> the nullspace vectors
-    of a bucket, [] for one a sign element negates (see invariant_space),
-    valid for one (alg, sub, variables).
-    products and echelons are valid for one gens that only grows.
-    """
+    (_product); echelons: (degree, len(gens)) -> the combos, monomial index
+    and tagged Echelon of the degree's generator products (_product_echelon),
+    both valid for one gens that only grows; split (_weight_split) and
+    kernels (active blocks' degrees -> invariants, see invariant_space),
+    valid for one (alg, sub, variables)."""
 
     def __init__(self):
         self.monomials = {}
         self.products = {}
         self.echelons = {}
         self.kernels = {}
+        self.split = None
 
     def monomial_index(self, nvars, degree):
         """{monomial: index} over the degree's monomials, listed once."""
@@ -104,10 +85,8 @@ class CallMemo:
 
 
 def _operator_terms(alg, sub, var_indices):
-    """Terms (j, k, i, coeff) of each L_j restricted to the chosen variables.
-
-    Returns {j: [(k_pos, i_pos, coeff.ints)]}; positions index var_indices.
-    """
+    """{j: [(k_pos, i_pos, coeff.ints)]}: the terms C x_k d/dx_i of each
+    L_j on the variables, by their positions in var_indices."""
     pos = {v: p for p, v in enumerate(var_indices)}
     ops = {}
     for j in sub.a_indices:
@@ -119,163 +98,179 @@ def _operator_terms(alg, sub, var_indices):
     return ops
 
 
-def _reduced_operators(ops):
-    """A basis of span{L_j} with the same joint kernel and the fewest
-    terms: the reduced row echelon form of the operators as rows over
-    their term keys (k_pos, i_pos) in ascending order.  Returns
-    {pivot key: [(k_pos, i_pos, coeff.ints)]}, terms by key."""
-    keys = sorted({(k, i) for terms in ops.values() for k, i, _ in terms})
-    column = {key: c for c, key in enumerate(keys)}
-    rows = [{column[(k, i)]: c for k, i, c in terms} for terms in ops.values()]
-    pivots, reduced = rref_ints(rows, len(keys))
-    return {keys[p]: [(*keys[c], row[c]) for c in sorted(row)]
-            for p, row in zip(pivots, reduced)}
-
-
-def _monomial_buckets(ops, monomials):
-    """Buckets of the monomials of one degree that every L_j preserves:
-    equal multidegree over the finest variable partition closed under the
-    terms, blocks numbered by first variable, buckets in ascending
-    multidegree, monomials in the order given."""
-    first = next(iter(monomials), ())
-    parent = list(range(len(first)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for terms in ops.values():
-        for (k, i, _) in terms:
-            ra, rb = find(k), find(i)
-            if ra != rb:
-                parent[rb] = ra
+def _weight_split(alg, sub, var_indices):
+    """(pieces, planes, roots, block, active).  A variable is diagonal, of
+    weight 0, or one of x_a, x_b (a first) on a pair (r, c), r < c, with
+    M[r, c] = c_a (x_a + t x_b), t = +-i, of weight e_r - e_c: planes lists
+    (a, b, t as +-1, weight).  block numbers, by first variable, the finest
+    partition that the L_j join, active the blocks they touch; pieces lists
+    per active block (its place n in active) (n, v, None, 0) per diagonal
+    variable, (n, a, b, weight) per plane; roots (weight, L_j) per root
+    plane of a, j its first element.  A ValueError refuses an a without
+    the diagonal torus and basis elements that are not one root plane."""
+    rep, pairs = alg.matrix_rep, alg.entry_pairs
+    diagonal = {i for i, p in enumerate(pairs) if all(r == c for r, c in p)}
+    if len(diagonal.intersection(sub.a_indices)) < len(rep[0]) - 1:
+        raise ValueError(f"a of {alg.name} does not hold its diagonal torus")
+    on_pair = {}
+    for i in sorted(set(range(len(pairs))) - diagonal):
+        on_pair.setdefault(pairs[i], []).append(i)
+    pos = {v: p for p, v in enumerate(var_indices)}
+    ops = _operator_terms(alg, sub, var_indices)
+    planes, roots = [], []
+    for pair, members in on_pair.items():
+        (r, c), a, b = pair[0], members[0], members[-1]
+        t = [s for s in (1, -1) if rep[b][r][c] == rep[a][r][c] * _I * s]
+        if len(pair) != 1 or len(members) != 2 or not t:
+            labels = ", ".join(alg.labels[i] for i in members)
+            raise ValueError(f"basis elements {labels} of {alg.name} are "
+                             f"not one root plane in the ratio i or -i")
+        weight = _BASE ** r - _BASE ** c
+        if a in pos:
+            planes.append((pos[a], pos[b], t[0], weight))
+        if a in ops:
+            roots.append((weight, ops[a]))
+    block = list(range(len(var_indices)))
+    for k, i, _ in (term for terms in ops.values() for term in terms):
+        block = [block[k] if x == block[i] else x for x in block]
     number = {}
-    block_of = [number.setdefault(find(v), len(number))
-                for v in range(len(first))]
-    # the multidegree as one int in base degree + 1, the first block the
-    # most significant digit: ascending ints are ascending multidegrees
-    place = [(sum(first) + 1) ** (len(number) - 1 - b) for b in block_of]
-    buckets = {}
-    for expo in monomials:
-        buckets.setdefault(sum(map(mul, expo, place)), []).append(expo)
-    return [buckets[profile] for profile in sorted(buckets)]
+    block = [number.setdefault(x, len(number)) for x in block]
+    active = sorted({block[v] for terms in ops.values()
+                     for k, i, _ in terms for v in (k, i)})
+    plane_of = {a: (b, weight) for a, b, _, weight in planes}
+    seconds = {b for b, _ in plane_of.values()}
+    pieces = [(n, v, *plane_of.get(v, (None, 0))) for n, x in enumerate(active)
+              for v in range(len(block)) if block[v] == x and v not in seconds]
+    return pieces, planes, roots, block, active
 
 
-def _operator_moves(ops, nvars, degree):
-    """The operators on the integer code of the degree's monomials, whose
-    exponents are the digits of one int in base degree + 1: (weight,
-    moves) with weight[v] the place value of x_v, and per operator the
-    list of (i_pos, shift, entries) of its terms C x_k d/dx_i, which move
-    a source's code by shift = weight[k] - weight[i] with entries[e] the
-    reduced ints of C * e for a source of exponent e >= 1 in x_i."""
-    weight = [(degree + 1) ** v for v in range(nvars)]
-    moves = [[(ipos, weight[kpos] - weight[ipos],
-               [None] + [scale_ints(c, e) for e in range(1, degree + 1)])
-              for kpos, ipos, c in terms]
-             for terms in ops.values()]
-    return weight, moves
+def _exponents_of_weight(pieces, degrees, nvars, target):
+    """The exponent tuples of weight target with the degrees on the active
+    blocks: a plane (a, b) of weight beta holds the powers p, q of w and
+    conj(w) at a, b and weighs (p - q) beta; the last plane's is solved."""
+    out = []
+    expo = [0] * nvars
+    end = len(pieces) - 1
+
+    def rec(k, left, weight):
+        block, a, b, beta = pieces[k]
+        if k == 0 or pieces[k - 1][0] != block:
+            left = degrees[block]
+        last = k == end or pieces[k + 1][0] != block
+        for d in (left,) if last else range(left + 1):
+            if b is None:
+                expo[a] = d
+                if k < end:
+                    rec(k + 1, left - d, weight)
+                elif weight == target:
+                    out.append(tuple(expo))
+            elif k == end:
+                n, rest = divmod(target - weight, beta)
+                if not rest and abs(n) <= d and (n + d) % 2 == 0:
+                    expo[a], expo[b] = (d + n) // 2, (d - n) // 2
+                    out.append(tuple(expo))
+            else:
+                for p in range(d + 1):
+                    expo[a], expo[b] = p, d - p
+                    rec(k + 1, left - d, weight + (2 * p - d) * beta)
+
+    rec(0, 0, 0)
+    return out
 
 
-def _operator_rows(coded, bucket):
-    """Rows {source index: reduced ints} of the stacked L_j on a bucket, one
-    per operator and target: C x_k d/dx_i maps a source with exponent e in
-    x_i to its target with entry C * e, summed per pair, zeros dropped.
-    coded is _operator_moves of the operators at the bucket's degree."""
-    weight, moves = coded
-    codes = [sum(map(mul, expo, weight)) for expo in bucket]
-    index = {code: i for i, code in enumerate(codes)}
+@lru_cache(maxsize=None)
+def _binomial_terms(p, q):
+    """(j, K_j) per nonzero coefficient K_j of y^j in (1 + y)^p (1 - y)^q."""
+    coeffs = [1]
+    for s in [1] * p + [-1] * q:  # times 1 + s y
+        coeffs = [a + s * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return tuple((j, k) for j, k in enumerate(coeffs) if k)
+
+
+def _real_parts(exponents, planes):
+    """The nonzero real and imaginary parts, int rows {exponent: ints}, of
+    the monomials of the exponents, one per conjugate pair (the first plane
+    with p != q has p > q): (x_a + t x_b)^p (x_a - t x_b)^q is sum_j K_j t^j
+    x_a^(p+q-j) x_b^j, one real monomial per j, real or imaginary by t^j."""
     rows = []
-    for terms in moves:
-        per_target = {}
-        for src, expo in enumerate(bucket):
-            code = codes[src]
-            for ipos, shift, entries in terms:
-                e = expo[ipos]
-                if e == 0:
-                    continue
-                row = per_target.setdefault(index[code + shift], {})
-                val = entries[e]
-                if src in row:  # one more diagonal term x_k d/dx_k: add
-                    val = submul_ints(row.pop(src), neg_ints(val), ONE.ints)
-                if val != ZERO.ints:
-                    row[src] = val
-        rows.extend(r for r in per_target.values() if r)
+    for e in exponents:
+        if next((e[a] < e[b] for a, b, *_ in planes if e[a] != e[b]), 0):
+            continue
+        parts = ({}, {})
+        for combo in product(*[[(a, b, e[a] + e[b] - j, j, t * j, k)
+                                for j, k in _binomial_terms(e[a], e[b])]
+                               for a, b, t, _ in planes]):
+            expo, phase, coeff = list(e), 0, 1
+            for a, b, ea, eb, s, k in combo:
+                expo[a], expo[b] = ea, eb
+                phase += s
+                coeff *= k
+            phase %= 4  # i^phase: 1, i, -1, -i
+            parts[phase % 2][tuple(expo)] = (coeff if phase < 2 else -coeff,
+                                             0, 1)
+        rows += [part for part in parts if part]
     return rows
 
 
-def _sign_elements(alg, sub, var_indices):
-    """The sign elements D = zeta diag(s) of A, s in {1, -1}^N up to sign
-    and zeta^N = prod s, that Ad(D) fixes a and negates some variable: per
-    D, the positions in var_indices of the variables it negates.
-
-    Ad(D) multiplies a basis element on the one index pair {(r, c), (c, r)}
-    by s_r s_c and fixes a diagonal one, read off alg.entry_pairs.  There
-    are none unless every basis element is diagonal or on one pair and a
-    holds N - 1 diagonal basis elements: these are traceless (every basis
-    here is of su(N)), so they span the diagonal torus, which the
-    connected A then holds, and with it every D."""
-    n = len(alg.matrix_rep[0])
-    pairs = alg.entry_pairs
-    diagonal = {i for i, p in enumerate(pairs) if all(r == c for r, c in p)}
-    if any(len(p) > 1 and i not in diagonal for i, p in enumerate(pairs)) \
-            or len(diagonal.intersection(sub.a_indices)) < n - 1:
+def _bucket_kernel(degrees, split):
+    """The invariants of the bucket with the degrees on the active blocks
+    in nullspace's form: by ascending free column (lowest exponent), each
+    {exponent: Scalar} with its terms descending.  Per root plane of a,
+    of root alpha, the invariants of T and its su(2) number the monomials
+    of weight 0 less those of weight alpha, so an equal count proves the
+    bucket empty; else the root operators' kernel on the T-invariants is
+    it ([H, X] is a multiple of Y for an H in t)."""
+    pieces, planes, roots, block, _ = split
+    zero = _exponents_of_weight(pieces, degrees, len(block), 0)
+    if not zero or any(len(_exponents_of_weight(pieces, degrees, len(block),
+                                                 alpha)) == len(zero)
+                       for alpha, _ in roots):
         return []
-    flips = []
-    for tail in product((1, -1), repeat=n - 1):
-        s = (1,) + tail
-        if any(s[r] != s[c] for i in sub.a_indices for r, c in pairs[i]):
-            continue  # Ad(D) does not fix a
-        negated = tuple(p for p, v in enumerate(var_indices)
-                        if any(s[r] != s[c] for r, c in pairs[v]))
-        if negated:
-            flips.append(negated)
-    return flips
+    vectors = _real_parts(zero, planes)
+    if roots:  # each vector is the tag of its row of images
+        echelon = Echelon()
+        for vec in vectors:
+            row = {}
+            for n, (_, terms) in enumerate(roots):
+                for (e, y), (k, i, c) in product(vec.items(), terms):
+                    if e[i]:  # C x_k d/dx_i moves a power of x_i to x_k
+                        key = (n, tuple(x + (v == k) - (v == i)
+                                        for v, x in enumerate(e)))
+                        row[key] = submul_ints(row.get(key), neg_ints(c),
+                                               scale_ints(y, e[i]))
+            echelon.add({key: x for key, x in row.items()
+                         if x != ZERO.ints}, vec)
+        vectors = echelon.kernel
+    # a row read makes at most one pivot: len(vectors) stops nothing early
+    _, reduced = rref_ints(vectors, len(vectors))
+    return [{e: from_ints(x) for e, x in sorted(row.items(), reverse=True)}
+            for row in reversed(reduced)]
 
 
 def invariant_space(alg, sub, degree, restrict_to_m=True, memo=None):
     """Exact basis of the joint kernel of the L_j on degree-k polynomials,
-    a list of Polynomials.
-
-    memo is the CallMemo of one top-level call over this (alg, sub,
-    restrict_to_m), shared by its degrees; a fresh one by default.  A
-    bucket's kernel is kept under its active exponents (those of the
-    variables some operator term touches): buckets that differ only in
-    the inert exponents have the same rows, so the same kernel.
-
-    A bucket that a sign element D of A negates (see _sign_elements) is
-    not solved: an invariant f in it has f = f o Ad(D)^-1 = -f, so its
-    kernel is empty.  D fixes a, so the operators join only variables of
-    one sign, and the bucket's sign is the parity of the first monomial's
-    exponents on the variables D negates.  Inert variables are diagonal,
-    of sign 1, so the empty kernel is kept under the active exponents."""
-    from .poly import DEGREE_CAP
+    a list of Polynomials: per bucket, in ascending multidegree over the
+    blocks of _weight_split, its invariants.  memo, the CallMemo of one
+    call over this alg, sub and restrict_to_m (a fresh one by default),
+    keeps the split and each kernel under the active blocks' degrees, for
+    the buckets that differ in inert exponents, times their monomial."""
     if degree > DEGREE_CAP:
         raise ValueError(f"degree {degree} exceeds cap {DEGREE_CAP}")
     memo = CallMemo() if memo is None else memo
     var_indices = list(sub.m_indices) if restrict_to_m else list(range(alg.dim))
     names = tuple(alg.coord_names[i] for i in var_indices)
-    ops = _reduced_operators(_operator_terms(alg, sub, var_indices))
-    active = sorted({v for terms in ops.values() for k, i, _ in terms
-                     for v in (k, i)})
-    coded = _operator_moves(ops, len(var_indices), degree)
-    flips = _sign_elements(alg, sub, var_indices)
+    if memo.split is None:
+        memo.split = _weight_split(alg, sub, var_indices)
+    block, active = memo.split[3:]
     basis = []
-    for bucket in _monomial_buckets(
-            ops, memo.monomial_index(len(var_indices), degree)):
-        key = tuple(bucket[0][v] for v in active)
+    for profile in reversed(memo.monomial_index(max(block) + 1, degree)):
+        key = tuple(profile[b] for b in active)
         kernel = memo.kernels.get(key)
         if kernel is None:
-            if any(sum(bucket[0][p] for p in negated) % 2
-                   for negated in flips):
-                kernel = []  # a sign element negates the bucket
-            else:
-                kernel = nullspace(_operator_rows(coded, bucket), len(bucket))
-            memo.kernels[key] = kernel
-        for vec in kernel:
-            terms = {bucket[c]: x for c, x in vec.items()}
-            basis.append(Polynomial(names, terms))
+            kernel = memo.kernels[key] = _bucket_kernel(key, memo.split)
+        shift = [0 if b in active else profile[b] for b in block]
+        basis += [Polynomial(names, {tuple(map(add, e, shift)): x
+                                     for e, x in vec.items()}) for vec in kernel]
     return basis
 
 

@@ -15,8 +15,9 @@ object through one private constructor, ``_from_terms``, unchecked.  No
 code outside this module calls it.  A term map keeps the order in which
 its operation inserted the terms, and float evaluation (``evaluate_stack``,
 ``gradient``) sums in that order, so the order is part of the result.
-The degree is memoized; a product of two nonzero factors records the sum
-of their degrees, which is exact since Q(sqrt3)[x] is an integral domain.
+The degree is memoized: a constant records 0, a sum of two recorded degrees
+that differ the larger, a product of two nonzero factors the sum of their
+degrees (exact, as Q(sqrt3)[x] is an integral domain).
 
 The module also provides the Lie-Poisson bracket
 
@@ -66,12 +67,13 @@ class Polynomial:
 
     @staticmethod
     def zero(variables):
-        return Polynomial(variables)
+        return Polynomial.const(variables, 0)
 
     @staticmethod
     def const(variables, c):
-        variables = tuple(variables)
-        return Polynomial(variables, {(0,) * len(variables): Scalar.of(c)})
+        variables, c = tuple(variables), Scalar.of(c)
+        return _from_terms(variables, {(0,) * len(variables): c} if c else {},
+                           0)
 
     @staticmethod
     def var(variables, name, coeff=1):
@@ -101,7 +103,9 @@ class Polynomial:
                 terms.pop(expo, None)
             else:
                 terms[expo] = coeff
-        return _from_terms(self.vars, terms)
+        d1, d2 = self._degree, other._degree  # unequal: no top cancels
+        return _from_terms(self.vars, terms, max(d1, d2) if d1 != d2
+                           and None not in (d1, d2) else None)
 
     __radd__ = __add__
 
@@ -290,7 +294,9 @@ class Polynomial:
         return self._grad
 
     def substitute(self, target_vars, images):
-        """Substitute each variable by a polynomial over target_vars."""
+        """Substitute each variable by its image over target_vars."""
+        if len(images) != len(self.vars):
+            raise ValueError(f"{len(images)} images for {len(self.vars)} vars")
         target_vars = tuple(target_vars)
         out = Polynomial.zero(target_vars)
         for expo, coeff in self.terms.items():

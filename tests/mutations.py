@@ -55,17 +55,16 @@ SCAN = "Brent-Kung prefix scan over 1024-step blocks"
 POISSON = "One Poisson tensor for brackets and fields"
 FIELD = "One field: the exact scalar kernel over Q(sqrt3)"
 HALVE = "Halve the exact pass: row-reduce on integer numerators"
-INT_ROWS = "Build the commutant's operator rows on integer numerators"
 ONE_ROW = "Exact elimination on one row format"
 GENERATORS = "The exact generator layer on exponent tuples and term maps"
 ROW_BY_ROW = "Row-by-row exact elimination that stops at full rank"
 ECHELON = ("Row-oriented generator layer: one shared echelon of generator "
            "products per degree")
 DISTINCT = "Flow CSV: one repr per distinct value of each monitored integral"
-SIGNS = ("Skip the commutant buckets that an order-two torus element "
-         "proves empty")
 LEAN_RING = ("A lean exact polynomial ring: one trusted constructor for the "
              "term maps its own operations build")
+WEIGHTS = ("Weight-first commutants: read the torus invariants off their "
+           "weights, do not solve operator rows")
 
 MUTATIONS = (
     # the one exact structure-constant contraction
@@ -255,33 +254,6 @@ MUTATIONS = (
              "key = (degree, len(gens))", "key = degree", ECHELON,
              ("tests/test_invariants.py::"
               "test_generator_products_are_the_chained_products",)),
-    # the sign elements of A that prove a bucket's kernel empty
-    Mutation("sign-parity-inverted", "src/su3mag/invariants.py",
-             "if any(sum(bucket[0][p] for p in negated) % 2",
-             "if any(not sum(bucket[0][p] for p in negated) % 2", SIGNS,
-             ("tests/test_invariants.py::"
-              "test_a_bucket_that_a_sign_element_negates_has_no_invariant",)),
-    # only the A block has a root pair in a
-    Mutation("sign-fixes-a-dropped", "src/su3mag/invariants.py",
-             "if any(s[r] != s[c] for i in sub.a_indices for r, c in "
-             "pairs[i]):",
-             "if False:", SIGNS,
-             ("tests/test_invariants.py::"
-              "test_sign_elements_are_the_sign_matrices_that_fix_a",
-              "tests/test_invariants.py::"
-              "test_a_bucket_that_a_sign_element_negates_has_no_invariant")),
-    Mutation("sign-torus-check-dropped", "src/su3mag/invariants.py",
-             "or len(diagonal.intersection(sub.a_indices)) < n - 1:",
-             "or False:", SIGNS,
-             ("tests/test_invariants.py::"
-              "test_no_sign_elements_without_the_torus_or_off_one_pair",)),
-    Mutation("operator-move-factor-dropped", "src/su3mag/invariants.py",
-             "[None] + [scale_ints(c, e) for e in range(1, degree + 1)]",
-             "[None] + [c for e in range(1, degree + 1)]", INT_ROWS,
-             ("tests/test_invariants.py::"
-              "test_int_operator_rows_are_the_scalar_rows",
-              "tests/test_invariants.py::"
-              "test_invariant_space_is_the_nullspace_of_the_scalar_rows")),
     # accepting supports of two (len(vec) > 2) rather than of one: the
     # Gell-Mann kernel of the test also holds a support of three, so only
     # its su(2) input catches it
@@ -342,17 +314,48 @@ MUTATIONS = (
              "terms.pop(e, None)", "terms[e] = c", LEAN_RING,
              ("tests/test_poly.py::"
               "test_ring_operations_keep_the_term_loops_order",)),
+    Mutation("sum-records-smaller-degree", "src/su3mag/poly.py",
+             "return _from_terms(self.vars, terms, max(d1, d2) if d1 != d2",
+             "return _from_terms(self.vars, terms, min(d1, d2) if d1 != d2",
+             WEIGHTS,
+             ("tests/test_poly.py::"
+              "test_degree_is_the_top_degree_after_every_operation",)),
+    # the weight route of the commutants: the first root plane's conjugate
+    # sign or weight turned, the su(2) step of A skipped, the inert
+    # monomial left off; su(2) has one plane, whose span either sign
+    # gives, so only su(3) catches the first two
+    Mutation("plane-t-negated", "src/su3mag/invariants.py",
+             "planes.append((pos[a], pos[b], t[0], weight))",
+             "planes.append((pos[a], pos[b], t[0] * (1 if planes else -1), "
+             "weight))", WEIGHTS,
+             ("tests/test_invariants.py::"
+              "test_weight_route_is_the_operator_row_route",)),
+    Mutation("plane-weight-reversed", "src/su3mag/invariants.py",
+             "weight = _BASE ** r - _BASE ** c",
+             "weight = _BASE ** r - _BASE ** c if planes else "
+             "_BASE ** c - _BASE ** r", WEIGHTS,
+             ("tests/test_invariants.py::"
+              "test_weight_route_is_the_operator_row_route",)),
+    Mutation("root-operator-step-skipped", "src/su3mag/invariants.py",
+             "    if roots:  #", "    if False:  #", WEIGHTS,
+             ("tests/test_invariants.py::"
+              "test_weight_route_is_the_operator_row_route",)),
+    Mutation("inert-shift-dropped", "src/su3mag/invariants.py",
+             "{tuple(map(add, e, shift)): x", "{e: x", WEIGHTS,
+             ("tests/test_invariants.py::"
+              "test_weight_route_is_the_operator_row_route",)),
 )
 
 
-def archive(rev, dest):
+def archive(rev, dest, tool="the mutation suite"):
     """Extract ``git archive rev`` of the repository into dest; outside a
-    git checkout (or for an unknown rev) exit 2 with a one-line error."""
+    git checkout (or for an unknown rev) exit 2 with a one-line error
+    that names the tool."""
     proc = subprocess.run(["git", "archive", rev], cwd=ROOT,
                           capture_output=True)
     if proc.returncode:
         reason = proc.stderr.decode(errors="replace").strip().splitlines()
-        print(f"error: git archive {rev} failed; the mutation suite needs a "
+        print(f"error: git archive {rev} failed; {tool} needs a "
               f"git checkout with that revision"
               f"{': ' + reason[0] if reason else ''}", file=sys.stderr)
         raise SystemExit(2)

@@ -50,10 +50,15 @@
   rank test per candidate, and the recursive monomial enumeration, which
   ``exact_linalg.rref``, ``invariants._greedy_complete`` and
   ``invariants.monomials_of_degree`` must reproduce;
+* ``invariant_space_by_operator_rows``, with ``reduced_operators``,
+  ``monomial_buckets``, ``operator_moves`` and ``operator_rows``: the
+  commutant by elimination, the nullspace of the int rows of the reduced
+  coadjoint derivations on each monomial bucket, which the weight route
+  of ``invariants.invariant_space`` must reproduce term for term;
 * ``operator_rows_by_scalars``: the rows of the stacked coadjoint
   derivations on a bucket of monomials, one Scalar product per operator
   term and a Scalar sum per (target, source) pair, which the int rows of
-  ``invariants._operator_rows`` must reproduce;
+  ``operator_rows`` must reproduce;
 * ``solve_in_span_dense``: span membership on dense vectors, checked by
   recombining every entry, which the sparse
   ``exact_linalg.solve_in_span`` must reproduce;
@@ -94,6 +99,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from operator import mul
 
 import numpy as np
 
@@ -107,13 +113,15 @@ from su3mag.invariants import (independence_rank, numeric_rank,
                                radial_generator, restrict_shift,
                                shift_images, torus_generators,
                                monomials_of_degree, _monomials_in_generators,
-                               _poly_to_row)
+                               _operator_terms, _poly_to_row)
 from su3mag.phase import (MagneticSystem, MomentPullback, PhasePoint,
                           hamiltonian_vector_field, slice_z_values,
                           su3_irregular_system, su3_regular_system,
                           twisted_bracket, _invariant_under)
 from su3mag.poly import Polynomial, b_gradient, lie_poisson_bracket
-from su3mag.scalars import ZERO, Scalar, from_ints, parse_scalar
+from su3mag.exact_linalg import nullspace, rref_ints
+from su3mag.scalars import (ONE, ZERO, Scalar, from_ints, neg_ints,
+                            parse_scalar, scale_ints, submul_ints)
 
 
 def moment_map(sys, pt):
@@ -568,6 +576,110 @@ def operator_rows_by_scalars(ops, bucket):
                     per_source[tgt][src] = val
         rows.extend(r for r in per_source.values() if r)
     return rows
+
+
+def reduced_operators(ops):
+    """A basis of span{L_j} with the same joint kernel and the fewest
+    terms: the reduced row echelon form of the operators as rows over
+    their term keys (k_pos, i_pos) in ascending order.  Returns
+    {pivot key: [(k_pos, i_pos, coeff.ints)]}, terms by key."""
+    keys = sorted({(k, i) for terms in ops.values() for k, i, _ in terms})
+    column = {key: c for c, key in enumerate(keys)}
+    rows = [{column[(k, i)]: c for k, i, c in terms} for terms in ops.values()]
+    pivots, reduced = rref_ints(rows, len(keys))
+    return {keys[p]: [(*keys[c], row[c]) for c in sorted(row)]
+            for p, row in zip(pivots, reduced)}
+
+
+def monomial_buckets(ops, monomials):
+    """Buckets of the monomials of one degree that every L_j preserves:
+    equal multidegree over the finest variable partition closed under the
+    terms, blocks numbered by first variable, buckets in ascending
+    multidegree, monomials in the order given."""
+    first = next(iter(monomials), ())
+    parent = list(range(len(first)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for terms in ops.values():
+        for (k, i, _) in terms:
+            ra, rb = find(k), find(i)
+            if ra != rb:
+                parent[rb] = ra
+    number = {}
+    block_of = [number.setdefault(find(v), len(number))
+                for v in range(len(first))]
+    # the multidegree as one int in base degree + 1, the first block the
+    # most significant digit: ascending ints are ascending multidegrees
+    place = [(sum(first) + 1) ** (len(number) - 1 - b) for b in block_of]
+    buckets = {}
+    for expo in monomials:
+        buckets.setdefault(sum(map(mul, expo, place)), []).append(expo)
+    return [buckets[profile] for profile in sorted(buckets)]
+
+
+def operator_moves(ops, nvars, degree):
+    """The operators on the integer code of the degree's monomials, whose
+    exponents are the digits of one int in base degree + 1: (weight,
+    moves) with weight[v] the place value of x_v, and per operator the
+    list of (i_pos, shift, entries) of its terms C x_k d/dx_i, which move
+    a source's code by shift = weight[k] - weight[i] with entries[e] the
+    reduced ints of C * e for a source of exponent e >= 1 in x_i."""
+    weight = [(degree + 1) ** v for v in range(nvars)]
+    moves = [[(ipos, weight[kpos] - weight[ipos],
+               [None] + [scale_ints(c, e) for e in range(1, degree + 1)])
+              for kpos, ipos, c in terms]
+             for terms in ops.values()]
+    return weight, moves
+
+
+def operator_rows(coded, bucket):
+    """Rows {source index: reduced ints} of the stacked L_j on a bucket, one
+    per operator and target: C x_k d/dx_i maps a source with exponent e in
+    x_i to its target with entry C * e, summed per pair, zeros dropped.
+    coded is operator_moves of the operators at the bucket's degree."""
+    weight, moves = coded
+    codes = [sum(map(mul, expo, weight)) for expo in bucket]
+    index = {code: i for i, code in enumerate(codes)}
+    rows = []
+    for terms in moves:
+        per_target = {}
+        for src, expo in enumerate(bucket):
+            code = codes[src]
+            for ipos, shift, entries in terms:
+                e = expo[ipos]
+                if e == 0:
+                    continue
+                row = per_target.setdefault(index[code + shift], {})
+                val = entries[e]
+                if src in row:  # one more diagonal term x_k d/dx_k: add
+                    val = submul_ints(row.pop(src), neg_ints(val), ONE.ints)
+                if val != ZERO.ints:
+                    row[src] = val
+        rows.extend(r for r in per_target.values() if r)
+    return rows
+
+
+def invariant_space_by_operator_rows(alg, sub, degree, restrict_to_m=True):
+    """The commutant by elimination: the nullspace of the rows of the
+    reduced operators on every monomial bucket, buckets in ascending
+    multidegree, which the weight route of ``invariant_space`` must
+    reproduce term for term."""
+    var_indices = list(sub.m_indices) if restrict_to_m else list(range(alg.dim))
+    names = tuple(alg.coord_names[i] for i in var_indices)
+    ops = reduced_operators(_operator_terms(alg, sub, var_indices))
+    coded = operator_moves(ops, len(var_indices), degree)
+    basis = []
+    for bucket in monomial_buckets(
+            ops, monomials_of_degree(len(var_indices), degree)):
+        for vec in nullspace(operator_rows(coded, bucket), len(bucket)):
+            basis.append(Polynomial(names,
+                                    {bucket[c]: x for c, x in vec.items()}))
+    return basis
 
 
 def transposed(vectors, length):

@@ -24,13 +24,13 @@ from su3mag.phase import su3_regular_system, su3_irregular_system
 from su3mag.exact_linalg import (Echelon, nullspace, rref, rref_ints,
                                  solve_in_span)
 from su3mag.invariants import (CallMemo, _generator_products, _greedy_complete,
-                               _monomial_buckets, _monomials_in_generators,
-                               _operator_moves, _operator_rows,
-                               _operator_terms, _product_echelon,
-                               _reduced_operators, _sign_elements)
+                               _monomials_in_generators, _operator_terms,
+                               _product_echelon)
 
 from oracles import (generator_products_by_chain, greedy_complete_by_rank,
-                     monomials_by_recursion, operator_rows_by_scalars,
+                     invariant_space_by_operator_rows, monomial_buckets,
+                     monomials_by_recursion, operator_moves, operator_rows,
+                     operator_rows_by_scalars, reduced_operators,
                      rref_by_scalars, solve_in_span_dense, transposed)
 
 
@@ -579,7 +579,7 @@ def _buckets_by_degree(selection, m_only):
     ops = _operator_terms(alg, sub, var_indices)
     for degree in range(1, 6):
         yield (alg, sub, degree, names, ops,
-               _monomial_buckets(
+               monomial_buckets(
                    ops, monomials_of_degree(len(var_indices), degree)))
 
 
@@ -588,10 +588,10 @@ def _buckets_by_degree(selection, m_only):
 def test_int_operator_rows_are_the_scalar_rows(selection, m_only):
     for _, _, degree, names, ops, buckets in _buckets_by_degree(selection,
                                                                 m_only):
-        coded = _operator_moves(ops, len(names), degree)
+        coded = operator_moves(ops, len(names), degree)
         for bucket in buckets:
             rows = [{c: from_ints(t) for c, t in r.items()}
-                    for r in _operator_rows(coded, bucket)]
+                    for r in operator_rows(coded, bucket)]
             assert rows == operator_rows_by_scalars(ops, bucket)
 
 
@@ -605,8 +605,8 @@ def test_operator_rows_sum_diagonal_terms_and_drop_zeros():
     for degree in range(1, 6):
         bucket = monomials_of_degree(2, degree)
         rows = [{c: from_ints(t) for c, t in r.items()}
-                for r in _operator_rows(_operator_moves(ops, 2, degree),
-                                        bucket)]
+                for r in operator_rows(operator_moves(ops, 2, degree),
+                                       bucket)]
         assert rows == operator_rows_by_scalars(ops, bucket)
         if degree == 2:  # bucket x0^2, x0 x1, x1^2
             assert rows == [{0: Scalar(2), 1: Scalar.sqrt3(Fraction(1, 2))},
@@ -627,6 +627,21 @@ def test_invariant_space_is_the_nullspace_of_the_scalar_rows(selection,
         basis = invariant_space(alg, sub, degree, m_only)
         assert [list(p.terms.items()) for p in basis] == \
             [list(t.items()) for t in expected]
+
+
+@pytest.mark.parametrize("m_only", (True, False), ids=("m", "full"))
+@pytest.mark.parametrize("selection", SELECTIONS, ids="/".join)
+def test_weight_route_is_the_operator_row_route(selection, m_only):
+    """The invariants read off the weights are, term for term and in
+    order, the nullspaces of the operator rows on every bucket, to
+    degree 6, with one memo over the degrees."""
+    alg, sub = reports._selection(*selection)
+    memo = CallMemo()
+    for degree in range(7):
+        basis = invariant_space(alg, sub, degree, m_only, memo)
+        expected = invariant_space_by_operator_rows(alg, sub, degree, m_only)
+        assert [list(p.terms.items()) for p in basis] == \
+            [list(p.terms.items()) for p in expected]
 
 
 def _assert_same_span(ops, reduced):
@@ -651,7 +666,7 @@ def test_reduced_operators_span_the_operators(selection, m_only):
     alg, sub = reports._selection(*selection)
     var_indices = list(sub.m_indices) if m_only else list(range(alg.dim))
     ops = _operator_terms(alg, sub, var_indices)
-    reduced = _reduced_operators(ops)
+    reduced = reduced_operators(ops)
     _assert_same_span(ops, reduced)
     # the torus operators rotate three root planes, with sqrt3 weights;
     # their span has a rational basis of two operators of four terms
@@ -672,13 +687,13 @@ def test_reduced_operators_of_irrational_and_zero_operators():
            2: [(k, i, (c * (1 + s3)).ints) for k, i, c in first],
            3: [(0, 1, Scalar(3).ints), (1, 0, Scalar(-3).ints),
                (2, 1, Scalar(Fraction(1, 5)).ints)]}
-    reduced = _reduced_operators(ops)
+    reduced = reduced_operators(ops)
     _assert_same_span(ops, reduced)
     assert list(reduced) == [(0, 1), (2, 1)]
     assert reduced[(0, 1)] == [(0, 1, Scalar(1).ints),
                                (1, 0, Scalar(-1).ints),
                                (2, 2, ((1 + s3) / (2 * s3)).ints)]
-    assert _reduced_operators({0: [], 1: []}) == {}
+    assert reduced_operators({0: [], 1: []}) == {}
 
 
 @pytest.mark.parametrize("m_only", (True, False), ids=("m", "full"))
@@ -706,18 +721,34 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _logging_rref(monkeypatch):
+    """Replace invariants.rref_ints by a wrapper that logs, per call, the
+    number of rows handed to it and of pivots it returns."""
+    calls = []
+    original = invariants.rref_ints
+
+    def logged(rows, ncols):
+        out = original(rows, ncols)
+        calls.append((len(rows), len(out[0])))
+        return out
+
+    monkeypatch.setattr(invariants, "rref_ints", logged)
+    return calls
+
+
 def test_full_torus_solves_each_active_profile_once(monkeypatch):
     """Over all 8 su(3) variables no torus operator touches h1 or h2, so
     the buckets to degree 4 are those of the 6 m-variables to degree 4
     times powers of h1 and h2: 35 profiles of 210 columns, not 494.  A
-    sign element diag(s) of the torus negates root plane k = {x_k, y_k}
-    on the index pair (r, c) by s_r s_c, so a profile of degrees (d1, d2,
-    d3) in the three planes is kept, and solved once, only when d1, d2
-    and d3 have one parity: 11 profiles of 60 columns."""
+    profile of degrees (d1, d2, d3) in the three root planes has a
+    monomial of weight 0 (p_k - q_k = n, n, -n) only when d1, d2 and d3
+    have one parity: 11 profiles of 60 columns.  Each of them is reduced
+    once, from one real or imaginary part per monomial of weight 0 up to
+    conjugation, which are a basis of its operator-row kernel."""
     alg, sub = reports._selection("su3", "torus")
     ops = _operator_terms(alg, sub, list(sub.m_indices))
     profiles = [bucket for a in range(5) for bucket in
-                _monomial_buckets(ops, monomials_of_degree(6, a))]
+                monomial_buckets(ops, monomials_of_degree(6, a))]
     assert len(profiles) == 35 and sum(map(len, profiles)) == 210
 
     def planes(expo):  # the degrees in x1, y1 | x2, y2 | x3, y3
@@ -726,16 +757,23 @@ def test_full_torus_solves_each_active_profile_once(monkeypatch):
     kept = [bucket for bucket in profiles
             if len({d % 2 for d in planes(bucket[0])}) == 1]
     assert len(kept) == 11 and sum(map(len, kept)) == 60
-    solves = _counting(monkeypatch, "nullspace")
+    coded = {a: operator_moves(ops, 6, a) for a in range(5)}
+    ranks = [len(nullspace(operator_rows(coded[sum(b[0])], b), len(b)))
+             for b in kept]
+    reduced = _logging_rref(monkeypatch)
     memo = CallMemo()
     for degree in range(1, 5):
         invariant_space(alg, sub, degree, False, memo)
-    assert sorted(ncols for _, ncols in solves) == sorted(map(len, kept))
-    # indecomposable_generators shares one memo over its degrees
-    built = _counting(monkeypatch, "_operator_rows")
+    # the parts are independent: each spanning set is already a basis
+    assert all(rows == pivots for rows, pivots in reduced)
+    assert sorted(pivots for _, pivots in reduced) == sorted(ranks)
+    assert sum(ranks) == 12
+    # indecomposable_generators shares one memo over its degrees: one
+    # kernel per active profile, 11 of them reduced
+    kernels = _counting(monkeypatch, "_bucket_kernel")
+    del reduced[:]
     indecomposable_generators(alg, sub, 4, restrict_to_m=False)
-    assert len(built) == len(kept)
-    assert sum(len(bucket) for _, bucket in built) == 60
+    assert len(kernels) == len(profiles) and len(reduced) == len(kept)
 
 
 def _ad_of_sign(s, E):
@@ -745,16 +783,14 @@ def _ad_of_sign(s, E):
     return cmat_mul(cmat_mul(D, E), D)
 
 
-@pytest.mark.parametrize("m_only", (True, False), ids=("m", "full"))
-@pytest.mark.parametrize("selection", SELECTIONS, ids="/".join)
-def test_sign_elements_are_the_sign_matrices_that_fix_a(selection, m_only):
-    """Each sign element is a diag(s) whose exact adjoint action fixes
-    every element of a and negates the variables it lists, and fixes the
-    others; the torus of su(3) has three, su(2)'s and the A block's one."""
-    alg, sub = reports._selection(*selection)
-    var_indices = list(sub.m_indices) if m_only else list(range(alg.dim))
+def _sign_elements(alg, sub, var_indices):
+    """Per sign matrix D = diag(s), s in {1, -1}^N with s_0 = 1, whose
+    exact adjoint action fixes every element of a and negates some
+    variable, the positions in var_indices of the variables it negates;
+    it fixes the others.  Such a D (times a root of unity of det 1) lies
+    in the torus of A when a holds it."""
     N = len(alg.matrix_rep[0])
-    expected = []
+    flips = []
     for tail in itertools.product((1, -1), repeat=N - 1):
         s = (1,) + tail
         images = [_ad_of_sign(s, E) for E in alg.matrix_rep]
@@ -766,22 +802,40 @@ def test_sign_elements_are_the_sign_matrices_that_fix_a(selection, m_only):
                 assert images[v] == cmat_scale(-1, alg.matrix_rep[v])
                 negated.append(p)
         if negated:
-            expected.append(tuple(negated))
+            flips.append(tuple(negated))
+    return flips
+
+
+@pytest.mark.parametrize("m_only", (True, False), ids=("m", "full"))
+@pytest.mark.parametrize("selection", SELECTIONS, ids="/".join)
+def test_sign_elements_are_the_sign_matrices_that_fix_a(selection, m_only):
+    """The sign matrices whose exact adjoint action fixes a are elements
+    of A, so each fixes every invariant: every term of every basis
+    polynomial of invariant_space, to degree 6, has an even degree in the
+    variables one of them negates.  The torus of su(3) has three, su(2)'s
+    and the A block's one."""
+    alg, sub = reports._selection(*selection)
+    var_indices = list(sub.m_indices) if m_only else list(range(alg.dim))
     flips = _sign_elements(alg, sub, var_indices)
-    assert flips == expected
     assert len(flips) == {"torus": 3 if selection[0] == "su3" else 1,
                           "irregular-A": 1}[selection[1]]
+    memo = CallMemo()
+    for degree in range(1, 7):
+        for p in invariant_space(alg, sub, degree, m_only, memo):
+            assert all(sum(expo[q] for q in negated) % 2 == 0
+                       for expo in p.terms for negated in flips)
 
 
-# (buckets, empty kernels, buckets a sign element negates) to degree 6 on
-# m and over the full su(2), to degree 5 over the full su(3)
+# (buckets, empty kernels, buckets a sign element negates, kernels
+# reduced) to degree 6 on m and over the full su(2), to degree 5 over the
+# full su(3)
 SIGN_SKIPS = {
-    ("su3", "torus", True): (83, 60, 60),
-    ("su3", "torus", False): (251, 174, 174),
-    ("su3", "irregular-A", True): (6, 3, 3),
-    ("su3", "irregular-A", False): (55, 31, 22),
-    ("su2", "torus", True): (6, 3, 3),
-    ("su2", "torus", False): (27, 12, 12),
+    ("su3", "torus", True): (83, 60, 60, 23),
+    ("su3", "torus", False): (251, 174, 174, 35),
+    ("su3", "irregular-A", True): (6, 3, 3, 3),
+    ("su3", "irregular-A", False): (55, 31, 22, 24),
+    ("su2", "torus", True): (6, 3, 3, 3),
+    ("su2", "torus", False): (27, 12, 12, 15),
 }
 
 
@@ -790,55 +844,81 @@ SIGN_SKIPS = {
 def test_a_bucket_that_a_sign_element_negates_has_no_invariant(
         monkeypatch, selection, m_only):
     """Every monomial of a bucket has one sign under each sign element,
-    and a bucket of sign -1 has an empty kernel by nullspace of its rows;
-    the counts of such buckets are pinned, and invariant_space solves
-    just the others, once per active profile."""
+    and a bucket of sign -1 has an empty kernel by nullspace of its
+    rows; the counts are pinned.  invariant_space reduces a kernel for
+    just the buckets whose kernel is not empty, once per active profile
+    (so none that a sign element negates), each to its dimension."""
     alg, sub = reports._selection(*selection)
     var_indices = list(sub.m_indices) if m_only else list(range(alg.dim))
-    ops = _reduced_operators(_operator_terms(alg, sub, var_indices))
+    ops = reduced_operators(_operator_terms(alg, sub, var_indices))
     active = sorted({v for terms in ops.values() for k, i, _ in terms
                      for v in (k, i)})
     flips = _sign_elements(alg, sub, var_indices)
     top = 5 if selection[0] == "su3" and not m_only else 6
-    solves = _counting(monkeypatch, "nullspace")
-    buckets = empty = negated = 0
+    reduced = _logging_rref(monkeypatch)
+    buckets = empty = negated = solves = 0
     for degree in range(1, top + 1):
-        coded = _operator_moves(ops, len(var_indices), degree)
+        coded = operator_moves(ops, len(var_indices), degree)
         solved = {}
-        for bucket in _monomial_buckets(
+        for bucket in monomial_buckets(
                 ops, monomials_of_degree(len(var_indices), degree)):
             signs = [{sum(expo[p] for p in f) % 2 for expo in bucket}
                      for f in flips]
             assert all(len(sign) == 1 for sign in signs)
-            kernel = nullspace(_operator_rows(coded, bucket), len(bucket))
+            kernel = nullspace(operator_rows(coded, bucket), len(bucket))
             buckets += 1
             empty += not kernel
             if {1} in signs:
                 assert kernel == []
                 negated += 1
-            else:
-                solved[tuple(bucket[0][v] for v in active)] = len(bucket)
-        del solves[:]
+            elif kernel:
+                solved[tuple(bucket[0][v] for v in active)] = len(kernel)
+        del reduced[:]
         invariant_space(alg, sub, degree, m_only)
-        assert sorted(ncols for _, ncols in solves) == sorted(solved.values())
-    assert (buckets, empty, negated) == SIGN_SKIPS[(*selection, m_only)]
+        assert sorted(pivots for _, pivots in reduced) == \
+            sorted(solved.values())
+        solves += len(reduced)
+    assert (buckets, empty, negated, solves) == \
+        SIGN_SKIPS[(*selection, m_only)]
 
 
-def test_no_sign_elements_without_the_torus_or_off_one_pair():
-    """A subalgebra a without the diagonal torus (H1 alone) gets no sign
-    element, and none does an algebra with a basis element on two index
-    pairs or on a pair and the diagonal, though each D would fix a."""
+def test_an_a_without_the_torus_or_a_plane_off_one_pair_is_refused():
+    """invariant_space refuses, by a one-line ValueError, a subalgebra a
+    without the diagonal torus (H1 alone), an algebra with a basis
+    element on two index pairs or on a pair and the diagonal, and one
+    whose root plane has (0, 1) entries in the ratio 1, not i or -i."""
     alg = build_su3_chevalley()
     torus = reports._selection("su3", "torus")[1]
     line = SubalgebraSpec(alg, (0,), tuple(range(1, 8)))
-    for var_indices in (list(line.m_indices), list(range(8))):
-        assert _sign_elements(alg, line, var_indices) == []
-    assert len(_sign_elements(alg, torus, list(torus.m_indices))) == 3
+    for m_only in (True, False):
+        with pytest.raises(ValueError, match=r"^a of su3-chevalley does not "
+                                             r"hold its diagonal torus$"):
+            invariant_space(alg, line, 2, m_only)
     for odd in (((0, 1), (1, 2)), ((0, 0), (1, 2))):
         pairs = alg.entry_pairs[:2] + (odd,) + alg.entry_pairs[3:]
-        stand_in = SimpleNamespace(matrix_rep=alg.matrix_rep,
-                                   entry_pairs=pairs)
-        assert _sign_elements(stand_in, torus, list(torus.m_indices)) == []
+        stand_in = SimpleNamespace(**{**vars(alg), "entry_pairs": pairs})
+        with pytest.raises(ValueError, match=r"^basis elements X1 of "
+                                             r"su3-chevalley are not one root "
+                                             r"plane in the ratio i or -i$"):
+            invariant_space(stand_in, torus, 2)
+    rep = alg.matrix_rep[:3] + [alg.matrix_rep[2]] + alg.matrix_rep[4:]
+    stand_in = SimpleNamespace(**{**vars(alg), "matrix_rep": rep})
+    with pytest.raises(ValueError, match=r"^basis elements X1, Y1 of "
+                                         r"su3-chevalley are not one root "
+                                         r"plane in the ratio i or -i$"):
+        invariant_space(stand_in, torus, 2)
+
+
+def test_irregular_a_full_reduces_no_empty_kernel(monkeypatch):
+    """The generators of irregular-A over all 8 variables to degree 5
+    reduce no kernel that comes back empty: a bucket with no monomial of
+    weight 0, or with as many of weight alpha (the root of A's su(2)
+    block) as of weight 0, is proven empty and not reduced."""
+    alg, sub = reports._selection("su3", "irregular-A")
+    reduced = _logging_rref(monkeypatch)
+    indecomposable_generators(alg, sub, 5, restrict_to_m=False)
+    assert reduced and all(pivots for _, pivots in reduced)
+    assert len(reduced) == 9
 
 
 def test_nothing_outlives_an_indecomposable_generators_call(monkeypatch):
@@ -846,7 +926,7 @@ def test_nothing_outlives_an_indecomposable_generators_call(monkeypatch):
     products = invariants._generator_products
     counts = []
     for _ in range(2):
-        solves = _counting(monkeypatch, "nullspace")
+        solves = _counting(monkeypatch, "_bucket_kernel")
         listed = _counting(monkeypatch, "monomials_of_degree")
         built = []
 
@@ -857,11 +937,13 @@ def test_nothing_outlives_an_indecomposable_generators_call(monkeypatch):
 
         monkeypatch.setattr(invariants, "_generator_products", logged)
         indecomposable_generators(alg, sub, 4, restrict_to_m=False)
-        counts.append((len(solves), len(listed), built))
+        counts.append((len(solves), sorted(listed), built))
         monkeypatch.undo()
     assert counts[0] == counts[1]
-    # one list of each degree's 8-variable monomials, degrees 1-4
-    assert counts[0][1] == 4
+    # one list of each degree's 8-variable monomials and one of its bucket
+    # profiles over the 5 blocks (h1, h2 and the three root planes),
+    # degrees 1-4
+    assert counts[0][1] == sorted((n, d) for n in (5, 8) for d in (1, 2, 3, 4))
     # one echelon of products per degree and generator count, built anew
     # by each call: degrees 1-4 as the generators grow (h1 and h2, then
     # u1-u3, then v and w), then the relations over all seven, which

@@ -138,6 +138,19 @@ def test_degree_memo_on_cancellation_zero_and_the_cap():
         also * big
 
 
+def test_substitute_takes_one_image_per_variable():
+    """x*y + y over (x, y) with the one image t is refused by a one-line
+    ValueError, not read as t + 1 with the missing image taken as 1; so
+    is an image too many."""
+    x, y = Polynomial.var(("x", "y"), "x"), Polynomial.var(("x", "y"), "y")
+    t = Polynomial.var(("t",), "t")
+    for images, message in (([t], "1 images for 2 vars"),
+                            ([t, t, t], "3 images for 2 vars")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            (x * y + y).substitute(("t",), images)
+    assert (x * y + y).substitute(("t",), [t, t]) == t * t + t
+
+
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul],
                          ids=lambda op: op.__name__)
 def test_an_inexact_operand_is_a_type_error(op):
