@@ -44,7 +44,7 @@ ts = np.array(traj.times[::250])
 # the root phases unwrapped along the flow before the angles are formed,
 # so that a single phase's wrap adds no lattice jump
 phis = np.unwrap(root_phases(sys, pts), axis=0) @ angle_map_matrix(sys).T
-tilde = np.array([_rescale(sys, frequency_matrix(sys, p), ph)
+tilde = np.array([_rescale(frequency_matrix(sys, p), ph)
                   for p, ph in zip(pts, phis)])
 for c in range(2):
     coef = np.polyfit(ts, tilde[:, c], 1)

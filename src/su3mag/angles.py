@@ -35,13 +35,14 @@ step, as one batch of the RK4 driver per action.
 
 from __future__ import annotations
 
+from functools import lru_cache
 import math
 
 import numpy as np
 
 from .algebra import exp_map
 from .phase import (PhasePoint, basis_bracket, hamiltonian_vector_field,
-                    slice_z_values, _invariant_under, _rk4_flow)
+                    slice_z_values, _invariant_under, _rk4_flow, _z_matrix)
 from .certify import action_functions, phase_jacobian
 
 TWO_PI = 2.0 * math.pi
@@ -62,16 +63,11 @@ class ChartUndefined(ValueError):
     """A root modulus is too small for the phase chart."""
 
 
-# Live roots per case: on the irregular slice the (1,2)-root coordinate
-# vanishes identically (both X in m and W are block-diagonal there), so the
-# angle chart uses the two surviving roots.  M_LIVE maps coroot directions
-# to live-phase shifts: d theta_live = -M_LIVE d sigma.
-_M_LIVE_IRREGULAR = np.array([[-1.0, 2.0], [1.0, 1.0]])
-
-
+@lru_cache(maxsize=4)
 def live_roots(sys):
-    """Indices of the root coordinates that are not identically zero."""
-    return (0, 1, 2) if sys.case_tag == "regular" else (1, 2)
+    """Indices of the root coordinates z_k not identically zero on the
+    slice: the columns of the z matrix nonzero on the m rows, per system."""
+    return tuple(np.flatnonzero(_z_matrix(sys.alg)[sys.m].any(0)).tolist())
 
 
 def _live_z(sys, pt):
@@ -91,10 +87,12 @@ def root_phases(sys, pt):
 
 
 def angle_map_matrix(sys):
-    """The matrix mapping root phases to torus angles, phi = L theta."""
-    if sys.case_tag == "regular":
+    """The map phi = L theta on the live roots, with L Theta_live = -I:
+    -LEFT_INVERSE for a tall Theta_live, the inverse for a square one."""
+    theta_live = THETA_MATRIX[list(live_roots(sys))]
+    if len(theta_live) > theta_live.shape[1]:
         return -LEFT_INVERSE
-    return -np.linalg.inv(_M_LIVE_IRREGULAR)
+    return -np.linalg.inv(theta_live)
 
 
 def chart_draw(sys, rng):
@@ -183,19 +181,19 @@ def frequency_matrix(sys, pt):
     with the action Jacobian, at a point or row by row at a stack of
     points.
 
-    Shape (2, 2) in the regular case and (2,) in the irregular case (per
-    row, for a stack).
+    Shape (2, n) for n actions, and (2,) for a single action (per row,
+    for a stack).
     """
     Om = basis_bracket(sys, angle_differential(sys, pt),
                        phase_jacobian(sys, action_functions(sys), pt))
-    return Om if sys.case_tag == "regular" else Om[..., 0]
+    return Om[..., 0] if Om.shape[-1] == 1 else Om
 
 
-def _rescale(sys, Om, phi):
-    """S phi with S the canonical rescaling Omega^-1 (regular) or
-    Omega/|Omega|^2 (irregular), row by row for stacks of Omega and phi:
-    each row its own solve or dot product, as for one point."""
-    if sys.case_tag == "regular":
+def _rescale(Om, phi):
+    """S phi, S the canonical rescaling: Omega^-1 for a frequency matrix,
+    Omega/|Omega|^2 for a single action's covector (shaped as phi); row
+    by row for stacks, each row its own solve or dot product."""
+    if Om.ndim > phi.ndim:
         if np.any(np.abs(np.linalg.det(Om)) < 1e-12):
             raise ValueError("singular frequency matrix; cannot rescale")
         return np.linalg.solve(Om, phi[..., None])[..., 0]
@@ -217,7 +215,7 @@ def angle_action_pairing(sys, pt):
     into angles, and the canonical rescaling is applied with the
     frequency matrix frozen at the base point: Omega is a function of
     the actions, which every action flow keeps, so this is exact.
-    Expect the identity (regular) or 1.0 (irregular).
+    Expect the n x n identity for n actions, and (1.0,) for one.
     """
     h_flow = PAIRING_FLOW_STEP
     th0 = root_phases(sys, pt)
@@ -233,7 +231,7 @@ def angle_action_pairing(sys, pt):
         th = th.reshape((2,) + th0.shape)  # +h rows, then -h rows
         d = _nearest_branch(th[0], th0) - _nearest_branch(th[1], th0)
         dphi = np.matmul(L, d[..., None])[..., 0]
-        cols.append(_rescale(sys, Om, dphi) / (8.0 * h_flow))
+        cols.append(_rescale(Om, dphi) / (8.0 * h_flow))
     return np.stack(cols, axis=-1) if len(cols) > 1 else cols[0]
 
 
@@ -252,9 +250,9 @@ def angle_angle_bracket(sys, pt):
 
     On a joint level torus the rescaling matrix is a function of the
     actions alone, so freezing it at the base point computes the on-torus
-    bracket sum_ab S_1a S_2b {phi_a, phi_b}.
+    bracket sum_ab S_1a S_2b {phi_a, phi_b}; it needs two actions.
     """
-    if sys.case_tag != "regular":
+    if len(action_functions(sys)) < 2:
         raise ValueError("two independent angles exist only in the regular case")
     S = np.linalg.inv(frequency_matrix(sys, pt))
     D = angle_differential(sys, pt)

@@ -52,9 +52,10 @@ DRIFT_LIMIT = 1e-8
 
 
 class MagneticSystem:
-    """One phase space T*(G/A): algebra, reductive split, W and eps."""
+    """One phase space T*(G/A): algebra, reductive split, W and eps; its
+    case_tag ("regular" when W is, else "irregular") is read off W."""
 
-    def __init__(self, alg, W_exact, eps, case_tag):
+    def __init__(self, alg, W_exact, eps):
         if isinstance(eps, bool) or not isinstance(eps, (Real, Scalar)):
             raise TypeError(f"the magnetic parameter eps must be a real "
                             f"number or a Scalar, got {eps!r}")
@@ -70,7 +71,8 @@ class MagneticSystem:
         # a = ker(ad W) is spanned by basis elements (centralizer_of), so
         # W is Ad(A)-fixed exactly
         self.sub = centralizer_of(alg, self.W_exact)
-        self.case_tag = case_tag
+        self.case_tag = ("regular" if regularity(alg, self.W_exact).regular
+                         else "irregular")
         self.W = np.array([float(w) for w in self.W_exact])
         self.m = list(self.sub.m_indices)
         self.a = list(self.sub.a_indices)
@@ -179,7 +181,7 @@ def su3_regular_system(eps):
     """T*(SU(3)/T) with the regular element W = (H1 + H2)/2."""
     alg = build_su3_chevalley()
     W = [Scalar(Fraction(1, 2)), Scalar(Fraction(1, 2))] + [Scalar(0)] * 6
-    return MagneticSystem(alg, W, eps, "regular")
+    return MagneticSystem(alg, W, eps)
 
 
 def su3_irregular_system(eps):
@@ -193,7 +195,7 @@ def su3_irregular_system(eps):
     """
     alg = build_su3_gellmann()
     W = [Scalar(0)] * 7 + [Scalar.sqrt3(-1)]
-    return MagneticSystem(alg, W, eps, "irregular")
+    return MagneticSystem(alg, W, eps)
 
 
 class PhasePoint:

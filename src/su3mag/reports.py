@@ -17,12 +17,12 @@ from .invariants import (indecomposable_generators, restrict_shift,
 from .phase import (su3_regular_system, su3_irregular_system, PhasePoint,
                     integrate_flow, conservation_report, closed_form_fiber)
 from .algebra import build_su2, centralizer_of, identity_element
-from .certify import (CertificateReport, bracket_table_regular,
-                      cubic_relation_check, cubic_relation_numeric,
-                      phi_relation_irregular, bracket_samples,
-                      center_check, jacobian_rank_pi1, pi1_rank_samples,
-                      a_matrix_minors, dimension_report, generator_family,
-                      couplings, LEDGER, NUM_TOL, _worst)
+from .certify import (CertificateReport, action_functions,
+                      bracket_table_regular, cubic_relation_check,
+                      cubic_relation_numeric, phi_relation_irregular,
+                      bracket_samples, center_check, jacobian_rank_pi1,
+                      pi1_rank_samples, a_matrix_minors, dimension_report,
+                      generator_family, couplings, LEDGER, NUM_TOL, _worst)
 from .scalars import Scalar
 
 
@@ -185,7 +185,7 @@ def run_verification(config):
                          frequency_matrix, angle_angle_bracket, torus_action)
     n_angle = min(5, rank_samples)
     apts = sys.points_of([chart_draw(sys, rng) for _ in range(n_angle)])
-    target = np.eye(2) if case == "regular" else np.array([1.0])
+    target = np.eye(len(action_functions(sys)))
     worst_pair = _worst(angle_action_pairing(sys, apts) - target)
     report.add("angle_action_pairing", 0.0, worst_pair, 1e-5)
     apt = chart_point(sys, rng)

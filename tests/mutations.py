@@ -65,6 +65,8 @@ LEAN_RING = ("A lean exact polynomial ring: one trusted constructor for the "
              "term maps its own operations build")
 WEIGHTS = ("Weight-first commutants: read the torus invariants off their "
            "weights, do not solve operator rows")
+SPLIT = ("The split is the case: MagneticSystem takes no case tag, and the "
+         "angle layer reads its shape off the live roots and the actions")
 
 MUTATIONS = (
     # the one exact structure-constant contraction
@@ -172,6 +174,13 @@ MUTATIONS = (
              "        self._Pi[n:, :n] = np.eye(n)", POISSON,
              ("tests/test_phase.py::test_hvf_defining_equation",
               "tests/test_phase.py::test_hvf_slice_gradient_direction")),
+    # the live roots read off the split: all three roots would put the
+    # irregular slice's identically zero root coordinate in the chart
+    Mutation("live-roots-hard-coded", "src/su3mag/angles.py",
+             "return tuple(np.flatnonzero(_z_matrix(sys.alg)[sys.m].any(0))"
+             ".tolist())", "return (0, 1, 2)", SPLIT,
+             ("tests/test_angles.py::"
+              "test_live_roots_and_angle_map_are_read_off_the_split",)),
     # only the regular case catches it: on the irregular slice the
     # v rows' part -1/2 [v, X]_m of the fiber velocity is zero
     Mutation("flow-step-fiber-v-rows-dropped", "src/su3mag/angles.py",

@@ -323,7 +323,7 @@ def selection_systems():
     torus (the regular case), su(3) over S(U(2)xU(1)) (the irregular
     case) and su(2) over its torus, W = e_x."""
     return [su3_regular_system(0.1), su3_irregular_system(0.1),
-            MagneticSystem(build_su2(), [1, 0, 0], 0.1, "su2")]
+            MagneticSystem(build_su2(), [1, 0, 0], 0.1)]
 
 
 def ad_matrix_by_structure(alg, w):

@@ -8,13 +8,14 @@ import pytest
 
 from su3mag.phase import (su3_regular_system, su3_irregular_system,
                           PhasePoint, integrate_flow,
-                          hamiltonian_vector_field, moment_coordinate)
+                          hamiltonian_vector_field, moment_coordinate,
+                          _z_matrix)
 from su3mag.algebra import GroupElement, exp_map, identity_element
 from su3mag.angles import (root_phases, torus_action,
                            chart_point, frequency_matrix,
                            angle_action_pairing, angle_angle_bracket,
                            angle_differential, angle_map_matrix,
-                           action_functions,
+                           action_functions, live_roots,
                            flow_step, slice_z_values, ChartUndefined,
                            THETA_MATRIX, LEFT_INVERSE, _nearest_branch,
                            _rescale, TWO_PI)
@@ -38,6 +39,32 @@ def test_import_builds_no_algebra():
 
 def test_left_inverse_of_theta():
     assert np.abs(LEFT_INVERSE @ THETA_MATRIX - np.eye(2)).max() == 0.0
+
+
+@pytest.mark.parametrize("case", ["regular", "irregular"])
+def test_live_roots_and_angle_map_are_read_off_the_split(case):
+    """The live roots are the columns of the z matrix that are nonzero on
+    the m rows (all three over the torus, the two off-block roots over
+    S(U(2)xU(1))), and the angle map inverts -Theta on them."""
+    sys = (su3_regular_system if case == "regular"
+           else su3_irregular_system)(0.1)
+    Z = _z_matrix(sys.alg)[sys.m]
+    nonzero = tuple(k for k in range(Z.shape[1]) if np.any(Z[:, k] != 0))
+    assert live_roots(sys) == nonzero
+    assert len(nonzero) == (3 if case == "regular" else 2)
+    theta_live = THETA_MATRIX[list(live_roots(sys))]
+    assert np.abs(angle_map_matrix(sys) @ theta_live + np.eye(2)).max() \
+        < 1e-15
+
+
+def test_angle_angle_bracket_refuses_a_single_action():
+    sys = su3_irregular_system(0.1)
+    pt = chart_point(sys, np.random.default_rng(8))
+    assert len(action_functions(sys)) == 1
+    with pytest.raises(ValueError) as err:
+        angle_angle_bracket(sys, pt)
+    assert str(err.value) == \
+        "two independent angles exist only in the regular case"
 
 
 def test_real_positive_roots_have_zero_phase():
@@ -184,7 +211,7 @@ def test_affine_advance_along_physical_flow():
         ts = np.array(traj.times[::125])
         phis = (np.unwrap(root_phases(sys, pts), axis=0)
                 @ angle_map_matrix(sys).T)
-        tilde = np.array([_rescale(sys, frequency_matrix(sys, p), ph)
+        tilde = np.array([_rescale(frequency_matrix(sys, p), ph)
                           for p, ph in zip(pts, phis)])
         for c in range(tilde.shape[1]):
             coef = np.polyfit(ts, tilde[:, c], 1)
@@ -213,7 +240,7 @@ def _flow_difference(partner, sys, pt, h=1e-5):
 
 def _fd_frequency_matrix(sys, pt):
     cols = [_flow_difference(J, sys, pt) for J in action_functions(sys)]
-    return np.column_stack(cols) if sys.case_tag == "regular" else cols[0]
+    return np.column_stack(cols) if len(cols) > 1 else cols[0]
 
 
 def _fd_angle_differential(sys, pt, h=1e-6):
@@ -240,7 +267,8 @@ def test_frequency_matrix_matches_flow_differences(eps):
         for _ in range(3):
             pt = chart_point(sys, rng)
             Om = frequency_matrix(sys, pt)
-            assert Om.shape == ((2, 2) if sys.case_tag == "regular" else (2,))
+            n = len(action_functions(sys))
+            assert Om.shape == ((2, n) if n > 1 else (2,))
             assert np.abs(Om - _fd_frequency_matrix(sys, pt)).max() < 1e-8
 
 

@@ -255,6 +255,41 @@ def test_certificate_modules_reduce_floats_by_numpy(module):
     assert builtin_max_min_calls(source) == INTEGER_MAX_MIN.get(module, [])
 
 
+# the comparisons with a case label per module of the package, a ratchet:
+# each selects a theorem that one case alone has, and a change that reads
+# another case fact off the split lowers its module's count.  reports
+# counts the two of make_system, which maps a CLI case to its system.
+CASE_COMPARISONS = {"angles": 0, "certify": 4, "phase": 1, "reports": 11}
+
+
+def case_comparisons(source):
+    """The number of comparisons in source with an operand that is the
+    case label: ``case_tag`` (a name or an attribute) or a name ``case``."""
+    def is_label(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "case_tag"
+                or isinstance(node, ast.Name)
+                and node.id in ("case_tag", "case"))
+
+    return sum(1 for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.Compare)
+               and any(map(is_label, [node.left, *node.comparators])))
+
+
+def test_the_scan_sees_a_case_comparison():
+    source = ("def f(sys, case):\n    if sys.case_tag == 'regular':\n"
+              "        return 1\n    if 'irregular' != case:\n"
+              "        return 2\n    label = sys.case_tag\n"
+              "    return {'case': label}[case] == 3\n")
+    assert case_comparisons(source) == 2
+
+
+def test_case_comparisons_do_not_grow():
+    counts = {p.stem: case_comparisons(p.read_text(encoding="utf-8"))
+              for p in MODULES}
+    assert {m: n for m, n in counts.items()
+            if n or m in CASE_COMPARISONS} == CASE_COMPARISONS
+
+
 @pytest.mark.parametrize("entry", MUTATIONS, ids=lambda m: m.id)
 def test_each_mutation_still_applies(entry):
     """The old text of each mutation occurs exactly once in its file and

@@ -45,6 +45,28 @@ def test_eps_zero_rejected():
         su3_regular_system(0.0)
 
 
+def test_the_case_label_is_read_off_w():
+    """A system is labelled "regular" exactly when its W is regular: the
+    CLI cases keep their names, a regular W of another build or algebra
+    is labelled "regular", and no tag can be passed in.  su(2) over its
+    torus is labelled regular, so it reaches the torus generators, which
+    refuse an algebra without the root-adapted su(3) data."""
+    from su3mag.algebra import build_su2, build_su3_gellmann
+    from su3mag.certify import slice_generators
+    from su3mag.reports import CASES, make_system
+    for case in CASES:
+        assert make_system(case, 0.1).case_tag == case
+    e1 = MagneticSystem(build_su3_gellmann(), [1] + [0] * 7, 0.1)
+    su2 = MagneticSystem(build_su2(), [1, 0, 0], 0.1)
+    assert e1.case_tag == su2.case_tag == "regular"
+    with pytest.raises(TypeError):
+        MagneticSystem(build_su2(), [1, 0, 0], 0.1, "irregular")
+    with pytest.raises(ValueError) as err:
+        slice_generators(su2)
+    assert str(err.value) == \
+        "torus generators need the root-adapted su(3) build"
+
+
 def test_moment_components_at_identity():
     """At the identity gauge the moment components are the shifted fiber.
 

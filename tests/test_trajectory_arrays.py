@@ -262,7 +262,7 @@ def _off_diagonal_system(eps):
     eigenvectors U of its matrix mix the basis, and U* != U, so U* M(X0) U
     differs from U M(X0) U*.  The matrices of the shipped W are diagonal,
     with U = I."""
-    return MagneticSystem(build_su3_gellmann(), [1] + [0] * 7, eps, "e1")
+    return MagneticSystem(build_su3_gellmann(), [1] + [0] * 7, eps)
 
 
 @pytest.mark.parametrize("make", [su3_regular_system, su3_irregular_system,
