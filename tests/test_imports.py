@@ -5,8 +5,9 @@ be, every name the benchmark's trace wraps exists, no module but
 algebra.py contracts the structure constants by a loop of its own,
 outside the coadjoint derivations, no file but poly.py builds a
 polynomial through its unchecked constructor, the certificate modules
-call a builtin max or min on integer counts only, and every entry of
-the mutation suite (tests/mutations.py) still applies."""
+call a builtin max or min on integer counts only, no module compares the
+case label more often than its pinned count, and every entry of the
+mutation suite (tests/mutations.py) still applies."""
 
 import ast
 import importlib
@@ -256,9 +257,9 @@ def test_certificate_modules_reduce_floats_by_numpy(module):
 
 
 # the comparisons with a case label per module of the package, a ratchet:
-# each selects a theorem that one case alone has, and a change that reads
-# another case fact off the split lowers its module's count.  reports
-# counts the two of make_system, which maps a CLI case to its system.
+# a change that reads one more case fact off the split, and so removes a
+# branch, lowers its module's count.  reports counts the two of
+# make_system, which maps a CLI case to its system.
 CASE_COMPARISONS = {"angles": 0, "certify": 4, "phase": 1, "reports": 11}
 
 
