@@ -90,7 +90,7 @@ def angle_map_matrix(sys):
     """The map phi = L theta on the live roots, with L Theta_live = -I:
     -LEFT_INVERSE for a tall Theta_live, the inverse for a square one."""
     theta_live = THETA_MATRIX[list(live_roots(sys))]
-    if len(theta_live) > theta_live.shape[1]:
+    if theta_live.shape[0] > theta_live.shape[1]:
         return -LEFT_INVERSE
     return -np.linalg.inv(theta_live)
 
