@@ -594,7 +594,8 @@ def regularity(alg, w, tol=1e-10):
     Uses exact root data for torus elements of the root-adapted build, and
     eigenvalue multiplicities of the matrix realization otherwise (for a
     3x3 anti-Hermitian matrix, the positive roots vanishing on W biject
-    with coinciding eigenvalue pairs).
+    with coinciding eigenvalue pairs).  Called by draw_regular_point's
+    float test and demo 01; a system's case label is read off its split.
     """
     roots = alg.extras.get("roots")
     torus = alg.extras.get("torus_indices")

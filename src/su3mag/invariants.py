@@ -9,16 +9,19 @@ imaginary parts of the monomials of weight 0 in the entries of X, cut by
 one root operator per root plane of a where a is more than T.  Each
 bucket of monomials that the L_j preserve is brought to the one form in
 which exact_linalg.nullspace lists a kernel.  Rows handed to exact_linalg
-are sparse rows {column: Scalar.ints}.  _product_echelon adds the rows of
-a degree's products of generators (_generator_products: each one lower
-product times one generator) in order to one Echelon, row i tagged
-{i: 1}, which the quotient by decomposables (a candidate is picked when it
-does not reduce to zero against it and those picked before it), the
-relations (the tags of the rows that vanish, lower ones lifted by shifting
+are sparse rows {column: Scalar.ints}; a polynomial's row is keyed by its
+exponent tuples, and the one monomial list is the bucket profiles
+(invariant_space).  _product_echelon adds the rows of a degree's
+products of generators (_generator_products: each one lower product
+times one generator) in order to one Echelon, row i tagged {i: 1}, which
+the quotient by decomposables (a candidate is picked when it does not
+reduce to zero against it and those picked before it), the relations
+(the tags of the rows that vanish, lower ones lifted by shifting
 exponents) and rewrite_in_generators (one part of q per power of eps and
-degree) share.  A CallMemo, owned by one top-level call
-(indecomposable_generators, or one bracket table), keeps what the call
-shares; nothing is cached across calls.
+degree) share.  A pick is span membership and a tag or coefficient is
+unique, so none depends on where the pivots fall.  A CallMemo, owned by
+one top-level call (indecomposable_generators, or one bracket table),
+keeps what the call shares; nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -59,29 +62,19 @@ class CallMemo:
     or one bracket table) builds once and reuses; the caller makes it, and
     nothing in it outlives that call.
 
-    monomials: (nvars, degree) -> {exponent tuple: index}, in the order of
-    monomials_of_degree; products: generator exponent tuple -> Polynomial
-    (_product); echelons: (degree, len(gens)) -> the combos, monomial index
-    and tagged Echelon of the degree's generator products (_product_echelon),
-    both valid for one gens that only grows; split (_weight_split) and
-    kernels (active blocks' degrees -> invariants, see invariant_space),
-    valid for one (alg, sub, variables)."""
+    products: generator exponent tuple -> Polynomial (_product);
+    echelons: (degree, len(gens)) -> the combos and the tagged Echelon,
+    rows keyed by exponent, of the degree's generator products
+    (_product_echelon), both valid for one gens that only grows; split
+    (_weight_split) and kernels (active blocks' degrees -> invariants, see
+    invariant_space), valid for one (alg, sub, variables).  It keeps no
+    monomial list."""
 
     def __init__(self):
-        self.monomials = {}
         self.products = {}
         self.echelons = {}
         self.kernels = {}
         self.split = None
-
-    def monomial_index(self, nvars, degree):
-        """{monomial: index} over the degree's monomials, listed once."""
-        index = self.monomials.get((nvars, degree))
-        if index is None:
-            index = {e: i for i, e in
-                     enumerate(monomials_of_degree(nvars, degree))}
-            self.monomials[(nvars, degree)] = index
-        return index
 
 
 def _operator_terms(alg, sub, var_indices):
@@ -263,7 +256,7 @@ def invariant_space(alg, sub, degree, restrict_to_m=True, memo=None):
         memo.split = _weight_split(alg, sub, var_indices)
     block, active = memo.split[3:]
     basis = []
-    for profile in reversed(memo.monomial_index(max(block) + 1, degree)):
+    for profile in reversed(monomials_of_degree(max(block) + 1, degree)):
         key = tuple(profile[b] for b in active)
         kernel = memo.kernels.get(key)
         if kernel is None:
@@ -292,9 +285,9 @@ class GeneratorSet:
         return "\n".join(lines) + "\n"
 
 
-def _poly_to_row(poly, mono_index):
-    """The sparse coefficient row {monomial index: coeff.ints} of poly."""
-    return {mono_index[expo]: c.ints for expo, c in poly.terms.items()}
+def _poly_to_row(poly):
+    """The sparse coefficient row {exponent tuple: coeff.ints} of poly."""
+    return {expo: c.ints for expo, c in poly.terms.items()}
 
 
 def _greedy_complete(echelon, candidates):
@@ -321,9 +314,8 @@ def indecomposable_generators(alg, sub, max_degree, restrict_to_m=True):
         # every generator so far has degree below d, so every such
         # product has at least two factors.  The candidates picked join
         # its echelon; gens then grows, so the memo hands it out no more
-        _, mono_index, products = _product_echelon(gens, names, d, memo)
-        picked = _greedy_complete(
-            products, [_poly_to_row(p, mono_index) for p in basis])
+        _, products = _product_echelon(gens, names, d, memo)
+        picked = _greedy_complete(products, [_poly_to_row(p) for p in basis])
         for rank_in_degree, idx in enumerate(picked, start=1):
             gens.append((f"q{d}_{rank_in_degree}", basis[idx], d))
 
@@ -332,33 +324,31 @@ def indecomposable_generators(alg, sub, max_degree, restrict_to_m=True):
 
 
 def _generator_products(gens, names, degree, memo):
-    """(combos, rows, mono_index) of the products of generators of the
-    weighted degree: the exponent tuples over gens (a list of (name,
-    Polynomial over names, degree)) as listed by _monomials_in_generators,
-    the int row of each product over the degree's monomials, and the
-    index of those monomials (memo's, not to be changed).  memo is the
-    CallMemo of one top-level computation on one growing gens."""
+    """(combos, rows) of the products of generators of the weighted
+    degree: the exponent tuples over gens (a list of (name, Polynomial
+    over names, degree)) as listed by _monomials_in_generators, and the
+    int row of each product keyed by its exponent tuples over names.
+    memo is the CallMemo of one top-level computation on one growing
+    gens."""
     combos = _monomials_in_generators(gens, degree)
-    mono_index = memo.monomial_index(len(names), degree)
     rows = [_poly_to_row(_product(gens, combo, memo.products) if any(combo)
-                         else Polynomial.const(names, 1), mono_index)
+                         else Polynomial.const(names, 1))
             for combo in combos]
-    return combos, rows, mono_index
+    return combos, rows
 
 
 def _product_echelon(gens, names, degree, memo):
-    """(combos, mono_index, echelon) of the generator products of the
-    weighted degree: combos and mono_index as _generator_products lists
-    them, and the Echelon of the product rows added in the order of combos,
-    row i tagged {i: 1}, so its kernel holds the linear relations among the
+    """(combos, echelon) of the generator products of the weighted
+    degree: combos as _generator_products lists them, and the Echelon of
+    the product rows, keyed by exponent, added in the order of combos, row
+    i tagged {i: 1}, so its kernel holds the linear relations among the
     products.  Kept in memo under (degree, len(gens)), for the generator
     completion, the relations and the rewrites of one call to share."""
     key = (degree, len(gens))
     entry = memo.echelons.get(key)
     if entry is None:
-        combos, rows, mono_index = _generator_products(gens, names, degree,
-                                                       memo)
-        entry = combos, mono_index, Echelon(rows, tagged=True)
+        combos, rows = _generator_products(gens, names, degree, memo)
+        entry = combos, Echelon(rows, tagged=True)
         memo.echelons[key] = entry
     return entry
 
@@ -368,11 +358,12 @@ def rewrite_in_generators(q, gens, memo=None):
 
     gens is a list of (name, Polynomial over the m-vars, degree); q is
     split once into its parts of one power of eps and one degree in the
-    m-vars, and each part is reduced against the echelon of the generator
-    monomials of that degree.  Returns the rewritten polynomial over
-    (gen names..., "eps"), or None if q is not expressible.  memo is the
-    CallMemo of the generator products, their echelons and the monomials,
-    shared by the rewrites of one bracket table.
+    m-vars, and each part, a row keyed by its m-exponents, is reduced
+    against the echelon of the generator monomials of that degree.
+    Returns the rewritten polynomial over (gen names..., "eps"), or None
+    if q is not expressible.  memo is the CallMemo of the generator
+    products and their echelons, shared by the rewrites of one bracket
+    table.
     """
     memo = CallMemo() if memo is None else memo
     m_names = gens[0][1].vars
@@ -381,10 +372,8 @@ def rewrite_in_generators(q, gens, memo=None):
         parts.setdefault((expo[-1], sum(expo[:-1])), {})[expo[:-1]] = coeff
     terms = {}
     for (e_eps, deg), part in sorted(parts.items()):
-        combos, mono_index, products = _product_echelon(gens, m_names, deg,
-                                                        memo)
-        coeffs = solve_in_span(
-            _poly_to_row(Polynomial(m_names, part), mono_index), products)
+        combos, products = _product_echelon(gens, m_names, deg, memo)
+        coeffs = solve_in_span({e: c.ints for e, c in part.items()}, products)
         if coeffs is None:
             return None
         for i, c in coeffs.items():
@@ -417,7 +406,7 @@ def _generator_relations(gens, names, max_degree, memo):
     relations = []
 
     for d in range(2, max_degree + 1):
-        combos, _, products = _product_echelon(gens, names, d, memo)
+        combos, products = _product_echelon(gens, names, d, memo)
         kernel = products.kernel
         if not kernel:
             continue

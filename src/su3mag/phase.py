@@ -49,11 +49,15 @@ from .invariants import casimirs_su3, shift_images
 BLOCK_ROWS = 1024
 # Largest unitarity drift of an RK4 step before its projection.
 DRIFT_LIMIT = 1e-8
+# The W of the regular (root-adapted) and irregular (Gell-Mann) systems.
+REGULAR_W = (Scalar(Fraction(1, 2)),) * 2 + (Scalar(0),) * 6
+IRREGULAR_W = (Scalar(0),) * 7 + (Scalar.sqrt3(-1),)
 
 
 class MagneticSystem:
     """One phase space T*(G/A): algebra, reductive split, W and eps; its
-    case_tag ("regular" when W is, else "irregular") is read off W."""
+    case_tag is "regular" iff dim a is the rank (the matrix size less one,
+    as _weight_split counts it), else "irregular"."""
 
     def __init__(self, alg, W_exact, eps):
         if isinstance(eps, bool) or not isinstance(eps, (Real, Scalar)):
@@ -71,8 +75,8 @@ class MagneticSystem:
         # a = ker(ad W) is spanned by basis elements (centralizer_of), so
         # W is Ad(A)-fixed exactly
         self.sub = centralizer_of(alg, self.W_exact)
-        self.case_tag = ("regular" if regularity(alg, self.W_exact).regular
-                         else "irregular")
+        self.case_tag = ("regular" if len(self.sub.a_indices)
+                         == len(alg.matrix_rep[0]) - 1 else "irregular")
         self.W = np.array([float(w) for w in self.W_exact])
         self.m = list(self.sub.m_indices)
         self.a = list(self.sub.a_indices)
@@ -163,7 +167,12 @@ class MagneticSystem:
 def _z_matrix(alg):
     """The complex (dim, 3) matrix Z of the root coordinate functionals,
     z = coords @ Z: row i holds z_k(e_i), exactly from the z_rows of the
-    root-adapted basis and the exact root-adapted coordinates of e_i."""
+    root-adapted basis and the exact root-adapted coordinates of e_i.  A
+    ValueError refuses an algebra whose matrices are not 3x3."""
+    n = len(alg.matrix_rep[0])
+    if n != 3:
+        raise ValueError(f"root coordinates need 3x3 matrices, "
+                         f"{alg.name} has {n}x{n}")
     chev = build_su3_chevalley()
     return np.array([[complex(sum((c * x for c, x in zip(row, coords)), CZERO))
                       for row in chev.extras["z_rows"]]
@@ -179,9 +188,7 @@ def slice_z_values(sys, coords):
 
 def su3_regular_system(eps):
     """T*(SU(3)/T) with the regular element W = (H1 + H2)/2."""
-    alg = build_su3_chevalley()
-    W = [Scalar(Fraction(1, 2)), Scalar(Fraction(1, 2))] + [Scalar(0)] * 6
-    return MagneticSystem(alg, W, eps)
+    return MagneticSystem(build_su3_chevalley(), REGULAR_W, eps)
 
 
 def su3_irregular_system(eps):
@@ -193,9 +200,7 @@ def su3_irregular_system(eps):
     Ad(A)-fixed W can have once this stabilizer is fixed: a diag(2,-1,-1)
     shape would fail to commute with the su(2) block.
     """
-    alg = build_su3_gellmann()
-    W = [Scalar(0)] * 7 + [Scalar.sqrt3(-1)]
-    return MagneticSystem(alg, W, eps)
+    return MagneticSystem(build_su3_gellmann(), IRREGULAR_W, eps)
 
 
 class PhasePoint:

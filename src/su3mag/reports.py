@@ -15,8 +15,10 @@ from .poly import Polynomial
 from .invariants import (indecomposable_generators, restrict_shift,
                          casimir_count, radial_generator)
 from .phase import (su3_regular_system, su3_irregular_system, PhasePoint,
-                    integrate_flow, conservation_report, closed_form_fiber)
-from .algebra import build_su2, centralizer_of, identity_element
+                    integrate_flow, conservation_report, closed_form_fiber,
+                    REGULAR_W, IRREGULAR_W)
+from .algebra import (build_su2, build_su3_chevalley, build_su3_gellmann,
+                      centralizer_of, identity_element)
 from .certify import (CertificateReport, action_functions,
                       bracket_table_regular, cubic_relation_check,
                       cubic_relation_numeric, phi_relation_irregular,
@@ -376,7 +378,8 @@ def bracket_table_json(sys):
 
 
 def _selection(algebra, sub):
-    """The (algebra, subalgebra) pair of a CLI centralizer selection."""
+    """The (algebra, subalgebra) pair of a CLI centralizer selection: the
+    split of the W of its system, with no system built."""
     if algebra == "su2":
         if sub != "torus":
             raise ValueError("su2 supports only the torus subalgebra")
@@ -385,12 +388,12 @@ def _selection(algebra, sub):
     if algebra != "su3":
         raise ValueError(f"unknown algebra {algebra!r}")
     if sub == "torus":
-        sys = su3_regular_system(0.1)
+        alg, W = build_su3_chevalley(), REGULAR_W
     elif sub == "irregular-A":
-        sys = su3_irregular_system(0.1)
+        alg, W = build_su3_gellmann(), IRREGULAR_W
     else:
         raise ValueError(f"unknown subalgebra {sub!r}")
-    return sys.alg, sys.sub
+    return alg, centralizer_of(alg, W)
 
 
 def algebra_text(algebra, sub):

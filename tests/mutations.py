@@ -67,6 +67,8 @@ WEIGHTS = ("Weight-first commutants: read the torus invariants off their "
            "weights, do not solve operator rows")
 SPLIT = ("The split is the case: MagneticSystem takes no case tag, and the "
          "angle layer reads its shape off the live roots and the actions")
+BOOKKEEPING = ("The exact pass stops listing monomial tables and building "
+               "systems it never reads")
 
 MUTATIONS = (
     # the one exact structure-constant contraction
@@ -353,6 +355,24 @@ MUTATIONS = (
              "{tuple(map(add, e, shift)): x", "{e: x", WEIGHTS,
              ("tests/test_invariants.py::"
               "test_weight_route_is_the_operator_row_route",)),
+    # rows keyed by exponent, splits with no system, the label off the
+    # split: a product row loses its first term, the torus selection
+    # reads the irregular W, the rank is read as the matrix size
+    Mutation("product-row-term-dropped", "src/su3mag/invariants.py",
+             "return {expo: c.ints for expo, c in poly.terms.items()}",
+             "return {expo: c.ints for expo, c in "
+             "list(poly.terms.items())[1:]}", BOOKKEEPING,
+             ("tests/test_invariants.py::"
+              "test_generator_products_are_the_chained_products",)),
+    Mutation("selection-w-swapped", "src/su3mag/reports.py",
+             "alg, W = build_su3_chevalley(), REGULAR_W",
+             "alg, W = build_su3_chevalley(), IRREGULAR_W", BOOKKEEPING,
+             ("tests/test_invariants.py::"
+              "test_a_selection_builds_the_split_and_no_system",)),
+    Mutation("label-rank-off-by-one", "src/su3mag/phase.py",
+             "== len(alg.matrix_rep[0]) - 1 else",
+             "== len(alg.matrix_rep[0]) else", BOOKKEEPING,
+             ("tests/test_phase.py::test_the_case_label_is_read_off_w",)),
 )
 
 

@@ -113,7 +113,7 @@ from su3mag.invariants import (independence_rank, numeric_rank,
                                radial_generator, restrict_shift,
                                shift_images, torus_generators,
                                monomials_of_degree, _monomials_in_generators,
-                               _operator_terms, _poly_to_row)
+                               _operator_terms)
 from su3mag.phase import (MagneticSystem, MomentPullback, PhasePoint,
                           hamiltonian_vector_field, slice_z_values,
                           su3_irregular_system, su3_regular_system,
@@ -497,20 +497,19 @@ def rref_by_scalars(rows, ncols):
 
 
 def generator_products_by_chain(gens, names, degree):
-    """(combos, rows, mono_index) of the products of generators of the
-    weighted degree, each product chained from 1 by one multiplication
-    per factor, generators in order, nothing shared between products."""
+    """(combos, rows) of the products of generators of the weighted
+    degree, each product chained from 1 by one multiplication per factor,
+    generators in order, nothing shared between products; a row is
+    {exponent tuple: coefficient ints} over every term of its product."""
     combos = _monomials_in_generators(gens, degree)
-    mono_index = {e: i for i, e in
-                  enumerate(monomials_of_degree(len(names), degree))}
     rows = []
     for combo in combos:
         poly = Polynomial.const(names, 1)
         for (_, gp, _), k in zip(gens, combo):
             for _ in range(k):
                 poly = poly * gp
-        rows.append(_poly_to_row(poly, mono_index))
-    return combos, rows, mono_index
+        rows.append({e: c.ints for e, c in poly.terms.items()})
+    return combos, rows
 
 
 def greedy_complete_by_rank(span_rows, candidates, ncols):

@@ -571,6 +571,29 @@ def test_sparse_solve_in_span_is_the_dense_solve(matrix, data):
 SELECTIONS = (("su3", "torus"), ("su3", "irregular-A"), ("su2", "torus"))
 
 
+def test_a_selection_builds_the_split_and_no_system(monkeypatch):
+    """centralizer_report runs for every CLI selection with no
+    MagneticSystem built, and each selection's split has the a and m
+    indices of the system of its W: the two CLI cases, and su(2) over
+    W = e_x."""
+    from su3mag.phase import MagneticSystem
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a selection built a MagneticSystem")
+
+    monkeypatch.setattr(MagneticSystem, "__init__", refused)
+    splits = []
+    for selection in SELECTIONS:
+        for m_only in (True, False):
+            assert reports.centralizer_report(*selection, m_only, 2)
+        splits.append(reports._selection(*selection)[1])
+    monkeypatch.undo()
+    systems = [reports.make_system(case, 0.1) for case in reports.CASES]
+    systems.append(MagneticSystem(build_su2(), [1, 0, 0], 0.1))
+    assert [(s.a_indices, s.m_indices) for s in splits] == \
+        [(s.sub.a_indices, s.sub.m_indices) for s in systems]
+
+
 def _buckets_by_degree(selection, m_only):
     """(names, operator terms, buckets) of invariant_space, degrees 1-5."""
     alg, sub = reports._selection(*selection)
@@ -940,10 +963,10 @@ def test_nothing_outlives_an_indecomposable_generators_call(monkeypatch):
         counts.append((len(solves), sorted(listed), built))
         monkeypatch.undo()
     assert counts[0] == counts[1]
-    # one list of each degree's 8-variable monomials and one of its bucket
-    # profiles over the 5 blocks (h1, h2 and the three root planes),
-    # degrees 1-4
-    assert counts[0][1] == sorted((n, d) for n in (5, 8) for d in (1, 2, 3, 4))
+    # no list of the 8-variable monomials: one list of each degree's
+    # bucket profiles over the 5 blocks (h1, h2 and the three root
+    # planes), degrees 1-4
+    assert counts[0][1] == [(5, d) for d in (1, 2, 3, 4)]
     # one echelon of products per degree and generator count, built anew
     # by each call: degrees 1-4 as the generators grow (h1 and h2, then
     # u1-u3, then v and w), then the relations over all seven, which
@@ -976,9 +999,8 @@ def test_generator_products_are_the_chained_products(selection):
             assert _generator_products(first, names, degree,
                                        shared) == expected
             # the memo keeps one echelon per degree and generator count
-            combos, _, mono_index = expected
             assert _product_echelon(first, names, degree,
-                                    shared)[:2] == (combos, mono_index)
+                                    shared)[0] == expected[0]
 
 
 def test_each_generator_product_is_one_multiplication(monkeypatch):

@@ -45,26 +45,55 @@ def test_eps_zero_rejected():
         su3_regular_system(0.0)
 
 
-def test_the_case_label_is_read_off_w():
+def test_the_case_label_is_read_off_w(monkeypatch):
     """A system is labelled "regular" exactly when its W is regular: the
     CLI cases keep their names, a regular W of another build or algebra
-    is labelled "regular", and no tag can be passed in.  su(2) over its
-    torus is labelled regular, so it reaches the torus generators, which
-    refuse an algebra without the root-adapted su(3) data."""
-    from su3mag.algebra import build_su2, build_su3_gellmann
+    is labelled "regular", and no tag can be passed in.  The label is
+    read off the split, with no eigensolve; regularity() is its oracle on
+    five Ws.  su(2) over its torus is labelled regular, so it reaches the
+    torus generators, which refuse an algebra without the root-adapted
+    su(3) data."""
+    from su3mag.algebra import build_su2, build_su3_gellmann, regularity
     from su3mag.certify import slice_generators
     from su3mag.reports import CASES, make_system
-    for case in CASES:
-        assert make_system(case, 0.1).case_tag == case
-    e1 = MagneticSystem(build_su3_gellmann(), [1] + [0] * 7, 0.1)
-    su2 = MagneticSystem(build_su2(), [1, 0, 0], 0.1)
-    assert e1.case_tag == su2.case_tag == "regular"
+    gm = build_su3_gellmann()
+    others = [(build_su2(), [1, 0, 0]), (gm, [1] + [0] * 7),
+              (gm, [0, 0, 1] + [0] * 5)]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the label made an eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    systems = [make_system(case, 0.1) for case in CASES]
+    systems += [MagneticSystem(alg, W, 0.1) for alg, W in others]
+    monkeypatch.undo()
+    assert [s.case_tag for s in systems[:2]] == list(CASES)
+    assert [s.case_tag for s in systems[2:]] == ["regular"] * 3
+    for s in systems:
+        expected = regularity(s.alg, s.W_exact).regular
+        assert s.case_tag == ("regular" if expected else "irregular")
+    su2 = systems[2]
     with pytest.raises(TypeError):
         MagneticSystem(build_su2(), [1, 0, 0], 0.1, "irregular")
     with pytest.raises(ValueError) as err:
         slice_generators(su2)
     assert str(err.value) == \
         "torus generators need the root-adapted su(3) build"
+
+
+def test_root_coordinates_refuse_an_algebra_not_3x3():
+    """_z_matrix reads root coordinates off 3x3 matrices only: su(2)'s
+    2x2 matrices get a one-line ValueError that names it, and so does a
+    regular draw on SU(2)/U(1), whose chart test reads them, instead of
+    failing after 500 draws."""
+    from su3mag.algebra import build_su2
+    from su3mag.phase import _z_matrix
+    message = r"^root coordinates need 3x3 matrices, su2 has 2x2$"
+    with pytest.raises(ValueError, match=message):
+        _z_matrix(build_su2())
+    sys = MagneticSystem(build_su2(), [1, 0, 0], 0.1)
+    with pytest.raises(ValueError, match=message):
+        sys.random_regular_point(np.random.default_rng(0))
 
 
 def test_moment_components_at_identity():
